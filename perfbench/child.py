@@ -8,17 +8,74 @@ the package's public API (the timed part), checks each operation and
 writes one JSON result.  ``PERFBENCH_T0`` carries the parent's
 ``time.time()`` just before the process was started, so set-up time
 includes interpreter start and imports.
+
+Untraced passes also sample the host's speed during set-up, while each
+Table-1 row runs and while a campaign runs: every ``SAMPLE_EVERY_S`` a
+timer signal times a fixed piece of interpreter work (dict updates,
+integer arithmetic, like the imports, stand-in generation and ES loops
+those stretches spend their time in).  Each stretch's time is reported
+without the samples, with the mean sample time beside it, and
+``run.py`` scales it by ``PROBE_REF_S`` over that mean.  Other tenants
+of a shared host slow the program by up to ~80% in phases of seconds to
+minutes; on a 2-vCPU VM the scaling cut the spread of a Table-1 row's
+time from 16% to 5.5%, where probes between rows (numpy, memory-bound
+or interpreter work) reached only 10-12%.  A campaign's samples run in
+its main process, which mostly waits for the pool workers, and track
+the CPUs those workers share with other tenants.  The samples are the
+benchmark's own code, so a change to the package does not move them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import os
+import signal
 import sys
 import time
 from pathlib import Path
+
+SAMPLE_EVERY_S = 0.05
+SAMPLE_ITERATIONS = 4000
+#: Mean sample time on a reference host; a scaled time is host seconds
+#: times ``PROBE_REF_S / mean sample``.  About the median on the 2-vCPU
+#: VM the bounds were set on.
+PROBE_REF_S = 0.00075
+
+
+class SpeedSampler:
+    """Times ``SAMPLE_ITERATIONS`` of fixed interpreter work every
+    ``SAMPLE_EVERY_S`` of wall time, from a SIGALRM handler in the main
+    thread, while a ``with`` block runs."""
+
+    def __init__(self):
+        self.samples: list[float] = []
+
+    @staticmethod
+    def _work() -> float:
+        start = time.perf_counter()
+        total, counts = 0, {}
+        for i in range(SAMPLE_ITERATIONS):
+            counts[i & 255] = counts.get(i & 255, 0) + i
+            total += i * 3
+        return time.perf_counter() - start
+
+    def _sample(self, signum, frame) -> None:
+        self.samples.append(self._work())
+
+    def __enter__(self):
+        self.samples = []
+        self._previous = signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_EVERY_S, SAMPLE_EVERY_S)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._previous)
+        if not self.samples:  # a block shorter than one interval
+            self.samples.append(self._work())
 
 
 def _peak_rss_mb() -> float:
@@ -34,20 +91,30 @@ def _peak_rss_mb() -> float:
     return max(own, children) / 1024.0
 
 
-def _table1(spec: dict) -> dict:
+def _table1(spec: dict, sample: bool) -> dict:
+    """Traced passes do not ``sample`` the host's speed."""
     from dataclasses import asdict
 
     from repro.experiments.table1 import run_table1
 
-    rows, errors = [], []
+    rows, errors, row_s = [], [], []
     for name in spec["circuits"]:
         # One call per circuit is the same work as one call for all six
         # (each circuit gets its own evaluator and the same seed) and
         # lets a failure count against one row only.
-        try:
-            row = run_table1((name,), seed=spec["seed"], quick=True).rows[0]
-        except Exception as exc:  # noqa: BLE001 - counted as a failed row
-            errors.append(f"{name}: {type(exc).__name__}: {exc}")
+        sampler = SpeedSampler() if sample else contextlib.nullcontext()
+        start = time.perf_counter()
+        with sampler:
+            try:
+                row = run_table1((name,), seed=spec["seed"], quick=True).rows[0]
+            except Exception as exc:  # noqa: BLE001 - counted as a failed row
+                errors.append(f"{name}: {type(exc).__name__}: {exc}")
+                row = None
+        seconds = time.perf_counter() - start
+        if sample:
+            row_s.append([name, seconds - sum(sampler.samples),
+                          sum(sampler.samples) / len(sampler.samples)])
+        if row is None:
             continue
         rows.append(asdict(row))
         if not row.area_standard > row.area_evolution:
@@ -59,6 +126,7 @@ def _table1(spec: dict) -> dict:
         "attempted": len(spec["circuits"]),
         "failed": len(errors),
         "errors": errors,
+        "row_s": row_s,
         "digest": json.dumps(rows, sort_keys=True),
         "quality": {
             "sensor_area": sum(r["area_evolution"] for r in rows),
@@ -118,37 +186,50 @@ def _campaign(spec: dict) -> tuple[dict, dict]:
 
 def run(spec: dict) -> dict:
     t0 = float(os.environ["PERFBENCH_T0"])
-    import numpy
-
-    from repro import obs
-    from repro.netlist.benchmarks import load_iscas85
-
-    from layers import PIPELINE_MODULES, attribute, install
-
-    # Import the whole pipeline during set-up in both modes, so that the
-    # traced and untraced runs time the same work.
-    for module in PIPELINE_MODULES:
-        importlib.import_module(module)
     trace = bool(spec.get("trace"))
-    if trace:
-        obs.enable(trace=True, metrics=True)
-        install(spec["workload"])
-    for name in spec["circuits"]:
-        load_iscas85(name).compiled
+    sampler = contextlib.nullcontext() if trace else SpeedSampler()
+    with sampler:
+        import numpy
+
+        from repro import obs
+        from repro.netlist.benchmarks import load_iscas85
+
+        from layers import PIPELINE_MODULES, attribute, install
+
+        # Import the whole pipeline during set-up in both modes, so that
+        # the traced and untraced runs time the same work.
+        for module in PIPELINE_MODULES:
+            importlib.import_module(module)
+        if trace:
+            obs.enable(trace=True, metrics=True)
+            install(spec["workload"])
+        for name in spec["circuits"]:
+            load_iscas85(name).compiled
     setup_s = time.time() - t0
     result: dict = {"setup_s": setup_s, "numpy": numpy.__version__}
+    if not trace:
+        result["setup_s"] -= sum(sampler.samples)
+        result["setup_sample_s"] = sum(sampler.samples) / len(sampler.samples)
     if spec.get("setup_only"):
         return result
 
     manifest = None
     start_ns = time.monotonic_ns()
     if spec["workload"] == "table1-quick":
-        outcome = _table1(spec)
+        outcome = _table1(spec, sample=not trace)
     else:
-        outcome, manifest = _campaign(spec)
+        sampler = contextlib.nullcontext() if trace else SpeedSampler()
+        with sampler:
+            outcome, manifest = _campaign(spec)
+        if not trace:
+            outcome["wall_sample_s"] = sum(sampler.samples) / len(sampler.samples)
+            outcome["sampled_s"] = sum(sampler.samples)
     end_ns = time.monotonic_ns()
     result.update(outcome)
-    result["wall_s"] = (end_ns - start_ns) / 1e9
+    result["wall_s"] = (end_ns - start_ns) / 1e9 - outcome.get("sampled_s", 0.0)
+    if outcome.get("row_s"):
+        # Host seconds in rows, without the speed samples.
+        result["wall_s"] = sum(seconds for _, seconds, _ in outcome["row_s"])
     result["peak_rss_mb"] = _peak_rss_mb()
     if trace:
         result["attribution"] = attribute(obs.TRACER.events(), (start_ns, end_ns))
