@@ -117,23 +117,29 @@ def c17_paper_naming() -> Circuit:
     return parse_bench(_C17_PAPER_BENCH, name="c17-paper")
 
 
-@lru_cache(maxsize=None)
 def load_iscas85(name: str) -> Circuit:
     """Load an ISCAS85 circuit or its documented stand-in.
 
     ``c17`` is exact; ``c6288`` is a structurally faithful 16x16 array
     multiplier; every other name yields the seeded synthetic circuit for
-    that profile.  Unknown names raise :class:`NetlistError`.
+    that profile.  Names are case-insensitive and every spelling returns
+    the same cached circuit.  Unknown names raise :class:`NetlistError`.
     """
     key = name.lower()
+    if key != "c17" and key not in ISCAS85_PROFILES:
+        known = ", ".join(sorted(set(ISCAS85_PROFILES) | {"c17"}))
+        raise NetlistError(f"unknown ISCAS85 circuit {name!r}; known: {known}")
+    return _load_circuit(key)
+
+
+@lru_cache(maxsize=None)
+def _load_circuit(key: str) -> Circuit:
+    """The circuit for a lower-case catalogue name, built once."""
     if key == "c17":
         return c17()
     if key == "c6288":
         return array_multiplier(16, name="c6288").circuit
-    profile = ISCAS85_PROFILES.get(key)
-    if profile is None:
-        known = ", ".join(sorted(set(ISCAS85_PROFILES) | {"c17"}))
-        raise NetlistError(f"unknown ISCAS85 circuit {name!r}; known: {known}")
+    profile = ISCAS85_PROFILES[key]
     config = GeneratorConfig(
         name=profile.name,
         num_gates=profile.num_gates,
@@ -142,6 +148,7 @@ def load_iscas85(name: str) -> Circuit:
         depth=profile.depth,
         seed=1995 + profile.num_gates,
     )
+    # Looked up at call time: instrumentation may rebind the name here.
     return generate_iscas_like(config)
 
 

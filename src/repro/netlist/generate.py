@@ -116,6 +116,25 @@ def _weighted_choice(rng: random.Random, table: dict) -> object:
     return items[-1][0]
 
 
+def _shuffle(items: list, rng: random.Random) -> None:
+    """``rng.shuffle(items)``, without a method call per element.
+
+    The same Fisher-Yates walk and the same rejection sampling over
+    ``getrandbits`` as ``random.Random.shuffle``, so it consumes the
+    identical draws and leaves the identical permutation and RNG state;
+    the stand-ins depend on that.  Most of the stdlib shuffle's cost is
+    its per-element ``_randbelow`` call, not the draws.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        bound = i + 1
+        bits = bound.bit_length()
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
+
+
 def generate_iscas_like(config: GeneratorConfig) -> Circuit:
     """Generate a deterministic ISCAS-like circuit for ``config``.
 
@@ -156,7 +175,7 @@ def generate_iscas_like(config: GeneratorConfig) -> Circuit:
                 for lvl in range(low, level):
                     pool.extend(by_level[lvl])
                 pool = [p for p in pool if p not in fanins]
-                rng.shuffle(pool)
+                _shuffle(pool, rng)
                 needed = min(arity - 1, len(pool))
                 fanins.extend(pool[:needed])
             if len(fanins) == 1 and gate_type not in (GateType.NOT, GateType.BUF):

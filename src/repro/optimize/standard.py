@@ -15,9 +15,12 @@ way to be comparable).  The module size is "the numbers obtained by the
 evolution based algorithm" — callers pass the module count the evolution
 produced, exactly as the paper does for Table 1.
 
-The implementation is fully vectorised: two running numpy arrays hold
-each free gate's summed distance to the current module and to the free
-set; adding a gate updates both with one matrix-row addition.
+The implementation is fully vectorised: two running ``int64`` arrays
+hold each gate's summed distance to the current module and to the free
+set; adding a gate updates both with one ``uint8`` matrix-row addition.
+Sums are exact integers, so ties are decided exactly.  Claimed gates
+carry a sentinel far above any real sum instead of being masked out,
+so picking the closest free gate is one ``min`` over the running array.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ from repro.partition.partition import Partition
 
 __all__ = ["standard_partition"]
 
+#: Marks claimed gates in the running sums; real sums stay below
+#: ``n * 255``, so adding matrix rows never lets a claimed gate win.
+_CLAIMED = np.int64(1) << 62
+
 
 def standard_partition(evaluator: PartitionEvaluator, num_modules: int) -> Partition:
     """Build the deterministic standard partition with ``num_modules``
@@ -38,32 +45,32 @@ def standard_partition(evaluator: PartitionEvaluator, num_modules: int) -> Parti
     n = len(circuit.gate_names)
     if not 1 <= num_modules <= n:
         raise OptimizationError(f"cannot build {num_modules} modules from {n} gates")
-    matrix = evaluator.separation.matrix.astype(np.float64)
-    levels = np.asarray(
-        [circuit.levels[name] for name in circuit.gate_names], dtype=np.float64
-    )
+    matrix = evaluator.separation.matrix
+    # Seed order: claimed gates get the sentinel, so argmin is the first
+    # free gate of minimal level.
+    seed_key = circuit.compiled.gate_level.astype(np.int64)
 
     free = np.ones(n, dtype=bool)
     # Σ distance from each gate to every currently free gate (tie-breaker).
-    dist_to_free = matrix.sum(axis=1)
+    dist_to_free = matrix.sum(axis=1, dtype=np.int64)
     assignment = np.empty(n, dtype=np.int64)
 
-    sizes = _balanced_sizes(n, num_modules)
-    for module, target_size in enumerate(sizes):
+    for module, target_size in enumerate(_balanced_sizes(n, num_modules)):
+        # Σ distance to the module, sentinel on every claimed gate.
+        dist_to_module = np.where(free, np.int64(0), _CLAIMED)
         # Seed: free gate as near to a primary input as possible.
-        seed = _argmin_masked(levels, free)
-        _claim(seed, module, assignment, free, dist_to_free, matrix)
-        dist_to_module = matrix[seed].copy()
-        for _ in range(target_size - 1):
-            if not free.any():
-                break
-            candidate = _closest_free(dist_to_module, dist_to_free, free)
-            _claim(candidate, module, assignment, free, dist_to_free, matrix)
-            dist_to_module += matrix[candidate]
-    # Rounding can only leave gates unassigned if sizes mis-sum; guard.
-    if free.any():
-        assignment[free] = num_modules - 1
-    return Partition(circuit, {g: int(assignment[g]) for g in range(n)})
+        gate = int(seed_key.argmin())
+        for size in range(1, target_size + 1):
+            assignment[gate] = module
+            free[gate] = False
+            seed_key[gate] = _CLAIMED
+            # The gate left the free set: everyone's distance-to-free shrinks.
+            dist_to_free -= matrix[gate]
+            dist_to_module += matrix[gate]
+            dist_to_module[gate] = _CLAIMED
+            if size < target_size:
+                gate = _closest_free(dist_to_module, dist_to_free)
+    return Partition(circuit, dict(enumerate(assignment.tolist())))
 
 
 def _balanced_sizes(n: int, k: int) -> list[int]:
@@ -72,35 +79,11 @@ def _balanced_sizes(n: int, k: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(k)]
 
 
-def _argmin_masked(values: np.ndarray, mask: np.ndarray) -> int:
-    masked = np.where(mask, values, np.inf)
-    return int(masked.argmin())
-
-
-def _claim(
-    gate: int,
-    module: int,
-    assignment: np.ndarray,
-    free: np.ndarray,
-    dist_to_free: np.ndarray,
-    matrix: np.ndarray,
-) -> None:
-    assignment[gate] = module
-    free[gate] = False
-    # The gate left the free set: everyone's distance-to-free shrinks.
-    dist_to_free -= matrix[gate]
-
-
-def _closest_free(
-    dist_to_module: np.ndarray,
-    dist_to_free: np.ndarray,
-    free: np.ndarray,
-) -> int:
+def _closest_free(dist_to_module: np.ndarray, dist_to_free: np.ndarray) -> int:
     """Free gate minimising Σ distance to the module; ties broken by
     maximising Σ distance to the remaining free gates (paper §5)."""
-    masked = np.where(free, dist_to_module, np.inf)
-    best = masked.min()
-    ties = np.flatnonzero(masked == best)
+    best = dist_to_module.min()
+    ties = np.flatnonzero(dist_to_module == best)
     if len(ties) == 1:
         return int(ties[0])
     return int(ties[dist_to_free[ties].argmax()])

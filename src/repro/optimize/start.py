@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from repro.errors import OptimizationError
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
@@ -58,6 +60,12 @@ def chain_start_partition(
     (primary output reached or no free successor) and the module still
     has room, a new chain is seeded — preferably adjacent to the module,
     else at a free gate of minimal level (close to a primary input).
+
+    Seed candidates are listed in a fixed order, so a seeded ``rng``
+    draws the same partition on every run: adjacent gates in the order
+    of the module's claims and of each claimed gate's sorted neighbour
+    row (a gate next to two module gates is listed twice); fallback
+    gates by level, ties by gate index.
     """
     circuit = evaluator.circuit
     n = len(circuit.gate_names)
@@ -65,45 +73,45 @@ def chain_start_partition(
         raise OptimizationError(
             f"cannot build {num_modules} modules from {n} gates"
         )
-    levels = circuit.levels
-    names = circuit.gate_names
-    level_of = [levels[name] for name in names]
-    neighbours = circuit.gate_neighbors
-    # Fanout successors in dense index space (chains move toward outputs).
-    index = circuit.gate_index
-    successors: list[list[int]] = [[] for _ in range(n)]
-    for name in names:
-        g = index[name]
-        for sink in circuit.fanouts[name]:
-            sink_idx = index.get(sink)
-            if sink_idx is not None:
-                successors[g].append(sink_idx)
+    cg = circuit.compiled
+    # Fanout successors in dense index space (chains move toward
+    # outputs); every fanout sink is a logic gate.
+    sinks = cg.node_gate[cg.fanout_indices].tolist()
+    bounds = cg.fanout_indptr.tolist()
+    successors = [
+        sinks[bounds[node] : bounds[node + 1]] for node in cg.gate_node.tolist()
+    ]
+    adj_bounds = cg.gate_adj_indptr.tolist()
+    adj_indices = cg.gate_adj_indices
+    by_level = np.argsort(cg.gate_level, kind="stable")
 
-    free: set[int] = set(range(n))
-    sizes = _balanced_sizes(n, num_modules)
+    free = np.ones(n, dtype=bool)
+    num_free = n
+    # Append-only: the neighbour rows of the module's gates, claim order.
+    adjacent = np.empty(len(adj_indices), dtype=adj_indices.dtype)
     assignment: dict[int, int] = {}
 
-    for module, target_size in enumerate(sizes):
-        module_gates: list[int] = []
-        while len(module_gates) < target_size and free:
-            seed = _pick_seed(free, module_gates, neighbours, level_of, rng)
-            chain = seed
-            while chain is not None and len(module_gates) < target_size:
-                module_gates.append(chain)
-                free.discard(chain)
+    for module, target_size in enumerate(_balanced_sizes(n, num_modules)):
+        size = filled = 0
+        while size < target_size:
+            # Seed a new chain: prefer free gates adjacent to the module
+            # under construction (keeps modules connected), else a random
+            # gate among the few lowest levels.
+            candidates = adjacent[:filled]
+            candidates = candidates[free[candidates]]
+            if not len(candidates):
+                candidates = by_level[free[by_level]][: max(1, num_free // 20)]
+            chain = int(rng.choice(candidates))
+            while chain is not None and size < target_size:
                 assignment[chain] = module
-                free_successors = [s for s in successors[chain] if s in free]
+                free[chain] = False
+                num_free -= 1
+                size += 1
+                row = adj_indices[adj_bounds[chain] : adj_bounds[chain + 1]]
+                adjacent[filled : filled + len(row)] = row
+                filled += len(row)
+                free_successors = [s for s in successors[chain] if free[s]]
                 chain = rng.choice(free_successors) if free_successors else None
-        if not module_gates:
-            # More modules than reachable gates at this point: give this
-            # module one arbitrary free gate (sizes guarantee >= 1 each,
-            # so this only triggers on adversarial inputs).
-            leftover = free.pop()
-            assignment[leftover] = module
-    # Any stragglers (only possible through rounding) join the last module.
-    for gate in list(free):
-        assignment[gate] = num_modules - 1
-        free.discard(gate)
     return Partition(circuit, assignment)
 
 
@@ -111,31 +119,6 @@ def _balanced_sizes(n: int, k: int) -> list[int]:
     base = n // k
     extra = n % k
     return [base + 1 if i < extra else base for i in range(k)]
-
-
-def _pick_seed(
-    free: set[int],
-    module_gates: list[int],
-    neighbours,
-    level_of: list[int],
-    rng: random.Random,
-) -> int:
-    """Seed a new chain: prefer free gates adjacent to the module under
-    construction (keeps modules connected), else a free gate of minimal
-    level, randomly among the few lowest."""
-    if module_gates:
-        adjacent = [
-            nbr
-            for gate in module_gates
-            for nbr in neighbours[gate]
-            if nbr in free
-        ]
-        if adjacent:
-            return rng.choice(adjacent)
-    # No adjacency available: take a random gate among the lowest levels.
-    candidates = sorted(free, key=lambda g: level_of[g])
-    cutoff = max(1, len(candidates) // 20)
-    return rng.choice(candidates[:cutoff])
 
 
 def start_population(

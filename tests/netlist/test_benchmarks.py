@@ -13,6 +13,7 @@ from repro.netlist.benchmarks import (
     table1_circuits,
 )
 from repro.netlist.gate import GateType
+from repro.netlist.generate import generate_iscas_like
 
 
 class TestC17:
@@ -64,6 +65,29 @@ class TestCatalog:
 
     def test_loader_cached(self):
         assert load_iscas85("c880") is load_iscas85("c880")
+
+    def test_loader_cache_ignores_name_case(self):
+        assert load_iscas85("C432") is load_iscas85("c432")
+        assert load_iscas85("C17") is c17()
+
+    def test_unknown_name_reported_as_given(self):
+        with pytest.raises(NetlistError, match="'C9999'"):
+            load_iscas85("C9999")
+
+    def test_generator_resolved_at_call_time(self, monkeypatch):
+        """A wrapper bound in the catalogue module sees stand-in builds."""
+        import repro.netlist.benchmarks as benchmarks
+
+        built = []
+
+        def spy(config):
+            built.append(config.name)
+            return generate_iscas_like(config)
+
+        monkeypatch.setattr(benchmarks, "generate_iscas_like", spy)
+        uncached = benchmarks._load_circuit.__wrapped__
+        assert uncached("c432").name == "c432"
+        assert built == ["c432"]
 
     def test_unknown_circuit_rejected(self):
         with pytest.raises(NetlistError, match="unknown ISCAS85"):
