@@ -22,11 +22,12 @@ depths are added in one step.  Distances are symmetric, so the
 ``(target, source)`` rows need no transpose.  BFS traverses *all* nodes
 (two gates may be close through a shared primary input) but distances
 are recorded for logic gates only.  For the largest Table 1 circuit
-(3512 gates) the matrix is ~12 MB and builds in about 0.1 s on a 2-vCPU
-VM, with at most two ``n × n`` arrays alive — far faster than the per-gate Python
-BFS it replaced (kept below as :func:`reference_separation_matrix` for
-the equivalence suite) — after which every module evaluation and every
-incremental move delta is pure numpy indexing.
+(3512 gates) the matrix is ~12 MB and builds in about 0.1 s on a
+2-vCPU VM, with at most two ``n × n`` arrays alive — far faster than
+the per-gate Python BFS it replaced (kept below as
+:func:`reference_separation_matrix` for the equivalence suite) — after
+which every module evaluation and every incremental move delta is pure
+numpy indexing.
 """
 
 from __future__ import annotations

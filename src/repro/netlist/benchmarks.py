@@ -148,7 +148,8 @@ def _load_circuit(key: str) -> Circuit:
         depth=profile.depth,
         seed=1995 + profile.num_gates,
     )
-    # Looked up at call time: instrumentation may rebind the name here.
+    # Resolved in this module at call time, so a profiling wrapper bound
+    # to ``benchmarks.generate_iscas_like`` sees every stand-in build.
     return generate_iscas_like(config)
 
 

@@ -19,8 +19,8 @@ The implementation is fully vectorised: two running ``int64`` arrays
 hold each gate's summed distance to the current module and to the free
 set; adding a gate updates both with one ``uint8`` matrix-row addition.
 Sums are exact integers, so ties are decided exactly.  Claimed gates
-carry a sentinel far above any real sum instead of being masked out,
-so picking the closest free gate is one ``min`` over the running array.
+carry a sentinel far above any real sum, so picking the closest free
+gate is one ``min`` over the running array.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ import pytest
 
 import pins
 
+PINNED = pins.load()
+
 
 @pytest.fixture(scope="module")
 def rows():
@@ -19,12 +21,12 @@ def digests(rows):
 
 
 def test_pinned_keys_complete(digests):
-    assert set(digests) == set(pins.load())
+    assert set(digests) == set(PINNED)
 
 
-@pytest.mark.parametrize("key", sorted(pins.load()))
+@pytest.mark.parametrize("key", sorted(PINNED))
 def test_digest_unchanged(digests, key):
-    assert digests[key] == pins.load()[key], f"golden digest {key} moved"
+    assert digests[key] == PINNED[key], f"golden digest {key} moved"
 
 
 @pytest.mark.parametrize("circuit", pins.TABLE1_CIRCUITS)
