@@ -8,7 +8,12 @@ the paper's pipeline computes from fixed inputs:
 * ``separation/<circuit>`` -- the capped separation matrix;
 * ``start/c880/<i>`` and ``start/c880/rng`` -- the four chain start
   partitions of the c880 Table-1 run and the RNG state they leave;
-* ``standard/<circuit>`` -- the standard partition at the estimated K.
+* ``standard/<circuit>`` -- the standard partition at the estimated K;
+* ``es/c880/history`` -- the whole quick evolution-strategy result on
+  c880 (every generation record, the evaluation count, the generations
+  run and the best partition);
+* ``campaign/c432+c880`` -- the quick campaign's (circuit, stage,
+  status, meta) entries on one worker.
 
 ``test_golden_pins.py`` recomputes them and compares with
 ``pins.json``.  A change that moves a digest on purpose re-records the
@@ -30,12 +35,49 @@ SEPARATION_CIRCUITS = ("c880", "c1908")
 START_CIRCUIT = "c880"
 #: Start partitions of a quick Table-1 run (``EvolutionParams.mu``).
 START_COUNT = 4
+ES_CIRCUIT = "c880"
+CAMPAIGN_CIRCUITS = ("c432", "c880")
 
 
 def table1_rows():
     from repro.experiments.table1 import run_table1
 
     return run_table1(TABLE1_CIRCUITS, seed=SEED, quick=True).rows
+
+
+def es_result():
+    """The quick Table-1 evolution strategy on :data:`ES_CIRCUIT`."""
+    from repro.experiments.table1 import table1_params
+    from repro.netlist.benchmarks import load_iscas85
+    from repro.optimize.evolution import evolve_partition
+    from repro.partition.evaluator import PartitionEvaluator
+
+    evaluator = PartitionEvaluator(load_iscas85(ES_CIRCUIT))
+    return evolve_partition(evaluator, table1_params(True), seed=SEED)
+
+
+def campaign_entries() -> list:
+    """(circuit, stage, status, meta) of every entry of the quick
+    campaign on :data:`CAMPAIGN_CIRCUITS`, run on one worker with an
+    empty cache."""
+    import tempfile
+
+    from repro.runtime.campaign import CampaignConfig, run_campaign
+
+    with tempfile.TemporaryDirectory() as cache_dir:
+        manifest = run_campaign(
+            CampaignConfig(
+                circuits=CAMPAIGN_CIRCUITS,
+                jobs=1,
+                cache_dir=cache_dir,
+                seed=SEED,
+                quick=True,
+            )
+        )
+    return [
+        [entry["circuit"], entry["stage"], entry["status"], entry["meta"]]
+        for entry in manifest["entries"]
+    ]
 
 
 def compute(rows=None) -> dict[str, str]:
@@ -68,6 +110,20 @@ def compute(rows=None) -> dict[str, str]:
     for i, partition in enumerate(starts):
         digests[f"start/{START_CIRCUIT}/{i}"] = fingerprint_partition(partition)
     digests[f"start/{START_CIRCUIT}/rng"] = fingerprint_value(rng.getstate())
+    result = es_result()
+    digests[f"es/{ES_CIRCUIT}/history"] = fingerprint_value(
+        {
+            "history": result.history,
+            "evaluations": result.evaluations,
+            "generations_run": result.generations_run,
+            "converged": result.converged,
+            "best_cost": result.best_cost,
+            "best": result.best.partition.module_of_array(),
+        }
+    )
+    digests["campaign/" + "+".join(CAMPAIGN_CIRCUITS)] = fingerprint_value(
+        campaign_entries()
+    )
     return digests
 
 
