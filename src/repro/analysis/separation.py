@@ -51,10 +51,10 @@ class SeparationMatrix:
     simulation schedule.
     """
 
-    #: Lazily built float64 copy of :attr:`matrix` feeding the BLAS
+    #: Lazily built float32 copy of :attr:`matrix` feeding the BLAS
     #: matmul in :meth:`sums_by_group` (class-level default covers both
     #: constructors, including :meth:`from_matrix`).
-    _matrix_f64: np.ndarray | None = None
+    _matrix_f32: np.ndarray | None = None
 
     def __init__(
         self,
@@ -166,8 +166,10 @@ class SeparationMatrix:
         :meth:`sum_to_group`, exact in any order (integer distances).
         One BLAS matmul against a group-indicator matrix scores every
         (gate, group) pair of a whole candidate set at once: distances
-        are integers ≤ 255 and row sums stay far below 2**53, so the
-        float64 dot product is exact regardless of summation order.
+        are integers ≤ cap, so every partial sum is an integer of at
+        most ``n·cap`` — below 2**24 for any circuit this matrix can
+        hold in memory (n < 65,793 at cap 255) — and the float32 dot
+        product is exact regardless of summation order.
         """
         gates = np.asarray(gates, dtype=np.int64)
         out = np.zeros((len(gates), num_groups), dtype=np.int64)
@@ -177,23 +179,30 @@ class SeparationMatrix:
         valid = np.nonzero(group_of_gate >= 0)[0]
         if valid.size == 0:
             return out
-        indicator = np.zeros((self.matrix.shape[0], num_groups), dtype=np.float64)
+        n = self.matrix.shape[0]
+        indicator = np.zeros((n, num_groups), dtype=np.float32)
         indicator[valid, group_of_gate[valid]] = 1.0
-        if self._matrix_f64 is None:
-            # Lazy 8x-size float64 copy: only optimisers hammering the
-            # batched gain kernel pay for it, one-shot evaluations don't.
-            self._matrix_f64 = self.matrix.astype(np.float64)
+        if self._matrix_f32 is None:
+            # Lazy 4x-size float32 copy: only optimisers hammering the
+            # batched gain kernels pay for it, one-shot evaluations and
+            # the evolution strategy don't.
+            if n * self.cap >= 2**24:
+                raise ValueError(
+                    f"{n} gates at cap {self.cap}: separation sums could "
+                    "reach 2**24 and would not be exact in float32"
+                )
+            self._matrix_f32 = self.matrix.astype(np.float32)
         # Both branches compute exact-integer float sums (lossless int64
         # assignment), so they are bit-identical; the split is purely a
         # FLOP count choice.  Small candidate sets (annealing blocks, KL
         # swap pools) gather their unique rows and run a (U, n) x (n, K)
-        # matmul; large ones amortise one dgemm over the whole matrix,
+        # matmul; large ones amortise one sgemm over the whole matrix,
         # which beats per-row gathering once U approaches n.
         unique, inverse = np.unique(gates, return_inverse=True)
-        if unique.size * 16 < self.matrix.shape[0]:
-            out[:] = (self._matrix_f64[unique] @ indicator)[inverse]
+        if unique.size * 16 < n:
+            out[:] = (self._matrix_f32[unique] @ indicator)[inverse]
         else:
-            out[:] = (self._matrix_f64 @ indicator)[gates]
+            out[:] = (self._matrix_f32 @ indicator)[gates]
         return out
 
 

@@ -97,3 +97,41 @@ class TestSums:
     def test_one_shot_helper(self, c17_paper):
         value = module_separation(c17_paper, ("g1", "g3", "O2"), cap=10)
         assert value == 4
+
+
+class TestSumsByGroup:
+    """The float32 matmul behind ``sums_by_group`` is exact: both its
+    branches equal an ``int64`` reference on the largest stand-in."""
+
+    @pytest.fixture(scope="class")
+    def c7552_matrix(self):
+        from repro.netlist.benchmarks import load_iscas85
+
+        return SeparationMatrix(load_iscas85("c7552"), cap=10)
+
+    @staticmethod
+    def _reference(matrix, gates, group_of_gate, num_groups):
+        rows = matrix.matrix[gates]
+        out = np.zeros((len(gates), num_groups), dtype=np.int64)
+        for group in range(num_groups):
+            out[:, group] = rows[:, group_of_gate == group].sum(axis=1, dtype=np.int64)
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("num_gates", [40, 3000])  # gathered rows, full matmul
+    def test_matches_int64_reference(self, c7552_matrix, seed, num_gates):
+        rng = np.random.default_rng(seed)
+        n = c7552_matrix.matrix.shape[0]
+        num_groups = int(rng.integers(1, 12))
+        group_of_gate = rng.integers(-1, num_groups, size=n)
+        gates = rng.integers(0, n, size=num_gates)
+        got = c7552_matrix.sums_by_group(gates, group_of_gate, num_groups)
+        assert got.dtype == np.int64
+        assert np.array_equal(
+            got, self._reference(c7552_matrix, gates, group_of_gate, num_groups)
+        )
+
+    def test_copy_is_float32(self, c7552_matrix):
+        n = c7552_matrix.matrix.shape[0]
+        c7552_matrix.sums_by_group(np.arange(4), np.zeros(n, dtype=np.int64), 1)
+        assert c7552_matrix._matrix_f32.dtype == np.float32
