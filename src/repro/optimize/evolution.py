@@ -16,30 +16,32 @@ selection:
 * selection keeps the best μ of {parents younger than the maximum
   lifetime κ} ∪ {descendants}.
 
-Costs are maintained incrementally and *transactionally*: a child is
-scored by applying its mutation moves to the parent's live
-:class:`~repro.partition.state.EvaluationState` inside a trial — only
-the touched modules are re-evaluated (§4.2: "costs are recomputed just
-for the modified modules ... the partitions generated this way can be
-evaluated very efficiently") — and rolling back exactly.  Children
-whose mutation collapsed to a *single* move (the common case at small
-step widths) defer scoring: once all of a parent's children are drawn,
-they ride one
-:meth:`~repro.partition.state.EvaluationState.trial_moves` batch
-against the parent's state.  Proposal drawing consumes the RNG and
-scoring doesn't, so deferral leaves the draw sequence — and, because
-the batched kernel is bit-identical to ``trial_cost``, every child
-cost and selection outcome — exactly as the per-child trials produced.
-No state is cloned per candidate; only the μ selection survivors
-materialise a state (cheap dense-array copy plus a replay of the
-recorded moves).
+Each generation runs in three phases, traced as the ``es.draw``,
+``es.score`` and ``es.select`` spans:
+
+* **draw** — every child's mutation is drawn as a move list against its
+  parent's unchanged partition.  A mutated child's later gates must see
+  its earlier moves when they look for connected modules; a ``{gate:
+  target}`` overlay read by :meth:`Partition.neighbor_modules` provides
+  that, so no gate is moved, the parent's partition keeps its version,
+  and its cached boundary sets serve all of its children.
+* **score** — all μ·(λ+χ) move lists go to one
+  :meth:`~repro.partition.state.EvaluationState.trial_blocks` call.
+  Only the modified modules are re-evaluated (§4.2: "costs are
+  recomputed just for the modified modules ... the partitions generated
+  this way can be evaluated very efficiently"), for the whole
+  generation at once: closed-form statistics deltas per row and one
+  stacked block-cone retiming sweep (DESIGN §8.3) for the exact
+  ``D_BIC``.  Each cost is bit-identical to trying the child's moves on
+  the parent's state and rolling back.  Drawing consumes the RNG and
+  scoring does not, so the draws happen in the order the paper's
+  child-by-child loop makes them.
+* **select** — only the μ survivors materialise a state (a dense-array
+  copy of the parent plus a replay of the recorded moves).
+
 The boundary-gate and connected-target queries the mutation operator
 leans on are batched CSR scans over the compiled graph (see DESIGN.md),
 so mutation cost stays proportional to module size, not circuit size.
-Inside each child's trial the exact D_BIC refresh runs through the
-block-structured incremental timing engine (DESIGN §8.4): the child's
-delay changes seed a cone/dirty-block/full dispatch and the degraded
-critical path reads off maintained per-block arrival maxima.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class _Individual:
     evaluation state (parents) or a recorded mutation relative to the
     parent's state (unselected children never materialise one)."""
 
-    cost: float | None  # None = single-move child awaiting batch scoring
+    cost: float | None  # None until the generation is scored
     step: float
     age: int = 0
     state: object | None = None
@@ -74,7 +76,7 @@ class _Individual:
     def materialize(self):
         """The individual's live state, building it on first need by
         copying the parent and replaying the recorded moves (identical
-        arithmetic to the scoring trial, so identical statistics)."""
+        arithmetic to the scoring kernel, so identical statistics)."""
         if self.state is None:
             state = self.parent_state.copy()
             i = 0
@@ -136,59 +138,50 @@ class EvolutionOptimizer:
         converged = False
 
         for generation in range(1, params.generations + 1):
-            children: list[_Individual] = []
-            for parent in parents:
-                deferred: list[_Individual] = []
-                for _ in range(params.children_per_parent):
-                    children.append(self._mutated_child(parent))
-                    if children[-1].cost is None:
-                        deferred.append(children[-1])
-                for _ in range(params.monte_carlo_per_parent):
-                    children.append(self._monte_carlo_child(parent))
-                    if children[-1].cost is None:
-                        deferred.append(children[-1])
-                if deferred:
-                    # All single-move children of this parent share one
-                    # batched gain-kernel call (scores bit-identical to
-                    # their individual trials).
-                    costs = parent.state.trial_moves(
-                        [child.moves[0][0] for child in deferred],
-                        [child.moves[0][1] for child in deferred],
-                        params.penalty,
-                    )
-                    obs.METRICS.inc("optimizer.batch.size", len(deferred))
-                    for child, cost in zip(deferred, costs):
-                        child.cost = float(cost)
+            with obs.TRACER.span("es.draw", generation=generation):
+                children = [
+                    child
+                    for parent in parents
+                    for child in self.draw_children(parent.state, parent.step)
+                ]
+            with obs.TRACER.span("es.score", generation=generation, rows=len(children)):
+                costs = type(parents[0].state).trial_blocks(
+                    [(child.parent_state, child.moves) for child in children],
+                    params.penalty,
+                )
+                for child, cost in zip(children, costs.tolist()):
+                    child.cost = cost
             evaluations += len(children)
 
-            for parent in parents:
-                parent.age += 1
-            pool = [p for p in parents if p.age < params.max_lifetime] + children
-            if not pool:
-                pool = children or parents
-            pool.sort(key=lambda ind: ind.cost)
-            parents = pool[: params.mu]
-            for survivor in parents:
-                survivor.materialize()
+            with obs.TRACER.span("es.select", generation=generation):
+                for parent in parents:
+                    parent.age += 1
+                pool = [p for p in parents if p.age < params.max_lifetime] + children
+                if not pool:
+                    pool = children or parents
+                pool.sort(key=lambda ind: ind.cost)
+                parents = pool[: params.mu]
+                for survivor in parents:
+                    survivor.materialize()
 
-            generation_best = parents[0]
-            if generation_best.cost < best_cost - 1e-12:
-                best_cost = generation_best.cost
-                best_snapshot = generation_best.state.copy()
-                stale = 0
-            else:
-                stale += 1
-            mean_cost = sum(ind.cost for ind in parents) / len(parents)
-            history.append(
-                GenerationRecord(
-                    generation=generation,
-                    best_cost=best_cost,
-                    best_feasible=best_snapshot.constraint_report().feasible,
-                    mean_cost=mean_cost,
-                    num_modules=best_snapshot.partition.num_modules,
-                    evaluations=evaluations,
+                generation_best = parents[0]
+                if generation_best.cost < best_cost - 1e-12:
+                    best_cost = generation_best.cost
+                    best_snapshot = generation_best.state.copy()
+                    stale = 0
+                else:
+                    stale += 1
+                mean_cost = sum(ind.cost for ind in parents) / len(parents)
+                history.append(
+                    GenerationRecord(
+                        generation=generation,
+                        best_cost=best_cost,
+                        best_feasible=best_snapshot.constraint_report().feasible,
+                        mean_cost=mean_cost,
+                        num_modules=best_snapshot.partition.num_modules,
+                        evaluations=evaluations,
+                    )
                 )
-            )
             if stale >= params.convergence_window:
                 converged = True
                 break
@@ -205,59 +198,64 @@ class EvolutionOptimizer:
         )
 
     # -------------------------------------------------------------- operators
+    def draw_children(self, state, step: float) -> list[_Individual]:
+        """The λ mutated then χ Monte-Carlo children of the parent with
+        live ``state`` and step width ``step``, as unscored move lists
+        against its unchanged partition."""
+        params = self.params
+        partition = state.partition
+        children = []
+        for mutation in [True] * params.children_per_parent + [
+            False
+        ] * params.monte_carlo_per_parent:
+            child_step = self._child_step(step)
+            if partition.num_modules < 2:
+                moves = []
+            elif mutation:
+                moves = self._mutation_moves(partition, child_step)
+            else:
+                moves = self._monte_carlo_moves(partition)
+            children.append(
+                _Individual(None, step=child_step, parent_state=state, moves=moves)
+            )
+        return children
+
     def _child_step(self, parent_step: float) -> float:
         """Normal perturbation of the step width (paper: "The new m is
         subject to normal distribution with variance ε around the m of
         the step before")."""
         return max(1.0, self.rng.gauss(parent_step, self.params.step_std))
 
-    def _mutated_child(self, parent: _Individual) -> _Individual:
+    def _mutation_moves(self, partition: Partition, step: float) -> list[tuple[int, int]]:
+        """Boundary gates of a random module, each moved into a random
+        connected module; the overlay makes every later gate see the
+        earlier moves."""
         rng = self.rng
-        state = parent.state
-        partition = state.partition
-        step = self._child_step(parent.step)
-        moves: list[tuple[int, int]] = []
-        state.begin_trial()
-        if partition.num_modules >= 2:
-            module = rng.choice(partition.module_ids)
-            boundary = partition.boundary_gates(module)
-            if boundary:
-                limit = min(int(step), len(boundary))
-                count = rng.randint(1, max(1, limit))
-                moved = rng.sample(boundary, count)
-                for gate in moved:
-                    if partition.module_of(gate) != module:
-                        continue  # an earlier move dissolved the module
-                    targets = partition.neighbor_modules(gate)
-                    if targets:
-                        target = rng.choice(targets)
-                        state.move_gate(gate, target)
-                        moves.append((gate, target))
-        # Single-move children defer to the parent's batched scoring
-        # call in ``run`` (their trial state is just parent + one move).
-        cost = None if len(moves) == 1 else state.penalized_cost(self.params.penalty)
-        state.rollback()
-        return _Individual(cost, step=step, parent_state=state, moves=moves)
+        module = rng.choice(partition.module_ids)
+        boundary = partition.boundary_gates(module)
+        if not boundary:
+            return []
+        count = rng.randint(1, max(1, min(int(step), len(boundary))))
+        overlay: dict[int, int] = {}
+        moves = []
+        for gate in rng.sample(boundary, count):
+            targets = partition.neighbor_modules(gate, overlay)
+            if targets:
+                target = rng.choice(targets)
+                overlay[gate] = target
+                moves.append((gate, target))
+        return moves
 
-    def _monte_carlo_child(self, parent: _Individual) -> _Individual:
+    def _monte_carlo_moves(self, partition: Partition) -> list[tuple[int, int]]:
+        """A random block of a random module moved into another random
+        module."""
         rng = self.rng
-        state = parent.state
-        partition = state.partition
-        step = self._child_step(parent.step)
-        moves: list[tuple[int, int]] = []
-        state.begin_trial()
-        if partition.num_modules >= 2:
-            source = rng.choice(partition.module_ids)
-            targets = [m for m in partition.module_ids if m != source]
-            target = rng.choice(targets)
-            gates = partition.gates_array(source).tolist()  # ascending
-            count = rng.randint(1, len(gates))
-            block = rng.sample(gates, count)
-            state.move_gates(block, target)
-            moves.extend((gate, target) for gate in block)
-        cost = None if len(moves) == 1 else state.penalized_cost(self.params.penalty)
-        state.rollback()
-        return _Individual(cost, step=step, parent_state=state, moves=moves)
+        module_ids = partition.module_ids
+        source = rng.choice(module_ids)
+        target = rng.choice([m for m in module_ids if m != source])
+        gates = partition.gates_array(source).tolist()  # ascending
+        block = rng.sample(gates, rng.randint(1, len(gates)))
+        return [(gate, target) for gate in block]
 
 
 def evolve_partition(

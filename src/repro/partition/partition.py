@@ -200,7 +200,7 @@ class Partition:
             external = self._module_of[neighbours] != module
             per_gate = np.repeat(np.arange(len(gs)), counts)
             has_external = np.bincount(per_gate[external], minlength=len(gs)) > 0
-            result = [int(g) for g in gs[has_external]]
+            result = gs[has_external].tolist()
         self._boundary[(module, -1)] = result
         return result
 
@@ -213,17 +213,33 @@ class Partition:
             raise PartitionError(f"no module {module}")
         return self._boundary.get((module, other))
 
-    def neighbor_modules(self, gate: int) -> tuple[int, ...]:
+    def neighbor_modules(
+        self, gate: int, overlay: Mapping[int, int] | None = None
+    ) -> tuple[int, ...]:
         """Distinct modules (other than the gate's own) adjacent to
         ``gate``, ascending.  Adjacency rows are a handful of entries, so
         a Python set beats ``np.unique`` by an order of magnitude here —
-        this runs once per candidate in every optimiser's inner loop."""
+        this runs once per candidate in every optimiser's inner loop.
+
+        ``overlay`` maps gates to the modules they would occupy after
+        moves that were drawn but not applied; the answer is the one the
+        partition would give with those moves made."""
         cg = self.circuit.compiled
         row = cg.gate_adj_indices[
             cg.gate_adj_indptr[gate] : cg.gate_adj_indptr[gate + 1]
         ]
-        modules = set(self._module_of[row].tolist())
-        modules.discard(int(self._module_of[gate]))
+        own = int(self._module_of[gate])
+        if overlay:
+            modules = {
+                overlay.get(neighbour, module)
+                for neighbour, module in zip(
+                    row.tolist(), self._module_of[row].tolist()
+                )
+            }
+            own = overlay.get(gate, own)
+        else:
+            modules = set(self._module_of[row].tolist())
+        modules.discard(own)
         return tuple(sorted(modules))
 
     def gates_adjacent_to(self, module: int, other: int) -> list[int]:
@@ -245,7 +261,7 @@ class Partition:
             hits = self._module_of[neighbours] == other
             per_gate = np.repeat(np.arange(len(gs)), counts)
             adjacent = np.bincount(per_gate[hits], minlength=len(gs)) > 0
-            result = [int(g) for g in gs[adjacent]]
+            result = gs[adjacent].tolist()
         self._boundary[(module, other)] = result
         return result
 

@@ -28,11 +28,15 @@ offers :meth:`EvaluationState.trial_moves` — a batched gain kernel that
 scores a whole candidate set ``(gates, targets)`` in one vectorised
 pass (batched separation sums, scatter-added profile deltas, vectorised
 sensor sizing and constraint checking), looping only for the
-per-candidate cone-restricted delay update.
+per-candidate cone-restricted delay update, and
+:meth:`EvaluationState.trial_blocks` — the population kernel that
+scores a whole ES generation of multi-move rows from several parent
+states with one stacked retiming sweep.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -178,6 +182,21 @@ class _StateProtocol:
             module_b = partition.module_of(b)
             costs[i] = self.trial_cost([(a, module_b), (b, module_a)], penalty)
             self.rollback()
+        return costs
+
+    @staticmethod
+    def trial_blocks(
+        rows: Sequence[tuple["_StateProtocol", Sequence[tuple[int, int]]]],
+        penalty: float,
+    ) -> np.ndarray:
+        """Penalised cost of each ``(state, moves)`` row, the moves
+        applied in order and evaluated independently from that state
+        (generic trial/rollback loop; the dense state overrides this
+        with the population kernel)."""
+        costs = np.empty(len(rows), dtype=np.float64)
+        for i, (state, moves) in enumerate(rows):
+            costs[i] = state.trial_cost(moves, penalty)
+            state.rollback()
         return costs
 
     def committed_moves(self) -> list[tuple[int, int]]:
@@ -1746,6 +1765,282 @@ class EvaluationState(_StateProtocol):
                     delays[idx] = old_delays
             else:
                 d_bic[i] = self._dbic
+
+    # ------------------------------------------------------ population kernel
+    @staticmethod
+    def trial_blocks(
+        rows: Sequence[tuple["EvaluationState", Sequence[tuple[int, int]]]],
+        penalty: float,
+    ) -> np.ndarray:
+        """Population kernel: the penalised cost of every ``(parent,
+        moves)`` row, bit-identical to ``parent.trial_cost(moves)``
+        followed by ``rollback()``.
+
+        Built for one ES generation: rows from several parents of one
+        evaluator, each moving distinct gates out of a single source
+        module into one or more targets (a row may empty its source, or
+        move nothing).  Each parent is refreshed once, outside any
+        trial, and otherwise left untouched — no move is applied, so its
+        partition keeps its version and cached boundary sets.
+
+        Stage 1 (:meth:`_block_rows`, per parent) starts every row from
+        copies of the parent's slot vectors and ``(S, T)`` profiles and
+        replays the moves' deltas in move order; stage 2 re-times every
+        row's re-degraded delay vector in one stacked
+        :meth:`IncrementalTiming.retime_batch` sweep.  The cost terms are
+        the scalar expressions of :meth:`cost_breakdown` and
+        :meth:`penalized_cost`, reduced over each row's own slot count
+        (parents may differ in K).
+        """
+        count = len(rows)
+        costs = np.empty(count, dtype=np.float64)
+        if count == 0:
+            return costs
+        obs.METRICS.inc("optimize.trial_blocks.calls")
+        obs.METRICS.inc("optimize.trial_blocks.candidates", count)
+        by_parent: dict[int, tuple[EvaluationState, list[int]]] = {}
+        for i, (state, _) in enumerate(rows):
+            by_parent.setdefault(id(state), (state, []))[1].append(i)
+        base = rows[0][0]
+        ctx = base.ctx
+        num_gates = ctx.electricals.delay_ns.size
+        delays = np.empty((count, num_gates), dtype=np.float64)
+        area = np.empty(count, dtype=np.float64)
+        sep = np.empty(count, dtype=np.float64)
+        settle = np.empty(count, dtype=np.float64)
+        feasible = np.empty(count, dtype=bool)
+        violation = np.empty(count, dtype=np.float64)
+        modules = np.empty(count, dtype=np.int64)
+        for state, idx in by_parent.values():
+            if state.ctx is not ctx:
+                raise PartitionError("trial_blocks rows must share one evaluator")
+            if state._journal is not None:
+                raise PartitionError("trial_blocks not allowed inside an open trial")
+            state._refresh()
+            (
+                delays[idx],
+                area[idx],
+                sep[idx],
+                settle[idx],
+                feasible[idx],
+                violation[idx],
+                modules[idx],
+            ) = state._block_rows([rows[i][1] for i in idx])
+
+        d_bic = ctx.timing.incremental.retime_batch(
+            base._arrival,
+            base.delay_degraded,
+            np.arange(num_gates, dtype=np.int64),
+            delays,
+        )
+        d_nom = ctx.nominal_delay_ns
+        for i, (d, a, s, t, ok, v, k) in enumerate(
+            zip(
+                d_bic.tolist(),
+                area.tolist(),
+                sep.tolist(),
+                settle.tolist(),
+                feasible.tolist(),
+                violation.tolist(),
+                modules.tolist(),
+            )
+        ):
+            cost = CostBreakdown(
+                c1_area=log_guarded(a),
+                c2_delay=(d - d_nom) / d_nom,
+                c3_separation=log_guarded(s),
+                c4_test_time=(d + t - d_nom) / d_nom,
+                c5_modules=float(k),
+                weights=ctx.weights,
+            ).total
+            costs[i] = cost if ok else cost + penalty * (1.0 + v)
+        return costs
+
+    def _block_rows(self, blocks: list[Sequence[tuple[int, int]]]):
+        """Stage 1 of :meth:`trial_blocks` for this parent's rows.
+
+        Returns ``(delays, area, separation, settle, feasible,
+        violation, modules)``: each row's degraded delay vector plus the
+        reductions its cost needs.  Leakage, rail-cap and profile deltas
+        are scattered with ``subtract.at``/``add.at`` in move order (the
+        float sequence of :meth:`move_gate`/:meth:`_bulk_move`).
+        Separation deltas are exact ``int64`` sums over the moved gates'
+        ``uint8`` matrix rows, corrected for the row's earlier moves:
+        distances to gates that already left the source are subtracted,
+        and on the target side only gates already moved to the same
+        target count.  Touched modules' gates are re-degraded with the
+        same ``degradation.delta`` call :meth:`_refresh` makes.
+        """
+        ctx = self.ctx
+        partition = self.partition
+        electricals = ctx.electricals
+        times = ctx.times
+        count = len(blocks)
+        num_slots = len(self._slot_module)
+        depth_t = self.current.shape[1]
+
+        lengths = np.fromiter(map(len, blocks), dtype=np.int64, count=count)
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        moves = np.fromiter(
+            chain.from_iterable(chain.from_iterable(blocks)),
+            dtype=np.int64,
+            count=2 * int(ends[-1]),
+        ).reshape(-1, 2)
+        gates = moves[:, 0]
+        targets = moves[:, 1]
+        move_row = np.repeat(np.arange(count, dtype=np.int64), lengths)
+        slot_map = np.full(partition._next_id, -1, dtype=np.int64)
+        for module, slot in self._slot_of.items():
+            slot_map[module] = slot
+        sources = partition._module_of[gates].astype(np.int64)
+        if ((targets < 0) | (targets >= partition._next_id)).any() or (
+            slot_map[targets] < 0
+        ).any():
+            raise PartitionError("trial_blocks move into a missing module")
+        if (sources == targets).any():
+            raise PartitionError("trial_blocks move into the gate's own module")
+        moving = lengths > 0
+        row_source = np.full(count, -1, dtype=np.int64)
+        row_source[moving] = sources[starts[moving]]
+        if (sources != row_source[move_row]).any():
+            raise PartitionError("trial_blocks rows must leave one source module")
+        keys = move_row * partition._module_of.size + gates
+        if np.unique(keys).size != keys.size:
+            raise PartitionError("trial_blocks row moves a gate twice")
+        sizes = np.bincount(partition._module_of, minlength=partition._next_id)
+        dying = moving & (lengths == sizes[row_source])
+        src_cell = move_row * num_slots + slot_map[sources]
+        tgt_cell = move_row * num_slots + slot_map[targets]
+
+        def rows_of(vector):
+            return np.repeat(vector[None], count, axis=0)
+
+        leak = rows_of(self.leak_na)
+        rail = rows_of(self.rail_cap_ff)
+        sep = rows_of(self.sep_sum)
+        max_current = rows_of(self.max_current_ma)
+        area = rows_of(self.sensor_area)
+        settle = rows_of(self.settle_ns)
+        rs = rows_of(self.sensor_rs)
+        cs = rows_of(self.sensor_cs)
+        current = rows_of(self.current)
+        activity = rows_of(self.activity)
+        for flat, per_gate in (
+            (leak.reshape(-1), electricals.leakage_na[gates]),
+            (rail.reshape(-1), electricals.rail_cap_ff[gates]),
+        ):
+            np.subtract.at(flat, src_cell, per_gate)
+            np.add.at(flat, tgt_cell, per_gate)
+        time_slots, time_counts = csr_gather(
+            times.times_indptr, times.times_flat, gates
+        )
+        peak_rep = np.repeat(electricals.peak_current_ma[gates], time_counts)
+        src_time = np.repeat(src_cell, time_counts) * depth_t + time_slots
+        tgt_time = np.repeat(tgt_cell, time_counts) * depth_t + time_slots
+        np.subtract.at(current.reshape(-1), src_time, peak_rep)
+        np.add.at(current.reshape(-1), tgt_time, peak_rep)
+        np.subtract.at(activity.reshape(-1), src_time, 1.0)
+        np.add.at(activity.reshape(-1), tgt_time, 1.0)
+
+        # Exact sums from every moved gate to its source's and its
+        # target's parent membership: one row gather per module.
+        matrix = ctx.separation.matrix
+        side_module = np.concatenate([sources, targets])
+        side_gate = np.concatenate([gates, gates])
+        side_sum = np.empty(side_gate.size, dtype=np.int64)
+        order = np.argsort(side_module, kind="stable")
+        for sel in np.split(order, np.flatnonzero(np.diff(side_module[order])) + 1):
+            if sel.size:
+                members = self._members[int(side_module[sel[0]])]
+                side_sum[sel] = matrix[side_gate[sel]][:, members].sum(
+                    axis=1, dtype=np.int64
+                )
+        src_delta = side_sum[: gates.size]
+        tgt_delta = side_sum[gates.size :]
+
+        # An emptied source frees its slot: exact zeros, as _release_slot.
+        dead = np.nonzero(dying)[0]
+        dead_slot = slot_map[row_source[dead]]
+        for array in (leak, rail, max_current, area, settle, current, activity):
+            array[dead, dead_slot] = 0.0
+        cells = np.setdiff1d(
+            np.concatenate([src_cell, tgt_cell]), dead * num_slots + dead_slot
+        )
+        flat_current = max_current.reshape(-1)
+        flat_current[cells] = current.reshape(-1, depth_t)[cells].max(axis=1)
+        cell_rs, cell_area, cell_cs, cell_tau, _ = size_sensors(
+            ctx.technology, flat_current[cells], rail.reshape(-1)[cells]
+        )
+        rs.reshape(-1)[cells] = cell_rs
+        area.reshape(-1)[cells] = cell_area
+        cs.reshape(-1)[cells] = cell_cs
+        settle.reshape(-1)[cells] = settle_times_ns(
+            flat_current[cells], cell_tau, ctx.technology
+        )
+        feasible, violation, _, _ = check_constraints_arrays(
+            ctx.technology, leak, max_current
+        )
+
+        delays = rows_of(self.delay_degraded)
+        nominal = electricals.delay_ns
+        moved_flag = np.zeros(partition._module_of.size, dtype=bool)
+
+        def redegrade(r, module, members):
+            slot = int(slot_map[module])
+            profile = activity[r, slot]
+            if ctx.time_resolved_degradation:
+                n = times.max_in_profile(members, profile)
+            else:
+                n = float(profile.max())
+            delta = ctx.degradation.delta(
+                n,
+                rs[r, slot],
+                cs[r, slot],
+                electricals.output_cap_ff[members],
+                electricals.pulldown_res_ohm[members],
+            )
+            delays[r, members] = nominal[members] * (1.0 + delta)
+
+        for r in np.flatnonzero(moving).tolist():
+            lo, hi = int(starts[r]), int(ends[r])
+            moved = gates[lo:hi]
+            row_targets = targets[lo:hi]
+            single_target = bool((row_targets == row_targets[0]).all())
+            if hi - lo > 1:
+                # Distances to the row's earlier moves (strict lower
+                # triangle): gone from the source, and already in the
+                # target when it is the same one.
+                lower = np.tril(matrix[moved][:, moved], -1)
+                earlier = lower.sum(axis=1, dtype=np.int64)
+                src_delta[lo:hi] -= earlier
+                if not single_target:
+                    same = row_targets[:, None] == row_targets[None, :]
+                    earlier = (lower * same).sum(axis=1, dtype=np.int64)
+                tgt_delta[lo:hi] += earlier
+            if not dying[r]:
+                source = int(row_source[r])
+                members = self._members[source]
+                moved_flag[moved] = True
+                redegrade(r, source, members[~moved_flag[members]])
+                moved_flag[moved] = False
+            for target in {int(t) for t in row_targets.tolist()}:
+                into = moved if single_target else moved[row_targets == target]
+                redegrade(
+                    r, target, np.sort(np.concatenate([self._members[target], into]))
+                )
+        np.subtract.at(sep.reshape(-1), src_cell, src_delta.astype(np.float64))
+        np.add.at(sep.reshape(-1), tgt_cell, tgt_delta.astype(np.float64))
+        sep[dead, dead_slot] = 0.0
+        return (
+            delays,
+            area.sum(axis=1),
+            sep.sum(axis=1),
+            settle.max(axis=1),
+            feasible,
+            violation,
+            partition.num_modules - dying,
+        )
 
     # ------------------------------------------------------------- validation
     def consistency_check(self, atol: float = 1e-6) -> None:

@@ -1,0 +1,261 @@
+"""The population kernel scores ES-shaped rows exactly like one trial each.
+
+``EvaluationState.trial_blocks`` must return, bit for bit, what
+``trial_cost(moves)`` followed by ``rollback()`` gives for every
+``(parent, moves)`` row -- the generic ``_StateProtocol.trial_blocks``
+loop is the oracle -- and must leave its parents as it found them.
+Rows follow the evolution strategy's shapes: mutations that move a few
+gates of one module into one or several (possibly repeated) targets,
+Monte-Carlo blocks into one target, rows that empty their source, and
+rows that move nothing.  Parents come from one evaluator but may differ
+in module count, and some carry freed slots and un-refreshed moves.
+"""
+
+import dataclasses
+import functools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import PartitionError
+from repro.library.default_lib import generic_technology
+from repro.netlist.benchmarks import c17, load_iscas85
+from repro.netlist.generate import GeneratorConfig, generate_iscas_like
+from repro.optimize.start import chain_start_partition
+from repro.partition.evaluator import PartitionEvaluator
+from repro.partition.partition import Partition
+from repro.partition.state import EvaluationState, _StateProtocol
+from repro.sensors.degradation import FirstOrderDegradation, SecondOrderDegradation
+
+PENALTY = 1.0e4
+CIRCUITS = ("c17", "small", "c432")
+MODELS = ("first", "second")
+SHAPES = ("mutation", "block", "empty", "none")
+
+
+@functools.lru_cache(maxsize=None)
+def _circuit(key: str):
+    if key == "c17":
+        return c17()
+    if key == "small":
+        return generate_iscas_like(
+            GeneratorConfig(
+                name="small120",
+                num_gates=120,
+                num_inputs=12,
+                num_outputs=8,
+                depth=10,
+                seed=7,
+            )
+        )
+    return load_iscas85(key)
+
+
+@functools.lru_cache(maxsize=None)
+def _evaluator(
+    key: str, model: str, time_resolved: bool, tight: bool = False
+) -> PartitionEvaluator:
+    """``tight`` lowers the IDDQ threshold and raises the minimum switch
+    resistance so that coarse partitions violate both constraints and
+    their rows carry the penalty."""
+    degradation = FirstOrderDegradation() if model == "first" else SecondOrderDegradation()
+    technology = generic_technology()
+    if tight:
+        technology = dataclasses.replace(
+            technology, iddq_threshold_ua=0.08, min_rs_ohm=20.0
+        )
+    return PartitionEvaluator(
+        _circuit(key),
+        technology=technology,
+        degradation=degradation,
+        time_resolved_degradation=time_resolved,
+    )
+
+
+def _parent(evaluator, num_modules: int, seed: int) -> EvaluationState:
+    """A dense state at ``num_modules`` modules; odd seeds also commit a
+    few moves (one of which may kill a module, freeing its slot) and
+    leave them un-refreshed."""
+    rng = random.Random(seed)
+    n = len(evaluator.circuit.gate_names)
+    partition = chain_start_partition(evaluator, min(num_modules, n), rng)
+    state = evaluator.new_state(partition)
+    if seed % 2:
+        state.penalized_cost(PENALTY)
+        for _ in range(3):
+            partition = state.partition
+            if partition.num_modules < 2:
+                break
+            source, target = rng.sample(partition.module_ids, 2)
+            gates = partition.gates_array(source).tolist()
+            block = rng.sample(gates, rng.randint(1, len(gates)))
+            state.move_gates(block, target)
+    return state
+
+
+def _row(state, shape: str, rng: random.Random) -> list[tuple[int, int]]:
+    """One ES-shaped move list against ``state``'s partition."""
+    partition = state.partition
+    if shape == "none" or partition.num_modules < 2:
+        return []
+    modules = partition.module_ids
+    source = rng.choice(modules)
+    others = [m for m in modules if m != source]
+    gates = partition.gates_array(source).tolist()
+    if shape == "mutation":
+        moved = rng.sample(gates, rng.randint(1, min(6, len(gates))))
+        return [(gate, rng.choice(others)) for gate in moved]
+    if shape == "block":
+        target = rng.choice(others)
+        return [(gate, target) for gate in rng.sample(gates, rng.randint(1, len(gates)))]
+    rng.shuffle(gates)  # "empty": the whole source, one or several targets
+    if rng.random() < 0.5:
+        target = rng.choice(others)
+        return [(gate, target) for gate in gates]
+    return [(gate, rng.choice(others)) for gate in gates]
+
+
+def _assert_kernel_matches_trials(parents, rows):
+    oracle_parents = {id(p): p.copy() for p in parents}
+    before = [(p.committed_moves(), p.partition.version) for p in parents]
+    got = EvaluationState.trial_blocks(rows, PENALTY)
+    want = _StateProtocol.trial_blocks(
+        [(oracle_parents[id(p)], moves) for p, moves in rows], PENALTY
+    )
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (got, want)
+    for parent, (log, version) in zip(parents, before):
+        parent.consistency_check()
+        assert parent.committed_moves() == log
+        assert parent.partition.version == version
+
+
+def _feasible(parent, moves) -> bool:
+    state = parent.copy()
+    for gate, target in moves:
+        state.move_gate(gate, target)
+    return state.constraint_report().feasible
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(CIRCUITS),
+    model=st.sampled_from(MODELS),
+    time_resolved=st.booleans(),
+    tight=st.booleans(),
+    parent_ks=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    shapes=st.lists(st.sampled_from(SHAPES), min_size=1, max_size=12),
+    seed=st.integers(0, 10_000),
+)
+def test_kernel_matches_per_row_trials(
+    key, model, time_resolved, tight, parent_ks, shapes, seed
+):
+    evaluator = _evaluator(key, model, time_resolved, tight)
+    parents = [_parent(evaluator, k, seed + i) for i, k in enumerate(parent_ks)]
+    rng = random.Random(seed)
+    rows = []
+    for shape in shapes:  # rows of different parents interleave
+        parent = rng.choice(parents)
+        rows.append((parent, _row(parent, shape, rng)))
+    _assert_kernel_matches_trials(parents, rows)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("time_resolved", [False, True])
+def test_every_shape_on_mixed_k(model, time_resolved):
+    """Each shape at least once, from parents with 2, 5 and 9 modules,
+    feasible and infeasible rows alike."""
+    evaluator = _evaluator("small", model, time_resolved, tight=True)
+    parents = [_parent(evaluator, k, seed) for k, seed in ((2, 2), (5, 4), (9, 8))]
+    rng = random.Random(11)
+    rows = [
+        (parent, _row(parent, shape, rng))
+        for shape in SHAPES
+        for parent in parents
+    ]
+    assert any(len({t for _, t in moves}) > 1 for _, moves in rows)
+    _assert_kernel_matches_trials(parents, rows)
+    assert {_feasible(parent, moves) for parent, moves in rows} == {True, False}
+
+
+def test_zero_move_rows_on_a_single_module():
+    """c17 at K=1: no mutation can move anything, every row is empty and
+    scores as the parent itself."""
+    evaluator = _evaluator("c17", "second", False)
+    parent = evaluator.new_state(Partition.single_module(evaluator.circuit))
+    costs = EvaluationState.trial_blocks([(parent, [])] * 3, PENALTY)
+    assert costs.tolist() == [parent.penalized_cost(PENALTY)] * 3
+
+
+def test_row_that_empties_its_source():
+    evaluator = _evaluator("c432", "second", True)
+    parent = _parent(evaluator, 4, 2)
+    source, target = parent.partition.module_ids[:2]
+    gates = parent.partition.gates_array(source).tolist()
+    rows = [(parent, [(gate, target) for gate in reversed(gates)])]
+    _assert_kernel_matches_trials([parent], rows)
+
+
+def test_counters_and_empty_call():
+    from repro import obs
+
+    assert EvaluationState.trial_blocks([], PENALTY).shape == (0,)
+    evaluator = _evaluator("small", "second", False)
+    parent = _parent(evaluator, 3, 4)
+    rows = [(parent, _row(parent, "mutation", random.Random(i))) for i in range(5)]
+    saved = obs.enabled_state()
+    obs.enable(metrics=True)
+    try:
+        mark = obs.METRICS.counters()
+        EvaluationState.trial_blocks(rows, PENALTY)
+        delta = obs.METRICS.delta_since(mark)
+    finally:
+        obs.enable(trace=saved[0], metrics=saved[1])
+    assert delta["optimize.trial_blocks.calls"] == 1
+    assert delta["optimize.trial_blocks.candidates"] == 5
+    assert "optimize.trial_moves.calls" not in delta
+
+
+class TestRejectsNonEsRows:
+    @pytest.fixture
+    def parent(self):
+        return _parent(_evaluator("small", "second", False), 3, 6)
+
+    def _modules(self, parent):
+        partition = parent.partition
+        a, b, c = partition.module_ids[:3]
+        return partition, a, b, c
+
+    def test_two_sources(self, parent):
+        partition, a, b, c = self._modules(parent)
+        moves = [(int(partition.gates_array(a)[0]), c), (int(partition.gates_array(b)[0]), c)]
+        with pytest.raises(PartitionError, match="one source"):
+            EvaluationState.trial_blocks([(parent, moves)], PENALTY)
+
+    def test_gate_moved_twice(self, parent):
+        partition, a, b, c = self._modules(parent)
+        gate = int(partition.gates_array(a)[0])
+        with pytest.raises(PartitionError, match="twice"):
+            EvaluationState.trial_blocks([(parent, [(gate, b), (gate, c)])], PENALTY)
+
+    def test_own_module(self, parent):
+        partition, a, _, _ = self._modules(parent)
+        gate = int(partition.gates_array(a)[0])
+        with pytest.raises(PartitionError, match="own module"):
+            EvaluationState.trial_blocks([(parent, [(gate, a)])], PENALTY)
+
+    def test_missing_module(self, parent):
+        partition, a, _, _ = self._modules(parent)
+        gate = int(partition.gates_array(a)[0])
+        with pytest.raises(PartitionError, match="missing module"):
+            EvaluationState.trial_blocks(
+                [(parent, [(gate, partition._next_id + 3)])], PENALTY
+            )
+
+    def test_open_trial(self, parent):
+        parent.begin_trial()
+        with pytest.raises(PartitionError, match="open trial"):
+            EvaluationState.trial_blocks([(parent, [])], PENALTY)
+        parent.rollback()
