@@ -2024,7 +2024,7 @@ class EvaluationState(_StateProtocol):
                 moved_flag[moved] = True
                 redegrade(r, source, members[~moved_flag[members]])
                 moved_flag[moved] = False
-            for target in {int(t) for t in row_targets.tolist()}:
+            for target in set(row_targets.tolist()):
                 into = moved if single_target else moved[row_targets == target]
                 redegrade(
                     r, target, np.sort(np.concatenate([self._members[target], into]))
