@@ -23,7 +23,7 @@ construction happens outside the timed region — the step cost is what
 optimisers pay per iteration.
 
 Floors: the block-move operator carries the refactor's headline ≥5x.
-The ES generation, scored by the population kernel, measures 5.5-5.6x
+The ES generation, scored by the population kernel, measures 4.6-6.9x
 (the per-child trial loop it replaced measured 2.3-2.7x) and is floored
 at 3.5x.  The blended KL pass lands lower (~3.1-3.4x measured across
 interleaved A/B runs) because the dense-core refactor's substrate
