@@ -64,9 +64,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.config import EvolutionParams
 from repro.netlist.benchmarks import load_iscas85
 from repro.netlist.compiled import csr_gather
-from repro.config import EvolutionParams
 from repro.optimize.evolution import EvolutionOptimizer
 from repro.optimize.kl import _SwapSampler
 from repro.optimize.start import chain_start_partition, estimate_module_count
