@@ -13,7 +13,14 @@ the paper's pipeline computes from fixed inputs:
   c880 (every generation record, the evaluation count, the generations
   run and the best partition);
 * ``campaign/c432+c880`` -- the quick campaign's (circuit, stage,
-  status, meta) entries on one worker.
+  status, meta) entries on one worker;
+* ``figure/<name>`` -- the quick ``run_figure1``, ``run_figure2`` and
+  ``run_figure45`` results at their default seeds (figure 4/5 runs the
+  evolution strategy on c17 with first-order degradation, χ=2 and at
+  most two moved gates);
+* ``stuckat/c432`` and ``atpg/c432`` -- the stuck-at detection matrix
+  and the IDDQ test set the quick campaign's ``stuck-at`` and ``atpg``
+  stages build on c432, from the stages' own inputs at seed 1995.
 
 ``test_golden_pins.py`` recomputes them and compares with
 ``pins.json``.  A change that moves a digest on purpose re-records the
@@ -37,6 +44,7 @@ START_CIRCUIT = "c880"
 START_COUNT = 4
 ES_CIRCUIT = "c880"
 CAMPAIGN_CIRCUITS = ("c432", "c880")
+FAULTSIM_CIRCUIT = "c432"
 
 
 def table1_rows():
@@ -78,6 +86,65 @@ def campaign_entries() -> list:
         [entry["circuit"], entry["stage"], entry["status"], entry["meta"]]
         for entry in manifest["entries"]
     ]
+
+
+def figure_results() -> dict:
+    """The quick figure 1, 2 and 4/5 experiments at their default seeds."""
+    from repro.experiments.figure1 import run_figure1
+    from repro.experiments.figure2 import run_figure2
+    from repro.experiments.figure45 import run_figure45
+
+    return {
+        "figure1": run_figure1(quick=True),
+        "figure2": run_figure2(quick=True),
+        "figure45": run_figure45(quick=True),
+    }
+
+
+def faultsim_outputs():
+    """``(detection matrix, IDDQ test set)`` of :data:`FAULTSIM_CIRCUIT`,
+    built from the inputs the quick campaign's ``stuck-at`` and
+    ``atpg`` stages use (same patterns, faults, defects, partition and
+    ATPG budgets) on one worker with an empty cache."""
+    import tempfile
+
+    from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
+    from repro.faultsim.patterns import random_patterns
+    from repro.faultsim.stuck_at import enumerate_stuck_at_faults
+    from repro.netlist.benchmarks import load_iscas85
+    from repro.runtime.artifacts import cached_detection_matrix, cached_iddq_test_set
+    from repro.runtime.campaign import CampaignConfig, _Context, _get_partition
+    from repro.runtime.store import ArtifactStore
+
+    circuit = load_iscas85(FAULTSIM_CIRCUIT)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        store = ArtifactStore(cache_dir)
+        config = CampaignConfig(
+            circuits=(FAULTSIM_CIRCUIT,), jobs=1, cache_dir=cache_dir, seed=SEED
+        )
+        patterns = random_patterns(len(circuit.input_names), 64, seed=SEED)
+        matrix, _ = cached_detection_matrix(
+            store, circuit, enumerate_stuck_at_faults(circuit), patterns, jobs=1
+        )
+        partition = _get_partition(_Context(circuit, config, store, jobs=1))
+        defects = sample_bridging_faults(
+            circuit, 30, seed=SEED + 1, current_range_ua=(0.5, 8.0)
+        ) + sample_gate_oxide_shorts(
+            circuit, 15, seed=SEED + 2, current_range_ua=(0.5, 8.0)
+        )
+        tests, _ = cached_iddq_test_set(
+            store,
+            circuit,
+            partition,
+            defects,
+            seed=SEED,
+            random_vectors=32,
+            restarts=2,
+            flip_budget=8,
+            defect_parallel=True,
+            jobs=1,
+        )
+    return matrix, tests
 
 
 def compute(rows=None) -> dict[str, str]:
@@ -124,6 +191,11 @@ def compute(rows=None) -> dict[str, str]:
     digests["campaign/" + "+".join(CAMPAIGN_CIRCUITS)] = fingerprint_value(
         campaign_entries()
     )
+    for name, result in figure_results().items():
+        digests[f"figure/{name}"] = fingerprint_value(result)
+    matrix, tests = faultsim_outputs()
+    digests[f"stuckat/{FAULTSIM_CIRCUIT}"] = fingerprint_value(matrix)
+    digests[f"atpg/{FAULTSIM_CIRCUIT}"] = fingerprint_value(tests)
     return digests
 
 
