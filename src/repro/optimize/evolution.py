@@ -64,7 +64,8 @@ __all__ = ["EvolutionOptimizer", "evolve_partition"]
 class _Individual:
     """One population member: ES bookkeeping plus either a live
     evaluation state (parents) or a recorded mutation relative to the
-    parent's state (unselected children never materialise one)."""
+    parent's state and its row in the generation's scoring call
+    (unselected children never build a state)."""
 
     cost: float | None  # None until the generation is scored
     step: float
@@ -72,24 +73,7 @@ class _Individual:
     state: object | None = None
     parent_state: object | None = None
     moves: list[tuple[int, int]] = field(default_factory=list)
-
-    def materialize(self):
-        """The individual's live state, building it on first need by
-        copying the parent and replaying the recorded moves (identical
-        arithmetic to the scoring kernel, so identical statistics)."""
-        if self.state is None:
-            state = self.parent_state.copy()
-            i = 0
-            while i < len(self.moves):  # replay maximal same-target runs
-                target = self.moves[i][1]
-                j = i + 1
-                while j < len(self.moves) and self.moves[j][1] == target:
-                    j += 1
-                state.move_gates([gate for gate, _ in self.moves[i:j]], target)
-                i = j
-            self.state = state
-            self.parent_state = None
-        return self.state
+    row: int = -1
 
 
 class EvolutionOptimizer:
@@ -114,8 +98,9 @@ class EvolutionOptimizer:
         params = self.params
         rng = self.rng
         if starts is None:
-            k = estimate_module_count(self.evaluator)
-            starts = start_population(self.evaluator, k, params.mu, rng)
+            with obs.TRACER.span("es.start", starts=params.mu):
+                k = estimate_module_count(self.evaluator)
+                starts = start_population(self.evaluator, k, params.mu, rng)
         if not starts:
             raise OptimizationError("evolution needs at least one start partition")
 
@@ -145,12 +130,15 @@ class EvolutionOptimizer:
                     for child in self.draw_children(parent.state, parent.step)
                 ]
             with obs.TRACER.span("es.score", generation=generation, rows=len(children)):
-                costs = type(parents[0].state).trial_blocks(
+                scores = type(parents[0].state).trial_blocks(
                     [(child.parent_state, child.moves) for child in children],
                     params.penalty,
                 )
-                for child, cost in zip(children, costs.tolist()):
+                for row, (child, cost) in enumerate(
+                    zip(children, scores.costs.tolist())
+                ):
                     child.cost = cost
+                    child.row = row
             evaluations += len(children)
 
             with obs.TRACER.span("es.select", generation=generation):
@@ -162,7 +150,9 @@ class EvolutionOptimizer:
                 pool.sort(key=lambda ind: ind.cost)
                 parents = pool[: params.mu]
                 for survivor in parents:
-                    survivor.materialize()
+                    if survivor.state is None:
+                        survivor.state = scores.state(survivor.row)
+                        survivor.parent_state = None
 
                 generation_best = parents[0]
                 if generation_best.cost < best_cost - 1e-12:

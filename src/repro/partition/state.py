@@ -57,7 +57,12 @@ from repro.sensors.sensing import settle_time_ns, settle_times_ns
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.partition.evaluator import PartitionEvaluator
 
-__all__ = ["ModuleStats", "EvaluationState", "ReferenceEvaluationState"]
+__all__ = [
+    "BlockScores",
+    "ModuleStats",
+    "EvaluationState",
+    "ReferenceEvaluationState",
+]
 
 
 def _profile_max_rows(times, gate_ids, act_rows):
@@ -109,6 +114,41 @@ class ModuleStats:
     @property
     def max_current_ma(self) -> float:
         return float(self.current_profile.max())
+
+
+def _target_runs(moves: Sequence[tuple[int, int]]) -> list[tuple[int, list[int]]]:
+    """``(target, gates)`` for every maximal run of consecutive moves
+    into one target, in move order."""
+    runs: list[tuple[int, list[int]]] = []
+    for gate, target in moves:
+        if runs and runs[-1][0] == target:
+            runs[-1][1].append(gate)
+        else:
+            runs.append((target, [gate]))
+    return runs
+
+
+class BlockScores:
+    """What ``trial_blocks`` returns: ``costs[i]`` is row ``i``'s
+    penalised cost, and :meth:`state` builds the state row ``i``
+    describes.
+
+    This generic form builds it by replay: a copy of the row's parent
+    plus one ``move_gates`` call per maximal same-target run of the
+    row's moves.  The dense kernel returns a subclass that adopts the
+    statistics it already computed for the row instead.
+    """
+
+    def __init__(self, costs: np.ndarray, rows: Sequence):
+        self.costs = costs
+        self._rows = rows
+
+    def state(self, i: int):
+        parent, moves = self._rows[i]
+        state = parent.copy()
+        for target, gates in _target_runs(moves):
+            state.move_gates(gates, target)
+        return state
 
 
 class _StateProtocol:
@@ -188,16 +228,16 @@ class _StateProtocol:
     def trial_blocks(
         rows: Sequence[tuple["_StateProtocol", Sequence[tuple[int, int]]]],
         penalty: float,
-    ) -> np.ndarray:
+    ) -> "BlockScores":
         """Penalised cost of each ``(state, moves)`` row, the moves
         applied in order and evaluated independently from that state
         (generic trial/rollback loop; the dense state overrides this
-        with the population kernel)."""
+        with the population kernel).  Row states are built by replay."""
         costs = np.empty(len(rows), dtype=np.float64)
         for i, (state, moves) in enumerate(rows):
             costs[i] = state.trial_cost(moves, penalty)
             state.rollback()
-        return costs
+        return BlockScores(costs, rows)
 
     def committed_moves(self) -> list[tuple[int, int]]:
         """The (gate, target) sequence of every committed move so far —
@@ -1771,10 +1811,10 @@ class EvaluationState(_StateProtocol):
     def trial_blocks(
         rows: Sequence[tuple["EvaluationState", Sequence[tuple[int, int]]]],
         penalty: float,
-    ) -> np.ndarray:
+    ) -> BlockScores:
         """Population kernel: the penalised cost of every ``(parent,
         moves)`` row, bit-identical to ``parent.trial_cost(moves)``
-        followed by ``rollback()``.
+        followed by ``rollback()``, plus each row's state on demand.
 
         Built for one ES generation: rows from several parents of one
         evaluator, each moving distinct gates out of a single source
@@ -1783,19 +1823,16 @@ class EvaluationState(_StateProtocol):
         trial, and otherwise left untouched — no move is applied, so its
         partition keeps its version and cached boundary sets.
 
-        Stage 1 (:meth:`_block_rows`, per parent) starts every row from
-        copies of the parent's slot vectors and ``(S, T)`` profiles and
-        replays the moves' deltas in move order; stage 2 re-times every
-        row's re-degraded delay vector in one stacked
-        :meth:`IncrementalTiming.retime_batch` sweep.  The cost terms are
-        the scalar expressions of :meth:`cost_breakdown` and
-        :meth:`penalized_cost`, reduced over each row's own slot count
-        (parents may differ in K).
+        Stage 1 (:class:`_BlockRows`) runs once over the rows of every
+        parent; stage 2 re-times every row's re-degraded delay vector in
+        one stacked :meth:`IncrementalTiming.retime_batch` sweep.  The
+        cost terms are the scalar expressions of :meth:`cost_breakdown`
+        and :meth:`penalized_cost`.  ``state(i)`` of the result adopts
+        row ``i``'s statistics and delays without replaying its moves.
         """
         count = len(rows)
-        costs = np.empty(count, dtype=np.float64)
         if count == 0:
-            return costs
+            return BlockScores(np.empty(0, dtype=np.float64), rows)
         obs.METRICS.inc("optimize.trial_blocks.calls")
         obs.METRICS.inc("optimize.trial_blocks.candidates", count)
         by_parent: dict[int, tuple[EvaluationState, list[int]]] = {}
@@ -1803,47 +1840,32 @@ class EvaluationState(_StateProtocol):
             by_parent.setdefault(id(state), (state, []))[1].append(i)
         base = rows[0][0]
         ctx = base.ctx
-        num_gates = ctx.electricals.delay_ns.size
-        delays = np.empty((count, num_gates), dtype=np.float64)
-        area = np.empty(count, dtype=np.float64)
-        sep = np.empty(count, dtype=np.float64)
-        settle = np.empty(count, dtype=np.float64)
-        feasible = np.empty(count, dtype=bool)
-        violation = np.empty(count, dtype=np.float64)
-        modules = np.empty(count, dtype=np.int64)
-        for state, idx in by_parent.values():
+        for state, _ in by_parent.values():
             if state.ctx is not ctx:
                 raise PartitionError("trial_blocks rows must share one evaluator")
             if state._journal is not None:
                 raise PartitionError("trial_blocks not allowed inside an open trial")
             state._refresh()
-            (
-                delays[idx],
-                area[idx],
-                sep[idx],
-                settle[idx],
-                feasible[idx],
-                violation[idx],
-                modules[idx],
-            ) = state._block_rows([rows[i][1] for i in idx])
+        batch = _BlockRows(rows, list(by_parent.values()))
 
-        d_bic = ctx.timing.incremental.retime_batch(
+        num_gates = ctx.electricals.delay_ns.size
+        batch.d_bic = ctx.timing.incremental.retime_batch(
             base._arrival,
             base.delay_degraded,
             np.arange(num_gates, dtype=np.int64),
-            delays,
+            batch.delays,
         )
         d_nom = ctx.nominal_delay_ns
-        for i, (d, a, s, t, ok, v, k) in enumerate(
-            zip(
-                d_bic.tolist(),
-                area.tolist(),
-                sep.tolist(),
-                settle.tolist(),
-                feasible.tolist(),
-                violation.tolist(),
-                modules.tolist(),
-            )
+        costs = np.empty(count, dtype=np.float64)
+        for i, d, a, s, t, ok, v, k in zip(
+            batch.order,
+            batch.d_bic.tolist(),
+            batch.area_sum.tolist(),
+            batch.sep_total.tolist(),
+            batch.settle_max.tolist(),
+            batch.feasible.tolist(),
+            batch.violation.tolist(),
+            batch.modules.tolist(),
         ):
             cost = CostBreakdown(
                 c1_area=log_guarded(a),
@@ -1854,193 +1876,8 @@ class EvaluationState(_StateProtocol):
                 weights=ctx.weights,
             ).total
             costs[i] = cost if ok else cost + penalty * (1.0 + v)
-        return costs
-
-    def _block_rows(self, blocks: list[Sequence[tuple[int, int]]]):
-        """Stage 1 of :meth:`trial_blocks` for this parent's rows.
-
-        Returns ``(delays, area, separation, settle, feasible,
-        violation, modules)``: each row's degraded delay vector plus the
-        reductions its cost needs.  Leakage, rail-cap and profile deltas
-        are scattered with ``subtract.at``/``add.at`` in move order (the
-        float sequence of :meth:`move_gate`/:meth:`_bulk_move`).
-        Separation deltas are exact ``int64`` sums over the moved gates'
-        ``uint8`` matrix rows, corrected for the row's earlier moves:
-        distances to gates that already left the source are subtracted,
-        and on the target side only gates already moved to the same
-        target count.  Touched modules' gates are re-degraded with the
-        same ``degradation.delta`` call :meth:`_refresh` makes.
-        """
-        ctx = self.ctx
-        partition = self.partition
-        electricals = ctx.electricals
-        times = ctx.times
-        count = len(blocks)
-        num_slots = len(self._slot_module)
-        depth_t = self.current.shape[1]
-
-        lengths = np.fromiter(map(len, blocks), dtype=np.int64, count=count)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        moves = np.fromiter(
-            chain.from_iterable(chain.from_iterable(blocks)),
-            dtype=np.int64,
-            count=2 * int(ends[-1]),
-        ).reshape(-1, 2)
-        gates = moves[:, 0]
-        targets = moves[:, 1]
-        move_row = np.repeat(np.arange(count, dtype=np.int64), lengths)
-        slot_map = np.full(partition._next_id, -1, dtype=np.int64)
-        for module, slot in self._slot_of.items():
-            slot_map[module] = slot
-        sources = partition._module_of[gates].astype(np.int64)
-        if ((targets < 0) | (targets >= partition._next_id)).any() or (
-            slot_map[targets] < 0
-        ).any():
-            raise PartitionError("trial_blocks move into a missing module")
-        if (sources == targets).any():
-            raise PartitionError("trial_blocks move into the gate's own module")
-        moving = lengths > 0
-        row_source = np.full(count, -1, dtype=np.int64)
-        row_source[moving] = sources[starts[moving]]
-        if (sources != row_source[move_row]).any():
-            raise PartitionError("trial_blocks rows must leave one source module")
-        keys = move_row * partition._module_of.size + gates
-        if np.unique(keys).size != keys.size:
-            raise PartitionError("trial_blocks row moves a gate twice")
-        sizes = np.bincount(partition._module_of, minlength=partition._next_id)
-        dying = moving & (lengths == sizes[row_source])
-        src_cell = move_row * num_slots + slot_map[sources]
-        tgt_cell = move_row * num_slots + slot_map[targets]
-
-        def rows_of(vector):
-            return np.repeat(vector[None], count, axis=0)
-
-        leak = rows_of(self.leak_na)
-        rail = rows_of(self.rail_cap_ff)
-        sep = rows_of(self.sep_sum)
-        max_current = rows_of(self.max_current_ma)
-        area = rows_of(self.sensor_area)
-        settle = rows_of(self.settle_ns)
-        rs = rows_of(self.sensor_rs)
-        cs = rows_of(self.sensor_cs)
-        current = rows_of(self.current)
-        activity = rows_of(self.activity)
-        for flat, per_gate in (
-            (leak.reshape(-1), electricals.leakage_na[gates]),
-            (rail.reshape(-1), electricals.rail_cap_ff[gates]),
-        ):
-            np.subtract.at(flat, src_cell, per_gate)
-            np.add.at(flat, tgt_cell, per_gate)
-        time_slots, time_counts = csr_gather(
-            times.times_indptr, times.times_flat, gates
-        )
-        peak_rep = np.repeat(electricals.peak_current_ma[gates], time_counts)
-        src_time = np.repeat(src_cell, time_counts) * depth_t + time_slots
-        tgt_time = np.repeat(tgt_cell, time_counts) * depth_t + time_slots
-        np.subtract.at(current.reshape(-1), src_time, peak_rep)
-        np.add.at(current.reshape(-1), tgt_time, peak_rep)
-        np.subtract.at(activity.reshape(-1), src_time, 1.0)
-        np.add.at(activity.reshape(-1), tgt_time, 1.0)
-
-        # Exact sums from every moved gate to its source's and its
-        # target's parent membership: one row gather per module.
-        matrix = ctx.separation.matrix
-        side_module = np.concatenate([sources, targets])
-        side_gate = np.concatenate([gates, gates])
-        side_sum = np.empty(side_gate.size, dtype=np.int64)
-        order = np.argsort(side_module, kind="stable")
-        for sel in np.split(order, np.flatnonzero(np.diff(side_module[order])) + 1):
-            if sel.size:
-                members = self._members[int(side_module[sel[0]])]
-                side_sum[sel] = matrix[side_gate[sel]][:, members].sum(
-                    axis=1, dtype=np.int64
-                )
-        src_delta = side_sum[: gates.size]
-        tgt_delta = side_sum[gates.size :]
-
-        # An emptied source frees its slot: exact zeros, as _release_slot.
-        dead = np.nonzero(dying)[0]
-        dead_slot = slot_map[row_source[dead]]
-        for array in (leak, rail, max_current, area, settle, current, activity):
-            array[dead, dead_slot] = 0.0
-        cells = np.setdiff1d(
-            np.concatenate([src_cell, tgt_cell]), dead * num_slots + dead_slot
-        )
-        flat_current = max_current.reshape(-1)
-        flat_current[cells] = current.reshape(-1, depth_t)[cells].max(axis=1)
-        cell_rs, cell_area, cell_cs, cell_tau, _ = size_sensors(
-            ctx.technology, flat_current[cells], rail.reshape(-1)[cells]
-        )
-        rs.reshape(-1)[cells] = cell_rs
-        area.reshape(-1)[cells] = cell_area
-        cs.reshape(-1)[cells] = cell_cs
-        settle.reshape(-1)[cells] = settle_times_ns(
-            flat_current[cells], cell_tau, ctx.technology
-        )
-        feasible, violation, _, _ = check_constraints_arrays(
-            ctx.technology, leak, max_current
-        )
-
-        delays = rows_of(self.delay_degraded)
-        nominal = electricals.delay_ns
-        moved_flag = np.zeros(partition._module_of.size, dtype=bool)
-
-        def redegrade(r, module, members):
-            slot = int(slot_map[module])
-            profile = activity[r, slot]
-            if ctx.time_resolved_degradation:
-                n = times.max_in_profile(members, profile)
-            else:
-                n = float(profile.max())
-            delta = ctx.degradation.delta(
-                n,
-                rs[r, slot],
-                cs[r, slot],
-                electricals.output_cap_ff[members],
-                electricals.pulldown_res_ohm[members],
-            )
-            delays[r, members] = nominal[members] * (1.0 + delta)
-
-        for r in np.flatnonzero(moving).tolist():
-            lo, hi = int(starts[r]), int(ends[r])
-            moved = gates[lo:hi]
-            row_targets = targets[lo:hi]
-            single_target = bool((row_targets == row_targets[0]).all())
-            if hi - lo > 1:
-                # Distances to the row's earlier moves (strict lower
-                # triangle): gone from the source, and already in the
-                # target when it is the same one.
-                lower = np.tril(matrix[moved][:, moved], -1)
-                earlier = lower.sum(axis=1, dtype=np.int64)
-                src_delta[lo:hi] -= earlier
-                if not single_target:
-                    same = row_targets[:, None] == row_targets[None, :]
-                    earlier = (lower * same).sum(axis=1, dtype=np.int64)
-                tgt_delta[lo:hi] += earlier
-            if not dying[r]:
-                source = int(row_source[r])
-                members = self._members[source]
-                moved_flag[moved] = True
-                redegrade(r, source, members[~moved_flag[members]])
-                moved_flag[moved] = False
-            for target in set(row_targets.tolist()):
-                into = moved if single_target else moved[row_targets == target]
-                redegrade(
-                    r, target, np.sort(np.concatenate([self._members[target], into]))
-                )
-        np.subtract.at(sep.reshape(-1), src_cell, src_delta.astype(np.float64))
-        np.add.at(sep.reshape(-1), tgt_cell, tgt_delta.astype(np.float64))
-        sep[dead, dead_slot] = 0.0
-        return (
-            delays,
-            area.sum(axis=1),
-            sep.sum(axis=1),
-            settle.max(axis=1),
-            feasible,
-            violation,
-            partition.num_modules - dying,
-        )
+        batch.costs = costs
+        return batch
 
     # ------------------------------------------------------------- validation
     def consistency_check(self, atol: float = 1e-6) -> None:
@@ -2104,3 +1941,381 @@ class EvaluationState(_StateProtocol):
                 self._block_max, ctx.timing.incremental.block_maxima(full)
             ):
                 raise PartitionError("maintained block maxima drifted")
+
+
+class _BlockRows(BlockScores):
+    """Stage 1 of :meth:`EvaluationState.trial_blocks`, run once over the
+    rows of every parent, and the adoption of scored rows as states.
+
+    Rows are laid out grouped by parent (``order`` maps back to the
+    caller's row numbers); row ``j`` owns ``S_p`` consecutive *cells*,
+    one per slot of its parent ``p``.  Leakage, maximum current, sensor
+    area and settle time are held for every cell; rail capacitance,
+    profiles and sensor sizes only for the *touched* cells (a row's
+    source and targets).  Leakage, rail and profile deltas are scattered
+    with ``subtract.at``/``add.at`` in move order, the float sequence of
+    :meth:`EvaluationState.move_gate`/``_bulk_move``.
+
+    Separation values are integers held in float64, far below 2**53, and
+    the matrix is symmetric with a zero diagonal, so a row's total
+    changes by one exact integer whatever order its moves are applied
+    in: ``Σ_t M[moved_t, T_t] − M[moved, rest] − cross``, where ``rest``
+    is the source minus the moved gates and ``cross`` sums the pairs of
+    moved gates bound for different targets.  Every touched module's
+    gates are re-degraded in one ``degradation.delta`` call (both
+    shipped models are elementwise, so each element sees the IEEE
+    operations of :meth:`EvaluationState._refresh`'s per-module call).
+    Per-row sums, maxima and ``Γ`` reduce over each parent's own
+    ``(rows, S_p)`` view: numpy's pairwise sum groups by length, so a
+    common padded width would change the float results.
+    """
+
+    def __init__(self, rows, groups):
+        parents = [state for state, _ in groups]
+        self.order = [i for _, idx in groups for i in idx]
+        blocks = [rows[i][1] for i in self.order]
+        count = len(blocks)
+        ctx = parents[0].ctx
+        electricals = ctx.electricals
+        times = ctx.times
+        num_gates = electricals.delay_ns.size
+        depth_t = parents[0].current.shape[1]
+        self._rows = rows
+        self._parents = parents
+        self._blocks = blocks
+        self._position = np.empty(count, dtype=np.int64)
+        self._position[self.order] = np.arange(count)
+
+        row_bounds = np.cumsum([0] + [len(idx) for _, idx in groups])
+        row_parent = np.repeat(np.arange(len(groups)), np.diff(row_bounds))
+        num_slots = np.array([len(p._slot_module) for p in parents], dtype=np.int64)
+        row_slots = num_slots[row_parent]
+        row_off = np.cumsum(row_slots) - row_slots
+        parent_off = np.cumsum(num_slots) - num_slots
+        # Each cell's position in the parents' slot vectors laid end to end.
+        cell_src = np.arange(int(row_slots.sum()), dtype=np.int64) + np.repeat(
+            parent_off[row_parent] - row_off, row_slots
+        )
+
+        lengths = np.fromiter(map(len, blocks), dtype=np.int64, count=count)
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        moves = np.fromiter(
+            chain.from_iterable(chain.from_iterable(blocks)),
+            dtype=np.int64,
+            count=2 * int(ends[-1]),
+        ).reshape(-1, 2)
+        gates = moves[:, 0]
+        targets = moves[:, 1]
+        move_row = np.repeat(np.arange(count, dtype=np.int64), lengths)
+        sources = np.empty_like(gates)
+        src_slot = np.empty_like(gates)
+        tgt_slot = np.empty_like(gates)
+        move_bounds = np.concatenate([[0], ends])[row_bounds]
+        for p, parent in enumerate(parents):
+            lo, hi = int(move_bounds[p]), int(move_bounds[p + 1])
+            if lo == hi:
+                continue
+            partition = parent.partition
+            slot_map = np.full(partition._next_id, -1, dtype=np.int64)
+            slot_map[list(parent._slot_of)] = list(parent._slot_of.values())
+            into = targets[lo:hi]
+            if ((into < 0) | (into >= partition._next_id)).any() or (
+                slot_map[into] < 0
+            ).any():
+                raise PartitionError("trial_blocks move into a missing module")
+            out_of = partition._module_of[gates[lo:hi]].astype(np.int64)
+            if (out_of == into).any():
+                raise PartitionError("trial_blocks move into the gate's own module")
+            sources[lo:hi] = out_of
+            src_slot[lo:hi] = slot_map[out_of]
+            tgt_slot[lo:hi] = slot_map[into]
+        moving = lengths > 0
+        row_source = np.full(count, -1, dtype=np.int64)
+        row_source[moving] = sources[starts[moving]]
+        if (sources != row_source[move_row]).any():
+            raise PartitionError("trial_blocks rows must leave one source module")
+        keys = move_row * num_gates + gates
+        if np.unique(keys).size != keys.size:
+            raise PartitionError("trial_blocks row moves a gate twice")
+        src_cell = row_off[move_row] + src_slot
+        tgt_cell = row_off[move_row] + tgt_slot
+        multi = np.zeros(count, dtype=bool)
+        multi[move_row[targets != targets[starts[move_row]]]] = True
+
+        # Separation: one exact integer delta per row, from one gather of
+        # the moved gates' matrix rows.  The members of every touched
+        # module after the move are collected for re-degradation.
+        matrix = ctx.separation.matrix
+        flag = np.zeros(num_gates, dtype=bool)
+        dying = np.zeros(count, dtype=bool)
+        sep_delta = np.zeros(count, dtype=np.int64)
+        self._pieces: dict[int, tuple] = {}
+        member_parts: list[np.ndarray] = []
+        member_cells: list[int] = []
+        for r in np.flatnonzero(moving).tolist():
+            lo, hi = int(starts[r]), int(ends[r])
+            parent = parents[row_parent[r]]
+            moved = gates[lo:hi]
+            members = parent._members[int(row_source[r])]
+            near = matrix[moved]
+            if moved.size == members.size:
+                dying[r] = True
+                rest = None
+                loss = 0
+            else:
+                flag[moved] = True
+                rest = members[~flag[members]]
+                flag[moved] = False
+                loss = int(near[:, rest].sum(dtype=np.int64))
+                member_parts.append(rest)
+                member_cells.append(int(src_cell[lo]))
+            into = targets[lo:hi]
+            if multi[r]:
+                same = into[:, None] == into[None, :]
+                cross = int(near[:, moved][~same].sum(dtype=np.int64)) // 2
+                split = [(t, into == t) for t in np.unique(into).tolist()]
+            else:
+                cross = 0
+                split = [(int(into[0]), None)]
+            gains = []
+            for target, mask in split:
+                tgt_members = parent._members[target]
+                rows_t = near if mask is None else near[mask]
+                gains.append(int(rows_t[:, tgt_members].sum(dtype=np.int64)))
+                member_parts.append(tgt_members)
+                member_cells.append(int(row_off[r]) + parent._slot_of[target])
+            sep_delta[r] = sum(gains) - loss - cross
+            self._pieces[r] = (rest, loss, split, gains)
+        dead = np.flatnonzero(dying)
+        dead_cell = row_off[dead] + src_slot[starts[dead]]
+
+        def stacked(name):
+            return np.concatenate([getattr(p, name) for p in parents])
+
+        leak = stacked("leak_na")[cell_src]
+        max_current = stacked("max_current_ma")[cell_src]
+        area = stacked("sensor_area")[cell_src]
+        settle = stacked("settle_ns")[cell_src]
+        touched, inverse = np.unique(
+            np.concatenate([src_cell, tgt_cell]), return_inverse=True
+        )
+        src_t = inverse[: gates.size]
+        tgt_t = inverse[gates.size :]
+        rail = stacked("rail_cap_ff")[cell_src[touched]]
+        current = stacked("current")[cell_src[touched]]
+        activity = stacked("activity")[cell_src[touched]]
+        leak_g = electricals.leakage_na[gates]
+        rail_g = electricals.rail_cap_ff[gates]
+        np.subtract.at(leak, src_cell, leak_g)
+        np.add.at(leak, tgt_cell, leak_g)
+        np.subtract.at(rail, src_t, rail_g)
+        np.add.at(rail, tgt_t, rail_g)
+        time_slots, time_counts = csr_gather(
+            times.times_indptr, times.times_flat, gates
+        )
+        peak_rep = np.repeat(electricals.peak_current_ma[gates], time_counts)
+        src_time = np.repeat(src_t, time_counts) * depth_t + time_slots
+        tgt_time = np.repeat(tgt_t, time_counts) * depth_t + time_slots
+        np.subtract.at(current.reshape(-1), src_time, peak_rep)
+        np.add.at(current.reshape(-1), tgt_time, peak_rep)
+        np.subtract.at(activity.reshape(-1), src_time, 1.0)
+        np.add.at(activity.reshape(-1), tgt_time, 1.0)
+
+        # An emptied source frees its slot: exact zeros, as _release_slot.
+        for array in (leak, max_current, area, settle):
+            array[dead_cell] = 0.0
+        is_dead = np.zeros(leak.size, dtype=bool)
+        is_dead[dead_cell] = True
+        live = ~is_dead[touched]
+        live_cells = touched[live]
+        peak = current[live].max(axis=1)
+        rs, sensor_area, cs, tau, clamped = size_sensors(
+            ctx.technology, peak, rail[live]
+        )
+        settle_live = settle_times_ns(peak, tau, ctx.technology)
+        max_current[live_cells] = peak
+        area[live_cells] = sensor_area
+        settle[live_cells] = settle_live
+
+        # Re-degrade every touched module's gates in one call.
+        delays = np.stack([p.delay_degraded for p in parents])[row_parent]
+        member_gates = np.concatenate(member_parts + [gates])
+        if member_gates.size:
+            member_t = np.concatenate(
+                [
+                    np.repeat(
+                        np.searchsorted(touched, member_cells),
+                        [part.size for part in member_parts],
+                    ),
+                    tgt_t,
+                ]
+            )
+            if ctx.time_resolved_degradation:
+                slots, counts = csr_gather(
+                    times.times_indptr, times.times_flat, member_gates
+                )
+                n = np.maximum.reduceat(
+                    activity.reshape(-1)[np.repeat(member_t, counts) * depth_t + slots],
+                    np.cumsum(counts) - counts,
+                )
+            else:
+                n = activity.max(axis=1)[member_t]
+            member_l = (np.cumsum(live) - 1)[member_t]
+            cap = electricals.output_cap_ff[member_gates]
+            res = electricals.pulldown_res_ohm[member_gates]
+            if getattr(ctx.degradation, "broadcasts", False):
+                delta = ctx.degradation.delta(n, rs[member_l], cs[member_l], cap, res)
+            else:  # scalar sensor parameters: one call per touched module
+                delta = np.empty(member_gates.size, dtype=np.float64)
+                for k in np.unique(member_l).tolist():
+                    sel = member_l == k
+                    delta[sel] = ctx.degradation.delta(
+                        n[sel] if ctx.time_resolved_degradation else n[sel][0],
+                        rs[k],
+                        cs[k],
+                        cap[sel],
+                        res[sel],
+                    )
+            cell_row = np.repeat(np.arange(count, dtype=np.int64), row_slots)
+            delays.reshape(-1)[
+                cell_row[touched[member_t]] * num_gates + member_gates
+            ] = electricals.delay_ns[member_gates] * (1.0 + delta)
+
+        self.delays = delays
+        self.area_sum = np.empty(count, dtype=np.float64)
+        self.settle_max = np.empty(count, dtype=np.float64)
+        self.feasible = np.empty(count, dtype=bool)
+        self.violation = np.empty(count, dtype=np.float64)
+        for p in range(len(parents)):
+            r0, r1 = int(row_bounds[p]), int(row_bounds[p + 1])
+            c0 = int(row_off[r0])
+            c1 = c0 + (r1 - r0) * int(num_slots[p])
+            shape = (r1 - r0, int(num_slots[p]))
+            self.area_sum[r0:r1] = area[c0:c1].reshape(shape).sum(axis=1)
+            self.settle_max[r0:r1] = settle[c0:c1].reshape(shape).max(axis=1)
+            self.feasible[r0:r1], self.violation[r0:r1], _, _ = (
+                check_constraints_arrays(
+                    ctx.technology,
+                    leak[c0:c1].reshape(shape),
+                    max_current[c0:c1].reshape(shape),
+                )
+            )
+        parent_sep = np.array([int(p.sep_sum.sum()) for p in parents], dtype=np.int64)
+        self.sep_total = (parent_sep[row_parent] + sep_delta).astype(np.float64)
+        num_modules = np.array([p.partition.num_modules for p in parents])
+        self.modules = num_modules[row_parent] - dying
+
+        self._row_parent = row_parent
+        self._row_off = row_off
+        self._row_slots = row_slots
+        self._row_source = row_source
+        self._starts = starts
+        self._src_slot = src_slot
+        self._dying = dying
+        self._touched = touched
+        self._live = live
+        self._leak = leak
+        self._rail = rail
+        self._current = current
+        self._activity = activity
+        self._sized = (peak, rs, sensor_area, cs, tau, clamped, settle_live)
+
+    def state(self, i: int) -> EvaluationState:
+        """Row ``i``'s state, adopted from stage 1 and the stacked retime.
+
+        The parent's partition is copied and the moves are applied to it
+        alone (one ``move_gates`` call per same-target run, as a replay
+        makes); statistics, sensor sizes and degraded delays come from
+        the row.  Nothing is dirty and the arrival vector is unset, so
+        the first refresh is one full sweep that re-sizes, re-degrades
+        and diffs nothing.  Equal, array for array, to the parent's
+        ``copy()`` plus a ``move_gates`` replay and ``_refresh()``.
+        """
+        j = int(self._position[i])
+        parent = self._parents[int(self._row_parent[j])]
+        moves = self._blocks[j]
+        state = object.__new__(EvaluationState)
+        state.ctx = parent.ctx
+        state.partition = parent.partition.copy()
+        for target, gates in _target_runs(moves):
+            state.partition.move_gates(gates, target)
+        state._slot_of = dict(parent._slot_of)
+        state._slot_module = parent._slot_module.copy()
+        state._free_slots = list(parent._free_slots)
+        for name in (
+            "leak_na",
+            "rail_cap_ff",
+            "sep_sum",
+            "max_current_ma",
+            "current",
+            "activity",
+            "sensor_rs",
+            "sensor_area",
+            "sensor_cs",
+            "sensor_tau",
+            "sensor_clamped",
+            "settle_ns",
+        ):
+            setattr(state, name, getattr(parent, name).copy())
+        state.delay_degraded = self.delays[j].copy()
+        state._arrival = None
+        state._block_max = None
+        state._dbic = float(self.d_bic[j])
+        state._dirty = set()
+        state._journal = None
+        state._trial_meta = None
+        state._move_log = parent._move_log + [(int(g), int(t)) for g, t in moves]
+        state._members = dict(parent._members)
+        if not moves:
+            return state
+
+        off = int(self._row_off[j])
+        k0, k1 = np.searchsorted(self._touched, [off, off + int(self._row_slots[j])])
+        cells = self._touched[k0:k1]
+        slots = cells - off
+        state.leak_na[slots] = self._leak[cells]
+        state.rail_cap_ff[slots] = self._rail[k0:k1]
+        state.current[slots] = self._current[k0:k1]
+        state.activity[slots] = self._activity[k0:k1]
+        live = self._live[k0:k1]
+        sized = (np.cumsum(self._live) - 1)[k0:k1][live]
+        for name, values in zip(
+            (
+                "max_current_ma",
+                "sensor_rs",
+                "sensor_area",
+                "sensor_cs",
+                "sensor_tau",
+                "sensor_clamped",
+                "settle_ns",
+            ),
+            self._sized,
+        ):
+            getattr(state, name)[slots[live]] = values[sized]
+
+        # Per-slot separation from the row's integer pieces: the source
+        # loses ``M[moved, rest] + pairs(moved)``, target ``t`` gains
+        # ``M[moved_t, T_t] + pairs(moved_t)``.
+        rest, loss, split, gains = self._pieces[j]
+        moved = np.fromiter((g for g, _ in moves), dtype=np.int64, count=len(moves))
+        within = parent.ctx.separation.matrix[moved][:, moved]
+        source = int(self._row_source[j])
+        src_slot = int(self._src_slot[self._starts[j]])
+        for (target, mask), gain in zip(split, gains):
+            own = within if mask is None else within[mask][:, mask]
+            slot = parent._slot_of[target]
+            state.sep_sum[slot] += float(gain + int(own.sum(dtype=np.int64)) // 2)
+            state._members[target] = np.sort(
+                np.concatenate(
+                    [parent._members[target], moved if mask is None else moved[mask]]
+                )
+            )
+        if self._dying[j]:
+            state._release_slot(source, src_slot)
+        else:
+            state.sep_sum[src_slot] -= float(
+                loss + int(within.sum(dtype=np.int64)) // 2
+            )
+            state._members[source] = rest
+        return state

@@ -2,10 +2,12 @@
 
 ``tests/oracles/evolution.py`` keeps the loop the shipped ES replaced:
 one trial, score and rollback per child, single-move children batched
-through ``trial_moves``.  The shipped generation draws every child
-first and scores them in one ``trial_blocks`` call; it must make the
-same draws and therefore give the same history, evaluation count and
-best partition.  A structural test pins the new shape of a generation.
+through ``trial_moves``, survivors rebuilt by copy and replay.  The
+shipped generation draws every child first, scores them in one
+``trial_blocks`` call and lets survivors adopt their scored rows; it
+must make the same draws and therefore give the same history,
+evaluation count and best partition.  Structural tests pin the new
+shape of a generation.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from repro.netlist.benchmarks import c17, load_iscas85
 from repro.netlist.generate import GeneratorConfig, generate_iscas_like
 from repro.optimize.evolution import evolve_partition
 from repro.optimize.start import chain_start_partition
+from repro.partition import state as state_module
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
 from repro.partition.state import EvaluationState
@@ -142,6 +145,40 @@ def test_generation_is_one_kernel_call(monkeypatch):
     children = params.mu * (params.children_per_parent + params.monte_carlo_per_parent)
     assert calls == {"penalized_cost": params.mu, "trial_moves": 0}
     assert rows_per_call == [children] * result.generations_run
+
+
+def test_generation_is_one_stage1_pass_and_adopts_survivors(monkeypatch):
+    """Quick c880 run: each generation runs the kernel's stage 1 once
+    over all μ·(λ+χ) rows, survivors adopt their scored rows instead of
+    replaying moves, and nothing in the run -- the select phase
+    included -- takes an incremental timing update."""
+    params = table1_params(True)
+    passes = []
+    stage1 = state_module._BlockRows.__init__
+
+    def counting_stage1(self, rows, groups):
+        passes.append(len(rows))
+        stage1(self, rows, groups)
+
+    def no_replay(self, gates, target_module):
+        raise AssertionError("a survivor replayed its moves")
+
+    monkeypatch.setattr(state_module._BlockRows, "__init__", counting_stage1)
+    monkeypatch.setattr(EvaluationState, "move_gates", no_replay)
+    saved = obs.enabled_state()
+    obs.enable(metrics=True)
+    try:
+        mark = obs.METRICS.mark()
+        result = evolve_partition(
+            PartitionEvaluator(load_iscas85("c880")), params, seed=1995
+        )
+        delta = obs.METRICS.delta_since(mark)
+    finally:
+        obs.enable(trace=saved[0], metrics=saved[1])
+    children = params.mu * (params.children_per_parent + params.monte_carlo_per_parent)
+    assert passes == [children] * result.generations_run
+    assert delta["optimize.trial_blocks.calls"] == result.generations_run
+    assert [name for name in delta if name.startswith("timing.update.")] == []
 
 
 def test_generation_spans():

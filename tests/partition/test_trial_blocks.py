@@ -4,11 +4,16 @@
 ``trial_cost(moves)`` followed by ``rollback()`` gives for every
 ``(parent, moves)`` row -- the generic ``_StateProtocol.trial_blocks``
 loop is the oracle -- and must leave its parents as it found them.
-Rows follow the evolution strategy's shapes: mutations that move a few
-gates of one module into one or several (possibly repeated) targets,
-Monte-Carlo blocks into one target, rows that empty their source, and
-rows that move nothing.  Parents come from one evaluator but may differ
-in module count, and some carry freed slots and un-refreshed moves.
+Each row's adopted state (``.state(i)``) must equal, array for array,
+the parent's ``copy()`` plus a ``move_gates`` replay (the generic
+``BlockScores.state``) once both are refreshed.  Rows follow the
+evolution strategy's shapes: mutations that move a few gates of one
+module into one or several (possibly repeated) targets, Monte-Carlo
+blocks into one target, rows that empty their source, and rows that
+move nothing.  Parents come from one evaluator but may differ in module
+count, and some carry freed slots and un-refreshed moves.  Rows of
+several parents in one call score and adopt exactly as one call per
+parent.
 """
 
 import dataclasses
@@ -27,13 +32,49 @@ from repro.netlist.generate import GeneratorConfig, generate_iscas_like
 from repro.optimize.start import chain_start_partition
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
-from repro.partition.state import EvaluationState, _StateProtocol
+from repro.partition.state import BlockScores, EvaluationState, _StateProtocol
 from repro.sensors.degradation import FirstOrderDegradation, SecondOrderDegradation
 
 PENALTY = 1.0e4
 CIRCUITS = ("c17", "small", "c432")
 MODELS = ("first", "second")
 SHAPES = ("mutation", "block", "empty", "none")
+#: Every slot-indexed array a state keeps, compared bit for bit.
+STATE_ARRAYS = (
+    "leak_na",
+    "rail_cap_ff",
+    "sep_sum",
+    "max_current_ma",
+    "current",
+    "activity",
+    "sensor_rs",
+    "sensor_area",
+    "sensor_cs",
+    "sensor_tau",
+    "sensor_clamped",
+    "settle_ns",
+    "delay_degraded",
+    "_slot_module",
+    "_arrival",
+)
+
+
+class ScalarOnlyDegradation(SecondOrderDegradation):
+    """The second-order model, without the ``broadcasts`` promise: the
+    kernel must call it with one module's scalar sensor parameters."""
+
+    broadcasts = False
+
+    def delta(self, n, rs_ohm, cs_ff, cg_ff, rg_ohm):
+        assert np.ndim(rs_ohm) == 0 and np.ndim(cs_ff) == 0
+        return super().delta(n, rs_ohm, cs_ff, cg_ff, rg_ohm)
+
+
+DEGRADATION = {
+    "first": FirstOrderDegradation,
+    "second": SecondOrderDegradation,
+    "scalar": ScalarOnlyDegradation,
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,7 +102,7 @@ def _evaluator(
     """``tight`` lowers the IDDQ threshold and raises the minimum switch
     resistance so that coarse partitions violate both constraints and
     their rows carry the penalty."""
-    degradation = FirstOrderDegradation() if model == "first" else SecondOrderDegradation()
+    degradation = DEGRADATION[model]()
     technology = generic_technology()
     if tight:
         technology = dataclasses.replace(
@@ -118,14 +159,42 @@ def _row(state, shape: str, rng: random.Random) -> list[tuple[int, int]]:
     return [(gate, rng.choice(others)) for gate in gates]
 
 
+def _bits(array: np.ndarray) -> tuple:
+    return array.dtype, array.shape, array.tobytes()
+
+
+def _assert_same_state(got: EvaluationState, want: EvaluationState) -> None:
+    """``got`` equals ``want`` array for array once both are refreshed,
+    and passes ``consistency_check``."""
+    got._refresh()
+    want._refresh()
+    for name in STATE_ARRAYS:
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert got._dbic == want._dbic
+    assert got._slot_of == want._slot_of
+    assert got._free_slots == want._free_slots
+    assert got._members.keys() == want._members.keys()
+    for module, members in want._members.items():
+        assert _bits(got._members[module]) == _bits(members), module
+    assert got._move_log == want._move_log
+    assert got._dirty == want._dirty == set()
+    assert _bits(got.partition._module_of) == _bits(want.partition._module_of)
+    assert got.partition._modules == want.partition._modules
+    assert got.partition.version == want.partition.version
+    got.consistency_check()
+
+
 def _assert_kernel_matches_trials(parents, rows):
     oracle_parents = {id(p): p.copy() for p in parents}
     before = [(p.committed_moves(), p.partition.version) for p in parents]
-    got = EvaluationState.trial_blocks(rows, PENALTY)
+    scores = EvaluationState.trial_blocks(rows, PENALTY)
     want = _StateProtocol.trial_blocks(
         [(oracle_parents[id(p)], moves) for p, moves in rows], PENALTY
-    )
+    ).costs
+    got = scores.costs
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (got, want)
+    for i in range(len(rows)):
+        _assert_same_state(scores.state(i), BlockScores.state(scores, i))
     for parent, (log, version) in zip(parents, before):
         parent.consistency_check()
         assert parent.committed_moves() == log
@@ -162,7 +231,7 @@ def test_kernel_matches_per_row_trials(
     _assert_kernel_matches_trials(parents, rows)
 
 
-@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("model", MODELS + ("scalar",))
 @pytest.mark.parametrize("time_resolved", [False, True])
 def test_every_shape_on_mixed_k(model, time_resolved):
     """Each shape at least once, from parents with 2, 5 and 9 modules,
@@ -180,12 +249,47 @@ def test_every_shape_on_mixed_k(model, time_resolved):
     assert {_feasible(parent, moves) for parent, moves in rows} == {True, False}
 
 
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("time_resolved", [False, True])
+def test_fused_pass_equals_per_parent_calls(model, time_resolved):
+    """Rows of five parents in one call score and adopt bit-equal to one
+    call per parent.  The parents' slot counts lie on both sides of 8,
+    where numpy's pairwise sum changes how it groups a row's terms."""
+    evaluator = _evaluator("c432", model, time_resolved)
+    parents = [_parent(evaluator, k, seed) for k, seed in ((3, 1), (7, 2), (8, 5), (9, 4), (16, 7))]
+    assert {len(p._slot_module) for p in parents} == {3, 7, 8, 9, 16}
+    rng = random.Random(13)
+    rows = [(parent, _row(parent, shape, rng)) for parent in parents for shape in SHAPES * 2]
+    rng.shuffle(rows)
+    fused = EvaluationState.trial_blocks(rows, PENALTY)
+    for parent in parents:
+        mine = [i for i, (p, _) in enumerate(rows) if p is parent]
+        alone = EvaluationState.trial_blocks([rows[i] for i in mine], PENALTY)
+        assert _bits(fused.costs[mine]) == _bits(alone.costs)
+        for j, i in enumerate(mine):
+            _assert_same_state(fused.state(i), alone.state(j))
+
+
+def test_adopted_state_scores_its_row():
+    """A row's adopted state re-scores to the row's cost, and its next
+    refresh is one full sweep with nothing dirty."""
+    evaluator = _evaluator("small", "second", False)
+    parents = [_parent(evaluator, k, seed) for k, seed in ((4, 2), (6, 3))]
+    rng = random.Random(3)
+    rows = [(parent, _row(parent, shape, rng)) for parent in parents for shape in SHAPES]
+    scores = EvaluationState.trial_blocks(rows, PENALTY)
+    for i in range(len(rows)):
+        state = scores.state(i)
+        assert state._arrival is None and not state._dirty
+        assert state.penalized_cost(PENALTY) == scores.costs[i]
+
+
 def test_zero_move_rows_on_a_single_module():
     """c17 at K=1: no mutation can move anything, every row is empty and
     scores as the parent itself."""
     evaluator = _evaluator("c17", "second", False)
     parent = evaluator.new_state(Partition.single_module(evaluator.circuit))
-    costs = EvaluationState.trial_blocks([(parent, [])] * 3, PENALTY)
+    costs = EvaluationState.trial_blocks([(parent, [])] * 3, PENALTY).costs
     assert costs.tolist() == [parent.penalized_cost(PENALTY)] * 3
 
 
@@ -201,7 +305,7 @@ def test_row_that_empties_its_source():
 def test_counters_and_empty_call():
     from repro import obs
 
-    assert EvaluationState.trial_blocks([], PENALTY).shape == (0,)
+    assert EvaluationState.trial_blocks([], PENALTY).costs.shape == (0,)
     evaluator = _evaluator("small", "second", False)
     parent = _parent(evaluator, 3, 4)
     rows = [(parent, _row(parent, "mutation", random.Random(i))) for i in range(5)]
