@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.errors import OptimizationError
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
@@ -45,6 +46,15 @@ def standard_partition(evaluator: PartitionEvaluator, num_modules: int) -> Parti
     n = len(circuit.gate_names)
     if not 1 <= num_modules <= n:
         raise OptimizationError(f"cannot build {num_modules} modules from {n} gates")
+    with obs.TRACER.span("standard.partition", modules=num_modules):
+        assignment = _standard_assignment(evaluator, num_modules)
+        return Partition(circuit, dict(enumerate(assignment.tolist())))
+
+
+def _standard_assignment(evaluator: PartitionEvaluator, num_modules: int) -> np.ndarray:
+    """The module of every gate, clustered greedily module by module."""
+    circuit = evaluator.circuit
+    n = len(circuit.gate_names)
     matrix = evaluator.separation.matrix
     # Seed order: claimed gates get the sentinel, so argmin is the first
     # free gate of minimal level.
@@ -70,7 +80,7 @@ def standard_partition(evaluator: PartitionEvaluator, num_modules: int) -> Parti
             dist_to_module[gate] = _CLAIMED
             if size < target_size:
                 gate = _closest_free(dist_to_module, dist_to_free)
-    return Partition(circuit, dict(enumerate(assignment.tolist())))
+    return assignment
 
 
 def _balanced_sizes(n: int, k: int) -> list[int]:

@@ -15,6 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.current import GateElectricals
 from repro.analysis.separation import SeparationMatrix
 from repro.analysis.timing import levelized_timing
@@ -142,31 +143,37 @@ class PartitionEvaluator:
         self.weights = weights or CostWeights()
         self.degradation = degradation or SecondOrderDegradation()
         self.time_resolved_degradation = time_resolved_degradation
-
-        self.times = TransitionTimes.compute(circuit)
-        self.electricals = GateElectricals.compute(circuit, self.library)
-        if separation is not None:
-            if separation.cap != self.technology.separation_cap:
-                raise ValueError(
-                    f"injected separation matrix has cap {separation.cap}, "
-                    f"technology requires {self.technology.separation_cap}"
+        with obs.TRACER.span("evaluator.build", circuit=circuit.name):
+            with obs.TRACER.span("evaluator.transition_times"):
+                self.times = TransitionTimes.compute(circuit)
+            self.electricals = GateElectricals.compute(circuit, self.library)
+            if separation is not None:
+                if separation.cap != self.technology.separation_cap:
+                    raise ValueError(
+                        f"injected separation matrix has cap {separation.cap}, "
+                        f"technology requires {self.technology.separation_cap}"
+                    )
+                expected = len(circuit.gate_names)
+                if separation.matrix.shape[0] != expected:
+                    raise ValueError(
+                        f"injected separation matrix covers "
+                        f"{separation.matrix.shape[0]} gates, circuit has {expected}"
+                    )
+                self.separation = separation
+            else:
+                with obs.TRACER.span("evaluator.separation"):
+                    self.separation = SeparationMatrix(
+                        circuit, self.technology.separation_cap, backend=backend
+                    )
+            with obs.TRACER.span("evaluator.timing"):
+                # Cached on the compiled graph: evaluators of the same
+                # circuit share one level structure and its incremental
+                # engine.
+                self.timing = levelized_timing(circuit)
+                self.nominal_delay_ns = self.timing.critical_path_delay(
+                    self.electricals.delay_ns
                 )
-            expected = len(circuit.gate_names)
-            if separation.matrix.shape[0] != expected:
-                raise ValueError(
-                    f"injected separation matrix covers "
-                    f"{separation.matrix.shape[0]} gates, circuit has {expected}"
-                )
-            self.separation = separation
-        else:
-            self.separation = SeparationMatrix(
-                circuit, self.technology.separation_cap, backend=backend
-            )
-        # Cached on the compiled graph: evaluators of the same circuit
-        # share one level structure and its incremental engine.
-        self.timing = levelized_timing(circuit)
-        self.nominal_delay_ns = self.timing.critical_path_delay(self.electricals.delay_ns)
-        self.ones = np.ones(len(circuit.gate_names), dtype=np.float64)
+            self.ones = np.ones(len(circuit.gate_names), dtype=np.float64)
 
     # --------------------------------------------------------------- evaluate
     def new_state(self, partition: Partition, impl: str | None = None):
