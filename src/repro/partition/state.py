@@ -1947,14 +1947,13 @@ class _BlockRows(BlockScores):
     """Stage 1 of :meth:`EvaluationState.trial_blocks`, run once over the
     rows of every parent, and the adoption of scored rows as states.
 
-    Rows are laid out grouped by parent (``order`` maps back to the
-    caller's row numbers); row ``j`` owns ``S_p`` consecutive *cells*,
-    one per slot of its parent ``p``.  Leakage, maximum current, sensor
-    area and settle time are held for every cell; rail capacitance,
-    profiles and sensor sizes only for the *touched* cells (a row's
-    source and targets).  Leakage, rail and profile deltas are scattered
-    with ``subtract.at``/``add.at`` in move order, the float sequence of
-    :meth:`EvaluationState.move_gate`/``_bulk_move``.
+    Rows are grouped by parent (``order`` maps them back to the caller's
+    row numbers), and row ``j`` of parent ``p`` owns ``S_p`` consecutive
+    *cells* of every slot vector and profile stack, one per parent slot.
+    Leakage, rail and profile deltas are scattered with
+    ``subtract.at``/``add.at`` in move order, the float sequence of
+    :meth:`EvaluationState.move_gate`/``_bulk_move``; touched cells are
+    sized in one call.
 
     Separation values are integers held in float64, far below 2**53, and
     the matrix is symmetric with a zero diagonal, so a row's total
@@ -1969,6 +1968,22 @@ class _BlockRows(BlockScores):
     ``(rows, S_p)`` view: numpy's pairwise sum groups by length, so a
     common padded width would change the float results.
     """
+
+    #: The slot vectors and profiles stacked per row (separation is
+    #: scored as row totals and rebuilt per slot on adoption).
+    SLOT_ARRAYS = (
+        "leak_na",
+        "rail_cap_ff",
+        "max_current_ma",
+        "current",
+        "activity",
+        "sensor_rs",
+        "sensor_area",
+        "sensor_cs",
+        "sensor_tau",
+        "sensor_clamped",
+        "settle_ns",
+    )
 
     def __init__(self, rows, groups):
         parents = [state for state, _ in groups]
@@ -2074,7 +2089,7 @@ class _BlockRows(BlockScores):
             if multi[r]:
                 same = into[:, None] == into[None, :]
                 cross = int(near[:, moved][~same].sum(dtype=np.int64)) // 2
-                split = [(t, into == t) for t in np.unique(into).tolist()]
+                split = [(t, into == t) for t in sorted(set(into.tolist()))]
             else:
                 cross = 0
                 split = [(int(into[0]), None)]
@@ -2090,99 +2105,80 @@ class _BlockRows(BlockScores):
         dead = np.flatnonzero(dying)
         dead_cell = row_off[dead] + src_slot[starts[dead]]
 
-        def stacked(name):
-            return np.concatenate([getattr(p, name) for p in parents])
-
-        leak = stacked("leak_na")[cell_src]
-        max_current = stacked("max_current_ma")[cell_src]
-        area = stacked("sensor_area")[cell_src]
-        settle = stacked("settle_ns")[cell_src]
-        touched, inverse = np.unique(
-            np.concatenate([src_cell, tgt_cell]), return_inverse=True
+        self._slots = {
+            name: np.concatenate([getattr(p, name) for p in parents])[cell_src]
+            for name in _BlockRows.SLOT_ARRAYS
+        }
+        leak, rail, max_current, current, activity, rs, area, cs, tau, clamped, settle = (
+            self._slots.values()
         )
-        src_t = inverse[: gates.size]
-        tgt_t = inverse[gates.size :]
-        rail = stacked("rail_cap_ff")[cell_src[touched]]
-        current = stacked("current")[cell_src[touched]]
-        activity = stacked("activity")[cell_src[touched]]
-        leak_g = electricals.leakage_na[gates]
-        rail_g = electricals.rail_cap_ff[gates]
-        np.subtract.at(leak, src_cell, leak_g)
-        np.add.at(leak, tgt_cell, leak_g)
-        np.subtract.at(rail, src_t, rail_g)
-        np.add.at(rail, tgt_t, rail_g)
+        for flat, per_gate in (
+            (leak, electricals.leakage_na[gates]),
+            (rail, electricals.rail_cap_ff[gates]),
+        ):
+            np.subtract.at(flat, src_cell, per_gate)
+            np.add.at(flat, tgt_cell, per_gate)
         time_slots, time_counts = csr_gather(
             times.times_indptr, times.times_flat, gates
         )
         peak_rep = np.repeat(electricals.peak_current_ma[gates], time_counts)
-        src_time = np.repeat(src_t, time_counts) * depth_t + time_slots
-        tgt_time = np.repeat(tgt_t, time_counts) * depth_t + time_slots
+        src_time = np.repeat(src_cell, time_counts) * depth_t + time_slots
+        tgt_time = np.repeat(tgt_cell, time_counts) * depth_t + time_slots
         np.subtract.at(current.reshape(-1), src_time, peak_rep)
         np.add.at(current.reshape(-1), tgt_time, peak_rep)
         np.subtract.at(activity.reshape(-1), src_time, 1.0)
         np.add.at(activity.reshape(-1), tgt_time, 1.0)
 
         # An emptied source frees its slot: exact zeros, as _release_slot.
-        for array in (leak, max_current, area, settle):
-            array[dead_cell] = 0.0
-        is_dead = np.zeros(leak.size, dtype=bool)
-        is_dead[dead_cell] = True
-        live = ~is_dead[touched]
-        live_cells = touched[live]
-        peak = current[live].max(axis=1)
-        rs, sensor_area, cs, tau, clamped = size_sensors(
-            ctx.technology, peak, rail[live]
+        for array in self._slots.values():
+            array[dead_cell] = 0
+        cells = np.setdiff1d(np.concatenate([src_cell, tgt_cell]), dead_cell)
+        max_current[cells] = current[cells].max(axis=1)
+        rs[cells], area[cells], cs[cells], tau[cells], clamped[cells] = size_sensors(
+            ctx.technology, max_current[cells], rail[cells]
         )
-        settle_live = settle_times_ns(peak, tau, ctx.technology)
-        max_current[live_cells] = peak
-        area[live_cells] = sensor_area
-        settle[live_cells] = settle_live
+        settle[cells] = settle_times_ns(max_current[cells], tau[cells], ctx.technology)
 
         # Re-degrade every touched module's gates in one call.
         delays = np.stack([p.delay_degraded for p in parents])[row_parent]
         member_gates = np.concatenate(member_parts + [gates])
         if member_gates.size:
-            member_t = np.concatenate(
-                [
-                    np.repeat(
-                        np.searchsorted(touched, member_cells),
-                        [part.size for part in member_parts],
-                    ),
-                    tgt_t,
-                ]
+            member_cell = np.concatenate(
+                [np.repeat(member_cells, [part.size for part in member_parts]), tgt_cell]
             )
             if ctx.time_resolved_degradation:
                 slots, counts = csr_gather(
                     times.times_indptr, times.times_flat, member_gates
                 )
                 n = np.maximum.reduceat(
-                    activity.reshape(-1)[np.repeat(member_t, counts) * depth_t + slots],
+                    activity.reshape(-1)[np.repeat(member_cell, counts) * depth_t + slots],
                     np.cumsum(counts) - counts,
                 )
             else:
-                n = activity.max(axis=1)[member_t]
-            member_l = (np.cumsum(live) - 1)[member_t]
+                n = activity.max(axis=1)[member_cell]
             cap = electricals.output_cap_ff[member_gates]
             res = electricals.pulldown_res_ohm[member_gates]
             if getattr(ctx.degradation, "broadcasts", False):
-                delta = ctx.degradation.delta(n, rs[member_l], cs[member_l], cap, res)
+                delta = ctx.degradation.delta(
+                    n, rs[member_cell], cs[member_cell], cap, res
+                )
             else:  # scalar sensor parameters: one call per touched module
                 delta = np.empty(member_gates.size, dtype=np.float64)
-                for k in np.unique(member_l).tolist():
-                    sel = member_l == k
+                for cell in np.unique(member_cell).tolist():
+                    sel = member_cell == cell
                     delta[sel] = ctx.degradation.delta(
                         n[sel] if ctx.time_resolved_degradation else n[sel][0],
-                        rs[k],
-                        cs[k],
+                        rs[cell],
+                        cs[cell],
                         cap[sel],
                         res[sel],
                     )
             cell_row = np.repeat(np.arange(count, dtype=np.int64), row_slots)
-            delays.reshape(-1)[
-                cell_row[touched[member_t]] * num_gates + member_gates
-            ] = electricals.delay_ns[member_gates] * (1.0 + delta)
-
+            delays.reshape(-1)[cell_row[member_cell] * num_gates + member_gates] = (
+                electricals.delay_ns[member_gates] * (1.0 + delta)
+            )
         self.delays = delays
+
         self.area_sum = np.empty(count, dtype=np.float64)
         self.settle_max = np.empty(count, dtype=np.float64)
         self.feasible = np.empty(count, dtype=bool)
@@ -2190,8 +2186,8 @@ class _BlockRows(BlockScores):
         for p in range(len(parents)):
             r0, r1 = int(row_bounds[p]), int(row_bounds[p + 1])
             c0 = int(row_off[r0])
-            c1 = c0 + (r1 - r0) * int(num_slots[p])
             shape = (r1 - r0, int(num_slots[p]))
+            c1 = c0 + shape[0] * shape[1]
             self.area_sum[r0:r1] = area[c0:c1].reshape(shape).sum(axis=1)
             self.settle_max[r0:r1] = settle[c0:c1].reshape(shape).max(axis=1)
             self.feasible[r0:r1], self.violation[r0:r1], _, _ = (
@@ -2205,116 +2201,62 @@ class _BlockRows(BlockScores):
         self.sep_total = (parent_sep[row_parent] + sep_delta).astype(np.float64)
         num_modules = np.array([p.partition.num_modules for p in parents])
         self.modules = num_modules[row_parent] - dying
-
         self._row_parent = row_parent
         self._row_off = row_off
-        self._row_slots = row_slots
         self._row_source = row_source
-        self._starts = starts
-        self._src_slot = src_slot
         self._dying = dying
-        self._touched = touched
-        self._live = live
-        self._leak = leak
-        self._rail = rail
-        self._current = current
-        self._activity = activity
-        self._sized = (peak, rs, sensor_area, cs, tau, clamped, settle_live)
 
     def state(self, i: int) -> EvaluationState:
-        """Row ``i``'s state, adopted from stage 1 and the stacked retime.
+        """Row ``i``'s state, adopted from stage 1 and the stacked retime
+        (the parents must be unchanged since the call).
 
-        The parent's partition is copied and the moves are applied to it
-        alone (one ``move_gates`` call per same-target run, as a replay
-        makes); statistics, sensor sizes and degraded delays come from
-        the row.  Nothing is dirty and the arrival vector is unset, so
-        the first refresh is one full sweep that re-sizes, re-degrades
-        and diffs nothing.  Equal, array for array, to the parent's
-        ``copy()`` plus a ``move_gates`` replay and ``_refresh()``.
+        The parent is copied and the moves are applied to the copy's
+        partition alone, one ``move_gates`` call per same-target run as
+        a replay makes; statistics, sensor sizes and degraded delays
+        come from the row.  Nothing is dirty and the arrival vector is
+        unset, so the first refresh is one full sweep that re-sizes,
+        re-degrades and diffs nothing.  Equal, array for array, to the
+        parent's ``copy()`` plus a ``move_gates`` replay and
+        ``_refresh()``.
         """
         j = int(self._position[i])
         parent = self._parents[int(self._row_parent[j])]
         moves = self._blocks[j]
-        state = object.__new__(EvaluationState)
-        state.ctx = parent.ctx
-        state.partition = parent.partition.copy()
+        state = parent.copy()
         for target, gates in _target_runs(moves):
             state.partition.move_gates(gates, target)
-        state._slot_of = dict(parent._slot_of)
-        state._slot_module = parent._slot_module.copy()
-        state._free_slots = list(parent._free_slots)
-        for name in (
-            "leak_na",
-            "rail_cap_ff",
-            "sep_sum",
-            "max_current_ma",
-            "current",
-            "activity",
-            "sensor_rs",
-            "sensor_area",
-            "sensor_cs",
-            "sensor_tau",
-            "sensor_clamped",
-            "settle_ns",
-        ):
-            setattr(state, name, getattr(parent, name).copy())
+        state._move_log.extend((int(gate), int(target)) for gate, target in moves)
         state.delay_degraded = self.delays[j].copy()
         state._arrival = None
         state._block_max = None
         state._dbic = float(self.d_bic[j])
-        state._dirty = set()
-        state._journal = None
-        state._trial_meta = None
-        state._move_log = parent._move_log + [(int(g), int(t)) for g, t in moves]
-        state._members = dict(parent._members)
         if not moves:
             return state
-
-        off = int(self._row_off[j])
-        k0, k1 = np.searchsorted(self._touched, [off, off + int(self._row_slots[j])])
-        cells = self._touched[k0:k1]
-        slots = cells - off
-        state.leak_na[slots] = self._leak[cells]
-        state.rail_cap_ff[slots] = self._rail[k0:k1]
-        state.current[slots] = self._current[k0:k1]
-        state.activity[slots] = self._activity[k0:k1]
-        live = self._live[k0:k1]
-        sized = (np.cumsum(self._live) - 1)[k0:k1][live]
-        for name, values in zip(
-            (
-                "max_current_ma",
-                "sensor_rs",
-                "sensor_area",
-                "sensor_cs",
-                "sensor_tau",
-                "sensor_clamped",
-                "settle_ns",
-            ),
-            self._sized,
-        ):
-            getattr(state, name)[slots[live]] = values[sized]
+        cells = slice(int(self._row_off[j]), int(self._row_off[j]) + len(parent._slot_module))
+        for name, stack in self._slots.items():
+            setattr(state, name, stack[cells].copy())
 
         # Per-slot separation from the row's integer pieces: the source
         # loses ``M[moved, rest] + pairs(moved)``, target ``t`` gains
         # ``M[moved_t, T_t] + pairs(moved_t)``.
         rest, loss, split, gains = self._pieces[j]
-        moved = np.fromiter((g for g, _ in moves), dtype=np.int64, count=len(moves))
+        moved = np.fromiter((gate for gate, _ in moves), dtype=np.int64, count=len(moves))
         within = parent.ctx.separation.matrix[moved][:, moved]
-        source = int(self._row_source[j])
-        src_slot = int(self._src_slot[self._starts[j]])
         for (target, mask), gain in zip(split, gains):
             own = within if mask is None else within[mask][:, mask]
-            slot = parent._slot_of[target]
-            state.sep_sum[slot] += float(gain + int(own.sum(dtype=np.int64)) // 2)
+            state.sep_sum[parent._slot_of[target]] += float(
+                gain + int(own.sum(dtype=np.int64)) // 2
+            )
             state._members[target] = np.sort(
                 np.concatenate(
                     [parent._members[target], moved if mask is None else moved[mask]]
                 )
             )
+        source = int(self._row_source[j])
         if self._dying[j]:
-            state._release_slot(source, src_slot)
+            state._release_slot(source, parent._slot_of[source])
         else:
-            state.sep_sum[src_slot] -= float(
+            state.sep_sum[parent._slot_of[source]] -= float(
                 loss + int(within.sum(dtype=np.int64)) // 2
             )
             state._members[source] = rest
