@@ -97,16 +97,21 @@ def _circuit(key: str):
 
 @functools.lru_cache(maxsize=None)
 def _evaluator(
-    key: str, model: str, time_resolved: bool, tight: bool = False
+    key: str, model: str, time_resolved: bool, tight: bool = False, strict: bool = False
 ) -> PartitionEvaluator:
     """``tight`` lowers the IDDQ threshold and raises the minimum switch
     resistance so that coarse partitions violate both constraints and
-    their rows carry the penalty."""
+    their rows carry the penalty; ``strict`` goes further, so that every
+    module violates both and Γ's violation sums a term per slot."""
     degradation = DEGRADATION[model]()
     technology = generic_technology()
     if tight:
         technology = dataclasses.replace(
             technology, iddq_threshold_ua=0.08, min_rs_ohm=20.0
+        )
+    if strict:
+        technology = dataclasses.replace(
+            technology, iddq_threshold_ua=0.001, min_rs_ohm=2000.0
         )
     return PartitionEvaluator(
         _circuit(key),
@@ -251,16 +256,20 @@ def test_every_shape_on_mixed_k(model, time_resolved):
 
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("time_resolved", [False, True])
-def test_fused_pass_equals_per_parent_calls(model, time_resolved):
-    """Rows of five parents in one call score and adopt bit-equal to one
-    call per parent.  The parents' slot counts lie on both sides of 8,
-    where numpy's pairwise sum changes how it groups a row's terms."""
-    evaluator = _evaluator("c432", model, time_resolved)
+@pytest.mark.parametrize("strict", [False, True])
+def test_fused_pass_equals_per_parent_calls(model, time_resolved, strict):
+    """Rows of five parents in one call score like one trial each and
+    adopt bit-equal to one call per parent.  The parents' slot counts
+    lie on both sides of 8, where numpy's pairwise sum changes how it
+    groups a row's terms; a reduction over a common padded width would
+    change sums such as the strict technology's per-slot violations."""
+    evaluator = _evaluator("c432", model, time_resolved, strict=strict)
     parents = [_parent(evaluator, k, seed) for k, seed in ((3, 1), (7, 2), (8, 5), (9, 4), (16, 7))]
     assert {len(p._slot_module) for p in parents} == {3, 7, 8, 9, 16}
     rng = random.Random(13)
-    rows = [(parent, _row(parent, shape, rng)) for parent in parents for shape in SHAPES * 2]
+    rows = [(parent, _row(parent, shape, rng)) for parent in parents for shape in SHAPES]
     rng.shuffle(rows)
+    _assert_kernel_matches_trials(parents, rows)
     fused = EvaluationState.trial_blocks(rows, PENALTY)
     for parent in parents:
         mine = [i for i, (p, _) in enumerate(rows) if p is parent]
