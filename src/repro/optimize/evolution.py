@@ -30,14 +30,18 @@ Each generation runs in three phases, traced as the ``es.draw``,
   Only the modified modules are re-evaluated (§4.2: "costs are
   recomputed just for the modified modules ... the partitions generated
   this way can be evaluated very efficiently"), for the whole
-  generation at once: closed-form statistics deltas per row and one
-  stacked block-cone retiming sweep (DESIGN §8.3) for the exact
-  ``D_BIC``.  Each cost is bit-identical to trying the child's moves on
-  the parent's state and rolling back.  Drawing consumes the RNG and
+  generation at once: one statistics pass over every row (exact integer
+  separation totals, one re-degradation call) and one stacked
+  block-cone retiming sweep (DESIGN §8.3) for the exact ``D_BIC``.
+  Each cost is bit-identical to trying the child's moves on the
+  parent's state and rolling back.  Drawing consumes the RNG and
   scoring does not, so the draws happen in the order the paper's
   child-by-child loop makes them.
-* **select** — only the μ survivors materialise a state (a dense-array
-  copy of the parent plus a replay of the recorded moves).
+* **select** — only the μ survivors build a state, and each adopts the
+  row the kernel scored for it (``scores.state(row)``): a copy of the
+  parent's partition with the moves applied, plus the row's statistics,
+  sensor sizes and degraded delays.  Nothing is replayed, re-sized or
+  re-degraded; the survivor's first refresh is one full timing sweep.
 
 The boundary-gate and connected-target queries the mutation operator
 leans on are batched CSR scans over the compiled graph (see DESIGN.md),

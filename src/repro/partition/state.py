@@ -31,7 +31,8 @@ sensor sizing and constraint checking), looping only for the
 per-candidate cone-restricted delay update, and
 :meth:`EvaluationState.trial_blocks` — the population kernel that
 scores a whole ES generation of multi-move rows from several parent
-states with one stacked retiming sweep.
+states in one statistics pass and one stacked retiming sweep, and
+hands each scored row back as a state without replaying its moves.
 """
 
 from __future__ import annotations
