@@ -229,7 +229,7 @@ class _StateProtocol:
     def trial_blocks(
         rows: Sequence[tuple["_StateProtocol", Sequence[tuple[int, int]]]],
         penalty: float,
-    ) -> "BlockScores":
+    ) -> BlockScores:
         """Penalised cost of each ``(state, moves)`` row, the moves
         applied in order and evaluated independently from that state
         (generic trial/rollback loop; the dense state overrides this
