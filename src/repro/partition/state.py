@@ -2068,7 +2068,7 @@ class _BlockRows(BlockScores):
         sep_delta = np.zeros(count, dtype=np.int64)
         self._pieces: dict[int, tuple] = {}
         member_parts: list[np.ndarray] = []
-        member_cells: list[int] = []
+        part_cells: list[int] = []
         for r in np.flatnonzero(moving).tolist():
             lo, hi = int(starts[r]), int(ends[r])
             parent = parents[row_parent[r]]
@@ -2085,7 +2085,7 @@ class _BlockRows(BlockScores):
                 flag[moved] = False
                 loss = int(near[:, rest].sum(dtype=np.int64))
                 member_parts.append(rest)
-                member_cells.append(int(src_cell[lo]))
+                part_cells.append(int(src_cell[lo]))
             into = targets[lo:hi]
             if multi[r]:
                 same = into[:, None] == into[None, :]
@@ -2100,7 +2100,7 @@ class _BlockRows(BlockScores):
                 rows_t = near if mask is None else near[mask]
                 gains.append(int(rows_t[:, tgt_members].sum(dtype=np.int64)))
                 member_parts.append(tgt_members)
-                member_cells.append(int(row_off[r]) + parent._slot_of[target])
+                part_cells.append(int(row_off[r]) + parent._slot_of[target])
             sep_delta[r] = sum(gains) - loss - cross
             self._pieces[r] = (rest, loss, split, gains)
         dead = np.flatnonzero(dying)
@@ -2110,9 +2110,8 @@ class _BlockRows(BlockScores):
             name: np.concatenate([getattr(p, name) for p in parents])[cell_src]
             for name in _BlockRows.SLOT_ARRAYS
         }
-        leak, rail, max_current, current, activity, rs, area, cs, tau, clamped, settle = (
-            self._slots.values()
-        )
+        leak, rail, max_current, current, activity, *sensor = self._slots.values()
+        rs, area, cs, tau, clamped, settle = sensor
         for flat, per_gate in (
             (leak, electricals.leakage_na[gates]),
             (rail, electricals.rail_cap_ff[gates]),
@@ -2144,16 +2143,15 @@ class _BlockRows(BlockScores):
         delays = np.stack([p.delay_degraded for p in parents])[row_parent]
         member_gates = np.concatenate(member_parts + [gates])
         if member_gates.size:
-            member_cell = np.concatenate(
-                [np.repeat(member_cells, [part.size for part in member_parts]), tgt_cell]
-            )
+            sizes = [part.size for part in member_parts]
+            member_cell = np.concatenate([np.repeat(part_cells, sizes), tgt_cell])
             if ctx.time_resolved_degradation:
                 slots, counts = csr_gather(
                     times.times_indptr, times.times_flat, member_gates
                 )
+                flat = np.repeat(member_cell, counts) * depth_t + slots
                 n = np.maximum.reduceat(
-                    activity.reshape(-1)[np.repeat(member_cell, counts) * depth_t + slots],
-                    np.cumsum(counts) - counts,
+                    activity.reshape(-1)[flat], np.cumsum(counts) - counts
                 )
             else:
                 n = activity.max(axis=1)[member_cell]
@@ -2233,15 +2231,15 @@ class _BlockRows(BlockScores):
         state._dbic = float(self.d_bic[j])
         if not moves:
             return state
-        cells = slice(int(self._row_off[j]), int(self._row_off[j]) + len(parent._slot_module))
+        off = int(self._row_off[j])
         for name, stack in self._slots.items():
-            setattr(state, name, stack[cells].copy())
+            setattr(state, name, stack[off : off + len(parent._slot_module)].copy())
 
         # Per-slot separation from the row's integer pieces: the source
         # loses ``M[moved, rest] + pairs(moved)``, target ``t`` gains
         # ``M[moved_t, T_t] + pairs(moved_t)``.
         rest, loss, split, gains = self._pieces[j]
-        moved = np.fromiter((gate for gate, _ in moves), dtype=np.int64, count=len(moves))
+        moved = np.array([gate for gate, _ in moves], dtype=np.int64)
         within = parent.ctx.separation.matrix[moved][:, moved]
         for (target, mask), gain in zip(split, gains):
             own = within if mask is None else within[mask][:, mask]

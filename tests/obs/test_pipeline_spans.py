@@ -21,8 +21,8 @@ def test_traced_table1_row_has_every_layer_span():
         depth.setdefault(name, set()).add(level)
     assert traced == untraced
     assert depth["evaluator.build"] == {0}
-    for child in ("evaluator.separation", "evaluator.transition_times", "evaluator.timing"):
-        assert depth[child] == {1}, child
+    for child in ("separation", "transition_times", "timing"):
+        assert depth[f"evaluator.{child}"] == {1}, child
     generations = traced[0].generations
     for name, count in (
         ("es.start", 1),

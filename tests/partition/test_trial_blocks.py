@@ -264,10 +264,13 @@ def test_fused_pass_equals_per_parent_calls(model, time_resolved, strict):
     groups a row's terms; a reduction over a common padded width would
     change sums such as the strict technology's per-slot violations."""
     evaluator = _evaluator("c432", model, time_resolved, strict=strict)
-    parents = [_parent(evaluator, k, seed) for k, seed in ((3, 1), (7, 2), (8, 5), (9, 4), (16, 7))]
+    parents = [
+        _parent(evaluator, k, seed)
+        for k, seed in ((3, 1), (7, 2), (8, 5), (9, 4), (16, 7))
+    ]
     assert {len(p._slot_module) for p in parents} == {3, 7, 8, 9, 16}
     rng = random.Random(13)
-    rows = [(parent, _row(parent, shape, rng)) for parent in parents for shape in SHAPES]
+    rows = [(p, _row(p, shape, rng)) for p in parents for shape in SHAPES]
     rng.shuffle(rows)
     _assert_kernel_matches_trials(parents, rows)
     fused = EvaluationState.trial_blocks(rows, PENALTY)
@@ -285,7 +288,7 @@ def test_adopted_state_scores_its_row():
     evaluator = _evaluator("small", "second", False)
     parents = [_parent(evaluator, k, seed) for k, seed in ((4, 2), (6, 3))]
     rng = random.Random(3)
-    rows = [(parent, _row(parent, shape, rng)) for parent in parents for shape in SHAPES]
+    rows = [(p, _row(p, shape, rng)) for p in parents for shape in SHAPES]
     scores = EvaluationState.trial_blocks(rows, PENALTY)
     for i in range(len(rows)):
         state = scores.state(i)
