@@ -33,6 +33,13 @@ per-candidate cone-restricted delay update, and
 scores a whole ES generation of multi-move rows from several parent
 states in one statistics pass and one stacked retiming sweep, and
 hands each scored row back as a state without replaying its moves.
+
+The batched kernels call the degradation model's ``delta`` with arrays
+of sensor parameters, one element per (candidate, gate).  A model
+declares that safe by setting ``broadcasts = True``, as both shipped
+models do.  For any other model, ``trial_moves`` and ``trial_swaps``
+re-time their candidates one at a time and ``trial_blocks`` is the
+generic per-row trial loop of :class:`_StateProtocol`.
 """
 
 from __future__ import annotations
@@ -509,6 +516,23 @@ class EvaluationState(_StateProtocol):
 
     _GROW = 8
 
+    #: Every slot-indexed statistic, ``(S,)`` vectors and ``(S, T)``
+    #: profiles alike: copied, grown, freed and adopted as one set.
+    SLOT_ARRAYS = (
+        "leak_na",
+        "rail_cap_ff",
+        "sep_sum",
+        "max_current_ma",
+        "current",
+        "activity",
+        "sensor_rs",
+        "sensor_area",
+        "sensor_cs",
+        "sensor_tau",
+        "sensor_clamped",
+        "settle_ns",
+    )
+
     def __init__(self, ctx: "PartitionEvaluator", partition: Partition):
         self.ctx = ctx
         self.partition = partition.copy()
@@ -568,21 +592,7 @@ class EvaluationState(_StateProtocol):
         clone._slot_of = dict(self._slot_of)
         clone._slot_module = self._slot_module.copy()
         clone._free_slots = list(self._free_slots)
-        for name in (
-            "leak_na",
-            "rail_cap_ff",
-            "sep_sum",
-            "max_current_ma",
-            "current",
-            "activity",
-            "sensor_rs",
-            "sensor_area",
-            "sensor_cs",
-            "sensor_tau",
-            "sensor_clamped",
-            "settle_ns",
-            "delay_degraded",
-        ):
+        for name in EvaluationState.SLOT_ARRAYS + ("delay_degraded",):
             setattr(clone, name, getattr(self, name).copy())
         clone._arrival = None if self._arrival is None else self._arrival.copy()
         clone._block_max = None if self._block_max is None else self._block_max.copy()
@@ -885,21 +895,8 @@ class EvaluationState(_StateProtocol):
         del self._slot_of[module]
         self._free_slots.append(slot)
         self._aset(self._slot_module, slot, -1)
-        for array in (
-            self.leak_na,
-            self.rail_cap_ff,
-            self.sep_sum,
-            self.max_current_ma,
-            self.sensor_rs,
-            self.sensor_area,
-            self.sensor_cs,
-            self.sensor_tau,
-            self.settle_ns,
-        ):
-            self._aset(array, slot, 0.0)
-        self._aset(self.sensor_clamped, slot, False)
-        self._aset(self.current, slot, 0.0)
-        self._aset(self.activity, slot, 0.0)
+        for name in EvaluationState.SLOT_ARRAYS:
+            self._aset(getattr(self, name), slot, 0)
 
     def _claim_slot(self, module: int) -> int:
         """Allocate a slot for a new module (outside trials only)."""
@@ -911,25 +908,10 @@ class EvaluationState(_StateProtocol):
             self._slot_module = np.concatenate(
                 [self._slot_module, np.full(grow, -1, dtype=np.int64)]
             )
-            for name in (
-                "leak_na",
-                "rail_cap_ff",
-                "sep_sum",
-                "max_current_ma",
-                "sensor_rs",
-                "sensor_area",
-                "sensor_cs",
-                "sensor_tau",
-                "settle_ns",
-            ):
+            for name in EvaluationState.SLOT_ARRAYS:
                 old = getattr(self, name)
-                setattr(self, name, np.concatenate([old, np.zeros(grow)]))
-            self.sensor_clamped = np.concatenate(
-                [self.sensor_clamped, np.zeros(grow, dtype=bool)]
-            )
-            pad = np.zeros((grow, self.current.shape[1]))
-            self.current = np.concatenate([self.current, pad])
-            self.activity = np.concatenate([self.activity, pad.copy()])
+                pad = np.zeros((grow,) + old.shape[1:], dtype=old.dtype)
+                setattr(self, name, np.concatenate([old, pad]))
         self._slot_of[module] = slot
         self._slot_module[slot] = module
         return slot
@@ -1822,63 +1804,29 @@ class EvaluationState(_StateProtocol):
         module into one or more targets (a row may empty its source, or
         move nothing).  Each parent is refreshed once, outside any
         trial, and otherwise left untouched — no move is applied, so its
-        partition keeps its version and cached boundary sets.
-
-        Stage 1 (:class:`_BlockRows`) runs once over the rows of every
-        parent; stage 2 re-times every row's re-degraded delay vector in
-        one stacked :meth:`IncrementalTiming.retime_batch` sweep.  The
-        cost terms are the scalar expressions of :meth:`cost_breakdown`
-        and :meth:`penalized_cost`.  ``state(i)`` of the result adopts
-        row ``i``'s statistics and delays without replaying its moves.
+        partition keeps its version and cached boundary sets.  The rows
+        are scored and adopted by :class:`_BlockRows`; a degradation
+        model without ``broadcasts`` takes the generic per-row loop
+        instead (see the module docstring).
         """
         count = len(rows)
         if count == 0:
             return BlockScores(np.empty(0, dtype=np.float64), rows)
         obs.METRICS.inc("optimize.trial_blocks.calls")
         obs.METRICS.inc("optimize.trial_blocks.candidates", count)
+        ctx = rows[0][0].ctx
+        if not getattr(ctx.degradation, "broadcasts", False):
+            return _StateProtocol.trial_blocks(rows, penalty)
         by_parent: dict[int, tuple[EvaluationState, list[int]]] = {}
         for i, (state, _) in enumerate(rows):
             by_parent.setdefault(id(state), (state, []))[1].append(i)
-        base = rows[0][0]
-        ctx = base.ctx
         for state, _ in by_parent.values():
             if state.ctx is not ctx:
                 raise PartitionError("trial_blocks rows must share one evaluator")
             if state._journal is not None:
                 raise PartitionError("trial_blocks not allowed inside an open trial")
             state._refresh()
-        batch = _BlockRows(rows, list(by_parent.values()))
-
-        num_gates = ctx.electricals.delay_ns.size
-        batch.d_bic = ctx.timing.incremental.retime_batch(
-            base._arrival,
-            base.delay_degraded,
-            np.arange(num_gates, dtype=np.int64),
-            batch.delays,
-        )
-        d_nom = ctx.nominal_delay_ns
-        costs = np.empty(count, dtype=np.float64)
-        for i, d, a, s, t, ok, v, k in zip(
-            batch.order,
-            batch.d_bic.tolist(),
-            batch.area_sum.tolist(),
-            batch.sep_total.tolist(),
-            batch.settle_max.tolist(),
-            batch.feasible.tolist(),
-            batch.violation.tolist(),
-            batch.modules.tolist(),
-        ):
-            cost = CostBreakdown(
-                c1_area=log_guarded(a),
-                c2_delay=(d - d_nom) / d_nom,
-                c3_separation=log_guarded(s),
-                c4_test_time=(d + t - d_nom) / d_nom,
-                c5_modules=float(k),
-                weights=ctx.weights,
-            ).total
-            costs[i] = cost if ok else cost + penalty * (1.0 + v)
-        batch.costs = costs
-        return batch
+        return _BlockRows(rows, list(by_parent.values()), penalty)
 
     # ------------------------------------------------------------- validation
     def consistency_check(self, atol: float = 1e-6) -> None:
@@ -1945,12 +1893,14 @@ class EvaluationState(_StateProtocol):
 
 
 class _BlockRows(BlockScores):
-    """Stage 1 of :meth:`EvaluationState.trial_blocks`, run once over the
-    rows of every parent, and the adoption of scored rows as states.
+    """The rows of :meth:`EvaluationState.trial_blocks`, scored in one
+    stage-1 pass over every parent's rows and one stacked retime, and
+    adopted as states.
 
-    Rows are grouped by parent (``order`` maps them back to the caller's
-    row numbers), and row ``j`` of parent ``p`` owns ``S_p`` consecutive
-    *cells* of every slot vector and profile stack, one per parent slot.
+    Rows are grouped by parent (``costs`` and :meth:`state` keep the
+    caller's row numbers), and row ``j`` of parent ``p`` owns ``S_p``
+    consecutive *cells* of every slot vector and profile stack, one per
+    parent slot.
     Leakage, rail and profile deltas are scattered with
     ``subtract.at``/``add.at`` in move order, the float sequence of
     :meth:`EvaluationState.move_gate`/``_bulk_move``; touched cells are
@@ -1962,45 +1912,33 @@ class _BlockRows(BlockScores):
     in: ``Σ_t M[moved_t, T_t] − M[moved, rest] − cross``, where ``rest``
     is the source minus the moved gates and ``cross`` sums the pairs of
     moved gates bound for different targets.  Every touched module's
-    gates are re-degraded in one ``degradation.delta`` call (both
-    shipped models are elementwise, so each element sees the IEEE
-    operations of :meth:`EvaluationState._refresh`'s per-module call).
+    gates are re-degraded in one ``degradation.delta`` call with
+    per-element sensor parameters (the model broadcasts elementwise, so
+    each element sees the IEEE operations of
+    :meth:`EvaluationState._refresh`'s per-module call).
     Per-row sums, maxima and ``Γ`` reduce over each parent's own
     ``(rows, S_p)`` view: numpy's pairwise sum groups by length, so a
-    common padded width would change the float results.
+    common padded width would change the float results.  Stage 2 re-times
+    every row's delay vector in one
+    :meth:`IncrementalTiming.retime_batch` sweep, and the cost terms are
+    the scalar expressions of :meth:`EvaluationState.cost_breakdown` and
+    :meth:`EvaluationState.penalized_cost`.
     """
 
-    #: The slot vectors and profiles stacked per row (separation is
-    #: scored as row totals and rebuilt per slot on adoption).
-    SLOT_ARRAYS = (
-        "leak_na",
-        "rail_cap_ff",
-        "max_current_ma",
-        "current",
-        "activity",
-        "sensor_rs",
-        "sensor_area",
-        "sensor_cs",
-        "sensor_tau",
-        "sensor_clamped",
-        "settle_ns",
-    )
-
-    def __init__(self, rows, groups):
+    def __init__(self, rows, groups, penalty: float):
         parents = [state for state, _ in groups]
-        self.order = [i for _, idx in groups for i in idx]
-        blocks = [rows[i][1] for i in self.order]
+        order = [i for _, idx in groups for i in idx]
+        blocks = [rows[i][1] for i in order]
         count = len(blocks)
         ctx = parents[0].ctx
         electricals = ctx.electricals
         times = ctx.times
         num_gates = electricals.delay_ns.size
         depth_t = parents[0].current.shape[1]
-        self._rows = rows
         self._parents = parents
         self._blocks = blocks
         self._position = np.empty(count, dtype=np.int64)
-        self._position[self.order] = np.arange(count)
+        self._position[order] = np.arange(count)
 
         row_bounds = np.cumsum([0] + [len(idx) for _, idx in groups])
         row_parent = np.repeat(np.arange(len(groups)), np.diff(row_bounds))
@@ -2106,12 +2044,22 @@ class _BlockRows(BlockScores):
         dead = np.flatnonzero(dying)
         dead_cell = row_off[dead] + src_slot[starts[dead]]
 
-        self._slots = {
+        # Separation is scored as row totals and rebuilt per slot on
+        # adoption; every other slot array is stacked per row.
+        self._slots = slots = {
             name: np.concatenate([getattr(p, name) for p in parents])[cell_src]
-            for name in _BlockRows.SLOT_ARRAYS
+            for name in EvaluationState.SLOT_ARRAYS
+            if name != "sep_sum"
         }
-        leak, rail, max_current, current, activity, *sensor = self._slots.values()
-        rs, area, cs, tau, clamped, settle = sensor
+        leak, rail, max_current = (
+            slots[name] for name in ("leak_na", "rail_cap_ff", "max_current_ma")
+        )
+        current, activity, settle = (
+            slots[name] for name in ("current", "activity", "settle_ns")
+        )
+        rs, area, cs, tau, clamped = (
+            slots["sensor_" + name] for name in ("rs", "area", "cs", "tau", "clamped")
+        )
         for flat, per_gate in (
             (leak, electricals.leakage_na[gates]),
             (rail, electricals.rail_cap_ff[gates]),
@@ -2130,7 +2078,7 @@ class _BlockRows(BlockScores):
         np.add.at(activity.reshape(-1), tgt_time, 1.0)
 
         # An emptied source frees its slot: exact zeros, as _release_slot.
-        for array in self._slots.values():
+        for array in slots.values():
             array[dead_cell] = 0
         cells = np.setdiff1d(np.concatenate([src_cell, tgt_cell]), dead_cell)
         max_current[cells] = current[cells].max(axis=1)
@@ -2155,59 +2103,78 @@ class _BlockRows(BlockScores):
                 )
             else:
                 n = activity.max(axis=1)[member_cell]
-            cap = electricals.output_cap_ff[member_gates]
-            res = electricals.pulldown_res_ohm[member_gates]
-            if getattr(ctx.degradation, "broadcasts", False):
-                delta = ctx.degradation.delta(
-                    n, rs[member_cell], cs[member_cell], cap, res
-                )
-            else:  # scalar sensor parameters: one call per touched module
-                delta = np.empty(member_gates.size, dtype=np.float64)
-                for cell in np.unique(member_cell).tolist():
-                    sel = member_cell == cell
-                    delta[sel] = ctx.degradation.delta(
-                        n[sel] if ctx.time_resolved_degradation else n[sel][0],
-                        rs[cell],
-                        cs[cell],
-                        cap[sel],
-                        res[sel],
-                    )
+            delta = ctx.degradation.delta(
+                n,
+                rs[member_cell],
+                cs[member_cell],
+                electricals.output_cap_ff[member_gates],
+                electricals.pulldown_res_ohm[member_gates],
+            )
             cell_row = np.repeat(np.arange(count, dtype=np.int64), row_slots)
             delays.reshape(-1)[cell_row[member_cell] * num_gates + member_gates] = (
                 electricals.delay_ns[member_gates] * (1.0 + delta)
             )
-        self.delays = delays
+        self._delays = delays
 
-        self.area_sum = np.empty(count, dtype=np.float64)
-        self.settle_max = np.empty(count, dtype=np.float64)
-        self.feasible = np.empty(count, dtype=bool)
-        self.violation = np.empty(count, dtype=np.float64)
+        area_sum = np.empty(count, dtype=np.float64)
+        settle_max = np.empty(count, dtype=np.float64)
+        feasible = np.empty(count, dtype=bool)
+        violation = np.empty(count, dtype=np.float64)
         for p in range(len(parents)):
             r0, r1 = int(row_bounds[p]), int(row_bounds[p + 1])
             c0 = int(row_off[r0])
             shape = (r1 - r0, int(num_slots[p]))
             c1 = c0 + shape[0] * shape[1]
-            self.area_sum[r0:r1] = area[c0:c1].reshape(shape).sum(axis=1)
-            self.settle_max[r0:r1] = settle[c0:c1].reshape(shape).max(axis=1)
-            self.feasible[r0:r1], self.violation[r0:r1], _, _ = (
-                check_constraints_arrays(
-                    ctx.technology,
-                    leak[c0:c1].reshape(shape),
-                    max_current[c0:c1].reshape(shape),
-                )
+            area_sum[r0:r1] = area[c0:c1].reshape(shape).sum(axis=1)
+            settle_max[r0:r1] = settle[c0:c1].reshape(shape).max(axis=1)
+            feasible[r0:r1], violation[r0:r1], _, _ = check_constraints_arrays(
+                ctx.technology,
+                leak[c0:c1].reshape(shape),
+                max_current[c0:c1].reshape(shape),
             )
         parent_sep = np.array([int(p.sep_sum.sum()) for p in parents], dtype=np.int64)
-        self.sep_total = (parent_sep[row_parent] + sep_delta).astype(np.float64)
+        sep_total = (parent_sep[row_parent] + sep_delta).astype(np.float64)
         num_modules = np.array([p.partition.num_modules for p in parents])
-        self.modules = num_modules[row_parent] - dying
+        modules = num_modules[row_parent] - dying
         self._row_parent = row_parent
         self._row_off = row_off
         self._row_source = row_source
         self._dying = dying
 
+        # Stage 2: every row's delay vector re-timed in one stacked sweep.
+        base = parents[0]
+        self._d_bic = ctx.timing.incremental.retime_batch(
+            base._arrival,
+            base.delay_degraded,
+            np.arange(num_gates, dtype=np.int64),
+            delays,
+        )
+        d_nom = ctx.nominal_delay_ns
+        costs = np.empty(count, dtype=np.float64)
+        for i, d, a, s, t, ok, v, k in zip(
+            order,
+            self._d_bic.tolist(),
+            area_sum.tolist(),
+            sep_total.tolist(),
+            settle_max.tolist(),
+            feasible.tolist(),
+            violation.tolist(),
+            modules.tolist(),
+        ):
+            cost = CostBreakdown(
+                c1_area=log_guarded(a),
+                c2_delay=(d - d_nom) / d_nom,
+                c3_separation=log_guarded(s),
+                c4_test_time=(d + t - d_nom) / d_nom,
+                c5_modules=float(k),
+                weights=ctx.weights,
+            ).total
+            costs[i] = cost if ok else cost + penalty * (1.0 + v)
+        super().__init__(costs, rows)
+
     def state(self, i: int) -> EvaluationState:
-        """Row ``i``'s state, adopted from stage 1 and the stacked retime
-        (the parents must be unchanged since the call).
+        """Row ``i``'s state, adopted from the scored row (the parents
+        must be unchanged since the call).
 
         The parent is copied and the moves are applied to the copy's
         partition alone, one ``move_gates`` call per same-target run as
@@ -2225,10 +2192,10 @@ class _BlockRows(BlockScores):
         for target, gates in _target_runs(moves):
             state.partition.move_gates(gates, target)
         state._move_log.extend((int(gate), int(target)) for gate, target in moves)
-        state.delay_degraded = self.delays[j].copy()
+        state.delay_degraded = self._delays[j].copy()
         state._arrival = None
         state._block_max = None
-        state._dbic = float(self.d_bic[j])
+        state._dbic = float(self._d_bic[j])
         if not moves:
             return state
         off = int(self._row_off[j])
@@ -2240,7 +2207,7 @@ class _BlockRows(BlockScores):
         # ``M[moved_t, T_t] + pairs(moved_t)``.
         rest, loss, split, gains = self._pieces[j]
         moved = np.array([gate for gate, _ in moves], dtype=np.int64)
-        within = parent.ctx.separation.matrix[moved][:, moved]
+        within = parent.ctx.separation.matrix[np.ix_(moved, moved)]
         for (target, mask), gain in zip(split, gains):
             own = within if mask is None else within[mask][:, mask]
             state.sep_sum[parent._slot_of[target]] += float(

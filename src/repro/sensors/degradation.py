@@ -56,7 +56,8 @@ class FirstOrderDegradation:
 
     #: Pure elementwise numpy ops: safe to call with broadcast-shaped
     #: arguments (e.g. ``(C, 1)`` candidate params against ``(1, G)``
-    #: gate vectors).  The batched gain kernel keys on this flag.
+    #: gate vectors).  The batched kernels of
+    #: :mod:`repro.partition.state` key on this flag.
     broadcasts = True
 
     def delta(self, n, rs_ohm, cs_ff, cg_ff, rg_ohm):

@@ -156,9 +156,9 @@ def test_generation_is_one_stage1_pass_and_adopts_survivors(monkeypatch):
     passes = []
     stage1 = state_module._BlockRows.__init__
 
-    def counting_stage1(self, rows, groups):
+    def counting_stage1(self, rows, *args):
         passes.append(len(rows))
-        stage1(self, rows, groups)
+        stage1(self, rows, *args)
 
     def no_replay(self, gates, target_module):
         raise AssertionError("a survivor replayed its moves")

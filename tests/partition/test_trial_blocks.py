@@ -39,20 +39,8 @@ PENALTY = 1.0e4
 CIRCUITS = ("c17", "small", "c432")
 MODELS = ("first", "second")
 SHAPES = ("mutation", "block", "empty", "none")
-#: Every slot-indexed array a state keeps, compared bit for bit.
-STATE_ARRAYS = (
-    "leak_na",
-    "rail_cap_ff",
-    "sep_sum",
-    "max_current_ma",
-    "current",
-    "activity",
-    "sensor_rs",
-    "sensor_area",
-    "sensor_cs",
-    "sensor_tau",
-    "sensor_clamped",
-    "settle_ns",
+#: Every array a state keeps, compared bit for bit.
+STATE_ARRAYS = EvaluationState.SLOT_ARRAYS + (
     "delay_degraded",
     "_slot_module",
     "_arrival",
@@ -60,8 +48,8 @@ STATE_ARRAYS = (
 
 
 class ScalarOnlyDegradation(SecondOrderDegradation):
-    """The second-order model, without the ``broadcasts`` promise: the
-    kernel must call it with one module's scalar sensor parameters."""
+    """The second-order model, without the ``broadcasts`` promise: it
+    must only ever see one module's scalar sensor parameters."""
 
     broadcasts = False
 
@@ -236,7 +224,7 @@ def test_kernel_matches_per_row_trials(
     _assert_kernel_matches_trials(parents, rows)
 
 
-@pytest.mark.parametrize("model", MODELS + ("scalar",))
+@pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("time_resolved", [False, True])
 def test_every_shape_on_mixed_k(model, time_resolved):
     """Each shape at least once, from parents with 2, 5 and 9 modules,
@@ -280,6 +268,23 @@ def test_fused_pass_equals_per_parent_calls(model, time_resolved, strict):
         assert _bits(fused.costs[mine]) == _bits(alone.costs)
         for j, i in enumerate(mine):
             _assert_same_state(fused.state(i), alone.state(j))
+
+
+@pytest.mark.parametrize("time_resolved", [False, True])
+def test_model_without_broadcasts_takes_the_per_row_loop(time_resolved):
+    """Rows under a model without ``broadcasts`` are scored and rebuilt
+    by the generic per-row loop, and cost what the kernel gives for the
+    same rows under the broadcasting model with the same arithmetic."""
+    scores = {}
+    for model in ("second", "scalar"):
+        evaluator = _evaluator("small", model, time_resolved, tight=True)
+        parents = [_parent(evaluator, k, seed) for k, seed in ((2, 2), (5, 4), (9, 8))]
+        rng = random.Random(11)
+        rows = [(p, _row(p, shape, rng)) for shape in SHAPES for p in parents]
+        scores[model] = EvaluationState.trial_blocks(rows, PENALTY)
+    assert type(scores["scalar"]) is BlockScores
+    assert type(scores["second"]) is not BlockScores
+    assert _bits(scores["scalar"].costs) == _bits(scores["second"].costs)
 
 
 def test_adopted_state_scores_its_row():
