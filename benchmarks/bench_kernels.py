@@ -123,6 +123,22 @@ def test_separation_matrix_build_c7552(benchmark):
     assert matrix.matrix.shape == (len(circuit.gate_names),) * 2
 
 
+def test_start_population_c7552(benchmark, c7552_evaluator):
+    """The campaign's per-seed ES set-up on the largest Table 1 circuit:
+    μ=8 chain start partitions, and each one's state and first cost."""
+    k = estimate_module_count(c7552_evaluator)
+
+    def set_up():
+        starts = start_population(c7552_evaluator, k, 8, random.Random(1995))
+        return [
+            c7552_evaluator.new_state(partition).penalized_cost(1e4)
+            for partition in starts
+        ]
+
+    costs = benchmark(set_up)
+    assert len(costs) == 8 and min(costs) > 0
+
+
 def test_evolution_short_run_c7552(benchmark, c7552_evaluator):
     """A short §4 evolution run on the largest Table 1 circuit — the
     end-to-end consumer of every kernel above (run once, seconds-long)."""

@@ -152,8 +152,9 @@ class SeparationMatrix:
         """``S(M)``: sum of capped distances over unordered pairs."""
         if group.size < 2:
             return 0.0
-        sub = self.matrix[np.ix_(group, group)].astype(np.int64)
-        return float(sub.sum() / 2)
+        # Rows then columns, summed as exact int64 without an int64 copy.
+        total = self.matrix[group][:, group].sum(dtype=np.int64)
+        return float(total / 2)
 
     def sums_by_group(
         self, gates: np.ndarray, group_of_gate: np.ndarray, num_groups: int

@@ -478,7 +478,8 @@ class IncrementalTiming:
         cols: np.ndarray,
         overrides: np.ndarray,
         block_max: np.ndarray | None = None,
-    ) -> np.ndarray:
+        return_arrivals: bool = False,
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray | None]:
         """Critical-path delay of ``C`` candidate delay vectors at once.
 
         Candidate ``i``'s delay vector is ``delays`` with
@@ -507,12 +508,31 @@ class IncrementalTiming:
         optimizer kernels (``trial_moves``/``trial_swaps``) lean on
         exactly this to merge scattered candidate pools into one
         stacked sweep.
+
+        With ``return_arrivals`` the result is a pair: the delays, and
+        the full-cone sweep's stacked arrivals (``None`` after a
+        partial-cone sweep or when nothing changed), from which
+        :meth:`stacked_arrival` reads candidate ``i``'s arrival vector.
         """
         count = overrides.shape[0]
-        if count == 0:
-            return np.empty(0, dtype=np.float64)
-        if self.num_gates == 0:
-            return np.zeros(count, dtype=np.float64)
+        if count == 0 or self.num_gates == 0:
+            d_bic = np.zeros(count, dtype=np.float64)
+            return (d_bic, None) if return_arrivals else d_bic
+        d_bic, stacked = self._retime_batch(
+            arrival, delays, cols, overrides, block_max, count
+        )
+        return (d_bic, stacked) if return_arrivals else d_bic
+
+    def stacked_arrival(self, stacked: np.ndarray, i: int) -> np.ndarray:
+        """Candidate ``i``'s arrival vector, in gate order, from the
+        stacked arrivals :meth:`retime_batch` returns: bit-identical to
+        :meth:`full_arrival` of its delay vector (the same maxima, and
+        each gate's delay added to its fanin maximum)."""
+        return stacked[self._pos_lm, i]
+
+    def _retime_batch(self, arrival, delays, cols, overrides, block_max, count):
+        """:meth:`retime_batch`'s sweep: the delays, and the stacked
+        arrivals of a full-cone sweep (else ``None``)."""
         obs.METRICS.inc("timing.retime_batch.calls")
         obs.METRICS.inc("timing.retime_batch.candidates", count)
         base_max = (
@@ -523,7 +543,7 @@ class IncrementalTiming:
         changed_cols = (overrides != delays[cols][None, :]).any(axis=0)
         seeds = cols[changed_cols]
         if seeds.size == 0:
-            return np.full(count, base_max, dtype=np.float64)
+            return np.full(count, base_max, dtype=np.float64), None
         seed_blocks = np.unique(self._block_of_gate[seeds])
         cone_mask = self._block_reach[seed_blocks].any(axis=0)
         cone_mask[seed_blocks] = True
@@ -544,7 +564,7 @@ class IncrementalTiming:
                 if src_pos.size:
                     seg = scratch[pad].max(axis=1)
                     np.add(seg, delay_rows[fed_sl], out=scratch[fed_sl])
-            return scratch[:-1].max(axis=0)
+            return scratch[:-1].max(axis=0), scratch[:-1]
 
         # Partial cone: cone blocks' lm slices become contiguous scratch
         # rows; out-of-cone fanins append as constant base-arrival rows.
@@ -622,7 +642,7 @@ class IncrementalTiming:
             )
         if remainder is not None:
             np.maximum(out, remainder, out=out)
-        return out
+        return out, None
 
 
 def nominal_gate_delays(electricals: GateElectricals) -> np.ndarray:

@@ -285,6 +285,26 @@ class CompiledGraph:
             object.__setattr__(self, "_group_of_slot", cached)
         return cached
 
+    def gate_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every undirected gate-gate edge once, as index arrays ``(u,
+        v)`` with ``u < v`` (cached).
+
+        Read off the symmetric ``gate_adj_*`` CSR, so a pass over a
+        whole partition tests each edge once instead of expanding every
+        gate's row.  Held as ``intp``, which numpy gathers with no cast.
+        """
+        cached = self.__dict__.get("_gate_edges")
+        if cached is None:
+            rows = np.repeat(
+                np.arange(self.num_gates, dtype=np.intp),
+                np.diff(self.gate_adj_indptr),
+            )
+            cols = self.gate_adj_indices.astype(np.intp)
+            keep = rows < cols
+            cached = (rows[keep], cols[keep])
+            object.__setattr__(self, "_gate_edges", cached)
+        return cached
+
     def slot_closure(self) -> np.ndarray:
         """Per-node reachable-slot bitsets (cached).
 

@@ -23,8 +23,11 @@ Each generation runs in three phases, traced as the ``es.draw``,
   parent's unchanged partition.  A mutated child's later gates must see
   its earlier moves when they look for connected modules; a ``{gate:
   target}`` overlay read by :meth:`Partition.neighbor_modules` provides
-  that, so no gate is moved, the parent's partition keeps its version,
-  and its cached boundary sets serve all of its children.
+  that, so no gate is moved and the parent's partition keeps its
+  version.  The mutation reads :meth:`Partition.boundary_sets`, so a new
+  parent pays one boundary pass for all λ of its children, and the
+  boundary and Monte-Carlo samples make ``rng.sample``'s draws inline
+  (:func:`_sample`).
 * **score** — all μ·(λ+χ) move lists go to one
   :meth:`~repro.partition.state.EvaluationState.trial_blocks` call.
   Only the modified modules are re-evaluated (§4.2: "costs are
@@ -40,16 +43,19 @@ Each generation runs in three phases, traced as the ``es.draw``,
 * **select** — only the μ survivors build a state, and each adopts the
   row the kernel scored for it (``scores.state(row)``): a copy of the
   parent's partition with the moves applied, plus the row's statistics,
-  sensor sizes and degraded delays.  Nothing is replayed, re-sized or
-  re-degraded; the survivor's first refresh is one full timing sweep.
+  sensor sizes, degraded delays, member arrays and its column of the
+  stacked sweep's arrival times.  Nothing is replayed, re-sized,
+  re-degraded or re-timed, so the survivor's refresh in the next score
+  phase does no work.
 
-The boundary-gate and connected-target queries the mutation operator
-leans on are batched CSR scans over the compiled graph (see DESIGN.md),
-so mutation cost stays proportional to module size, not circuit size.
+The connected-target queries of the mutation operator are per-gate CSR
+reads, and the boundary pass is one array pass over the compiled
+graph's gate edges (see DESIGN.md).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -226,13 +232,13 @@ class EvolutionOptimizer:
         earlier moves."""
         rng = self.rng
         module = rng.choice(partition.module_ids)
-        boundary = partition.boundary_gates(module)
+        boundary = partition.boundary_sets()[module]
         if not boundary:
             return []
         count = rng.randint(1, max(1, min(int(step), len(boundary))))
         overlay: dict[int, int] = {}
         moves = []
-        for gate in rng.sample(boundary, count):
+        for gate in _sample(boundary, count, rng):
             targets = partition.neighbor_modules(gate, overlay)
             if targets:
                 target = rng.choice(targets)
@@ -248,8 +254,48 @@ class EvolutionOptimizer:
         source = rng.choice(module_ids)
         target = rng.choice([m for m in module_ids if m != source])
         gates = partition.gates_array(source).tolist()  # ascending
-        block = rng.sample(gates, rng.randint(1, len(gates)))
+        block = _sample(gates, rng.randint(1, len(gates)), rng)
         return [(gate, target) for gate in block]
+
+
+def _sample(population: list, k: int, rng: random.Random) -> list:
+    """``rng.sample(population, k)``, with the draws inlined.
+
+    Both branches of ``random.Random.sample`` (a shrinking pool when the
+    population is small against the selected-set size, else rejection
+    against the selected indices), switched at the same ``setsize``, and
+    the rejection sampling over ``getrandbits`` of its ``_randbelow``: the
+    same sample and the same RNG state afterwards, without a method call
+    per draw.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result = [None] * k
+    setsize = 21  # a small set's size minus an empty list's
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        for i in range(k):
+            bound = n - i
+            bits = bound.bit_length()
+            j = getrandbits(bits)
+            while j >= bound:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[bound - 1]
+    else:
+        selected: set[int] = set()
+        bits = n.bit_length()
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result[i] = population[j]
+    return result
 
 
 def evolve_partition(

@@ -124,10 +124,7 @@ def _multi_seed_portfolio(
             f"(best violation {min(s['violation'] for s in summaries):.3g})"
         )
     winner = min(feasible, key=lambda s: s["cost"])  # min() keeps seed order on ties
-    partition = Partition(
-        evaluator.circuit,
-        dict(enumerate(int(m) for m in winner["assignment"])),
-    )
+    partition = Partition.from_array(evaluator.circuit, winner["assignment"])
     result = OptimizationResult(
         best=evaluator.evaluate(partition),
         evaluations=sum(s["evaluations"] for s in summaries),

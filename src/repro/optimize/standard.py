@@ -48,7 +48,7 @@ def standard_partition(evaluator: PartitionEvaluator, num_modules: int) -> Parti
         raise OptimizationError(f"cannot build {num_modules} modules from {n} gates")
     with obs.TRACER.span("standard.partition", modules=num_modules):
         assignment = _standard_assignment(evaluator, num_modules)
-        return Partition(circuit, dict(enumerate(assignment.tolist())))
+        return Partition.from_array(circuit, assignment)
 
 
 def _standard_assignment(evaluator: PartitionEvaluator, num_modules: int) -> np.ndarray:

@@ -16,6 +16,11 @@ Two pieces:
   gate, chains are formed towards a primary output"; a chain stops at a
   primary output, when no free gate remains, or when the module is
   full.  Different random chains yield the μ distinct start partitions.
+
+The chain walk visits one gate at a time, so it indexes Python lists of
+the gate graph that each evaluator builds once and all of its starts
+share (:attr:`PartitionEvaluator.gate_lists`); seed candidates are
+filtered in numpy (see :func:`chain_start_partition`).
 """
 
 from __future__ import annotations
@@ -66,6 +71,18 @@ def chain_start_partition(
     of the module's claims and of each claimed gate's sorted neighbour
     row (a gate next to two module gates is listed twice); fallback
     gates by level, ties by gate index.
+
+    The walk indexes the evaluator's
+    :attr:`~repro.partition.evaluator.PartitionEvaluator.gate_lists` and
+    a ``bytearray`` free set one gate at a time, and makes
+    ``rng.choice``'s draws inline.  Candidate filtering stays in numpy,
+    through a bool view of the free set: each seed appends the neighbour
+    rows of the gates claimed since the previous seed to the module's
+    buffer and keeps only its free entries, and a fallback keeps only
+    the free gates of the level order.  A claimed gate never becomes free
+    again, so filtering what was kept (plus the new rows) lists exactly
+    what filtering everything would, in the same order and with the same
+    multiplicity.
     """
     circuit = evaluator.circuit
     n = len(circuit.gate_names)
@@ -73,46 +90,74 @@ def chain_start_partition(
         raise OptimizationError(
             f"cannot build {num_modules} modules from {n} gates"
         )
-    cg = circuit.compiled
-    # Fanout successors in dense index space (chains move toward
-    # outputs); every fanout sink is a logic gate.
-    sinks = cg.node_gate[cg.fanout_indices].tolist()
-    bounds = cg.fanout_indptr.tolist()
-    successors = [
-        sinks[bounds[node] : bounds[node + 1]] for node in cg.gate_node.tolist()
-    ]
-    adj_bounds = cg.gate_adj_indptr.tolist()
-    adj_indices = cg.gate_adj_indices
-    by_level = np.argsort(cg.gate_level, kind="stable")
-
-    free = np.ones(n, dtype=bool)
+    successors, neighbours, by_level = evaluator.gate_lists
+    getrandbits = rng.getrandbits
+    free = bytearray(b"\x01") * n
+    is_free = np.frombuffer(free, dtype=bool)
     num_free = n
-    # Append-only: the neighbour rows of the module's gates, claim order.
-    adjacent = np.empty(len(adj_indices), dtype=adj_indices.dtype)
-    assignment: dict[int, int] = {}
+    claimed: list[int] = []
+    sizes = _balanced_sizes(n, num_modules)
 
-    for module, target_size in enumerate(_balanced_sizes(n, num_modules)):
-        size = filled = 0
+    for target_size in sizes:
+        size = 0
+        adjacent = _NO_GATES
+        pending: list[int] = []  # rows of the gates claimed since the last seed
         while size < target_size:
             # Seed a new chain: prefer free gates adjacent to the module
             # under construction (keeps modules connected), else a random
             # gate among the few lowest levels.
-            candidates = adjacent[:filled]
-            candidates = candidates[free[candidates]]
-            if not len(candidates):
-                candidates = by_level[free[by_level]][: max(1, num_free // 20)]
-            chain = int(rng.choice(candidates))
-            while chain is not None and size < target_size:
-                assignment[chain] = module
-                free[chain] = False
+            if pending:
+                adjacent = np.concatenate((adjacent, pending))
+                pending = []
+            adjacent = adjacent[is_free[adjacent]]
+            count = len(adjacent) or max(1, num_free // 20)
+            bits = count.bit_length()
+            pick = getrandbits(bits)
+            while pick >= count:
+                pick = getrandbits(bits)
+            if len(adjacent):
+                chain = int(adjacent[pick])
+            else:
+                by_level = by_level[is_free[by_level]]
+                chain = int(by_level[pick])
+            while True:
+                free[chain] = 0
                 num_free -= 1
                 size += 1
-                row = adj_indices[adj_bounds[chain] : adj_bounds[chain + 1]]
-                adjacent[filled : filled + len(row)] = row
-                filled += len(row)
-                free_successors = [s for s in successors[chain] if free[s]]
-                chain = rng.choice(free_successors) if free_successors else None
-    return Partition(circuit, assignment)
+                claimed.append(chain)
+                pending += neighbours[chain]
+                options = [s for s in successors[chain] if free[s]]
+                if not options:
+                    break
+                # Drawn even after the module's last gate, as the
+                # set-and-list builder does: later modules' draws depend
+                # on it.
+                count = len(options)
+                bits = count.bit_length()
+                pick = getrandbits(bits)
+                while pick >= count:
+                    pick = getrandbits(bits)
+                chain = options[pick]
+                if size == target_size:
+                    break
+
+    # Modules claim their gates one after another, so ``claimed`` holds
+    # them module by module; each set is built in claim order, as the
+    # set-and-list builder built it.
+    module_of = np.empty(n, dtype=np.int32)
+    module_of[claimed] = np.repeat(np.arange(num_modules, dtype=np.int32), sizes)
+    bounds = np.cumsum([0] + sizes).tolist()
+    return Partition._from_groups(
+        circuit,
+        module_of,
+        {
+            module: claimed[bounds[module] : bounds[module + 1]]
+            for module in range(num_modules)
+        },
+    )
+
+
+_NO_GATES = np.empty(0, dtype=np.int64)
 
 
 def _balanced_sizes(n: int, k: int) -> list[int]:

@@ -10,8 +10,9 @@ incrementally via :class:`~repro.partition.state.EvaluationState`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from repro.sensors.bic import BICSensor
 from repro.sensors.degradation import DelayDegradationModel, SecondOrderDegradation
 from repro.sensors.sensing import settle_time_ns
 
-__all__ = ["ModuleReport", "PartitionEvaluation", "PartitionEvaluator"]
+__all__ = ["GateLists", "ModuleReport", "PartitionEvaluation", "PartitionEvaluator"]
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,19 @@ class PartitionEvaluation:
             if module.module_id == module_id:
                 return module
         raise KeyError(f"no module {module_id} in evaluation")
+
+
+class GateLists(NamedTuple):
+    """The gate graph laid out for walks that visit one gate at a time:
+    Python lists where a walk reads single gates (list indexing beats
+    numpy's per-call overhead), an array where it filters whole."""
+
+    #: Per gate, its fanout gates in fanout order.
+    successors: list[list[int]]
+    #: Per gate, its sorted ``gate_adj_*`` row.
+    neighbours: list[list[int]]
+    #: Every gate by level, ties by gate index.
+    level_order: np.ndarray
 
 
 class PartitionEvaluator:
@@ -174,6 +188,28 @@ class PartitionEvaluator:
                     self.electricals.delay_ns
                 )
             self.ones = np.ones(len(circuit.gate_names), dtype=np.float64)
+
+    @functools.cached_property
+    def gate_lists(self) -> GateLists:
+        """:class:`GateLists` of the circuit, built on first use (the
+        chain start partitions walk them).  Kept per evaluator, not on
+        the compiled graph, which the stand-in cache keeps alive for
+        every circuit."""
+        cg = self.circuit.compiled
+        sinks = cg.node_gate[cg.fanout_indices].tolist()
+        bounds = cg.fanout_indptr.tolist()
+        adj = cg.gate_adj_indices.tolist()
+        adj_bounds = cg.gate_adj_indptr.tolist()
+        return GateLists(
+            successors=[
+                sinks[bounds[node] : bounds[node + 1]]
+                for node in cg.gate_node.tolist()
+            ],
+            neighbours=[
+                adj[lo:hi] for lo, hi in zip(adj_bounds, adj_bounds[1:])
+            ],
+            level_order=np.argsort(cg.gate_level, kind="stable"),
+        )
 
     # --------------------------------------------------------------- evaluate
     def new_state(self, partition: Partition, impl: str | None = None):

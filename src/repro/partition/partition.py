@@ -53,6 +53,9 @@ class Partition:
             self._modules.setdefault(module, set()).add(gate)
         self._next_id = max(self._modules) + 1
         self._version = 0
+        self._clear_caches()
+
+    def _clear_caches(self) -> None:
         # Version-keyed membership cache: sorted per-module gate index
         # arrays, filled lazily and dropped wholesale on any mutation.
         self._members_version = -1
@@ -61,6 +64,9 @@ class Partition:
         # version (optimiser candidate sampling retries) hit this.
         self._boundary_version = -1
         self._boundary: dict[tuple[int, int], list[int]] = {}
+        # Version-keyed result of the whole-graph boundary pass.
+        self._boundary_sets_version = -1
+        self._boundary_sets: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -69,6 +75,60 @@ class Partition:
         partition."""
         n = len(circuit.gate_names)
         return cls(circuit, {g: 0 for g in range(n)})
+
+    @classmethod
+    def from_array(cls, circuit: Circuit, module_of) -> "Partition":
+        """The partition that puts gate ``g`` in module ``module_of[g]``.
+
+        The inverse of :meth:`module_of_array` (same grouping, same
+        module ids), and equal to ``Partition(circuit,
+        dict(enumerate(module_of)))`` down to the order its dict and
+        sets iterate in: one stable argsort and one set per module
+        instead of a per-gate loop.
+        """
+        module_of = np.asarray(module_of)
+        n = len(circuit.gate_names)
+        if module_of.shape != (n,):
+            raise PartitionError(
+                f"module_of must hold one module id per logic gate ({n}), "
+                f"got shape {module_of.shape}"
+            )
+        if not np.issubdtype(module_of.dtype, np.integer):
+            raise PartitionError(
+                f"module ids must be integers, got dtype {module_of.dtype}"
+            )
+        if n and (module_of.min() < 0 or module_of.max() > np.iinfo(np.int32).max):
+            raise PartitionError("module ids must lie in [0, 2**31)")
+        order = np.argsort(module_of, kind="stable")
+        ids, first = np.unique(module_of[order], return_index=True)
+        groups = np.split(order, first[1:])
+        # The mapping constructor meets the modules in order of their
+        # first (lowest) gate.
+        return cls._from_groups(
+            circuit,
+            module_of,
+            {
+                int(ids[i]): groups[i].tolist()
+                for i in np.argsort(order[first], kind="stable").tolist()
+            },
+        )
+
+    @classmethod
+    def _from_groups(
+        cls, circuit: Circuit, module_of: np.ndarray, groups: dict[int, list[int]]
+    ) -> "Partition":
+        """Unchecked construction from the assignment array and every
+        module's gates.  Dict and set iteration orders follow insertion
+        order, so ``groups`` and each gate list are inserted as given;
+        the IDDQ simulator sums leakage in set order."""
+        partition = object.__new__(cls)
+        partition.circuit = circuit
+        partition._module_of = module_of.astype(np.int32)
+        partition._modules = {module: set(gates) for module, gates in groups.items()}
+        partition._next_id = max(partition._modules, default=-1) + 1
+        partition._version = 0
+        partition._clear_caches()
+        return partition
 
     @classmethod
     def from_groups(cls, circuit: Circuit, groups: Iterable[Iterable[str]]) -> "Partition":
@@ -92,10 +152,7 @@ class Partition:
         clone._modules = {mid: set(gates) for mid, gates in self._modules.items()}
         clone._next_id = self._next_id
         clone._version = self._version
-        clone._members_version = -1
-        clone._members = {}
-        clone._boundary_version = -1
-        clone._boundary = {}
+        clone._clear_caches()
         return clone
 
     # ----------------------------------------------------------------- queries
@@ -137,10 +194,10 @@ class Partition:
     def module_of_array(self) -> np.ndarray:
         """The dense gate -> module-id assignment, as an int32 copy.
 
-        The canonical serialisable form: ``Partition(circuit,
-        dict(enumerate(arr)))`` reconstructs an equal partition
-        (same grouping *and* same module ids).  The runtime layer
-        fingerprints and caches partitions through it.
+        The canonical serialisable form: :meth:`from_array`
+        reconstructs an equal partition (same grouping *and* same module
+        ids).  The runtime layer fingerprints and caches partitions
+        through it.
         """
         return self._module_of.copy()
 
@@ -203,6 +260,38 @@ class Partition:
             result = gs[has_external].tolist()
         self._boundary[(module, -1)] = result
         return result
+
+    def boundary_sets(self) -> dict[int, list[int]]:
+        """Every module's :meth:`boundary_gates` list, from one pass over
+        the circuit's gate edges (each module's list is its member array
+        masked by the cut edges' endpoints).
+
+        Cached per version (callers must not mutate the result), and
+        fills the per-module boundary cache.
+        The evolution strategy draws all of a parent's mutations at one
+        version, so one pass serves them all; a walker that moves gates
+        every step would pay the whole graph at every version, and keeps
+        the module-local scan of :meth:`boundary_gates`.
+        """
+        if self._boundary_sets_version == self._version:
+            return self._boundary_sets
+        u, v = self.circuit.compiled.gate_edges()
+        module_of = self._module_of
+        cut = np.flatnonzero(module_of[u] != module_of[v])
+        on_boundary = np.zeros(module_of.size, dtype=bool)
+        on_boundary[u[cut]] = True
+        on_boundary[v[cut]] = True
+        sets = {}
+        for module in self._modules:
+            gates = self.gates_array(module)
+            sets[module] = gates[on_boundary[gates]].tolist()
+        if self._boundary_version != self._version:
+            self._boundary = {}
+            self._boundary_version = self._version
+        self._boundary.update(((module, -1), gates) for module, gates in sets.items())
+        self._boundary_sets = sets
+        self._boundary_sets_version = self._version
+        return sets
 
     def _boundary_lookup(self, module: int, other: int) -> list[int] | None:
         if self._boundary_version != self._version:

@@ -2141,13 +2141,15 @@ class _BlockRows(BlockScores):
         self._row_source = row_source
         self._dying = dying
 
-        # Stage 2: every row's delay vector re-timed in one stacked sweep.
+        # Stage 2: every row's delay vector re-timed in one stacked sweep,
+        # whose arrivals the adopted rows keep.
         base = parents[0]
-        self._d_bic = ctx.timing.incremental.retime_batch(
+        self._d_bic, self._arrivals = ctx.timing.incremental.retime_batch(
             base._arrival,
             base.delay_degraded,
             np.arange(num_gates, dtype=np.int64),
             delays,
+            return_arrivals=True,
         )
         d_nom = ctx.nominal_delay_ns
         costs = np.empty(count, dtype=np.float64)
@@ -2179,11 +2181,13 @@ class _BlockRows(BlockScores):
         The parent is copied and the moves are applied to the copy's
         partition alone, one ``move_gates`` call per same-target run as
         a replay makes; statistics, sensor sizes and degraded delays
-        come from the row.  Nothing is dirty and the arrival vector is
-        unset, so the first refresh is one full sweep that re-sizes,
-        re-degrades and diffs nothing.  Equal, array for array, to the
-        parent's ``copy()`` plus a ``move_gates`` replay and
-        ``_refresh()``.
+        come from the row, and so does the arrival vector when the sweep
+        took the full cone (else it is unset, and the first refresh is
+        one full sweep).  Nothing is dirty, so a refresh re-sizes,
+        re-degrades and diffs nothing.  The partition's membership cache
+        starts from the row's sorted member arrays.  Equal, array for
+        array, to the parent's ``copy()`` plus a ``move_gates`` replay
+        and ``_refresh()``.
         """
         j = int(self._position[i])
         parent = self._parents[int(self._row_parent[j])]
@@ -2193,11 +2197,23 @@ class _BlockRows(BlockScores):
             state.partition.move_gates(gates, target)
         state._move_log.extend((int(gate), int(target)) for gate, target in moves)
         state.delay_degraded = self._delays[j].copy()
-        state._arrival = None
+        state._arrival = (
+            None
+            if self._arrivals is None
+            else parent.ctx.timing.incremental.stacked_arrival(self._arrivals, j)
+        )
         state._block_max = None
         state._dbic = float(self._d_bic[j])
-        if not moves:
-            return state
+        if moves:
+            self._adopt_row(state, parent, j, moves)
+        # Both sides replace member arrays and never write into them.
+        partition = state.partition
+        partition._members = dict(state._members)
+        partition._members_version = partition.version
+        return state
+
+    def _adopt_row(self, state, parent, j: int, moves) -> None:
+        """Row ``j``'s slot arrays and member arrays, into ``state``."""
         off = int(self._row_off[j])
         for name, stack in self._slots.items():
             setattr(state, name, stack[off : off + len(parent._slot_module)].copy())
@@ -2226,4 +2242,3 @@ class _BlockRows(BlockScores):
                 loss + int(within.sum(dtype=np.int64)) // 2
             )
             state._members[source] = rest
-        return state

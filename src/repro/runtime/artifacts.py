@@ -255,7 +255,5 @@ def cached_portfolio(
 
     artifact, hit = store.fetch("optimize-portfolio", key, build)
     assignment = artifact.arrays["assignment"]
-    partition = Partition(
-        evaluator.circuit, dict(enumerate(int(m) for m in assignment))
-    )
+    partition = Partition.from_array(evaluator.circuit, assignment)
     return partition, dict(artifact.meta), hit

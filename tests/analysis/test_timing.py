@@ -256,6 +256,47 @@ class TestRetimeBatch:
             cand[cols] = overrides[i]
             assert result[i] == float(ref.arrival_times(cand).max())
 
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), small_blocks=st.booleans())
+    def test_full_cone_hands_back_arrivals(self, seed, small_blocks):
+        """Whole delay rows take the full cone; each row's stacked
+        arrivals, in gate order, equal a full sweep of its delays bit
+        for bit, and rows equal to the base hand back nothing."""
+        circuit = generate_iscas_like(
+            GeneratorConfig(
+                name="fc",
+                num_gates=90,
+                num_inputs=4,
+                num_outputs=3,
+                depth=8,
+                seed=seed % 997,
+            )
+        )
+        ref, inc = _engines(circuit, max_block_gates=8 if small_blocks else None)
+        n = inc.num_gates
+        rng = np.random.default_rng(seed)
+        delays = rng.uniform(0.2, 2.0, n)
+        arrival = inc.full_arrival(delays)
+        cols = np.arange(n, dtype=np.int64)
+        rows = rng.uniform(0.2, 2.0, (int(rng.integers(2, 8)), n))
+        rows[0] = delays
+        d_bic, stacked = inc.retime_batch(
+            arrival, delays, cols, rows, return_arrivals=True
+        )
+        assert np.array_equal(
+            d_bic, inc.retime_batch(arrival, delays, cols, rows)
+        )
+        for i, row in enumerate(rows):
+            got = inc.stacked_arrival(stacked, i)
+            want = ref.arrival_times(row)
+            assert got.tobytes() == want.tobytes()
+            assert d_bic[i] == float(want.max())
+        unchanged = inc.retime_batch(
+            arrival, delays, cols, rows[:1], return_arrivals=True
+        )
+        assert unchanged[1] is None
+        assert unchanged[0][0] == float(arrival.max())
+
     def test_partial_cone_path(self):
         """Columns confined to a late block: the cone must not cover all
         blocks, and the out-of-cone remainder comes from the maintained
@@ -288,6 +329,11 @@ class TestRetimeBatch:
             cand = delays.copy()
             cand[cols] = overrides[i]
             assert result[i] == float(ref.arrival_times(cand).max())
+        # A partial cone holds no whole arrival vectors to hand back.
+        d_bic, stacked = inc.retime_batch(
+            arrival, delays, cols, overrides, block_max=block_max, return_arrivals=True
+        )
+        assert stacked is None and np.array_equal(d_bic, result)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))

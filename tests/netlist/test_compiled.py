@@ -93,6 +93,15 @@ class TestConnectivity:
             ]
             assert tuple(row.tolist()) == expected
 
+    def test_gate_edges_list_each_adjacency_once(self, circuit):
+        u, v = circuit.compiled.gate_edges()
+        assert u.dtype == v.dtype == np.intp
+        edges = list(zip(u.tolist(), v.tolist()))
+        assert edges == sorted(
+            (g, h) for g, row in enumerate(circuit.gate_neighbors) for h in row if g < h
+        )
+        assert circuit.compiled.gate_edges()[0] is u  # cached
+
 
 class TestOrder:
     def test_topo_matches_circuit(self, circuit):

@@ -4,7 +4,8 @@ The shipped implementations gather over the compiled CSR arrays and
 sum integers; the references in ``tests/oracles`` are the set-and-list
 chain builder and the float64 standard partitioner they replaced.  A
 seeded chain start must consume the same draws, so the RNG state after
-the call is compared too.
+the call is compared too, and must build each module's set in the same
+order: the IDDQ simulator sums leakage in set iteration order.
 """
 
 import functools
@@ -21,7 +22,7 @@ from repro.netlist.benchmarks import c17, load_iscas85
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.generate import GeneratorConfig, generate_iscas_like
 from repro.optimize.standard import standard_partition
-from repro.optimize.start import chain_start_partition
+from repro.optimize.start import chain_start_partition, start_population
 from repro.partition.evaluator import PartitionEvaluator
 
 #: Four disconnected 5-gate chains: a module bigger than one chain runs
@@ -77,12 +78,22 @@ def _module_counts(data, n: int) -> int:
     return data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="K")
 
 
+def _assert_same_partition(fast, oracle) -> None:
+    assert np.array_equal(fast.module_of_array(), oracle.module_of_array())
+    assert fast._modules == oracle._modules
+    assert fast._next_id == oracle._next_id
+    # Same iteration order, module by module and within each set.
+    assert list(fast._modules) == list(oracle._modules)
+    for module, gates in oracle._modules.items():
+        assert list(fast._modules[module]) == list(gates)
+
+
 def _assert_same_chain_start(key: str, num_modules: int, seed: int) -> None:
     evaluator = _evaluator(key)
     fast_rng, oracle_rng = random.Random(seed), random.Random(seed)
     fast = chain_start_partition(evaluator, num_modules, fast_rng)
     oracle = start_oracle.chain_start_partition(evaluator, num_modules, oracle_rng)
-    assert np.array_equal(fast.module_of_array(), oracle.module_of_array())
+    _assert_same_partition(fast, oracle)
     assert fast_rng.getstate() == oracle_rng.getstate()
 
 
@@ -106,6 +117,25 @@ class TestChainStartOracle:
         n = len(_evaluator(key).circuit.gate_names)
         for seed in range(3):
             _assert_same_chain_start(key, 1 if extreme == "one" else n, seed)
+
+    @pytest.mark.parametrize("key", ["c17", "gen5", "c880", "c7552"])
+    def test_population_is_consecutive_calls(self, key):
+        """μ starts from one RNG equal μ consecutive oracle calls: the
+        evaluator's cached gate lists are reused, never mutated."""
+        evaluator = _evaluator(key)
+        n = len(evaluator.circuit.gate_names)
+        num_modules = min(9, n)
+        for seed in range(2):
+            fast_rng, oracle_rng = random.Random(seed), random.Random(seed)
+            starts = start_population(evaluator, num_modules, 4, fast_rng)
+            for fast in starts:
+                _assert_same_partition(
+                    fast,
+                    start_oracle.chain_start_partition(
+                        evaluator, num_modules, oracle_rng
+                    ),
+                )
+            assert fast_rng.getstate() == oracle_rng.getstate()
 
     @pytest.mark.parametrize("num_modules", [1, 2, 3])
     def test_no_free_neighbour_fallback(self, num_modules):

@@ -1,8 +1,15 @@
 """Tests for the Partition data structure."""
 
+import random
+
+import numpy as np
 import pytest
 
+from repro.config import EvolutionParams
 from repro.errors import PartitionError
+from repro.optimize.evolution import evolve_partition
+from repro.optimize.standard import standard_partition
+from repro.optimize.start import chain_start_partition
 from repro.partition.partition import Partition
 
 
@@ -42,6 +49,67 @@ class TestConstruction:
         clone.move_gate(gate, 1)
         assert partition.module_of(gate) == 0
         assert clone.module_of(gate) == 1
+
+
+def _assert_same_layout(got: Partition, want: Partition) -> None:
+    """Equal partitions whose dicts and sets also iterate alike."""
+    assert np.array_equal(got.module_of_array(), want.module_of_array())
+    assert got.module_of_array().dtype == np.int32
+    assert got._modules == want._modules
+    assert got._next_id == want._next_id
+    assert list(got._modules) == list(want._modules)
+    for module, gates in want._modules.items():
+        assert list(got._modules[module]) == list(gates)
+
+
+class TestFromArray:
+    @pytest.mark.parametrize("length", [0, 5, 7])
+    def test_wrong_length_rejected(self, c17_paper, length):
+        with pytest.raises(PartitionError, match="one module id per logic gate"):
+            Partition.from_array(c17_paper, np.zeros(length, dtype=np.int64))
+
+    def test_two_dimensional_rejected(self, c17_paper):
+        with pytest.raises(PartitionError, match="one module id per logic gate"):
+            Partition.from_array(c17_paper, np.zeros((6, 1), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [-1, 2**31])
+    def test_out_of_range_id_rejected(self, c17_paper, bad):
+        with pytest.raises(PartitionError, match="module ids must lie"):
+            Partition.from_array(c17_paper, [0, 1, bad, 1, 0, 0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_non_integer_dtype_rejected(self, c17_paper, dtype):
+        with pytest.raises(PartitionError, match="must be integers"):
+            Partition.from_array(c17_paper, np.zeros(6, dtype=dtype))
+
+    def test_matches_the_mapping_constructor(self, small_circuit):
+        """Gaps and unordered ids, as ``dict(enumerate(...))`` gives."""
+        rng = random.Random(5)
+        n = len(small_circuit.gate_names)
+        assignment = [rng.choice([9, 2, 40, 7]) for _ in range(n)]
+        _assert_same_layout(
+            Partition.from_array(small_circuit, np.array(assignment, dtype=np.int16)),
+            Partition(small_circuit, dict(enumerate(assignment))),
+        )
+
+    def test_round_trips_chain_standard_and_es(self, small_evaluator):
+        circuit = small_evaluator.circuit
+        params = EvolutionParams(mu=2, generations=3)
+        partitions = [
+            chain_start_partition(small_evaluator, 5, random.Random(seed))
+            for seed in range(3)
+        ] + [
+            standard_partition(small_evaluator, 4),
+            evolve_partition(small_evaluator, params, seed=1).best.partition,
+        ]
+        for partition in partitions:
+            again = Partition.from_array(circuit, partition.module_of_array())
+            assert again._modules == partition._modules
+            assert again._next_id == max(partition.module_ids) + 1
+            _assert_same_layout(
+                again,
+                Partition(circuit, dict(enumerate(partition.module_of_array()))),
+            )
 
 
 class TestQueries:

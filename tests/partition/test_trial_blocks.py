@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.timing import IncrementalTiming
 from repro.errors import PartitionError
 from repro.library.default_lib import generic_technology
 from repro.netlist.benchmarks import c17, load_iscas85
@@ -287,18 +288,89 @@ def test_model_without_broadcasts_takes_the_per_row_loop(time_resolved):
     assert _bits(scores["scalar"].costs) == _bits(scores["second"].costs)
 
 
-def test_adopted_state_scores_its_row():
-    """A row's adopted state re-scores to the row's cost, and its next
-    refresh is one full sweep with nothing dirty."""
-    evaluator = _evaluator("small", "second", False)
+def _adoption_rows(evaluator):
     parents = [_parent(evaluator, k, seed) for k, seed in ((4, 2), (6, 3))]
     rng = random.Random(3)
-    rows = [(p, _row(p, shape, rng)) for p in parents for shape in SHAPES]
-    scores = EvaluationState.trial_blocks(rows, PENALTY)
-    for i in range(len(rows)):
+    return [(p, _row(p, shape, rng)) for p in parents for shape in SHAPES]
+
+
+def test_adopted_state_scores_its_row(monkeypatch):
+    """A row's adopted state keeps the stacked sweep's arrivals, bit for
+    bit a full sweep of its delays, with nothing dirty, so re-scoring it
+    to the row's cost sweeps nothing."""
+    evaluator = _evaluator("small", "second", False)
+    timing = evaluator.timing.incremental
+    scores = EvaluationState.trial_blocks(_adoption_rows(evaluator), PENALTY)
+    states = [scores.state(i) for i in range(len(scores.costs))]
+    for state in states:
+        assert not state._dirty
+        full = timing.full_arrival(state.delay_degraded)
+        assert _bits(state._arrival) == _bits(full)
+
+    def no_sweep(delays):
+        raise AssertionError("an adopted state swept its arrivals again")
+
+    monkeypatch.setattr(timing, "full_arrival", no_sweep)
+    for state, cost in zip(states, scores.costs.tolist()):
+        assert state.penalized_cost(PENALTY) == cost
+
+
+def test_adoption_without_stacked_arrivals(monkeypatch):
+    """When the sweep hands back no arrivals (a partial cone, or no
+    change at all), adopted states leave theirs unset; the first
+    refresh sweeps them, and they equal copy-and-replay states."""
+    original = IncrementalTiming.retime_batch
+
+    def without_arrivals(self, *args, **kwargs):
+        d_bic, _ = original(self, *args, **kwargs)
+        return (d_bic, None) if kwargs.get("return_arrivals") else d_bic
+
+    monkeypatch.setattr(IncrementalTiming, "retime_batch", without_arrivals)
+    evaluator = _evaluator("small", "second", False)
+    scores = EvaluationState.trial_blocks(_adoption_rows(evaluator), PENALTY)
+    for i, cost in enumerate(scores.costs.tolist()):
         state = scores.state(i)
         assert state._arrival is None and not state._dirty
-        assert state.penalized_cost(PENALTY) == scores.costs[i]
+        assert state.penalized_cost(PENALTY) == cost
+        _assert_same_state(state, BlockScores.state(scores, i))
+
+
+def test_adopted_partition_serves_the_row_members():
+    """An adopted partition's membership cache starts from the row's
+    member arrays, equal to what a fresh partition builds."""
+    evaluator = _evaluator("c432", "second", False)
+    scores = EvaluationState.trial_blocks(_adoption_rows(evaluator), PENALTY)
+    for i in range(len(scores.costs)):
+        partition = scores.state(i).partition
+        assert partition._members_version == partition.version
+        fresh = Partition.from_array(evaluator.circuit, partition.module_of_array())
+        for module in partition.module_ids:
+            assert _bits(partition.gates_array(module)) == _bits(
+                fresh.gates_array(module)
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(CIRCUITS), k=st.integers(1, 12), seed=st.integers(0, 10_000))
+def test_boundary_sets_match_module_scans(key, k, seed):
+    """The whole-graph boundary pass lists every module's boundary gates
+    as the module-local scan does, on a fresh partition and again after
+    a move."""
+    evaluator = _evaluator(key, "second", False)
+    rng = random.Random(seed)
+    n = len(evaluator.circuit.gate_names)
+    partition = Partition.from_array(
+        evaluator.circuit, [rng.randrange(min(k, n)) for _ in range(n)]
+    )
+    for _ in range(2):
+        scan = partition.copy()
+        want = {m: scan.boundary_gates(m) for m in scan.module_ids}
+        assert partition.boundary_sets() == want
+        assert {m: partition.boundary_gates(m) for m in partition.module_ids} == want
+        if partition.num_modules < 2:
+            break
+        source, target = rng.sample(partition.module_ids, 2)
+        partition.move_gate(rng.choice(partition.gates_array(source).tolist()), target)
 
 
 def test_zero_move_rows_on_a_single_module():
