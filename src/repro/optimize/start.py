@@ -36,6 +36,8 @@ from repro.partition.partition import Partition
 
 __all__ = ["estimate_module_count", "chain_start_partition", "start_population"]
 
+_NO_GATES = np.empty(0, dtype=np.int64)
+
 
 def estimate_module_count(evaluator: PartitionEvaluator, margin: float = 1.25) -> int:
     """Estimated number of modules K for the start partitions.
@@ -155,9 +157,6 @@ def chain_start_partition(
             for module in range(num_modules)
         },
     )
-
-
-_NO_GATES = np.empty(0, dtype=np.int64)
 
 
 def _balanced_sizes(n: int, k: int) -> list[int]:

@@ -1,6 +1,8 @@
 """Tests for critical-path timing, including a differential check of the
 levelised numpy longest path against a naive implementation."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,8 +263,10 @@ class TestRetimeBatch:
     def test_full_cone_hands_back_arrivals(self, seed, small_blocks):
         """Whole delay rows take the full cone; each row's stacked
         arrivals, in gate order, equal a full sweep of its delays bit
-        for bit, and rows equal to the base hand back nothing."""
-        circuit = generate_iscas_like(
+        for bit, and rows equal to the base hand back nothing.  Gates
+        are declared out of level order, so the sweep's level-major
+        order differs from gate order."""
+        generated = generate_iscas_like(
             GeneratorConfig(
                 name="fc",
                 num_gates=90,
@@ -272,6 +276,12 @@ class TestRetimeBatch:
                 seed=seed % 997,
             )
         )
+        gates = list(generated)
+        random.Random(seed).shuffle(gates)
+        builder = CircuitBuilder("fc-shuffled")
+        for gate in gates:
+            builder.add(gate)
+        circuit = builder.outputs(generated.output_names).build()
         ref, inc = _engines(circuit, max_block_gates=8 if small_blocks else None)
         n = inc.num_gates
         rng = np.random.default_rng(seed)

@@ -29,6 +29,7 @@ from repro.analysis.timing import IncrementalTiming
 from repro.errors import PartitionError
 from repro.library.default_lib import generic_technology
 from repro.netlist.benchmarks import c17, load_iscas85
+from repro.netlist.builder import CircuitBuilder
 from repro.netlist.generate import GeneratorConfig, generate_iscas_like
 from repro.optimize.start import chain_start_partition
 from repro.partition.evaluator import PartitionEvaluator
@@ -37,7 +38,9 @@ from repro.partition.state import BlockScores, EvaluationState, _StateProtocol
 from repro.sensors.degradation import FirstOrderDegradation, SecondOrderDegradation
 
 PENALTY = 1.0e4
-CIRCUITS = ("c17", "small", "c432")
+#: ``shuffled`` declares its gates out of level order, so its level-major
+#: timing order is not gate order.
+CIRCUITS = ("c17", "small", "shuffled", "c432")
 MODELS = ("first", "second")
 SHAPES = ("mutation", "block", "empty", "none")
 #: Every array a state keeps, compared bit for bit.
@@ -70,8 +73,8 @@ DEGRADATION = {
 def _circuit(key: str):
     if key == "c17":
         return c17()
-    if key == "small":
-        return generate_iscas_like(
+    if key in ("small", "shuffled"):
+        circuit = generate_iscas_like(
             GeneratorConfig(
                 name="small120",
                 num_gates=120,
@@ -81,6 +84,14 @@ def _circuit(key: str):
                 seed=7,
             )
         )
+        if key == "small":
+            return circuit
+        gates = list(circuit)
+        random.Random(5).shuffle(gates)
+        builder = CircuitBuilder("shuffled120")
+        for gate in gates:
+            builder.add(gate)
+        return builder.outputs(circuit.output_names).build()
     return load_iscas85(key)
 
 
@@ -294,12 +305,17 @@ def _adoption_rows(evaluator):
     return [(p, _row(p, shape, rng)) for p in parents for shape in SHAPES]
 
 
-def test_adopted_state_scores_its_row(monkeypatch):
+@pytest.mark.parametrize("key", ["small", "shuffled"])
+def test_adopted_state_scores_its_row(monkeypatch, key):
     """A row's adopted state keeps the stacked sweep's arrivals, bit for
     bit a full sweep of its delays, with nothing dirty, so re-scoring it
-    to the row's cost sweeps nothing."""
-    evaluator = _evaluator("small", "second", False)
+    to the row's cost sweeps nothing.  The sweep runs in level-major
+    order, which ``shuffled`` makes differ from gate order."""
+    evaluator = _evaluator(key, "second", False)
     timing = evaluator.timing.incremental
+    assert (key == "shuffled") == (
+        timing._pos_lm.tolist() != list(range(timing.num_gates))
+    )
     scores = EvaluationState.trial_blocks(_adoption_rows(evaluator), PENALTY)
     states = [scores.state(i) for i in range(len(scores.costs))]
     for state in states:
