@@ -305,29 +305,31 @@ def _adoption_rows(evaluator):
     return [(p, _row(p, shape, rng)) for p in parents for shape in SHAPES]
 
 
-@pytest.mark.parametrize("key", ["small", "shuffled"])
-def test_adopted_state_scores_its_row(monkeypatch, key):
+def test_adopted_state_scores_its_row(monkeypatch):
     """A row's adopted state keeps the stacked sweep's arrivals, bit for
     bit a full sweep of its delays, with nothing dirty, so re-scoring it
     to the row's cost sweeps nothing.  The sweep runs in level-major
     order, which ``shuffled`` makes differ from gate order."""
-    evaluator = _evaluator(key, "second", False)
-    timing = evaluator.timing.incremental
-    assert (key == "shuffled") == (
-        timing._pos_lm.tolist() != list(range(timing.num_gates))
-    )
-    scores = EvaluationState.trial_blocks(_adoption_rows(evaluator), PENALTY)
-    states = [scores.state(i) for i in range(len(scores.costs))]
-    for state in states:
-        assert not state._dirty
-        full = timing.full_arrival(state.delay_degraded)
-        assert _bits(state._arrival) == _bits(full)
 
     def no_sweep(delays):
         raise AssertionError("an adopted state swept its arrivals again")
 
-    monkeypatch.setattr(timing, "full_arrival", no_sweep)
-    for state, cost in zip(states, scores.costs.tolist()):
+    adopted = []
+    for key in ("small", "shuffled"):
+        evaluator = _evaluator(key, "second", False)
+        timing = evaluator.timing.incremental
+        assert (key == "shuffled") == (
+            timing._pos_lm.tolist() != list(range(timing.num_gates))
+        )
+        scores = EvaluationState.trial_blocks(_adoption_rows(evaluator), PENALTY)
+        for i, cost in enumerate(scores.costs.tolist()):
+            state = scores.state(i)
+            assert not state._dirty
+            full = timing.full_arrival(state.delay_degraded)
+            assert _bits(state._arrival) == _bits(full)
+            adopted.append((state, cost))
+        monkeypatch.setattr(timing, "full_arrival", no_sweep)
+    for state, cost in adopted:
         assert state.penalized_cost(PENALTY) == cost
 
 
