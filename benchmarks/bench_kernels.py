@@ -15,7 +15,7 @@ from repro.analysis.transition_times import TransitionTimes
 from repro.config import EvolutionParams
 from repro.faultsim.logic_sim import LogicSimulator
 from repro.faultsim.patterns import random_patterns
-from repro.netlist.benchmarks import load_iscas85
+from repro.netlist.benchmarks import TABLE1_CIRCUITS, _load_circuit, load_iscas85
 from repro.netlist.compiled import compile_circuit
 from repro.optimize.evolution import evolve_partition
 from repro.optimize.start import chain_start_partition, estimate_module_count, start_population
@@ -112,6 +112,21 @@ def test_compile_graph_c7552(benchmark):
 
     compiled = benchmark(lambda: compile_circuit(circuit))
     assert compiled.num_gates == len(circuit.gate_names)
+
+
+def test_table1_setup(benchmark):
+    """A pass's circuit set-up: uncached load plus compile of the six
+    Table-1 circuits (five parsed stand-ins and the c6288 multiplier).
+    Recorded in DESIGN §8.5; no floor."""
+    load = _load_circuit.__wrapped__
+
+    def set_up():
+        return [compile_circuit(load(name)) for name in TABLE1_CIRCUITS]
+
+    graphs = benchmark(set_up)
+    assert [g.num_gates for g in graphs] == [
+        len(load_iscas85(name).gate_names) for name in TABLE1_CIRCUITS
+    ]
 
 
 def test_separation_matrix_build_c7552(benchmark):

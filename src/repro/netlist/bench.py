@@ -58,6 +58,12 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
     gates: list[Gate] = []
     seen: set[str] = set()
     outputs: list[str] = []
+    names: dict[str, str] = {}
+
+    def shared(net: str) -> str:
+        """One string per net name, so every fanin and output is its
+        driving gate's own name and name-keyed dicts match by identity."""
+        return names.setdefault(net, net)
 
     def add(gate: Gate, lineno: int) -> None:
         if gate.name in seen:
@@ -70,10 +76,10 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
         if not line:
             continue
         if match := _INPUT_RE.match(line):
-            add(Gate(match.group(1), GateType.INPUT), lineno)
+            add(Gate(shared(match.group(1)), GateType.INPUT), lineno)
             continue
         if match := _OUTPUT_RE.match(line):
-            outputs.append(match.group(1))
+            outputs.append(shared(match.group(1)))
             continue
         match = _ASSIGN_RE.match(line)
         if not match:
@@ -82,9 +88,9 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
         gate_type = _FUNCTIONS.get(func.upper())
         if gate_type is None:
             raise BenchFormatError(f"line {lineno}: unknown gate function {func!r}")
-        fanins = tuple(f.strip() for f in fanin_text.split(",") if f.strip())
+        fanins = tuple(shared(f) for f in map(str.strip, fanin_text.split(",")) if f)
         try:
-            add(Gate(target, gate_type, fanins), lineno)
+            add(Gate(shared(target), gate_type, fanins), lineno)
         except (ValueError, NetlistError) as exc:
             raise BenchFormatError(f"line {lineno}: {exc}") from exc
 

@@ -3,20 +3,22 @@
 C17 is shipped verbatim (it is six NAND gates, published in full in the
 paper's running example, Figs. 4-5).  C6288 is generated structurally as
 a 16x16 array multiplier, which is what the original circuit is.  The
-remaining ISCAS85 circuits are produced by the seeded synthetic generator
-matched to their published statistics — see DESIGN.md §6 for why this
-substitution preserves the paper's evaluation.
+remaining ISCAS85 circuits are seeded synthetic stand-ins matched to
+their published statistics (DESIGN.md §6.1 says why this preserves the
+paper's evaluation), generated once from :func:`standin_config` and
+shipped as ``.bench`` text under ``data/``, which loading parses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 from repro.errors import NetlistError
 from repro.netlist.bench import parse_bench
 from repro.netlist.circuit import Circuit
-from repro.netlist.generate import GeneratorConfig, generate_iscas_like
+from repro.netlist.generate import GeneratorConfig
 from repro.netlist.multiplier import array_multiplier
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "c17_paper_naming",
     "C17_PAPER_OPTIMUM",
     "load_iscas85",
+    "standin_config",
     "table1_circuits",
 ]
 
@@ -61,6 +64,9 @@ ISCAS85_PROFILES: dict[str, CircuitProfile] = {
 #: table header reads "C7522"; the ISCAS85 circuit is C7552 (typo in the
 #: original).
 TABLE1_CIRCUITS: tuple[str, ...] = ("c1908", "c2670", "c3540", "c5315", "c6288", "c7552")
+
+#: The generated stand-ins, one ``<name>.bench`` each (package data).
+DATA_DIR = Path(__file__).with_name("data")
 
 _C17_BENCH = """
 # c17 - ISCAS85, exact netlist (5 inputs, 2 outputs, 6 NAND gates)
@@ -117,13 +123,22 @@ def c17_paper_naming() -> Circuit:
     return parse_bench(_C17_PAPER_BENCH, name="c17-paper")
 
 
+def standin_config(name: str) -> GeneratorConfig:
+    """The configuration ``data/<name>.bench`` was generated from."""
+    p = ISCAS85_PROFILES[name]
+    return GeneratorConfig(
+        p.name, p.num_gates, p.num_inputs, p.num_outputs, p.depth, seed=1995 + p.num_gates
+    )
+
+
 def load_iscas85(name: str) -> Circuit:
     """Load an ISCAS85 circuit or its documented stand-in.
 
     ``c17`` is exact; ``c6288`` is a structurally faithful 16x16 array
-    multiplier; every other name yields the seeded synthetic circuit for
-    that profile.  Names are case-insensitive and every spelling returns
-    the same cached circuit.  Unknown names raise :class:`NetlistError`.
+    multiplier; every other name parses the shipped stand-in for that
+    profile (``data/<name>.bench``).  Names are case-insensitive and
+    every spelling returns the same cached circuit.  Unknown names, and
+    a stand-in whose file is missing, raise :class:`NetlistError`.
     """
     key = name.lower()
     if key != "c17" and key not in ISCAS85_PROFILES:
@@ -139,18 +154,12 @@ def _load_circuit(key: str) -> Circuit:
         return c17()
     if key == "c6288":
         return array_multiplier(16, name="c6288").circuit
-    profile = ISCAS85_PROFILES[key]
-    config = GeneratorConfig(
-        name=profile.name,
-        num_gates=profile.num_gates,
-        num_inputs=profile.num_inputs,
-        num_outputs=profile.num_outputs,
-        depth=profile.depth,
-        seed=1995 + profile.num_gates,
-    )
-    # Resolved in this module at call time, so a profiling wrapper bound
-    # to ``benchmarks.generate_iscas_like`` sees every stand-in build.
-    return generate_iscas_like(config)
+    path = DATA_DIR / f"{key}.bench"
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise NetlistError(f"cannot read stand-in {key!r} from {path}: {exc.strerror}") from None
+    return parse_bench(text, name=key)
 
 
 def table1_circuits() -> dict[str, Circuit]:

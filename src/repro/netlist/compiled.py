@@ -23,12 +23,14 @@ and every layer consumes those shared arrays:
   numpy reduction over a whole batch.
 
 Access it through :attr:`Circuit.compiled`; construction is cached and
-safe because circuits are immutable.
+safe because circuits are immutable.  :func:`compile_circuit` builds it
+in whole-graph numpy passes (DESIGN.md §2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -87,6 +89,12 @@ _BASE_OP: dict[GateType, int] = {
 }
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Base op and inversion word per type code (INPUT's entries unused).
+_OP_OF_CODE = np.asarray([_BASE_OP.get(t, OP_AND) for t in GATE_TYPE_CODES], dtype=np.int64)
+_INVERT_OF_CODE = np.asarray(
+    [_ALL_ONES if t.is_inverting else 0 for t in GATE_TYPE_CODES], dtype=np.uint64
+)
 
 
 def csr_gather(
@@ -345,124 +353,127 @@ class CompiledGraph:
             ]
 
 
-def _csr_from_lists(rows: list[np.ndarray], dtype=np.int32) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = (
-        np.concatenate(rows).astype(dtype)
-        if indptr[-1]
-        else np.empty(0, dtype=dtype)
-    )
-    return indptr.astype(np.int32), indices
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """``int32`` CSR row pointers for rows of ``counts`` entries."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _gate_runs(key, gate_node, fanin_indptr, fanin_indices):
+    """The gates stably sorted by ``key``, in runs of equal keys: per run
+    ``(positions, nodes, fanins, counts)`` (file positions, node ids,
+    flattened fanin rows, row lengths), from one gather of all fanins."""
+    order = np.argsort(key, kind="stable")
+    nodes = gate_node[order]
+    fanins, counts = csr_gather(fanin_indptr, fanin_indices, nodes)
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    bounds = np.append(np.flatnonzero(np.diff(key[order], prepend=-1)), len(order))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield order[lo:hi], nodes[lo:hi], fanins[edges[lo] : edges[hi]], counts[lo:hi]
 
 
 def compile_circuit(circuit: "Circuit") -> CompiledGraph:
-    """Compile ``circuit`` into its dense-array form (see module docstring)."""
-    names = circuit.all_names
-    node_index = {name: i for i, name in enumerate(names)}
-    num_nodes = len(names)
+    """Compile ``circuit`` into its dense-array form (see module docstring).
 
-    gates = [circuit.gate(name) for name in names]
-    type_code = np.asarray([_CODE_OF[g.gate_type] for g in gates], dtype=np.int8)
-
-    gate_names = circuit.gate_names
-    num_gates = len(gate_names)
-    gate_node = np.asarray([node_index[n] for n in gate_names], dtype=np.int32)
+    Whole-graph numpy passes over one flat fanin array: Python loops
+    over names, levels and batches, never per gate.  Every row order is
+    a sorted key's: a *stable* sort keeps file order among equal keys
+    (fanout rows, level groups, simulation batches), and ``np.unique``
+    over ``row * N + col`` keys lists undirected rows ascending.
+    """
+    gates = list(circuit)
+    node_index = {gate.name: i for i, gate in enumerate(gates)}
+    num_nodes = len(gates)
+    type_code = np.fromiter((_CODE_OF[g.gate_type] for g in gates), np.int8, num_nodes)
+    is_gate = type_code != _CODE_OF[GateType.INPUT]
+    gate_node = np.flatnonzero(is_gate).astype(np.int32)
+    num_gates = len(gate_node)
     node_gate = np.full(num_nodes, -1, dtype=np.int32)
     node_gate[gate_node] = np.arange(num_gates, dtype=np.int32)
-    input_node = np.asarray(
-        [node_index[n] for n in circuit.input_names], dtype=np.int32
+
+    # Fanins in declaration order as one flat array; its edge list has
+    # sinks ascending, because nodes are listed in file order.
+    fanin_counts = np.fromiter((len(g.fanins) for g in gates), np.int64, num_nodes)
+    fanin_indptr = _indptr(fanin_counts)
+    fanin_indices = np.fromiter(
+        map(node_index.__getitem__, chain.from_iterable(g.fanins for g in gates)),
+        np.int32,
+        fanin_indptr[-1],
     )
+    sink = np.repeat(np.arange(num_nodes, dtype=np.int64), fanin_counts)
+    source = fanin_indices.astype(np.int64)
+    # Fanouts: a stable sort by source keeps each row's sinks in file
+    # order, as ``Circuit.fanouts`` lists them.
+    fanout_indptr = _indptr(np.bincount(source, minlength=num_nodes))
+    fanout_indices = sink[np.argsort(source, kind="stable")].astype(np.int32)
+    # Undirected adjacency: every edge keyed in both directions.
+    keys = np.unique(np.concatenate((sink * num_nodes + source, source * num_nodes + sink)))
+    adj_row, adj_col = np.divmod(keys, num_nodes)
+    # Gate-space adjacency: the gate-to-gate pairs mapped through
+    # ``node_gate``, which increases over gates, so rows stay sorted.
+    between_gates = is_gate[adj_row] & is_gate[adj_col]
+    gate_adj_row = node_gate[adj_row[between_gates]]
 
-    # Directed CSR tables (declaration order for fanins, file order for
-    # fanouts — both match the dict-based structure they replace).
-    fanin_rows = [
-        np.asarray([node_index[f] for f in g.fanins], dtype=np.int32) for g in gates
-    ]
-    fanin_indptr, fanin_indices = _csr_from_lists(fanin_rows)
-    fanouts = circuit.fanouts
-    fanout_rows = [
-        np.asarray([node_index[s] for s in fanouts[name]], dtype=np.int32)
-        for name in names
-    ]
-    fanout_indptr, fanout_indices = _csr_from_lists(fanout_rows)
-
-    # Undirected adjacency: union of fanins and fanouts, sorted by id.
-    adj_rows = [
-        np.unique(np.concatenate((fanin_rows[i], fanout_rows[i])))
-        if len(fanin_rows[i]) or len(fanout_rows[i])
-        else np.empty(0, dtype=np.int32)
-        for i in range(num_nodes)
-    ]
-    adj_indptr, adj_indices = _csr_from_lists(adj_rows)
-
-    # Gate-space undirected adjacency (primary inputs dropped), sorted —
-    # identical rows to the legacy ``Circuit.gate_neighbors`` tuples.
-    gate_adj_rows = []
-    for g in range(num_gates):
-        nbrs = node_gate[adj_rows[gate_node[g]]]
-        gate_adj_rows.append(np.unique(nbrs[nbrs >= 0]).astype(np.int32))
-    gate_adj_indptr, gate_adj_indices = _csr_from_lists(gate_adj_rows)
-
-    topo = np.asarray(
-        [node_index[n] for n in circuit.topological_order], dtype=np.int32
-    )
+    topo = np.fromiter(map(node_index.__getitem__, circuit.topological_order), np.int32)
     levels = circuit.levels
-    level = np.asarray([levels[n] for n in names], dtype=np.int32)
+    level = np.fromiter((levels[g.name] for g in gates), np.int32, num_nodes)
     gate_level = level[gate_node]
-    depth = int(circuit.depth)
 
-    # Per-level gate groups in gate file order, with flattened fanins.
-    level_groups: list[LevelGroup] = []
-    for lvl in range(1, depth + 1):
-        sel = np.nonzero(gate_level == lvl)[0]
-        nodes = gate_node[sel]
-        rows = [fanin_rows[n] for n in nodes]
-        counts = np.asarray([len(r) for r in rows], dtype=np.int64)
-        offsets = np.cumsum(counts) - counts
-        fanins = (
-            np.concatenate(rows) if len(rows) else np.empty(0, dtype=np.int32)
+    # Level groups: gates by level, file order within a level.
+    level_groups = tuple(
+        LevelGroup(nodes=nodes, fanins=fanins, offsets=np.cumsum(counts) - counts)
+        for _, nodes, fanins, counts in _gate_runs(
+            gate_level, gate_node, fanin_indptr, fanin_indices
         )
-        level_groups.append(LevelGroup(nodes=nodes, fanins=fanins, offsets=offsets))
-
-    zero_row = num_nodes
-    ones_row = num_nodes + 1
-    sim_groups = _build_sim_groups(
-        level_groups, type_code, zero_row, ones_row
     )
+
+    # Simulation batches, one per (level, base op) in that order, gates
+    # in file order: rectangular fanin matrices padded with the op's
+    # identity row (all-ones for AND, all-zeros for OR/XOR), and an
+    # all-ones inversion word for NOT/NAND/NOR/XNOR.
+    zero_row, ones_row = num_nodes, num_nodes + 1
+    codes = type_code[gate_node]
+    ops = _OP_OF_CODE[codes]
+    sim_groups: list[SimGroup] = []
+    for run, dst, fanins, counts in _gate_runs(
+        gate_level * 3 + ops, gate_node, fanin_indptr, fanin_indices
+    ):
+        op = int(ops[run[0]])
+        width = int(counts.max())
+        src = np.full((len(dst), width), ones_row if op == OP_AND else zero_row, np.int32)
+        src[np.arange(width) < counts[:, None]] = fanins
+        invert = _INVERT_OF_CODE[codes[run]].reshape(-1, 1)
+        sim_groups.append(SimGroup(op=op, dst=dst, src=src, invert=invert))
 
     # Flatten the schedule into global slots (see the field comments).
     sim_group_offsets = np.zeros(len(sim_groups) + 1, dtype=np.int64)
     np.cumsum([len(g.dst) for g in sim_groups], out=sim_group_offsets[1:])
-    node_of_slot = (
-        np.concatenate([g.dst for g in sim_groups]).astype(np.int32)
-        if sim_groups
-        else np.empty(0, dtype=np.int32)
-    )
+    node_of_slot = np.concatenate([g.dst for g in sim_groups] or [np.empty(0, np.int32)])
     slot_of_node = np.full(num_nodes, -1, dtype=np.int32)
     slot_of_node[node_of_slot] = np.arange(len(node_of_slot), dtype=np.int32)
 
     return CompiledGraph(
         num_nodes=num_nodes,
-        num_inputs=len(input_node),
+        num_inputs=num_nodes - num_gates,
         num_gates=num_gates,
         type_code=type_code,
         node_gate=node_gate,
         gate_node=gate_node,
-        input_node=input_node,
+        input_node=np.flatnonzero(~is_gate).astype(np.int32),
         fanin_indptr=fanin_indptr,
         fanin_indices=fanin_indices,
         fanout_indptr=fanout_indptr,
         fanout_indices=fanout_indices,
-        adj_indptr=adj_indptr,
-        adj_indices=adj_indices,
-        gate_adj_indptr=gate_adj_indptr,
-        gate_adj_indices=gate_adj_indices,
+        adj_indptr=_indptr(np.bincount(adj_row, minlength=num_nodes)),
+        adj_indices=adj_col.astype(np.int32),
+        gate_adj_indptr=_indptr(np.bincount(gate_adj_row, minlength=num_gates)),
+        gate_adj_indices=node_gate[adj_col[between_gates]],
         topo=topo,
         level=level,
         gate_level=gate_level,
-        depth=depth,
-        level_groups=tuple(level_groups),
+        depth=int(circuit.depth),
+        level_groups=level_groups,
         sim_groups=tuple(sim_groups),
         zero_row=zero_row,
         ones_row=ones_row,
@@ -470,44 +481,6 @@ def compile_circuit(circuit: "Circuit") -> CompiledGraph:
         slot_of_node=slot_of_node,
         node_of_slot=node_of_slot,
     )
-
-
-def _build_sim_groups(
-    level_groups: list[LevelGroup],
-    type_code: np.ndarray,
-    zero_row: int,
-    ones_row: int,
-) -> list[SimGroup]:
-    """Batch each level's gates by base op into rectangular fanin matrices.
-
-    Within a batch all gates share one bitwise reduction; shorter fanin
-    lists are padded with the op's identity row (all-ones for AND,
-    all-zeros for OR/XOR), and inverting types (NOT/NAND/NOR/XNOR) get an
-    all-ones inversion word applied after the reduction.
-    """
-    groups: list[SimGroup] = []
-    for lg in level_groups:
-        counts = lg.counts
-        buckets: dict[int, list[int]] = {}
-        for pos, node in enumerate(lg.nodes):
-            gt = GATE_TYPE_CODES[type_code[node]]
-            buckets.setdefault(_BASE_OP[gt], []).append(pos)
-        for op in sorted(buckets):
-            positions = buckets[op]
-            width = max(int(counts[p]) for p in positions)
-            pad = ones_row if op == OP_AND else zero_row
-            src = np.full((len(positions), width), pad, dtype=np.int32)
-            dst = np.empty(len(positions), dtype=np.int32)
-            invert = np.zeros((len(positions), 1), dtype=np.uint64)
-            for i, p in enumerate(positions):
-                node = lg.nodes[p]
-                dst[i] = node
-                start = lg.offsets[p]
-                src[i, : counts[p]] = lg.fanins[start : start + counts[p]]
-                if GATE_TYPE_CODES[type_code[node]].is_inverting:
-                    invert[i, 0] = _ALL_ONES
-            groups.append(SimGroup(op=op, dst=dst, src=src, invert=invert))
-    return groups
 
 
 def _build_fused_schedule(cg: CompiledGraph) -> FusedSchedule:

@@ -5,7 +5,9 @@ files are not bundled here (see DESIGN.md §6), so for every benchmark we
 generate a *stand-in*: a random combinational DAG matched to the
 published statistics of the original — gate count, primary input/output
 count, logic depth, gate-type mix and fanin distribution — from a fixed
-seed, so every run of the experiments sees the identical circuit.
+seed.  The catalogue's stand-ins were generated here once and ship as
+``.bench`` data (:mod:`repro.netlist.benchmarks`); a test regenerates
+them byte for byte.
 
 The generator takes care to produce circuits that are structurally
 "ISCAS-like" rather than arbitrary random graphs:

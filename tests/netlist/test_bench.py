@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import BenchFormatError
 from repro.netlist.bench import parse_bench, write_bench
+from repro.netlist.benchmarks import DATA_DIR
 from repro.netlist.gate import GateType
 from repro.netlist.generate import GeneratorConfig, generate_iscas_like
 
@@ -61,6 +62,35 @@ class TestParse:
     def test_undefined_driver_rejected(self):
         with pytest.raises(BenchFormatError):
             parse_bench("INPUT(a)\nOUTPUT(g)\ng = NOT(phantom)\n")
+
+
+class TestSharedNames:
+    """Every fanin and output reference is the driving gate's own name object,
+    so name-keyed dicts downstream match by identity."""
+
+    @staticmethod
+    def assert_shared(circuit):
+        for gate in circuit:
+            for fanin in gate.fanins:
+                assert fanin is circuit.gate(fanin).name
+        for out in circuit.output_names:
+            assert out is circuit.gate(out).name
+
+    def test_parsed_standin(self):
+        self.assert_shared(parse_bench((DATA_DIR / "c880.bench").read_text()))
+
+    def test_nets_used_before_defined(self):
+        text = (
+            "OUTPUT(out_net)\n"
+            "out_net = AND(left_net, right_net)\n"
+            "left_net = NOT(in_a)\n"
+            "right_net = NAND(in_a, in_b)\n"
+            "INPUT(in_a)\n"
+            "INPUT(in_b)\n"
+        )
+        circuit = parse_bench(text)
+        assert circuit.gate_names == ("out_net", "left_net", "right_net")
+        self.assert_shared(circuit)
 
 
 class TestWrite:

@@ -1,19 +1,25 @@
-"""Tests for the benchmark catalog."""
+"""Tests for the benchmark catalog and its shipped stand-ins."""
+
+from functools import lru_cache
 
 import pytest
 
+import standins
 from repro.errors import NetlistError
 from repro.netlist.benchmarks import (
     C17_PAPER_OPTIMUM,
+    DATA_DIR,
     ISCAS85_PROFILES,
     TABLE1_CIRCUITS,
     c17,
     c17_paper_naming,
     load_iscas85,
+    standin_config,
     table1_circuits,
 )
 from repro.netlist.gate import GateType
 from repro.netlist.generate import generate_iscas_like
+from repro.runtime.fingerprint import fingerprint_circuit
 
 
 class TestC17:
@@ -74,20 +80,28 @@ class TestCatalog:
         with pytest.raises(NetlistError, match="'C9999'"):
             load_iscas85("C9999")
 
-    def test_generator_resolved_at_call_time(self, monkeypatch):
-        """A wrapper bound in the catalogue module sees stand-in builds."""
+    def test_loader_never_calls_generator(self, monkeypatch):
+        """Stand-ins load from their files, not from the generator."""
+        import repro.netlist.benchmarks as benchmarks
+        import repro.netlist.generate as generate
+
+        def refuse(config):
+            raise AssertionError(f"generator called for {config.name}")
+
+        monkeypatch.setattr(generate, "generate_iscas_like", refuse)
+        uncached = benchmarks._load_circuit.__wrapped__
+        for name in standins.STANDINS:
+            fresh, cached = uncached(name), load_iscas85(name)
+            assert fresh is not cached
+            assert fingerprint_circuit(fresh) == fingerprint_circuit(cached)
+            assert fresh.output_names == cached.output_names
+
+    def test_missing_standin_file_is_a_netlist_error(self, monkeypatch, tmp_path):
         import repro.netlist.benchmarks as benchmarks
 
-        built = []
-
-        def spy(config):
-            built.append(config.name)
-            return generate_iscas_like(config)
-
-        monkeypatch.setattr(benchmarks, "generate_iscas_like", spy)
-        uncached = benchmarks._load_circuit.__wrapped__
-        assert uncached("c432").name == "c432"
-        assert built == ["c432"]
+        monkeypatch.setattr(benchmarks, "DATA_DIR", tmp_path)
+        with pytest.raises(NetlistError, match="c432.bench"):
+            benchmarks._load_circuit.__wrapped__("c432")
 
     def test_unknown_circuit_rejected(self):
         with pytest.raises(NetlistError, match="unknown ISCAS85"):
@@ -96,3 +110,43 @@ class TestCatalog:
     def test_table1_circuits_ordered(self):
         circuits = table1_circuits()
         assert tuple(circuits) == TABLE1_CIRCUITS
+
+
+@lru_cache(maxsize=None)
+def _generated(name):
+    return generate_iscas_like(standin_config(name))
+
+
+class TestShippedStandins:
+    """The files under ``data/`` are what the generator writes; rewrite
+    them with ``PYTHONPATH=src python tests/netlist/standins.py``."""
+
+    def test_every_generated_profile_ships(self):
+        shipped = sorted(path.stem for path in DATA_DIR.glob("*.bench"))
+        assert shipped == sorted(standins.STANDINS)
+        assert set(standins.STANDINS) | {"c6288"} == set(ISCAS85_PROFILES)
+
+    @pytest.mark.parametrize("name", standins.STANDINS)
+    def test_file_matches_generator_bytes(self, name):
+        expected = standins.render(name).encode()
+        assert (DATA_DIR / f"{name}.bench").read_bytes() == expected
+
+    @pytest.mark.parametrize("name", standins.STANDINS)
+    def test_parsed_equals_generated(self, name):
+        parsed, generated = load_iscas85(name), _generated(name)
+        assert fingerprint_circuit(parsed) == fingerprint_circuit(generated)
+        assert parsed.all_names == generated.all_names
+        assert parsed.levels == generated.levels
+
+    def test_shuffled_lines_parse_to_the_same_gates(self):
+        circuit = load_iscas85("c880")
+        shuffled = standins.shuffled("c880", seed=3)
+        assert shuffled.all_names != circuit.all_names
+        assert {g.name: g for g in shuffled} == {g.name: g for g in circuit}
+        assert shuffled.output_names == circuit.output_names
+
+    def test_header_names_the_generator_and_the_rewrite(self):
+        text = (DATA_DIR / "c432.bench").read_text()
+        head = text[: text.index("INPUT(")]
+        assert "generate_iscas_like" in head and "seed=2155" in head
+        assert "tests/netlist/standins.py" in head

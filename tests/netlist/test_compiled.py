@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import standins
 from repro.netlist.benchmarks import c17, load_iscas85
 from repro.netlist.compiled import (
     GATE_TYPE_CODES,
@@ -18,10 +19,13 @@ from repro.netlist.gate import GateType
 from repro.netlist.generate import GeneratorConfig, generate_iscas_like
 
 
-@pytest.fixture(scope="module", params=["c17", "gen", "c880"])
+@pytest.fixture(scope="module", params=["c17", "gen", "c880", "shuffled"])
 def circuit(request):
     if request.param == "c17":
         return c17()
+    if request.param == "shuffled":
+        # Gate lines out of level order: nets are used before defined.
+        return standins.shuffled("c880")
     if request.param == "gen":
         return generate_iscas_like(
             GeneratorConfig(
