@@ -51,9 +51,10 @@ class SeparationMatrix:
     simulation schedule.
     """
 
-    #: Lazily built float32 copy of :attr:`matrix` feeding the BLAS
-    #: matmul in :meth:`sums_by_group` (class-level default covers both
-    #: constructors, including :meth:`from_matrix`).
+    #: Lazily built float32 copy of :attr:`matrix` feeding the
+    #: whole-matrix BLAS matmul in :meth:`sums_by_group` (class-level
+    #: default covers both constructors, including :meth:`from_matrix`;
+    #: small candidate sets never build it).
     _matrix_f32: np.ndarray | None = None
 
     def __init__(
@@ -181,28 +182,28 @@ class SeparationMatrix:
         if valid.size == 0:
             return out
         n = self.matrix.shape[0]
+        if n * self.cap >= 2**24:
+            raise ValueError(
+                f"{n} gates at cap {self.cap}: separation sums could "
+                "reach 2**24 and would not be exact in float32"
+            )
         indicator = np.zeros((n, num_groups), dtype=np.float32)
         indicator[valid, group_of_gate[valid]] = 1.0
-        if self._matrix_f32 is None:
-            # Lazy 4x-size float32 copy: only optimisers hammering the
-            # batched gain kernels pay for it, one-shot evaluations and
-            # the evolution strategy don't.
-            if n * self.cap >= 2**24:
-                raise ValueError(
-                    f"{n} gates at cap {self.cap}: separation sums could "
-                    "reach 2**24 and would not be exact in float32"
-                )
-            self._matrix_f32 = self.matrix.astype(np.float32)
         # Both branches compute exact-integer float sums (lossless int64
         # assignment), so they are bit-identical; the split is purely a
         # FLOP count choice.  Small candidate sets (annealing blocks, KL
-        # swap pools) gather their unique rows and run a (U, n) x (n, K)
-        # matmul; large ones amortise one sgemm over the whole matrix,
-        # which beats per-row gathering once U approaches n.
+        # swap pools) cast only the unique rows they gather and run a
+        # (U, n) x (n, K) matmul; large ones amortise one sgemm over a
+        # whole-matrix float32 copy, built on first use and kept (4x
+        # the uint8 matrix: 49 MB on c7552), which beats per-row
+        # gathering once U approaches n.
         unique, inverse = np.unique(gates, return_inverse=True)
         if unique.size * 16 < n:
-            out[:] = (self._matrix_f32[unique] @ indicator)[inverse]
+            rows = self.matrix[unique].astype(np.float32)
+            out[:] = (rows @ indicator)[inverse]
         else:
+            if self._matrix_f32 is None:
+                self._matrix_f32 = self.matrix.astype(np.float32)
             out[:] = (self._matrix_f32 @ indicator)[gates]
         return out
 

@@ -114,8 +114,10 @@ class StuckAtSimulator:
     """Fault-parallel stuck-at engine: collapsed classes, batched
     cone-limited simulation, fault dropping (see module docstring)."""
 
-    #: Faults simulated per batched compiled-graph pass.
-    batch_faults = 64
+    #: Fault-words per batched compiled-graph pass: a batch holds
+    #: ``batch_words // words`` faults for ``words`` 64-pattern words
+    #: (256 faults at 64 patterns, 64 at 256).
+    batch_words = 256
 
     def __init__(self, circuit: Circuit, backend: str | SimBackend | None = None):
         self.circuit = circuit
@@ -190,8 +192,9 @@ class StuckAtSimulator:
                 return out
             good, valid = self._sim_state(patterns)
             roots = self._schedule_roots(classes)
-            for start in range(0, len(roots), self.batch_faults):
-                batch = roots[start : start + self.batch_faults]
+            size = self._batch_size(good)
+            for start in range(0, len(roots), size):
+                batch = roots[start : start + size]
                 diff = self._batch_diff(good, valid, batch)
                 bits = np.unpackbits(
                     diff.view(np.uint8), axis=1, bitorder="little"
@@ -225,8 +228,9 @@ class StuckAtSimulator:
                 break
             good, valid = self._sim_state(patterns[start : start + chunk_patterns])
             survivors: list[tuple[int, int]] = []
-            for bstart in range(0, len(remaining), self.batch_faults):
-                batch = remaining[bstart : bstart + self.batch_faults]
+            size = self._batch_size(good)
+            for bstart in range(0, len(remaining), size):
+                batch = remaining[bstart : bstart + size]
                 diff = self._batch_diff(good, valid, batch)
                 hit = diff.any(axis=1)
                 for b, key in enumerate(batch):
@@ -292,6 +296,10 @@ class StuckAtSimulator:
                 out_closure[node] |= np.bitwise_or.reduce(out_closure[row], axis=0)
         self._out_closure = out_closure
 
+    def _batch_size(self, good: np.ndarray) -> int:
+        """Faults per pass under the :attr:`batch_words` budget."""
+        return max(1, self.batch_words // good.shape[1])
+
     def _sim_state(self, patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(fault-free packed node rows, valid-bit word mask)."""
         good = self.simulator.simulate(patterns).packed
@@ -331,7 +339,7 @@ class StuckAtSimulator:
             or pool.shape[2] != num_words
         ):
             pool = np.empty(
-                (cg.num_sim_rows, max(size, self.batch_faults), num_words),
+                (cg.num_sim_rows, max(size, self._batch_size(good)), num_words),
                 dtype=np.uint64,
             )
             self._state_pool = pool

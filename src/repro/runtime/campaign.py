@@ -3,8 +3,9 @@
 ``python -m repro.experiments campaign`` drives the paper's pipeline
 stages — separation matrix, stuck-at detection matrix, IDDQ ATPG,
 partition optimisation — over a list of benchmark circuits, memoizing
-every stage in the artifact store and sharding the parallelisable
-stages across the process pool.  The run writes a JSON **manifest**
+every stage in the artifact store and spreading the work across the
+process pool: one task per circuit when several circuits have stages
+to run, otherwise each stage sharded.  The run writes a JSON **manifest**
 recording, per (circuit, stage): the artifact cache key, whether it was
 served from cache, wall-clock seconds and stage-specific metadata —
 the machine-readable receipt the benchmarks and CI assert against
@@ -32,6 +33,7 @@ import random
 import tempfile
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -45,7 +47,11 @@ from repro.runtime.artifacts import (
     cached_portfolio,
     cached_separation_matrix,
 )
-from repro.runtime.executor import executor_stats_snapshot, resolve_jobs
+from repro.runtime.executor import (
+    Executor,
+    executor_stats_snapshot,
+    resolve_jobs,
+)
 from repro.runtime.faults import FaultPlan, InjectedKill
 from repro.runtime.store import ArtifactStore
 
@@ -306,14 +312,22 @@ def status_path(out: str | Path) -> Path:
 def _journal_append(path: Path | None, entry: dict) -> None:
     """Durably append one manifest entry; best-effort (a full or
     read-only disk must not kill the campaign that is producing the
-    results the journal is meant to protect)."""
+    results the journal is meant to protect).
+
+    The line goes out in one ``os.write`` on an ``O_APPEND``
+    descriptor, so circuit tasks appending from several workers never
+    interleave their lines.
+    """
     if path is None:
         return
+    line = (json.dumps(entry, sort_keys=True) + "\n").encode()
     try:
-        with path.open("a") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            os.write(fd, line)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except OSError as exc:
         obs.TRACER.instant(
             "campaign.journal_degraded",
@@ -390,6 +404,123 @@ def _run_stage(ctx: _Context, stage: str, key: str, plan: FaultPlan | None) -> d
     return _STAGE_RUNNERS[stage](ctx)
 
 
+def _stage_entry(ctx: _Context, name: str, stage: str, error: str | None, plan) -> dict:
+    """Run one stage under its span and return its manifest entry;
+    ``error`` (a circuit that could not run) fails it unrun."""
+    stage_started = time.perf_counter()
+    stage_mark = obs.METRICS.mark()
+    with obs.TRACER.span("campaign.stage", circuit=name, stage=stage) as span:
+        if error is None:
+            try:
+                outcome = _run_stage(ctx, stage, f"{name}/{stage}", plan)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+        span.set(status="failed" if error else "ok")
+    seconds = time.perf_counter() - stage_started
+    entry = {"circuit": name, "stage": stage}
+    if error is None:
+        entry.update(status="ok", hit=outcome["hit"], seconds=seconds,
+                     meta=outcome["meta"])
+    else:
+        entry.update(status="failed", hit=False, seconds=seconds, error=error,
+                     meta={})
+        # The structured twin of the manifest's "failed" entry: the
+        # quarantine decision lands in the event log with the same
+        # attribution as the spans around it.
+        obs.TRACER.instant(
+            "campaign.quarantine", circuit=name, stage=stage, error=error
+        )
+    if obs.METRICS.enabled:
+        entry["metrics"] = obs.METRICS.delta_since(stage_mark)
+    return entry
+
+
+@dataclass(frozen=True)
+class _CircuitJob:
+    """What running a circuit needs besides a store.  It is a circuit
+    task's worker state too, so it carries no circuit: a worker loads
+    its circuit through ``load_iscas85``, whose cache it inherits under
+    fork."""
+
+    config: CampaignConfig
+    store_root: str
+    plan: FaultPlan | None
+    resumed: dict
+    journal: Path | None
+
+    def __call__(self) -> "_CircuitJob":
+        """The executor's state factory: a worker's state is the job."""
+        return self
+
+
+def _run_circuit(
+    job: _CircuitJob, name: str, store: ArtifactStore, jobs: int,
+    on_start=None, on_entry=None, error: str | None = None,
+) -> list[dict]:
+    """One circuit's stages in order, each entry journaled as it
+    completes; returns the entries.  Both dispatch modes (DESIGN §9.6)
+    run it: in the parent, where ``on_start(name, stage)`` and
+    ``on_entry(entry)`` feed the progress ledger, and as a circuit task
+    with the stage drivers at ``jobs=1``.  With ``error`` set, every
+    stage left to run fails with it."""
+    from repro.netlist.benchmarks import load_iscas85
+
+    stages, resumed = job.config.stages, job.resumed
+    circuit = None
+    if error is None and not all((name, s) in resumed for s in stages):
+        try:
+            circuit = load_iscas85(name)
+        except Exception as exc:
+            error = f"circuit load failed: {type(exc).__name__}: {exc}"
+    ctx = _Context(circuit=circuit, config=job.config, store=store, jobs=jobs)
+    entries: list[dict] = []
+    for stage in stages:
+        previous = resumed.get((name, stage))
+        if previous is not None:
+            entry = dict(previous, resumed=True)
+        else:
+            if on_start is not None:
+                on_start(name, stage)
+            entry = _stage_entry(ctx, name, stage, error, job.plan)
+        entries.append(entry)
+        _journal_append(job.journal, entry)
+        if on_entry is not None:
+            on_entry(entry)
+    return entries
+
+
+#: The store counters the manifest totals report.
+_STORE_TOTALS = ("hits", "misses", "puts", "quarantined")
+
+
+def _circuit_task(job: _CircuitJob, name: str) -> tuple[list[dict], dict, dict]:
+    """Pool task: one circuit's stages, plus the task's store and
+    executor counts for the parent's totals."""
+    store = ArtifactStore(job.store_root, fault_plan=job.plan)
+    mark = executor_stats_snapshot()
+    entries = _run_circuit(job, name, store, 1)
+    after = executor_stats_snapshot()
+    counts = {k: getattr(store.stats, k) for k in _STORE_TOTALS}
+    return entries, counts, {k: after[k] - mark[k] for k in after}
+
+
+def _circuit_order(config: CampaignConfig, resumed: dict, jobs: int) -> list[int]:
+    """Indices of the circuits to run one per worker, largest (by gate
+    count) first.  Empty — every stage shards across the pool instead —
+    unless ``jobs > 1`` and at least two circuits have stages to run.
+    A circuit that fails to load is left to the parent."""
+    from repro.netlist.benchmarks import load_iscas85
+
+    sizes: dict[int, int] = {}
+    for i, name in enumerate(config.circuits):
+        if jobs > 1 and not all((name, s) in resumed for s in config.stages):
+            try:
+                sizes[i] = len(load_iscas85(name).gate_names)
+            except Exception:
+                pass
+    return sorted(sizes, key=lambda i: (-sizes[i], i)) if len(sizes) > 1 else []
+
+
 def run_campaign(config: CampaignConfig) -> dict:
     """Execute the campaign; returns the manifest dict.
 
@@ -400,9 +531,12 @@ def run_campaign(config: CampaignConfig) -> dict:
     is set, every entry is journaled to ``<out>.partial.jsonl`` the
     moment it completes and the manifest itself is written atomically
     at the end (journal removed after a fully successful save).
-    """
-    from repro.netlist.benchmarks import load_iscas85
 
+    With ``jobs > 1`` and at least two circuits to run, each circuit
+    runs its stages in order as one pool task; otherwise the circuits
+    run in turn in this process and each stage shards across the pool
+    (DESIGN §9.6).  Entries are identical either way.
+    """
     if config.trace:
         obs.enable(trace=True, metrics=True)
     if config.prom:
@@ -419,10 +553,16 @@ def run_campaign(config: CampaignConfig) -> dict:
         # the first executor resolves (and exports) a tempdir default.
         os.environ[live.HEARTBEAT_DIR_ENV] = f"{config.out}.hb"
     executor_mark = executor_stats_snapshot()
+    # Counts the circuit tasks made in their workers.
+    worker_store: Counter = Counter()
+    worker_executor: Counter = Counter()
 
     def executor_delta() -> dict:
         snapshot = executor_stats_snapshot()
-        return {k: v - executor_mark[k] for k, v in snapshot.items()}
+        return {
+            k: v - executor_mark[k] + worker_executor[k]
+            for k, v in snapshot.items()
+        }
 
     ledger = (
         live.ProgressLedger(
@@ -435,6 +575,19 @@ def run_campaign(config: CampaignConfig) -> dict:
         if config.out
         else None
     )
+
+    def finished(entry: dict) -> None:
+        if ledger is not None:
+            status = "resumed" if entry.get("resumed") else entry["status"]
+            ledger.stage_finished(
+                entry["circuit"], entry["stage"], status,
+                entry.get("seconds", 0.0), executor=executor_delta(),
+            )
+        if config.prom:
+            from repro.obs.sinks import export_prometheus
+
+            export_prometheus(config.prom)
+
     resumed_entries = (
         load_resume_entries(config.resume) if config.resume else {}
     )
@@ -447,89 +600,45 @@ def run_campaign(config: CampaignConfig) -> dict:
             journal.unlink(missing_ok=True)
         except OSError:
             pass
-    entries: list[dict] = []
     started = time.perf_counter()
-    for name in config.circuits:
-        circuit = None
-        load_error: str | None = None
-        if not all(
-            (name, stage) in resumed_entries for stage in config.stages
-        ):
-            try:
-                circuit = load_iscas85(name)
-            except Exception as exc:
-                load_error = f"{type(exc).__name__}: {exc}"
-        ctx = _Context(circuit=circuit, config=config, store=store, jobs=jobs)
-        for stage in config.stages:
-            previous = resumed_entries.get((name, stage))
-            if previous is not None:
-                entry = dict(previous, resumed=True)
-                entries.append(entry)
-                _journal_append(journal, entry)
-                if ledger is not None:
-                    ledger.stage_finished(
-                        name, stage, "resumed", entry.get("seconds", 0.0)
-                    )
-                continue
-            if ledger is not None:
-                ledger.stage_started(name, stage)
-            stage_started = time.perf_counter()
-            stage_mark = obs.METRICS.mark()
-            with obs.TRACER.span(
-                "campaign.stage", circuit=name, stage=stage
-            ) as span:
-                if load_error is not None:
-                    outcome_error: str | None = (
-                        f"circuit load failed: {load_error}"
-                    )
-                else:
-                    try:
-                        outcome = _run_stage(ctx, stage, f"{name}/{stage}", plan)
-                        outcome_error = None
-                    except Exception as exc:
-                        outcome_error = f"{type(exc).__name__}: {exc}"
-                span.set(status="failed" if outcome_error else "ok")
-            if outcome_error is None:
-                entry = {
-                    "circuit": name,
-                    "stage": stage,
-                    "status": "ok",
-                    "hit": outcome["hit"],
-                    "seconds": time.perf_counter() - stage_started,
-                    "meta": outcome["meta"],
-                }
-            else:
-                entry = {
-                    "circuit": name,
-                    "stage": stage,
-                    "status": "failed",
-                    "hit": False,
-                    "seconds": time.perf_counter() - stage_started,
-                    "error": outcome_error,
-                    "meta": {},
-                }
-                # The structured twin of the manifest's "failed" entry:
-                # the quarantine decision lands in the event log with
-                # the same attribution as the spans around it.
-                obs.TRACER.instant(
-                    "campaign.quarantine",
-                    circuit=name,
-                    stage=stage,
-                    error=outcome_error,
-                )
-            if obs.METRICS.enabled:
-                entry["metrics"] = obs.METRICS.delta_since(stage_mark)
-            entries.append(entry)
-            _journal_append(journal, entry)
-            if ledger is not None:
-                ledger.stage_finished(
-                    name, stage, entry["status"], entry["seconds"],
-                    executor=executor_delta(),
-                )
-            if config.prom:
-                from repro.obs.sinks import export_prometheus
+    job = _CircuitJob(config, str(store.root), plan, resumed_entries, journal)
+    on_start = ledger.stage_started if ledger is not None else None
+    order = _circuit_order(config, resumed_entries, jobs)
+    per_circuit: list[list[dict] | None] = [None] * len(config.circuits)
+    for i, name in enumerate(config.circuits):
+        if i not in order:
+            per_circuit[i] = _run_circuit(
+                job, name, store, jobs, on_start, finished
+            )
 
-                export_prometheus(config.prom)
+    def gathered(task: int, result) -> None:
+        entries, store_counts, executor_counts = result
+        per_circuit[order[task]] = entries
+        worker_store.update(store_counts)
+        worker_executor.update(executor_counts)
+        for entry in entries:
+            finished(entry)
+
+    if order:
+        try:
+            Executor(jobs).map(
+                _circuit_task,
+                [config.circuits[i] for i in order],
+                state_factory=job,
+                on_result=gathered,
+            )
+        except Exception as exc:
+            # A circuit task that failed outside its stages (a task
+            # fault or deadline past its retry budget): quarantine every
+            # stage left to run of each circuit the map did not return.
+            error = f"circuit task failed: {type(exc).__name__}: {exc}"
+            for i in order:
+                if per_circuit[i] is None:
+                    per_circuit[i] = _run_circuit(
+                        job, config.circuits[i], store, jobs, None, finished,
+                        error,
+                    )
+    entries = [entry for block in per_circuit for entry in block]
     executed_ok = [
         e for e in entries if e["status"] == "ok" and not e.get("resumed")
     ]
@@ -555,14 +664,12 @@ def run_campaign(config: CampaignConfig) -> dict:
             "resumed": resumed,
             "seconds": time.perf_counter() - started,
             "store": {
-                "hits": store.stats.hits,
-                "misses": store.stats.misses,
-                "puts": store.stats.puts,
-                "quarantined": store.stats.quarantined,
+                k: getattr(store.stats, k) + worker_store[k]
+                for k in _STORE_TOTALS
             },
             # The run's recovery profile (delta over every executor the
-            # stages built): deterministic counts, unlike the per-entry
-            # timing metrics.
+            # stages built, in this process and in circuit tasks):
+            # deterministic counts, unlike the per-entry timing metrics.
             "executor": executor_delta(),
         },
     }

@@ -348,12 +348,14 @@ def _resolve_retry_backoff(backoff: float | None = None) -> float:
 def _terminate_pool_processes(pool: ProcessPoolExecutor) -> None:
     """Kill a stalled/broken pool's workers so a hung task cannot block
     interpreter exit (best-effort; touches executor internals)."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    for process in processes:
         try:
             process.terminate()
         except Exception:  # noqa: BLE001 - already-dead workers are fine
             pass
+    for process in processes:
+        process.join(timeout=5.0)
 
 
 class Executor:
@@ -400,6 +402,7 @@ class Executor:
         fn: Callable[[object, T], R],
         tasks: Iterable[T],
         state_factory: Callable[[], object] | None = None,
+        on_result: Callable[[int, R], None] | None = None,
     ) -> list[R]:
         """Run ``fn(state, task)`` for every task; results in task order.
 
@@ -410,18 +413,27 @@ class Executor:
         module-docstring contract: completed results survive worker
         death, task exceptions retry up to ``task_retries``, hangs past
         ``task_timeout`` raise :class:`~repro.errors.TaskTimeoutError`.
+        ``on_result(index, value)`` (internal: the campaign's progress
+        ledger) runs in the parent once per task, as soon as the gather
+        holds that task's final value.
         """
         tasks = list(tasks)
         if not tasks:
             return []
         results: list = [_PENDING] * len(tasks)
+
+        def deliver(index: int, value) -> None:
+            if results[index] is _PENDING and on_result is not None:
+                on_result(index, value)
+            results[index] = value
+
         with obs.TRACER.span(
             "executor.map", tasks=len(tasks), jobs=self.jobs
         ) as span:
             if self.serial or len(tasks) == 1:
                 span.set(mode="serial")
                 self._run_serial(
-                    fn, tasks, state_factory, range(len(tasks)), results
+                    fn, tasks, state_factory, range(len(tasks)), deliver
                 )
                 return results
             try:
@@ -431,10 +443,11 @@ class Executor:
                 # was dispatched, so the serial run is the first execution.
                 self._warn_fallback(exc)
                 self._run_serial(
-                    fn, tasks, state_factory, range(len(tasks)), results
+                    fn, tasks, state_factory, range(len(tasks)), deliver
                 )
                 return results
-            return self._run_parallel(fn, tasks, state_factory, results)
+            self._run_parallel(fn, tasks, state_factory, deliver)
+            return results
 
     # ---------------------------------------------------------------- internal
     def _record(self, field: str, count: int = 1) -> None:
@@ -465,38 +478,46 @@ class Executor:
         if delay > 0:
             time.sleep(delay)
 
-    def _run_serial(self, fn, tasks, state_factory, indices, results) -> None:
-        """Run ``indices`` in order, in-process, filling ``results``.
+    def _run_serial(self, fn, tasks, state_factory, indices, deliver) -> None:
+        """Run ``indices`` in order, in-process, delivering each value.
 
         Applies the same transient-error retry budget as the parallel
         path (``error``-kind injected faults fire here too, so retry
         logic is testable without a pool); crash/hang injection never
-        fires in-process.
+        fires in-process.  A map nested inside a pool task (a campaign
+        circuit task's stage drivers) fires no task faults and leaves
+        the heartbeat naming that pool task: ``task:<i>`` addresses the
+        tasks the parent dispatched.
         """
         state = state_factory() if state_factory is not None else None
-        plan = self.fault_plan
+        outer = not _IN_WORKER
+        plan = self.fault_plan if outer else None
         for i in indices:
             attempt = 0
             while True:
-                live.note_task(i, attempt)
+                if outer:
+                    live.note_task(i, attempt)
                 try:
                     with obs.TRACER.span("executor.task", index=i,
                                          attempt=attempt):
                         if plan:
                             inject_task_fault(plan, i, attempt, in_worker=False)
-                        results[i] = fn(state, tasks[i])
+                        value = fn(state, tasks[i])
                     break
                 except Exception:
                     if attempt >= self.task_retries:
-                        live.clear_task()
+                        if outer:
+                            live.clear_task()
                         raise
                     attempt += 1
                     self._record("retries")
                     obs.TRACER.instant("executor.retry", task=i, attempt=attempt)
                     self._backoff(attempt)
-            live.clear_task()
+            if outer:
+                live.clear_task()
+            deliver(i, value)
 
-    def _run_parallel(self, fn, tasks, state_factory, results) -> list:
+    def _run_parallel(self, fn, tasks, state_factory, deliver) -> None:
         attempts = [0] * len(tasks)
         pending = list(range(len(tasks)))
         restarts = 0
@@ -505,16 +526,15 @@ class Executor:
             try:
                 (completed, failed, timed_out, unfinished, broken,
                  snapshots) = self._run_round(
-                    fn, tasks, state_factory, pending, attempts
+                    fn, tasks, state_factory, pending, attempts, deliver
                 )
             except _PoolUnavailable as infra:
-                # Fork forbidden / unpicklable payload: nothing in this
-                # round ran, completed earlier-round results are kept.
+                # Fork forbidden / unpicklable payload: completed
+                # earlier-round results are kept.
                 self._warn_fallback(infra.cause)
-                self._run_serial(fn, tasks, state_factory, pending, results)
-                return results
-            for i, value in completed.items():
-                results[i] = value
+                self._run_serial(fn, tasks, state_factory, pending, deliver)
+                return
+            for i in completed:
                 if i in stranded:
                     self._record("tasks_recovered")
             # Merge successful-attempt snapshots in task order: exactly
@@ -562,11 +582,11 @@ class Executor:
                         )
                     )
                     self._run_serial(
-                        fn, tasks, state_factory, sorted(next_pending), results
+                        fn, tasks, state_factory, sorted(next_pending), deliver
                     )
                     recovered = len(stranded.intersection(next_pending))
                     self._record("tasks_recovered", recovered)
-                    return results
+                    return
                 self._record("pool_restarts")
                 obs.TRACER.instant(
                     "executor.pool_restart",
@@ -577,7 +597,6 @@ class Executor:
             if retried:
                 self._backoff(retried)
             pending = sorted(next_pending)
-        return results
 
     def _await_result(self, future, index: int):
         """``future.result`` with the soft stall tier layered under the
@@ -637,23 +656,26 @@ class Executor:
                     attrs["spans"] = ">".join(spans)
         obs.TRACER.instant("executor.stall", **attrs)
 
-    def _run_round(self, fn, tasks, state_factory, indices, attempts):
-        """One pool lifetime: submit ``indices``, gather what finishes.
+    def _run_round(self, fn, tasks, state_factory, indices, attempts, deliver):
+        """One pool lifetime: submit ``indices``, gather what finishes,
+        delivering each value the moment it is gathered.
 
         Returns ``(completed, failed, timed_out, unfinished, broken,
-        snapshots)``: values by index, task-raised :class:`_TaskError`
-        by index, the index of the first task past its deadline (or
-        ``None``), the indices whose fate is unknown (worker died /
-        round abandoned), whether the pool broke, and the telemetry
-        snapshots of the completed tasks by index.  Raises
+        snapshots)``: the delivered indices, task-raised
+        :class:`_TaskError` by index, the index of the first task past
+        its deadline (or ``None``), the indices whose fate is unknown
+        (worker died / round abandoned), whether the pool broke, and
+        the telemetry snapshots of the completed tasks by index.  Raises
         :class:`_PoolUnavailable` only for errors no task can produce
         (fork failure, payload pickling) — a bug inside ``fn`` can
-        never take that exit.
+        never take that exit.  Any exception leaving the gather (a
+        task's ``InjectedKill``, a ``KeyboardInterrupt``) terminates
+        the pool's workers first.
         """
         workers = min(self.jobs, len(indices))
         plan_spec = self.fault_plan.spec if self.fault_plan else ""
         obs_spec = obs.enabled_state() if any(obs.enabled_state()) else None
-        completed: dict[int, object] = {}
+        completed: set[int] = set()
         failed: dict[int, _TaskError] = {}
         snapshots: dict[int, dict | None] = {}
         unfinished: list[int] = []
@@ -667,7 +689,8 @@ class Executor:
             if isinstance(value, _TaskResult):
                 snapshots[i] = value.snapshot
                 value = value.value
-            completed[i] = value
+            completed.add(i)
+            deliver(i, value)
 
         try:
             pool = ProcessPoolExecutor(
@@ -717,8 +740,12 @@ class Executor:
                     raise _PoolUnavailable(exc) from exc
                 else:
                     harvest(i, value)
+        except BaseException:
+            broken = True  # terminate below: no worker outlives the raise
+            raise
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Before shutdown, which drops the pool's process table.
             if broken or timed_out is not None:
                 _terminate_pool_processes(pool)
+            pool.shutdown(wait=False, cancel_futures=True)
         return completed, failed, timed_out, unfinished, broken, snapshots

@@ -133,5 +133,24 @@ class TestSumsByGroup:
 
     def test_copy_is_float32(self, c7552_matrix):
         n = c7552_matrix.matrix.shape[0]
-        c7552_matrix.sums_by_group(np.arange(4), np.zeros(n, dtype=np.int64), 1)
+        c7552_matrix.sums_by_group(np.arange(n), np.zeros(n, dtype=np.int64), 1)
         assert c7552_matrix._matrix_f32.dtype == np.float32
+
+    def test_small_set_builds_no_copy(self, c7552_matrix):
+        fresh = SeparationMatrix.from_matrix(c7552_matrix.matrix, c7552_matrix.cap)
+        n = fresh.matrix.shape[0]
+        fresh.sums_by_group(np.arange(64), np.zeros(n, dtype=np.int64), 1)
+        assert fresh._matrix_f32 is None
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_branches_agree(self, c7552_matrix, seed):
+        rng = np.random.default_rng(seed)
+        n = c7552_matrix.matrix.shape[0]
+        num_groups = int(rng.integers(1, 12))
+        group_of_gate = rng.integers(-1, num_groups, size=n)
+        small = rng.integers(0, n, size=64)  # gathered rows
+        large = np.concatenate([small, rng.integers(0, n, size=3000)])  # full matmul
+        gathered = c7552_matrix.sums_by_group(small, group_of_gate, num_groups)
+        whole = c7552_matrix.sums_by_group(large, group_of_gate, num_groups)
+        assert gathered.dtype == whole.dtype == np.int64
+        assert np.array_equal(gathered, whole[: small.size])

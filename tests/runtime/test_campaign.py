@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import ExperimentError
 from repro.faultsim.atpg import generate_iddq_tests
 from repro.faultsim.faults import sample_bridging_faults
@@ -20,8 +21,45 @@ from repro.runtime.artifacts import (
     cached_iddq_test_set,
     cached_separation_matrix,
 )
-from repro.runtime.campaign import MANIFEST_SCHEMA, CampaignConfig, run_campaign
+from repro.runtime.campaign import (
+    MANIFEST_SCHEMA,
+    STAGES,
+    CampaignConfig,
+    _journal_append,
+    load_resume_entries,
+    run_campaign,
+    status_path,
+)
+from repro.runtime.faults import PLAN_ENV
 from repro.runtime.store import ArtifactStore
+
+#: Two small circuits: enough for the circuit-parallel mode, which
+#: needs at least two circuits with stages to run.
+PAIR = ("c432", "c499")
+
+
+def outcomes(manifest, *fields):
+    return [tuple(e[f] for f in fields) for e in manifest["entries"]]
+
+
+@pytest.fixture(scope="module")
+def serial_pair(tmp_path_factory):
+    """The fault-free ``jobs=1`` campaign over :data:`PAIR`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(PLAN_ENV, raising=False)
+        cache = tmp_path_factory.mktemp("serial") / "cache"
+        return run_campaign(CampaignConfig(circuits=PAIR, jobs=1, cache_dir=str(cache)))
+
+
+@pytest.fixture
+def clean_obs():
+    saved = obs.enabled_state()
+    obs.TRACER.reset()
+    obs.METRICS.reset()
+    yield
+    obs.enable(trace=saved[0], metrics=saved[1])
+    obs.TRACER.reset()
+    obs.METRICS.reset()
 
 
 @pytest.fixture
@@ -160,6 +198,122 @@ class TestCampaign:
     def test_no_circuits_rejected(self):
         with pytest.raises(ExperimentError, match="at least one circuit"):
             CampaignConfig(circuits=())
+
+
+class TestCircuitParallel:
+    """``jobs > 1`` with several circuits: one pool task per circuit,
+    the stage drivers at ``jobs=1`` inside it (DESIGN §9.6)."""
+
+    def test_entries_and_totals_equal_serial_run(
+        self, serial_pair, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(PLAN_ENV, raising=False)
+        # c499 is the larger circuit, so it is dispatched first; the
+        # entries still follow config.circuits.
+        parallel = run_campaign(
+            CampaignConfig(circuits=PAIR, jobs=2, cache_dir=str(tmp_path / "cache"))
+        )
+        fields = ("circuit", "stage", "status", "hit", "meta")
+        assert outcomes(parallel, *fields) == outcomes(serial_pair, *fields)
+        assert outcomes(parallel, "circuit", "stage") == [
+            (name, stage) for name in PAIR for stage in STAGES
+        ]
+        totals = dict(parallel["totals"], seconds=None)
+        assert totals == dict(serial_pair["totals"], seconds=None)
+        assert totals["store"]["puts"] == 8
+
+    def test_trace_lanes_and_status(self, tmp_path, monkeypatch, clean_obs):
+        from repro.obs import live
+
+        monkeypatch.delenv(PLAN_ENV, raising=False)
+        started = []
+        monkeypatch.setattr(
+            live.ProgressLedger, "stage_started",
+            lambda self, circuit, stage: started.append((circuit, stage)),
+        )
+        out = tmp_path / "manifest.json"
+        trace = tmp_path / "trace.json"
+        manifest = run_campaign(
+            CampaignConfig(
+                circuits=PAIR, jobs=2, cache_dir=str(tmp_path / "cache"),
+                out=str(out), trace=str(trace),
+            )
+        )
+        # Each circuit's stages ran inside its own circuit task.
+        lanes = {
+            event[5] for event in obs.TRACER.spans("campaign.stage")
+        }
+        assert lanes == {"task:0", "task:1"}
+        exported = json.loads(trace.read_text())["traceEvents"]
+        assert {"task:0", "task:1"} <= {
+            e["args"]["name"] for e in exported
+            if e.get("ph") == "M" and e["name"] == "thread_name"
+        }
+        assert all("metrics" in e for e in manifest["entries"])
+        # The parent records a circuit only when its task returns, so
+        # the ledger never names a running stage.
+        assert started == []
+        status = json.loads(status_path(out).read_text())
+        assert status["state"] == "done"
+        assert status["current"] is None
+        assert status["counts"]["ok"] == status["counts"]["total"] == 8
+        assert status["totals"] == manifest["totals"]
+
+    def test_heartbeats_name_circuit_tasks(self, tmp_path, monkeypatch):
+        from repro.obs import live
+
+        monkeypatch.delenv(PLAN_ENV, raising=False)
+        monkeypatch.setenv(live.HEARTBEAT_ENV, "0.01")
+        monkeypatch.setenv(live.HEARTBEAT_DIR_ENV, str(tmp_path / "hb"))
+        live.stop_heartbeat()
+        try:
+            run_campaign(
+                CampaignConfig(circuits=PAIR, jobs=2, cache_dir=str(tmp_path / "cache"))
+            )
+        finally:
+            live.stop_heartbeat()
+        # The stage drivers' nested maps (ATPG defects, portfolio seeds)
+        # never take over the heartbeat's task field.
+        tasks = set()
+        for path in (tmp_path / "hb").glob("hb-*.jsonl"):
+            for line in path.read_text().splitlines():
+                try:
+                    tasks.add(json.loads(line)["task"])
+                except json.JSONDecodeError:
+                    pass  # a torn final line from a worker's exit
+        assert tasks & {0, 1} and tasks <= {None, 0, 1}
+
+
+def _append_lines(journal, tag, count):
+    for k in range(count):
+        _journal_append(
+            journal,
+            {"circuit": tag, "stage": str(k), "status": "ok", "pad": "x" * 20000},
+        )
+
+
+def test_concurrent_journal_appends_stay_whole(tmp_path):
+    import multiprocessing
+
+    # More writers than cores, each line larger than a stdio buffer.
+    tags = ("a", "b", "c", "d")
+    journal = tmp_path / "run.partial.jsonl"
+    context = multiprocessing.get_context("fork")
+    writers = [
+        context.Process(target=_append_lines, args=(journal, tag, 25))
+        for tag in tags
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=60)
+        assert not writer.is_alive() and writer.exitcode == 0
+    lines = journal.read_text().splitlines()
+    assert len(lines) == 100
+    assert sorted((e["circuit"], int(e["stage"])) for e in map(json.loads, lines)) == [
+        (tag, k) for tag in tags for k in range(25)
+    ]
+    assert len(load_resume_entries(journal)) == 100
 
 
 class TestCampaignCLI:

@@ -8,6 +8,7 @@ fault-free (serial-reference) run — the DESIGN.md §10 contract.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.faultsim.patterns import random_patterns
 from repro.faultsim.stuck_at import enumerate_stuck_at_faults
 from repro.runtime.campaign import (
     MANIFEST_SCHEMA,
+    STAGES,
     CampaignConfig,
     journal_path,
     load_resume_entries,
@@ -41,9 +43,16 @@ from repro.runtime.store import ArtifactStore
 
 KEY = "deadbeef" * 5
 
+#: Two small circuits for the circuit-parallel campaign mode.
+PAIR = ("c432", "c499")
+
 
 def square(state, task):
     return task * task
+
+
+def outcomes(manifest, *fields):
+    return [tuple(e[f] for f in fields) for e in manifest["entries"]]
 
 
 class CallbackError(Exception):
@@ -61,6 +70,15 @@ def raise_unpicklable(state, task):
 @pytest.fixture
 def no_fault_env(monkeypatch):
     monkeypatch.delenv(PLAN_ENV, raising=False)
+
+
+@pytest.fixture(scope="module")
+def serial_pair(tmp_path_factory):
+    """The fault-free ``jobs=1`` campaign over :data:`PAIR`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(PLAN_ENV, raising=False)
+        cache = tmp_path_factory.mktemp("serial") / "cache"
+        return run_campaign(CampaignConfig(circuits=PAIR, jobs=1, cache_dir=str(cache)))
 
 
 # ---------------------------------------------------------------- fault plans
@@ -178,6 +196,30 @@ class TestExecutorRecovery:
         executor = Executor(2)
         assert executor.task_timeout == 2.5
         assert executor.task_retries == 3
+
+
+class TestOnResult:
+    """``Executor.map``'s internal ``on_result`` hook (the campaign's
+    progress ledger feed): once per task, with the final value."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fires_once_per_task(self, jobs):
+        seen = []
+        result = Executor(jobs).map(
+            square, range(6), on_result=lambda i, value: seen.append((i, value))
+        )
+        assert result == [t * t for t in range(6)]
+        assert sorted(seen) == list(enumerate(result))
+
+    def test_fires_once_per_task_after_pool_restart(self):
+        seen = []
+        executor = Executor(2, fault_plan=FaultPlan.parse("task:2:crash"))
+        result = executor.map(
+            square, range(8), on_result=lambda i, value: seen.append((i, value))
+        )
+        assert executor.stats.pool_restarts == 1
+        assert result == [t * t for t in range(8)]
+        assert sorted(seen) == list(enumerate(result))
 
 
 class TestShardedBitIdentity:
@@ -458,6 +500,83 @@ class TestCampaignFaults:
         bad.write_text("{not json")
         with pytest.raises(ExperimentError, match="not valid JSON"):
             load_resume_entries(bad)
+
+
+class TestCircuitParallelFaults:
+    """Faults in the circuit-parallel mode (two circuits, ``jobs=2``):
+    stage sites fire in the worker running the circuit, ``task:<i>``
+    addresses circuit tasks (DESIGN §10.5)."""
+
+    def test_stage_error_fails_only_its_entry(
+        self, serial_pair, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(PLAN_ENV, "stage:c499/stuck-at:error")
+        manifest = run_campaign(
+            CampaignConfig(circuits=PAIR, jobs=2, cache_dir=str(tmp_path / "cache"))
+        )
+        fields = ("circuit", "stage", "status", "hit", "meta")
+        for got, want in zip(outcomes(manifest, *fields), outcomes(serial_pair, *fields)):
+            if got[:2] == ("c499", "stuck-at"):
+                assert got[2] == "failed"
+            else:
+                assert got == want
+        assert manifest["totals"]["failed"] == 1
+
+    def test_kill_stops_workers_and_resume_converges(
+        self, serial_pair, tmp_path, monkeypatch
+    ):
+        cache = str(tmp_path / "cache")
+        out = tmp_path / "manifest.json"
+        # c499 is the larger circuit, so it is task 0: the gather meets
+        # its kill while c432's task may still be running.
+        monkeypatch.setenv(PLAN_ENV, "stage:c499/atpg:kill")
+        with pytest.raises(InjectedKill):
+            run_campaign(
+                CampaignConfig(circuits=PAIR, jobs=2, cache_dir=cache, out=str(out))
+            )
+        assert multiprocessing.active_children() == []
+        journal = journal_path(out)
+        assert journal.exists() and not out.exists()
+        monkeypatch.delenv(PLAN_ENV)
+        resumed = run_campaign(
+            CampaignConfig(
+                circuits=PAIR, jobs=2, cache_dir=cache, out=str(out),
+                resume=str(journal),
+            )
+        )
+        fields = ("circuit", "stage", "status", "meta")
+        assert outcomes(resumed, *fields) == outcomes(serial_pair, *fields)
+        assert resumed["totals"]["resumed"] >= 2
+        assert out.exists() and not journal.exists()
+
+    def test_task_error_quarantines_its_circuit(
+        self, serial_pair, tmp_path, monkeypatch
+    ):
+        # Task 0 is c499's circuit task; without retry budget the error
+        # fails that circuit's entries and leaves c432's untouched.
+        monkeypatch.setenv(PLAN_ENV, "task:0:error")
+        monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
+        manifest = run_campaign(
+            CampaignConfig(circuits=PAIR, jobs=2, cache_dir=str(tmp_path / "cache"))
+        )
+        fields = ("circuit", "stage", "status", "hit", "meta")
+        for got, want in zip(outcomes(manifest, *fields), outcomes(serial_pair, *fields)):
+            if got[0] == "c499":
+                assert got[2] == "failed"
+            else:
+                assert got == want
+        failed = [e for e in manifest["entries"] if e["status"] == "failed"]
+        assert all("circuit task failed" in e["error"] for e in failed)
+        assert manifest["totals"]["failed"] == len(STAGES)
+
+    def test_task_crash_recovers(self, serial_pair, tmp_path, monkeypatch):
+        monkeypatch.setenv(PLAN_ENV, "task:1:crash")
+        manifest = run_campaign(
+            CampaignConfig(circuits=PAIR, jobs=2, cache_dir=str(tmp_path / "cache"))
+        )
+        fields = ("circuit", "stage", "status", "meta")
+        assert outcomes(manifest, *fields) == outcomes(serial_pair, *fields)
+        assert manifest["totals"]["executor"]["pool_restarts"] == 1
 
 
 class TestCampaignCLIFaults:

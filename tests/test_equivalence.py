@@ -142,23 +142,38 @@ class TestStuckAtEquivalence:
     simulation + fault dropping) vs the serial reference — fault for
     fault, bit for bit."""
 
+    #: Faults per pass, on top of the word budget's default.
+    BATCHES = (1, 7, 64, 256)
+
     def test_detection_matrix_identical(self, circuit):
         faults = enumerate_stuck_at_faults(circuit)
         patterns = random_patterns(len(circuit.input_names), 140, seed=21)
-        assert np.array_equal(
-            StuckAtSimulator(circuit).detection_matrix(faults, patterns),
-            ReferenceStuckAtSimulator(circuit).detection_matrix(faults, patterns),
+        reference = ReferenceStuckAtSimulator(circuit).detection_matrix(
+            faults, patterns
         )
+        assert np.array_equal(
+            StuckAtSimulator(circuit).detection_matrix(faults, patterns), reference
+        )
+        words = -(-patterns.shape[0] // 64)
+        for batch in self.BATCHES:
+            fast = StuckAtSimulator(circuit)
+            fast.batch_words = batch * words
+            assert np.array_equal(
+                fast.detection_matrix(faults, patterns), reference
+            ), f"batch {batch}"
 
     def test_coverage_identical_with_fault_dropping(self, circuit):
         faults = enumerate_stuck_at_faults(circuit)
         patterns = random_patterns(len(circuit.input_names), 200, seed=22)
         fast = StuckAtSimulator(circuit)
-        reference = ReferenceStuckAtSimulator(circuit)
+        reference = ReferenceStuckAtSimulator(circuit).coverage(faults, patterns)
         for chunk in (64, 128, 512):
-            assert fast.coverage(faults, patterns, chunk_patterns=chunk) == (
-                reference.coverage(faults, patterns)
-            )
+            assert fast.coverage(faults, patterns, chunk_patterns=chunk) == reference
+        for batch in self.BATCHES:
+            fast = StuckAtSimulator(circuit)
+            fast.batch_words = batch  # one word per 64-pattern chunk
+            coverage = fast.coverage(faults, patterns, chunk_patterns=64)
+            assert coverage == reference, f"batch {batch}"
 
     def test_fault_subsets_and_duplicates(self, circuit):
         faults = enumerate_stuck_at_faults(circuit)
@@ -496,7 +511,8 @@ class TestOptimizerEquivalence:
     def _run_both(self, evaluator, run):
         """Run ``run(evaluator)`` under each state implementation,
         recording every state the optimiser creates so committed move
-        logs can be compared."""
+        logs can be compared.  Returns both outcomes and the evaluator,
+        the arguments of :meth:`_assert_equivalent`."""
         outcomes = {}
         original = type(evaluator).new_state
         for impl in ("dense", "reference"):
@@ -513,11 +529,21 @@ class TestOptimizerEquivalence:
             finally:
                 del evaluator.new_state
             outcomes[impl] = (result, [s.committed_moves() for s in created])
-        return outcomes["dense"], outcomes["reference"]
+        return outcomes["dense"], outcomes["reference"], evaluator
 
-    def _assert_equivalent(self, dense_outcome, reference_outcome):
+    def _assert_equivalent(self, dense_outcome, reference_outcome, evaluator):
         dense, dense_logs = dense_outcome
         reference, reference_logs = reference_outcome
+        # Each reported best is what a fresh evaluation of its partition
+        # gives, and a fresh state of that partition is self-consistent.
+        for result in (dense, reference):
+            fresh = evaluator.evaluate(result.best.partition)
+            assert fresh.cost == pytest.approx(result.best.cost, rel=1e-9)
+            assert fresh.violation == pytest.approx(result.best.violation, rel=1e-9)
+            assert fresh.sensor_area_total == pytest.approx(
+                result.best.sensor_area_total, rel=1e-9
+            )
+            evaluator.new_state(result.best.partition).consistency_check()
         assert dense_logs == reference_logs  # identical move sequences
         assert dense.best.partition.canonical() == reference.best.partition.canonical()
         assert dense.evaluations == reference.evaluations
