@@ -530,11 +530,13 @@ class TestCircuitParallelFaults:
         # c499 is the larger circuit, so it is task 0: the gather meets
         # its kill while c432's task may still be running.
         monkeypatch.setenv(PLAN_ENV, "stage:c499/atpg:kill")
+        # Pool workers of earlier tests may still be exiting.
+        earlier = set(multiprocessing.active_children())
         with pytest.raises(InjectedKill):
             run_campaign(
                 CampaignConfig(circuits=PAIR, jobs=2, cache_dir=cache, out=str(out))
             )
-        assert multiprocessing.active_children() == []
+        assert set(multiprocessing.active_children()) <= earlier
         journal = journal_path(out)
         assert journal.exists() and not out.exists()
         monkeypatch.delenv(PLAN_ENV)
