@@ -12,11 +12,13 @@ exist for:
   rebuild-everything reference vs the cached vectorised
   :class:`CoverageEngine`;
 * a short IDDQ test-generation run — per-step simulator rebuilds vs the
-  persistent engine.
+  persistent engine, whose current bounds decide most searches without
+  a step-by-step walk.
 
 Speedup floors asserted here (10x stuck-at coverage, 5x ATPG) are the
 acceptance bars for the fault-parallel engine; observed ratios are much
-higher (~50x and ~6x).
+higher: ~50x stuck-at, and ~170x ATPG on a 2-vCPU VM (~13x there when
+every search walked step by step).
 """
 
 import random

@@ -15,17 +15,18 @@ with
    preserving coverage.
 
 The search runs on a persistent
-:class:`~repro.faultsim.engine.CoverageEngine`: one engine per
-generation call, so each hill-climb step costs one simulation of the
-flip-neighbourhood batch against the cached leak tables and module
-grouping instead of a full simulator rebuild.  With an incremental
-simulation backend (the default — see :mod:`repro.backend`) the step
-shrinks further: consecutive :func:`_search_activating_vector` batches
-differ in exactly one input column, so the engine re-simulates only
-that input's fanout cone instead of the whole circuit.
-:func:`reference_generate_iddq_tests` drives the identical search
-through the one-shot reference ``detection_matrix`` — the equivalence
-suite asserts both return the same test set, bit for bit.
+:class:`~repro.faultsim.engine.CoverageEngine`, whose exact module
+current bounds decide most defects before any simulation
+(:meth:`~repro.faultsim.engine.CoverageEngine.search_class`): a
+*futile* defect is never detected, and an *activation-only* defect's
+whole walk is simulated in one batch of logic values (a few for a long
+walk).  Only the rest
+run the step-by-step hill-climb of :func:`_search_activating_vector`.
+Each returns the step-by-step walk's vector and leaves the RNG where
+that walk leaves it.  :func:`reference_generate_iddq_tests`
+drives the step-by-step search through the one-shot reference
+``detection_matrix`` — the equivalence suite asserts both return the
+same test set, bit for bit.
 
 IDDQ test generation is fundamentally easier than logic ATPG: a defect
 needs only to be *activated* (no propagation to an output), which is why
@@ -37,10 +38,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.backend import SimBackend
 from repro.errors import FaultSimError
 from repro.faultsim.coverage import detection_matrix
@@ -56,6 +59,11 @@ __all__ = ["IDDQTestSet", "generate_iddq_tests", "reference_generate_iddq_tests"
 
 #: ``detect(defects, patterns) -> (defects, patterns)`` boolean matrix.
 Detector = Callable[[Sequence[Defect], np.ndarray], np.ndarray]
+
+#: Most patterns an activation-only walk simulates at once: a quick
+#: campaign's walk (16 steps of at most 234 rows) is one batch; a
+#: full-budget c7552 walk (96 steps of 208 rows) peaks at ~10 MB in three.
+_WALK_BATCH_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -168,14 +176,16 @@ def generate_iddq_tests(
             )
 
     engine = engine or CoverageEngine(circuit, library, technology, backend=backend)
+    num_inputs = len(circuit.input_names)
     return _generate(
         lambda ds, ps: engine.detection_matrix(partition, ds, ps),
+        lambda defect, rng: _targeted_search(
+            engine, partition, defect, rng, num_inputs, restarts, flip_budget
+        ),
         circuit,
         defects,
         seed,
         random_vectors,
-        restarts,
-        flip_budget,
         compact,
         search_all=search_all,
     )
@@ -199,76 +209,71 @@ def reference_generate_iddq_tests(
     pre-engine behaviour, kept as the executable specification and the
     benchmark baseline.
     """
+
+    def detect(ds, ps):
+        return detection_matrix(circuit, partition, ds, ps, library, technology)
+
+    num_inputs = len(circuit.input_names)
     return _generate(
-        lambda ds, ps: detection_matrix(
-            circuit, partition, ds, ps, library, technology
+        detect,
+        lambda defect, rng: _search_activating_vector(
+            detect, defect, rng, num_inputs, restarts, flip_budget
         ),
         circuit,
         defects,
         seed,
         random_vectors,
-        restarts,
-        flip_budget,
         compact,
     )
 
 
 def _generate(
     detect: Detector,
+    search: Callable[[Defect, random.Random], np.ndarray | None],
     circuit: Circuit,
     defects: Sequence[Defect],
     seed: int,
     random_vectors: int,
-    restarts: int,
-    flip_budget: int,
     compact: bool,
     search_all: Callable[[list[int]], dict[int, np.ndarray]] | None = None,
 ) -> IDDQTestSet:
     if not defects:
         raise FaultSimError("no defects to target")
-    num_inputs = len(circuit.input_names)
     rng = random.Random(seed)
 
-    pool = random_patterns(num_inputs, random_vectors, seed=seed)
-    matrix = detect(defects, pool)
-    detected = matrix.any(axis=1)
-    random_count = int(detected.sum())
-
-    # Targeted phase: hill-climb per missed defect.  The serial
-    # reference walks the defects in order through one shared RNG; a
-    # ``search_all`` override (the defect-parallel mode) supplies the
-    # found vectors for every undetected defect at once instead.
-    extra_vectors: list[np.ndarray] = []
-    targeted_hits: set[int] = set()
-    if search_all is not None:
-        found = search_all([d for d in range(len(defects)) if not detected[d]])
-        for d in sorted(found):
-            extra_vectors.append(found[d])
-            targeted_hits.add(d)
-    else:
-        for d, defect in enumerate(defects):
-            if detected[d]:
-                continue
-            vector = _search_activating_vector(
-                detect, defect, rng, num_inputs, restarts, flip_budget
-            )
-            if vector is not None:
-                extra_vectors.append(vector)
-                targeted_hits.add(d)
-
-    if extra_vectors:
-        pool = np.vstack([pool, np.stack(extra_vectors)])
+    with obs.TRACER.span("atpg.random", vectors=random_vectors):
+        pool = random_patterns(len(circuit.input_names), random_vectors, seed=seed)
         matrix = detect(defects, pool)
         detected = matrix.any(axis=1)
+    random_count = int(detected.sum())
+
+    # Targeted phase: one search per missed defect.  The serial mode
+    # walks the defects in order through one shared RNG; a
+    # ``search_all`` override (the defect-parallel mode) supplies the
+    # found vectors for every undetected defect at once instead.
+    undetected = [d for d in range(len(defects)) if not detected[d]]
+    with obs.TRACER.span("atpg.targeted", defects=len(undetected)):
+        if search_all is not None:
+            found = search_all(undetected)
+        else:
+            found = {}
+            for d in undetected:
+                vector = search(defects[d], rng)
+                if vector is not None:
+                    found[d] = vector
+        if found:
+            pool = np.vstack([pool, np.stack([found[d] for d in sorted(found)])])
+            matrix = detect(defects, pool)
 
     if compact:
-        keep = compact_patterns(matrix)
-        if keep.size:
-            pool = pool[keep]
-            matrix = matrix[:, keep]
-        else:
-            pool = pool[:1]
-            matrix = matrix[:, :1]
+        with obs.TRACER.span("atpg.compact", vectors=int(pool.shape[0])):
+            keep = compact_patterns(matrix)
+            if keep.size:
+                pool = pool[keep]
+                matrix = matrix[:, keep]
+            else:
+                pool = pool[:1]
+                matrix = matrix[:, :1]
 
     detected = matrix.any(axis=1)
     detected_ids = tuple(d.defect_id for d, hit in zip(defects, detected) if hit)
@@ -278,8 +283,75 @@ def _generate(
         detected_ids=detected_ids,
         undetected_ids=undetected_ids,
         random_detected=random_count,
-        targeted_detected=len(targeted_hits),
+        targeted_detected=len(found),
     )
+
+
+def _targeted_search(
+    engine: CoverageEngine,
+    partition: Partition,
+    defect: Defect,
+    rng: random.Random,
+    num_inputs: int,
+    restarts: int,
+    flip_budget: int,
+) -> np.ndarray | None:
+    """:func:`_search_activating_vector`'s result through ``engine``,
+    found the way :meth:`CoverageEngine.search_class` allows; ``rng``
+    ends where that walk leaves it, as the serial mode's shared stream
+    needs."""
+    kind = engine.search_class(partition, defect)
+    obs.METRICS.inc(f"atpg.search.{kind}")
+    if kind == "walk":
+        return _search_activating_vector(
+            lambda ds, ps: engine.detection_matrix(partition, ds, ps),
+            defect, rng, num_inputs, restarts, flip_budget,
+        )
+    if kind == "futile":
+        for _ in _walk_steps(rng, num_inputs, restarts, flip_budget):
+            pass
+        return None
+    # Activation only: no step steers the walk before a hit, so draw every
+    # step on a copy of the stream, simulate many steps' flip batches at
+    # once and take the first activating row in walk order.
+    draw = random.Random()
+    draw.setstate(rng.getstate())
+    steps = np.asarray(
+        list(_walk_steps(draw, num_inputs, restarts, flip_budget)), dtype=np.uint8
+    ).reshape(-1, num_inputs)
+    flips = np.eye(num_inputs, dtype=np.uint8)
+    per_batch = max(1, _WALK_BATCH_ROWS // (num_inputs + 1))
+    for first in range(0, len(steps), per_batch):
+        batch = steps[first : first + per_batch, None].repeat(num_inputs + 1, axis=1)
+        batch[:, 1:] ^= flips
+        active = engine.activation(defect, batch.reshape(-1, num_inputs))
+        active = active.reshape(len(batch), num_inputs + 1)
+        hit_steps = np.flatnonzero(active.any(axis=1))
+        if hit_steps.size:
+            step = int(hit_steps[0])
+            replay = _walk_steps(rng, num_inputs, restarts, flip_budget)
+            for _ in islice(replay, first + step + 1):
+                pass
+            return batch[step, int(np.flatnonzero(active[step])[0])].copy()
+    rng.setstate(draw.getstate())
+    return None
+
+
+def _walk_steps(
+    rng: random.Random, num_inputs: int, restarts: int, flip_budget: int
+) -> Iterator[np.ndarray]:
+    """The vectors :func:`_search_activating_vector` tries while it finds
+    nothing, drawn as it draws them: taking the first ``k`` leaves ``rng``
+    where a hit at the ``k``-th step leaves it, exhausting it where a
+    miss does."""
+    for _ in range(restarts):
+        vector = np.asarray(
+            [rng.randint(0, 1) for _ in range(num_inputs)], dtype=np.uint8
+        )
+        for _ in range(flip_budget):
+            yield vector
+            vector = vector.copy()
+            vector[rng.randrange(num_inputs)] ^= 1
 
 
 def _search_activating_vector(

@@ -56,6 +56,12 @@ __all__ = ["CoverageEngine"]
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
+#: Relative margin on the current-bound comparisons of
+#: :meth:`CoverageEngine.search_class`.  A background sum rounds by far
+#: less than this, so no float result can cross it; a defect whose
+#: current falls within it of a bound takes the step-by-step walk.
+_BOUND_MARGIN = 1e-9
+
 
 class CoverageEngine:
     """Cached, vectorised IDDQ detection/coverage for one circuit.
@@ -168,6 +174,35 @@ class CoverageEngine:
     def prepared_values(self, patterns: np.ndarray) -> NodeValues:
         """Fault-free simulation of ``patterns`` (content-cached)."""
         return self._prepare(patterns)[0]
+
+    def search_class(self, partition: Partition, defect: Defect) -> str:
+        """What exact module-current bounds decide for ``defect``.
+
+        With ``lo``/``hi`` an observing module's fault-free current
+        bounds (:meth:`IDDQSimulator.module_leak_bounds_ua`) and ``I``
+        the defect current: ``"futile"`` when every observing module has
+        ``I + hi < th`` (no vector is ever detected); ``"activation"``
+        when one has ``I + lo >= max(th, d * hi)``, at least its
+        effective threshold in any batch — and as ``d > 1``, ``th > 0``,
+        no background alone reaches its own, so detection *equals*
+        activation; otherwise, or within :data:`_BOUND_MARGIN`, ``"walk"``.
+        """
+        nominal = self.technology.iddq_threshold_ua
+        d = self.technology.discriminability
+        current = defect.current_ua
+        futile = True
+        for module in self.sim.observing_modules(defect, partition):
+            lo, hi = self.sim.module_leak_bounds_ua(partition, module)
+            if current + lo >= max(nominal, d * hi) * (1 + _BOUND_MARGIN):
+                return "activation"
+            if current + hi >= nominal * (1 - _BOUND_MARGIN):
+                futile = False
+        return "futile" if futile else "walk"
+
+    def activation(self, defect: Defect, patterns: np.ndarray) -> np.ndarray:
+        """0/1 activation of ``defect`` over ``patterns``, simulated
+        outside the sim-state cache (a walk's batch is never revisited)."""
+        return self._activation_bits([defect], self.sim.simulate_values(patterns))[0]
 
     # ---------------------------------------------------------------- internal
     @staticmethod

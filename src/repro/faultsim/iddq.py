@@ -87,6 +87,11 @@ class IDDQSimulator:
         num_gates = len(self._gate_rows)
         self._gate_group_id = np.zeros(num_gates, dtype=np.int32)
         self._gate_group_pos = np.zeros(num_gates, dtype=np.int32)
+        # Per gate, the least and most its leak table gives over all
+        # input states (nA): summed over a module, exact bounds of the
+        # module's fault-free current under any vector.
+        self._leak_min_na = np.zeros(num_gates)
+        self._leak_max_na = np.zeros(num_gates)
         for group_id, arity in enumerate(sorted(by_arity)):
             cols = np.asarray(by_arity[arity], dtype=np.int64)
             fanins = np.asarray(
@@ -99,6 +104,9 @@ class IDDQSimulator:
             self._arity_groups.append((arity, cols, fanins, flat, offsets))
             self._gate_group_id[cols] = group_id
             self._gate_group_pos[cols] = np.arange(len(cols), dtype=np.int32)
+            tables = flat.reshape(len(cols), 1 << arity)
+            self._leak_min_na[cols] = tables.min(axis=1)
+            self._leak_max_na[cols] = tables.max(axis=1)
         self._module_cache: dict[int, tuple[Partition, int, dict[int, np.ndarray]]] = {}
 
     # ------------------------------------------------------------- fault-free
@@ -215,6 +223,17 @@ class IDDQSimulator:
             module: leak[:, idx].sum(axis=1) * 1e-3  # nA -> uA
             for module, idx in self.module_indices(partition).items()
         }
+
+    def module_leak_bounds_ua(
+        self, partition: Partition, module: int
+    ) -> tuple[float, float]:
+        """Least and greatest fault-free IDDQ of ``module`` in uA over
+        every possible vector (each gate at its table's min / max)."""
+        idx = self.module_indices(partition)[module]
+        return (
+            float(self._leak_min_na[idx].sum()) * 1e-3,
+            float(self._leak_max_na[idx].sum()) * 1e-3,
+        )
 
     @property
     def fanin_rows(self) -> list[tuple[int, ...]]:

@@ -136,18 +136,13 @@ def _atpg_state(circuit, partition, library, technology, backend_name):
 
 
 def _atpg_search(state, task):
-    from repro.faultsim.atpg import _search_activating_vector
+    from repro.faultsim.atpg import _targeted_search
 
     engine, partition = state
     index, defect, seed, num_inputs, restarts, flip_budget = task
     rng = random.Random(defect_stream_seed(seed, index))
-    vector = _search_activating_vector(
-        lambda ds, ps: engine.detection_matrix(partition, ds, ps),
-        defect,
-        rng,
-        num_inputs,
-        restarts,
-        flip_budget,
+    vector = _targeted_search(
+        engine, partition, defect, rng, num_inputs, restarts, flip_budget
     )
     return index, vector
 

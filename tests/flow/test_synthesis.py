@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import EvolutionParams, SynthesisConfig
-from repro.errors import ConstraintError
+from repro.errors import BenchFormatError, ConstraintError, OptimizationError
 from repro.flow.synthesis import synthesize_iddq_testable
 from repro.netlist.bench import parse_bench
 
@@ -96,3 +96,30 @@ class TestFailure:
             synthesize_iddq_testable(
                 c17_paper, technology=impossible, config=quick_config, seed=1
             )
+
+
+def _not_chain(length: int) -> str:
+    lines = ["INPUT(n0)", f"OUTPUT(n{length})"]
+    lines += [f"n{i + 1} = NOT(n{i})" for i in range(length)]
+    return "\n".join(lines) + "\n"
+
+
+class TestDegenerateCircuits:
+    def test_zero_gates_raise(self, quick_config):
+        circuit = parse_bench("INPUT(a)\nOUTPUT(a)\n", name="wire")
+        assert not circuit.gate_names
+        with pytest.raises(OptimizationError):
+            synthesize_iddq_testable(circuit, config=quick_config, seed=1)
+
+    def test_no_outputs_raise(self):
+        with pytest.raises(BenchFormatError):
+            parse_bench("INPUT(a)\nb = NOT(a)\n", name="sink")
+
+    @pytest.mark.parametrize("length", [1, 1000])
+    def test_not_chain_synthesises(self, quick_config, length):
+        circuit = parse_bench(_not_chain(length), name=f"chain{length}")
+        design = synthesize_iddq_testable(circuit, config=quick_config, seed=1)
+        assert design.evaluation.feasible
+        design.partition.check_invariants()
+        assert design.num_modules >= 1
+        assert len(design.sensorized.rail_of_gate) == length

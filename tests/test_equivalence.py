@@ -12,6 +12,7 @@ same cost breakdowns.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,6 +198,25 @@ def _sampled_defects(circuit, seed: int):
     )
 
 
+def _banded(engine, partition, defects):
+    """``defects`` with their currents placed in turn below the futile
+    bound, between the bounds and above the activation-only bound of
+    :meth:`CoverageEngine.search_class`."""
+    nominal = engine.technology.iddq_threshold_ua
+    d = engine.technology.discriminability
+    placed = []
+    for i, defect in enumerate(defects):
+        bounds = [
+            engine.sim.module_leak_bounds_ua(partition, m)
+            for m in engine.sim.observing_modules(defect, partition)
+        ]
+        ceiling = nominal - max(hi for _, hi in bounds)
+        floor = min(max(nominal, d * hi) - lo for lo, hi in bounds)
+        current = (0.5 * ceiling, ceiling + 0.1 * (floor - ceiling), 2 * floor)[i % 3]
+        placed.append(replace(defect, current_ua=current))
+    return placed
+
+
 class TestCoverageEngineEquivalence:
     """The cached vectorised engine vs the one-shot reference functions —
     exact floats, exact booleans, exact reports."""
@@ -231,8 +251,16 @@ class TestCoverageEngineEquivalence:
 
     def test_atpg_identical_through_engine(self, circuit):
         partition = _random_partition(circuit, 3, seed=34)
-        defects = _sampled_defects(circuit, 34)
-        kwargs = dict(seed=34, random_vectors=32, restarts=2, flip_budget=6)
+        engine = CoverageEngine(circuit)
+        defects = _banded(engine, partition, _sampled_defects(circuit, 34))
+        # Two random vectors leave defects of every search class to the
+        # targeted phase: futile, activation-only and the walk.
+        kwargs = dict(seed=34, random_vectors=2, restarts=2, flip_budget=6)
+        pool = random_patterns(len(circuit.input_names), 2, seed=34)
+        missed = ~engine.detection_matrix(partition, defects, pool).any(axis=1)
+        assert {
+            engine.search_class(partition, d) for d, m in zip(defects, missed) if m
+        } == {"futile", "activation", "walk"}
         fast = generate_iddq_tests(circuit, partition, defects, **kwargs)
         reference = reference_generate_iddq_tests(
             circuit, partition, defects, **kwargs
