@@ -20,13 +20,12 @@ current bounds decide most defects before any simulation
 (:meth:`~repro.faultsim.engine.CoverageEngine.search_class`): a
 *futile* defect is never detected, and an *activation-only* defect's
 whole walk is simulated in one batch of logic values (a few for a long
-walk).  Only the rest
-run the step-by-step hill-climb of :func:`_search_activating_vector`.
-Each returns the step-by-step walk's vector and leaves the RNG where
-that walk leaves it.  :func:`reference_generate_iddq_tests`
-drives the step-by-step search through the one-shot reference
-``detection_matrix`` — the equivalence suite asserts both return the
-same test set, bit for bit.
+walk).  Only the rest run the step-by-step hill-climb of
+:func:`_search_activating_vector`.  Each returns the step-by-step
+walk's vector and leaves the RNG where that walk leaves it.
+:func:`reference_generate_iddq_tests` drives the step-by-step search
+through the one-shot reference ``detection_matrix`` — the equivalence
+suite asserts both return the same test set, bit for bit.
 
 IDDQ test generation is fundamentally easier than logic ATPG: a defect
 needs only to be *activated* (no propagation to an output), which is why
