@@ -6,6 +6,7 @@ whole-experiment benches.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,14 @@ def test_separation_matrix_build_c7552(benchmark):
 
     matrix = benchmark(lambda: SeparationMatrix(circuit, 10))
     assert matrix.matrix.shape == (len(circuit.gate_names),) * 2
+    tracemalloc.start()
+    try:
+        SeparationMatrix(circuit, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"\nseparation build traced peak: {peak / matrix.matrix.nbytes:.2f}x "
+          f"the {matrix.matrix.nbytes / 2**20:.1f} MiB matrix")
 
 
 def test_start_population_c7552(benchmark, c7552_evaluator):

@@ -13,21 +13,23 @@ if M is a clique of the undirected circuit graph".
 Implementation: a *batched* capped BFS from all gates simultaneously.
 Each node carries a bitset over source gates ("which sources have
 reached me"); one BFS step ORs every node's neighbour bitsets together
-with a single gather + ``bitwise_or.reduceat`` over the compiled
-graph's CSR adjacency.  The distance matrix is accumulated as a level
-count, ``S = ρ − Σ_{k<ρ} [d ≤ k]``: after each step the gate rows of the
-reached bitsets are unpacked once and added into a ``uint8`` counter,
-and when the BFS runs out of new nodes before ``ρ`` the remaining
-depths are added in one step.  Distances are symmetric, so the
-``(target, source)`` rows need no transpose.  BFS traverses *all* nodes
-(two gates may be close through a shared primary input) but distances
-are recorded for logic gates only.  For the largest Table 1 circuit
-(3512 gates) the matrix is ~12 MB and builds in about 0.1 s on a
-2-vCPU VM, with at most two ``n × n`` arrays alive — far faster than
-the per-gate Python BFS it replaced (kept below as
-:func:`reference_separation_matrix` for the equivalence suite) — after
-which every module evaluation and every incremental move delta is pure
-numpy indexing.
+with a gather + ``bitwise_or.reduceat`` over chunks of whole segments
+of the compiled graph's CSR adjacency.  The distance matrix is
+accumulated as a level count, ``S = ρ − Σ_{k<ρ} [d ≤ k]``: after each
+step the gate rows of the reached bitsets are unpacked and added into a
+``uint8`` counter one block of rows at a time, and when the BFS runs out
+of new nodes before ``ρ`` the remaining depths are added in one step.
+Distances are symmetric, so the ``(target, source)`` rows need no
+transpose.  BFS traverses *all* nodes (two gates may be close through a
+shared primary input) but distances are recorded for logic gates only.
+Every OR chunk and unpacked block holds about ``_BLOCK_BYTES`` of
+temporaries, so they stay in cache and the matrix is the only ``n × n``
+array.  For the largest Table 1 circuit (3512 gates) the matrix is
+~12 MB, the build's traced peak 1.3x that, and it builds in about
+0.06 s on a 2-vCPU VM — far faster than the per-gate Python BFS it
+replaced (kept below as :func:`reference_separation_matrix` for the
+equivalence suite) — after which every module evaluation and every
+incremental move delta is pure numpy indexing.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ from repro.netlist.circuit import Circuit
 __all__ = ["SeparationMatrix", "module_separation", "reference_separation_matrix"]
 
 _WORD = 64
+#: Bytes of temporaries per BFS block: the gathered bitset rows of one
+#: OR chunk, the unpacked gate rows of one indicator block.  Measured on
+#: c3540 to c7552: from 256 KiB up builds no faster, only to a higher
+#: peak.
+_BLOCK_BYTES = 1 << 18
 
 
 class SeparationMatrix:
@@ -71,49 +78,68 @@ class SeparationMatrix:
         kernel = get_backend(backend)
         cg = circuit.compiled
         n = cg.num_gates
-        num_nodes = cg.num_nodes
         num_words = (n + _WORD - 1) // _WORD
 
         # reached[v, w]: bit s of word w set iff source gate s has
         # reached node v within the steps taken so far.
-        reached = np.zeros((num_nodes, num_words), dtype=np.uint64)
+        reached = np.zeros((cg.num_nodes, num_words), dtype=np.uint64)
         source_bit = np.arange(n, dtype=np.uint64)
         reached[cg.gate_node, (source_bit // _WORD).astype(np.int64)] = np.left_shift(
             np.uint64(1), source_bit % np.uint64(_WORD)
         )
+        frontier = np.zeros_like(reached)
 
-        # reduceat segment starts: rows with degree zero (unused primary
-        # inputs) are skipped; segments of the remaining rows tile the
-        # whole ``adj_indices`` array, so offsets into the gathered edge
-        # matrix are just their indptr starts.
-        degree = np.diff(cg.adj_indptr)
-        nonzero = np.nonzero(degree > 0)[0]
+        # Rows per block of _BLOCK_BYTES: adjacency entries per OR chunk,
+        # gate rows per unpack (max(1, ...) for a circuit without gates,
+        # whose rows are empty).
+        per_chunk = max(1, _BLOCK_BYTES // max(1, reached[0].nbytes))
+        block = max(1, _BLOCK_BYTES // max(1, n))
+
+        # reduceat segments: rows with degree zero (unused primary inputs)
+        # are skipped, and the remaining rows' segments tile
+        # ``adj_indices``.  Each chunk takes whole segments, starting
+        # with the one that holds its first entry.
+        nonzero = np.flatnonzero(np.diff(cg.adj_indptr))
         offsets = cg.adj_indptr[nonzero].astype(np.int64)
+        ends = np.append(offsets, cg.adj_indices.size)
+        first = np.searchsorted(
+            offsets, np.arange(0, cg.adj_indices.size, per_chunk), side="right"
+        )
+        bounds = np.append(np.unique(first - 1), offsets.size)
+        chunks = [
+            (nonzero[a:b], cg.adj_indices[ends[a] : ends[b]], offsets[a:b] - ends[a])
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
 
         # Level count: after ``depth`` steps, bit s of gate t's row is
         # [d(s, t) <= depth]; summing that indicator over depths 0..cap-1
         # gives cap - min(d, cap).  Distances are symmetric, so the
-        # (target, source) rows add straight into source-major storage.
+        # (target, source) rows add straight into source-major storage,
+        # one block of gate rows at a time.
         matrix = np.zeros((n, n), dtype=np.uint8)
-        frontier = np.zeros_like(reached)
         for depth in range(cap):
-            within = np.unpackbits(
-                reached[cg.gate_node].view(np.uint8), axis=1, count=n, bitorder="little"
-            )
+            repeat = 1
             if depth + 1 < cap:
-                frontier[:] = 0
-                frontier[nonzero] = kernel.gather_or_segments(
-                    reached, cg.adj_indices, offsets
-                )
-                newly = frontier & ~reached
-                if not newly.any():
+                for rows, indices, starts in chunks:
+                    frontier[rows] = kernel.gather_or_segments(reached, indices, starts)
+                # Degree-zero rows keep an earlier reached set, a subset
+                # of the current one.
+                frontier |= reached
+                if np.array_equal(frontier, reached):
                     # Nothing moves any more: every remaining depth adds
                     # the same indicator.
-                    within *= np.uint8(cap - depth)
-                    matrix += within
-                    break
-                reached |= newly
-            matrix += within
+                    repeat = cap - depth
+            for g in range(0, n, block):
+                within = np.unpackbits(
+                    reached[cg.gate_node[g : g + block]].view(np.uint8),
+                    axis=1, count=n, bitorder="little",
+                )
+                if repeat > 1:
+                    within *= np.uint8(repeat)
+                matrix[g : g + block] += within
+            if repeat > 1:
+                break
+            reached, frontier = frontier, reached
         np.subtract(np.uint8(cap), matrix, out=matrix)
         self.matrix = matrix
 
@@ -191,14 +217,15 @@ class SeparationMatrix:
         indicator[valid, group_of_gate[valid]] = 1.0
         # Both branches compute exact-integer float sums (lossless int64
         # assignment), so they are bit-identical; the split is purely a
-        # FLOP count choice.  Small candidate sets (annealing blocks, KL
-        # swap pools) cast only the unique rows they gather and run a
-        # (U, n) x (n, K) matmul; large ones amortise one sgemm over a
-        # whole-matrix float32 copy, built on first use and kept (4x
-        # the uint8 matrix: 49 MB on c7552), which beats per-row
-        # gathering once U approaches n.
+        # cost choice.  Sets of fewer than n/2 distinct gates (annealing
+        # blocks, KL swap pools) cast only the unique rows they gather
+        # and run a (U, n) x (n, K) matmul; larger ones amortise one
+        # sgemm over a whole-matrix float32 copy, built on first use and
+        # kept (4x the uint8 matrix: 49 MB on c7552).  With one BLAS
+        # thread the copy's matmul catches up with the gather near
+        # U = 0.6 n on c1908 to c7552.
         unique, inverse = np.unique(gates, return_inverse=True)
-        if unique.size * 16 < n:
+        if 2 * unique.size < n:
             rows = self.matrix[unique].astype(np.float32)
             out[:] = (rows @ indicator)[inverse]
         else:

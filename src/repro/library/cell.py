@@ -20,6 +20,7 @@ paper's estimators consume:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import LibraryError
@@ -54,16 +55,19 @@ class CellSpec:
             "pulldown_res_ohm": self.pulldown_res_ohm,
             "area": self.area,
         }
+        # Written as range checks so that NaN fails them too.
         for field_name, value in positive.items():
-            if value <= 0:
-                raise LibraryError(f"cell {self.name!r}: {field_name} must be > 0, got {value}")
-        if self.leakage_na_min < 0 or self.leakage_na_max < self.leakage_na_min:
+            if not 0 < value < math.inf:
+                raise LibraryError(
+                    f"cell {self.name!r}: {field_name} must be finite and > 0, got {value}"
+                )
+        if not 0 <= self.leakage_na_min <= self.leakage_na_max < math.inf:
             raise LibraryError(
-                f"cell {self.name!r}: leakage bounds must satisfy 0 <= min <= max, got "
-                f"[{self.leakage_na_min}, {self.leakage_na_max}]"
+                f"cell {self.name!r}: leakage bounds must be finite with 0 <= min <= max, "
+                f"got [{self.leakage_na_min}, {self.leakage_na_max}]"
             )
-        if self.arity < 0:
-            raise LibraryError(f"cell {self.name!r}: arity must be >= 0")
+        if not (isinstance(self.arity, int) and self.arity >= 0):
+            raise LibraryError(f"cell {self.name!r}: arity must be an integer >= 0")
 
     @property
     def leakage_na_worst(self) -> float:

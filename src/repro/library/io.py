@@ -45,7 +45,11 @@ def save_library_json(library: CellLibrary, path: str | Path) -> None:
 
 
 def load_library_json(path: str | Path) -> CellLibrary:
-    return library_from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise LibraryError(f"malformed library file {path}: {exc}") from exc
+    return library_from_dict(data)
 
 
 def technology_to_dict(technology: Technology) -> dict:

@@ -16,6 +16,7 @@ and the test strategy:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import LibraryError
@@ -66,7 +67,8 @@ class Technology:
     grid_unit_ns: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.rail_limit_v < self.vdd_v:
+        # Written as range checks so that NaN fails them too.
+        if not 0 < self.rail_limit_v < self.vdd_v < math.inf:
             raise LibraryError(
                 f"rail limit must lie in (0, VDD)={self.vdd_v}, got {self.rail_limit_v}"
             )
@@ -80,14 +82,17 @@ class Technology:
             "max_rs_ohm",
             "grid_unit_ns",
         ):
-            if getattr(self, field_name) <= 0:
-                raise LibraryError(f"{field_name} must be > 0")
-        if self.discriminability <= 1:
+            if not 0 < getattr(self, field_name) < math.inf:
+                raise LibraryError(f"{field_name} must be finite and > 0")
+        if not 1 < self.discriminability < math.inf:
             raise LibraryError(
                 f"discriminability must exceed 1 (paper §2), got {self.discriminability}"
             )
-        if self.separation_cap < 1:
-            raise LibraryError("separation cap rho must be >= 1")
+        # The separation matrix stores capped distances as uint8.
+        if not (isinstance(self.separation_cap, int) and 1 <= self.separation_cap <= 255):
+            raise LibraryError(
+                f"separation cap rho must be an integer in [1, 255], got {self.separation_cap!r}"
+            )
         if self.min_rs_ohm > self.max_rs_ohm:
             raise LibraryError("min_rs_ohm must not exceed max_rs_ohm")
 

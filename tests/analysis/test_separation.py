@@ -1,5 +1,7 @@
 """Tests for the capped BFS separation metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,23 @@ class TestCap:
         matrix = SeparationMatrix(circuit, cap=7)
         index = circuit.gate_index
         assert matrix.distance(index["ga"], index["gb"]) == 7
+
+
+class TestBuildMemory:
+    def test_traced_peak_below_twice_the_matrix_c7552(self):
+        """The build's temporaries are cache-sized blocks, never a second
+        ``n × n`` array."""
+        from repro.netlist.benchmarks import load_iscas85
+
+        circuit = load_iscas85("c7552")
+        SeparationMatrix(circuit, cap=10)  # compile and pick the backend
+        tracemalloc.start()
+        try:
+            matrix = SeparationMatrix(circuit, cap=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * matrix.matrix.nbytes
 
 
 class TestSums:
@@ -141,6 +160,16 @@ class TestSumsByGroup:
         n = fresh.matrix.shape[0]
         fresh.sums_by_group(np.arange(64), np.zeros(n, dtype=np.int64), 1)
         assert fresh._matrix_f32 is None
+
+    def test_swap_pool_builds_no_copy_c1908(self):
+        """A KL swap pool of 128 gates on an 880-gate circuit gathers rows."""
+        from repro.netlist.benchmarks import load_iscas85
+
+        matrix = SeparationMatrix(load_iscas85("c1908"), cap=10)
+        n = matrix.matrix.shape[0]
+        gates = np.random.default_rng(6).choice(n, size=128, replace=False)
+        matrix.sums_by_group(gates, np.arange(n) % 6, 6)
+        assert matrix._matrix_f32 is None
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_branches_agree(self, c7552_matrix, seed):

@@ -49,6 +49,11 @@ class TestValidation:
         with pytest.raises(LibraryError):
             make_cell(arity=-1)
 
+    @pytest.mark.parametrize("arity", [1.5, float("nan"), float("inf")])
+    def test_non_integer_arity_rejected(self, arity):
+        with pytest.raises(LibraryError, match="integer"):
+            make_cell(arity=arity)
+
 
 class TestStateLeakage:
     def test_bounds_respected(self):

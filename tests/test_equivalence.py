@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis.paths import extract_critical_path
 from repro.config import EvolutionParams
+from repro.analysis import separation
 from repro.analysis.separation import SeparationMatrix, reference_separation_matrix
 from repro.analysis.timing import LevelizedTiming
 from repro.analysis.transition_times import (
@@ -278,6 +279,15 @@ class TestSeparationEquivalence:
     def test_matrix_identical(self, circuit, cap):
         matrix = SeparationMatrix(circuit, cap).matrix
         assert matrix.dtype == np.uint8
+        assert np.array_equal(matrix, reference_separation_matrix(circuit, cap))
+
+    # A budget of ``rows`` gate rows: unpack blocks of that many rows and
+    # OR chunks of one or a few adjacency segments.
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 10, 255])
+    def test_matrix_identical_in_small_blocks(self, circuit, cap, rows, monkeypatch):
+        monkeypatch.setattr(separation, "_BLOCK_BYTES", rows * len(circuit.gate_names))
+        matrix = SeparationMatrix(circuit, cap).matrix
         assert np.array_equal(matrix, reference_separation_matrix(circuit, cap))
 
     @pytest.mark.slow
