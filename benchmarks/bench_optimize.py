@@ -69,6 +69,7 @@ sequential (0.97-0.99x) — see DESIGN §8.5.
 import os
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ import pytest
 from repro.config import EvolutionParams
 from repro.netlist.benchmarks import load_iscas85
 from repro.netlist.compiled import csr_gather
-from repro.optimize.evolution import EvolutionOptimizer
+from repro.optimize.evolution import EvolutionOptimizer, evolve_partition
 from repro.optimize.kl import _SwapSampler
 from repro.optimize.start import chain_start_partition, estimate_module_count
 from repro.partition.evaluator import PartitionEvaluator
@@ -354,6 +355,19 @@ def _legacy_generation(state):
         child.penalized_cost(PENALTY)
 
 
+def _es_traced_peak(evaluator) -> int:
+    """Traced peak bytes of one warm ES run at the campaign's budgets
+    (μ=8, λ=4, χ=2, six generations)."""
+    params = EvolutionParams(generations=6, convergence_window=4)
+    evolve_partition(evaluator, params, seed=1995)  # lazy caches
+    tracemalloc.start()
+    try:
+        evolve_partition(evaluator, params, seed=1995)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_es_generation_legacy(benchmark, evaluator, start):
     state = evaluator.new_state(start, impl="reference")
     state.penalized_cost(PENALTY)
@@ -375,9 +389,12 @@ def test_es_generation_dense(benchmark, evaluator, start):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     speedup = _RECORDED["es_legacy"] / _RECORDED["es_dense"]
+    peak = _es_traced_peak(evaluator)
     print(
         f"\nES generation dense: {_RECORDED['es_dense'] * 1e3:.1f} ms "
-        f"({speedup:.2f}x, floor {ES_GENERATION_FLOOR}x)"
+        f"({speedup:.2f}x, floor {ES_GENERATION_FLOOR}x); campaign-budget ES "
+        f"traced peak {peak / 2**20:.2f} MiB, "
+        f"{peak / evaluator.separation.matrix.nbytes:.2f}x the separation matrix"
     )
     assert speedup >= ES_GENERATION_FLOOR, (
         f"ES generation speedup {speedup:.2f}x < {ES_GENERATION_FLOOR}x"

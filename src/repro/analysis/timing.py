@@ -554,16 +554,16 @@ class IncrementalTiming:
             obs.METRICS.inc("timing.retime_batch.full_cone")
             # Fast path: scratch rows are exactly the lm positions, plus
             # one trailing ``-inf`` sentinel row absorbing pad entries.
-            delay_rows = np.empty((self.num_gates, count), dtype=np.float64)
-            delay_rows[:] = dl[:, None]
-            delay_rows[self._pos_lm[cols]] = overrides.T
+            # The rows start as delays and each level's fed rows turn
+            # into arrivals in place (levels only read earlier levels).
             scratch = np.empty((self.num_gates + 1, count), dtype=np.float64)
-            scratch[:-1] = delay_rows
+            scratch[:-1] = dl[:, None]
+            scratch[self._pos_lm[cols]] = overrides.T
             scratch[-1] = -np.inf
             for src_pos, _starts, fed_sl, pad in self._lm_levels:
                 if src_pos.size:
                     seg = scratch[pad].max(axis=1)
-                    np.add(seg, delay_rows[fed_sl], out=scratch[fed_sl])
+                    np.add(seg, scratch[fed_sl], out=scratch[fed_sl])
             return scratch[:-1].max(axis=0), scratch[:-1]
 
         # Partial cone: cone blocks' lm slices become contiguous scratch
@@ -595,8 +595,11 @@ class IncrementalTiming:
         else:
             ext = np.empty(0, dtype=np.int64)
 
-        delay_rows = np.empty((n_cone, count), dtype=np.float64)
-        delay_rows[:] = dl[cone_lm][:, None]
+        # Trailing ``-inf`` sentinel row: pad entries (and the unused
+        # ``-1`` remaps) resolve to it and never win a max.  Cone rows
+        # start as delays and become arrivals in place, as above.
+        scratch = np.empty((n_cone + ext.size + 1, count), dtype=np.float64)
+        scratch[:n_cone] = dl[cone_lm][:, None]
         col_rows = row_of_lm[self._pos_lm[cols]]
         # A column outside the cone — whether unmapped (-1) or present
         # only as an out-of-cone fanin row (>= n_cone, which carries an
@@ -604,11 +607,7 @@ class IncrementalTiming:
         # candidate (otherwise it would have seeded the cone), so its
         # base arrival already stands in for it and the write is skipped.
         inside = (col_rows >= 0) & (col_rows < n_cone)
-        delay_rows[col_rows[inside]] = overrides.T[inside]
-        # Trailing ``-inf`` sentinel row: pad entries (and the unused
-        # ``-1`` remaps) resolve to it and never win a max.
-        scratch = np.empty((n_cone + ext.size + 1, count), dtype=np.float64)
-        scratch[:n_cone] = delay_rows
+        scratch[col_rows[inside]] = overrides.T[inside]
         if ext.size:
             arrival_lm = np.take(arrival, self._order_lm)
             scratch[n_cone:-1] = arrival_lm[ext][:, None]
@@ -621,7 +620,7 @@ class IncrementalTiming:
                         int(row_of_lm[fed_sl.start]),
                         int(row_of_lm[fed_sl.start]) + (fed_sl.stop - fed_sl.start),
                     )
-                    np.add(seg, delay_rows[fed_rows], out=scratch[fed_rows])
+                    np.add(seg, scratch[fed_rows], out=scratch[fed_rows])
         out = scratch[:n_cone].max(axis=0)
         if block_max is not None:
             outside_max = block_max[~cone_mask]

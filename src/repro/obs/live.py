@@ -56,6 +56,7 @@ __all__ = [
     "HeartbeatWriter",
     "ProgressLedger",
     "heartbeat_record",
+    "max_rss_mb",
     "note_task",
     "read_heartbeats",
     "render_status",
@@ -133,6 +134,12 @@ def _getrusage() -> tuple[int, float]:
     if sys.platform == "darwin":  # pragma: no cover
         rss //= 1024
     return rss, usage.ru_utime + usage.ru_stime
+
+
+def max_rss_mb() -> float:
+    """This process's RSS high-water mark in MiB (0.0 where the
+    ``resource`` module is unavailable)."""
+    return round(_getrusage()[0] / 1024.0, 2)
 
 
 def heartbeat_record(

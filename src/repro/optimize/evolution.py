@@ -46,7 +46,10 @@ Each generation runs in three phases, traced as the ``es.draw``,
   sensor sizes, degraded delays, member arrays and its column of the
   stacked sweep's arrival times.  Nothing is replayed, re-sized,
   re-degraded or re-timed, so the survivor's refresh in the next score
-  phase does no work.
+  phase does no work.  Only the survivors carry over: the scored rows,
+  the unselected children and the parents that did not survive are
+  freed before the next draw, as are the start partitions once their
+  states exist.
 
 The connected-target queries of the mutation operator are per-gate CSR
 reads, and the boundary pass is one array pass over the compiled
@@ -114,19 +117,22 @@ class EvolutionOptimizer:
         if not starts:
             raise OptimizationError("evolution needs at least one start partition")
 
-        evaluations = 0
-        parents: list[_Individual] = []
-        for partition in starts:
-            state = self.evaluator.new_state(partition)
-            cost = state.penalized_cost(params.penalty)
-            evaluations += 1
-            parents.append(
-                _Individual(cost, step=float(params.max_moved_gates), state=state)
+        parents = [
+            _Individual(
+                state.penalized_cost(params.penalty),
+                step=float(params.max_moved_gates),
+                state=state,
             )
+            for state in map(self.evaluator.new_state, starts)
+        ]
+        # Every state holds its own copy of its start partition.
+        del starts
+        evaluations = len(parents)
 
-        best = min(parents, key=lambda ind: ind.cost)
-        best_snapshot = best.state.copy()
-        best_cost = best.cost
+        # Generation 0 is the start population.
+        generation_best = min(parents, key=lambda ind: ind.cost)
+        best_snapshot = generation_best.state.copy()
+        best_cost = generation_best.cost
         history: list[GenerationRecord] = []
         stale = 0
         generation = 0
@@ -144,26 +150,17 @@ class EvolutionOptimizer:
                     [(child.parent_state, child.moves) for child in children],
                     params.penalty,
                 )
-                for row, (child, cost) in enumerate(
-                    zip(children, scores.costs.tolist())
-                ):
-                    child.cost = cost
-                    child.row = row
+                for row, cost in enumerate(scores.costs.tolist()):
+                    children[row].cost = cost
+                    children[row].row = row
             evaluations += len(children)
 
             with obs.TRACER.span("es.select", generation=generation):
-                for parent in parents:
-                    parent.age += 1
-                pool = [p for p in parents if p.age < params.max_lifetime] + children
-                if not pool:
-                    pool = children or parents
-                pool.sort(key=lambda ind: ind.cost)
-                parents = pool[: params.mu]
-                for survivor in parents:
-                    if survivor.state is None:
-                        survivor.state = scores.state(survivor.row)
-                        survivor.parent_state = None
-
+                parents = self._select(parents, children, scores)
+                # Only the survivors carry over: the scored rows, the
+                # unselected children and the parents they point to go
+                # before the next generation is drawn.
+                del children, scores
                 generation_best = parents[0]
                 if generation_best.cost < best_cost - 1e-12:
                     best_cost = generation_best.cost
@@ -196,6 +193,24 @@ class EvolutionOptimizer:
             seed=self.seed,
             optimizer="evolution",
         )
+
+    def _select(self, parents, children, scores) -> list[_Individual]:
+        """The μ best of the parents younger than κ and the scored
+        children; each surviving child adopts its scored row as its
+        state."""
+        params = self.params
+        for parent in parents:
+            parent.age += 1
+        pool = [p for p in parents if p.age < params.max_lifetime] + children
+        if not pool:
+            pool = children or parents
+        pool.sort(key=lambda ind: ind.cost)
+        survivors = pool[: params.mu]
+        for survivor in survivors:
+            if survivor.state is None:
+                survivor.state = scores.state(survivor.row)
+                survivor.parent_state = None
+        return survivors
 
     # -------------------------------------------------------------- operators
     def draw_children(self, state, step: float) -> list[_Individual]:

@@ -1999,17 +1999,19 @@ class _BlockRows(BlockScores):
 
         # Separation: one exact integer delta per row, from one gather of
         # the moved gates' matrix rows.  The members of every touched
-        # module after the move are collected for re-degradation.
+        # module after the move are collected, per parent, for
+        # re-degradation.
         matrix = ctx.separation.matrix
         flag = np.zeros(num_gates, dtype=bool)
         dying = np.zeros(count, dtype=bool)
         sep_delta = np.zeros(count, dtype=np.int64)
         self._pieces: dict[int, tuple] = {}
-        member_parts: list[np.ndarray] = []
-        part_cells: list[int] = []
+        member_parts: list[list[np.ndarray]] = [[] for _ in parents]
+        part_cells: list[list[int]] = [[] for _ in parents]
         for r in np.flatnonzero(moving).tolist():
             lo, hi = int(starts[r]), int(ends[r])
-            parent = parents[row_parent[r]]
+            p = int(row_parent[r])
+            parent = parents[p]
             moved = gates[lo:hi]
             members = parent._members[int(row_source[r])]
             near = matrix[moved]
@@ -2022,8 +2024,8 @@ class _BlockRows(BlockScores):
                 rest = members[~flag[members]]
                 flag[moved] = False
                 loss = int(near[:, rest].sum(dtype=np.int64))
-                member_parts.append(rest)
-                part_cells.append(int(src_cell[lo]))
+                member_parts[p].append(rest)
+                part_cells[p].append(int(src_cell[lo]))
             into = targets[lo:hi]
             if multi[r]:
                 same = into[:, None] == into[None, :]
@@ -2037,8 +2039,8 @@ class _BlockRows(BlockScores):
                 tgt_members = parent._members[target]
                 rows_t = near if mask is None else near[mask]
                 gains.append(int(rows_t[:, tgt_members].sum(dtype=np.int64)))
-                member_parts.append(tgt_members)
-                part_cells.append(int(row_off[r]) + parent._slot_of[target])
+                member_parts[p].append(tgt_members)
+                part_cells[p].append(int(row_off[r]) + parent._slot_of[target])
             sep_delta[r] = sum(gains) - loss - cross
             self._pieces[r] = (rest, loss, split, gains)
         dead = np.flatnonzero(dying)
@@ -2087,22 +2089,32 @@ class _BlockRows(BlockScores):
         )
         settle[cells] = settle_times_ns(max_current[cells], tau[cells], ctx.technology)
 
-        # Re-degrade every touched module's gates in one call.
-        delays = np.stack([p.delay_degraded for p in parents])[row_parent]
-        member_gates = np.concatenate(member_parts + [gates])
-        if member_gates.size:
-            sizes = [part.size for part in member_parts]
-            member_cell = np.concatenate([np.repeat(part_cells, sizes), tgt_cell])
-            if ctx.time_resolved_degradation:
-                slots, counts = csr_gather(
+        # Re-degrade every touched module's gates, one call per parent's
+        # rows, into the parent's delay rows.
+        delays = np.empty((count, num_gates), dtype=np.float64)
+        cell_row = np.repeat(np.arange(count, dtype=np.int64), row_slots)
+        time_resolved = ctx.time_resolved_degradation
+        cell_n = None if time_resolved else activity.max(axis=1)
+        for p, parent in enumerate(parents):
+            delays[row_bounds[p] : row_bounds[p + 1]] = parent.delay_degraded
+            lo, hi = int(move_bounds[p]), int(move_bounds[p + 1])
+            member_gates = np.concatenate(member_parts[p] + [gates[lo:hi]])
+            if not member_gates.size:
+                continue
+            sizes = [part.size for part in member_parts[p]]
+            member_cell = np.concatenate(
+                [np.repeat(part_cells[p], sizes), tgt_cell[lo:hi]]
+            )
+            if time_resolved:
+                member_slots, counts = csr_gather(
                     times.times_indptr, times.times_flat, member_gates
                 )
-                flat = np.repeat(member_cell, counts) * depth_t + slots
+                flat = np.repeat(member_cell, counts) * depth_t + member_slots
                 n = np.maximum.reduceat(
                     activity.reshape(-1)[flat], np.cumsum(counts) - counts
                 )
             else:
-                n = activity.max(axis=1)[member_cell]
+                n = cell_n[member_cell]
             delta = ctx.degradation.delta(
                 n,
                 rs[member_cell],
@@ -2110,7 +2122,6 @@ class _BlockRows(BlockScores):
                 electricals.output_cap_ff[member_gates],
                 electricals.pulldown_res_ohm[member_gates],
             )
-            cell_row = np.repeat(np.arange(count, dtype=np.int64), row_slots)
             delays.reshape(-1)[cell_row[member_cell] * num_gates + member_gates] = (
                 electricals.delay_ns[member_gates] * (1.0 + delta)
             )

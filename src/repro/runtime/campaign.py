@@ -416,6 +416,8 @@ def _stage_entry(ctx: _Context, name: str, stage: str, error: str | None, plan) 
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
         span.set(status="failed" if error else "ok")
+        if obs.TRACER.enabled:
+            span.set(maxrss_mb=live.max_rss_mb())
     seconds = time.perf_counter() - stage_started
     entry = {"circuit": name, "stage": stage}
     if error is None:

@@ -347,13 +347,23 @@ def _resolve_retry_backoff(backoff: float | None = None) -> float:
 
 def _terminate_pool_processes(pool: ProcessPoolExecutor) -> None:
     """Kill a stalled/broken pool's workers so a hung task cannot block
-    interpreter exit (best-effort; touches executor internals)."""
+    interpreter exit (best-effort; touches executor internals).
+
+    The pool's manager thread sees the workers die and reaps them, so it
+    is joined before the workers are: of two threads waiting on one
+    child, the loser's ``waitpid`` fails and ``multiprocessing`` keeps
+    listing the dead worker as an active child until the winner records
+    its exit code.
+    """
     processes = list((getattr(pool, "_processes", None) or {}).values())
     for process in processes:
         try:
             process.terminate()
         except Exception:  # noqa: BLE001 - already-dead workers are fine
             pass
+    manager = getattr(pool, "_executor_manager_thread", None)
+    if manager is not None:
+        manager.join(timeout=5.0)
     for process in processes:
         process.join(timeout=5.0)
 

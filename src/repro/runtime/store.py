@@ -61,14 +61,15 @@ CACHE_VERIFY_ENV = "REPRO_CACHE_VERIFY"
 
 def _payload_digest(arrays: Mapping[str, np.ndarray], meta_json: str) -> str:
     """Canonical blake2b over the payload: sorted array names with
-    dtype/shape/bytes, then the meta JSON string."""
+    dtype/shape/bytes, then the meta JSON string.  The bytes are fed as
+    a flat ``uint8`` view of the contiguous array, not a copy."""
     digest = hashlib.blake2b(digest_size=20)
     for name in sorted(arrays):
         value = np.ascontiguousarray(arrays[name])
         digest.update(name.encode())
         digest.update(str(value.dtype).encode())
         digest.update(repr(value.shape).encode())
-        digest.update(value.tobytes())
+        digest.update(value.reshape(-1).view(np.uint8))
     digest.update(meta_json.encode())
     return digest.hexdigest()
 

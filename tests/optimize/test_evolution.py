@@ -1,12 +1,19 @@
 """Tests for the evolution strategy."""
 
+import gc
 import random
+import tracemalloc
+import weakref
 
 import pytest
 
 from repro.config import EvolutionParams
+from repro.netlist.benchmarks import load_iscas85
+from repro.optimize import evolution
 from repro.optimize.evolution import EvolutionOptimizer, evolve_partition
 from repro.optimize.start import start_population
+from repro.partition.evaluator import PartitionEvaluator
+from repro.partition.state import EvaluationState
 
 
 class TestBasicRun:
@@ -112,3 +119,78 @@ class TestResultObject:
         text = result.summary()
         assert "evolution" in text
         assert "cost=" in text
+
+
+class TestWorkingSet:
+    """Only the μ survivors outlive a generation (paper §4)."""
+
+    def test_each_generation_frees_the_last(self, monkeypatch):
+        """Checked when each generation starts drawing: the start
+        partitions, the last generation's scores and every parent that
+        did not survive are gone."""
+        evaluator = PartitionEvaluator(load_iscas85("c880"))
+        params = EvolutionParams(
+            mu=4, children_per_parent=3, monte_carlo_per_parent=1, generations=4
+        )
+        starts: list = []
+        calls: list = []  # per trial_blocks call: its scores and parents
+        live: list = []  # per generation: last parents alive at its first draw
+
+        def recorded_starts(*args):
+            partitions = start_population(*args)
+            starts.extend(weakref.ref(p) for p in partitions)
+            return partitions
+
+        def checked_draw(self, state, step):
+            if len(live) == len(calls):
+                assert all(ref() is None for ref in starts), "start partitions kept"
+                if calls:
+                    last_scores, last_parents = calls[-1]
+                    assert last_scores() is None, "last generation's scores kept"
+                live.append(
+                    {id(s) for ref in calls[-1][1] if (s := ref()) is not None}
+                    if calls
+                    else set()
+                )
+            return draw_children(self, state, step)
+
+        def checked_trial_blocks(rows, penalty):
+            parents = {id(state): state for state, _ in rows}
+            assert live[-1] <= parents.keys(), "a parent that did not survive kept"
+            scores = trial_blocks(rows, penalty)
+            calls.append(
+                (weakref.ref(scores), [weakref.ref(s) for s in parents.values()])
+            )
+            return scores
+
+        draw_children = EvolutionOptimizer.draw_children
+        trial_blocks = EvaluationState.trial_blocks
+        monkeypatch.setattr(evolution, "start_population", recorded_starts)
+        monkeypatch.setattr(EvolutionOptimizer, "draw_children", checked_draw)
+        monkeypatch.setattr(
+            EvaluationState, "trial_blocks", staticmethod(checked_trial_blocks)
+        )
+        # Freed by reference counts alone: no collector pass may help.
+        gc.disable()
+        try:
+            result = evolve_partition(evaluator, params, seed=1995)
+        finally:
+            gc.enable()
+        assert len(starts) == params.mu
+        assert len(calls) == len(live) == result.generations_run == params.generations
+
+    def test_traced_peak_below_the_matrix_and_a_quarter_c7552(self):
+        """One generation's rows, never two, plus the μ parents: the
+        campaign-budget ES on c7552 stays near the separation matrix's
+        size."""
+        evaluator = PartitionEvaluator(load_iscas85("c7552"))
+        params = EvolutionParams(generations=6, convergence_window=4)
+        warm = evolve_partition(evaluator, params, seed=1995)  # lazy caches
+        tracemalloc.start()
+        try:
+            result = evolve_partition(evaluator, params, seed=1995)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best_cost == warm.best_cost
+        assert peak < 1.25 * evaluator.separation.matrix.nbytes

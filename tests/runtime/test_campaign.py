@@ -200,6 +200,35 @@ class TestCampaign:
             CampaignConfig(circuits=())
 
 
+class TestStageMaxRSS:
+    def test_only_traced_stage_spans_read_max_rss(
+        self, tmp_path, monkeypatch, clean_obs
+    ):
+        from repro.obs import live
+
+        monkeypatch.delenv(PLAN_ENV, raising=False)
+        reads = []
+        real = live.max_rss_mb
+        monkeypatch.setattr(live, "max_rss_mb", lambda: reads.append(1) or real())
+        manifests = []
+        for trace in (False, True):
+            obs.enable(trace=trace)
+            manifests.append(
+                run_campaign(
+                    CampaignConfig(
+                        circuits=("c432",), stages=("separation", "stuck-at"),
+                        jobs=1, cache_dir=str(tmp_path / f"cache-{trace}"),
+                    )
+                )
+            )
+            assert len(reads) == (2 if trace else 0)
+        spans = list(obs.TRACER.spans("campaign.stage"))
+        assert len(spans) == 2
+        assert all(span[6]["maxrss_mb"] > 0 for span in spans)
+        fields = ("circuit", "stage", "status", "hit", "meta")
+        assert outcomes(manifests[0], *fields) == outcomes(manifests[1], *fields)
+
+
 class TestCircuitParallel:
     """``jobs > 1`` with several circuits: one pool task per circuit,
     the stage drivers at ``jobs=1`` inside it (DESIGN §9.6)."""
@@ -244,6 +273,9 @@ class TestCircuitParallel:
             event[5] for event in obs.TRACER.spans("campaign.stage")
         }
         assert lanes == {"task:0", "task:1"}
+        assert all(
+            event[6]["maxrss_mb"] > 0 for event in obs.TRACER.spans("campaign.stage")
+        )
         exported = json.loads(trace.read_text())["traceEvents"]
         assert {"task:0", "task:1"} <= {
             e["args"]["name"] for e in exported

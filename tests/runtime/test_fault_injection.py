@@ -536,7 +536,12 @@ class TestCircuitParallelFaults:
             run_campaign(
                 CampaignConfig(circuits=PAIR, jobs=2, cache_dir=cache, out=str(out))
             )
-        assert set(multiprocessing.active_children()) <= earlier
+        leftover = [
+            (child.name, child.pid, child.exitcode)
+            for child in multiprocessing.active_children()
+            if child not in earlier
+        ]
+        assert not leftover, f"workers of the killed run still listed: {leftover}"
         journal = journal_path(out)
         assert journal.exists() and not out.exists()
         monkeypatch.delenv(PLAN_ENV)

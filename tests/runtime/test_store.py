@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.runtime import fingerprint as fp
-from repro.runtime.store import ArtifactStore, default_cache_dir
+from repro.runtime.store import ArtifactStore, _payload_digest, default_cache_dir
 
 
 @pytest.fixture
@@ -64,6 +67,46 @@ class TestRoundTrip:
         assert len(calls) == 1
         assert np.array_equal(first.arrays["x"], second.arrays["x"])
         assert first.meta == second.meta
+
+
+#: One array of every kind the digest must hash without a copy.
+DIGEST_CASES = {
+    "u8": np.arange(6, dtype=np.uint8).reshape(2, 3),
+    "f64": np.array([0.5, -2.0, np.inf]),
+    "flags": np.array([True, False]),
+    "names": np.array([b"g1", b"sa0"]),
+    "scalar": np.array(7, dtype=np.int64),
+    "empty": np.empty((0, 3), dtype=np.int32),
+    "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+}
+
+
+def _tobytes_digest(arrays, meta_json):
+    """The digest as the store first computed it, one ``tobytes()``
+    copy per array."""
+    digest = hashlib.blake2b(digest_size=20)
+    for name in sorted(arrays):
+        value = np.ascontiguousarray(arrays[name])
+        digest.update(name.encode())
+        digest.update(str(value.dtype).encode())
+        digest.update(repr(value.shape).encode())
+        digest.update(value.tobytes())
+    digest.update(meta_json.encode())
+    return digest.hexdigest()
+
+
+class TestPayloadDigest:
+    @pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+    def test_view_hashes_the_tobytes_bytes(self, name):
+        arrays = {name: DIGEST_CASES[name]}
+        assert _payload_digest(arrays, "{}") == _tobytes_digest(arrays, "{}")
+
+    def test_pinned_digest(self):
+        # Stored files carry this digest: a change invalidates every cache.
+        meta_json = json.dumps({"cap": 10}, sort_keys=True)
+        assert _payload_digest(DIGEST_CASES, meta_json) == (
+            "67aff19260dbc5e9918770435b99d654aaa067d7"
+        )
 
 
 class TestInvalidation:
