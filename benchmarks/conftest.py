@@ -8,7 +8,14 @@ long and internally deterministic); kernel benchmarks use normal
 statistics.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The executable references in ``tests/oracles`` are the baselines some
+# benchmarks time against.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def run_once(benchmark, func):

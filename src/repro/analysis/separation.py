@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import SimBackend, get_backend
 from repro.netlist.circuit import Circuit
 
 __all__ = ["SeparationMatrix", "module_separation", "reference_separation_matrix"]
@@ -50,13 +49,7 @@ _BLOCK_BYTES = 1 << 18
 
 
 class SeparationMatrix:
-    """Capped all-pairs gate distances for one circuit.
-
-    The BFS step's segmented bitset OR runs through the selected
-    simulation backend (:meth:`SimBackend.gather_or_segments`), so an
-    accelerator backend takes this kernel over together with the
-    simulation schedule.
-    """
+    """Capped all-pairs gate distances for one circuit."""
 
     #: Lazily built float32 copy of :attr:`matrix` feeding the
     #: whole-matrix BLAS matmul in :meth:`sums_by_group` (class-level
@@ -64,18 +57,12 @@ class SeparationMatrix:
     #: small candidate sets never build it).
     _matrix_f32: np.ndarray | None = None
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        cap: int,
-        backend: str | SimBackend | None = None,
-    ):
+    def __init__(self, circuit: Circuit, cap: int):
         if cap < 1:
             raise ValueError(f"separation cap must be >= 1, got {cap}")
         if cap > 255:
             raise ValueError("separation cap above 255 not supported (uint8 storage)")
         self.cap = cap
-        kernel = get_backend(backend)
         cg = circuit.compiled
         n = cg.num_gates
         num_words = (n + _WORD - 1) // _WORD
@@ -121,7 +108,9 @@ class SeparationMatrix:
             repeat = 1
             if depth + 1 < cap:
                 for rows, indices, starts in chunks:
-                    frontier[rows] = kernel.gather_or_segments(reached, indices, starts)
+                    frontier[rows] = np.bitwise_or.reduceat(
+                        reached[indices], starts, axis=0
+                    )
                 # Degree-zero rows keep an earlier reached set, a subset
                 # of the current one.
                 frontier |= reached

@@ -18,7 +18,6 @@ __all__ = [
     "CostWeights",
     "EvolutionParams",
     "RuntimeConfig",
-    "SimulationConfig",
     "SynthesisConfig",
 ]
 
@@ -105,25 +104,6 @@ class EvolutionParams:
         """A cheaper/costlier copy: scales the generation budget (used by
         tests and benchmarks to bound runtime)."""
         return replace(self, generations=max(1, int(self.generations * factor)))
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Simulation-backend selection (see :mod:`repro.backend`).
-
-    ``backend`` is a registered backend name (``numpy`` / ``fused`` /
-    ``incremental``) or ``"auto"``, which defers to the
-    ``REPRO_SIM_BACKEND`` environment variable and then the library
-    default.  The value is resolved lazily by
-    :func:`repro.backend.get_backend` at each consumer, so this module
-    stays free of kernel imports.
-    """
-
-    backend: str = "auto"
-
-    def __post_init__(self) -> None:
-        if not self.backend:
-            raise OptimizationError("simulation backend must be a non-empty name")
 
 
 @dataclass(frozen=True)
@@ -244,7 +224,6 @@ class SynthesisConfig:
 
     weights: CostWeights = field(default_factory=CostWeights)
     evolution: EvolutionParams = field(default_factory=EvolutionParams)
-    simulation: SimulationConfig = field(default_factory=SimulationConfig)
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     time_resolved_degradation: bool = False
     seed: int = 1995

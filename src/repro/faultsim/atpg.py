@@ -43,7 +43,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro import obs
-from repro.backend import SimBackend
 from repro.errors import FaultSimError
 from repro.faultsim.coverage import detection_matrix
 from repro.faultsim.engine import CoverageEngine
@@ -112,7 +111,6 @@ def generate_iddq_tests(
     flip_budget: int = 24,
     compact: bool = True,
     engine: CoverageEngine | None = None,
-    backend: str | SimBackend | None = None,
     defect_parallel: bool = False,
     jobs: int | None = None,
 ) -> IDDQTestSet:
@@ -126,10 +124,7 @@ def generate_iddq_tests(
         compact: greedily minimise the final vector set.
         engine: reuse an existing :class:`CoverageEngine` (one is built
             when omitted; mutually exclusive with ``library`` /
-            ``technology`` / ``backend``, which a passed engine already
-            carries).
-        backend: simulation-backend selection for the built engine (a
-            registered name or ``None``/``"auto"`` for the default).
+            ``technology``, which a passed engine already carries).
         defect_parallel: opt into the defect-parallel targeted phase —
             one independent seeded RNG stream per defect (stream id
             ``f"{seed}:{defect_index}"``), sharded across the runtime's
@@ -141,21 +136,15 @@ def generate_iddq_tests(
             defers to ``REPRO_JOBS``; only meaningful with
             ``defect_parallel=True``).
     """
-    if engine is not None and (
-        library is not None or technology is not None or backend is not None
-    ):
+    if engine is not None and (library is not None or technology is not None):
         raise FaultSimError(
-            "pass either an engine or a library/technology/backend, not "
-            "both — the engine already carries its own characterisation"
+            "pass either an engine or a library/technology, not both — "
+            "the engine already carries its own characterisation"
         )
     search_all = None
     if defect_parallel:
         worker_library = engine.sim.library if engine is not None else library
         worker_technology = engine.technology if engine is not None else technology
-        worker_backend = engine.backend.name if engine is not None else (
-            backend if isinstance(backend, str) else
-            backend.name if backend is not None else None
-        )
 
         def search_all(undetected_indices):
             from repro.runtime.parallel import defect_parallel_targeted
@@ -170,11 +159,10 @@ def generate_iddq_tests(
                 flip_budget=flip_budget,
                 library=worker_library,
                 technology=worker_technology,
-                backend_name=worker_backend,
                 jobs=jobs,
             )
 
-    engine = engine or CoverageEngine(circuit, library, technology, backend=backend)
+    engine = engine or CoverageEngine(circuit, library, technology)
     num_inputs = len(circuit.input_names)
     return _generate(
         lambda ds, ps: engine.detection_matrix(partition, ds, ps),

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import SimBackend
 from repro.errors import FaultSimError
 from repro.faultsim.faults import Defect
 from repro.faultsim.logic_sim import LogicSimulator, NodeValues
@@ -44,15 +43,10 @@ class IDDQSimulator:
     #: Most-recently-used (partition -> module index arrays) cache slots.
     _MODULE_CACHE_SLOTS = 8
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        library: CellLibrary | None = None,
-        backend: str | SimBackend | None = None,
-    ):
+    def __init__(self, circuit: Circuit, library: CellLibrary | None = None):
         self.circuit = circuit
         self.library = library or generic_library()
-        self.simulator = LogicSimulator(circuit, backend)
+        self.simulator = LogicSimulator(circuit)
         # Per gate: fanin rows (for state extraction) and a leak table
         # indexed by the packed input state.  Tables are built once per
         # distinct cell and shared between same-cell gates.
@@ -233,29 +227,6 @@ class IDDQSimulator:
         return (
             float(self._leak_min_na[idx].sum()) * 1e-3,
             float(self._leak_max_na[idx].sum()) * 1e-3,
-        )
-
-    @property
-    def fanin_rows(self) -> list[tuple[int, ...]]:
-        """Per-gate fanin node rows (gate order) — the dependency sets
-        consumers use to invalidate per-gate leakage caches."""
-        return self._fanin_rows
-
-    def module_dependency_rows(
-        self, partition: Partition, module: int
-    ) -> np.ndarray:
-        """Node rows a module's background IDDQ depends on.
-
-        Cell leakage is a function of the gate's *input* state only, so
-        the rows are the union of the module's gates' fanin rows — the
-        invalidation set for any cache of the module's background
-        series.
-        """
-        idx = self.module_indices(partition)[module]
-        if not len(idx):
-            return np.empty(0, dtype=np.int64)
-        return np.unique(
-            np.concatenate([self._fanin_rows[g] for g in idx]).astype(np.int64)
         )
 
     def module_background_ua(

@@ -1,34 +1,30 @@
 """Bit-parallel combinational logic simulation.
 
 Patterns are packed 64 per machine word; each node's value across all
-patterns is a small ``uint64`` array.  The schedule evaluation itself is
-owned by a pluggable :class:`~repro.backend.base.SimBackend` (see
-:mod:`repro.backend`): the default fused kernel advances a whole batch
-of gates per vectorised dispatch, so there is no per-gate Python at
-all.  Even the 3512-gate C7552 stand-in simulates thousands of patterns
-per millisecond this way — fast enough that IDDQ coverage experiments
-run inside the test suite.
+patterns is a small ``uint64`` array.  :func:`run_schedule` evaluates
+the whole circuit over :meth:`CompiledGraph.fused_schedule`: same-op
+gates from many levels share one unpadded gather plus one
+``op.reduceat`` dispatch, so there is no per-gate Python at all.  Even
+the 3512-gate C7552 stand-in simulates thousands of patterns per
+millisecond this way — fast enough that IDDQ coverage experiments run
+inside the test suite.
 
-Backends that support event-driven replay additionally enable
-:meth:`LogicSimulator.simulate_delta`: re-simulating a pattern batch
-that differs from an already-simulated one in a few input columns costs
-only the flipped inputs' fanout cones.
-
-:class:`ReferenceLogicSimulator` keeps the original per-gate schedule as
-the executable specification; the equivalence suite asserts every
-backend produces bit-identical packed words.
+The executable references (the per-gate schedule and the
+per-(level, op) kernel) live in ``tests/oracles/sim.py``; the
+equivalence suite asserts this kernel reproduces their packed words bit
+for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import SimBackend, get_backend
+from repro import obs
 from repro.errors import FaultSimError
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import GateType
+from repro.netlist.compiled import OP_AND, OP_OR, CompiledGraph
 
-__all__ = ["NodeValues", "LogicSimulator", "ReferenceLogicSimulator"]
+__all__ = ["NodeValues", "LogicSimulator", "run_schedule"]
 
 _WORD = 64
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -82,26 +78,54 @@ def _pack_input_columns(patterns: np.ndarray, num_words: int) -> np.ndarray:
     """Pack a ``(patterns, inputs)`` 0/1 matrix into per-input word rows."""
     num_patterns = patterns.shape[0]
     bits = np.zeros((patterns.shape[1], num_words * _WORD), dtype=np.uint8)
-    bits[:, :num_patterns] = (patterns.T & 1).astype(np.uint8)
+    bits[:, :num_patterns] = patterns.T
     return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
 
 
-class LogicSimulator:
-    """Compiled bit-parallel simulator for one circuit.
+def run_schedule(cg: CompiledGraph, state: np.ndarray, pinned_rows: np.ndarray) -> None:
+    """Evaluate every gate row of ``state`` over the fused schedule.
 
-    ``backend`` selects the kernel implementation — a registered backend
-    name, a :class:`~repro.backend.base.SimBackend` instance, or
-    ``None``/``"auto"`` for the configured default (see
-    :func:`repro.backend.get_backend`).
+    ``state`` is a ``(num_sim_rows, words)`` ``uint64`` matrix laid out
+    as :class:`~repro.netlist.compiled.CompiledGraph` prescribes (node
+    rows, then the all-zeros and all-ones identity rows) with its input
+    and identity rows filled.  ``pinned_rows`` lists node rows the
+    caller pre-forced to a constant (stuck-at injection); they are
+    re-asserted after every batch — within a batch every member reads
+    state as of the batch start, so a pinned row a batch overwrites is
+    restored before anything can observe the overwrite.  Each pass
+    records one ``backend.full_pass`` span and counter (no-ops while
+    observability is off).
     """
+    obs.METRICS.inc("backend.full_pass")
+    with obs.TRACER.span("backend.full_pass", words=int(state.shape[1])):
+        pinned_values = state[pinned_rows] if pinned_rows.size else None
+        for group in cg.fused_schedule().groups:
+            gathered = state[group.fanins]  # (edges, words)
+            if group.op == OP_AND:
+                acc = np.bitwise_and.reduceat(gathered, group.offsets, axis=0)
+            elif group.op == OP_OR:
+                acc = np.bitwise_or.reduceat(gathered, group.offsets, axis=0)
+            else:
+                acc = np.bitwise_xor.reduceat(gathered, group.offsets, axis=0)
+            if group.has_invert:
+                acc ^= group.invert
+            state[group.dst] = acc
+            if pinned_values is not None:
+                state[pinned_rows] = pinned_values
 
-    def __init__(self, circuit: Circuit, backend: str | SimBackend | None = None):
+
+class LogicSimulator:
+    """Compiled bit-parallel simulator for one circuit."""
+
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
         self.compiled = circuit.compiled
-        self.backend = get_backend(backend)
         self.row_of = {name: i for i, name in enumerate(circuit.all_names)}
 
     def _check_patterns(self, input_patterns: np.ndarray) -> np.ndarray:
+        """``input_patterns`` as an array; :class:`FaultSimError` unless
+        it is a non-empty ``(patterns, inputs)`` matrix of bool or
+        integer 0/1 values."""
         patterns = np.asarray(input_patterns)
         if patterns.ndim != 2 or patterns.shape[1] != len(self.circuit.input_names):
             raise FaultSimError(
@@ -110,6 +134,16 @@ class LogicSimulator:
             )
         if patterns.shape[0] == 0:
             raise FaultSimError("need at least one pattern")
+        kind = patterns.dtype.kind
+        if kind not in "biu" or (
+            kind != "b"
+            and patterns.size
+            and (patterns.max() > 1 or (kind == "i" and patterns.min() < 0))
+        ):
+            raise FaultSimError(
+                f"input patterns must be bool or integer 0/1 values, "
+                f"got a {patterns.dtype} matrix"
+            )
         return patterns
 
     def simulate(
@@ -126,7 +160,7 @@ class LogicSimulator:
         num_words = (num_patterns + _WORD - 1) // _WORD
         cg = self.compiled
 
-        # Node rows plus the two identity rows the padded schedule reads.
+        # Node rows plus the two identity rows.
         packed = np.zeros((cg.num_sim_rows, num_words), dtype=np.uint64)
         packed[cg.ones_row] = _ONES
         packed[cg.input_node] = _pack_input_columns(patterns, num_words)
@@ -142,147 +176,10 @@ class LogicSimulator:
                 rows.append(row)
             pinned_rows = np.asarray(rows, dtype=np.int32)
 
-        self.backend.run_schedule(cg, packed, pinned_rows)
+        run_schedule(cg, packed, pinned_rows)
         return NodeValues(packed[: cg.num_nodes], self.row_of, num_patterns)
-
-    def simulate_delta(
-        self,
-        baseline: NodeValues,
-        input_patterns: np.ndarray,
-        return_changed: bool = False,
-        changed_cols: np.ndarray | None = None,
-    ) -> NodeValues | tuple[NodeValues, np.ndarray]:
-        """Re-simulate ``input_patterns`` starting from ``baseline``.
-
-        ``baseline`` must be a *fault-free* result of :meth:`simulate`
-        for a batch of the same size; only gates the changed input
-        columns' value events actually reach are re-evaluated, and the
-        result is bit-identical to ``simulate(input_patterns)``.
-        ``baseline`` itself is never mutated.  With ``return_changed``
-        the node rows whose packed words differ from the baseline
-        (changed inputs + flipped gates) are returned too, so callers
-        can patch derived per-node structures.  ``changed_cols``
-        optionally names a superset of the input columns that may
-        differ (saving the full input re-pack when the caller already
-        diffed the batches); columns outside it must be unchanged.
-
-        Falls back to a full :meth:`simulate` when the backend has no
-        incremental support or the batch size changed.
-        """
-        patterns = self._check_patterns(input_patterns)
-        num_patterns = patterns.shape[0]
-        cg = self.compiled
-        if (
-            not self.backend.supports_incremental
-            or num_patterns != baseline.num_patterns
-        ):
-            values = self.simulate(patterns)
-            if return_changed:
-                return values, np.arange(cg.num_nodes, dtype=np.int32)
-            return values
-
-        num_words = baseline.packed.shape[1]
-        state = np.empty((cg.num_sim_rows, num_words), dtype=np.uint64)
-        state[: cg.num_nodes] = baseline.packed
-        state[cg.zero_row] = np.uint64(0)
-        state[cg.ones_row] = _ONES
-
-        if changed_cols is None:
-            new_words = _pack_input_columns(patterns, num_words)
-            changed_cols = np.arange(len(cg.input_node), dtype=np.int64)
-        else:
-            changed_cols = np.asarray(changed_cols, dtype=np.int64)
-            new_words = _pack_input_columns(patterns[:, changed_cols], num_words)
-        really = np.flatnonzero(
-            (new_words != state[cg.input_node[changed_cols]]).any(axis=1)
-        )
-        changed_cols = changed_cols[really]
-        changed_inputs = cg.input_node[changed_cols]
-        # Steal the baseline's backend value cache (rows materialised in
-        # the backend's working representation).  Stealing — rather than
-        # copying — is safe because a baseline without a cache merely
-        # re-materialises rows lazily; it lets a walk of consecutive
-        # deltas convert each touched row once.
-        value_cache = baseline.__dict__.pop("_backend_value_cache", {})
-        if changed_cols.size:
-            state[changed_inputs] = new_words[really]
-            for row in changed_inputs.tolist():
-                value_cache.pop(row, None)
-            cone = self.backend.run_cone(
-                cg, state, changed_inputs, value_cache=value_cache
-            )
-        else:
-            cone = np.empty(0, dtype=np.int32)
-        values = NodeValues(state[: cg.num_nodes], self.row_of, num_patterns)
-        values._backend_value_cache = value_cache
-        if return_changed:
-            return values, np.concatenate(
-                (changed_inputs.astype(np.int32), cone)
-            )
-        return values
 
     def simulate_outputs(self, input_patterns: np.ndarray) -> np.ndarray:
         """Convenience: ``(patterns, outputs)`` 0/1 matrix."""
-        values = self.simulate(input_patterns)
-        return values.unpack(self.circuit.output_names)
-
-
-class ReferenceLogicSimulator:
-    """Per-gate schedule simulator — the executable specification.
-
-    This is the pre-compiled-graph implementation, kept verbatim so the
-    equivalence tests can assert the batched simulator reproduces its
-    packed words bit for bit.
-    """
-
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self.row_of = {name: i for i, name in enumerate(circuit.all_names)}
-        # Compile the evaluation schedule once: (row, type, fanin rows).
-        self._schedule: list[tuple[int, GateType, tuple[int, ...]]] = []
-        for name in circuit.topological_order:
-            gate = circuit.gate(name)
-            if gate.gate_type.is_input:
-                continue
-            rows = tuple(self.row_of[f] for f in gate.fanins)
-            self._schedule.append((self.row_of[name], gate.gate_type, rows))
-
-    def simulate(self, input_patterns: np.ndarray) -> NodeValues:
-        patterns = np.asarray(input_patterns)
-        if patterns.ndim != 2 or patterns.shape[1] != len(self.circuit.input_names):
-            raise FaultSimError(
-                f"expected (patterns, {len(self.circuit.input_names)}) input matrix, "
-                f"got shape {patterns.shape}"
-            )
-        num_patterns = patterns.shape[0]
-        if num_patterns == 0:
-            raise FaultSimError("need at least one pattern")
-        num_words = (num_patterns + _WORD - 1) // _WORD
-        packed = np.zeros((len(self.row_of), num_words), dtype=np.uint64)
-
-        for column, name in enumerate(self.circuit.input_names):
-            bits = np.zeros(num_words * _WORD, dtype=np.uint8)
-            bits[:num_patterns] = patterns[:, column] & 1
-            packed[self.row_of[name]] = np.packbits(bits, bitorder="little").view(np.uint64)
-
-        ones = np.full(num_words, _ONES, dtype=np.uint64)
-        for row, gate_type, fanins in self._schedule:
-            acc = packed[fanins[0]].copy()
-            if gate_type in (GateType.AND, GateType.NAND):
-                for f in fanins[1:]:
-                    acc &= packed[f]
-            elif gate_type in (GateType.OR, GateType.NOR):
-                for f in fanins[1:]:
-                    acc |= packed[f]
-            elif gate_type in (GateType.XOR, GateType.XNOR):
-                for f in fanins[1:]:
-                    acc ^= packed[f]
-            # BUF/NOT fall through with acc = fanin value.
-            if gate_type in (GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT):
-                acc ^= ones
-            packed[row] = acc
-        return NodeValues(packed, self.row_of, num_patterns)
-
-    def simulate_outputs(self, input_patterns: np.ndarray) -> np.ndarray:
         values = self.simulate(input_patterns)
         return values.unpack(self.circuit.output_names)

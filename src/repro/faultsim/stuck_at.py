@@ -24,7 +24,10 @@ implement the model:
   slices inside the union of the members' output cones (precomputed
   bitsets over the fanout CSR) are re-evaluated, and only
   cone-reachable outputs are compared; batches are formed in schedule
-  order so neighbouring faults share cones.
+  order so neighbouring faults share cones.  These cone passes run the
+  per-(level, op) ``sim_groups`` schedule, whose slots bucket a cone
+  into contiguous slices; the fault-free state comes from
+  :class:`LogicSimulator`'s fused kernel.
   :meth:`StuckAtSimulator.coverage` additionally *drops* faults chunk
   by chunk — once a fault class is detected in an earlier pattern block
   it is never simulated again.
@@ -42,7 +45,6 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.backend import SimBackend
 from repro.faultsim.logic_sim import LogicSimulator
 from repro.errors import FaultSimError
 from repro.netlist.circuit import Circuit
@@ -119,9 +121,9 @@ class StuckAtSimulator:
     #: (256 faults at 64 patterns, 64 at 256).
     batch_words = 256
 
-    def __init__(self, circuit: Circuit, backend: str | SimBackend | None = None):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.simulator = LogicSimulator(circuit, backend)
+        self.simulator = LogicSimulator(circuit)
         self._cg = circuit.compiled
         self.row_of = self.simulator.row_of
         # Output bookkeeping: node row per primary output, in output order.
@@ -170,13 +172,7 @@ class StuckAtSimulator:
         if jobs is not None and jobs > 1:
             from repro.runtime.parallel import sharded_detection_matrix
 
-            return sharded_detection_matrix(
-                self.circuit,
-                faults,
-                patterns,
-                jobs=jobs,
-                backend=self.simulator.backend.name,
-            )
+            return sharded_detection_matrix(self.circuit, faults, patterns, jobs=jobs)
         num_patterns = patterns.shape[0]
         with obs.TRACER.span(
             "detection_matrix",
@@ -279,8 +275,7 @@ class StuckAtSimulator:
         ``out_closure[n]`` ORs the reachable primary-output positions
         (including ``n`` itself when it is an output).  The companion
         reachable-*slot* bitsets live on the compiled graph
-        (:meth:`CompiledGraph.slot_closure`) where the incremental
-        simulation backend shares them.
+        (:meth:`CompiledGraph.slot_closure`).
         """
         cg = self._cg
         out_words = (len(self._out_nodes) + _WORD - 1) // _WORD

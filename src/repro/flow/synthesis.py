@@ -68,10 +68,7 @@ def synthesize_iddq_testable(
             from repro.runtime.artifacts import cached_separation_matrix
 
             separation, _ = cached_separation_matrix(
-                store,
-                circuit,
-                technology.separation_cap,
-                backend=config.simulation.backend,
+                store, circuit, technology.separation_cap
             )
         evaluator = PartitionEvaluator(
             circuit,
@@ -79,7 +76,6 @@ def synthesize_iddq_testable(
             technology,
             config.weights,
             time_resolved_degradation=config.time_resolved_degradation,
-            backend=config.simulation.backend,
             separation=separation,
         )
     run_seed = config.seed if seed is None else seed

@@ -20,7 +20,9 @@ and every layer consumes those shared arrays:
 * **simulation schedule** — per (level, base-op) batches with
   rectangular fanin matrices (padded with identity rows) and per-gate
   inversion words, so one gate evaluation step is a single vectorised
-  numpy reduction over a whole batch.
+  numpy reduction over a whole batch (the stuck-at engine's cone
+  passes), plus the same gates re-batched across levels
+  (:meth:`CompiledGraph.fused_schedule`, the full-pass kernel).
 
 Access it through :attr:`Circuit.compiled`; construction is cached and
 safe because circuits are immutable.  :func:`compile_circuit` builds it
@@ -277,22 +279,6 @@ class CompiledGraph:
             object.__setattr__(self, "_fused_schedule", cached)
         return cached
 
-    def group_of_slot(self) -> np.ndarray:
-        """Sim-group id per simulation slot (cached).
-
-        The inverse of :attr:`sim_group_offsets` as a direct int32
-        lookup — event-driven consumers map a slot to its schedule
-        batch without a ``searchsorted`` per event.
-        """
-        cached = self.__dict__.get("_group_of_slot")
-        if cached is None:
-            cached = np.repeat(
-                np.arange(len(self.sim_groups), dtype=np.int32),
-                np.diff(self.sim_group_offsets),
-            )
-            object.__setattr__(self, "_group_of_slot", cached)
-        return cached
-
     def gate_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Every undirected gate-gate edge once, as index arrays ``(u,
         v)`` with ``u < v`` (cached).
@@ -318,10 +304,9 @@ class CompiledGraph:
 
         ``slot_closure()[n]`` ORs the simulation-slot bits of every gate
         reachable from node ``n`` through the fanout CSR (including
-        ``n`` itself when it is a gate) — the fault cone structure the
-        stuck-at engine introduced, shared here so the incremental
-        event-driven backend can reuse it for flip-neighbourhood
-        propagation.  Built by one reverse-topological sweep.
+        ``n`` itself when it is a gate): the fault cones the stuck-at
+        engine re-simulates, cached on the graph so pool workers inherit
+        it.  Built by one reverse-topological sweep.
         """
         cached = self.__dict__.get("_slot_closure")
         if cached is None:

@@ -124,9 +124,6 @@ class PartitionEvaluator:
         time_resolved_degradation: evaluate δ(g,t) at each gate's own
             transition times instead of the module's worst slot
             (see DESIGN.md §6.4 and the ablation bench).
-        backend: simulation-backend selection for the bitset kernels
-            (a registered name, a backend instance, or ``None``/"auto"
-            for the configured default — see :mod:`repro.backend`).
         state_impl: evaluation-state implementation handed out by
             :meth:`new_state` — ``"dense"`` (the transactional
             array-backed core, default) or ``"reference"`` (the
@@ -144,7 +141,6 @@ class PartitionEvaluator:
         weights: CostWeights | None = None,
         degradation: DelayDegradationModel | None = None,
         time_resolved_degradation: bool = False,
-        backend=None,
         state_impl: str = "dense",
         separation: SeparationMatrix | None = None,
     ):
@@ -177,7 +173,7 @@ class PartitionEvaluator:
             else:
                 with obs.TRACER.span("evaluator.separation"):
                     self.separation = SeparationMatrix(
-                        circuit, self.technology.separation_cap, backend=backend
+                        circuit, self.technology.separation_cap
                     )
             with obs.TRACER.span("evaluator.timing"):
                 # Cached on the compiled graph: evaluators of the same

@@ -53,9 +53,7 @@ SCHEMA = {
 
 
 # ---------------------------------------------------------------- separation
-def cached_separation_matrix(
-    store: ArtifactStore, circuit, cap: int, backend=None
-):
+def cached_separation_matrix(store: ArtifactStore, circuit, cap: int):
     """Memoized :class:`~repro.analysis.separation.SeparationMatrix`.
 
     Returns ``(matrix, hit)``.  The cached payload is the raw uint8
@@ -68,7 +66,7 @@ def cached_separation_matrix(
     )
 
     def build():
-        matrix = SeparationMatrix(circuit, cap, backend=backend).matrix
+        matrix = SeparationMatrix(circuit, cap).matrix
         return {"matrix": matrix}, {"cap": cap, "circuit": circuit.name}
 
     artifact, hit = store.fetch("separation", key, build)

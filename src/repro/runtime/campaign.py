@@ -460,7 +460,7 @@ def _run_circuit(
     on_start=None, on_entry=None, error: str | None = None,
 ) -> list[dict]:
     """One circuit's stages in order, each entry journaled as it
-    completes; returns the entries.  Both dispatch modes (DESIGN §9.6)
+    completes; returns the entries.  Both dispatch modes (DESIGN §9.5)
     run it: in the parent, where ``on_start(name, stage)`` and
     ``on_entry(entry)`` feed the progress ledger, and as a circuit task
     with the stage drivers at ``jobs=1``.  With ``error`` set, every
@@ -537,7 +537,7 @@ def run_campaign(config: CampaignConfig) -> dict:
     With ``jobs > 1`` and at least two circuits to run, each circuit
     runs its stages in order as one pool task; otherwise the circuits
     run in turn in this process and each stage shards across the pool
-    (DESIGN §9.6).  Entries are identical either way.
+    (DESIGN §9.5).  Entries are identical either way.
     """
     if config.trace:
         obs.enable(trace=True, metrics=True)

@@ -29,8 +29,10 @@ Failure model (DESIGN.md §10):
   ``task_retries`` times (default 0: a bug in ``fn`` surfaces once)
   with deterministic exponential backoff (``retry_backoff * 2^attempt``,
   no jitter).
-* **Worker death** (``BrokenProcessPool``) keeps every completed
-  result; only unfinished tasks are re-dispatched on a fresh pool.
+* **Worker death** (``BrokenProcessPool``, raised while gathering or
+  while the round is still submitting) keeps every completed result;
+  only unfinished tasks are re-dispatched on a fresh pool, and tasks
+  never submitted keep their attempt number.
   After :data:`MAX_POOL_RESTARTS` failed pools the survivors run on
   the in-process serial path.  Pool-level recovery does not consume
   per-task retry budget (the culprit is unknowable).
@@ -534,8 +536,8 @@ class Executor:
         stranded: set[int] = set()
         while pending:
             try:
-                (completed, failed, timed_out, unfinished, broken,
-                 snapshots) = self._run_round(
+                (completed, failed, timed_out, unfinished, unsubmitted,
+                 broken, snapshots) = self._run_round(
                     fn, tasks, state_factory, pending, attempts, deliver
                 )
             except _PoolUnavailable as infra:
@@ -582,6 +584,8 @@ class Executor:
                 attempts[i] += 1
                 stranded.add(i)
                 next_pending.append(i)
+            # Never submitted, so never run: the attempt stays.
+            next_pending.extend(unsubmitted)
             if broken or timed_out is not None:
                 restarts += 1
                 if restarts > MAX_POOL_RESTARTS:
@@ -670,12 +674,14 @@ class Executor:
         """One pool lifetime: submit ``indices``, gather what finishes,
         delivering each value the moment it is gathered.
 
-        Returns ``(completed, failed, timed_out, unfinished, broken,
-        snapshots)``: the delivered indices, task-raised
+        Returns ``(completed, failed, timed_out, unfinished, unsubmitted,
+        broken, snapshots)``: the delivered indices, task-raised
         :class:`_TaskError` by index, the index of the first task past
         its deadline (or ``None``), the indices whose fate is unknown
-        (worker died / round abandoned), whether the pool broke, and
-        the telemetry snapshots of the completed tasks by index.  Raises
+        (worker died / round abandoned), the indices never submitted
+        because the pool broke during submission, whether the pool
+        broke, and the telemetry snapshots of the completed tasks by
+        index.  Raises
         :class:`_PoolUnavailable` only for errors no task can produce
         (fork failure, payload pickling) — a bug inside ``fn`` can
         never take that exit.  Any exception leaving the gather (a
@@ -710,19 +716,22 @@ class Executor:
             )
         except OSError as exc:
             raise _PoolUnavailable(exc) from exc
+        futures = {}
         try:
             try:
-                futures = {
-                    i: pool.submit(
+                for i in indices:
+                    futures[i] = pool.submit(
                         _invoke, fn, tasks[i], i, attempts[i], plan_spec, obs_spec
                     )
-                    for i in indices
-                }
+            except BrokenProcessPool:
+                # A worker of this round died while later tasks were
+                # still being submitted: a broken round, not a refused
+                # fork.  Harvest what the submitted tasks finished.
+                broken = True
             except (OSError, RuntimeError) as exc:
                 # Worker spawn failed (sandboxed fork) — no task ran.
                 raise _PoolUnavailable(exc) from exc
-            for i in indices:
-                future = futures[i]
+            for i, future in futures.items():
                 if broken or timed_out is not None:
                     # Round already abandoned: harvest without waiting.
                     if future.done():
@@ -758,4 +767,7 @@ class Executor:
             if broken or timed_out is not None:
                 _terminate_pool_processes(pool)
             pool.shutdown(wait=False, cancel_futures=True)
-        return completed, failed, timed_out, unfinished, broken, snapshots
+        unsubmitted = [i for i in indices if i not in futures]
+        return (
+            completed, failed, timed_out, unfinished, unsubmitted, broken, snapshots
+        )

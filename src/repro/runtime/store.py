@@ -74,6 +74,22 @@ def _payload_digest(arrays: Mapping[str, np.ndarray], meta_json: str) -> str:
     return digest.hexdigest()
 
 
+def _write_npz(handle, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write ``arrays`` as the container :func:`np.savez` writes (stored
+    zip members ``<name>.npy``, zip64 headers), streaming each array's
+    own bytes: ``np.savez`` copies every array while writing it.  An
+    array is made contiguous only when it is not already."""
+    with zipfile.ZipFile(handle, mode="w", compression=zipfile.ZIP_STORED) as archive:
+        for name, array in arrays.items():
+            if not (array.flags.c_contiguous or array.flags.f_contiguous):
+                array = np.ascontiguousarray(array)
+            header = np.lib.format.header_data_from_array_1_0(array)
+            data = array.T if header["fortran_order"] else array
+            with archive.open(f"{name}.npy", mode="w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(data.reshape(-1).view(np.uint8))
+
+
 class _DigestMismatch(Exception):
     """Internal: stored payload digest does not match the bytes read."""
 
@@ -260,7 +276,7 @@ class ArtifactStore:
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    np.savez(handle, **payload)
+                    _write_npz(handle, payload)
                 os.replace(tmp, path)
             except BaseException:
                 Path(tmp).unlink(missing_ok=True)

@@ -79,7 +79,7 @@ class TestBuildMemory:
         from repro.netlist.benchmarks import load_iscas85
 
         circuit = load_iscas85("c7552")
-        SeparationMatrix(circuit, cap=10)  # compile and pick the backend
+        SeparationMatrix(circuit, cap=10)  # warm the compiled graph
         tracemalloc.start()
         try:
             matrix = SeparationMatrix(circuit, cap=10)

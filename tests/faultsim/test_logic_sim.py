@@ -74,6 +74,45 @@ class TestInputValidation:
         with pytest.raises(FaultSimError):
             sim.simulate(np.zeros((0, 5), dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.full((4, 5), 2, dtype=np.int64),
+            np.full((4, 5), -1, dtype=np.int8),
+            np.full((4, 5), 255, dtype=np.uint8),
+            np.zeros((4, 5), dtype=np.float64),
+            np.full((4, 5), "1"),
+        ],
+        ids=["two", "minus-one", "uint8-255", "float", "str"],
+    )
+    def test_non_binary_patterns_rejected(self, c17_circuit, bad):
+        """Values other than 0/1, or a dtype other than bool/integer, are
+        refused — not read as their low bit, not a raw ``TypeError`` —
+        through every consumer of the simulator."""
+        from repro.faultsim.engine import CoverageEngine
+        from repro.faultsim.faults import sample_bridging_faults
+        from repro.faultsim.stuck_at import StuckAtSimulator, enumerate_stuck_at_faults
+        from repro.partition.partition import Partition
+
+        patterns = bad.copy()
+        patterns[0] = 0  # one valid row does not make the matrix valid
+        with pytest.raises(FaultSimError, match="0/1"):
+            LogicSimulator(c17_circuit).simulate(patterns)
+        faults = enumerate_stuck_at_faults(c17_circuit)[:4]
+        with pytest.raises(FaultSimError, match="0/1"):
+            StuckAtSimulator(c17_circuit).detection_matrix(faults, patterns)
+        defects = sample_bridging_faults(c17_circuit, 2, seed=1)
+        single = Partition.single_module(c17_circuit)
+        with pytest.raises(FaultSimError, match="0/1"):
+            CoverageEngine(c17_circuit).detection_matrix(single, defects, patterns)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int8, np.int64, np.uint64])
+    def test_binary_dtypes_accepted_alike(self, c17_circuit, dtype):
+        patterns = exhaustive_patterns(5)
+        sim = LogicSimulator(c17_circuit)
+        expected = sim.simulate(patterns).packed
+        assert np.array_equal(sim.simulate(patterns.astype(dtype)).packed, expected)
+
 
 class TestWordBoundaries:
     @pytest.mark.parametrize("count", [1, 63, 64, 65, 127, 128, 200])

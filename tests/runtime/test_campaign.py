@@ -231,7 +231,7 @@ class TestStageMaxRSS:
 
 class TestCircuitParallel:
     """``jobs > 1`` with several circuits: one pool task per circuit,
-    the stage drivers at ``jobs=1`` inside it (DESIGN §9.6)."""
+    the stage drivers at ``jobs=1`` inside it (DESIGN §9.5)."""
 
     def test_entries_and_totals_equal_serial_run(
         self, serial_pair, tmp_path, monkeypatch

@@ -158,6 +158,35 @@ class TestExecutorRecovery:
             result = Executor(2, fault_plan=plan).map(square, range(8))
         assert result == [t * t for t in range(8)]
 
+    def test_worker_death_during_submission_restarts_the_pool(self, monkeypatch):
+        # The pool breaks while the round is still submitting: submit
+        # pauses after task 2 until its crash has broken the pool, so
+        # submitting task 3 raises BrokenProcessPool.  That is a worker
+        # death like any other — one restart with the finished results
+        # kept — not a pool that could not start (serial fallback).
+        from concurrent.futures import ProcessPoolExecutor, wait
+
+        original = ProcessPoolExecutor.submit
+        paused = []
+
+        def submit(pool, fn, *args, **kwargs):
+            future = original(pool, fn, *args, **kwargs)
+            index, attempt = args[2], args[3]
+            if index == 2 and attempt == 0 and not paused:
+                paused.append(index)
+                wait([future], timeout=60)
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        executor = Executor(2, fault_plan=FaultPlan.parse("task:2:crash"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = executor.map(square, range(8))
+        assert result == [t * t for t in range(8)]
+        assert paused == [2]
+        assert executor.stats.pool_restarts == 1
+        assert executor.stats.serial_fallbacks == 0
+
     def test_persistent_crash_falls_back_to_serial(self):
         # A pool that keeps dying is bounded by MAX_POOL_RESTARTS, then
         # the survivors run in-process (where crash injection is inert

@@ -38,6 +38,48 @@ class TestRoundTrip:
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
 
+    def test_layouts_exact_with_verify(self, tmp_path):
+        """0-d, empty, Fortran-ordered, strided, bool and bytes arrays
+        round-trip exactly and pass digest verification."""
+        arrays = {
+            "scalar": np.asarray(7, dtype=np.int16),
+            "empty": np.empty((0, 5), dtype=np.float32),
+            "fortran": np.asfortranarray(np.arange(24.0).reshape(4, 6)),
+            "strided": np.arange(30, dtype=np.int64)[::4],
+            "bools": np.array([[True, False, True]]),
+            "bytes": np.array([b"ab", b"", b"xyz"]),
+        }
+        store = ArtifactStore(tmp_path / "cache", verify=True)
+        store.put("test", KEY, arrays, {"n": 1})
+        loaded = store.get("test", KEY)
+        assert loaded is not None and loaded.meta == {"n": 1}
+        for name, expected in arrays.items():
+            got = loaded.arrays[name]
+            assert got.dtype == expected.dtype, name
+            assert got.shape == expected.shape, name
+            assert np.array_equal(got, expected), name
+
+    def test_cold_separation_peak_below_one_and_a_half_matrices(self, tmp_path):
+        """A cold c7552 separation build plus its ``put`` writes the
+        matrix's own bytes: no second copy on top of the build."""
+        import tracemalloc
+
+        from repro.analysis.separation import SeparationMatrix
+        from repro.netlist.benchmarks import load_iscas85
+        from repro.runtime.artifacts import cached_separation_matrix
+
+        circuit = load_iscas85("c7552")
+        SeparationMatrix(circuit, cap=10)  # warm the compiled graph
+        store = ArtifactStore(tmp_path / "cache")
+        tracemalloc.start()
+        try:
+            separation, hit = cached_separation_matrix(store, circuit, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not hit
+        assert peak < 1.5 * separation.matrix.nbytes
+
     def test_meta_exact(self, store):
         meta = {
             "pi": 3.141592653589793,

@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles.sim import ReferenceLogicSimulator
 from repro.analysis.paths import extract_critical_path
 from repro.config import EvolutionParams
 from repro.analysis import separation
@@ -37,7 +38,7 @@ from repro.faultsim.faults import (
     sample_stuck_on_transistors,
 )
 from repro.faultsim.iddq import IDDQSimulator
-from repro.faultsim.logic_sim import LogicSimulator, ReferenceLogicSimulator
+from repro.faultsim.logic_sim import LogicSimulator
 from repro.faultsim.patterns import random_patterns
 from repro.faultsim.stuck_at import (
     ReferenceStuckAtSimulator,
