@@ -166,7 +166,7 @@ class CoverageEngine:
 
     def activation(self, defect: Defect, patterns: np.ndarray) -> np.ndarray:
         """0/1 activation of ``defect`` over ``patterns``, simulated
-        outside the sim-state cache (a walk's batch is never revisited)."""
+        outside the sim-state slot (a walk's batch is never revisited)."""
         return self._activation_bits([defect], self.sim.simulate_values(patterns))[0]
 
     # ---------------------------------------------------------------- internal

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FaultSimError
+from repro.faultsim.engine import CoverageEngine
+from repro.faultsim.faults import sample_bridging_faults
 from repro.faultsim.logic_sim import LogicSimulator
 from repro.faultsim.patterns import exhaustive_patterns, random_patterns
+from repro.faultsim.stuck_at import StuckAtSimulator, enumerate_stuck_at_faults
 from repro.netlist.gate import evaluate_gate
 from repro.netlist.generate import GeneratorConfig, generate_iscas_like
+from repro.partition.partition import Partition
 
 
 def naive_simulate(circuit, patterns):
@@ -89,11 +93,6 @@ class TestInputValidation:
         """Values other than 0/1, or a dtype other than bool/integer, are
         refused — not read as their low bit, not a raw ``TypeError`` —
         through every consumer of the simulator."""
-        from repro.faultsim.engine import CoverageEngine
-        from repro.faultsim.faults import sample_bridging_faults
-        from repro.faultsim.stuck_at import StuckAtSimulator, enumerate_stuck_at_faults
-        from repro.partition.partition import Partition
-
         patterns = bad.copy()
         patterns[0] = 0  # one valid row does not make the matrix valid
         with pytest.raises(FaultSimError, match="0/1"):

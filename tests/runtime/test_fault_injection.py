@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import warnings
+from concurrent.futures import ProcessPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -164,8 +165,6 @@ class TestExecutorRecovery:
         # submitting task 3 raises BrokenProcessPool.  That is a worker
         # death like any other — one restart with the finished results
         # kept — not a pool that could not start (serial fallback).
-        from concurrent.futures import ProcessPoolExecutor, wait
-
         original = ProcessPoolExecutor.submit
         paused = []
 

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.analysis.separation import SeparationMatrix
+from repro.netlist.benchmarks import load_iscas85
 from repro.runtime import fingerprint as fp
+from repro.runtime.artifacts import cached_separation_matrix
 from repro.runtime.store import ArtifactStore, _payload_digest, default_cache_dir
 
 
@@ -62,12 +66,6 @@ class TestRoundTrip:
     def test_cold_separation_peak_below_one_and_a_half_matrices(self, tmp_path):
         """A cold c7552 separation build plus its ``put`` writes the
         matrix's own bytes: no second copy on top of the build."""
-        import tracemalloc
-
-        from repro.analysis.separation import SeparationMatrix
-        from repro.netlist.benchmarks import load_iscas85
-        from repro.runtime.artifacts import cached_separation_matrix
-
         circuit = load_iscas85("c7552")
         SeparationMatrix(circuit, cap=10)  # warm the compiled graph
         store = ArtifactStore(tmp_path / "cache")
