@@ -159,12 +159,11 @@ class TestExecutorRecovery:
             result = Executor(2, fault_plan=plan).map(square, range(8))
         assert result == [t * t for t in range(8)]
 
-    def test_worker_death_during_submission_restarts_the_pool(self, monkeypatch):
-        # The pool breaks while the round is still submitting: submit
-        # pauses after task 2 until its crash has broken the pool, so
-        # submitting task 3 raises BrokenProcessPool.  That is a worker
-        # death like any other — one restart with the finished results
-        # kept — not a pool that could not start (serial fallback).
+    @staticmethod
+    def _pause_submit_after_task_2(monkeypatch) -> list:
+        """Make ``pool.submit``, once, wait after submitting task 2 until
+        that task's future is done: under ``task:2:crash`` its worker has
+        died by then, so submitting task 3 raises ``BrokenProcessPool``."""
         original = ProcessPoolExecutor.submit
         paused = []
 
@@ -177,6 +176,14 @@ class TestExecutorRecovery:
             return future
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        return paused
+
+    def test_worker_death_during_submission_restarts_the_pool(self, monkeypatch):
+        # The pool breaks while the round is still submitting.  That is a
+        # worker death like any other — one restart with the finished
+        # results kept — not a pool that could not start (serial
+        # fallback).
+        paused = self._pause_submit_after_task_2(monkeypatch)
         executor = Executor(2, fault_plan=FaultPlan.parse("task:2:crash"))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -184,6 +191,20 @@ class TestExecutorRecovery:
         assert result == [t * t for t in range(8)]
         assert paused == [2]
         assert executor.stats.pool_restarts == 1
+        assert executor.stats.serial_fallbacks == 0
+
+    def test_unsubmitted_tasks_keep_their_attempt(self, monkeypatch):
+        # Task 5 is never submitted in the broken round, so its first
+        # run in the next round is still attempt 0 and its crash fires:
+        # a second restart.
+        self._pause_submit_after_task_2(monkeypatch)
+        plan = FaultPlan.parse("task:2:crash;task:5:crash")
+        executor = Executor(2, fault_plan=plan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = executor.map(square, range(8))
+        assert result == [t * t for t in range(8)]
+        assert executor.stats.pool_restarts == 2
         assert executor.stats.serial_fallbacks == 0
 
     def test_persistent_crash_falls_back_to_serial(self):
