@@ -2,7 +2,8 @@
 
 :func:`repro.faultsim.logic_sim.run_schedule` (the fused schedule) must
 reproduce the per-gate :class:`~oracles.sim.ReferenceLogicSimulator`
-and the per-(level, op) kernel :func:`~oracles.sim.run_level_schedule`
+(``TestKernelEquivalence``) and the per-(level, op) kernel
+:func:`~oracles.sim.run_level_schedule` (``TestLevelKernelEquivalence``)
 bit for bit, pinned nets included; the fused plan must obey the fusion
 legality rule; and the engines built on the kernel must match their
 one-shot references over an ATPG-style walk.
@@ -47,7 +48,7 @@ def _generated(
 
 
 class TestKernelEquivalence:
-    """The fused kernel reproduces both references bit for bit."""
+    """The fused kernel reproduces the per-gate reference bit for bit."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_packed_words_match_reference(self, seed):
@@ -59,15 +60,12 @@ class TestKernelEquivalence:
             assert np.array_equal(
                 fast.packed[fast.row_of[name]], slow.packed[slow.row_of[name]]
             ), f"node {name}"
-        assert np.array_equal(fast.packed, level_simulate(circuit, patterns).packed)
 
     def test_c17_exhaustive(self, c17_circuit):
         patterns = exhaustive_patterns(5)
         fast = LogicSimulator(c17_circuit).simulate_outputs(patterns)
         slow = ReferenceLogicSimulator(c17_circuit).simulate_outputs(patterns)
         assert np.array_equal(fast, slow)
-        by_level = level_simulate(c17_circuit, patterns)
-        assert np.array_equal(fast, by_level.unpack(c17_circuit.output_names))
 
     def test_pinned_nets_survive(self):
         circuit = _generated(4)
@@ -76,8 +74,6 @@ class TestKernelEquivalence:
         gate = circuit.gate_names[len(circuit.gate_names) // 2]
         values = sim.simulate(patterns, pinned={gate: 1})
         assert np.all(values.node_bits(gate) == 1)
-        by_level = level_simulate(circuit, patterns, pinned={gate: 1})
-        assert np.array_equal(values.packed, by_level.packed)
         # A pinned net's effect matches the reference stuck-at path.
         reference = ReferenceStuckAtSimulator(circuit)
         fast = StuckAtSimulator(circuit)
@@ -92,13 +88,44 @@ class TestKernelEquivalence:
         fastsim = LogicSimulator(c17_circuit)
         for count in (1, 63, 64, 65, 129):
             patterns = random_patterns(5, count, seed=count)
-            fast = fastsim.simulate(patterns)
             assert np.array_equal(
-                fast.unpack(c17_circuit.output_names),
+                fastsim.simulate_outputs(patterns),
                 slowsim.simulate_outputs(patterns),
             )
+
+
+class TestLevelKernelEquivalence:
+    """The fused kernel reproduces the per-(level, op) kernel bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_packed_words_match_reference(self, seed):
+        circuit = _generated(seed)
+        patterns = random_patterns(len(circuit.input_names), 130, seed=seed)
+        fast = LogicSimulator(circuit).simulate(patterns)
+        assert np.array_equal(fast.packed, level_simulate(circuit, patterns).packed)
+
+    def test_c17_exhaustive(self, c17_circuit):
+        patterns = exhaustive_patterns(5)
+        fast = LogicSimulator(c17_circuit).simulate_outputs(patterns)
+        by_level = level_simulate(c17_circuit, patterns)
+        assert np.array_equal(fast, by_level.unpack(c17_circuit.output_names))
+
+    def test_pinned_nets_survive(self):
+        circuit = _generated(4)
+        patterns = random_patterns(len(circuit.input_names), 77, seed=4)
+        gate = circuit.gate_names[len(circuit.gate_names) // 2]
+        values = LogicSimulator(circuit).simulate(patterns, pinned={gate: 1})
+        by_level = level_simulate(circuit, patterns, pinned={gate: 1})
+        assert np.all(by_level.node_bits(gate) == 1)
+        assert np.array_equal(values.packed, by_level.packed)
+
+    def test_word_boundary_pattern_counts(self, c17_circuit):
+        fastsim = LogicSimulator(c17_circuit)
+        for count in (1, 63, 64, 65, 129):
+            patterns = random_patterns(5, count, seed=count)
             assert np.array_equal(
-                fast.packed, level_simulate(c17_circuit, patterns).packed
+                fastsim.simulate(patterns).packed,
+                level_simulate(c17_circuit, patterns).packed,
             )
 
 
