@@ -27,16 +27,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.faultsim.atpg import generate_iddq_tests, reference_generate_iddq_tests
+from oracles.faultsim import ReferenceStuckAtSimulator, reference_generate_iddq_tests
+from repro.faultsim.atpg import generate_iddq_tests
 from repro.faultsim.coverage import detection_matrix as reference_detection_matrix
 from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
 from repro.faultsim.patterns import random_patterns
-from repro.faultsim.stuck_at import (
-    ReferenceStuckAtSimulator,
-    StuckAtSimulator,
-    enumerate_stuck_at_faults,
-)
+from repro.faultsim.stuck_at import StuckAtSimulator, enumerate_stuck_at_faults
 from repro.netlist.benchmarks import load_iscas85
 from repro.optimize.start import chain_start_partition, estimate_module_count
 from repro.partition.evaluator import PartitionEvaluator

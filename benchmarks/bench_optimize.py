@@ -5,15 +5,17 @@ Each benchmark times one optimiser *step* on the largest Table 1 circuit
 (C7552 stand-in) twice:
 
 * **legacy** — the pre-dense-core pipeline, reconstructed faithfully on
-  the kept :class:`ReferenceEvaluationState`: a full state clone per
-  candidate, per-gate serial block moves, per-call boundary
-  materialisation and ``np.unique`` neighbour queries;
+  the dict-based ``ReferenceEvaluationState`` of ``tests/oracles``: a
+  full state clone per candidate, per-gate serial block moves, per-call
+  boundary materialisation and ``np.unique`` neighbour queries;
 * **dense** — the production path: one transactional
-  :class:`EvaluationState` scored through trial/commit/rollback, bulk
-  block moves, batched and version-cached boundary/adjacency queries.
+  :class:`EvaluationState` scored through trial/commit/rollback or the
+  ES's population kernel, batched and version-cached
+  boundary/adjacency queries.
 
 Steps measured: the §4.2 "all gates of M are moved" Monte-Carlo block
-move, a KL pass (48 candidate swaps), an ES generation (μ=4, λ=3, χ=1)
+move (its dense leg one ``trial_blocks`` row, as the ES scores a
+Monte-Carlo child), a KL pass (48 candidate swaps), an ES generation (μ=4, λ=3, χ=1)
 and an annealing sweep (64 proposals).  The legacy ES leg clones a
 state per child and uses a deterministic half-module Monte-Carlo
 block; the dense ES leg is the generation the optimiser runs — the
@@ -38,11 +40,11 @@ floor to 4x was measured unattainable and *not* adopted: the legacy
 leg here is clone-dominated, and both legs' per-candidate cost
 bottoms out at one full retiming sweep because ``kl``/``annealing``
 score swaps through per-candidate ``trial_cost`` (production
-behaviour).  The block-structured timing engine's batched-retime win
-lands in ``trial_moves``/``greedy_refine`` instead and is floored
-where it is measurable in isolation — ``bench_timing.py`` asserts ≥3x
-on the natural-K trial retime (4.4-7.9x measured) and ≥2x on stacked
-vs sequential candidate scoring (6.0-8.7x measured).  The annealing
+behaviour).  The stacked retime's win lands in
+``trial_moves``/``greedy_refine`` instead and is floored where it is
+measurable in isolation — ``bench_timing.py`` asserts ≥3x on the
+natural-K trial retime (8.2-9.3x measured) and ≥2x on stacked vs
+sequential candidate scoring (9.2-10.4x measured).  The annealing
 sweep is recorded without a floor: its legacy reject path (reverse
 move, no clone) was already clone-free, so the two legs are near
 parity.  Results land in ``BENCH_optimize.json`` via the bench-smoke
@@ -74,6 +76,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles.state import ReferenceEvaluationState
 from repro.config import EvolutionParams
 from repro.netlist.benchmarks import load_iscas85
 from repro.netlist.compiled import csr_gather
@@ -168,7 +171,7 @@ def _legacy_neighbor_modules(partition, gate):
 
 # ----------------------------------------------------- MC block move (§4.2)
 def test_mc_block_move_legacy(benchmark, evaluator, start):
-    state = evaluator.new_state(start, impl="reference")
+    state = ReferenceEvaluationState(evaluator, start)
     state.penalized_cost(PENALTY)
 
     def step(_):
@@ -188,17 +191,21 @@ def test_mc_block_move_legacy(benchmark, evaluator, start):
 
 
 def test_mc_block_move_dense(benchmark, evaluator, start):
+    """The same child as the ES scores a Monte-Carlo child: one
+    ``trial_blocks`` row, checked once against ``trial_cost``."""
     state = evaluator.new_state(start)
     state.penalized_cost(PENALTY)
+    partition = state.partition
+    source, target = partition.module_ids[0], partition.module_ids[1]
+    gates = partition.gates_array(source).tolist()
+    moves = [(gate, target) for gate in gates[: len(gates) // 2]]
+    want = state.trial_cost(moves, PENALTY)
+    state.rollback()
+    got = EvaluationState.trial_blocks([(state, moves)], PENALTY).costs[0]
+    assert got == want, "trial_blocks drifted from trial_cost"
 
     def step(_):
-        partition = state.partition
-        source, target = partition.module_ids[0], partition.module_ids[1]
-        gates = partition.gates_array(source).tolist()
-        state.begin_trial()
-        state.move_gates(gates[: len(gates) // 2], target)
-        state.penalized_cost(PENALTY)
-        state.rollback()
+        EvaluationState.trial_blocks([(state, moves)], PENALTY)
 
     def run():
         _RECORDED["mc_dense"] = _best_of(step)
@@ -285,7 +292,7 @@ def test_kl_pass_legacy(benchmark, evaluator, start):
     def run():
         _RECORDED["kl_legacy"] = _best_of(
             _legacy_kl_pass,
-            setup=lambda: evaluator.new_state(start, impl="reference"),
+            setup=lambda: ReferenceEvaluationState(evaluator, start),
             rounds=3,
         )
 
@@ -369,7 +376,7 @@ def _es_traced_peak(evaluator) -> int:
 
 
 def test_es_generation_legacy(benchmark, evaluator, start):
-    state = evaluator.new_state(start, impl="reference")
+    state = ReferenceEvaluationState(evaluator, start)
     state.penalized_cost(PENALTY)
 
     def run():
@@ -450,7 +457,7 @@ def test_anneal_sweep_legacy(benchmark, evaluator, start):
     def run():
         _RECORDED["anneal_legacy"] = _best_of(
             _legacy_anneal_sweep,
-            setup=lambda: evaluator.new_state(start, impl="reference"),
+            setup=lambda: ReferenceEvaluationState(evaluator, start),
             rounds=3,
         )
 

@@ -1,33 +1,30 @@
-"""Incremental-timing kernel benchmarks: the block-structured engine vs
-the pre-block hybrid full-sweep path.
+"""Incremental-timing kernel benchmarks: the maintained arrival vector
+and the stacked retime vs one full sweep per candidate.
 
 Every optimiser candidate needs the exact degraded critical path
 ``D_BIC`` (paper §3.2), and at the natural K a single gate move
-re-degrades two ~400-gate modules — before the block scheme that meant
-one full segment-batched sweep per candidate.  Three datapoints on the
-largest Table 1 circuit (C7552 stand-in), each timed twice:
+re-degrades two ~400-gate modules.  Three datapoints on the largest
+Table 1 circuit (C7552 stand-in), each timed twice:
 
 * **committed-move retime** — the arrival refresh after a committed
   move (seeds: both touched modules) as the maintained
-  :meth:`IncrementalTiming.update` vs the legacy full sweep + global
-  diff.  Recorded without a floor: at natural-K seed sizes both legs
-  sweep everything, and the maintained leg pays the level-major
-  permutation gathers on top (~0.8x observed) — a cost incurred once
-  per *accepted* move and repaid hundreds of times over by the batched
-  trial path below.
+  :meth:`IncrementalTiming.update` vs a plain full sweep + global diff.
+  Recorded without a floor: at natural-K seed sizes the update takes
+  its full gate-space sweep, so both legs do the same work (~0.95x
+  observed) — a cost incurred once per *accepted* move and repaid
+  hundreds of times over by the batched trial path below.
 * **natural-K trial retime** — scoring a whole (source, target)
   neighborhood: one :meth:`IncrementalTiming.retime_batch` stacked
-  sweep vs the legacy per-candidate loop (build the candidate delay
-  vector, full sweep, ``max()``).  Carries the PR's headline ≥3x floor.
+  sweep vs the per-candidate loop (build the candidate delay vector,
+  full sweep, ``max()``).  Carries the ≥3x floor.
 * **batched C-candidate retime** — the same candidates through C
   sequential maintained ``update`` + exact-undo round trips, isolating
-  what batching alone buys over block-structure alone.
+  what batching alone buys.
 
-The legacy leg is reconstructed in-bench from
-:class:`LevelizedTiming`'s level/edge lists (gate-space segment sweep —
-the exact shape of the pre-block hybrid full path) and checked
-bit-identical against the production sweep before timing.  Results land
-in ``BENCH_timing.json`` via the bench-smoke job.
+The per-candidate sweep is reconstructed in-bench from
+:class:`LevelizedTiming`'s level/edge lists (gate-space segment sweep)
+and checked bit-identical against the production sweep before timing.
+Results land in ``BENCH_timing.json`` via the bench-smoke job.
 """
 
 import random
@@ -51,10 +48,10 @@ PENALTY = 1.0e4
 
 
 class _LegacySweep:
-    """The pre-block hybrid full-sweep path, reconstructed from
-    :class:`LevelizedTiming`'s per-level edge lists: every gate starts
-    at its own delay, then each level adds one gate-space segment-
-    batched ``maximum.reduceat`` into its fed gates."""
+    """One full sweep, reconstructed from :class:`LevelizedTiming`'s
+    per-level edge lists: every gate starts at its own delay, then each
+    level adds one gate-space segment-batched ``maximum.reduceat`` into
+    its fed gates."""
 
     def __init__(self, timing):
         self.num_gates = timing.num_gates
@@ -80,7 +77,7 @@ def c7552():
 
 @pytest.fixture(scope="module")
 def setup(c7552):
-    """Shared benchmark state: maintained arrival/block maxima, a
+    """Shared benchmark state: the maintained arrival vector, a
     natural-K (source, target) candidate neighborhood, and the legacy
     sweep checked bit-identical against the production one."""
     evaluator = PartitionEvaluator(c7552)
@@ -93,7 +90,6 @@ def setup(c7552):
     inc = evaluator.timing.incremental
     delays = state.delay_degraded.copy()
     arrival = inc.full_arrival(delays)
-    block_max = inc.block_maxima(arrival)
 
     legacy = _LegacySweep(evaluator.timing)
     assert np.array_equal(
@@ -114,7 +110,6 @@ def setup(c7552):
         "legacy": legacy,
         "delays": delays,
         "arrival": arrival,
-        "block_max": block_max,
         "cols": cols,
         "overrides": overrides,
     }
@@ -154,20 +149,19 @@ def test_committed_move_retime_legacy(benchmark, setup):
 
 
 def test_committed_move_retime_maintained(benchmark, setup):
-    """Recorded without a floor — natural-K commits seed most blocks,
-    so both legs sweep everything and the maintained leg additionally
-    pays the level-major permutation gathers (see module docstring)."""
+    """Recorded without a floor — natural-K commits seed enough gates
+    that the update takes its full sweep, the legacy leg's work (see
+    module docstring)."""
     inc, delays, cols = setup["inc"], setup["delays"], setup["cols"]
     new_delays = delays.copy()
     new_delays[cols] = setup["overrides"][0]
 
     def prep():
-        return setup["arrival"].copy(), setup["block_max"].copy()
+        return setup["arrival"].copy()
 
-    def step(bufs):
-        arr, bm = bufs
-        inc.update(arr, new_delays, cols, block_max=bm)
-        _RECORDED["committed_dbic"] = float(bm.max())
+    def step(arr):
+        inc.update(arr, new_delays, cols)
+        _RECORDED["committed_dbic"] = float(arr.max())
 
     def run():
         _RECORDED["committed_maintained"] = _best_of(step, prep, rounds=20)
@@ -203,15 +197,11 @@ def test_natural_k_trial_retime_legacy(benchmark, setup):
 
 def test_natural_k_trial_retime_batched(benchmark, setup):
     inc, delays, cols = setup["inc"], setup["delays"], setup["cols"]
-    arrival, block_max, overrides = (
-        setup["arrival"],
-        setup["block_max"],
-        setup["overrides"],
-    )
+    arrival, overrides = setup["arrival"], setup["overrides"]
 
     def step(_):
         _RECORDED["trial_batched_dbic"] = inc.retime_batch(
-            arrival, delays, cols, overrides, block_max=block_max
+            arrival, delays, cols, overrides
         )
 
     def run():
@@ -234,8 +224,8 @@ def test_natural_k_trial_retime_batched(benchmark, setup):
 
 # -------------------------------------------------- batched C-candidate retime
 def test_batched_retime_sequential(benchmark, setup):
-    """C maintained update + exact-undo round trips — block structure
-    without batching."""
+    """C maintained update + exact-undo round trips — the maintained
+    arrival vector without batching."""
     inc, delays, cols, overrides = (
         setup["inc"],
         setup["delays"],
@@ -244,18 +234,16 @@ def test_batched_retime_sequential(benchmark, setup):
     )
 
     def prep():
-        return setup["arrival"].copy(), setup["block_max"].copy()
+        return setup["arrival"].copy()
 
-    def step(bufs):
-        arr, bm = bufs
+    def step(arr):
         out = np.empty(len(overrides), dtype=np.float64)
         for i in range(len(overrides)):
             cand = delays.copy()
             cand[cols] = overrides[i]
-            touched, old = inc.update(arr, cand, cols, block_max=bm)
-            out[i] = bm.max()
+            touched, old = inc.update(arr, cand, cols)
+            out[i] = arr.max()
             arr[touched] = old  # exact undo
-            bm[:] = setup["block_max"]
         _RECORDED["seq_dbic"] = out
 
     def run():
@@ -268,15 +256,11 @@ def test_batched_retime_sequential(benchmark, setup):
 
 def test_batched_retime_stacked(benchmark, setup):
     inc, delays, cols = setup["inc"], setup["delays"], setup["cols"]
-    arrival, block_max, overrides = (
-        setup["arrival"],
-        setup["block_max"],
-        setup["overrides"],
-    )
+    arrival, overrides = setup["arrival"], setup["overrides"]
 
     def step(_):
         _RECORDED["stacked_dbic"] = inc.retime_batch(
-            arrival, delays, cols, overrides, block_max=block_max
+            arrival, delays, cols, overrides
         )
 
     def run():

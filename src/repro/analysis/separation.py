@@ -27,8 +27,8 @@ temporaries, so they stay in cache and the matrix is the only ``n × n``
 array.  For the largest Table 1 circuit (3512 gates) the matrix is
 ~12 MB, the build's traced peak 1.3x that, and it builds in about
 0.06 s on a 2-vCPU VM — far faster than the per-gate Python BFS it
-replaced (kept below as :func:`reference_separation_matrix` for the
-equivalence suite) — after which every module evaluation and every
+replaced (kept in ``tests/oracles/separation.py`` for the equivalence
+suite) — after which every module evaluation and every
 incremental move delta is pure numpy indexing.
 """
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.netlist.circuit import Circuit
 
-__all__ = ["SeparationMatrix", "module_separation", "reference_separation_matrix"]
+__all__ = ["SeparationMatrix", "module_separation"]
 
 _WORD = 64
 #: Bytes of temporaries per BFS block: the gathered bitset rows of one
@@ -222,43 +222,6 @@ class SeparationMatrix:
                 self._matrix_f32 = self.matrix.astype(np.float32)
             out[:] = (self._matrix_f32 @ indicator)[gates]
         return out
-
-
-def reference_separation_matrix(circuit: Circuit, cap: int) -> np.ndarray:
-    """One capped Python BFS per gate — the executable specification the
-    batched builder is tested against."""
-    names = circuit.all_names
-    node_index = {name: i for i, name in enumerate(names)}
-    adjacency: list[list[int]] = [[] for _ in names]
-    for name, neighbours in circuit.undirected_adjacency.items():
-        adjacency[node_index[name]] = [node_index[n] for n in neighbours]
-    gate_index = circuit.gate_index
-    node_to_gate = np.full(len(names), -1, dtype=np.int64)
-    for name, g in gate_index.items():
-        node_to_gate[node_index[name]] = g
-    n = len(gate_index)
-    matrix = np.full((n, n), cap, dtype=np.uint8)
-    visited = np.full(len(names), -1, dtype=np.int64)
-    for name, g in gate_index.items():
-        start = node_index[name]
-        visited[start] = g
-        frontier = [start]
-        row = matrix[g]
-        row[g] = 0
-        for dist in range(1, cap):
-            nxt: list[int] = []
-            for node in frontier:
-                for nbr in adjacency[node]:
-                    if visited[nbr] != g:
-                        visited[nbr] = g
-                        gate_id = node_to_gate[nbr]
-                        if gate_id >= 0:
-                            row[gate_id] = dist
-                        nxt.append(nbr)
-            if not nxt:
-                break
-            frontier = nxt
-    return matrix
 
 
 def module_separation(circuit: Circuit, gates, cap: int) -> float:

@@ -32,11 +32,7 @@ from repro.faultsim.faults import (
 )
 from repro.faultsim.iddq import IDDQSimulator
 from repro.faultsim.engine import CoverageEngine
-from repro.faultsim.atpg import (
-    IDDQTestSet,
-    generate_iddq_tests,
-    reference_generate_iddq_tests,
-)
+from repro.faultsim.atpg import IDDQTestSet, generate_iddq_tests
 from repro.faultsim.quality import (
     QualityReport,
     defect_level,
@@ -44,7 +40,6 @@ from repro.faultsim.quality import (
     quality_from_defects,
 )
 from repro.faultsim.stuck_at import (
-    ReferenceStuckAtSimulator,
     StuckAtFault,
     StuckAtSimulator,
     enumerate_stuck_at_faults,
@@ -67,14 +62,12 @@ __all__ = [
     "CoverageEngine",
     "IDDQTestSet",
     "generate_iddq_tests",
-    "reference_generate_iddq_tests",
     "QualityReport",
     "defect_level",
     "quality_from_coverage",
     "quality_from_defects",
     "StuckAtFault",
     "StuckAtSimulator",
-    "ReferenceStuckAtSimulator",
     "enumerate_stuck_at_faults",
     "CoverageReport",
     "evaluate_coverage",

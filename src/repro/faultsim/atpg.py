@@ -23,9 +23,9 @@ whole walk is simulated in one batch of logic values (a few for a long
 walk).  Only the rest run the step-by-step hill-climb of
 :func:`_search_activating_vector`.  Each returns the step-by-step
 walk's vector and leaves the RNG where that walk leaves it.
-:func:`reference_generate_iddq_tests` drives the step-by-step search
-through the one-shot reference ``detection_matrix`` — the equivalence
-suite asserts both return the same test set, bit for bit.
+The reference in ``tests/oracles/faultsim.py`` drives the step-by-step
+search through the one-shot reference ``detection_matrix`` — the
+equivalence suite asserts both return the same test set, bit for bit.
 
 IDDQ test generation is fundamentally easier than logic ATPG: a defect
 needs only to be *activated* (no propagation to an output), which is why
@@ -44,7 +44,6 @@ import numpy as np
 
 from repro import obs
 from repro.errors import FaultSimError
-from repro.faultsim.coverage import detection_matrix
 from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import Defect
 from repro.faultsim.patterns import compact_patterns, random_patterns
@@ -53,7 +52,7 @@ from repro.library.technology import Technology
 from repro.netlist.circuit import Circuit
 from repro.partition.partition import Partition
 
-__all__ = ["IDDQTestSet", "generate_iddq_tests", "reference_generate_iddq_tests"]
+__all__ = ["IDDQTestSet", "generate_iddq_tests"]
 
 #: ``detect(defects, patterns) -> (defects, patterns)`` boolean matrix.
 Detector = Callable[[Sequence[Defect], np.ndarray], np.ndarray]
@@ -175,42 +174,6 @@ def generate_iddq_tests(
         random_vectors,
         compact,
         search_all=search_all,
-    )
-
-
-def reference_generate_iddq_tests(
-    circuit: Circuit,
-    partition: Partition,
-    defects: Sequence[Defect],
-    library: CellLibrary | None = None,
-    technology: Technology | None = None,
-    seed: int = 0,
-    random_vectors: int = 128,
-    restarts: int = 4,
-    flip_budget: int = 24,
-    compact: bool = True,
-) -> IDDQTestSet:
-    """The identical search through the one-shot reference detector.
-
-    Every detection call rebuilds the IDDQ simulator from scratch — the
-    pre-engine behaviour, kept as the executable specification and the
-    benchmark baseline.
-    """
-
-    def detect(ds, ps):
-        return detection_matrix(circuit, partition, ds, ps, library, technology)
-
-    num_inputs = len(circuit.input_names)
-    return _generate(
-        detect,
-        lambda defect, rng: _search_activating_vector(
-            detect, defect, rng, num_inputs, restarts, flip_budget
-        ),
-        circuit,
-        defects,
-        seed,
-        random_vectors,
-        compact,
     )
 
 

@@ -11,9 +11,9 @@ arrays are computed once per ``(simulator, partition)`` and reused
 across calls (keyed on :attr:`Partition.version` so mutation
 invalidates them).
 
-:meth:`IDDQSimulator.reference_gate_leakage_na` keeps the original
-per-gate loop as the executable specification; the equivalence suite
-asserts the grouped path reproduces it exactly.
+``tests/oracles/faultsim.py`` keeps the original per-gate loop as the
+executable specification; the equivalence suite asserts the grouped
+path reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class IDDQSimulator:
     def gate_leakage_na(self, values: NodeValues) -> np.ndarray:
         """``(patterns, gates)`` state-dependent leakage matrix in nA.
 
-        Arity-grouped and fully vectorised; exactly reproduces
-        :meth:`reference_gate_leakage_na`.
+        Arity-grouped and fully vectorised; exactly reproduces the
+        per-gate reference loop.
         """
         bits = self.unpack_bits(values)
         out = np.empty((len(self._gate_rows), values.num_patterns), dtype=np.float64)
@@ -150,29 +150,6 @@ class IDDQSimulator:
             for position in range(1, arity):
                 state = state | (bits[fanins[pos, position]] << position)
             out[sel] = np.take(flat, state + (pos[:, None].astype(np.int32) << arity))
-        return out
-
-    def reference_gate_leakage_na(self, values: NodeValues) -> np.ndarray:
-        """Per-gate loop leakage computation — the executable
-        specification for :meth:`gate_leakage_na`."""
-        num_patterns = values.num_patterns
-        out = np.empty((num_patterns, len(self._gate_rows)), dtype=np.float64)
-        unpacked: dict[int, np.ndarray] = {}
-
-        def bits(row: int) -> np.ndarray:
-            cached = unpacked.get(row)
-            if cached is None:
-                cached = np.unpackbits(
-                    values.packed[row].view(np.uint8), bitorder="little"
-                )[:num_patterns].astype(np.int64)
-                unpacked[row] = cached
-            return cached
-
-        for g, fanins in enumerate(self._fanin_rows):
-            state = np.zeros(num_patterns, dtype=np.int64)
-            for position, row in enumerate(fanins):
-                state |= bits(row) << position
-            out[:, g] = self._leak_tables[g][state]
         return out
 
     def module_indices(self, partition: Partition) -> dict[int, np.ndarray]:

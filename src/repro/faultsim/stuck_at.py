@@ -9,8 +9,8 @@ complementarity we need the logic-test side: the classic single
 stuck-at fault model, simulated bit-parallel.
 
 A stuck-at fault pins one net to 0 or 1; it is detected by a vector iff
-some primary output differs from the fault-free response.  Two engines
-implement the model:
+some primary output differs from the fault-free response.  One engine
+implements the model, and a serial reference checks it:
 
 * :class:`StuckAtSimulator` — the fault-parallel engine.  Faults are
   first *collapsed* into structural equivalence classes (chains through
@@ -31,10 +31,10 @@ implement the model:
   :meth:`StuckAtSimulator.coverage` additionally *drops* faults chunk
   by chunk — once a fault class is detected in an earlier pattern block
   it is never simulated again.
-* :class:`ReferenceStuckAtSimulator` — the original serial-fault
-  implementation (one full compiled-graph re-simulation per fault),
-  kept verbatim as the executable specification.  The equivalence suite
-  asserts both produce bit-identical detection matrices.
+* the original serial-fault implementation (one full compiled-graph
+  re-simulation per fault), kept as the executable specification in
+  ``tests/oracles/faultsim.py``.  The equivalence suite asserts both
+  produce bit-identical detection matrices.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from repro.netlist.gate import GateType
 __all__ = [
     "StuckAtFault",
     "StuckAtSimulator",
-    "ReferenceStuckAtSimulator",
     "enumerate_stuck_at_faults",
 ]
 
@@ -162,7 +161,7 @@ class StuckAtSimulator:
     ) -> np.ndarray:
         """Boolean ``(faults, patterns)``: vector p detects fault f.
 
-        Bit-identical to :class:`ReferenceStuckAtSimulator`.  With
+        Bit-identical to the serial-fault reference.  With
         ``jobs`` > 1 the fault list is sharded across the runtime's
         process pool (:func:`repro.runtime.parallel.sharded_detection_matrix`);
         every fault's row is computed independently of its batch-mates,
@@ -374,62 +373,3 @@ class StuckAtSimulator:
         out_rows = self._out_nodes[out_positions]
         xor = state[out_rows] ^ good[out_rows][:, None, :]
         return np.bitwise_or.reduce(xor, axis=0) & valid
-
-
-class ReferenceStuckAtSimulator:
-    """Serial-fault, bit-parallel stuck-at simulator — the executable
-    specification.
-
-    One full compiled-graph re-simulation per fault with the fault net
-    pinned; :class:`StuckAtSimulator` must reproduce its detection
-    matrices bit for bit.
-    """
-
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self.simulator = LogicSimulator(circuit)
-
-    def detection_matrix(
-        self, faults: Sequence[StuckAtFault], patterns: np.ndarray
-    ) -> np.ndarray:
-        """Boolean ``(faults, patterns)``: vector p detects fault f."""
-        good = self.simulator.simulate(patterns)
-        good_outputs = self._output_words(good)
-        num_words = good.packed.shape[1]
-        out = np.zeros((len(faults), patterns.shape[0]), dtype=np.bool_)
-        for i, fault in enumerate(faults):
-            faulty = self._simulate_with_fault(fault, patterns)
-            diff = np.zeros(num_words, dtype=np.uint64)
-            for good_row, bad_row in zip(good_outputs, faulty):
-                diff |= good_row ^ bad_row
-            bits = np.unpackbits(diff.view(np.uint8), bitorder="little")
-            out[i] = bits[: patterns.shape[0]].astype(bool)
-        return out
-
-    def coverage(
-        self, faults: Sequence[StuckAtFault], patterns: np.ndarray
-    ) -> float:
-        """Fraction of faults detected by the pattern set."""
-        if not faults:
-            return 1.0
-        matrix = self.detection_matrix(faults, patterns)
-        return float(matrix.any(axis=1).mean())
-
-    # ------------------------------------------------------------------ internal
-    def _output_words(self, values) -> list[np.ndarray]:
-        return [
-            values.packed[values.row_of[name]].copy()
-            for name in self.circuit.output_names
-        ]
-
-    def _simulate_with_fault(
-        self, fault: StuckAtFault, patterns: np.ndarray
-    ) -> list[np.ndarray]:
-        """Re-simulate with ``fault.net`` pinned; returns output words."""
-        if fault.net not in self.simulator.row_of:
-            raise FaultSimError(f"unknown net {fault.net!r}")
-        values = self.simulator.simulate(patterns, pinned={fault.net: fault.value})
-        return [
-            values.packed[values.row_of[name]].copy()
-            for name in self.circuit.output_names
-        ]

@@ -50,7 +50,6 @@ __all__ = [
     "SimGroup",
     "compile_circuit",
     "csr_gather",
-    "level_blocks",
     "GATE_TYPE_CODES",
     "OP_AND",
     "OP_OR",
@@ -117,31 +116,6 @@ def csr_gather(
     cum0 = np.cumsum(counts) - counts
     pos = np.arange(total, dtype=np.int64) - np.repeat(cum0, counts)
     return indices[np.repeat(starts, counts) + pos], counts
-
-
-def level_blocks(level_sizes, max_gates: int) -> np.ndarray:
-    """Greedy contiguous partition of a level sequence into blocks.
-
-    Returns the block index per level: levels are packed left to right,
-    a new block starting whenever adding the next level would push the
-    running gate count past ``max_gates`` (a level larger than the
-    budget gets a block of its own).  Every block is a contiguous,
-    non-empty run of levels — the invariant the block-structured timing
-    maintenance (:class:`~repro.analysis.timing.IncrementalTiming`)
-    relies on: a block's fanins come only from the same or earlier
-    blocks, so blocks can be recomputed in ascending order.
-    """
-    sizes = np.asarray(level_sizes, dtype=np.int64)
-    block_of = np.zeros(len(sizes), dtype=np.int64)
-    block = 0
-    acc = 0
-    for i, size in enumerate(sizes.tolist()):
-        if acc and acc + size > max_gates:
-            block += 1
-            acc = 0
-        acc += size
-        block_of[i] = block
-    return block_of
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from repro.partition.partition import Partition
 from repro.partition.costs import CostBreakdown
 from repro.partition.constraints import ConstraintReport, check_constraints, check_constraints_arrays
 from repro.partition.evaluator import ModuleReport, PartitionEvaluation, PartitionEvaluator
-from repro.partition.state import EvaluationState, ReferenceEvaluationState
+from repro.partition.state import EvaluationState
 from repro.partition.metrics import PartitionMetrics, compute_metrics, cut_edges, module_components
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "PartitionEvaluation",
     "PartitionEvaluator",
     "EvaluationState",
-    "ReferenceEvaluationState",
     "PartitionMetrics",
     "compute_metrics",
     "cut_edges",

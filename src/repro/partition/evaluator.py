@@ -29,7 +29,7 @@ from repro.netlist.circuit import Circuit
 from repro.partition.constraints import ConstraintReport
 from repro.partition.costs import CostBreakdown
 from repro.partition.partition import Partition
-from repro.partition.state import EvaluationState, ReferenceEvaluationState
+from repro.partition.state import EvaluationState
 from repro.sensors.bic import BICSensor
 from repro.sensors.degradation import DelayDegradationModel, SecondOrderDegradation
 from repro.sensors.sensing import settle_time_ns
@@ -124,10 +124,6 @@ class PartitionEvaluator:
         time_resolved_degradation: evaluate δ(g,t) at each gate's own
             transition times instead of the module's worst slot
             (see DESIGN.md §6.4 and the ablation bench).
-        state_impl: evaluation-state implementation handed out by
-            :meth:`new_state` — ``"dense"`` (the transactional
-            array-backed core, default) or ``"reference"`` (the
-            dict-based executable specification).
         separation: a prebuilt separation matrix to reuse (the runtime
             artifact cache restores one instead of re-running the BFS);
             its cap must match the technology's ``separation_cap``.
@@ -141,12 +137,8 @@ class PartitionEvaluator:
         weights: CostWeights | None = None,
         degradation: DelayDegradationModel | None = None,
         time_resolved_degradation: bool = False,
-        state_impl: str = "dense",
         separation: SeparationMatrix | None = None,
     ):
-        if state_impl not in ("dense", "reference"):
-            raise ValueError(f"unknown state_impl {state_impl!r}")
-        self.state_impl = state_impl
         self.circuit = circuit
         self.library = library or generic_library()
         self.technology = technology or generic_technology()
@@ -208,15 +200,8 @@ class PartitionEvaluator:
         )
 
     # --------------------------------------------------------------- evaluate
-    def new_state(self, partition: Partition, impl: str | None = None):
-        """An incremental evaluation state seeded from ``partition``.
-
-        ``impl`` overrides the evaluator's ``state_impl`` for this one
-        state — the equivalence suite runs the same optimiser on both.
-        """
-        impl = impl or self.state_impl
-        if impl == "reference":
-            return ReferenceEvaluationState(self, partition)
+    def new_state(self, partition: Partition) -> EvaluationState:
+        """An incremental evaluation state seeded from ``partition``."""
         return EvaluationState(self, partition)
 
     def evaluate(self, partition: Partition) -> PartitionEvaluation:

@@ -26,6 +26,31 @@ from repro.netlist.compiled import csr_gather
 __all__ = ["Partition"]
 
 
+def _check_circuit(circuit: Circuit) -> int:
+    """The circuit's logic-gate count; a partition needs at least one."""
+    n = len(circuit.gate_names)
+    if n == 0:
+        raise PartitionError(
+            f"circuit {circuit.name!r} has no logic gates to partition"
+        )
+    return n
+
+
+def _check_module_ids(module_of) -> np.ndarray:
+    """``module_of`` as an array, which must hold integer module ids in
+    ``[0, 2**31)`` (the assignment array is ``int32``)."""
+    module_of = np.asarray(module_of)
+    if not np.issubdtype(module_of.dtype, np.integer):
+        raise PartitionError(
+            f"module ids must be integers, got dtype {module_of.dtype}"
+        )
+    if module_of.size and (
+        module_of.min() < 0 or module_of.max() > np.iinfo(np.int32).max
+    ):
+        raise PartitionError("module ids must lie in [0, 2**31)")
+    return module_of
+
+
 class Partition:
     """Mutable disjoint cover of a circuit's logic gates by modules.
 
@@ -38,7 +63,7 @@ class Partition:
         """``assignment`` maps dense gate index -> module id and must
         cover every logic gate."""
         self.circuit = circuit
-        n = len(circuit.gate_names)
+        n = _check_circuit(circuit)
         if set(assignment.keys()) != set(range(n)):
             missing = sorted(set(range(n)) - set(assignment.keys()))[:5]
             extra = sorted(set(assignment.keys()) - set(range(n)))[:5]
@@ -46,6 +71,7 @@ class Partition:
                 f"assignment must cover exactly the {n} logic gates; "
                 f"missing={missing} extra={extra}"
             )
+        _check_module_ids(list(assignment.values()))
         self._module_of: np.ndarray = np.zeros(n, dtype=np.int32)
         self._modules: dict[int, set[int]] = {}
         for gate, module in assignment.items():
@@ -87,18 +113,13 @@ class Partition:
         instead of a per-gate loop.
         """
         module_of = np.asarray(module_of)
-        n = len(circuit.gate_names)
+        n = _check_circuit(circuit)
         if module_of.shape != (n,):
             raise PartitionError(
                 f"module_of must hold one module id per logic gate ({n}), "
                 f"got shape {module_of.shape}"
             )
-        if not np.issubdtype(module_of.dtype, np.integer):
-            raise PartitionError(
-                f"module ids must be integers, got dtype {module_of.dtype}"
-            )
-        if n and (module_of.min() < 0 or module_of.max() > np.iinfo(np.int32).max):
-            raise PartitionError("module ids must lie in [0, 2**31)")
+        module_of = _check_module_ids(module_of)
         order = np.argsort(module_of, kind="stable")
         ids, first = np.unique(module_of[order], return_index=True)
         groups = np.split(order, first[1:])

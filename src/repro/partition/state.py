@@ -3,32 +3,32 @@
 The evolution strategy evaluates thousands of candidate partitions, each
 differing from its parent by a handful of gate moves.  The paper makes
 this affordable by recomputing "costs ... just for the modified modules".
-Two implementations of that idea live here, behind one protocol:
 
-* :class:`EvaluationState` — the production path.  Per-module statistics
-  live in contiguous *slot*-indexed arrays — ``(S,)`` leakage / rail-cap
-  / separation / peak-current vectors and ``(S, T)`` current / activity
-  profile matrices — so every cost term and the feasibility predicate
-  ``Γ`` are pure array reductions with no per-module Python loop.  The
-  ``c2``/``c4`` delay term is maintained incrementally: a move dirties
-  two modules, their gates' degraded delays are re-derived, and the
-  critical path is updated only through the changed gates' fanout cones
-  (:class:`~repro.analysis.timing.IncrementalTiming`).
+:class:`EvaluationState` keeps per-module statistics in contiguous
+*slot*-indexed arrays — ``(S,)`` leakage / rail-cap / separation /
+peak-current vectors and ``(S, T)`` current / activity profile
+matrices — so every cost term and the feasibility predicate ``Γ`` are
+pure array reductions with no per-module Python loop.  The ``c2``/``c4``
+delay term is maintained incrementally: a move dirties two modules,
+their gates' degraded delays are re-derived, and the critical path is
+updated through the changed gates' fanout cones, or by one full sweep
+when many gates changed
+(:class:`~repro.analysis.timing.IncrementalTiming`).  ``D_BIC`` is the
+maximum of the maintained arrival vector.  :class:`_StateProtocol`
+holds the generic trial loops; with the dict-based reference state in
+``tests/oracles/state.py`` they are the oracles the dense kernels are
+tested against.
 
-* :class:`ReferenceEvaluationState` — the original dict-of-
-  :class:`ModuleStats` implementation, kept as the executable
-  specification the dense path is tested against.
-
-Both support the **transactional move protocol**: ``begin_trial()``
+The state supports the **transactional move protocol**: ``begin_trial()``
 opens a journal, moves apply *in place*, and ``rollback()`` restores
 every byte of state exactly (saved prior values, not reverse
 arithmetic) while ``commit()`` keeps the moves.  Optimisers therefore
-never clone a state to score a candidate.  The dense path additionally
+never clone a state to score a candidate.  The dense state additionally
 offers :meth:`EvaluationState.trial_moves` — a batched gain kernel that
 scores a whole candidate set ``(gates, targets)`` in one vectorised
 pass (batched separation sums, scatter-added profile deltas, vectorised
-sensor sizing and constraint checking), looping only for the
-per-candidate cone-restricted delay update, and
+sensor sizing and constraint checking) and stacked retimes for the
+delay term, and
 :meth:`EvaluationState.trial_blocks` — the population kernel that
 scores a whole ES generation of multi-move rows from several parent
 states in one statistics pass and one stacked retiming sweep, and
@@ -51,16 +51,12 @@ import numpy as np
 
 from repro import obs
 from repro.errors import PartitionError
-from repro.partition.constraints import (
-    ConstraintReport,
-    check_constraints,
-    check_constraints_arrays,
-)
+from repro.partition.constraints import ConstraintReport, check_constraints_arrays
 from repro.netlist.compiled import csr_gather
 from repro.partition.costs import CostBreakdown, log_guarded
 from repro.partition.partition import Partition
-from repro.sensors.bic import BICSensor, size_sensor, size_sensors
-from repro.sensors.sensing import settle_time_ns, settle_times_ns
+from repro.sensors.bic import BICSensor, size_sensors
+from repro.sensors.sensing import settle_times_ns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.partition.evaluator import PartitionEvaluator
@@ -69,7 +65,6 @@ __all__ = [
     "BlockScores",
     "ModuleStats",
     "EvaluationState",
-    "ReferenceEvaluationState",
 ]
 
 
@@ -160,7 +155,8 @@ class BlockScores:
 
 
 class _StateProtocol:
-    """Shared pieces of the two evaluation-state implementations."""
+    """The evaluation-state protocol and its generic trial loops, shared
+    by :class:`EvaluationState` and the test suite's reference state."""
 
     ctx: "PartitionEvaluator"
     partition: Partition
@@ -254,255 +250,6 @@ class _StateProtocol:
         return list(self._move_log)
 
 
-class ReferenceEvaluationState(_StateProtocol):
-    """A partition plus per-module dict caches — the original §4.2
-    implementation, kept as the dense core's executable specification."""
-
-    def __init__(self, ctx: "PartitionEvaluator", partition: Partition):
-        self.ctx = ctx
-        self.partition = partition.copy()
-        self.stats: dict[int, ModuleStats] = {}
-        self.delay_degraded = ctx.electricals.delay_ns.copy()
-        self._sensors: dict[int, BICSensor] = {}
-        self._dirty: set[int] = set()
-        self._snapshot: "ReferenceEvaluationState | None" = None
-        self._move_log: list[tuple[int, int]] = []
-        for module in self.partition.module_ids:
-            self.stats[module] = self._build_module_stats(module)
-            self._dirty.add(module)
-
-    # ------------------------------------------------------------ construction
-    def _build_module_stats(self, module: int) -> ModuleStats:
-        ctx = self.ctx
-        gates = self.partition.gates_array(module)
-        current = ctx.times.profile(gates, ctx.electricals.peak_current_ma)
-        activity = ctx.times.profile(gates, ctx.ones)
-        leak = float(ctx.electricals.leakage_na[gates].sum())
-        rail = float(ctx.electricals.rail_cap_ff[gates].sum())
-        sep = ctx.separation.module_sum(gates)
-        return ModuleStats(current, activity, leak, sep, rail)
-
-    def copy(self) -> "ReferenceEvaluationState":
-        if self._snapshot is not None:
-            raise PartitionError("cannot copy a state with an open trial")
-        clone = object.__new__(ReferenceEvaluationState)
-        clone.ctx = self.ctx
-        clone.partition = self.partition.copy()
-        clone.stats = {module: stats.copy() for module, stats in self.stats.items()}
-        clone.delay_degraded = self.delay_degraded.copy()
-        clone._sensors = dict(self._sensors)
-        clone._dirty = set(self._dirty)
-        clone._snapshot = None
-        clone._move_log = list(self._move_log)
-        return clone
-
-    # ------------------------------------------------------------------ trials
-    def begin_trial(self) -> None:
-        """Open a trial: subsequent moves apply in place until
-        :meth:`commit` keeps them or :meth:`rollback` restores the exact
-        prior state.  (Reference implementation: a full snapshot.)"""
-        if self._snapshot is not None:
-            raise PartitionError("trial already open")
-        self._snapshot = self.copy()
-
-    def commit(self) -> None:
-        if self._snapshot is None:
-            raise PartitionError("no open trial")
-        self._snapshot = None
-
-    def rollback(self) -> None:
-        snap = self._snapshot
-        if snap is None:
-            raise PartitionError("no open trial")
-        self._snapshot = None
-        # Same monotonic-version contract as the dense journal rollback:
-        # every version observed during the trial becomes stale.
-        snap.partition._version = self.partition._version + 1
-        self.partition = snap.partition
-        self.stats = snap.stats
-        self.delay_degraded = snap.delay_degraded
-        self._sensors = snap._sensors
-        self._dirty = snap._dirty
-        self._move_log = snap._move_log
-
-    # ------------------------------------------------------------------ moves
-    def move_gate(self, gate: int, target_module: int) -> int:
-        """Move a gate, updating both touched modules' caches; returns the
-        source module id."""
-        ctx = self.ctx
-        partition = self.partition
-        source = partition.module_of(gate)
-        if source == target_module:
-            raise PartitionError(f"gate {gate} already in module {target_module}")
-        src_stats = self.stats[source]
-        tgt_stats = self.stats.get(target_module)
-        if tgt_stats is None:
-            raise PartitionError(f"no module {target_module}")
-
-        # Separation deltas need the memberships *around* the move: the
-        # source before removal (self-distance is 0 so including the gate
-        # is harmless) and the target before insertion.
-        src_members = partition.gates_array(source)
-        tgt_members = partition.gates_array(target_module)
-        src_stats.sep_sum -= ctx.separation.sum_to_group(gate, src_members)
-        tgt_stats.sep_sum += ctx.separation.sum_to_group(gate, tgt_members)
-
-        times = ctx.times.times[gate]
-        peak = ctx.electricals.peak_current_ma[gate]
-        src_stats.current_profile[times] -= peak
-        tgt_stats.current_profile[times] += peak
-        src_stats.activity_profile[times] -= 1.0
-        tgt_stats.activity_profile[times] += 1.0
-        leak = ctx.electricals.leakage_na[gate]
-        rail = ctx.electricals.rail_cap_ff[gate]
-        src_stats.leak_na -= leak
-        tgt_stats.leak_na += leak
-        src_stats.rail_cap_ff -= rail
-        tgt_stats.rail_cap_ff += rail
-
-        partition.move_gate(gate, target_module)
-        if source not in partition.module_ids or partition.module_size(source) == 0:
-            # Module died with this move.
-            self.stats.pop(source, None)
-            self._sensors.pop(source, None)
-            self._dirty.discard(source)
-        else:
-            self._dirty.add(source)
-        self._dirty.add(target_module)
-        self._move_log.append((gate, target_module))
-        return source
-
-    def split_new_module(self, gates) -> int:
-        """Create a new module from ``gates`` (state-maintaining version of
-        :meth:`Partition.split_new_module`); rebuilds only the touched
-        modules' caches."""
-        if self._snapshot is not None:
-            raise PartitionError("split_new_module not allowed inside a trial")
-        gates = list(gates)
-        if not gates:
-            raise PartitionError("cannot create an empty module")
-        sources = {self.partition.module_of(gate) for gate in gates}
-        new_id = self.partition.split_new_module(gates)
-        self._rebuild_touched(sources | {new_id})
-        return new_id
-
-    def merge_modules(self, keep: int, absorb: int) -> None:
-        """Merge ``absorb`` into ``keep`` (rebuilds only ``keep``)."""
-        if self._snapshot is not None:
-            raise PartitionError("merge_modules not allowed inside a trial")
-        self.partition.merge_modules(keep, absorb)
-        self._rebuild_touched({keep, absorb})
-
-    def _rebuild_touched(self, modules: set[int]) -> None:
-        """Rebuild caches of ``modules`` only; dead ones are dropped and
-        only the rebuilt ones become dirty."""
-        alive = set(self.partition.module_ids)
-        for module in sorted(modules):
-            if module in alive:
-                self.stats[module] = self._build_module_stats(module)
-                self._dirty.add(module)
-            else:
-                self.stats.pop(module, None)
-                self._sensors.pop(module, None)
-                self._dirty.discard(module)
-
-    # ------------------------------------------------------------ derived data
-    def _refresh(self) -> None:
-        """Re-size sensors and re-degrade delays for modified modules."""
-        ctx = self.ctx
-        for module in sorted(self._dirty):
-            stats = self.stats[module]
-            gates = self.partition.gates_array(module)
-            sensor = size_sensor(
-                ctx.technology, module, stats.max_current_ma, stats.rail_cap_ff
-            )
-            self._sensors[module] = sensor
-            if ctx.time_resolved_degradation:
-                n = ctx.times.max_in_profile(gates, stats.activity_profile)
-            else:
-                n = float(stats.activity_profile.max())
-            delta = ctx.degradation.delta(
-                n,
-                sensor.rs_ohm,
-                sensor.cs_ff,
-                ctx.electricals.output_cap_ff[gates],
-                ctx.electricals.pulldown_res_ohm[gates],
-            )
-            self.delay_degraded[gates] = ctx.electricals.delay_ns[gates] * (1.0 + delta)
-        self._dirty.clear()
-
-    def sensors(self) -> dict[int, BICSensor]:
-        """Sized sensors for every module (refreshes lazily)."""
-        self._refresh()
-        return dict(self._sensors)
-
-    def cost_breakdown(self) -> CostBreakdown:
-        """All five cost terms for the current partition."""
-        self._refresh()
-        ctx = self.ctx
-        total_area = sum(s.area for s in self._sensors.values())
-        c1 = log_guarded(total_area)
-        d_bic = ctx.timing.critical_path_delay(self.delay_degraded)
-        d_nom = ctx.nominal_delay_ns
-        c2 = (d_bic - d_nom) / d_nom
-        total_sep = sum(stats.sep_sum for stats in self.stats.values())
-        c3 = log_guarded(total_sep)
-        settle = max(
-            settle_time_ns(sensor, ctx.technology) for sensor in self._sensors.values()
-        )
-        c4 = (d_bic + settle - d_nom) / d_nom
-        c5 = float(self.partition.num_modules)
-        return CostBreakdown(
-            c1_area=c1,
-            c2_delay=c2,
-            c3_separation=c3,
-            c4_test_time=c4,
-            c5_modules=c5,
-            weights=ctx.weights,
-        )
-
-    def constraint_report(self) -> ConstraintReport:
-        leak = {module: stats.leak_na for module, stats in self.stats.items()}
-        current = {module: stats.max_current_ma for module, stats in self.stats.items()}
-        return check_constraints(self.ctx.technology, leak, current)
-
-    def penalized_cost(self, penalty: float) -> float:
-        """Cost plus penalty for constraint violation — the optimiser's
-        selection criterion (feasible partitions dominate infeasible)."""
-        report = self.constraint_report()
-        cost = self.cost_breakdown().total
-        if report.feasible:
-            return cost
-        return cost + penalty * (1.0 + report.violation)
-
-    # ------------------------------------------------------------- validation
-    def consistency_check(self, atol: float = 1e-6) -> None:
-        """Compare every cache against a from-scratch rebuild.
-
-        Property tests drive random move sequences through this; any
-        drift in the incremental updates fails loudly here.
-        """
-        self.partition.check_invariants()
-        for module in self.partition.module_ids:
-            fresh = self._build_module_stats(module)
-            cached = self.stats[module]
-            if not np.allclose(cached.current_profile, fresh.current_profile, atol=atol):
-                raise PartitionError(f"module {module}: current profile drifted")
-            if not np.allclose(cached.activity_profile, fresh.activity_profile, atol=atol):
-                raise PartitionError(f"module {module}: activity profile drifted")
-            for field in ("leak_na", "sep_sum", "rail_cap_ff"):
-                if abs(getattr(cached, field) - getattr(fresh, field)) > atol:
-                    raise PartitionError(
-                        f"module {module}: {field} drifted "
-                        f"({getattr(cached, field)} vs {getattr(fresh, field)})"
-                    )
-        if set(self.stats) != set(self.partition.module_ids):
-            raise PartitionError(
-                f"stats keys {sorted(self.stats)} != modules "
-                f"{sorted(self.partition.module_ids)}"
-            )
-
-
 class EvaluationState(_StateProtocol):
     """Dense transactional evaluation core (see module docstring).
 
@@ -557,7 +304,6 @@ class EvaluationState(_StateProtocol):
         self.settle_ns = np.zeros(s, dtype=np.float64)
         self.delay_degraded = ctx.electricals.delay_ns.copy()
         self._arrival: np.ndarray | None = None
-        self._block_max: np.ndarray | None = None
         self._dbic = 0.0
         self._dirty: set[int] = set(modules)
         self._journal: list | None = None
@@ -595,7 +341,6 @@ class EvaluationState(_StateProtocol):
         for name in EvaluationState.SLOT_ARRAYS + ("delay_degraded",):
             setattr(clone, name, getattr(self, name).copy())
         clone._arrival = None if self._arrival is None else self._arrival.copy()
-        clone._block_max = None if self._block_max is None else self._block_max.copy()
         clone._dbic = self._dbic
         clone._dirty = set(self._dirty)
         clone._journal = None
@@ -663,14 +408,6 @@ class EvaluationState(_StateProtocol):
                 partition._modules[target].discard(gate)
                 partition._modules[source].add(gate)
                 partition._module_of[gate] = source
-            elif kind == "bulk_move":
-                _, moved, source, target, source_died = entry
-                block = set(moved.tolist())
-                if source_died:
-                    partition._modules[source] = set()
-                partition._modules[target] -= block
-                partition._modules[source] |= block
-                partition._module_of[moved] = source
             elif kind == "mem":
                 _, module, members = entry
                 if members is None:
@@ -695,7 +432,6 @@ class EvaluationState(_StateProtocol):
             # (against trial-time delays); drop it so the next refresh
             # rebuilds from the restored delays.
             self._arrival = None
-            self._block_max = None
         del self._move_log[log_len:]
 
     # ------------------------------------------------------------------ moves
@@ -769,123 +505,9 @@ class EvaluationState(_StateProtocol):
         self._move_log.append((gate, target_module))
         return source
 
-    def move_gates(self, gates: Iterable[int], target_module: int) -> None:
-        """Move a batch of gates, vectorising maximal same-source runs.
-
-        A Monte-Carlo mutation moves hundreds of gates from one module
-        in a single operation; doing that one :meth:`move_gate` at a
-        time re-gathers both memberships and re-maxes both profiles per
-        gate.  The bulk path computes the *sequential* per-gate deltas
-        in closed form (the separation corrections are the strict lower
-        triangle of the moved set's own distance matrix), applies the
-        profile updates as one scatter pass in the same per-gate order,
-        and touches the partition once per gate — the resulting state is
-        bit-identical to the per-gate loop.
-        """
-        gates = [int(g) for g in gates]
-        partition = self.partition
-        i = 0
-        while i < len(gates):
-            source = partition.module_of(gates[i])
-            j = i + 1
-            while j < len(gates) and partition.module_of(gates[j]) == source:
-                j += 1
-            run = gates[i:j]
-            if len(run) == 1:
-                self.move_gate(run[0], target_module)
-            else:
-                self._bulk_move(run, source, target_module)
-            i = j
-
-    def _bulk_move(self, run: list[int], source: int, target_module: int) -> None:
-        ctx = self.ctx
-        partition = self.partition
-        if source == target_module:
-            raise PartitionError(
-                f"gate {run[0]} already in module {target_module}"
-            )
-        tgt_slot = self._slot(target_module)
-        src_slot = self._slot_of[source]
-        moved = np.asarray(run, dtype=np.int64)
-
-        # Sequential-equivalent separation deltas: gate k's source delta
-        # is its sum to the *remaining* source members, i.e. the full sum
-        # minus its distances to the already-moved gates (strict lower
-        # triangle); the target delta gains the same correction.
-        matrix = ctx.separation.matrix
-        src_members = self._members[source]
-        tgt_members = self._members[target_module]
-        rows = matrix[moved]  # one contiguous row gather shared by all three sums
-        to_src = rows[:, src_members].sum(axis=1, dtype=np.int64)
-        to_tgt = rows[:, tgt_members].sum(axis=1, dtype=np.int64)
-        within = np.tril(rows[:, moved].astype(np.int64), -1).sum(axis=1)
-        src_sep = self.sep_sum[src_slot]
-        tgt_sep = self.sep_sum[tgt_slot]
-        for src_delta, tgt_delta in zip(
-            (to_src - within).tolist(), (to_tgt + within).tolist()
-        ):
-            src_sep -= float(src_delta)
-            tgt_sep += float(tgt_delta)
-        self._aset(self.sep_sum, src_slot, src_sep)
-        self._aset(self.sep_sum, tgt_slot, tgt_sep)
-
-        # Profile deltas: one flattened scatter pass in per-gate order —
-        # the same addition sequence as the per-gate loop.
-        times = ctx.times
-        slots_flat, counts = csr_gather(times.times_indptr, times.times_flat, moved)
-        peak_rep = np.repeat(ctx.electricals.peak_current_ma[moved], counts)
-        self._aset(self.current, src_slot, self.current[src_slot].copy())
-        self._aset(self.current, tgt_slot, self.current[tgt_slot].copy())
-        self._aset(self.activity, src_slot, self.activity[src_slot].copy())
-        self._aset(self.activity, tgt_slot, self.activity[tgt_slot].copy())
-        np.subtract.at(self.current[src_slot], slots_flat, peak_rep)
-        np.add.at(self.current[tgt_slot], slots_flat, peak_rep)
-        np.subtract.at(self.activity[src_slot], slots_flat, 1.0)
-        np.add.at(self.activity[tgt_slot], slots_flat, 1.0)
-
-        src_leak = self.leak_na[src_slot]
-        tgt_leak = self.leak_na[tgt_slot]
-        src_rail = self.rail_cap_ff[src_slot]
-        tgt_rail = self.rail_cap_ff[tgt_slot]
-        for leak, rail in zip(
-            ctx.electricals.leakage_na[moved].tolist(),
-            ctx.electricals.rail_cap_ff[moved].tolist(),
-        ):
-            src_leak -= leak
-            tgt_leak += leak
-            src_rail -= rail
-            tgt_rail += rail
-        self._aset(self.leak_na, src_slot, src_leak)
-        self._aset(self.leak_na, tgt_slot, tgt_leak)
-        self._aset(self.rail_cap_ff, src_slot, src_rail)
-        self._aset(self.rail_cap_ff, tgt_slot, tgt_rail)
-        self._aset(self.max_current_ma, src_slot, self.current[src_slot].max())
-        self._aset(self.max_current_ma, tgt_slot, self.current[tgt_slot].max())
-
-        source_dies = partition.module_size(source) == len(run)
-        if self._journal is not None:
-            self._journal.append(
-                ("bulk_move", moved, source, target_module, source_dies)
-            )
-        partition.move_gates(run, target_module)
-        moved_sorted = np.sort(moved)
-        if source_dies:
-            self._release_slot(source, src_slot)
-            self._dirty.discard(source)
-        else:
-            keep = ~np.isin(src_members, moved_sorted, assume_unique=True)
-            self._mem_set(source, src_members[keep])
-            self._dirty.add(source)
-        self._mem_set(
-            target_module,
-            np.insert(
-                tgt_members,
-                np.searchsorted(tgt_members, moved_sorted),
-                moved_sorted,
-            ),
-        )
-        self._dirty.add(target_module)
-        self._move_log.extend((gate, target_module) for gate in run)
+    # Its own entry, so that perfbench (``perfbench/layers.py``) can wrap
+    # the dense state's method on this class.
+    move_gates = _StateProtocol.move_gates
 
     def _release_slot(self, module: int, slot: int) -> None:
         """Zero a dead module's slot so full-array reductions stay exact."""
@@ -950,8 +572,8 @@ class EvaluationState(_StateProtocol):
     # ------------------------------------------------------------ derived data
     def _refresh(self) -> None:
         """Re-size sensors, re-degrade delays and re-time the critical
-        path for modified modules — vectorised across the dirty set,
-        cone-restricted for the timing update."""
+        path for modified modules — vectorised across the dirty set; the
+        timing update is seeded by the gates whose delay changed."""
         ctx = self.ctx
         if self._dirty:
             dirty = sorted(self._dirty)
@@ -997,16 +619,8 @@ class EvaluationState(_StateProtocol):
         incremental = ctx.timing.incremental
         if self._arrival is None:
             self._arrival = incremental.full_arrival(self.delay_degraded)
-            self._block_max = incremental.block_maxima(self._arrival)
-            self._dbic = float(self._block_max.max()) if self._block_max.size else 0.0
+            self._dbic = float(self._arrival.max()) if self._arrival.size else 0.0
         elif changed:
-            # Block maxima are *not* maintained through per-trial
-            # updates — only `trial_moves` consumes them, and it runs
-            # outside trials, so they are rebuilt lazily there.  Marking
-            # them stale here keeps rollback trivial (the marker is
-            # valid in every timeline) and spares the sequential
-            # trial paths (kl/annealing) the per-update upkeep.
-            self._block_max = None
             touched, old = incremental.update(
                 self._arrival,
                 self.delay_degraded,
@@ -1118,7 +732,7 @@ class EvaluationState(_StateProtocol):
         frontier, so their degraded-delay overrides are built as one
         ``(C, gates)`` matrix (the degradation delta is elementwise, so
         the moved gate's row entry is simply overwritten with its
-        target-side value) and re-timed in one stacked block-cone sweep
+        target-side value) and re-timed in one stacked sweep
         (:meth:`IncrementalTiming.retime_batch`).  The state is never
         mutated.  Degradation models that don't advertise numpy
         broadcasting (``broadcasts = True``) fall back to the sequential
@@ -1220,12 +834,6 @@ class EvaluationState(_StateProtocol):
         d_bic = np.empty(count, dtype=np.float64)
         if getattr(ctx.degradation, "broadcasts", False):
             arrival = self._arrival
-            if self._block_max is None:
-                # Stale since the last committed retime (see _refresh);
-                # rebuilt once per neighbourhood scan, amortised over
-                # every candidate below.
-                self._block_max = ctx.timing.incremental.block_maxima(arrival)
-            block_max = self._block_max
             delays = self.delay_degraded
             nominal = electricals.delay_ns
             incremental = ctx.timing.incremental
@@ -1260,9 +868,9 @@ class EvaluationState(_StateProtocol):
             # stacking: a candidate's entries outside its own pair carry
             # the base delays, which retime_batch treats as no-op
             # overrides, so the merged sweep stays bit-identical to the
-            # per-pair calls while amortising one cone sweep over the
-            # whole batch.  Dense batches (neighbourhood scans) keep the
-            # per-pair calls and their tighter cones.
+            # per-pair calls while amortising one sweep over the whole
+            # batch.  Dense batches (neighbourhood scans) keep the
+            # per-pair calls and their narrower override matrices.
             merged_over = None
             if len(groups) * 8 > count:
                 touched_modules = np.unique(np.concatenate([src_modules, targets]))
@@ -1328,16 +936,12 @@ class EvaluationState(_StateProtocol):
                         merged_over[chunk[:, None], col_pos[None, :]] = over
                     else:
                         d_bic[chunk] = incremental.retime_batch(
-                            arrival, delays, cols, over, block_max=block_max
+                            arrival, delays, cols, over
                         )
             if merged_over is not None:
                 for lo in range(0, count, 192):
                     d_bic[lo : lo + 192] = incremental.retime_batch(
-                        arrival,
-                        delays,
-                        all_cols,
-                        merged_over[lo : lo + 192],
-                        block_max=block_max,
+                        arrival, delays, all_cols, merged_over[lo : lo + 192]
                     )
         else:
             self._delay_term_loop(
@@ -1386,8 +990,8 @@ class EvaluationState(_StateProtocol):
     ) -> None:
         """Sequential per-candidate delay term — the fallback for
         degradation models without broadcasting: re-degrade the two
-        touched modules, cone-update the critical path, restore the
-        scratch exactly."""
+        touched modules, update the critical path, restore the scratch
+        exactly."""
         ctx = self.ctx
         times = ctx.times
         electricals = ctx.electricals
@@ -1572,9 +1176,6 @@ class EvaluationState(_StateProtocol):
         d_bic = np.empty(count, dtype=np.float64)
         if getattr(ctx.degradation, "broadcasts", False):
             arrival = self._arrival
-            if self._block_max is None:
-                self._block_max = ctx.timing.incremental.block_maxima(arrival)
-            block_max = self._block_max
             delays = self.delay_degraded
             nominal = electricals.delay_ns
             incremental = ctx.timing.incremental
@@ -1678,16 +1279,12 @@ class EvaluationState(_StateProtocol):
                         merged_over[chunk[:, None], col_pos[None, :]] = over
                     else:
                         d_bic[chunk] = incremental.retime_batch(
-                            arrival, delays, cols, over, block_max=block_max
+                            arrival, delays, cols, over
                         )
             if merged_over is not None:
                 for lo in range(0, count, 192):
                     d_bic[lo : lo + 192] = incremental.retime_batch(
-                        arrival,
-                        delays,
-                        all_cols,
-                        merged_over[lo : lo + 192],
-                        block_max=block_max,
+                        arrival, delays, all_cols, merged_over[lo : lo + 192]
                     )
         else:
             self._delay_swap_loop(
@@ -1884,12 +1481,6 @@ class EvaluationState(_StateProtocol):
                 raise PartitionError("maintained arrival times drifted")
             if self._dbic != (float(full.max()) if full.size else 0.0):
                 raise PartitionError("maintained critical path drifted")
-            # ``None`` is the legal stale marker (lazily rebuilt by
-            # trial_moves); a materialised vector must match exactly.
-            if self._block_max is not None and not np.array_equal(
-                self._block_max, ctx.timing.incremental.block_maxima(full)
-            ):
-                raise PartitionError("maintained block maxima drifted")
 
 
 class _BlockRows(BlockScores):
@@ -1903,8 +1494,8 @@ class _BlockRows(BlockScores):
     parent slot.
     Leakage, rail and profile deltas are scattered with
     ``subtract.at``/``add.at`` in move order, the float sequence of
-    :meth:`EvaluationState.move_gate`/``_bulk_move``; touched cells are
-    sized in one call.
+    :meth:`EvaluationState.move_gate` applied gate by gate; touched cells
+    are sized in one call.
 
     Separation values are integers held in float64, far below 2**53, and
     the matrix is symmetric with a zero diagonal, so a row's total
@@ -2190,15 +1781,16 @@ class _BlockRows(BlockScores):
         must be unchanged since the call).
 
         The parent is copied and the moves are applied to the copy's
-        partition alone, one ``move_gates`` call per same-target run as
-        a replay makes; statistics, sensor sizes and degraded delays
-        come from the row, and so does the arrival vector when the sweep
-        took the full cone (else it is unset, and the first refresh is
-        one full sweep).  Nothing is dirty, so a refresh re-sizes,
-        re-degrades and diffs nothing.  The partition's membership cache
-        starts from the row's sorted member arrays.  Equal, array for
-        array, to the parent's ``copy()`` plus a ``move_gates`` replay
-        and ``_refresh()``.
+        partition alone, one :meth:`Partition.move_gates` call per
+        same-target run; statistics, sensor sizes and degraded delays
+        come from the row, and so does the arrival vector the stacked
+        sweep left (unset when no row changed a delay, and the first
+        refresh is then one full sweep).  Nothing is dirty, so a refresh
+        re-sizes, re-degrades and diffs nothing.  The partition's
+        membership cache starts from the row's sorted member arrays.
+        Equal, array for array, to the parent's ``copy()`` plus a
+        ``move_gates`` replay and ``_refresh()``; the replay's partition
+        version differs, as it is bumped once per moved gate.
         """
         j = int(self._position[i])
         parent = self._parents[int(self._row_parent[j])]
@@ -2213,7 +1805,6 @@ class _BlockRows(BlockScores):
             if self._arrivals is None
             else parent.ctx.timing.incremental.stacked_arrival(self._arrivals, j)
         )
-        state._block_max = None
         state._dbic = float(self._d_bic[j])
         if moves:
             self._adopt_row(state, parent, j, moves)

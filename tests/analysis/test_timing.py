@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.analysis.current import GateElectricals
 from repro.analysis.timing import (
     IncrementalTiming,
@@ -108,24 +109,18 @@ class TestLevelizedCache:
         assert critical_path_delay(c17_circuit, delays) == first
 
 
-def _engines(circuit, max_block_gates=None):
+def _engines(circuit):
     ref = LevelizedTiming(circuit)
-    inc = IncrementalTiming(
-        circuit.compiled, full=ref, max_block_gates=max_block_gates
-    )
-    return ref, inc
+    return ref, IncrementalTiming(circuit.compiled, ref)
 
 
-def _checked_update(ref, inc, arrival, block_max, new_delays, seeds):
+def _checked_update(ref, inc, arrival, new_delays, seeds):
     """Run one maintained update and assert the full contract: bit
-    identity with a fresh reference pass, maintained block maxima, and
-    exact undo through the returned ``(touched, old)`` journal."""
+    identity with a fresh reference pass, and exact undo through the
+    returned ``(touched, old)`` journal."""
     before = arrival.copy()
-    touched, old = inc.update(arrival, new_delays, seeds, block_max=block_max)
+    touched, old = inc.update(arrival, new_delays, seeds)
     assert np.array_equal(arrival, ref.arrival_times(new_delays))
-    assert np.array_equal(block_max, inc.block_maxima(arrival))
-    if block_max.size:
-        assert float(block_max.max()) == float(arrival.max())
     undone = arrival.copy()
     undone[touched] = old
     assert np.array_equal(undone, before)
@@ -154,24 +149,23 @@ class TestIncrementalUpdate:
                 seed=seed,
             )
         )
-        ref, inc = _engines(circuit, max_block_gates=16)
+        ref, inc = _engines(circuit)
         n = inc.num_gates
         rng = np.random.default_rng(seed)
         delays = rng.uniform(0.2, 2.0, n)
         arrival = inc.full_arrival(delays)
         assert np.array_equal(arrival, ref.arrival_times(delays))
-        block_max = inc.block_maxima(arrival)
         for _ in range(6):
             k = int(rng.integers(1, n + 1))
             seeds = rng.integers(0, n, size=k)  # duplicates on purpose
             new_delays = delays.copy()
             new_delays[seeds] = rng.uniform(0.2, 2.0, size=k)
-            _checked_update(ref, inc, arrival, block_max, new_delays, seeds)
+            _checked_update(ref, inc, arrival, new_delays, seeds)
             delays = new_delays
 
     def test_each_dispatch_strategy(self):
-        """Force the cone walk, the dirty-block sweep, and the full
-        level-major sweep in turn on one engine."""
+        """Force the cone walk and the full gate-space sweep in turn on
+        one engine, and count which one each update took."""
         circuit = generate_iscas_like(
             GeneratorConfig(
                 name="disp",
@@ -182,50 +176,43 @@ class TestIncrementalUpdate:
                 seed=7,
             )
         )
-        ref, inc = _engines(circuit, max_block_gates=8)
+        ref, inc = _engines(circuit)
         n = inc.num_gates
         rng = np.random.default_rng(0)
         delays = rng.uniform(0.2, 2.0, n)
         arrival = inc.full_arrival(delays)
-        block_max = inc.block_maxima(arrival)
 
         def perturb(seeds):
             nonlocal delays
             new_delays = delays.copy()
             new_delays[seeds] = new_delays[seeds] * 1.5 + 0.1
-            _checked_update(ref, inc, arrival, block_max, new_delays, seeds)
+            mark = obs.METRICS.counters()
+            _checked_update(ref, inc, arrival, new_delays, seeds)
             delays = new_delays
+            return obs.METRICS.delta_since(mark)
 
-        # Cone walk: one seed.
-        seeds = np.array([n // 2], dtype=np.int64)
-        assert seeds.size * IncrementalTiming.CONE_DIVISOR < n
-        perturb(seeds)
-
-        # Dirty-block sweep: whole *late* blocks' worth of seeds —
-        # enough gates to skip the cone walk, small downstream reach so
-        # dispatch keeps the block path.
-        parts, used = [], []
-        for b in range(inc.num_blocks - 1, -1, -1):
-            parts.append(inc._block_gates[b])
-            used.append(b)
-            if sum(p.size for p in parts) * IncrementalTiming.CONE_DIVISOR >= n:
-                break
-        seeds = np.concatenate(parts)
-        used_arr = np.asarray(used, dtype=np.int64)
-        reach = inc._block_reach[used_arr].any(axis=0)
-        reach[used_arr] = True
-        assert seeds.size * IncrementalTiming.CONE_DIVISOR >= n
-        assert 2 * int(reach.sum()) < inc.num_blocks
-        perturb(seeds)
-
-        # Full sweep: every gate is a seed.
-        perturb(np.arange(n, dtype=np.int64))
+        saved = obs.enabled_state()
+        obs.enable(metrics=True)
+        try:
+            # Cone walk: one seed.
+            seeds = np.array([n // 2], dtype=np.int64)
+            assert seeds.size * IncrementalTiming.CONE_DIVISOR < n
+            assert perturb(seeds) == {"timing.update.cone": 1}
+            # Full sweep: the gates of the deepest levels, just enough of
+            # them to skip the cone walk.
+            late = np.argsort(inc.gate_level, kind="stable")
+            seeds = late[-(n // IncrementalTiming.CONE_DIVISOR + 1) :]
+            assert perturb(seeds) == {"timing.update.full": 1}
+            # Full sweep: every gate is a seed.
+            assert perturb(np.arange(n, dtype=np.int64)) == {"timing.update.full": 1}
+        finally:
+            obs.enable(trace=saved[0], metrics=saved[1])
 
 
 class TestRetimeBatch:
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10_000), small_blocks=st.booleans())
-    def test_matches_sequential_updates(self, seed, small_blocks):
+    @given(seed=st.integers(0, 10_000))
+    def test_matches_sequential_updates(self, seed):
         circuit = generate_iscas_like(
             GeneratorConfig(
                 name="rb",
@@ -236,36 +223,34 @@ class TestRetimeBatch:
                 seed=seed % 997,
             )
         )
-        ref, inc = _engines(circuit, max_block_gates=8 if small_blocks else None)
+        ref, inc = _engines(circuit)
         n = inc.num_gates
         rng = np.random.default_rng(seed)
         delays = rng.uniform(0.2, 2.0, n)
         arrival = inc.full_arrival(delays)
-        block_max = inc.block_maxima(arrival)
         cols = np.unique(rng.integers(0, n, size=int(rng.integers(1, max(2, n // 3)))))
         count = int(rng.integers(1, 8))
         fresh = rng.uniform(0.2, 2.0, (count, cols.size))
         keep_base = rng.random((count, cols.size)) < 0.25
         overrides = np.where(keep_base, delays[cols][None, :], fresh)
-        snap = (arrival.copy(), delays.copy(), block_max.copy())
-        result = inc.retime_batch(arrival, delays, cols, overrides, block_max=block_max)
+        snap = (arrival.copy(), delays.copy())
+        result = inc.retime_batch(arrival, delays, cols, overrides)
         # The batch is read-only on the maintained state.
         assert np.array_equal(arrival, snap[0])
         assert np.array_equal(delays, snap[1])
-        assert np.array_equal(block_max, snap[2])
         for i in range(count):
             cand = delays.copy()
             cand[cols] = overrides[i]
             assert result[i] == float(ref.arrival_times(cand).max())
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10_000), small_blocks=st.booleans())
-    def test_full_cone_hands_back_arrivals(self, seed, small_blocks):
-        """Whole delay rows take the full cone; each row's stacked
-        arrivals, in gate order, equal a full sweep of its delays bit
-        for bit, and rows equal to the base hand back nothing.  Gates
-        are declared out of level order, so the sweep's level-major
-        order differs from gate order."""
+    @given(seed=st.integers(0, 10_000))
+    def test_full_cone_hands_back_arrivals(self, seed):
+        """Whole delay rows: each row's stacked arrivals, in gate order,
+        equal a full sweep of its delays bit for bit, and rows equal to
+        the base hand back nothing.  Gates are declared out of level
+        order, so the sweep's level-major order differs from gate
+        order."""
         generated = generate_iscas_like(
             GeneratorConfig(
                 name="fc",
@@ -282,7 +267,7 @@ class TestRetimeBatch:
         for gate in gates:
             builder.add(gate)
         circuit = builder.outputs(generated.output_names).build()
-        ref, inc = _engines(circuit, max_block_gates=8 if small_blocks else None)
+        ref, inc = _engines(circuit)
         n = inc.num_gates
         rng = np.random.default_rng(seed)
         delays = rng.uniform(0.2, 2.0, n)
@@ -307,10 +292,10 @@ class TestRetimeBatch:
         assert unchanged[1] is None
         assert unchanged[0][0] == float(arrival.max())
 
-    def test_partial_cone_path(self):
-        """Columns confined to a late block: the cone must not cover all
-        blocks, and the out-of-cone remainder comes from the maintained
-        block maxima."""
+    def test_late_columns_hand_back_arrivals(self):
+        """Columns confined to the deepest levels, whose changes reach
+        few gates: every row's stacked arrivals still equal a full sweep
+        of its delays byte for byte."""
         circuit = generate_iscas_like(
             GeneratorConfig(
                 name="pc",
@@ -321,29 +306,24 @@ class TestRetimeBatch:
                 seed=3,
             )
         )
-        ref, inc = _engines(circuit, max_block_gates=8)
+        ref, inc = _engines(circuit)
         n = inc.num_gates
         rng = np.random.default_rng(1)
         delays = rng.uniform(0.2, 2.0, n)
         arrival = inc.full_arrival(delays)
-        block_max = inc.block_maxima(arrival)
-        last = inc._block_gates[inc.num_blocks - 1]
-        cols = np.sort(last[: max(1, last.size // 2)])
-        seed_blocks = np.unique(inc._block_of_gate[cols])
-        cone = inc._block_reach[seed_blocks].any(axis=0)
-        cone[seed_blocks] = True
-        assert not cone.all(), "fixture must exercise the partial-cone path"
+        late = np.argsort(inc.gate_level, kind="stable")[-8:]
+        cols = np.sort(late[: late.size // 2])
         overrides = rng.uniform(0.2, 2.0, (5, cols.size))
-        result = inc.retime_batch(arrival, delays, cols, overrides, block_max=block_max)
+        d_bic, stacked = inc.retime_batch(
+            arrival, delays, cols, overrides, return_arrivals=True
+        )
+        assert np.array_equal(d_bic, inc.retime_batch(arrival, delays, cols, overrides))
         for i in range(5):
             cand = delays.copy()
             cand[cols] = overrides[i]
-            assert result[i] == float(ref.arrival_times(cand).max())
-        # A partial cone holds no whole arrival vectors to hand back.
-        d_bic, stacked = inc.retime_batch(
-            arrival, delays, cols, overrides, block_max=block_max, return_arrivals=True
-        )
-        assert stacked is None and np.array_equal(d_bic, result)
+            want = ref.arrival_times(cand)
+            assert inc.stacked_arrival(stacked, i).tobytes() == want.tobytes()
+            assert d_bic[i] == float(want.max())
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -363,12 +343,11 @@ class TestRetimeBatch:
                 seed=seed % 997,
             )
         )
-        ref, inc = _engines(circuit, max_block_gates=8)
+        ref, inc = _engines(circuit)
         n = inc.num_gates
         rng = np.random.default_rng(seed)
         delays = rng.uniform(0.2, 2.0, n)
         arrival = inc.full_arrival(delays)
-        block_max = inc.block_maxima(arrival)
         # Disjoint "memberships" over a shared union column set; one
         # candidate per slice, plus one all-base row mixed in.
         perm = rng.permutation(n)[: 3 * (n // 4) // 3 * 3]
@@ -379,7 +358,7 @@ class TestRetimeBatch:
         for i, part in enumerate(slices):
             pos = np.searchsorted(cols, np.sort(part))
             overrides[i, pos] = rng.uniform(0.2, 2.0, part.size)
-        result = inc.retime_batch(arrival, delays, cols, overrides, block_max=block_max)
+        result = inc.retime_batch(arrival, delays, cols, overrides)
         for i in range(len(slices)):
             cand = delays.copy()
             cand[cols] = overrides[i]
@@ -392,7 +371,6 @@ class TestRetimeBatch:
                 delays,
                 own,
                 overrides[i, np.searchsorted(cols, own)][None, :],
-                block_max=block_max,
             )
             assert alone[0] == result[i]
         # The all-base row reduces to the maintained maximum.
@@ -408,8 +386,7 @@ class TestRetimeBatch:
         rng = np.random.default_rng(2)
         delays = rng.uniform(0.2, 2.0, inc.num_gates)
         arrival = inc.full_arrival(delays)
-        block_max = inc.block_maxima(arrival)
         cols = np.arange(0, inc.num_gates, 3, dtype=np.int64)
         overrides = np.tile(delays[cols], (4, 1))
-        result = inc.retime_batch(arrival, delays, cols, overrides, block_max=block_max)
+        result = inc.retime_batch(arrival, delays, cols, overrides)
         assert np.all(result == float(arrival.max()))

@@ -16,17 +16,14 @@ import random
 import numpy as np
 import pytest
 
+from oracles.faultsim import ReferenceStuckAtSimulator
 from oracles.sim import ReferenceLogicSimulator, level_simulate
 from repro.faultsim.coverage import detection_matrix, evaluate_coverage
 from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
 from repro.faultsim.logic_sim import LogicSimulator
 from repro.faultsim.patterns import exhaustive_patterns, random_patterns
-from repro.faultsim.stuck_at import (
-    ReferenceStuckAtSimulator,
-    StuckAtSimulator,
-    enumerate_stuck_at_faults,
-)
+from repro.faultsim.stuck_at import StuckAtSimulator, enumerate_stuck_at_faults
 from repro.netlist.generate import GeneratorConfig, generate_iscas_like
 from repro.optimize.start import chain_start_partition, estimate_module_count
 from repro.partition.evaluator import PartitionEvaluator

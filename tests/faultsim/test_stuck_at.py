@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles.faultsim import ReferenceStuckAtSimulator
 from repro.errors import FaultSimError
 from repro.faultsim.patterns import exhaustive_patterns, random_patterns
 from repro.faultsim.stuck_at import (
-    ReferenceStuckAtSimulator,
     StuckAtFault,
     StuckAtSimulator,
     enumerate_stuck_at_faults,

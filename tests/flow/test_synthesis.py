@@ -3,9 +3,15 @@
 import pytest
 
 from repro.config import EvolutionParams, SynthesisConfig
-from repro.errors import BenchFormatError, ConstraintError, OptimizationError
+from repro.errors import (
+    BenchFormatError,
+    ConstraintError,
+    OptimizationError,
+    PartitionError,
+)
 from repro.flow.synthesis import synthesize_iddq_testable
 from repro.netlist.bench import parse_bench
+from repro.partition.partition import Partition
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +116,21 @@ class TestDegenerateCircuits:
         assert not circuit.gate_names
         with pytest.raises(OptimizationError):
             synthesize_iddq_testable(circuit, config=quick_config, seed=1)
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda circuit: Partition(circuit, {}),
+            Partition.single_module,
+            lambda circuit: Partition.from_array(circuit, []),
+            lambda circuit: Partition.from_groups(circuit, []),
+        ],
+        ids=["mapping", "single_module", "from_array", "from_groups"],
+    )
+    def test_zero_gate_partitions_raise(self, construct):
+        circuit = parse_bench("INPUT(a)\nOUTPUT(a)\n", name="wire")
+        with pytest.raises(PartitionError, match="no logic gates"):
+            construct(circuit)
 
     def test_no_outputs_raise(self):
         with pytest.raises(BenchFormatError):

@@ -62,6 +62,23 @@ def _assert_same_layout(got: Partition, want: Partition) -> None:
         assert list(got._modules[module]) == list(gates)
 
 
+def _from_mapping(circuit, module_of) -> Partition:
+    """The mapping constructor, given ``from_array``'s argument."""
+    return Partition(circuit, dict(enumerate(module_of)))
+
+
+def _both_constructors(values, ids):
+    """``(construct, value)`` cases for ``from_array`` and the mapping
+    constructor; the ``from_array`` cases keep the value's bare id."""
+    return [
+        pytest.param(Partition.from_array, value, id=name)
+        for value, name in zip(values, ids)
+    ] + [
+        pytest.param(_from_mapping, value, id=f"{name}-mapping")
+        for value, name in zip(values, ids)
+    ]
+
+
 class TestFromArray:
     @pytest.mark.parametrize("length", [0, 5, 7])
     def test_wrong_length_rejected(self, c17_paper, length):
@@ -72,15 +89,20 @@ class TestFromArray:
         with pytest.raises(PartitionError, match="one module id per logic gate"):
             Partition.from_array(c17_paper, np.zeros((6, 1), dtype=np.int64))
 
-    @pytest.mark.parametrize("bad", [-1, 2**31])
-    def test_out_of_range_id_rejected(self, c17_paper, bad):
+    @pytest.mark.parametrize(
+        "construct, bad", _both_constructors([-1, 2**31], ["-1", "2147483648"])
+    )
+    def test_out_of_range_id_rejected(self, c17_paper, construct, bad):
         with pytest.raises(PartitionError, match="module ids must lie"):
-            Partition.from_array(c17_paper, [0, 1, bad, 1, 0, 0])
+            construct(c17_paper, [0, 1, bad, 1, 0, 0])
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
-    def test_non_integer_dtype_rejected(self, c17_paper, dtype):
+    @pytest.mark.parametrize(
+        "construct, dtype",
+        _both_constructors([np.float64, np.bool_], ["float64", "bool"]),
+    )
+    def test_non_integer_dtype_rejected(self, c17_paper, construct, dtype):
         with pytest.raises(PartitionError, match="must be integers"):
-            Partition.from_array(c17_paper, np.zeros(6, dtype=dtype))
+            construct(c17_paper, np.zeros(6, dtype=dtype))
 
     def test_matches_the_mapping_constructor(self, small_circuit):
         """Gaps and unordered ids, as ``dict(enumerate(...))`` gives."""

@@ -3,7 +3,8 @@
 The contract under test: a rolled-back trial restores the *exact* prior
 state — byte-for-byte arrays, the exact prior penalised cost (``==``,
 not approx), partition version and membership — for both the dense
-array-backed state and the reference dict-based one.  Hypothesis drives
+array-backed state and the dict-based reference of
+``oracles/state.py``.  Hypothesis drives
 random interleavings of committed moves, rolled-back trials and
 committed trials through ``consistency_check()``.
 """
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles.state import ReferenceEvaluationState
 from repro.errors import PartitionError
 from repro.partition.partition import Partition
+from repro.partition.state import EvaluationState
 
-IMPLS = ["dense", "reference"]
+STATES = {"dense": EvaluationState, "reference": ReferenceEvaluationState}
 
 
 def balanced_partition(circuit, k):
@@ -40,15 +43,17 @@ def _random_move(state, rng):
     return None
 
 
-@pytest.fixture(params=IMPLS)
-def impl(request):
-    return request.param
+@pytest.fixture(params=list(STATES))
+def make_state(request):
+    return STATES[request.param]
 
 
 class TestTrialProtocol:
-    def test_rollback_restores_exact_cost(self, small_evaluator, impl, rng):
-        state = small_evaluator.new_state(
-            balanced_partition(small_evaluator.circuit, 4), impl=impl
+    def test_rollback_restores_exact_cost(
+        self, small_evaluator, make_state, rng
+    ):
+        state = make_state(
+            small_evaluator, balanced_partition(small_evaluator.circuit, 4)
         )
         before = state.penalized_cost(1e4)
         version = state.partition.version
@@ -67,9 +72,9 @@ class TestTrialProtocol:
         assert state.partition.canonical() == canonical
         state.consistency_check()
 
-    def test_commit_keeps_moves(self, small_evaluator, impl):
-        state = small_evaluator.new_state(
-            balanced_partition(small_evaluator.circuit, 3), impl=impl
+    def test_commit_keeps_moves(self, small_evaluator, make_state):
+        state = make_state(
+            small_evaluator, balanced_partition(small_evaluator.circuit, 3)
         )
         cost = state.trial_cost([(0, 1), (1, 2)], 1e4)
         state.commit()
@@ -78,11 +83,11 @@ class TestTrialProtocol:
         assert state.penalized_cost(1e4) == cost
         state.consistency_check()
 
-    def test_rollback_resurrects_dead_module(self, small_evaluator, impl):
+    def test_rollback_resurrects_dead_module(self, small_evaluator, make_state):
         circuit = small_evaluator.circuit
         n = len(circuit.gate_names)
         assignment = {g: (0 if g == 0 else 1 + g % 2) for g in range(n)}
-        state = small_evaluator.new_state(Partition(circuit, assignment), impl=impl)
+        state = make_state(small_evaluator, Partition(circuit, assignment))
         before = state.penalized_cost(1e4)
         state.begin_trial()
         state.move_gate(0, 1)  # module 0 dies
@@ -94,9 +99,11 @@ class TestTrialProtocol:
         assert state.penalized_cost(1e4) == before
         state.consistency_check()
 
-    def test_committed_moves_erase_rolled_back_trials(self, small_evaluator, impl):
-        state = small_evaluator.new_state(
-            balanced_partition(small_evaluator.circuit, 3), impl=impl
+    def test_committed_moves_erase_rolled_back_trials(
+        self, small_evaluator, make_state
+    ):
+        state = make_state(
+            small_evaluator, balanced_partition(small_evaluator.circuit, 3)
         )
         state.trial_cost([(0, 1)], 1e4)
         state.commit()
@@ -104,9 +111,9 @@ class TestTrialProtocol:
         state.rollback()
         assert state.committed_moves() == [(0, 1)]
 
-    def test_nested_and_missing_trials_rejected(self, small_evaluator, impl):
-        state = small_evaluator.new_state(
-            balanced_partition(small_evaluator.circuit, 3), impl=impl
+    def test_nested_and_missing_trials_rejected(self, small_evaluator, make_state):
+        state = make_state(
+            small_evaluator, balanced_partition(small_evaluator.circuit, 3)
         )
         with pytest.raises(PartitionError):
             state.commit()
@@ -129,13 +136,15 @@ class TestTrialProtocol:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(seed=st.integers(0, 10_000))
-    def test_random_apply_trial_undo_sequences(self, small_evaluator, impl, seed):
+    def test_random_apply_trial_undo_sequences(
+        self, small_evaluator, make_state, seed
+    ):
         """Any interleaving of committed moves, rolled-back trials and
         committed trials leaves every cache equal to a rebuild, and every
         rollback restores the exact prior cost."""
         rng = random.Random(seed)
-        state = small_evaluator.new_state(
-            balanced_partition(small_evaluator.circuit, 4), impl=impl
+        state = make_state(
+            small_evaluator, balanced_partition(small_evaluator.circuit, 4)
         )
 
         def apply_legal(moves):
@@ -177,9 +186,9 @@ class TestTrialProtocol:
                 state.commit()
         state.consistency_check()
 
-    def test_split_and_merge_rebuild_only_touched(self, small_evaluator, impl):
-        state = small_evaluator.new_state(
-            balanced_partition(small_evaluator.circuit, 3), impl=impl
+    def test_split_and_merge_rebuild_only_touched(self, small_evaluator, make_state):
+        state = make_state(
+            small_evaluator, balanced_partition(small_evaluator.circuit, 3)
         )
         state.penalized_cost(1e4)
         new_id = state.split_new_module([0, 3, 6])
@@ -187,7 +196,7 @@ class TestTrialProtocol:
         state.consistency_check()
         state.merge_modules(0, new_id)
         state.consistency_check()
-        fresh = small_evaluator.new_state(state.partition.copy(), impl=impl)
+        fresh = make_state(small_evaluator, state.partition.copy())
         assert state.penalized_cost(1e4) == pytest.approx(fresh.penalized_cost(1e4))
 
 
@@ -220,7 +229,7 @@ class TestGainKernel:
     def test_batched_matches_reference_loop(self, small_evaluator):
         partition = balanced_partition(small_evaluator.circuit, 4)
         dense = small_evaluator.new_state(partition)
-        reference = small_evaluator.new_state(partition, impl="reference")
+        reference = ReferenceEvaluationState(small_evaluator, partition)
         candidates = self._candidates(dense.partition)
         gates = [c[0] for c in candidates]
         targets = [c[1] for c in candidates]
@@ -313,7 +322,7 @@ class TestSwapKernel:
     def test_matches_reference_loop(self, small_evaluator):
         partition = balanced_partition(small_evaluator.circuit, 4)
         dense = small_evaluator.new_state(partition)
-        reference = small_evaluator.new_state(partition, impl="reference")
+        reference = ReferenceEvaluationState(small_evaluator, partition)
         pool = self._swap_candidates(dense.partition)[:24]
         batched = dense.trial_swaps([c[0] for c in pool], [c[1] for c in pool], 1e4)
         looped = reference.trial_swaps(

@@ -6,7 +6,8 @@
 loop is the oracle -- and must leave its parents as it found them.
 Each row's adopted state (``.state(i)``) must equal, array for array,
 the parent's ``copy()`` plus a ``move_gates`` replay (the generic
-``BlockScores.state``) once both are refreshed.  Rows follow the
+``BlockScores.state``) once both are refreshed; its partition version
+only has to be newer than the parent's.  Rows follow the
 evolution strategy's shapes: mutations that move a few gates of one
 module into one or several (possibly repeated) targets, Monte-Carlo
 blocks into one target, rows that empty their source, and rows that
@@ -168,9 +169,14 @@ def _bits(array: np.ndarray) -> tuple:
     return array.dtype, array.shape, array.tobytes()
 
 
-def _assert_same_state(got: EvaluationState, want: EvaluationState) -> None:
+def _assert_same_state(
+    got: EvaluationState, want: EvaluationState, parent: EvaluationState
+) -> None:
     """``got`` equals ``want`` array for array once both are refreshed,
-    and passes ``consistency_check``."""
+    and passes ``consistency_check``.  Both were built from ``parent``:
+    if they moved gates, each partition is at a version newer than the
+    parent's (a replay bumps it once per gate, adoption once per
+    same-target run), else at the parent's."""
     got._refresh()
     want._refresh()
     for name in STATE_ARRAYS:
@@ -185,7 +191,11 @@ def _assert_same_state(got: EvaluationState, want: EvaluationState) -> None:
     assert got._dirty == want._dirty == set()
     assert _bits(got.partition._module_of) == _bits(want.partition._module_of)
     assert got.partition._modules == want.partition._modules
-    assert got.partition.version == want.partition.version
+    version = parent.partition.version
+    if got._move_log == parent._move_log:
+        assert got.partition.version == want.partition.version == version
+    else:
+        assert got.partition.version > version and want.partition.version > version
     got.consistency_check()
 
 
@@ -198,8 +208,8 @@ def _assert_kernel_matches_trials(parents, rows):
     ).costs
     got = scores.costs
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (got, want)
-    for i in range(len(rows)):
-        _assert_same_state(scores.state(i), BlockScores.state(scores, i))
+    for i, (parent, _) in enumerate(rows):
+        _assert_same_state(scores.state(i), BlockScores.state(scores, i), parent)
     for parent, (log, version) in zip(parents, before):
         parent.consistency_check()
         assert parent.committed_moves() == log
@@ -279,7 +289,7 @@ def test_fused_pass_equals_per_parent_calls(model, time_resolved, strict):
         alone = EvaluationState.trial_blocks([rows[i] for i in mine], PENALTY)
         assert _bits(fused.costs[mine]) == _bits(alone.costs)
         for j, i in enumerate(mine):
-            _assert_same_state(fused.state(i), alone.state(j))
+            _assert_same_state(fused.state(i), alone.state(j), parent)
 
 
 @pytest.mark.parametrize("time_resolved", [False, True])
@@ -334,9 +344,9 @@ def test_adopted_state_scores_its_row(monkeypatch):
 
 
 def test_adoption_without_stacked_arrivals(monkeypatch):
-    """When the sweep hands back no arrivals (a partial cone, or no
-    change at all), adopted states leave theirs unset; the first
-    refresh sweeps them, and they equal copy-and-replay states."""
+    """When the sweep hands back no arrivals (no row changed a delay),
+    adopted states leave theirs unset; the first refresh sweeps them,
+    and they equal copy-and-replay states."""
     original = IncrementalTiming.retime_batch
 
     def without_arrivals(self, *args, **kwargs):
@@ -345,12 +355,13 @@ def test_adoption_without_stacked_arrivals(monkeypatch):
 
     monkeypatch.setattr(IncrementalTiming, "retime_batch", without_arrivals)
     evaluator = _evaluator("small", "second", False)
-    scores = EvaluationState.trial_blocks(_adoption_rows(evaluator), PENALTY)
+    rows = _adoption_rows(evaluator)
+    scores = EvaluationState.trial_blocks(rows, PENALTY)
     for i, cost in enumerate(scores.costs.tolist()):
         state = scores.state(i)
         assert state._arrival is None and not state._dirty
         assert state.penalized_cost(PENALTY) == cost
-        _assert_same_state(state, BlockScores.state(scores, i))
+        _assert_same_state(state, BlockScores.state(scores, i), rows[i][0])
 
 
 def test_adopted_partition_serves_the_row_members():

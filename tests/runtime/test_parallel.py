@@ -17,8 +17,9 @@ import random
 import numpy as np
 import pytest
 
+from oracles.faultsim import reference_generate_iddq_tests
 from repro.config import EvolutionParams
-from repro.faultsim.atpg import generate_iddq_tests, reference_generate_iddq_tests
+from repro.faultsim.atpg import generate_iddq_tests
 from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
 from repro.faultsim.patterns import random_patterns
 from repro.faultsim.stuck_at import StuckAtSimulator, enumerate_stuck_at_faults

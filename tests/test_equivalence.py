@@ -1,7 +1,8 @@
 """Compiled-kernel vs reference equivalence (bit-for-bit).
 
 The compiled-graph refactor keeps the original per-gate/dict-based
-implementations around as executable specifications.  These tests drive
+implementations in ``tests/oracles`` as executable specifications.
+These tests drive
 randomly generated circuits (``netlist/generate.py``), the exact C17,
 the Figure 2 wave array, and benchmark stand-ins through both paths and
 assert *exact* agreement: same packed simulation words, same separation
@@ -17,11 +18,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles.faultsim import (
+    ReferenceStuckAtSimulator,
+    reference_gate_leakage_na,
+    reference_generate_iddq_tests,
+)
+from oracles.separation import reference_separation_matrix
 from oracles.sim import ReferenceLogicSimulator
+from oracles.state import ReferenceEvaluationState
 from repro.analysis.paths import extract_critical_path
 from repro.config import EvolutionParams
 from repro.analysis import separation
-from repro.analysis.separation import SeparationMatrix, reference_separation_matrix
+from repro.analysis.separation import SeparationMatrix
 from repro.analysis.timing import LevelizedTiming
 from repro.analysis.transition_times import (
     TransitionTimes,
@@ -29,7 +37,7 @@ from repro.analysis.transition_times import (
     transition_mask_words,
     transition_time_masks,
 )
-from repro.faultsim.atpg import generate_iddq_tests, reference_generate_iddq_tests
+from repro.faultsim.atpg import generate_iddq_tests
 from repro.faultsim.coverage import detection_matrix, evaluate_coverage
 from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import (
@@ -40,11 +48,7 @@ from repro.faultsim.faults import (
 from repro.faultsim.iddq import IDDQSimulator
 from repro.faultsim.logic_sim import LogicSimulator
 from repro.faultsim.patterns import random_patterns
-from repro.faultsim.stuck_at import (
-    ReferenceStuckAtSimulator,
-    StuckAtSimulator,
-    enumerate_stuck_at_faults,
-)
+from repro.faultsim.stuck_at import StuckAtSimulator, enumerate_stuck_at_faults
 from repro.netlist.arrays import wave_array
 from repro.netlist.benchmarks import c17, load_iscas85
 from repro.netlist.gate import evaluate_gate
@@ -248,7 +252,7 @@ class TestCoverageEngineEquivalence:
             random_patterns(len(circuit.input_names), 110, seed=33)
         )
         assert np.array_equal(
-            sim.gate_leakage_na(values), sim.reference_gate_leakage_na(values)
+            sim.gate_leakage_na(values), reference_gate_leakage_na(sim, values)
         )
 
     def test_atpg_identical_through_engine(self, circuit):
@@ -490,7 +494,7 @@ class TestPartitionEquivalence:
         evaluator = PartitionEvaluator(circuit)
         partition = _random_partition(circuit, 3, seed=12)
         dense = evaluator.new_state(partition)
-        reference = evaluator.new_state(partition, impl="reference")
+        reference = ReferenceEvaluationState(evaluator, partition)
         rng = random.Random(12)
         n = len(circuit.gate_names)
         for _ in range(20):
@@ -553,12 +557,14 @@ class TestOptimizerEquivalence:
         logs can be compared.  Returns both outcomes and the evaluator,
         the arguments of :meth:`_assert_equivalent`."""
         outcomes = {}
-        original = type(evaluator).new_state
-        for impl in ("dense", "reference"):
+        for impl, make in (
+            ("dense", type(evaluator).new_state),
+            ("reference", ReferenceEvaluationState),
+        ):
             created = []
 
-            def spy(partition, impl=impl, _created=created):
-                state = original(evaluator, partition, impl=impl)
+            def spy(partition, make=make, _created=created):
+                state = make(evaluator, partition)
                 _created.append(state)
                 return state
 
