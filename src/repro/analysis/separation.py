@@ -51,12 +51,6 @@ _BLOCK_BYTES = 1 << 18
 class SeparationMatrix:
     """Capped all-pairs gate distances for one circuit."""
 
-    #: Lazily built float32 copy of :attr:`matrix` feeding the
-    #: whole-matrix BLAS matmul in :meth:`sums_by_group` (class-level
-    #: default covers both constructors, including :meth:`from_matrix`;
-    #: small candidate sets never build it).
-    _matrix_f32: np.ndarray | None = None
-
     def __init__(self, circuit: Circuit, cap: int):
         if cap < 1:
             raise ValueError(f"separation cap must be >= 1, got {cap}")
@@ -171,57 +165,6 @@ class SeparationMatrix:
         # Rows then columns, summed as exact int64 without an int64 copy.
         total = self.matrix[group][:, group].sum(dtype=np.int64)
         return float(total / 2)
-
-    def sums_by_group(
-        self, gates: np.ndarray, group_of_gate: np.ndarray, num_groups: int
-    ) -> np.ndarray:
-        """``Σ distance(g, h)`` for every ``g`` in ``gates`` and every group.
-
-        ``group_of_gate`` assigns each dense gate index a group id in
-        ``[0, num_groups)`` (negative = excluded).  Returns an int64
-        ``(len(gates), num_groups)`` matrix — the batched form of
-        :meth:`sum_to_group`, exact in any order (integer distances).
-        One BLAS matmul against a group-indicator matrix scores every
-        (gate, group) pair of a whole candidate set at once: distances
-        are integers ≤ cap, so every partial sum is an integer of at
-        most ``n·cap`` — below 2**24 for any circuit this matrix can
-        hold in memory (n < 65,793 at cap 255) — and the float32 dot
-        product is exact regardless of summation order.
-        """
-        gates = np.asarray(gates, dtype=np.int64)
-        out = np.zeros((len(gates), num_groups), dtype=np.int64)
-        if gates.size == 0:
-            return out
-        group_of_gate = np.asarray(group_of_gate, dtype=np.int64)
-        valid = np.nonzero(group_of_gate >= 0)[0]
-        if valid.size == 0:
-            return out
-        n = self.matrix.shape[0]
-        if n * self.cap >= 2**24:
-            raise ValueError(
-                f"{n} gates at cap {self.cap}: separation sums could "
-                "reach 2**24 and would not be exact in float32"
-            )
-        indicator = np.zeros((n, num_groups), dtype=np.float32)
-        indicator[valid, group_of_gate[valid]] = 1.0
-        # Both branches compute exact-integer float sums (lossless int64
-        # assignment), so they are bit-identical; the split is purely a
-        # cost choice.  Sets of fewer than n/2 distinct gates (annealing
-        # blocks, KL swap pools) cast only the unique rows they gather
-        # and run a (U, n) x (n, K) matmul; larger ones amortise one
-        # sgemm over a whole-matrix float32 copy, built on first use and
-        # kept (4x the uint8 matrix: 49 MB on c7552).  With one BLAS
-        # thread the copy's matmul catches up with the gather near
-        # U = 0.6 n on c1908 to c7552.
-        unique, inverse = np.unique(gates, return_inverse=True)
-        if 2 * unique.size < n:
-            rows = self.matrix[unique].astype(np.float32)
-            out[:] = (rows @ indicator)[inverse]
-        else:
-            if self._matrix_f32 is None:
-                self._matrix_f32 = self.matrix.astype(np.float32)
-            out[:] = (self._matrix_f32 @ indicator)[gates]
-        return out
 
 
 def module_separation(circuit: Circuit, gates, cap: int) -> float:

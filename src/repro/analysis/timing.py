@@ -294,14 +294,12 @@ class IncrementalTiming:
         per candidate.  When no override differs from the base delay,
         nothing is swept and every candidate scores ``arrival.max()``.
 
-        Rows may override any number of gates (multi-gate override
-        columns: a swap writes two exchanged entries, a module retune
-        writes the whole membership).  An entry equal to the base delay
-        is a no-op, so heterogeneous candidates (different module pairs)
-        can share one union column set and still score bit-identically
-        to separate per-group calls.  The batched optimizer kernels
-        (``trial_moves``/``trial_swaps``) lean on exactly this to merge
-        scattered candidate pools into one stacked sweep.
+        Rows may override any number of gates.  An entry equal to the
+        base delay is a no-op, so heterogeneous candidates can share one
+        column set and still score bit-identically to separate calls:
+        the population kernel (``EvaluationState.trial_blocks``) passes
+        every gate, each row carrying its own parent's delays outside
+        the modules it touches.
 
         With ``return_arrivals`` the result is a pair: the delays, and
         the sweep's stacked arrivals (``None`` when nothing changed),

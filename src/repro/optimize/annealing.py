@@ -7,30 +7,26 @@ a connected module) and the same penalised cost, so the ablation bench
 compares search strategies, not problem encodings.
 
 Proposals are consumed in speculative blocks with a *pinned RNG draw
-order*: all ``proposal_block`` proposals of a block are drawn up front
-against the block-start state, then the accept draws are consumed one
-decision at a time during the walk (``rng.random()`` fires only for
-uphill deltas, exactly as before).  Because both candidate modes share
-that draw order and the batched gain kernel is bit-identical to
-``trial_cost``, the two modes produce bit-for-bit the same
-accept/reject decision stream:
+order*: all proposals of a block are drawn up front against the
+block-start state, then the accept draws are consumed one decision at a
+time during the walk (``rng.random()`` fires only for uphill deltas).
+Each block is scored in one
+:meth:`~repro.partition.state.EvaluationState.trial_moves` call (one-move
+rows of the ``trial_blocks`` kernel, one stacked retime); accepted moves
+are applied directly and only the still-pending remainder of the block
+is invalidated and rescored, so rejections cost nothing.  Blocks below
+the stacking break-even take the sequential walk, one ``trial_cost``
+and an exact-undo rollback per proposal.  The kernel is bit-identical to
+``trial_cost``, so the decision stream is the one the sequential walk
+alone would make; the tests run that walk in place of the batched one
+and compare the streams.
 
-``candidate_mode="batched"`` (default)
-    Each block is scored in one
-    :meth:`~repro.partition.state.EvaluationState.trial_moves` call
-    (one ``retime_batch`` stacked sweep per touched module pair);
-    accepted moves are applied directly and only the still-pending
-    remainder of the block is invalidated and rescored — rejections
-    cost nothing.
-
-``candidate_mode="sequential"``
-    The reference path: each proposal pays one ``trial_cost`` (one
-    block-structured incremental retime, DESIGN §8.4) and an exact-undo
-    rollback on reject.
+Block depth follows an acceptance EWMA (:meth:`_Walk.block_size`); the
+two walks' timings at full budgets are in DESIGN §8.5.
 
 A proposal drawn against the block-start state may be invalidated by an
 earlier acceptance in the same block (its gate already sits in the
-target); both modes skip such proposals under the same live-state test,
+target); both walks skip such proposals under the same live-state test,
 so the streams stay aligned.  ``_propose_move`` never proposes out of a
 single-gate module (the same guard KL's sampler applies), so annealing
 preserves the module count.
@@ -61,7 +57,6 @@ class AnnealingParams:
     steps_per_temperature: int = 40
     min_temperature: float = 1e-3
     penalty: float = 1.0e4
-    candidate_mode: str = "batched"
     proposal_block: int = 16
 
     def __post_init__(self) -> None:
@@ -73,20 +68,15 @@ class AnnealingParams:
             raise OptimizationError("steps_per_temperature must be >= 1")
         if self.proposal_block < 1:
             raise OptimizationError("proposal_block must be >= 1")
-        if self.candidate_mode not in ("batched", "sequential"):
-            raise OptimizationError(
-                f"candidate_mode must be 'batched' or 'sequential', "
-                f"not {self.candidate_mode!r}"
-            )
 
 
 class _Walk:
     """Shared accept/reject bookkeeping for one annealing run.
 
-    Both candidate modes feed decisions through :meth:`decide` so the
-    accept-draw consumption (``rng.random()`` only on uphill deltas),
-    cost tracking, best-state snapshots, and the optional decision-trace
-    seam stay textually identical between them.
+    Both walks feed decisions through :meth:`decide` so the accept-draw
+    consumption (``rng.random()`` only on uphill deltas), cost tracking,
+    best-state snapshots, and the optional decision-trace seam stay
+    textually identical between them.
     """
 
     def __init__(self, state, rng, cost, penalty, decisions):
@@ -100,8 +90,8 @@ class _Walk:
         self.accepted = 0
         self.decisions = decisions
         # EWMA of the accept rate, driving speculative block sizing.
-        # Decisions are identical across candidate modes, so both modes
-        # compute the same block sizes and the draw order stays pinned.
+        # Decisions are identical in both walks, so both compute the same
+        # block sizes and the draw order stays pinned.
         self.accept_ewma = 1.0
 
     def block_size(self, cap: int, remaining: int) -> int:
@@ -160,7 +150,6 @@ def anneal_partition(
     walk = _Walk(state, rng, cost, params.penalty, _decisions)
     walk.evaluations = 1
     history: list[GenerationRecord] = []
-    batched = params.candidate_mode == "batched"
 
     temperature = params.initial_temperature
     sweep = 0
@@ -174,10 +163,7 @@ def anneal_partition(
             # Pinned draw order: the whole block's proposals are drawn
             # against the block-start state before any decision fires.
             proposals = [_propose_move(state, rng) for _ in range(block)]
-            if batched:
-                _walk_batched(walk, proposals, temperature)
-            else:
-                _walk_sequential(walk, proposals, temperature)
+            _walk_batched(walk, proposals, temperature)
         history.append(
             GenerationRecord(
                 generation=sweep,
@@ -272,8 +258,8 @@ def _walk_batched(walk: _Walk, proposals, temperature: float) -> None:
 def _still_valid(partition: Partition, gate: int, target: int) -> bool:
     """A block proposal may be stale: an earlier acceptance can have
     moved its gate into the target already, or shrunk its module to a
-    single gate.  Both walk modes apply this same live-state test, so
-    their decision streams stay aligned."""
+    single gate.  Both walks apply this same live-state test, so their
+    decision streams stay aligned."""
     module = partition.module_of(gate)
     return module != target and partition.module_size(module) >= 2
 

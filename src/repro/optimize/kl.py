@@ -14,30 +14,20 @@ neighbour-module queries run on the compiled graph's CSR gate adjacency
 (via :class:`~repro.partition.partition.Partition`), so candidate
 sampling stays cheap even on the Table 1 circuits.
 
-Two candidate-scoring modes (``candidate_mode``):
+Each pass samples whole swap pools up front (``candidate_rounds`` rounds
+of ``candidate_swaps`` pairs) and scores each pool in one
+:meth:`~repro.partition.state.EvaluationState.trial_swaps` call (each
+swap a two-move row of the ``trial_blocks`` kernel), then walks the
+ranked gains best-first, replay-validating each chosen swap through
+``trial_cost`` before committing it — earlier commits invalidate the
+pool's baseline, so a stale gain can never be committed unchecked.  A
+pool doesn't reflect its own commits, so this samples other swaps than
+the interleaved sample-score-commit loop it replaced; that loop is kept
+as ``tests/oracles/kl.py``, and the seed-swept ablation in
+``tests/optimize/test_kl.py`` pins the final costs against it.
 
-``"batched"`` (default)
-    Sample whole swap pools up front (``candidate_rounds`` rounds of
-    ``candidate_swaps`` pairs per pass) and score each pool as one
-    candidate batch through the
-    :meth:`~repro.partition.state.EvaluationState.trial_swaps` kernel
-    (every pair of a (module_a, module_b) pair rides one
-    ``retime_batch`` stacked sweep), then walk the ranked gains
-    best-first, replay-validating each chosen swap through
-    ``trial_cost`` before committing it — earlier commits invalidate
-    the batch's baseline, so a stale gain can never be committed
-    unchecked.  This changes *which* swaps get sampled relative to the
-    sequential mode (a pool doesn't reflect its own commits), so the
-    seed-swept ablation in ``tests/optimize/test_kl.py`` pins its
-    final costs against the sequential reference.
-
-``"sequential"``
-    The original interleaved sample-score-commit loop with locking,
-    one ``trial_cost`` (one block-structured retime, DESIGN §8.4) per
-    candidate — kept bit-for-bit as the reference semantics.
-
-Both modes draw through :class:`_SwapSampler`, which precomputes the
-filtered unlocked-gate arrays once per (commit, lock) epoch instead of
+Pools draw through :class:`_SwapSampler`, which precomputes the filtered
+unlocked-gate arrays once per (commit, lock) epoch instead of
 re-deriving membership lists on every rejection-sampling attempt.
 """
 
@@ -63,28 +53,20 @@ def kl_refine(
     candidate_swaps: int = 64,
     seed: int | None = None,
     penalty: float = 1.0e4,
-    candidate_mode: str = "batched",
     candidate_rounds: int = 8,
 ) -> OptimizationResult:
     """KL-style refinement of ``start``.
 
-    Per pass: sample ``candidate_swaps`` boundary-gate pairs from
-    adjacent module pairs and commit the improving ones with gate
-    locking — scored either through up to ``candidate_rounds`` batched
-    ``trial_swaps`` kernel calls walked best-first with replay
-    validation (``candidate_mode="batched"``), or one at a time through
-    the transactional trial protocol (``"sequential"``).  Passes repeat
+    Per pass: sample pools of ``candidate_swaps`` boundary-gate pairs
+    from adjacent module pairs, score each in one ``trial_swaps`` call,
+    and commit the improving ones best-first with replay validation and
+    gate locking, for up to ``candidate_rounds`` pools.  Passes repeat
     until no pass improves or ``max_passes`` is hit.
     """
     if max_passes < 1 or candidate_swaps < 1:
         raise OptimizationError("max_passes and candidate_swaps must be >= 1")
     if candidate_rounds < 1:
         raise OptimizationError("candidate_rounds must be >= 1")
-    if candidate_mode not in ("batched", "sequential"):
-        raise OptimizationError(
-            f"candidate_mode must be 'batched' or 'sequential', "
-            f"not {candidate_mode!r}"
-        )
     rng = random.Random(seed)
     state = evaluator.new_state(start)
     cost = state.penalized_cost(penalty)
@@ -92,16 +74,10 @@ def kl_refine(
     history: list[GenerationRecord] = []
 
     for sweep in range(1, max_passes + 1):
-        if candidate_mode == "batched":
-            cost, gained, improved = _batched_pass(
-                state, rng, cost, candidate_swaps, penalty, candidate_rounds
-            )
-            evaluations += gained
-        else:
-            cost, gained, improved = _sequential_pass(
-                state, rng, cost, candidate_swaps, penalty
-            )
-            evaluations += gained
+        cost, gained, improved = _batched_pass(
+            state, rng, cost, candidate_swaps, penalty, candidate_rounds
+        )
+        evaluations += gained
         history.append(
             GenerationRecord(
                 generation=sweep,
@@ -126,32 +102,6 @@ def kl_refine(
     )
 
 
-def _sequential_pass(state, rng, cost, candidate_swaps, penalty):
-    """The reference pass: interleaved sample-score-commit with locking."""
-    locked: set[int] = set()
-    sampler = _SwapSampler(state)
-    improved = False
-    evaluations = 0
-    for _ in range(candidate_swaps):
-        swap = sampler.sample(rng, locked)
-        if swap is None:
-            break
-        gate_a, gate_b, module_a, module_b = swap
-        trial_cost = state.trial_cost(
-            [(gate_a, module_b), (gate_b, module_a)], penalty
-        )
-        evaluations += 1
-        if trial_cost < cost - 1e-12:
-            state.commit()
-            cost = trial_cost
-            locked.update((gate_a, gate_b))
-            sampler.invalidate()
-            improved = True
-        else:
-            state.rollback()
-    return cost, evaluations, improved
-
-
 def _batched_pass(state, rng, cost, candidate_swaps, penalty, rounds):
     """One batched KL pass: pooled rounds, ranked walks, replay-validated
     commits.
@@ -167,9 +117,9 @@ def _batched_pass(state, rng, cost, candidate_swaps, penalty, rounds):
     rolled back and counted as a mismatch.  Rounds stop early when one
     commits nothing (the pool has gone dry at this baseline); locking
     persists across the whole pass.  Batched candidates are roughly an
-    order of magnitude cheaper to score than sequential trials, so a
-    pass affords ``rounds`` times the exploration of a sequential pass
-    at comparable wall-clock.
+    order of magnitude cheaper to score than one trial each, so a pass
+    affords ``rounds`` times the exploration of the sequential reference
+    pass at comparable wall-clock.
     """
     sampler = _SwapSampler(state)
     locked: set[int] = set()

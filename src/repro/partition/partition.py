@@ -51,6 +51,23 @@ def _check_module_ids(module_of) -> np.ndarray:
     return module_of
 
 
+def check_gate_ids(gates, num_gates: int) -> np.ndarray:
+    """``gates`` as an int64 array of dense gate indices, each of which
+    must be an integer value in ``[0, num_gates)``.  Every move entry
+    point runs this before it writes anything."""
+    values = np.asarray(gates)
+    if values.dtype.kind not in "iu":
+        try:
+            values = values.astype(np.float64)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or (np.trunc(values) != values).any():
+            raise PartitionError(f"gate ids must be integers, got {gates!r}")
+    if values.size and (values.min() < 0 or values.max() >= num_gates):
+        raise PartitionError(f"gate ids must lie in [0, {num_gates}), got {gates!r}")
+    return values.astype(np.int64)
+
+
 class Partition:
     """Mutable disjoint cover of a circuit's logic gates by modules.
 
@@ -204,6 +221,20 @@ class Partition:
 
     def module_of(self, gate: int) -> int:
         return int(self._module_of[gate])
+
+    def gate_id(self, gate) -> int:
+        """``gate`` as a dense gate index: the scalar form of
+        :func:`check_gate_ids`, cheap enough for every single move."""
+        num_gates = len(self._module_of)
+        try:
+            index = int(gate)
+        except (TypeError, ValueError, OverflowError):
+            index = None
+        if index is None or index != gate or not 0 <= index < num_gates:
+            raise PartitionError(
+                f"gate ids must be integers in [0, {num_gates}), got {gate!r}"
+            )
+        return index
 
     def modules_of(self, gates: np.ndarray) -> np.ndarray:
         """Module ids of a batch of dense gate indices (vectorised)."""
@@ -400,6 +431,7 @@ class Partition:
         modules are maintained in place (sorted insert/delete), so the
         cache survives single moves — the optimiser hot path.
         """
+        gate = self.gate_id(gate)
         if target_module not in self._modules:
             raise PartitionError(f"no module {target_module}")
         source = int(self._module_of[gate])
@@ -437,9 +469,9 @@ class Partition:
         batch is validated before any mutation, so a rejected call
         leaves the partition (and its version-keyed caches) untouched.
         """
+        gates = check_gate_ids(list(gates), len(self._module_of)).tolist()
         if target_module not in self._modules:
             raise PartitionError(f"no module {target_module}")
-        gates = [int(g) for g in gates]
         if not gates:
             return
         block = set(gates)

@@ -23,23 +23,20 @@ The state supports the **transactional move protocol**: ``begin_trial()``
 opens a journal, moves apply *in place*, and ``rollback()`` restores
 every byte of state exactly (saved prior values, not reverse
 arithmetic) while ``commit()`` keeps the moves.  Optimisers therefore
-never clone a state to score a candidate.  The dense state additionally
-offers :meth:`EvaluationState.trial_moves` — a batched gain kernel that
-scores a whole candidate set ``(gates, targets)`` in one vectorised
-pass (batched separation sums, scatter-added profile deltas, vectorised
-sensor sizing and constraint checking) and stacked retimes for the
-delay term, and
-:meth:`EvaluationState.trial_blocks` — the population kernel that
-scores a whole ES generation of multi-move rows from several parent
-states in one statistics pass and one stacked retiming sweep, and
-hands each scored row back as a state without replaying its moves.
+never clone a state to score a candidate.  Batched scoring has one
+kernel, :meth:`EvaluationState.trial_blocks`: it scores ``(state,
+moves)`` rows from one or several parent states in one statistics pass
+and one stacked retiming sweep, and hands each scored row back as a
+state without replaying its moves.  The evolution strategy scores a
+whole generation through it; :meth:`_StateProtocol.trial_moves` (one
+move per row: greedy, annealing) and :meth:`_StateProtocol.trial_swaps`
+(a two-move exchange per row: KL) are thin adapters over it.
 
-The batched kernels call the degradation model's ``delta`` with arrays
-of sensor parameters, one element per (candidate, gate).  A model
-declares that safe by setting ``broadcasts = True``, as both shipped
-models do.  For any other model, ``trial_moves`` and ``trial_swaps``
-re-time their candidates one at a time and ``trial_blocks`` is the
-generic per-row trial loop of :class:`_StateProtocol`.
+The kernel calls the degradation model's ``delta`` with arrays of
+sensor parameters, one row per candidate.  A model declares that safe
+by setting ``broadcasts = True``, as both shipped models do.  For any
+other model ``trial_blocks`` is the generic per-row trial loop of
+:class:`_StateProtocol`.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from repro.errors import PartitionError
 from repro.partition.constraints import ConstraintReport, check_constraints_arrays
 from repro.netlist.compiled import csr_gather
 from repro.partition.costs import CostBreakdown, log_guarded
-from repro.partition.partition import Partition
+from repro.partition.partition import Partition, check_gate_ids
 from repro.sensors.bic import BICSensor, size_sensors
 from repro.sensors.sensing import settle_times_ns
 
@@ -68,6 +65,40 @@ __all__ = [
 ]
 
 
+#: Rows per ``trial_blocks`` call of the ``trial_moves``/``trial_swaps``
+#: adapters: bounds the ``(rows, gates)`` delay stack and the stacked
+#: sweep's scratch.
+_CHUNK_ROWS = 192
+
+#: Rows of at most this many moves (single moves, swaps) sum their
+#: separation change in one vectorised pass; longer rows take a per-row
+#: loop that never forms a one-source, one-target row's ``k × k`` corner.
+_SHORT_ROW = 2
+
+#: A parent slot that at least this many rows touch is re-degraded in
+#: one broadcast call over (rows, members).
+_BROADCAST_ROWS = 8
+
+_NO_GATES = np.empty(0, dtype=np.int64)
+
+
+def _signed(values: np.ndarray) -> np.ndarray:
+    """``-v0, v0, -v1, v1, ...``: each move's source and target entries."""
+    out = np.empty(2 * values.size, dtype=np.float64)
+    out[0::2] = -values
+    out[1::2] = values
+    return out
+
+
+def _groups(keys: np.ndarray) -> list[np.ndarray]:
+    """The positions of ``keys``, grouped by key value in ascending
+    order."""
+    order = np.argsort(keys, kind="stable")
+    if not keys.size:
+        return []
+    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+
+
 def _profile_max_rows(times, gate_ids, act_rows):
     """Per (candidate row, gate): the max of that candidate's activity
     profile over the gate's own transition times — the batched form of
@@ -77,13 +108,13 @@ def _profile_max_rows(times, gate_ids, act_rows):
     return np.maximum.reduceat(act_rows[:, slots], starts, axis=1)
 
 
-def _profile_max_diag(times, gates, act_rows):
-    """Row ``i``'s activity-profile max over gate ``gates[i]``'s own
-    transition times — one value per candidate row."""
+def _profile_max_diag(times, gates, act_flat, cells, depth):
+    """Per ``i``: the max of cell ``cells[i]``'s activity profile (rows of
+    ``depth`` in ``act_flat``) over gate ``gates[i]``'s own transition
+    times."""
     slots, counts = csr_gather(times.times_indptr, times.times_flat, gates)
-    row_rep = np.repeat(np.arange(len(gates), dtype=np.int64), counts)
-    starts = np.cumsum(counts) - counts
-    return np.maximum.reduceat(act_rows[row_rep, slots], starts)
+    flat = np.repeat(cells * depth, counts) + slots
+    return np.maximum.reduceat(act_flat[flat], np.cumsum(counts) - counts)
 
 
 class ModuleStats:
@@ -200,32 +231,49 @@ class _StateProtocol:
     def trial_moves(
         self, gates: Sequence[int], targets: Sequence[int], penalty: float
     ) -> np.ndarray:
-        """Penalised cost of each single-gate candidate move, evaluated
-        independently from the current state (generic trial/rollback
-        loop; the dense state overrides this with the batched kernel)."""
-        costs = np.empty(len(gates), dtype=np.float64)
-        for i, (gate, target) in enumerate(zip(gates, targets)):
-            costs[i] = self.trial_cost([(int(gate), int(target))], penalty)
-            self.rollback()
-        return costs
+        """Penalised cost of each single-gate candidate move ``gates[i]
+        -> targets[i]``, evaluated independently from this state: one
+        one-move row of :meth:`trial_blocks` per candidate."""
+        if len(gates) != len(targets):
+            raise PartitionError("trial_moves needs equally many gates and targets")
+        rows = [[(gate, target)] for gate, target in zip(gates, targets)]
+        return self._score_rows("trial_moves", rows, penalty)
 
     def trial_swaps(
         self, gates_a: Sequence[int], gates_b: Sequence[int], penalty: float
     ) -> np.ndarray:
         """Penalised cost of each two-gate *swap* candidate — gate ``a``
-        moves into ``b``'s module and ``b`` into ``a``'s — evaluated
-        independently from the current state (generic trial/rollback
-        loop; the dense state overrides this with the batched kernel).
-        ``a``'s module must hold at least two gates, or the first move
-        of the exchange would delete it."""
-        costs = np.empty(len(gates_a), dtype=np.float64)
-        for i, (a, b) in enumerate(zip(gates_a, gates_b)):
-            a, b = int(a), int(b)
-            partition = self.partition  # rollback may swap the object
-            module_a = partition.module_of(a)
-            module_b = partition.module_of(b)
-            costs[i] = self.trial_cost([(a, module_b), (b, module_a)], penalty)
-            self.rollback()
+        moves into ``b``'s module, then ``b`` into ``a``'s — evaluated
+        independently from this state as two-move rows of
+        :meth:`trial_blocks`.  ``a``'s module must hold at least two
+        gates, or the first move of the exchange would delete it."""
+        if len(gates_a) != len(gates_b):
+            raise PartitionError("trial_swaps needs equally many a- and b-gates")
+        partition = self.partition
+        num_gates = len(partition._module_of)
+        modules_a = partition.modules_of(check_gate_ids(gates_a, num_gates)).tolist()
+        modules_b = partition.modules_of(check_gate_ids(gates_b, num_gates)).tolist()
+        if any(a == b for a, b in zip(modules_a, modules_b)):
+            raise PartitionError("swap candidate within a single module")
+        if any(partition.module_size(a) == 1 for a in modules_a):
+            raise PartitionError("swap candidate out of a 1-gate module")
+        rows = [
+            [(a, module_b), (b, module_a)]
+            for a, b, module_a, module_b in zip(gates_a, gates_b, modules_a, modules_b)
+        ]
+        return self._score_rows("trial_swaps", rows, penalty)
+
+    def _score_rows(self, name: str, rows: list, penalty: float) -> np.ndarray:
+        """Costs of ``rows`` of moves from this state, through
+        :meth:`trial_blocks` in chunks of ``_CHUNK_ROWS``, counted as
+        ``optimize.<name>.calls`` and ``.candidates``."""
+        costs = np.empty(len(rows), dtype=np.float64)
+        if rows:
+            obs.METRICS.inc(f"optimize.{name}.calls")
+            obs.METRICS.inc(f"optimize.{name}.candidates", len(rows))
+        for lo in range(0, len(rows), _CHUNK_ROWS):
+            chunk = [(self, moves) for moves in rows[lo : lo + _CHUNK_ROWS]]
+            costs[lo : lo + len(chunk)] = self.trial_blocks(chunk, penalty).costs
         return costs
 
     @staticmethod
@@ -446,6 +494,7 @@ class EvaluationState(_StateProtocol):
         module id.  Inside a trial every write is journaled."""
         ctx = self.ctx
         partition = self.partition
+        gate = partition.gate_id(gate)
         source = partition.module_of(gate)
         if source == target_module:
             raise PartitionError(f"gate {gate} already in module {target_module}")
@@ -505,9 +554,11 @@ class EvaluationState(_StateProtocol):
         self._move_log.append((gate, target_module))
         return source
 
-    # Its own entry, so that perfbench (``perfbench/layers.py``) can wrap
-    # the dense state's method on this class.
+    # Their own entries, so that perfbench (``perfbench/layers.py``) can
+    # wrap the dense state's methods on this class.
     move_gates = _StateProtocol.move_gates
+    trial_moves = _StateProtocol.trial_moves
+    trial_swaps = _StateProtocol.trial_swaps
 
     def _release_slot(self, module: int, slot: int) -> None:
         """Zero a dead module's slot so full-array reductions stay exact."""
@@ -715,677 +766,6 @@ class EvaluationState(_StateProtocol):
             return cost
         return cost + penalty * (1.0 + float(violation))
 
-    # ----------------------------------------------------------- gain kernel
-    def trial_moves(
-        self, gates: Sequence[int], targets: Sequence[int], penalty: float
-    ) -> np.ndarray:
-        """Batched gain kernel: the penalised cost of every candidate
-        single-gate move, each evaluated independently from the current
-        state, in one vectorised pass.
-
-        Stage 1 scores every non-delay term for all candidates at once:
-        batched separation sums (:meth:`SeparationMatrix.sums_by_group`),
-        scatter-added profile deltas, vectorised sensor sizing and the
-        array-form constraint check.  Stage 2 scores the ``c2``/``c4``
-        delay term batched per (source, target) module pair: all
-        candidates of a pair share the same two-module invalidation
-        frontier, so their degraded-delay overrides are built as one
-        ``(C, gates)`` matrix (the degradation delta is elementwise, so
-        the moved gate's row entry is simply overwritten with its
-        target-side value) and re-timed in one stacked sweep
-        (:meth:`IncrementalTiming.retime_batch`).  The state is never
-        mutated.  Degradation models that don't advertise numpy
-        broadcasting (``broadcasts = True``) fall back to the sequential
-        per-candidate update/restore loop — same results, one candidate
-        at a time.
-        """
-        gates = np.asarray(gates, dtype=np.int64)
-        count = len(gates)
-        costs = np.empty(count, dtype=np.float64)
-        if count == 0:
-            return costs
-        obs.METRICS.inc("optimize.trial_moves.calls")
-        obs.METRICS.inc("optimize.trial_moves.candidates", count)
-        if self._journal is not None:
-            raise PartitionError("trial_moves not allowed inside an open trial")
-        self._refresh()
-        ctx = self.ctx
-        partition = self.partition
-        electricals = ctx.electricals
-        num_slots = len(self._slot_module)
-        targets = np.asarray(targets, dtype=np.int64)
-
-        slot_map = np.full(partition._next_id, -1, dtype=np.int64)
-        for module, slot in self._slot_of.items():
-            slot_map[module] = slot
-        src_modules = partition._module_of[gates].astype(np.int64)
-        if (src_modules == targets).any():
-            raise PartitionError("candidate move into the gate's own module")
-        src_slot = slot_map[src_modules]
-        tgt_slot = slot_map[targets]
-        if (tgt_slot < 0).any():
-            raise PartitionError("candidate move into a missing module")
-        sizes = np.bincount(
-            partition._module_of, minlength=int(partition._next_id)
-        )[src_modules]
-        dying = sizes == 1
-        rows = np.arange(count)
-
-        # --- stage 1: every non-delay statistic, fully vectorised.
-        leak_g = electricals.leakage_na[gates]
-        rail_g = electricals.rail_cap_ff[gates]
-        peak_g = electricals.peak_current_ma[gates]
-        src_leak = self.leak_na[src_slot] - leak_g
-        tgt_leak = self.leak_na[tgt_slot] + leak_g
-        src_rail = self.rail_cap_ff[src_slot] - rail_g
-        tgt_rail = self.rail_cap_ff[tgt_slot] + rail_g
-
-        gate_slot = slot_map[partition._module_of]
-        unique_gates, inverse = np.unique(gates, return_inverse=True)
-        sums = ctx.separation.sums_by_group(unique_gates, gate_slot, num_slots)
-        src_sep = self.sep_sum[src_slot] - sums[inverse, src_slot]
-        tgt_sep = self.sep_sum[tgt_slot] + sums[inverse, tgt_slot]
-
-        times = ctx.times
-        slots_flat, slot_counts = csr_gather(
-            times.times_indptr, times.times_flat, gates
-        )
-        row_rep = np.repeat(rows, slot_counts)
-        peak_rep = np.repeat(peak_g, slot_counts)
-        src_cur = self.current[src_slot].copy()
-        tgt_cur = self.current[tgt_slot].copy()
-        src_act = self.activity[src_slot].copy()
-        tgt_act = self.activity[tgt_slot].copy()
-        src_cur[row_rep, slots_flat] -= peak_rep
-        tgt_cur[row_rep, slots_flat] += peak_rep
-        src_act[row_rep, slots_flat] -= 1.0
-        tgt_act[row_rep, slots_flat] += 1.0
-        src_max = src_cur.max(axis=1)
-        tgt_max = tgt_cur.max(axis=1)
-
-        src_rs, src_area, src_cs, src_tau, _ = size_sensors(
-            ctx.technology, src_max, src_rail
-        )
-        tgt_rs, tgt_area, tgt_cs, tgt_tau, _ = size_sensors(
-            ctx.technology, tgt_max, tgt_rail
-        )
-        src_settle = settle_times_ns(src_max, src_tau, ctx.technology)
-        tgt_settle = settle_times_ns(tgt_max, tgt_tau, ctx.technology)
-
-        # Candidate-row matrices over all slots: base values with the two
-        # touched columns replaced (dying sources contribute nothing) —
-        # the same full-array reductions as the committed path.
-        def candidate_matrix(base, src_new, tgt_new):
-            matrix = np.broadcast_to(base, (count, num_slots)).copy()
-            matrix[rows, src_slot] = np.where(dying, 0.0, src_new)
-            matrix[rows, tgt_slot] = tgt_new
-            return matrix
-
-        total_area = candidate_matrix(self.sensor_area, src_area, tgt_area).sum(axis=1)
-        total_sep = candidate_matrix(self.sep_sum, src_sep, tgt_sep).sum(axis=1)
-        settle = candidate_matrix(self.settle_ns, src_settle, tgt_settle).max(axis=1)
-        feasible, violation, _, _ = check_constraints_arrays(
-            ctx.technology,
-            candidate_matrix(self.leak_na, src_leak, tgt_leak),
-            candidate_matrix(self.max_current_ma, src_max, tgt_max),
-        )
-
-        # --- stage 2: the delay term, batched per (source, target) pair.
-        d_bic = np.empty(count, dtype=np.float64)
-        if getattr(ctx.degradation, "broadcasts", False):
-            arrival = self._arrival
-            delays = self.delay_degraded
-            nominal = electricals.delay_ns
-            incremental = ctx.timing.incremental
-            cg_ff = electricals.output_cap_ff
-            rg_ohm = electricals.pulldown_res_ohm
-            time_resolved = ctx.time_resolved_degradation
-            if not time_resolved:
-                # Matches the sequential path's ``float(act_row.max())``.
-                n_src = src_act.max(axis=1)
-                n_tgt = tgt_act.max(axis=1)
-
-            def side_overrides(members, n_rows, rs_rows, cs_rows):
-                """Degraded delays of ``members`` for each candidate row —
-                the elementwise delta broadcast over (candidate, gate)."""
-                delta = ctx.degradation.delta(
-                    n_rows,
-                    rs_rows[:, None],
-                    cs_rows[:, None],
-                    cg_ff[members][None, :],
-                    rg_ohm[members][None, :],
-                )
-                return nominal[members][None, :] * (1.0 + delta)
-
-            keys = src_modules * np.int64(partition._next_id) + targets
-            order = np.argsort(keys, kind="stable")
-            boundaries = np.nonzero(np.diff(keys[order]))[0] + 1
-            groups = np.split(order, boundaries)
-            # Scattered batches (random annealing blocks, KL pools) land
-            # roughly one candidate per module pair, so per-pair calls
-            # degrade to C=1 sweeps and nothing stacks.  Merging every
-            # group into one call over the union column set restores the
-            # stacking: a candidate's entries outside its own pair carry
-            # the base delays, which retime_batch treats as no-op
-            # overrides, so the merged sweep stays bit-identical to the
-            # per-pair calls while amortising one sweep over the whole
-            # batch.  Dense batches (neighbourhood scans) keep the
-            # per-pair calls and their narrower override matrices.
-            merged_over = None
-            if len(groups) * 8 > count:
-                touched_modules = np.unique(np.concatenate([src_modules, targets]))
-                # Memberships are disjoint sorted runs, so one sort (no
-                # dedup) yields the sorted union column set.
-                all_cols = np.sort(
-                    np.concatenate([self._members[int(m)] for m in touched_modules])
-                )
-                merged_over = np.empty((count, all_cols.size), dtype=np.float64)
-                merged_over[:] = delays[all_cols][None, :]
-            for group in groups:
-                src_members = self._members[int(src_modules[group[0]])]
-                tgt_members = self._members[int(targets[group[0]])]
-                group_dying = bool(dying[group[0]])
-                cols = np.concatenate([src_members, tgt_members])
-                if merged_over is not None:
-                    col_pos = np.searchsorted(all_cols, cols)
-                n_s = src_members.size
-                for lo in range(0, len(group), 192):
-                    chunk = group[lo : lo + 192]
-                    moved = gates[chunk]
-                    over = np.empty((chunk.size, cols.size), dtype=np.float64)
-                    if group_dying:
-                        # No source side remains; the moved gate's entry
-                        # is overwritten with its target-side value below.
-                        over[:, :n_s] = delays[src_members]
-                    else:
-                        n_rows = (
-                            _profile_max_rows(times, src_members, src_act[chunk])
-                            if time_resolved
-                            else n_src[chunk][:, None]
-                        )
-                        over[:, :n_s] = side_overrides(
-                            src_members, n_rows, src_rs[chunk], src_cs[chunk]
-                        )
-                    n_rows = (
-                        _profile_max_rows(times, tgt_members, tgt_act[chunk])
-                        if time_resolved
-                        else n_tgt[chunk][:, None]
-                    )
-                    over[:, n_s:] = side_overrides(
-                        tgt_members, n_rows, tgt_rs[chunk], tgt_cs[chunk]
-                    )
-                    # The moved gate joins the target module: same
-                    # elementwise delta with the target side's
-                    # parameters and the gate's own load.
-                    n_moved = (
-                        _profile_max_diag(times, moved, tgt_act[chunk])
-                        if time_resolved
-                        else n_tgt[chunk]
-                    )
-                    delta_moved = ctx.degradation.delta(
-                        n_moved,
-                        tgt_rs[chunk],
-                        tgt_cs[chunk],
-                        cg_ff[moved],
-                        rg_ohm[moved],
-                    )
-                    over[
-                        np.arange(chunk.size), np.searchsorted(src_members, moved)
-                    ] = nominal[moved] * (1.0 + delta_moved)
-                    if merged_over is not None:
-                        merged_over[chunk[:, None], col_pos[None, :]] = over
-                    else:
-                        d_bic[chunk] = incremental.retime_batch(
-                            arrival, delays, cols, over
-                        )
-            if merged_over is not None:
-                for lo in range(0, count, 192):
-                    d_bic[lo : lo + 192] = incremental.retime_batch(
-                        arrival, delays, all_cols, merged_over[lo : lo + 192]
-                    )
-        else:
-            self._delay_term_loop(
-                d_bic,
-                gates,
-                targets,
-                src_modules,
-                dying,
-                src_act,
-                tgt_act,
-                src_rs,
-                src_cs,
-                tgt_rs,
-                tgt_cs,
-            )
-
-        d_nom = ctx.nominal_delay_ns
-        weights = ctx.weights
-        c1 = np.log1p(np.maximum(total_area, 0.0))
-        c2 = (d_bic - d_nom) / d_nom
-        c3 = np.log1p(np.maximum(total_sep, 0.0))
-        c4 = (d_bic + settle - d_nom) / d_nom
-        c5 = (partition.num_modules - dying).astype(np.float64)
-        costs = (
-            weights.area * c1
-            + weights.delay * c2
-            + weights.separation * c3
-            + weights.test_time * c4
-            + weights.modules * c5
-        )
-        return costs + np.where(feasible, 0.0, penalty * (1.0 + violation))
-
-    def _delay_term_loop(
-        self,
-        d_bic,
-        gates,
-        targets,
-        src_modules,
-        dying,
-        src_act,
-        tgt_act,
-        src_rs,
-        src_cs,
-        tgt_rs,
-        tgt_cs,
-    ) -> None:
-        """Sequential per-candidate delay term — the fallback for
-        degradation models without broadcasting: re-degrade the two
-        touched modules, update the critical path, restore the scratch
-        exactly."""
-        ctx = self.ctx
-        times = ctx.times
-        electricals = ctx.electricals
-        arrival = self._arrival
-        delays = self.delay_degraded
-        nominal = electricals.delay_ns
-        incremental = ctx.timing.incremental
-        for i in range(len(gates)):
-            gate = int(gates[i])
-            seeds: list[np.ndarray] = []
-            saved: list[tuple[np.ndarray, np.ndarray]] = []
-            sides: list[tuple[np.ndarray, np.ndarray, float, float]] = []
-            if not dying[i]:
-                members = self._members[int(src_modules[i])]
-                sides.append(
-                    (members[members != gate], src_act[i], src_rs[i], src_cs[i])
-                )
-            members = self._members[int(targets[i])]
-            sides.append(
-                (np.append(members, gate), tgt_act[i], tgt_rs[i], tgt_cs[i])
-            )
-            for module_gates, act_row, rs_i, cs_i in sides:
-                if ctx.time_resolved_degradation:
-                    n = times.max_in_profile(module_gates, act_row)
-                else:
-                    n = float(act_row.max())
-                delta = ctx.degradation.delta(
-                    n,
-                    rs_i,
-                    cs_i,
-                    electricals.output_cap_ff[module_gates],
-                    electricals.pulldown_res_ohm[module_gates],
-                )
-                fresh = nominal[module_gates] * (1.0 + delta)
-                diff = fresh != delays[module_gates]
-                if diff.any():
-                    idx = module_gates[diff]
-                    saved.append((idx, delays[idx].copy()))
-                    delays[idx] = fresh[diff]
-                    seeds.append(idx)
-            if seeds:
-                touched, old = incremental.update(
-                    arrival, delays, np.concatenate(seeds)
-                )
-                d_bic[i] = arrival.max()
-                if touched.size:
-                    arrival[touched] = old
-                for idx, old_delays in saved:
-                    delays[idx] = old_delays
-            else:
-                d_bic[i] = self._dbic
-
-    # ------------------------------------------------------------ swap kernel
-    def trial_swaps(
-        self, gates_a: Sequence[int], gates_b: Sequence[int], penalty: float
-    ) -> np.ndarray:
-        """Batched swap kernel: the penalised cost of every candidate
-        two-gate exchange ``(a -> module(b), b -> module(a))``, each
-        evaluated independently from the current state.
-
-        The structure mirrors :meth:`trial_moves`, with both touched
-        modules losing one gate and gaining another: stage 1 applies the
-        two moves' deltas in the sequential per-move order (so every
-        float operation matches ``trial_cost`` byte for byte), stage 2
-        groups candidates by (module_a, module_b) pair — all swaps of a
-        pair share one retiming override column-set, the union of both
-        memberships — and builds multi-gate override rows where the
-        exchanged pair's entries carry the *other* side's sensor
-        parameters, retimed in one
-        :meth:`IncrementalTiming.retime_batch` stacked sweep.  The state
-        is never mutated.  Candidates out of a 1-gate module are
-        rejected (the first move of the exchange would delete it —
-        sequential scoring raises the same way).
-        """
-        gates_a = np.asarray(gates_a, dtype=np.int64)
-        gates_b = np.asarray(gates_b, dtype=np.int64)
-        count = len(gates_a)
-        if len(gates_b) != count:
-            raise PartitionError("trial_swaps needs equally many a- and b-gates")
-        if count == 0:
-            return np.empty(0, dtype=np.float64)
-        obs.METRICS.inc("optimize.trial_swaps.calls")
-        obs.METRICS.inc("optimize.trial_swaps.candidates", count)
-        if self._journal is not None:
-            raise PartitionError("trial_swaps not allowed inside an open trial")
-        self._refresh()
-        ctx = self.ctx
-        partition = self.partition
-        electricals = ctx.electricals
-        num_slots = len(self._slot_module)
-
-        slot_map = np.full(partition._next_id, -1, dtype=np.int64)
-        for module, slot in self._slot_of.items():
-            slot_map[module] = slot
-        mod_a = partition._module_of[gates_a].astype(np.int64)
-        mod_b = partition._module_of[gates_b].astype(np.int64)
-        if (mod_a == mod_b).any():
-            raise PartitionError("swap candidate within a single module")
-        sizes = np.bincount(partition._module_of, minlength=int(partition._next_id))
-        if (sizes[mod_a] == 1).any():
-            raise PartitionError("swap candidate out of a 1-gate module")
-        slot_a = slot_map[mod_a]
-        slot_b = slot_map[mod_b]
-        rows = np.arange(count)
-
-        # --- stage 1: every non-delay statistic, fully vectorised, with
-        # the two moves' deltas applied in sequential per-move order.
-        leak_ga = electricals.leakage_na[gates_a]
-        leak_gb = electricals.leakage_na[gates_b]
-        rail_ga = electricals.rail_cap_ff[gates_a]
-        rail_gb = electricals.rail_cap_ff[gates_b]
-        peak_ga = electricals.peak_current_ma[gates_a]
-        peak_gb = electricals.peak_current_ma[gates_b]
-        a_leak = (self.leak_na[slot_a] - leak_ga) + leak_gb
-        b_leak = (self.leak_na[slot_b] + leak_ga) - leak_gb
-        a_rail = (self.rail_cap_ff[slot_a] - rail_ga) + rail_gb
-        b_rail = (self.rail_cap_ff[slot_b] + rail_ga) - rail_gb
-
-        gate_slot = slot_map[partition._module_of]
-        unique_gates, inverse = np.unique(
-            np.concatenate([gates_a, gates_b]), return_inverse=True
-        )
-        sums = ctx.separation.sums_by_group(unique_gates, gate_slot, num_slots)
-        inv_a = inverse[:count]
-        inv_b = inverse[count:]
-        # The second move sees the first one's result: ``a`` is already
-        # in B, so ``b``'s sums gain/lose the pair's own distance.
-        d_ab = ctx.separation.matrix[gates_a, gates_b].astype(np.float64)
-        a_sep = (self.sep_sum[slot_a] - sums[inv_a, slot_a]) + (
-            sums[inv_b, slot_a] - d_ab
-        )
-        b_sep = (self.sep_sum[slot_b] + sums[inv_a, slot_b]) - (
-            sums[inv_b, slot_b] + d_ab
-        )
-
-        times = ctx.times
-        a_flat, a_counts = csr_gather(times.times_indptr, times.times_flat, gates_a)
-        b_flat, b_counts = csr_gather(times.times_indptr, times.times_flat, gates_b)
-        a_row_rep = np.repeat(rows, a_counts)
-        b_row_rep = np.repeat(rows, b_counts)
-        a_peak_rep = np.repeat(peak_ga, a_counts)
-        b_peak_rep = np.repeat(peak_gb, b_counts)
-        a_cur = self.current[slot_a].copy()
-        b_cur = self.current[slot_b].copy()
-        a_act = self.activity[slot_a].copy()
-        b_act = self.activity[slot_b].copy()
-        a_cur[a_row_rep, a_flat] -= a_peak_rep  # move 1: a leaves A ...
-        b_cur[a_row_rep, a_flat] += a_peak_rep  # ... and joins B
-        a_act[a_row_rep, a_flat] -= 1.0
-        b_act[a_row_rep, a_flat] += 1.0
-        b_cur[b_row_rep, b_flat] -= b_peak_rep  # move 2: b leaves B ...
-        a_cur[b_row_rep, b_flat] += b_peak_rep  # ... and joins A
-        b_act[b_row_rep, b_flat] -= 1.0
-        a_act[b_row_rep, b_flat] += 1.0
-        a_max = a_cur.max(axis=1)
-        b_max = b_cur.max(axis=1)
-
-        a_rs, a_area, a_cs, a_tau, _ = size_sensors(ctx.technology, a_max, a_rail)
-        b_rs, b_area, b_cs, b_tau, _ = size_sensors(ctx.technology, b_max, b_rail)
-        a_settle = settle_times_ns(a_max, a_tau, ctx.technology)
-        b_settle = settle_times_ns(b_max, b_tau, ctx.technology)
-
-        # Candidate-row matrices over all slots: base values with the two
-        # touched columns replaced (swaps preserve sizes — nothing dies).
-        def candidate_matrix(base, a_new, b_new):
-            matrix = np.broadcast_to(base, (count, num_slots)).copy()
-            matrix[rows, slot_a] = a_new
-            matrix[rows, slot_b] = b_new
-            return matrix
-
-        total_area = candidate_matrix(self.sensor_area, a_area, b_area).sum(axis=1)
-        total_sep = candidate_matrix(self.sep_sum, a_sep, b_sep).sum(axis=1)
-        settle = candidate_matrix(self.settle_ns, a_settle, b_settle).max(axis=1)
-        feasible, violation, _, _ = check_constraints_arrays(
-            ctx.technology,
-            candidate_matrix(self.leak_na, a_leak, b_leak),
-            candidate_matrix(self.max_current_ma, a_max, b_max),
-        )
-
-        # --- stage 2: the delay term, batched per (module_a, module_b)
-        # pair — one shared override column-set per pair.
-        d_bic = np.empty(count, dtype=np.float64)
-        if getattr(ctx.degradation, "broadcasts", False):
-            arrival = self._arrival
-            delays = self.delay_degraded
-            nominal = electricals.delay_ns
-            incremental = ctx.timing.incremental
-            cg_ff = electricals.output_cap_ff
-            rg_ohm = electricals.pulldown_res_ohm
-            time_resolved = ctx.time_resolved_degradation
-            if not time_resolved:
-                n_a = a_act.max(axis=1)
-                n_b = b_act.max(axis=1)
-
-            def side_overrides(members, n_rows, rs_rows, cs_rows):
-                delta = ctx.degradation.delta(
-                    n_rows,
-                    rs_rows[:, None],
-                    cs_rows[:, None],
-                    cg_ff[members][None, :],
-                    rg_ohm[members][None, :],
-                )
-                return nominal[members][None, :] * (1.0 + delta)
-
-            keys = mod_a * np.int64(partition._next_id) + mod_b
-            order = np.argsort(keys, kind="stable")
-            boundaries = np.nonzero(np.diff(keys[order]))[0] + 1
-            groups = np.split(order, boundaries)
-            # Same merged-stacking path as trial_moves: scattered pools
-            # merge every pair group into one retime_batch call over the
-            # union column set (base-delay entries are no-op overrides,
-            # so the merge is bit-identical).
-            merged_over = None
-            if len(groups) * 8 > count:
-                touched_modules = np.unique(np.concatenate([mod_a, mod_b]))
-                all_cols = np.sort(
-                    np.concatenate([self._members[int(m)] for m in touched_modules])
-                )
-                merged_over = np.empty((count, all_cols.size), dtype=np.float64)
-                merged_over[:] = delays[all_cols][None, :]
-            for group in groups:
-                members_a = self._members[int(mod_a[group[0]])]
-                members_b = self._members[int(mod_b[group[0]])]
-                cols = np.concatenate([members_a, members_b])
-                if merged_over is not None:
-                    col_pos = np.searchsorted(all_cols, cols)
-                n_s = members_a.size
-                for lo in range(0, len(group), 192):
-                    chunk = group[lo : lo + 192]
-                    moved_a = gates_a[chunk]
-                    moved_b = gates_b[chunk]
-                    over = np.empty((chunk.size, cols.size), dtype=np.float64)
-                    n_rows = (
-                        _profile_max_rows(times, members_a, a_act[chunk])
-                        if time_resolved
-                        else n_a[chunk][:, None]
-                    )
-                    over[:, :n_s] = side_overrides(
-                        members_a, n_rows, a_rs[chunk], a_cs[chunk]
-                    )
-                    n_rows = (
-                        _profile_max_rows(times, members_b, b_act[chunk])
-                        if time_resolved
-                        else n_b[chunk][:, None]
-                    )
-                    over[:, n_s:] = side_overrides(
-                        members_b, n_rows, b_rs[chunk], b_cs[chunk]
-                    )
-                    # The exchanged pair crosses sides: each moved
-                    # gate's override carries the *other* module's
-                    # sensor parameters — two overwritten entries per
-                    # candidate row (multi-gate override columns).
-                    n_moved = (
-                        _profile_max_diag(times, moved_a, b_act[chunk])
-                        if time_resolved
-                        else n_b[chunk]
-                    )
-                    delta_moved = ctx.degradation.delta(
-                        n_moved,
-                        b_rs[chunk],
-                        b_cs[chunk],
-                        cg_ff[moved_a],
-                        rg_ohm[moved_a],
-                    )
-                    over[
-                        np.arange(chunk.size), np.searchsorted(members_a, moved_a)
-                    ] = nominal[moved_a] * (1.0 + delta_moved)
-                    n_moved = (
-                        _profile_max_diag(times, moved_b, a_act[chunk])
-                        if time_resolved
-                        else n_a[chunk]
-                    )
-                    delta_moved = ctx.degradation.delta(
-                        n_moved,
-                        a_rs[chunk],
-                        a_cs[chunk],
-                        cg_ff[moved_b],
-                        rg_ohm[moved_b],
-                    )
-                    over[
-                        np.arange(chunk.size),
-                        n_s + np.searchsorted(members_b, moved_b),
-                    ] = nominal[moved_b] * (1.0 + delta_moved)
-                    if merged_over is not None:
-                        merged_over[chunk[:, None], col_pos[None, :]] = over
-                    else:
-                        d_bic[chunk] = incremental.retime_batch(
-                            arrival, delays, cols, over
-                        )
-            if merged_over is not None:
-                for lo in range(0, count, 192):
-                    d_bic[lo : lo + 192] = incremental.retime_batch(
-                        arrival, delays, all_cols, merged_over[lo : lo + 192]
-                    )
-        else:
-            self._delay_swap_loop(
-                d_bic,
-                gates_a,
-                gates_b,
-                mod_a,
-                mod_b,
-                a_act,
-                b_act,
-                a_rs,
-                a_cs,
-                b_rs,
-                b_cs,
-            )
-
-        d_nom = ctx.nominal_delay_ns
-        weights = ctx.weights
-        c1 = np.log1p(np.maximum(total_area, 0.0))
-        c2 = (d_bic - d_nom) / d_nom
-        c3 = np.log1p(np.maximum(total_sep, 0.0))
-        c4 = (d_bic + settle - d_nom) / d_nom
-        c5 = float(partition.num_modules)  # swaps never change K
-        costs = (
-            weights.area * c1
-            + weights.delay * c2
-            + weights.separation * c3
-            + weights.test_time * c4
-            + weights.modules * c5
-        )
-        return costs + np.where(feasible, 0.0, penalty * (1.0 + violation))
-
-    def _delay_swap_loop(
-        self,
-        d_bic,
-        gates_a,
-        gates_b,
-        mod_a,
-        mod_b,
-        a_act,
-        b_act,
-        a_rs,
-        a_cs,
-        b_rs,
-        b_cs,
-    ) -> None:
-        """Sequential per-candidate swap delay term — the fallback for
-        degradation models without broadcasting (mirror of
-        :meth:`_delay_term_loop` with both memberships exchanged)."""
-        ctx = self.ctx
-        times = ctx.times
-        electricals = ctx.electricals
-        arrival = self._arrival
-        delays = self.delay_degraded
-        nominal = electricals.delay_ns
-        incremental = ctx.timing.incremental
-        for i in range(len(gates_a)):
-            a = int(gates_a[i])
-            b = int(gates_b[i])
-            members_a = self._members[int(mod_a[i])]
-            members_b = self._members[int(mod_b[i])]
-            keep_a = members_a[members_a != a]
-            new_a = np.insert(keep_a, np.searchsorted(keep_a, b), b)
-            keep_b = members_b[members_b != b]
-            new_b = np.insert(keep_b, np.searchsorted(keep_b, a), a)
-            seeds: list[np.ndarray] = []
-            saved: list[tuple[np.ndarray, np.ndarray]] = []
-            for module_gates, act_row, rs_i, cs_i in (
-                (new_a, a_act[i], a_rs[i], a_cs[i]),
-                (new_b, b_act[i], b_rs[i], b_cs[i]),
-            ):
-                if ctx.time_resolved_degradation:
-                    n = times.max_in_profile(module_gates, act_row)
-                else:
-                    n = float(act_row.max())
-                delta = ctx.degradation.delta(
-                    n,
-                    rs_i,
-                    cs_i,
-                    electricals.output_cap_ff[module_gates],
-                    electricals.pulldown_res_ohm[module_gates],
-                )
-                fresh = nominal[module_gates] * (1.0 + delta)
-                diff = fresh != delays[module_gates]
-                if diff.any():
-                    idx = module_gates[diff]
-                    saved.append((idx, delays[idx].copy()))
-                    delays[idx] = fresh[diff]
-                    seeds.append(idx)
-            if seeds:
-                touched, old = incremental.update(
-                    arrival, delays, np.concatenate(seeds)
-                )
-                d_bic[i] = arrival.max()
-                if touched.size:
-                    arrival[touched] = old
-                for idx, old_delays in saved:
-                    delays[idx] = old_delays
-            else:
-                d_bic[i] = self._dbic
-
     # ------------------------------------------------------ population kernel
     @staticmethod
     def trial_blocks(
@@ -1396,15 +776,17 @@ class EvaluationState(_StateProtocol):
         moves)`` row, bit-identical to ``parent.trial_cost(moves)``
         followed by ``rollback()``, plus each row's state on demand.
 
-        Built for one ES generation: rows from several parents of one
-        evaluator, each moving distinct gates out of a single source
-        module into one or more targets (a row may empty its source, or
-        move nothing).  Each parent is refreshed once, outside any
-        trial, and otherwise left untouched — no move is applied, so its
-        partition keeps its version and cached boundary sets.  The rows
-        are scored and adopted by :class:`_BlockRows`; a degradation
-        model without ``broadcasts`` takes the generic per-row loop
-        instead (see the module docstring).
+        Rows come from one or several parents of one evaluator.  A row
+        moves distinct gates, in order, out of any modules into others:
+        an ES mutation or Monte-Carlo block, a KL swap, a single greedy
+        or annealing move.  It may empty modules, but not move into one
+        it emptied, and it may move nothing.  Each parent is refreshed
+        once, outside any trial, and otherwise left untouched — no move
+        is applied, so its partition keeps its version and cached
+        boundary sets.  The rows are scored and adopted by
+        :class:`_BlockRows`; a degradation model without ``broadcasts``
+        takes the generic per-row loop instead (see the module
+        docstring).
         """
         count = len(rows)
         if count == 0:
@@ -1412,8 +794,6 @@ class EvaluationState(_StateProtocol):
         obs.METRICS.inc("optimize.trial_blocks.calls")
         obs.METRICS.inc("optimize.trial_blocks.candidates", count)
         ctx = rows[0][0].ctx
-        if not getattr(ctx.degradation, "broadcasts", False):
-            return _StateProtocol.trial_blocks(rows, penalty)
         by_parent: dict[int, tuple[EvaluationState, list[int]]] = {}
         for i, (state, _) in enumerate(rows):
             by_parent.setdefault(id(state), (state, []))[1].append(i)
@@ -1422,6 +802,9 @@ class EvaluationState(_StateProtocol):
                 raise PartitionError("trial_blocks rows must share one evaluator")
             if state._journal is not None:
                 raise PartitionError("trial_blocks not allowed inside an open trial")
+        if not getattr(ctx.degradation, "broadcasts", False):
+            return _StateProtocol.trial_blocks(rows, penalty)
+        for state, _ in by_parent.values():
             state._refresh()
         return _BlockRows(rows, list(by_parent.values()), penalty)
 
@@ -1491,26 +874,43 @@ class _BlockRows(BlockScores):
     Rows are grouped by parent (``costs`` and :meth:`state` keep the
     caller's row numbers), and row ``j`` of parent ``p`` owns ``S_p``
     consecutive *cells* of every slot vector and profile stack, one per
-    parent slot.
-    Leakage, rail and profile deltas are scattered with
-    ``subtract.at``/``add.at`` in move order, the float sequence of
-    :meth:`EvaluationState.move_gate` applied gate by gate; touched cells
-    are sized in one call.
+    parent slot.  Leakage, rail and profile deltas are scattered by one
+    ``add.at`` per array over interleaved (source ``-v``, target ``+v``)
+    entries in move order: the float sequence of
+    :meth:`EvaluationState.move_gate` applied gate by gate, as ``x - v``
+    is ``x + (-v)`` in IEEE arithmetic.  A row empties a module when all
+    its gates leave before any enters; touched cells are sized in one
+    call.
 
     Separation values are integers held in float64, far below 2**53, and
     the matrix is symmetric with a zero diagonal, so a row's total
     changes by one exact integer whatever order its moves are applied
-    in: ``Σ_t M[moved_t, T_t] − M[moved, rest] − cross``, where ``rest``
-    is the source minus the moved gates and ``cross`` sums the pairs of
-    moved gates bound for different targets.  Every touched module's
-    gates are re-degraded in one ``degradation.delta`` call with
-    per-element sensor parameters (the model broadcasts elementwise, so
-    each element sees the IEEE operations of
-    :meth:`EvaluationState._refresh`'s per-module call).
+    in.  With ``X`` the moved gates, ``s_g`` and ``t_g`` a gate's source
+    and target, and ``R[g, m]`` the sum of ``M[g, ·]`` over module
+    ``m``'s members before the row::
+
+        Δ = Σ_g (R[g, t_g] − R[g, s_g]) + Σ_{g,h ⊂ X} M[g, h]·([t_g = t_h]
+              + [s_g = s_h] − [s_h = t_g] − [s_g = t_h])
+
+    Rows of at most ``_SHORT_ROW`` moves are summed this way in one pass.
+    Longer rows take a per-row loop over each touched module's members
+    outside ``X``, ``rest_m``: ``Σ_m M(In_m, rest_m) − M(Out_m, rest_m)``
+    plus the pairs' ``[t_g = t_h] − [s_g = s_h]``, which cancel for a
+    row with one source and one target, so that a Monte-Carlo block
+    never forms its ``k × k`` corner.
+
+    Every touched module's members before the row are re-degraded from
+    its cell's sensor — one broadcast ``degradation.delta`` call over
+    (rows, members) for a parent slot that at least ``_BROADCAST_ROWS``
+    rows touch, one elementwise call for the other cells — and then
+    every moved gate from its target cell's, overwriting its source-side
+    entry.  The model is elementwise, so each element sees the IEEE
+    operations of :meth:`EvaluationState._refresh`'s per-module call.
+
     Per-row sums, maxima and ``Γ`` reduce over each parent's own
     ``(rows, S_p)`` view: numpy's pairwise sum groups by length, so a
-    common padded width would change the float results.  Stage 2 re-times
-    every row's delay vector in one
+    common padded width would change the float results.
+    Stage 2 re-times every row's delay vector in one
     :meth:`IncrementalTiming.retime_batch` sweep, and the cost terms are
     the scalar expressions of :meth:`EvaluationState.cost_breakdown` and
     :meth:`EvaluationState.penalized_cost`.
@@ -1537,21 +937,33 @@ class _BlockRows(BlockScores):
         row_slots = num_slots[row_parent]
         row_off = np.cumsum(row_slots) - row_slots
         parent_off = np.cumsum(num_slots) - num_slots
-        # Each cell's position in the parents' slot vectors laid end to end.
-        cell_src = np.arange(int(row_slots.sum()), dtype=np.int64) + np.repeat(
-            parent_off[row_parent] - row_off, row_slots
-        )
+        num_cells = int(row_slots.sum())
+        cell_row = np.repeat(np.arange(count, dtype=np.int64), row_slots)
+        # Each cell's *parent slot*: its position in the parents' slot
+        # vectors laid end to end, whose members are laid out likewise.
+        shift = parent_off[row_parent] - row_off
+        cell_src = np.arange(num_cells, dtype=np.int64) + shift[cell_row]
+        slot_members = [
+            parent._members[module] if module >= 0 else _NO_GATES
+            for parent in parents
+            for module in parent._slot_module.tolist()
+        ]
+        slot_size = np.fromiter(map(len, slot_members), dtype=np.int64)
 
         lengths = np.fromiter(map(len, blocks), dtype=np.int64, count=count)
         ends = np.cumsum(lengths)
         starts = ends - lengths
-        moves = np.fromiter(
+        num_moves = int(ends[-1])
+        flat = np.fromiter(
             chain.from_iterable(chain.from_iterable(blocks)),
-            dtype=np.int64,
-            count=2 * int(ends[-1]),
-        ).reshape(-1, 2)
-        gates = moves[:, 0]
-        targets = moves[:, 1]
+            dtype=np.float64,
+            count=2 * num_moves,
+        )
+        gates = check_gate_ids(flat[0::2], num_gates)
+        targets = flat[1::2]
+        if ((np.trunc(targets) != targets) | (targets < 0) | (targets >= 2**31)).any():
+            raise PartitionError("trial_blocks move into a missing module")
+        targets = targets.astype(np.int64)
         move_row = np.repeat(np.arange(count, dtype=np.int64), lengths)
         sources = np.empty_like(gates)
         src_slot = np.empty_like(gates)
@@ -1565,9 +977,7 @@ class _BlockRows(BlockScores):
             slot_map = np.full(partition._next_id, -1, dtype=np.int64)
             slot_map[list(parent._slot_of)] = list(parent._slot_of.values())
             into = targets[lo:hi]
-            if ((into < 0) | (into >= partition._next_id)).any() or (
-                slot_map[into] < 0
-            ).any():
+            if (into >= partition._next_id).any() or (slot_map[into] < 0).any():
                 raise PartitionError("trial_blocks move into a missing module")
             out_of = partition._module_of[gates[lo:hi]].astype(np.int64)
             if (out_of == into).any():
@@ -1575,67 +985,101 @@ class _BlockRows(BlockScores):
             sources[lo:hi] = out_of
             src_slot[lo:hi] = slot_map[out_of]
             tgt_slot[lo:hi] = slot_map[into]
-        moving = lengths > 0
-        row_source = np.full(count, -1, dtype=np.int64)
-        row_source[moving] = sources[starts[moving]]
-        if (sources != row_source[move_row]).any():
-            raise PartitionError("trial_blocks rows must leave one source module")
         keys = move_row * num_gates + gates
         if np.unique(keys).size != keys.size:
             raise PartitionError("trial_blocks row moves a gate twice")
         src_cell = row_off[move_row] + src_slot
         tgt_cell = row_off[move_row] + tgt_slot
-        multi = np.zeros(count, dtype=bool)
-        multi[move_row[targets != targets[starts[move_row]]]] = True
 
-        # Separation: one exact integer delta per row, from one gather of
-        # the moved gates' matrix rows.  The members of every touched
-        # module after the move are collected, per parent, for
-        # re-degradation.
+        # A module all of whose gates leave is emptied unless a gate
+        # entered it before the last one left.  A later move into it
+        # finds no module, as in trial_cost.
+        out_count = np.bincount(src_cell, minlength=num_cells)
+        dead_cell = np.flatnonzero(
+            (out_count == slot_size[cell_src]) & (out_count > 0)
+        )
+        if dead_cell.size:
+            step = np.arange(num_moves)
+            first_in = np.full(num_cells, num_moves)
+            np.minimum.at(first_in, tgt_cell, step)
+            last_out = np.zeros(num_cells, dtype=np.int64)
+            np.maximum.at(last_out, src_cell, step)
+            entered = first_in[dead_cell]
+            late = dead_cell[(entered > last_out[dead_cell]) & (entered < num_moves)]
+            if late.size:
+                r = int(cell_row[late[0]])
+                module = parents[int(row_parent[r])]._slot_module[late[0] - row_off[r]]
+                raise PartitionError(
+                    f"no module {module}: a trial_blocks row moves into it "
+                    "after emptying it"
+                )
+            dead_cell = dead_cell[entered == num_moves]
+        dying = np.bincount(cell_row[dead_cell], minlength=count)
+
+        # Separation: one exact integer delta per row.  Short rows: one
+        # R[gate, module] query per move end, gathered per parent slot.
         matrix = ctx.separation.matrix
-        flag = np.zeros(num_gates, dtype=bool)
-        dying = np.zeros(count, dtype=bool)
         sep_delta = np.zeros(count, dtype=np.int64)
-        self._pieces: dict[int, tuple] = {}
-        member_parts: list[list[np.ndarray]] = [[] for _ in parents]
-        part_cells: list[list[int]] = [[] for _ in parents]
-        for r in np.flatnonzero(moving).tolist():
+        short = lengths <= _SHORT_ROW
+        sm = np.flatnonzero(short[move_row])
+        if sm.size:
+            base = parent_off[row_parent[move_row[sm]]]
+            query = np.concatenate([base + tgt_slot[sm], base + src_slot[sm]])
+            asked = np.concatenate([gates[sm], gates[sm]])
+            sums = np.empty(query.size, dtype=np.int64)
+            for group in _groups(query):
+                members = slot_members[int(query[group[0]])]
+                near = matrix[asked[group]][:, members]
+                sums[group] = near.sum(axis=1, dtype=np.int64)
+            np.add.at(sep_delta, move_row[sm], sums[: sm.size] - sums[sm.size :])
+        paired = np.flatnonzero(short & (lengths > 1))
+        if paired.size:
+            # Ordered pairs (i, j) of each such row's moves; i == j adds
+            # M's zero diagonal.
+            k = lengths[paired]
+            span = np.repeat(k, k * k)
+            local = np.arange(span.size) - np.repeat(np.cumsum(k * k) - k * k, k * k)
+            first = np.repeat(starts[paired], k * k)
+            i, j = first + local // span, first + local % span
+            coef = (
+                (targets[i] == targets[j]).astype(np.int64)
+                + (sources[i] == sources[j])
+                - (sources[j] == targets[i])
+                - (sources[i] == targets[j])
+            )
+            twice = np.zeros(count, dtype=np.int64)
+            np.add.at(twice, move_row[i], matrix[gates[i], gates[j]] * coef)
+            sep_delta += twice // 2
+        # Long rows: each touched module's M(In, rest) − M(Out, rest),
+        # kept for adoption.
+        flag = np.zeros(num_gates, dtype=bool)
+        self._rest_sums: dict[int, dict[int, int]] = {}
+        for r in np.flatnonzero(~short).tolist():
             lo, hi = int(starts[r]), int(ends[r])
-            p = int(row_parent[r])
-            parent = parents[p]
-            moved = gates[lo:hi]
-            members = parent._members[int(row_source[r])]
+            parent = parents[int(row_parent[r])]
+            moved, out_of, into = gates[lo:hi], sources[lo:hi], targets[lo:hi]
+            left, entered = set(out_of.tolist()), set(into.tolist())
             near = matrix[moved]
-            if moved.size == members.size:
-                dying[r] = True
-                rest = None
-                loss = 0
-            else:
-                flag[moved] = True
-                rest = members[~flag[members]]
-                flag[moved] = False
-                loss = int(near[:, rest].sum(dtype=np.int64))
-                member_parts[p].append(rest)
-                part_cells[p].append(int(src_cell[lo]))
-            into = targets[lo:hi]
-            if multi[r]:
-                same = into[:, None] == into[None, :]
-                cross = int(near[:, moved][~same].sum(dtype=np.int64)) // 2
-                split = [(t, into == t) for t in sorted(set(into.tolist()))]
-            else:
-                cross = 0
-                split = [(int(into[0]), None)]
-            gains = []
-            for target, mask in split:
-                tgt_members = parent._members[target]
-                rows_t = near if mask is None else near[mask]
-                gains.append(int(rows_t[:, tgt_members].sum(dtype=np.int64)))
-                member_parts[p].append(tgt_members)
-                part_cells[p].append(int(row_off[r]) + parent._slot_of[target])
-            sep_delta[r] = sum(gains) - loss - cross
-            self._pieces[r] = (rest, loss, split, gains)
-        dead = np.flatnonzero(dying)
-        dead_cell = row_off[dead] + src_slot[starts[dead]]
+            flag[moved] = True
+            pieces = {}
+            for module in left | entered:
+                rest = parent._members[module]
+                value = 0
+                if module in left:
+                    rest = rest[~flag[rest]]
+                    picked = near if len(left) == 1 else near[out_of == module]
+                    value -= int(picked[:, rest].sum(dtype=np.int64))
+                if module in entered:
+                    picked = near if len(entered) == 1 else near[into == module]
+                    value += int(picked[:, rest].sum(dtype=np.int64))
+                pieces[module] = value
+            flag[moved] = False
+            sep_delta[r] = sum(pieces.values())
+            if len(left) > 1 or len(entered) > 1:
+                same = (into[:, None] == into).astype(np.int64)
+                same -= out_of[:, None] == out_of
+                sep_delta[r] += int((near[:, moved] * same).sum()) // 2
+            self._rest_sums[r] = pieces
 
         # Separation is scored as row totals and rebuilt per slot on
         # adoption; every other slot array is stacked per row.
@@ -1653,69 +1097,83 @@ class _BlockRows(BlockScores):
         rs, area, cs, tau, clamped = (
             slots["sensor_" + name] for name in ("rs", "area", "cs", "tau", "clamped")
         )
-        for flat, per_gate in (
+        ends_cell = np.empty(2 * num_moves, dtype=np.int64)
+        ends_cell[0::2], ends_cell[1::2] = src_cell, tgt_cell
+        for stack, per_gate in (
             (leak, electricals.leakage_na[gates]),
             (rail, electricals.rail_cap_ff[gates]),
         ):
-            np.subtract.at(flat, src_cell, per_gate)
-            np.add.at(flat, tgt_cell, per_gate)
+            np.add.at(stack, ends_cell, _signed(per_gate))
         time_slots, time_counts = csr_gather(
             times.times_indptr, times.times_flat, gates
         )
+        ends_time = np.empty(2 * time_slots.size, dtype=np.int64)
+        ends_time[0::2] = np.repeat(src_cell, time_counts) * depth_t + time_slots
+        ends_time[1::2] = np.repeat(tgt_cell, time_counts) * depth_t + time_slots
         peak_rep = np.repeat(electricals.peak_current_ma[gates], time_counts)
-        src_time = np.repeat(src_cell, time_counts) * depth_t + time_slots
-        tgt_time = np.repeat(tgt_cell, time_counts) * depth_t + time_slots
-        np.subtract.at(current.reshape(-1), src_time, peak_rep)
-        np.add.at(current.reshape(-1), tgt_time, peak_rep)
-        np.subtract.at(activity.reshape(-1), src_time, 1.0)
-        np.add.at(activity.reshape(-1), tgt_time, 1.0)
+        np.add.at(current.reshape(-1), ends_time, _signed(peak_rep))
+        np.add.at(activity.reshape(-1), ends_time, _signed(np.ones(time_slots.size)))
 
-        # An emptied source frees its slot: exact zeros, as _release_slot.
+        # An emptied module frees its slot: exact zeros, as _release_slot.
         for array in slots.values():
             array[dead_cell] = 0
-        cells = np.setdiff1d(np.concatenate([src_cell, tgt_cell]), dead_cell)
+        cells = np.setdiff1d(ends_cell, dead_cell)
         max_current[cells] = current[cells].max(axis=1)
         rs[cells], area[cells], cs[cells], tau[cells], clamped[cells] = size_sensors(
             ctx.technology, max_current[cells], rail[cells]
         )
         settle[cells] = settle_times_ns(max_current[cells], tau[cells], ctx.technology)
 
-        # Re-degrade every touched module's gates, one call per parent's
-        # rows, into the parent's delay rows.
+        # Re-degrade every touched module's members before the row from
+        # its cell's sensor, then every moved gate from its target cell's.
+        # A parent slot that at least _BROADCAST_ROWS rows touch takes one
+        # broadcast (rows, members) call; the members of the other cells
+        # go elementwise, as (cell, gate) pairs, like the moved gates.
         delays = np.empty((count, num_gates), dtype=np.float64)
-        cell_row = np.repeat(np.arange(count, dtype=np.int64), row_slots)
-        time_resolved = ctx.time_resolved_degradation
-        cell_n = None if time_resolved else activity.max(axis=1)
         for p, parent in enumerate(parents):
             delays[row_bounds[p] : row_bounds[p + 1]] = parent.delay_degraded
-            lo, hi = int(move_bounds[p]), int(move_bounds[p + 1])
-            member_gates = np.concatenate(member_parts[p] + [gates[lo:hi]])
-            if not member_gates.size:
-                continue
-            sizes = [part.size for part in member_parts[p]]
-            member_cell = np.concatenate(
-                [np.repeat(part_cells[p], sizes), tgt_cell[lo:hi]]
-            )
+        nominal = electricals.delay_ns
+        cg_ff = electricals.output_cap_ff
+        rg_ohm = electricals.pulldown_res_ohm
+        time_resolved = ctx.time_resolved_degradation
+        cell_n = None if time_resolved else activity.max(axis=1)
+
+        def degraded(cell_of, gate_of):
             if time_resolved:
-                member_slots, counts = csr_gather(
-                    times.times_indptr, times.times_flat, member_gates
-                )
-                flat = np.repeat(member_cell, counts) * depth_t + member_slots
-                n = np.maximum.reduceat(
-                    activity.reshape(-1)[flat], np.cumsum(counts) - counts
+                n = _profile_max_diag(
+                    times, gate_of, activity.reshape(-1), cell_of, depth_t
                 )
             else:
-                n = cell_n[member_cell]
+                n = cell_n[cell_of]
+            delta = ctx.degradation.delta(
+                n, rs[cell_of], cs[cell_of], cg_ff[gate_of], rg_ohm[gate_of]
+            )
+            return nominal[gate_of] * (1.0 + delta)
+
+        touched = cell_src[cells]
+        wide = (np.bincount(touched) >= _BROADCAST_ROWS)[touched]
+        for group in _groups(touched[wide]):
+            group = cells[wide][group]
+            members = slot_members[int(cell_src[group[0]])]
+            if time_resolved:
+                n = _profile_max_rows(times, members, activity[group])
+            else:
+                n = cell_n[group][:, None]
             delta = ctx.degradation.delta(
                 n,
-                rs[member_cell],
-                cs[member_cell],
-                electricals.output_cap_ff[member_gates],
-                electricals.pulldown_res_ohm[member_gates],
+                rs[group][:, None],
+                cs[group][:, None],
+                cg_ff[members],
+                rg_ohm[members],
             )
-            delays.reshape(-1)[cell_row[member_cell] * num_gates + member_gates] = (
-                electricals.delay_ns[member_gates] * (1.0 + delta)
-            )
+            delays[cell_row[group][:, None], members] = nominal[members] * (1.0 + delta)
+        if not wide.all():
+            solo = cells[~wide]
+            cell_of = np.repeat(solo, slot_size[cell_src[solo]])
+            gate_of = np.concatenate([slot_members[s] for s in cell_src[solo].tolist()])
+            delays[cell_row[cell_of], gate_of] = degraded(cell_of, gate_of)
+        if num_moves:
+            delays[move_row, gates] = degraded(tgt_cell, gates)
         self._delays = delays
 
         area_sum = np.empty(count, dtype=np.float64)
@@ -1740,8 +1198,6 @@ class _BlockRows(BlockScores):
         modules = num_modules[row_parent] - dying
         self._row_parent = row_parent
         self._row_off = row_off
-        self._row_source = row_source
-        self._dying = dying
 
         # Stage 2: every row's delay vector re-timed in one stacked sweep,
         # whose arrivals the adopted rows keep.
@@ -1754,6 +1210,7 @@ class _BlockRows(BlockScores):
             return_arrivals=True,
         )
         d_nom = ctx.nominal_delay_ns
+        w = ctx.weights
         costs = np.empty(count, dtype=np.float64)
         for i, d, a, s, t, ok, v, k in zip(
             order,
@@ -1765,14 +1222,14 @@ class _BlockRows(BlockScores):
             violation.tolist(),
             modules.tolist(),
         ):
-            cost = CostBreakdown(
-                c1_area=log_guarded(a),
-                c2_delay=(d - d_nom) / d_nom,
-                c3_separation=log_guarded(s),
-                c4_test_time=(d + t - d_nom) / d_nom,
-                c5_modules=float(k),
-                weights=ctx.weights,
-            ).total
+            # CostBreakdown.total, term by term.
+            cost = (
+                w.area * log_guarded(a)
+                + w.delay * ((d - d_nom) / d_nom)
+                + w.separation * log_guarded(s)
+                + w.test_time * ((d + t - d_nom) / d_nom)
+                + w.modules * float(k)
+            )
             costs[i] = cost if ok else cost + penalty * (1.0 + v)
         super().__init__(costs, rows)
 
@@ -1820,27 +1277,40 @@ class _BlockRows(BlockScores):
         for name, stack in self._slots.items():
             setattr(state, name, stack[off : off + len(parent._slot_module)].copy())
 
-        # Per-slot separation from the row's integer pieces: the source
-        # loses ``M[moved, rest] + pairs(moved)``, target ``t`` gains
-        # ``M[moved_t, T_t] + pairs(moved_t)``.
-        rest, loss, split, gains = self._pieces[j]
+        # Per touched module, from the members that stay (rest) and the
+        # gates that come in and go out: M(In, rest) − M(Out, rest) +
+        # S(In) − S(Out).  Emptied modules free their slots in the order
+        # their last gate left, as a replay frees them.
+        matrix = parent.ctx.separation.matrix
         moved = np.array([gate for gate, _ in moves], dtype=np.int64)
-        within = parent.ctx.separation.matrix[np.ix_(moved, moved)]
-        for (target, mask), gain in zip(split, gains):
-            own = within if mask is None else within[mask][:, mask]
-            state.sep_sum[parent._slot_of[target]] += float(
-                gain + int(own.sum(dtype=np.int64)) // 2
+        into = np.array([target for _, target in moves], dtype=np.int64)
+        out_of = parent.partition._module_of[moved].astype(np.int64)
+        within = matrix[np.ix_(moved, moved)]
+        rest_sums = self._rest_sums.get(j)
+        near = None
+        emptied = []
+        for module in np.union1d(out_of, into).tolist():
+            slot = parent._slot_of[module]
+            come, gone = into == module, out_of == module
+            rest = np.setdiff1d(
+                parent._members[module], moved[gone], assume_unique=True
             )
-            state._members[target] = np.sort(
-                np.concatenate(
-                    [parent._members[target], moved if mask is None else moved[mask]]
+            if not rest.size and not come.any():
+                emptied.append((int(np.flatnonzero(gone)[-1]), module, slot))
+                continue
+            if rest_sums is not None:
+                value = rest_sums[module]
+            else:
+                near = matrix[moved] if near is None else near
+                value = int(near[come][:, rest].sum(dtype=np.int64)) - int(
+                    near[gone][:, rest].sum(dtype=np.int64)
                 )
+            pairs = int(within[np.ix_(come, come)].sum(dtype=np.int64)) - int(
+                within[np.ix_(gone, gone)].sum(dtype=np.int64)
             )
-        source = int(self._row_source[j])
-        if self._dying[j]:
-            state._release_slot(source, parent._slot_of[source])
-        else:
-            state.sep_sum[parent._slot_of[source]] -= float(
-                loss + int(within.sum(dtype=np.int64)) // 2
+            state.sep_sum[slot] += float(value + pairs // 2)
+            state._members[module] = (
+                np.sort(np.concatenate([rest, moved[come]])) if come.any() else rest
             )
-            state._members[source] = rest
+        for _, module, slot in sorted(emptied):
+            state._release_slot(module, slot)

@@ -328,11 +328,12 @@ class TestRetimeBatch:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_union_column_set_merges_heterogeneous_candidates(self, seed):
-        """The merged-batch contract the optimizer kernels rely on:
-        heterogeneous candidates share one union column set, each row
-        overriding only its own disjoint slice (base-delay entries are
-        per-row no-ops), and every row scores exactly as if it had been
-        submitted alone with just its own columns."""
+        """The merged-batch contract (``trial_blocks`` overrides every
+        gate of every row): heterogeneous candidates share one union
+        column set, each row overriding only its own disjoint slice
+        (base-delay entries are per-row no-ops), and every row scores
+        exactly as if it had been submitted alone with just its own
+        columns."""
         circuit = generate_iscas_like(
             GeneratorConfig(
                 name="uc",

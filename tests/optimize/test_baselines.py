@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OptimizationError
+from repro.optimize import annealing
 from repro.optimize.annealing import AnnealingParams, anneal_partition
 from repro.optimize.greedy import greedy_refine
 from repro.optimize.random_search import random_partition, random_search_partition
@@ -43,8 +44,6 @@ class TestAnnealing:
         with pytest.raises(OptimizationError):
             AnnealingParams(steps_per_temperature=0)
         with pytest.raises(OptimizationError):
-            AnnealingParams(candidate_mode="eager")
-        with pytest.raises(OptimizationError):
             AnnealingParams(proposal_block=0)
 
     @settings(max_examples=6, deadline=None)
@@ -59,19 +58,19 @@ class TestAnnealing:
         """Under a pinned RNG draw order the batched walk reproduces the
         sequential accept/reject decision stream bit-for-bit — every
         consumed proposal, every decision, every scored cost — and the
-        two runs end at the exact same best cost."""
+        two runs end at the exact same best cost.  The sequential run
+        walks every block with ``_walk_sequential``."""
+        params = dataclasses.replace(
+            quick_sa, proposal_block=block, steps_per_temperature=steps
+        )
         streams = []
-        for mode in ("batched", "sequential"):
-            params = dataclasses.replace(
-                quick_sa,
-                candidate_mode=mode,
-                proposal_block=block,
-                steps_per_temperature=steps,
-            )
+        for walk in (annealing._walk_batched, annealing._walk_sequential):
             decisions = []
-            result = anneal_partition(
-                small_evaluator, params, seed=seed, _decisions=decisions
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(annealing, "_walk_batched", walk)
+                result = anneal_partition(
+                    small_evaluator, params, seed=seed, _decisions=decisions
+                )
             streams.append((decisions, result.best_cost, result.evaluations))
         assert streams[0][0] == streams[1][0]
         assert streams[0][1] == streams[1][1]

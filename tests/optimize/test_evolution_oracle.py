@@ -1,11 +1,11 @@
 """The draw-then-score evolution strategy reproduces the per-child loop.
 
 ``tests/oracles/evolution.py`` keeps the loop the shipped ES replaced:
-one trial, score and rollback per child, single-move children batched
-through ``trial_moves``, survivors rebuilt by copy and replay.  The
-shipped generation draws every child first, scores them in one
-``trial_blocks`` call and lets survivors adopt their scored rows; it
-must make the same draws and therefore give the same history,
+one trial, score and rollback per child (single-move children after the
+rest of their parent's children are drawn), survivors rebuilt by copy
+and replay.  The shipped generation draws every child first, scores
+them in one ``trial_blocks`` call and lets survivors adopt their scored
+rows; it must make the same draws and therefore give the same history,
 evaluation count and best partition.  Structural tests pin the new
 shape of a generation.
 """

@@ -5,7 +5,9 @@ import statistics
 
 import pytest
 
+from oracles import kl as kl_oracle
 from repro.errors import OptimizationError
+from repro.optimize import kl as kl_module
 from repro.optimize.kl import kl_refine
 from repro.optimize.random_search import random_partition
 from repro.optimize.start import chain_start_partition, estimate_module_count
@@ -43,15 +45,18 @@ class TestKLRefine:
         with pytest.raises(OptimizationError):
             kl_refine(small_evaluator, start, candidate_swaps=0)
         with pytest.raises(OptimizationError):
-            kl_refine(small_evaluator, start, candidate_mode="eager")
-        with pytest.raises(OptimizationError):
             kl_refine(small_evaluator, start, candidate_rounds=0)
 
     @pytest.mark.parametrize("mode", ["batched", "sequential"])
-    def test_candidate_modes_never_worse(self, small_evaluator, rng, mode):
+    def test_candidate_modes_never_worse(
+        self, small_evaluator, rng, mode, monkeypatch
+    ):
+        """The shipped pass, and the reference pass of ``oracles/kl.py``."""
+        if mode == "sequential":
+            monkeypatch.setattr(kl_module, "_batched_pass", kl_oracle.as_batched_pass)
         start = random_partition(small_evaluator, 4, rng)
         start_cost = small_evaluator.new_state(start).penalized_cost(1e4)
-        result = kl_refine(small_evaluator, start, seed=11, candidate_mode=mode)
+        result = kl_refine(small_evaluator, start, seed=11)
         assert result.best_cost <= start_cost + 1e-9
         result.best.partition.check_invariants()
 
@@ -70,30 +75,34 @@ class TestKLRefine:
 
 
 class TestCandidateModeAblation:
-    """Seed-swept batched-vs-sequential ablation on real ISCAS circuits.
+    """Seed-swept ablation on real ISCAS circuits: the shipped batched
+    pass against the sequential reference pass of ``oracles/kl.py``.
 
     The batched pass is a semantic change (fresh pools scored in bulk,
     walked best-first) rather than a re-implementation, so the check is
-    statistical: across the sweep the batched mode's final costs must be
+    statistical: across the sweep the batched pass's final costs must be
     no worse on average, and no single seed may lose by more than 0.5%.
     """
 
     SEEDS = range(6)
 
     @pytest.mark.parametrize("name", ["c432", "c880"])
-    def test_batched_statistically_no_worse(self, name):
+    def test_batched_statistically_no_worse(self, name, monkeypatch):
         from repro.netlist.benchmarks import load_iscas85
         from repro.partition.evaluator import PartitionEvaluator
 
         evaluator = PartitionEvaluator(load_iscas85(name))
         k = estimate_module_count(evaluator)
-        finals = {"batched": [], "sequential": []}
+        passes = {
+            "batched": kl_module._batched_pass,
+            "sequential": kl_oracle.as_batched_pass,
+        }
+        finals = {mode: [] for mode in passes}
         for seed in self.SEEDS:
             start = chain_start_partition(evaluator, k, random.Random(seed))
-            for mode in finals:
-                result = kl_refine(
-                    evaluator, start, seed=seed, candidate_mode=mode
-                )
+            for mode, kl_pass in passes.items():
+                monkeypatch.setattr(kl_module, "_batched_pass", kl_pass)
+                result = kl_refine(evaluator, start, seed=seed)
                 finals[mode].append(result.best_cost)
         for batched, sequential in zip(finals["batched"], finals["sequential"]):
             assert batched <= sequential * 1.005

@@ -4,11 +4,12 @@ The per-child loop :class:`repro.optimize.evolution.EvolutionOptimizer`
 replaced.  Each child opens a trial on its parent's live state, applies
 its mutation moves one gate at a time (a Monte-Carlo block in one bulk
 move), is scored with ``penalized_cost`` and rolled back.  Children
-whose mutation collapsed to a single move defer their scoring: once all
-of a parent's children are drawn they share one ``trial_moves`` batch.
-Drawing consumes the RNG and scoring does not, so the shipped
-draw-then-score generation must reproduce this run exactly: the same
-draws, child costs, selections and history.
+whose mutation collapsed to a single move defer their scoring until all
+of a parent's children are drawn, then take one trial each.  Drawing
+consumes the RNG and scoring does not, so the shipped draw-then-score
+generation must reproduce this run exactly: the same draws, child
+costs, selections and history.  No batched kernel runs here, so the
+oracle never scores with the kernel it checks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class _Individual:
     evaluation state (parents) or a recorded mutation relative to the
     parent's state (unselected children never materialise one)."""
 
-    cost: float | None  # None = single-move child awaiting batch scoring
+    cost: float | None  # None = single-move child awaiting its trial
     step: float
     age: int = 0
     state: object | None = None
@@ -110,17 +111,9 @@ class EvolutionOptimizer:
                     children.append(self._monte_carlo_child(parent))
                     if children[-1].cost is None:
                         deferred.append(children[-1])
-                if deferred:
-                    # All single-move children of this parent share one
-                    # batched gain-kernel call (scores bit-identical to
-                    # their individual trials).
-                    costs = parent.state.trial_moves(
-                        [child.moves[0][0] for child in deferred],
-                        [child.moves[0][1] for child in deferred],
-                        params.penalty,
-                    )
-                    for child, cost in zip(deferred, costs):
-                        child.cost = float(cost)
+                for child in deferred:
+                    child.cost = parent.state.trial_cost(child.moves, params.penalty)
+                    parent.state.rollback()
             evaluations += len(children)
 
             for parent in parents:

@@ -201,7 +201,8 @@ class TestTrialProtocol:
 
 
 class TestGainKernel:
-    """The batched dense gain kernel vs per-candidate trials."""
+    """``trial_moves`` (one-move ``trial_blocks`` rows) vs per-candidate
+    trials."""
 
     def _candidates(self, partition):
         out = []
@@ -262,7 +263,8 @@ class TestGainKernel:
 
 
 class TestSwapKernel:
-    """The batched dense two-gate swap kernel vs per-candidate trials."""
+    """``trial_swaps`` (two-move ``trial_blocks`` rows) vs per-candidate
+    trials."""
 
     def _swap_candidates(self, partition):
         """Every (gate_a, gate_b, module_a, module_b) boundary exchange."""
@@ -286,8 +288,8 @@ class TestSwapKernel:
         return costs
 
     def test_grouped_pool_matches_sequential(self, small_evaluator):
-        """A dense pool (many swaps of one module pair) keeps the
-        per-pair grouped calls and scores exactly as sequential trials."""
+        """A dense pool (many swaps of one module pair) scores exactly
+        as sequential trials."""
         state = small_evaluator.new_state(
             balanced_partition(small_evaluator.circuit, 4)
         )
@@ -295,15 +297,15 @@ class TestSwapKernel:
         candidates = self._swap_candidates(state.partition)
         pair = (candidates[0][2], candidates[0][3])
         pool = [c for c in candidates if (c[2], c[3]) == pair]
-        assert len(pool) >= 8, "fixture must exercise the grouped path"
+        assert len(pool) >= 8, "fixture must put many swaps on one pair"
         batched = state.trial_swaps(
             [c[0] for c in pool], [c[1] for c in pool], 1e4
         )
         assert list(batched) == self._sequential(state, pool)
 
     def test_scattered_pool_matches_sequential(self, small_evaluator):
-        """A scattered pool (~one swap per module pair) takes the merged
-        union-column sweep and still scores exactly as sequential."""
+        """A scattered pool (about one swap per module pair) scores
+        exactly as sequential trials."""
         state = small_evaluator.new_state(
             balanced_partition(small_evaluator.circuit, 4)
         )

@@ -8,13 +8,14 @@ Each row's adopted state (``.state(i)``) must equal, array for array,
 the parent's ``copy()`` plus a ``move_gates`` replay (the generic
 ``BlockScores.state``) once both are refreshed; its partition version
 only has to be newer than the parent's.  Rows follow the
-evolution strategy's shapes: mutations that move a few gates of one
-module into one or several (possibly repeated) targets, Monte-Carlo
-blocks into one target, rows that empty their source, and rows that
-move nothing.  Parents come from one evaluator but may differ in module
-count, and some carry freed slots and un-refreshed moves.  Rows of
-several parents in one call score and adopt exactly as one call per
-parent.
+optimisers' shapes: ES mutations that move a few gates of one module
+into one or several (possibly repeated) targets, Monte-Carlo blocks
+into one target, rows that empty their source, rows that move nothing,
+KL swaps (``a -> B``, ``b -> A``), and rows that leave two or three
+modules for several targets, some of them sources too, emptying one.
+Parents come from one evaluator but may differ in module count, and
+some carry freed slots and un-refreshed moves.  Rows of several parents
+in one call score and adopt exactly as one call per parent.
 """
 
 import dataclasses
@@ -35,6 +36,7 @@ from repro.netlist.generate import GeneratorConfig, generate_iscas_like
 from repro.optimize.start import chain_start_partition
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
+from repro.partition import state as state_module
 from repro.partition.state import BlockScores, EvaluationState, _StateProtocol
 from repro.sensors.degradation import FirstOrderDegradation, SecondOrderDegradation
 
@@ -43,7 +45,7 @@ PENALTY = 1.0e4
 #: timing order is not gate order.
 CIRCUITS = ("c17", "small", "shuffled", "c432")
 MODELS = ("first", "second")
-SHAPES = ("mutation", "block", "empty", "none")
+SHAPES = ("mutation", "block", "empty", "none", "swap", "multi")
 #: Every array a state keeps, compared bit for bit.
 STATE_ARRAYS = EvaluationState.SLOT_ARRAYS + (
     "delay_degraded",
@@ -144,11 +146,37 @@ def _parent(evaluator, num_modules: int, seed: int) -> EvaluationState:
 
 
 def _row(state, shape: str, rng: random.Random) -> list[tuple[int, int]]:
-    """One ES-shaped move list against ``state``'s partition."""
+    """One move list of ``shape`` against ``state``'s partition."""
     partition = state.partition
     if shape == "none" or partition.num_modules < 2:
         return []
     modules = partition.module_ids
+    if shape == "swap":  # a KL exchange; a's module keeps a gate
+        sources = [m for m in modules if partition.module_size(m) > 1]
+        if not sources:
+            return []
+        module_a = rng.choice(sources)
+        module_b = rng.choice([m for m in modules if m != module_a])
+        a = rng.choice(partition.gates_array(module_a).tolist())
+        b = rng.choice(partition.gates_array(module_b).tolist())
+        return [(a, module_b), (b, module_a)]
+    if shape == "multi":  # two or three sources; the first may empty
+        sources = rng.sample(modules, min(len(modules), rng.randint(2, 3)))
+        emptied = sources[0] if rng.random() < 0.5 else None
+        moves = []
+        for source in sources:
+            gates = partition.gates_array(source).tolist()
+            if source == emptied:
+                count = len(gates)
+            elif len(gates) > 1:
+                count = rng.randint(1, min(4, len(gates) - 1))
+            else:
+                continue
+            targets = [m for m in modules if m not in (source, emptied)]
+            if targets:
+                moves += [(g, rng.choice(targets)) for g in rng.sample(gates, count)]
+        rng.shuffle(moves)
+        return moves
     source = rng.choice(modules)
     others = [m for m in modules if m != source]
     gates = partition.gates_array(source).tolist()
@@ -216,11 +244,20 @@ def _assert_kernel_matches_trials(parents, rows):
         assert parent.partition.version == version
 
 
-def _feasible(parent, moves) -> bool:
+def _empties(parent, moves) -> bool:
+    """Whether ``moves`` empty one of ``parent``'s modules."""
+    return parent.partition.num_modules > _replayed(parent, moves).partition.num_modules
+
+
+def _replayed(parent, moves):
     state = parent.copy()
     for gate, target in moves:
         state.move_gate(gate, target)
-    return state.constraint_report().feasible
+    return state
+
+
+def _feasible(parent, moves) -> bool:
+    return _replayed(parent, moves).constraint_report().feasible
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,17 +286,24 @@ def test_kernel_matches_per_row_trials(
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("time_resolved", [False, True])
 def test_every_shape_on_mixed_k(model, time_resolved):
-    """Each shape at least once, from parents with 2, 5 and 9 modules,
-    feasible and infeasible rows alike."""
+    """Each shape twice, from parents with 2, 5 and 9 modules, feasible
+    and infeasible rows alike; some rows leave two modules, some three,
+    and one empties a module while entering another of its sources."""
     evaluator = _evaluator("small", model, time_resolved, tight=True)
     parents = [_parent(evaluator, k, seed) for k, seed in ((2, 2), (5, 4), (9, 8))]
     rng = random.Random(11)
     rows = [
         (parent, _row(parent, shape, rng))
-        for shape in SHAPES
+        for shape in SHAPES * 2
         for parent in parents
     ]
     assert any(len({t for _, t in moves}) > 1 for _, moves in rows)
+    sources = [{p.partition.module_of(g) for g, _ in moves} for p, moves in rows]
+    assert {2, 3} <= {len(left) for left in sources}
+    assert any(
+        left & {t for _, t in moves} and _empties(p, moves)
+        for left, (p, moves) in zip(sources, rows)
+    )
     _assert_kernel_matches_trials(parents, rows)
     assert {_feasible(parent, moves) for parent, moves in rows} == {True, False}
 
@@ -440,7 +484,81 @@ def test_counters_and_empty_call():
     assert "optimize.trial_moves.calls" not in delta
 
 
+@pytest.mark.parametrize("short_row", [0, 2, 10**6])
+@pytest.mark.parametrize("broadcast_rows", [1, 8, 10**6])
+@pytest.mark.parametrize("time_resolved", [False, True])
+def test_every_branch_scores_alike(monkeypatch, short_row, broadcast_rows, time_resolved):
+    """Both separation branches (vectorised short rows, per-row loop)
+    and both re-degradation forms (broadcast over a slot's rows,
+    elementwise) give every shape the trial's cost and adopted state."""
+    monkeypatch.setattr(state_module, "_SHORT_ROW", short_row)
+    monkeypatch.setattr(state_module, "_BROADCAST_ROWS", broadcast_rows)
+    evaluator = _evaluator("small", "second", time_resolved, tight=True)
+    parents = [_parent(evaluator, k, seed) for k, seed in ((3, 1), (6, 4))]
+    rng = random.Random(17)
+    rows = [(p, _row(p, shape, rng)) for shape in SHAPES * 3 for p in parents]
+    _assert_kernel_matches_trials(parents, rows)
+
+
+def test_module_entered_before_it_empties_survives():
+    """A swap out of a 1-gate module ``B`` first moves ``a`` in, so ``B``
+    keeps ``a`` and the module count holds."""
+    evaluator = _evaluator("small", "second", True)
+    parent = _parent(evaluator, 4, 2)
+    partition = parent.partition
+    module_a, module_b = partition.module_ids[:2]
+    lone = int(partition.gates_array(module_b)[0])
+    parent.move_gates(partition.gates_array(module_b)[1:].tolist(), module_a)
+    assert parent.partition.module_size(module_b) == 1
+    a = int(parent.partition.gates_array(module_a)[0])
+    rows = [(parent, [(a, module_b), (lone, module_a)])]
+    _assert_kernel_matches_trials([parent], rows)
+    assert EvaluationState.trial_blocks(rows, PENALTY).state(0).partition.num_modules == (
+        parent.partition.num_modules
+    )
+
+
+def test_adapters_count_and_chunk_their_rows():
+    """``trial_moves`` and ``trial_swaps`` keep their own counters, score
+    through ``trial_blocks`` in chunks of at most 192 rows, and cost what
+    one trial per candidate costs."""
+    from repro import obs
+
+    evaluator = _evaluator("small", "second", False)
+    parent = _parent(evaluator, 4, 2)
+    rng = random.Random(5)
+    moves = [_row(parent, "mutation", rng)[0] for _ in range(400)]
+    swaps = [_row(parent, "swap", rng) for _ in range(30)]
+    saved = obs.enabled_state()
+    obs.enable(metrics=True)
+    try:
+        mark = obs.METRICS.counters()
+        move_costs = parent.trial_moves(*zip(*moves), PENALTY)
+        swap_costs = parent.trial_swaps(
+            [a for (a, _), _ in swaps], [b for _, (b, _) in swaps], PENALTY
+        )
+        delta = obs.METRICS.delta_since(mark)
+    finally:
+        obs.enable(trace=saved[0], metrics=saved[1])
+    assert delta["optimize.trial_moves.calls"] == 1
+    assert delta["optimize.trial_moves.candidates"] == 400
+    assert delta["optimize.trial_swaps.calls"] == 1
+    assert delta["optimize.trial_swaps.candidates"] == 30
+    assert delta["optimize.trial_blocks.calls"] == 3 + 1
+    assert delta["optimize.trial_blocks.candidates"] == 400 + 30
+    oracle = parent.copy()
+    want = _StateProtocol.trial_blocks(
+        [(oracle, [move]) for move in moves] + [(oracle, swap) for swap in swaps],
+        PENALTY,
+    ).costs
+    assert _bits(np.concatenate([move_costs, swap_costs])) == _bits(want)
+
+
 class TestRejectsNonEsRows:
+    """Rows outside every optimiser's shapes.  Rows with several sources
+    score; a gate moved twice, a move into its own or a missing module,
+    a move into a module the row emptied and an open trial are errors."""
+
     @pytest.fixture
     def parent(self):
         return _parent(_evaluator("small", "second", False), 3, 6)
@@ -453,8 +571,19 @@ class TestRejectsNonEsRows:
     def test_two_sources(self, parent):
         partition, a, b, c = self._modules(parent)
         moves = [(int(partition.gates_array(a)[0]), c), (int(partition.gates_array(b)[0]), c)]
-        with pytest.raises(PartitionError, match="one source"):
+        _assert_kernel_matches_trials([parent], [(parent, moves)])
+
+    def test_move_into_emptied_module(self, parent):
+        partition, a, b, c = self._modules(parent)
+        moves = [(gate, b) for gate in partition.gates_array(a).tolist()]
+        moves.append((int(partition.gates_array(c)[0]), a))
+        cost = parent.penalized_cost(PENALTY)
+        with pytest.raises(PartitionError, match="no module"):
+            parent.trial_cost(moves, PENALTY)
+        with pytest.raises(PartitionError, match="no module"):
             EvaluationState.trial_blocks([(parent, moves)], PENALTY)
+        assert parent.penalized_cost(PENALTY) == cost
+        parent.consistency_check()
 
     def test_gate_moved_twice(self, parent):
         partition, a, b, c = self._modules(parent)
