@@ -319,9 +319,11 @@ class IncrementalTiming:
         # Scratch rows are the level-major positions, plus one trailing
         # ``-inf`` sentinel row absorbing pad entries.  The rows start as
         # delays and each level's fed rows turn into arrivals in place
-        # (levels only read earlier levels).
+        # (levels only read earlier levels).  ``cols`` is unique, so when
+        # it lists every gate the overrides fill every row.
         scratch = np.empty((self.num_gates + 1, count), dtype=np.float64)
-        scratch[:-1] = np.take(delays, self._order_lm)[:, None]
+        if cols.size < self.num_gates:
+            scratch[:-1] = np.take(delays, self._order_lm)[:, None]
         scratch[self._pos_lm[cols]] = overrides.T
         scratch[-1] = -np.inf
         for fed_sl, pad in self._lm_levels:
