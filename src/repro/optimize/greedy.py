@@ -6,11 +6,12 @@ exactly where the paper says single-minimum methods do) and as a cheap
 polish pass after any other optimiser.
 
 Each pass scores its entire move neighbourhood through one
-:meth:`~repro.partition.state.EvaluationState.trial_moves` call, so the
-whole scan — separation sums, profile deltas *and* the exact D_BIC
-retiming of every candidate — runs as batched array kernels (the delay
-term is one :meth:`~repro.analysis.timing.IncrementalTiming.retime_batch`
-stacked sweep, DESIGN §8.3-8.4); no per-candidate Python work remains.
+:meth:`~repro.partition.state.EvaluationState.trial_moves` call: one-move
+rows of the ``trial_blocks`` kernel in chunks of 192, so separation
+sums, profile deltas *and* the exact D_BIC retiming of every candidate
+run as array passes, the delay term one
+:meth:`~repro.analysis.timing.IncrementalTiming.retime_batch` stacked
+sweep per chunk (DESIGN §8.3-8.4); no candidate takes a trial of its own.
 """
 
 from __future__ import annotations

@@ -70,24 +70,29 @@ __all__ = [
 #: sweep's scratch.
 _CHUNK_ROWS = 192
 
-#: Rows of at most this many moves (single moves, swaps) sum their
-#: separation change in one vectorised pass; longer rows take a per-row
-#: loop that never forms a one-source, one-target row's ``k × k`` corner.
+#: A parent with at least this many rows in one call — a KL pool, an
+#: annealing block, a greedy chunk, but no ES parent, which has λ + χ ≤ 6
+#: — takes the batched forms: its rows of at most ``_SHORT_ROW`` moves
+#: sum their separation change in one gathered pass per parent slot, and
+#: its touched modules are re-degraded by one broadcast call per slot.
+#: Other rows take a per-row loop, which never forms a one-source,
+#: one-target row's ``k × k`` corner, and one elementwise call per parent.
+_BATCH_ROWS = 8
 _SHORT_ROW = 2
-
-#: A parent slot that at least this many rows touch is re-degraded in
-#: one broadcast call over (rows, members).
-_BROADCAST_ROWS = 8
 
 _NO_GATES = np.empty(0, dtype=np.int64)
 
 
-def _signed(values: np.ndarray) -> np.ndarray:
-    """``-v0, v0, -v1, v1, ...``: each move's source and target entries."""
-    out = np.empty(2 * values.size, dtype=np.float64)
-    out[0::2] = -values
-    out[1::2] = values
-    return out
+def _scatter(flat, lose, gain, values, mixed: bool) -> None:
+    """Subtract ``values[i]`` at ``lose[i]`` and add it at ``gain[i]``,
+    in the order of ``i`` at every position when ``mixed`` (``x - v`` is
+    ``x + (-v)`` in IEEE arithmetic), else all subtractions first."""
+    if mixed:
+        at = np.stack([lose, gain], axis=1).reshape(-1)
+        np.add.at(flat, at, np.stack([-values, values], axis=1).reshape(-1))
+    else:
+        np.subtract.at(flat, lose, values)
+        np.add.at(flat, gain, values)
 
 
 def _groups(keys: np.ndarray) -> list[np.ndarray]:
@@ -874,13 +879,14 @@ class _BlockRows(BlockScores):
     Rows are grouped by parent (``costs`` and :meth:`state` keep the
     caller's row numbers), and row ``j`` of parent ``p`` owns ``S_p``
     consecutive *cells* of every slot vector and profile stack, one per
-    parent slot.  Leakage, rail and profile deltas are scattered by one
-    ``add.at`` per array over interleaved (source ``-v``, target ``+v``)
-    entries in move order: the float sequence of
-    :meth:`EvaluationState.move_gate` applied gate by gate, as ``x - v``
-    is ``x + (-v)`` in IEEE arithmetic.  A row empties a module when all
-    its gates leave before any enters; touched cells are sized in one
-    call.
+    parent slot.  Leakage, rail and profile deltas are scattered in move
+    order, the float sequence of :meth:`EvaluationState.move_gate`
+    applied gate by gate: a call whose rows each leave one module
+    subtracts every move and then adds every move, and a call with a row
+    that leaves several (a KL swap) interleaves each move's source ``-v``
+    and target ``+v`` in one ``add.at``, as ``x - v`` is ``x + (-v)`` in
+    IEEE arithmetic.  A row empties a module when all its gates leave
+    before any enters; touched cells are sized in one call.
 
     Separation values are integers held in float64, far below 2**53, and
     the matrix is symmetric with a zero diagonal, so a row's total
@@ -892,20 +898,21 @@ class _BlockRows(BlockScores):
         Δ = Σ_g (R[g, t_g] − R[g, s_g]) + Σ_{g,h ⊂ X} M[g, h]·([t_g = t_h]
               + [s_g = s_h] − [s_h = t_g] − [s_g = t_h])
 
-    Rows of at most ``_SHORT_ROW`` moves are summed this way in one pass.
-    Longer rows take a per-row loop over each touched module's members
-    outside ``X``, ``rest_m``: ``Σ_m M(In_m, rest_m) − M(Out_m, rest_m)``
-    plus the pairs' ``[t_g = t_h] − [s_g = s_h]``, which cancel for a
-    row with one source and one target, so that a Monte-Carlo block
-    never forms its ``k × k`` corner.
+    A batched parent's (see ``_BATCH_ROWS``) rows of at most
+    ``_SHORT_ROW`` moves are summed this way in one pass.  Other rows
+    take a per-row loop over each touched module's members outside
+    ``X``, ``rest_m``: ``Σ_m M(In_m, rest_m) − M(Out_m, rest_m)`` plus
+    the pairs' ``[t_g = t_h] − [s_g = s_h]``, which cancel for a row
+    with one source and one target, so that a Monte-Carlo block never
+    forms its ``k × k`` corner.
 
     Every touched module's members before the row are re-degraded from
-    its cell's sensor — one broadcast ``degradation.delta`` call over
-    (rows, members) for a parent slot that at least ``_BROADCAST_ROWS``
-    rows touch, one elementwise call for the other cells — and then
-    every moved gate from its target cell's, overwriting its source-side
-    entry.  The model is elementwise, so each element sees the IEEE
-    operations of :meth:`EvaluationState._refresh`'s per-module call.
+    its cell's sensor — for a batched parent one broadcast
+    ``degradation.delta`` call over (rows, members) per slot, else one
+    elementwise call per parent — and then every moved gate from its
+    target cell's, overwriting its source-side entry.  The model is
+    elementwise, so each element sees the IEEE operations of
+    :meth:`EvaluationState._refresh`'s per-module call.
 
     Per-row sums, maxima and ``Γ`` reduce over each parent's own
     ``(rows, S_p)`` view: numpy's pairwise sum groups by length, so a
@@ -1020,8 +1027,12 @@ class _BlockRows(BlockScores):
         # R[gate, module] query per move end, gathered per parent slot.
         matrix = ctx.separation.matrix
         sep_delta = np.zeros(count, dtype=np.int64)
-        short = lengths <= _SHORT_ROW
+        batched = np.diff(row_bounds) >= _BATCH_ROWS
+        short = (lengths <= _SHORT_ROW) & batched[row_parent]
         sm = np.flatnonzero(short[move_row])
+        # R[g, t_g] and R[g, s_g] of every short row's moves, kept for
+        # adoption.
+        self._reach = reach = np.zeros((num_moves, 2), dtype=np.int64)
         if sm.size:
             base = parent_off[row_parent[move_row[sm]]]
             query = np.concatenate([base + tgt_slot[sm], base + src_slot[sm]])
@@ -1031,7 +1042,8 @@ class _BlockRows(BlockScores):
                 members = slot_members[int(query[group[0]])]
                 near = matrix[asked[group]][:, members]
                 sums[group] = near.sum(axis=1, dtype=np.int64)
-            np.add.at(sep_delta, move_row[sm], sums[: sm.size] - sums[sm.size :])
+            reach[sm] = sums.reshape(2, -1).T
+            np.add.at(sep_delta, move_row[sm], reach[sm, 0] - reach[sm, 1])
         paired = np.flatnonzero(short & (lengths > 1))
         if paired.size:
             # Ordered pairs (i, j) of each such row's moves; i == j adds
@@ -1050,10 +1062,10 @@ class _BlockRows(BlockScores):
             twice = np.zeros(count, dtype=np.int64)
             np.add.at(twice, move_row[i], matrix[gates[i], gates[j]] * coef)
             sep_delta += twice // 2
-        # Long rows: each touched module's M(In, rest) − M(Out, rest),
-        # kept for adoption.
+        # Other rows: each touched module's M(In, rest) − M(Out, rest),
+        # kept for adoption with rest itself.
         flag = np.zeros(num_gates, dtype=bool)
-        self._rest_sums: dict[int, dict[int, int]] = {}
+        self._pieces: dict[int, dict[int, tuple[int, np.ndarray]]] = {}
         for r in np.flatnonzero(~short).tolist():
             lo, hi = int(starts[r]), int(ends[r])
             parent = parents[int(row_parent[r])]
@@ -1072,14 +1084,14 @@ class _BlockRows(BlockScores):
                 if module in entered:
                     picked = near if len(entered) == 1 else near[into == module]
                     value += int(picked[:, rest].sum(dtype=np.int64))
-                pieces[module] = value
+                pieces[module] = value, rest
             flag[moved] = False
-            sep_delta[r] = sum(pieces.values())
+            sep_delta[r] = sum(value for value, _ in pieces.values())
             if len(left) > 1 or len(entered) > 1:
                 same = (into[:, None] == into).astype(np.int64)
                 same -= out_of[:, None] == out_of
                 sep_delta[r] += int((near[:, moved] * same).sum()) // 2
-            self._rest_sums[r] = pieces
+            self._pieces[r] = pieces
 
         # Separation is scored as row totals and rebuilt per slot on
         # adoption; every other slot array is stacked per row.
@@ -1097,27 +1109,29 @@ class _BlockRows(BlockScores):
         rs, area, cs, tau, clamped = (
             slots["sensor_" + name] for name in ("rs", "area", "cs", "tau", "clamped")
         )
-        ends_cell = np.empty(2 * num_moves, dtype=np.int64)
-        ends_cell[0::2], ends_cell[1::2] = src_cell, tgt_cell
+        # Deltas in move order.  A row with one source never moves into
+        # it, so no cell of it both loses and gains: subtract every move,
+        # then add every move.  A row with several sources (a KL swap)
+        # interleaves each move's source and target entries instead.
+        mixed = bool((sources != sources[starts[move_row]]).any())
         for stack, per_gate in (
             (leak, electricals.leakage_na[gates]),
             (rail, electricals.rail_cap_ff[gates]),
         ):
-            np.add.at(stack, ends_cell, _signed(per_gate))
+            _scatter(stack, src_cell, tgt_cell, per_gate, mixed)
         time_slots, time_counts = csr_gather(
             times.times_indptr, times.times_flat, gates
         )
-        ends_time = np.empty(2 * time_slots.size, dtype=np.int64)
-        ends_time[0::2] = np.repeat(src_cell, time_counts) * depth_t + time_slots
-        ends_time[1::2] = np.repeat(tgt_cell, time_counts) * depth_t + time_slots
+        lose = np.repeat(src_cell, time_counts) * depth_t + time_slots
+        gain = np.repeat(tgt_cell, time_counts) * depth_t + time_slots
         peak_rep = np.repeat(electricals.peak_current_ma[gates], time_counts)
-        np.add.at(current.reshape(-1), ends_time, _signed(peak_rep))
-        np.add.at(activity.reshape(-1), ends_time, _signed(np.ones(time_slots.size)))
+        _scatter(current.reshape(-1), lose, gain, peak_rep, mixed)
+        _scatter(activity.reshape(-1), lose, gain, np.ones(lose.size), mixed)
 
         # An emptied module frees its slot: exact zeros, as _release_slot.
         for array in slots.values():
             array[dead_cell] = 0
-        cells = np.setdiff1d(ends_cell, dead_cell)
+        cells = np.setdiff1d(np.concatenate([src_cell, tgt_cell]), dead_cell)
         max_current[cells] = current[cells].max(axis=1)
         rs[cells], area[cells], cs[cells], tau[cells], clamped[cells] = size_sensors(
             ctx.technology, max_current[cells], rail[cells]
@@ -1125,10 +1139,10 @@ class _BlockRows(BlockScores):
         settle[cells] = settle_times_ns(max_current[cells], tau[cells], ctx.technology)
 
         # Re-degrade every touched module's members before the row from
-        # its cell's sensor, then every moved gate from its target cell's.
-        # A parent slot that at least _BROADCAST_ROWS rows touch takes one
-        # broadcast (rows, members) call; the members of the other cells
-        # go elementwise, as (cell, gate) pairs, like the moved gates.
+        # its cell's sensor — per parent, one broadcast (rows, members)
+        # call per slot when batched, else one elementwise call over
+        # (cell, gate) pairs, whose temporaries scale with one parent's
+        # rows — then every moved gate from its target cell's.
         delays = np.empty((count, num_gates), dtype=np.float64)
         for p, parent in enumerate(parents):
             delays[row_bounds[p] : row_bounds[p + 1]] = parent.delay_degraded
@@ -1150,28 +1164,33 @@ class _BlockRows(BlockScores):
             )
             return nominal[gate_of] * (1.0 + delta)
 
-        touched = cell_src[cells]
-        wide = (np.bincount(touched) >= _BROADCAST_ROWS)[touched]
-        for group in _groups(touched[wide]):
-            group = cells[wide][group]
-            members = slot_members[int(cell_src[group[0]])]
-            if time_resolved:
-                n = _profile_max_rows(times, members, activity[group])
-            else:
-                n = cell_n[group][:, None]
-            delta = ctx.degradation.delta(
-                n,
-                rs[group][:, None],
-                cs[group][:, None],
-                cg_ff[members],
-                rg_ohm[members],
-            )
-            delays[cell_row[group][:, None], members] = nominal[members] * (1.0 + delta)
-        if not wide.all():
-            solo = cells[~wide]
-            cell_of = np.repeat(solo, slot_size[cell_src[solo]])
-            gate_of = np.concatenate([slot_members[s] for s in cell_src[solo].tolist()])
-            delays[cell_row[cell_of], gate_of] = degraded(cell_of, gate_of)
+        edges = np.searchsorted(cells, np.append(row_off, num_cells)[row_bounds])
+        for p, (lo, hi) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+            mine = cells[lo:hi]
+            if not batched[p]:
+                cell_of = np.repeat(mine, slot_size[cell_src[mine]])
+                gate_of = np.concatenate(
+                    [_NO_GATES] + [slot_members[s] for s in cell_src[mine].tolist()]
+                )
+                delays[cell_row[cell_of], gate_of] = degraded(cell_of, gate_of)
+                continue
+            for group in _groups(cell_src[mine]):
+                group = mine[group]
+                members = slot_members[int(cell_src[group[0]])]
+                if time_resolved:
+                    n = _profile_max_rows(times, members, activity[group])
+                else:
+                    n = cell_n[group][:, None]
+                delta = ctx.degradation.delta(
+                    n,
+                    rs[group][:, None],
+                    cs[group][:, None],
+                    cg_ff[members],
+                    rg_ohm[members],
+                )
+                delays[cell_row[group][:, None], members] = nominal[members] * (
+                    1.0 + delta
+                )
         if num_moves:
             delays[move_row, gates] = degraded(tgt_cell, gates)
         self._delays = delays
@@ -1198,6 +1217,7 @@ class _BlockRows(BlockScores):
         modules = num_modules[row_parent] - dying
         self._row_parent = row_parent
         self._row_off = row_off
+        self._starts = starts
 
         # Stage 2: every row's delay vector re-timed in one stacked sweep,
         # whose arrivals the adopted rows keep.
@@ -1279,38 +1299,42 @@ class _BlockRows(BlockScores):
 
         # Per touched module, from the members that stay (rest) and the
         # gates that come in and go out: M(In, rest) − M(Out, rest) +
-        # S(In) − S(Out).  Emptied modules free their slots in the order
+        # S(In) − S(Out).  The per-row loop kept the first two terms and
+        # rest; a batched short row's come from its R sums, as
+        # M(In, rest) = Σ_In R − M(In, Out) and M(Out, rest) = Σ_Out R −
+        # M(Out, Out).  Emptied modules free their slots in the order
         # their last gate left, as a replay frees them.
-        matrix = parent.ctx.separation.matrix
         moved = np.array([gate for gate, _ in moves], dtype=np.int64)
         into = np.array([target for _, target in moves], dtype=np.int64)
         out_of = parent.partition._module_of[moved].astype(np.int64)
-        within = matrix[np.ix_(moved, moved)]
-        rest_sums = self._rest_sums.get(j)
-        near = None
+        within = parent.ctx.separation.matrix[np.ix_(moved, moved)].astype(np.int64)
+        pieces = self._pieces.get(j)
+        reach = self._reach[self._starts[j] : self._starts[j] + len(moves)]
+        left, entered = set(out_of.tolist()), set(into.tolist())
         emptied = []
-        for module in np.union1d(out_of, into).tolist():
+        for module in sorted(left | entered):
             slot = parent._slot_of[module]
             come, gone = into == module, out_of == module
-            rest = np.setdiff1d(
-                parent._members[module], moved[gone], assume_unique=True
-            )
-            if not rest.size and not come.any():
+            if pieces is None:
+                rest = parent._members[module]
+                if module in left:
+                    keep = np.ones(rest.size, dtype=bool)
+                    keep[np.searchsorted(rest, moved[gone])] = False
+                    rest = rest[keep]
+            else:
+                piece, rest = pieces[module]
+            if not rest.size and module not in entered:
                 emptied.append((int(np.flatnonzero(gone)[-1]), module, slot))
                 continue
-            if rest_sums is not None:
-                value = rest_sums[module]
-            else:
-                near = matrix[moved] if near is None else near
-                value = int(near[come][:, rest].sum(dtype=np.int64)) - int(
-                    near[gone][:, rest].sum(dtype=np.int64)
-                )
-            pairs = int(within[np.ix_(come, come)].sum(dtype=np.int64)) - int(
-                within[np.ix_(gone, gone)].sum(dtype=np.int64)
-            )
-            state.sep_sum[slot] += float(value + pairs // 2)
-            state._members[module] = (
-                np.sort(np.concatenate([rest, moved[come]])) if come.any() else rest
-            )
+            inner = within[come][:, come].sum() if module in entered else 0
+            outer = within[gone][:, gone].sum() if module in left else 0
+            if pieces is None:
+                piece = reach[come, 0].sum() - reach[gone, 1].sum() + outer
+                if module in left and module in entered:
+                    piece -= within[come][:, gone].sum()
+            state.sep_sum[slot] += float(piece + (inner - outer) // 2)
+            if module in entered:
+                rest = np.sort(np.concatenate([rest, moved[come]]))
+            state._members[module] = rest
         for _, module, slot in sorted(emptied):
             state._release_slot(module, slot)

@@ -485,14 +485,14 @@ def test_counters_and_empty_call():
 
 
 @pytest.mark.parametrize("short_row", [0, 2, 10**6])
-@pytest.mark.parametrize("broadcast_rows", [1, 8, 10**6])
+@pytest.mark.parametrize("batch_rows", [1, 8, 10**6])
 @pytest.mark.parametrize("time_resolved", [False, True])
-def test_every_branch_scores_alike(monkeypatch, short_row, broadcast_rows, time_resolved):
-    """Both separation branches (vectorised short rows, per-row loop)
-    and both re-degradation forms (broadcast over a slot's rows,
-    elementwise) give every shape the trial's cost and adopted state."""
+def test_every_branch_scores_alike(monkeypatch, short_row, batch_rows, time_resolved):
+    """Both separation branches (one pass over short rows, per-row loop)
+    and both re-degradation forms (broadcast per slot, elementwise per
+    parent) give every shape the trial's cost and adopted state."""
     monkeypatch.setattr(state_module, "_SHORT_ROW", short_row)
-    monkeypatch.setattr(state_module, "_BROADCAST_ROWS", broadcast_rows)
+    monkeypatch.setattr(state_module, "_BATCH_ROWS", batch_rows)
     evaluator = _evaluator("small", "second", time_resolved, tight=True)
     parents = [_parent(evaluator, k, seed) for k, seed in ((3, 1), (6, 4))]
     rng = random.Random(17)
