@@ -95,6 +95,11 @@ def _scatter(flat, lose, gain, values, mixed: bool) -> None:
         np.add.at(flat, gain, values)
 
 
+def _sum(block: np.ndarray) -> int:
+    """The exact sum of a block of the ``uint8`` separation matrix."""
+    return int(block.sum(dtype=np.int64))
+
+
 def _groups(keys: np.ndarray) -> list[np.ndarray]:
     """The positions of ``keys``, grouped by key value in ascending
     order."""
@@ -1080,10 +1085,10 @@ class _BlockRows(BlockScores):
                 if module in left:
                     rest = rest[~flag[rest]]
                     picked = near if len(left) == 1 else near[out_of == module]
-                    value -= int(picked[:, rest].sum(dtype=np.int64))
+                    value -= _sum(picked[:, rest])
                 if module in entered:
                     picked = near if len(entered) == 1 else near[into == module]
-                    value += int(picked[:, rest].sum(dtype=np.int64))
+                    value += _sum(picked[:, rest])
                 pieces[module] = value, rest
             flag[moved] = False
             sep_delta[r] = sum(value for value, _ in pieces.values())
@@ -1138,11 +1143,12 @@ class _BlockRows(BlockScores):
         )
         settle[cells] = settle_times_ns(max_current[cells], tau[cells], ctx.technology)
 
-        # Re-degrade every touched module's members before the row from
-        # its cell's sensor — per parent, one broadcast (rows, members)
-        # call per slot when batched, else one elementwise call over
-        # (cell, gate) pairs, whose temporaries scale with one parent's
-        # rows — then every moved gate from its target cell's.
+        # Re-degrade, parent by parent, so that the temporaries scale with
+        # one parent's rows.  A batched parent's touched modules take one
+        # broadcast (rows, members before the row) call per slot, and its
+        # moved gates then overwrite their source-side entries.  Any
+        # other parent's members that stay and moved gates, as (cell,
+        # gate) pairs, take one elementwise call.
         delays = np.empty((count, num_gates), dtype=np.float64)
         for p, parent in enumerate(parents):
             delays[row_bounds[p] : row_bounds[p + 1]] = parent.delay_degraded
@@ -1165,34 +1171,41 @@ class _BlockRows(BlockScores):
             return nominal[gate_of] * (1.0 + delta)
 
         edges = np.searchsorted(cells, np.append(row_off, num_cells)[row_bounds])
-        for p, (lo, hi) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
-            mine = cells[lo:hi]
-            if not batched[p]:
-                cell_of = np.repeat(mine, slot_size[cell_src[mine]])
-                gate_of = np.concatenate(
-                    [_NO_GATES] + [slot_members[s] for s in cell_src[mine].tolist()]
-                )
+        for p, parent in enumerate(parents):
+            lo, hi = int(move_bounds[p]), int(move_bounds[p + 1])
+            cell_of, gate_of = [tgt_cell[lo:hi]], [gates[lo:hi]]
+            if batched[p]:
+                mine = cells[edges[p] : edges[p + 1]]
+                for group in _groups(cell_src[mine]):
+                    group = mine[group]
+                    members = slot_members[int(cell_src[group[0]])]
+                    if time_resolved:
+                        n = _profile_max_rows(times, members, activity[group])
+                    else:
+                        n = cell_n[group][:, None]
+                    delta = ctx.degradation.delta(
+                        n,
+                        rs[group][:, None],
+                        cs[group][:, None],
+                        cg_ff[members],
+                        rg_ohm[members],
+                    )
+                    delays[cell_row[group][:, None], members] = nominal[members] * (
+                        1.0 + delta
+                    )
+            else:
+                # The loop kept each touched module's members that stay.
+                kept, rests = [], []
+                for r in range(int(row_bounds[p]), int(row_bounds[p + 1])):
+                    for module, (_, rest) in self._pieces.get(r, {}).items():
+                        kept.append(int(row_off[r]) + parent._slot_of[module])
+                        rests.append(rest)
+                sizes = [rest.size for rest in rests]
+                cell_of.append(np.repeat(np.array(kept, dtype=np.int64), sizes))
+                gate_of += rests
+            cell_of, gate_of = np.concatenate(cell_of), np.concatenate(gate_of)
+            if gate_of.size:
                 delays[cell_row[cell_of], gate_of] = degraded(cell_of, gate_of)
-                continue
-            for group in _groups(cell_src[mine]):
-                group = mine[group]
-                members = slot_members[int(cell_src[group[0]])]
-                if time_resolved:
-                    n = _profile_max_rows(times, members, activity[group])
-                else:
-                    n = cell_n[group][:, None]
-                delta = ctx.degradation.delta(
-                    n,
-                    rs[group][:, None],
-                    cs[group][:, None],
-                    cg_ff[members],
-                    rg_ohm[members],
-                )
-                delays[cell_row[group][:, None], members] = nominal[members] * (
-                    1.0 + delta
-                )
-        if num_moves:
-            delays[move_row, gates] = degraded(tgt_cell, gates)
         self._delays = delays
 
         area_sum = np.empty(count, dtype=np.float64)
@@ -1307,7 +1320,7 @@ class _BlockRows(BlockScores):
         moved = np.array([gate for gate, _ in moves], dtype=np.int64)
         into = np.array([target for _, target in moves], dtype=np.int64)
         out_of = parent.partition._module_of[moved].astype(np.int64)
-        within = parent.ctx.separation.matrix[np.ix_(moved, moved)].astype(np.int64)
+        within = parent.ctx.separation.matrix[np.ix_(moved, moved)]
         pieces = self._pieces.get(j)
         reach = self._reach[self._starts[j] : self._starts[j] + len(moves)]
         left, entered = set(out_of.tolist()), set(into.tolist())
@@ -1326,12 +1339,12 @@ class _BlockRows(BlockScores):
             if not rest.size and module not in entered:
                 emptied.append((int(np.flatnonzero(gone)[-1]), module, slot))
                 continue
-            inner = within[come][:, come].sum() if module in entered else 0
-            outer = within[gone][:, gone].sum() if module in left else 0
+            inner = _sum(within[come][:, come]) if module in entered else 0
+            outer = _sum(within[gone][:, gone]) if module in left else 0
             if pieces is None:
-                piece = reach[come, 0].sum() - reach[gone, 1].sum() + outer
+                piece = int(reach[come, 0].sum() - reach[gone, 1].sum()) + outer
                 if module in left and module in entered:
-                    piece -= within[come][:, gone].sum()
+                    piece -= _sum(within[come][:, gone])
             state.sep_sum[slot] += float(piece + (inner - outer) // 2)
             if module in entered:
                 rest = np.sort(np.concatenate([rest, moved[come]]))
