@@ -1033,7 +1033,7 @@ class _BlockRows(BlockScores):
         matrix = ctx.separation.matrix
         sep_delta = np.zeros(count, dtype=np.int64)
         batched = np.diff(row_bounds) >= _BATCH_ROWS
-        short = (lengths <= _SHORT_ROW) & batched[row_parent]
+        short = (lengths <= _SHORT_ROW) & batched[row_parent] & (lengths > 0)
         sm = np.flatnonzero(short[move_row])
         # R[g, t_g] and R[g, s_g] of every short row's moves, kept for
         # adoption.
@@ -1049,7 +1049,7 @@ class _BlockRows(BlockScores):
                 sums[group] = near.sum(axis=1, dtype=np.int64)
             reach[sm] = sums.reshape(2, -1).T
             np.add.at(sep_delta, move_row[sm], reach[sm, 0] - reach[sm, 1])
-        paired = np.flatnonzero(short & (lengths > 1))
+        paired = np.flatnonzero(short & (lengths > 1)) if sm.size else sm
         if paired.size:
             # Ordered pairs (i, j) of each such row's moves; i == j adds
             # M's zero diagonal.
@@ -1068,12 +1068,16 @@ class _BlockRows(BlockScores):
             np.add.at(twice, move_row[i], matrix[gates[i], gates[j]] * coef)
             sep_delta += twice // 2
         # Other rows: each touched module's M(In, rest) − M(Out, rest),
-        # kept for adoption with rest itself.
+        # kept for adoption with rest itself, and each parent's (cell,
+        # rest) pairs, kept for re-degradation.
         flag = np.zeros(num_gates, dtype=bool)
         self._pieces: dict[int, dict[int, tuple[int, np.ndarray]]] = {}
-        for r in np.flatnonzero(~short).tolist():
+        kept = [([], []) for _ in parents]
+        for r in np.flatnonzero(~short & (lengths > 0)).tolist():
             lo, hi = int(starts[r]), int(ends[r])
             parent = parents[int(row_parent[r])]
+            kept_cells, kept_rests = kept[int(row_parent[r])]
+            off = int(row_off[r])
             moved, out_of, into = gates[lo:hi], sources[lo:hi], targets[lo:hi]
             left, entered = set(out_of.tolist()), set(into.tolist())
             near = matrix[moved]
@@ -1090,6 +1094,8 @@ class _BlockRows(BlockScores):
                     picked = near if len(entered) == 1 else near[into == module]
                     value += _sum(picked[:, rest])
                 pieces[module] = value, rest
+                kept_cells.append(off + parent._slot_of[module])
+                kept_rests.append(rest)
             flag[moved] = False
             sep_delta[r] = sum(value for value, _ in pieces.values())
             if len(left) > 1 or len(entered) > 1:
@@ -1194,15 +1200,10 @@ class _BlockRows(BlockScores):
                         1.0 + delta
                     )
             else:
-                # The loop kept each touched module's members that stay.
-                kept, rests = [], []
-                for r in range(int(row_bounds[p]), int(row_bounds[p + 1])):
-                    for module, (_, rest) in self._pieces.get(r, {}).items():
-                        kept.append(int(row_off[r]) + parent._slot_of[module])
-                        rests.append(rest)
-                sizes = [rest.size for rest in rests]
-                cell_of.append(np.repeat(np.array(kept, dtype=np.int64), sizes))
-                gate_of += rests
+                kept_cells, kept_rests = kept[p]
+                sizes = [rest.size for rest in kept_rests]
+                cell_of.append(np.repeat(np.array(kept_cells, dtype=np.int64), sizes))
+                gate_of += kept_rests
             cell_of, gate_of = np.concatenate(cell_of), np.concatenate(gate_of)
             if gate_of.size:
                 delays[cell_row[cell_of], gate_of] = degraded(cell_of, gate_of)
