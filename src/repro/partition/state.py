@@ -1340,8 +1340,11 @@ class _BlockRows(BlockScores):
             if not rest.size and module not in entered:
                 emptied.append((int(np.flatnonzero(gone)[-1]), module, slot))
                 continue
-            inner = _sum(within[come][:, come]) if module in entered else 0
-            outer = _sum(within[gone][:, gone]) if module in left else 0
+            inner = outer = 0
+            if module in entered:
+                inner = _sum(within if len(entered) == 1 else within[come][:, come])
+            if module in left:
+                outer = _sum(within if len(left) == 1 else within[gone][:, gone])
             if pieces is None:
                 piece = int(reach[come, 0].sum() - reach[gone, 1].sum()) + outer
                 if module in left and module in entered:
