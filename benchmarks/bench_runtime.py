@@ -149,9 +149,10 @@ def _count_instrumentation_calls(func) -> int:
 
 
 def _disabled_call_cost() -> float:
-    """Per-call seconds of a disabled counter bump / span / heartbeat
-    note, whichever is worse (fresh disabled instances, so an enabled
-    environment cannot skew the measurement)."""
+    """Per-call seconds of a counter bump (the registry always counts)
+    or a disabled span / heartbeat note, whichever is worse (fresh
+    instances, so an enabled environment cannot skew the
+    measurement)."""
     from repro.obs import live
     from repro.obs.core import Metrics, Tracer
 

@@ -108,37 +108,19 @@ class EvolutionParams:
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Execution-runtime knobs (see :mod:`repro.runtime`).
+    """Runtime observability knobs (see :mod:`repro.obs`).
 
     Attributes:
-        jobs: process-pool worker count; ``None`` defers to the
-            ``REPRO_JOBS`` environment variable and then serial (1);
-            ``0`` means "all cores" (``os.cpu_count()``).  Resolved
-            lazily by :func:`repro.runtime.executor.resolve_jobs` so
-            this module stays free of runtime imports.
-        cache_dir: artifact-store root; ``None`` defers to
-            ``REPRO_CACHE_DIR`` and then ``~/.cache/repro-part-iddq``.
-        defect_parallel: opt into the defect-parallel targeted ATPG
-            phase (independent per-defect RNG streams — deterministic
-            under a fixed seed, but a different walk than the serial
-            reference; see DESIGN.md §9).
-        task_timeout: per-task deadline in seconds for pool workers;
-            ``None`` defers to ``REPRO_TASK_TIMEOUT`` and then no
-            deadline.  A task past its deadline is re-dispatched while
-            retry budget remains, then raises ``TaskTimeoutError``
-            (DESIGN.md §10).
-        task_retries: bounded per-task retry budget; ``None`` defers to
-            ``REPRO_TASK_RETRIES`` and then 0 (a task bug surfaces
-            once).  Retries back off deterministically (no jitter).
         trace: record runtime spans on the process-wide tracer
             (:mod:`repro.obs`); ``None`` defers to ``REPRO_TRACE`` and
             then off.  Tracing never changes computed results — only
             how the run is described.
-        metrics: record runtime counters/gauges on the process-wide
-            metrics registry; ``None`` defers to ``REPRO_METRICS`` and
-            then off.  Enabled implicitly alongside ``trace`` by
-            consumers that export both (the campaign runner's
-            ``--trace``).
+        metrics: report runtime counters — per-entry counter deltas in
+            campaign manifests and counters in heartbeat records (the
+            registry counts either way); ``None`` defers to
+            ``REPRO_METRICS`` and then off.  Enabled implicitly
+            alongside ``trace`` by consumers that export both (the
+            campaign runner's ``--trace``).
         heartbeat: worker heartbeat interval in seconds (DESIGN.md
             §12); ``None`` defers to ``REPRO_HEARTBEAT`` and then off
             (0).  Like every observability knob, heartbeats change what
@@ -153,11 +135,6 @@ class RuntimeConfig:
             half the hard ``task_timeout`` (off when no deadline).
     """
 
-    jobs: int | None = None
-    cache_dir: str | None = None
-    defect_parallel: bool = False
-    task_timeout: float | None = None
-    task_retries: int | None = None
     trace: bool | None = None
     metrics: bool | None = None
     heartbeat: float | None = None
@@ -165,14 +142,6 @@ class RuntimeConfig:
     stall_after: float | None = None
 
     def __post_init__(self) -> None:
-        if self.jobs is not None and self.jobs < 0:
-            raise OptimizationError("runtime jobs must be >= 0 (0 = all cores)")
-        if self.cache_dir is not None and not self.cache_dir:
-            raise OptimizationError("cache_dir must be a non-empty path or None")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise OptimizationError("task_timeout must be > 0 seconds")
-        if self.task_retries is not None and self.task_retries < 0:
-            raise OptimizationError("task_retries must be >= 0")
         if self.heartbeat is not None and self.heartbeat < 0:
             raise OptimizationError("heartbeat must be >= 0 seconds (0 = off)")
         if self.heartbeat_dir is not None and not self.heartbeat_dir:

@@ -87,11 +87,6 @@ class CoverageEngine:
         # The sim-state slot: [patterns copy, values, unpacked bits,
         # full leakage matrix or None until first needed].
         self._state: list | None = None
-        #: (full simulations, content hits) — the sim-state telemetry the
-        #: runtime tests assert on; every bump is mirrored into
-        #: :data:`repro.obs.METRICS` as ``engine.state.<key>`` when
-        #: metrics are enabled.
-        self.state_stats = {"full": 0, "hits": 0}
         self._obs_cache: dict[
             tuple, tuple[Partition, tuple[Defect, ...], np.ndarray, np.ndarray]
         ] = {}
@@ -185,19 +180,13 @@ class CoverageEngine:
             and state[0].dtype == patterns.dtype
             and np.array_equal(state[0], patterns)
         ):
-            self._stat("hits")
+            obs.METRICS.inc("engine.state.hits")
             return state[1], state[2]
         values = self.sim.simulate_values(patterns)
         bits = self.sim.unpack_bits(values)
         self._state = [patterns.copy(), values, bits, None]
-        self._stat("full")
+        obs.METRICS.inc("engine.state.full")
         return values, bits
-
-    def _stat(self, key: str) -> None:
-        """Bump one sim-state counter in both views (local dict +
-        process metrics registry)."""
-        self.state_stats[key] += 1
-        obs.METRICS.inc(f"engine.state.{key}")
 
     def _full_leak(self) -> np.ndarray:
         """The slot batch's full leakage matrix (built on first use)."""

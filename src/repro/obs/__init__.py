@@ -7,15 +7,18 @@ The unified observability subsystem (DESIGN.md §11).  Everything in
 >>> with TRACER.span("detection_matrix", circuit="c7552"):
 ...     METRICS.inc("backend.full_pass")
 
-Both are disabled by default and near-zero-cost in that state; enable
-with ``REPRO_TRACE=1`` / ``REPRO_METRICS=1`` (the environment crosses
-the worker boundary), :func:`enable`, or the campaign CLI's ``--trace``.
-Workers in :meth:`repro.runtime.executor.Executor.map` capture their
+``METRICS`` always counts and is the one store of every runtime count;
+``REPRO_METRICS=1`` (or :func:`enable`) only adds per-entry counter
+deltas to campaign manifests and counters to heartbeats.  Tracing is
+off by default and near-zero-cost in that state; enable it with
+``REPRO_TRACE=1`` (the environment crosses the worker boundary),
+:func:`enable`, or the campaign CLI's ``--trace``.  Workers in
+:meth:`repro.runtime.executor.Executor.map` capture their
 spans/counters per task and ship a compact snapshot back piggybacked on
 the task result; the parent merges them under stable ``task:<index>``
 sites.  Export with :func:`export_chrome_trace` (Perfetto /
-``chrome://tracing``) or :func:`write_jsonl`; summarize a trace file
-with ``python -m repro.experiments trace-report``.
+``chrome://tracing``) or :func:`export_prometheus`; summarize a trace
+file with ``python -m repro.experiments trace-report``.
 
 The subsystem-wide invariant: instrumentation may change how long a run
 takes to describe, **never what it computes** — the equivalence suites
@@ -58,7 +61,6 @@ from repro.obs.sinks import (
     export_chrome_trace,
     export_prometheus,
     prometheus_text,
-    write_jsonl,
 )
 
 __all__ = [
@@ -90,6 +92,5 @@ __all__ = [
     "summarize_trace",
     "task_heartbeat",
     "trace_enabled",
-    "write_jsonl",
     "write_status",
 ]

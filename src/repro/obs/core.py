@@ -1,14 +1,18 @@
 """Tracer and Metrics: the process-local observability primitives.
 
-Two singletons (:data:`TRACER`, :data:`METRICS`) carry all runtime
-telemetry.  Both are **disabled by default** and compiled down to
-near-zero-cost no-ops in that state: a disabled counter bump is one
-attribute test and an early return, a disabled ``span(...)`` returns a
-shared reusable null context manager — no event objects, no clock
-reads, no allocation beyond the call's own kwargs.  The invariant the
-whole subsystem is tested against (DESIGN.md §11): **instrumentation
-may change how long a run takes to describe, never what it computes** —
-every number and artifact is bit-identical with telemetry on or off.
+Two singletons carry all runtime telemetry.  :data:`METRICS` is the
+one place a runtime count is stored: :meth:`Metrics.inc` always counts
+(one dict update), and the campaign's manifest totals, its status
+ledger, traces and the Prometheus file all read their counts from it.
+Its ``enabled`` flag only decides what is *reported* per entry: the
+campaign manifest's per-entry ``metrics`` deltas and the heartbeat's
+``counters``.  :data:`TRACER` is **disabled by default** and a no-op
+in that state: a disabled ``span(...)`` returns a shared reusable null
+context manager — no event objects, no clock reads, no allocation
+beyond the call's own kwargs.  The invariant the whole subsystem is
+tested against (DESIGN.md §11): **instrumentation may change how long
+a run takes to describe, never what it computes** — every number and
+artifact is bit-identical with telemetry on or off.
 
 Enablement: ``REPRO_TRACE`` / ``REPRO_METRICS`` environment variables
 (read at import and by every pool worker), :func:`enable` for
@@ -39,7 +43,7 @@ counter deltas).  The parent merges snapshots with
 :func:`merge_task_snapshot` under a stable ``task:<index>`` site — task
 indices, unlike worker pids, are deterministic at any worker count, so
 a merged trace is reproducible modulo timing fields.  Counters merge by
-summation (commutative), gauges by last-write in task order.
+summation (commutative).
 """
 
 from __future__ import annotations
@@ -79,44 +83,32 @@ def _env_on(name: str) -> bool:
 
 # ---------------------------------------------------------------------- metrics
 class Metrics:
-    """A typed counter/gauge registry, process-local.
+    """A counter registry, process-local.
 
-    Counters are monotonically increasing ints or floats
-    (:meth:`inc`); gauges are last-value-wins (:meth:`gauge`).  Names
-    are dotted strings (``"store.hits.separation"``); there is no label
-    system — encode dimensions in the name, which keeps the disabled
-    path to a single dict-free early return and the snapshot format to
-    one flat dict.
+    Counters are monotonically increasing ints or floats (:meth:`inc`).
+    Names are dotted strings (``"store.hits.separation"``); there is no
+    label system — encode dimensions in the name, which keeps a bump to
+    one dict update and the snapshot format to one flat dict.
+    ``enabled`` is the reporting flag (see the module docstring); it
+    does not gate counting.
     """
 
-    __slots__ = ("enabled", "_counters", "_gauges")
+    __slots__ = ("enabled", "_counters")
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self._counters: dict[str, int | float] = {}
-        self._gauges: dict[str, int | float] = {}
 
     def inc(self, name: str, value: int | float = 1) -> None:
-        """Bump counter ``name`` (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Bump counter ``name``."""
         counters = self._counters
         counters[name] = counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: int | float) -> None:
-        """Set gauge ``name`` to ``value`` (no-op when disabled)."""
-        if not self.enabled:
-            return
-        self._gauges[name] = value
 
     def counters(self, prefix: str = "") -> dict[str, int | float]:
         """A copy of the counters, optionally filtered by name prefix."""
         if not prefix:
             return dict(self._counters)
         return {k: v for k, v in self._counters.items() if k.startswith(prefix)}
-
-    def gauges(self) -> dict[str, int | float]:
-        return dict(self._gauges)
 
     def mark(self) -> dict[str, int | float]:
         """An opaque mark for :meth:`delta_since` (a counter snapshot)."""
@@ -131,20 +123,14 @@ class Metrics:
                 out[name] = delta
         return out
 
-    def merge(self, counters: Mapping[str, int | float],
-              gauges: Mapping[str, int | float] | None = None) -> None:
-        """Fold another registry's counters (summed) and gauges
-        (last-write-wins) into this one; ignores the enabled flag so a
-        parent always absorbs worker snapshots it asked for."""
+    def merge(self, counters: Mapping[str, int | float]) -> None:
+        """Fold another registry's counters in by summation."""
         own = self._counters
         for name, value in counters.items():
             own[name] = own.get(name, 0) + value
-        if gauges:
-            self._gauges.update(gauges)
 
     def reset(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
 
 
 # ----------------------------------------------------------------------- tracer
@@ -325,7 +311,7 @@ def begin_task_capture(trace: bool, metrics: bool) -> tuple:
     """
     saved = (
         TRACER.enabled, TRACER._events, TRACER._depth, TRACER._stack,
-        METRICS.enabled, METRICS._counters, METRICS._gauges,
+        METRICS.enabled, METRICS._counters,
     )
     TRACER.enabled = trace
     TRACER._events = []
@@ -333,7 +319,6 @@ def begin_task_capture(trace: bool, metrics: bool) -> tuple:
     TRACER._stack = []
     METRICS.enabled = metrics
     METRICS._counters = {}
-    METRICS._gauges = {}
     return saved
 
 
@@ -343,12 +328,11 @@ def end_task_capture(token: tuple) -> dict | None:
     buffers."""
     events = TRACER._events
     counters = METRICS._counters
-    gauges = METRICS._gauges
     (TRACER.enabled, TRACER._events, TRACER._depth, TRACER._stack,
-     METRICS.enabled, METRICS._counters, METRICS._gauges) = token
-    if not events and not counters and not gauges:
+     METRICS.enabled, METRICS._counters) = token
+    if not events and not counters:
         return None
-    return {"events": events, "counters": counters, "gauges": gauges}
+    return {"events": events, "counters": counters}
 
 
 def merge_task_snapshot(snapshot: Mapping | None, task_index: int) -> None:
@@ -366,6 +350,5 @@ def merge_task_snapshot(snapshot: Mapping | None, task_index: int) -> None:
     if events:
         TRACER.merge(events, f"task:{task_index}")
     counters = snapshot.get("counters")
-    gauges = snapshot.get("gauges")
-    if counters or gauges:
-        METRICS.merge(counters or {}, gauges)
+    if counters:
+        METRICS.merge(counters)

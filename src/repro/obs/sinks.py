@@ -1,26 +1,21 @@
-"""Structured sinks: JSONL event log, Chrome trace-event export and a
-Prometheus textfile exporter.
+"""Structured sinks: Chrome trace-event export and a Prometheus
+textfile exporter.
 
-Three on-disk formats for one in-memory registry:
+Two on-disk formats for one in-memory registry:
 
-* :func:`write_jsonl` — one JSON object per line, append-friendly and
-  greppable: every span and instant event, then one ``counters`` and
-  one ``gauges`` record.  This is the operator log the silent
-  degradation paths (store write failures, quarantines, campaign stage
-  failures) are routed into.
 * :func:`export_chrome_trace` — the Chrome trace-event JSON format
   (``chrome://tracing`` / Perfetto): spans as ``"ph": "X"`` complete
-  events, instants as ``"ph": "i"``, one process with one named thread
-  per *site* (``main`` plus ``task:<n>`` for worker-attributed events),
-  so a campaign's sharded stages render as parallel swimlanes.
-  Counters ride in ``otherData`` (ignored by viewers, kept for
-  ``trace-report``).
+  events, instants as ``"ph": "i"`` (among them the structured records
+  of the degradation paths: store write failures, quarantines, campaign
+  stage failures), one process with one named thread per *site*
+  (``main`` plus ``task:<n>`` for worker-attributed events), so a
+  campaign's sharded stages render as parallel swimlanes.  Counters
+  ride in ``otherData`` (ignored by viewers, kept for ``trace-report``).
 * :func:`export_prometheus` — the Prometheus text exposition format for
   the node-exporter *textfile collector*: the same counters the Chrome
-  trace serializes, rendered as ``repro_<name>_total`` counter samples
-  (gauges as ``repro_<name>``), written by atomic rename as the
-  collector contract requires.  This is the scrape surface the fleet
-  scheduler consumes — no trace file round-trip needed.
+  trace serializes, rendered as ``repro_<name>_total`` counter samples,
+  written by atomic rename as the collector contract requires, so a
+  scraper reads a campaign's counts without a trace file round-trip.
 
 Timestamps are rebased to the earliest event so traces start near zero;
 Chrome wants microseconds (floats are allowed — nanosecond precision
@@ -42,53 +37,11 @@ __all__ = [
     "export_chrome_trace",
     "export_prometheus",
     "prometheus_text",
-    "write_jsonl",
 ]
 
 
 def _rebase(events: list[tuple]) -> int:
     return min((e[2] for e in events), default=0)
-
-
-def write_jsonl(
-    path: str | Path,
-    tracer: Tracer | None = None,
-    metrics: Metrics | None = None,
-) -> Path:
-    """Write the JSONL event log; returns the path written."""
-    tracer = tracer if tracer is not None else TRACER
-    metrics = metrics if metrics is not None else METRICS
-    events = tracer.events()
-    base = _rebase(events)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        for kind, name, ts, dur, depth, site, attrs in events:
-            record: dict = {
-                "type": kind,
-                "name": name,
-                "ts_us": (ts - base) / 1000.0,
-                "depth": depth,
-                "site": site,
-            }
-            if kind == "span":
-                record["dur_us"] = dur / 1000.0
-            if attrs:
-                record["attrs"] = attrs
-            handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-        counters = metrics.counters()
-        if counters:
-            handle.write(
-                json.dumps({"type": "counters", "counters": counters},
-                           sort_keys=True) + "\n"
-            )
-        gauges = metrics.gauges()
-        if gauges:
-            handle.write(
-                json.dumps({"type": "gauges", "gauges": gauges},
-                           sort_keys=True) + "\n"
-            )
-    return path
 
 
 def _site_tids(events: list[tuple]) -> dict[str, int]:
@@ -148,10 +101,7 @@ def chrome_trace_dict(
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "counters": metrics.counters(),
-            "gauges": metrics.gauges(),
-        },
+        "otherData": {"counters": metrics.counters()},
     }
 
 
@@ -194,20 +144,15 @@ def prometheus_text(
 ) -> str:
     """The registry as Prometheus text exposition format.
 
-    Counters get the conventional ``_total`` suffix, gauges keep the
-    bare name; one ``# TYPE`` line per sample family.  No timestamps —
-    the textfile collector forbids them (mtime is the freshness
-    signal).
+    Counters get the conventional ``_total`` suffix; one ``# TYPE``
+    line per sample family.  No timestamps — the textfile collector
+    forbids them (mtime is the freshness signal).
     """
     metrics = metrics if metrics is not None else METRICS
     lines: list[str] = []
     for name, value in sorted(metrics.counters().items()):
         prom = _prom_name(name, prefix) + "_total"
         lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {_prom_value(value)}")
-    for name, value in sorted(metrics.gauges().items()):
-        prom = _prom_name(name, prefix)
-        lines.append(f"# TYPE {prom} gauge")
         lines.append(f"{prom} {_prom_value(value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -33,7 +33,6 @@ import random
 import tempfile
 import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -47,11 +46,7 @@ from repro.runtime.artifacts import (
     cached_portfolio,
     cached_separation_matrix,
 )
-from repro.runtime.executor import (
-    Executor,
-    executor_stats_snapshot,
-    resolve_jobs,
-)
+from repro.runtime.executor import Executor, resolve_jobs
 from repro.runtime.faults import FaultPlan, InjectedKill
 from repro.runtime.store import ArtifactStore
 
@@ -73,14 +68,17 @@ STAGES: tuple[str, ...] = ("separation", "stuck-at", "atpg", "optimize")
 #: "resumed" fields and the failed/resumed totals.  Schema 3 adds the
 #: optional per-entry "metrics" dict — the runtime counter deltas the
 #: stage produced (cache hits by kind, executor retries/restarts,
-#: summed worker task seconds), present only when metrics collection is
-#: on (``--trace`` / ``REPRO_METRICS``); with telemetry off, a schema-3
+#: summed worker task seconds), present only when metrics reporting is
+#: on (``--trace`` / ``REPRO_METRICS``); with reporting off, a schema-3
 #: manifest is field-for-field a schema-2 manifest.  Schema 4 adds the
 #: always-present ``totals["executor"]`` recovery profile (retries,
-#: timeouts, pool restarts, serial fallbacks, tasks recovered, stalls
-#: accumulated across every executor the run built) — a count of
-#: recovery *events*, deterministic under a deterministic fault plan,
-#: unlike the timing-dependent per-entry metrics.
+#: timeouts, pool restarts, serial fallbacks, tasks recovered, stalls)
+#: — a count of recovery *events* that a deterministic fault plan
+#: repeats exactly, except ``tasks_recovered``: how many tasks a broken
+#: pool strands depends on how far the others had got.  Both
+#: ``totals["store"]`` and ``totals["executor"]`` are deltas of the
+#: :data:`repro.obs.METRICS` registry over the run (circuit tasks'
+#: counts included), zero-filled to the keys of :data:`_TOTALS`.
 MANIFEST_SCHEMA = 4
 
 
@@ -93,11 +91,12 @@ class CampaignConfig:
     the end.  ``resume`` names a previous manifest (or journal) whose
     succeeded entries are skipped.  ``trace`` names a Chrome
     trace-event output path; setting it turns on span tracing *and*
-    metrics for the run (workers included — the executor forwards the
-    flags with every task) and writes the merged, worker-attributed
-    trace there at the end.  ``prom`` names a Prometheus textfile
-    (node-exporter textfile collector format); setting it turns on
-    metrics and rewrites the file after every stage and at the end.
+    metrics reporting for the run (workers included — the executor
+    forwards the flags with every task) and writes the merged,
+    worker-attributed trace there at the end.  ``prom`` names a
+    Prometheus textfile (node-exporter textfile collector format);
+    setting it turns on metrics reporting and rewrites the file after
+    every stage and at the end.
     Telemetry never changes computed results: the manifest is identical
     modulo ``seconds`` and the per-entry ``metrics`` dicts.
 
@@ -491,19 +490,27 @@ def _run_circuit(
     return entries
 
 
-#: The store counters the manifest totals report.
-_STORE_TOTALS = ("hits", "misses", "puts", "quarantined")
-
-
-def _circuit_task(job: _CircuitJob, name: str) -> tuple[list[dict], dict, dict]:
-    """Pool task: one circuit's stages, plus the task's store and
-    executor counts for the parent's totals."""
+def _circuit_task(job: _CircuitJob, name: str) -> list[dict]:
+    """Pool task: one circuit's stages (its counts reach the parent's
+    registry with the task's telemetry snapshot)."""
     store = ArtifactStore(job.store_root, fault_plan=job.plan)
-    mark = executor_stats_snapshot()
-    entries = _run_circuit(job, name, store, 1)
-    after = executor_stats_snapshot()
-    counts = {k: getattr(store.stats, k) for k in _STORE_TOTALS}
-    return entries, counts, {k: after[k] - mark[k] for k in after}
+    return _run_circuit(job, name, store, 1)
+
+
+#: The counters the manifest totals report, by group (``store.hits`` ...).
+_TOTALS = {
+    "store": ("hits", "misses", "puts", "quarantined"),
+    "executor": (
+        "retries", "timeouts", "pool_restarts", "serial_fallbacks",
+        "tasks_recovered", "stalls",
+    ),
+}
+
+
+def _run_totals(mark: dict, group: str) -> dict:
+    """One group of :data:`_TOTALS`: registry deltas since ``mark``."""
+    delta = obs.METRICS.delta_since(mark)
+    return {name: delta.get(f"{group}.{name}", 0) for name in _TOTALS[group]}
 
 
 def _circuit_order(config: CampaignConfig, resumed: dict, jobs: int) -> list[int]:
@@ -554,18 +561,7 @@ def run_campaign(config: CampaignConfig) -> dict:
         # Pin the heartbeat run directory next to the manifest before
         # the first executor resolves (and exports) a tempdir default.
         os.environ[live.HEARTBEAT_DIR_ENV] = f"{config.out}.hb"
-    executor_mark = executor_stats_snapshot()
-    # Counts the circuit tasks made in their workers.
-    worker_store: Counter = Counter()
-    worker_executor: Counter = Counter()
-
-    def executor_delta() -> dict:
-        snapshot = executor_stats_snapshot()
-        return {
-            k: v - executor_mark[k] + worker_executor[k]
-            for k, v in snapshot.items()
-        }
-
+    run_mark = obs.METRICS.mark()
     ledger = (
         live.ProgressLedger(
             status_path(config.out),
@@ -583,7 +579,8 @@ def run_campaign(config: CampaignConfig) -> dict:
             status = "resumed" if entry.get("resumed") else entry["status"]
             ledger.stage_finished(
                 entry["circuit"], entry["stage"], status,
-                entry.get("seconds", 0.0), executor=executor_delta(),
+                entry.get("seconds", 0.0),
+                executor=_run_totals(run_mark, "executor"),
             )
         if config.prom:
             from repro.obs.sinks import export_prometheus
@@ -613,11 +610,8 @@ def run_campaign(config: CampaignConfig) -> dict:
                 job, name, store, jobs, on_start, finished
             )
 
-    def gathered(task: int, result) -> None:
-        entries, store_counts, executor_counts = result
+    def gathered(task: int, entries: list[dict]) -> None:
         per_circuit[order[task]] = entries
-        worker_store.update(store_counts)
-        worker_executor.update(executor_counts)
         for entry in entries:
             finished(entry)
 
@@ -665,14 +659,8 @@ def run_campaign(config: CampaignConfig) -> dict:
             "failed": failed,
             "resumed": resumed,
             "seconds": time.perf_counter() - started,
-            "store": {
-                k: getattr(store.stats, k) + worker_store[k]
-                for k in _STORE_TOTALS
-            },
-            # The run's recovery profile (delta over every executor the
-            # stages built, in this process and in circuit tasks):
-            # deterministic counts, unlike the per-entry timing metrics.
-            "executor": executor_delta(),
+            "store": _run_totals(run_mark, "store"),
+            "executor": _run_totals(run_mark, "executor"),
         },
     }
     if config.out:

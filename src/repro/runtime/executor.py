@@ -44,11 +44,11 @@ Failure model (DESIGN.md §10):
   down, a *soft* threshold (``stall_after`` argument >
   ``REPRO_STALL_AFTER`` > half the hard deadline > off) grades the
   binary alive/killed signal: a task the gather has waited on past the
-  threshold emits one ``executor.stall`` instant and bumps
-  ``ExecutorStats.stalls``, enriched with the culprit worker's last
-  heartbeat (pid, RSS high-water, open span stack) when the heartbeat
-  channel is on.  Stall detection is pure observation — the wait
-  continues unchanged toward the deadline or the result.
+  threshold emits one ``executor.stall`` instant and bumps the
+  ``executor.stalls`` counter, the instant enriched with the culprit
+  worker's last heartbeat (pid, RSS high-water, open span stack) when
+  the heartbeat channel is on.  Stall detection is pure observation —
+  the wait continues unchanged toward the deadline or the result.
 
 Live health (DESIGN.md §12): with ``REPRO_HEARTBEAT=<seconds>`` set,
 every worker (and the serial path) runs a daemon thread appending
@@ -62,6 +62,18 @@ untouched, which the heartbeat determinism suite pins.
   a warning — but only genuinely infrastructural errors take that exit:
   exceptions raised *inside* a task can never be mistaken for them,
   because the narrow catches sit where task exceptions cannot appear.
+
+Counting: every recovery event bumps one counter in
+:data:`repro.obs.METRICS`, the one store of the counts the campaign's
+totals and ledger report — ``executor.retries`` (re-dispatches charged
+to the retry budget), ``executor.timeouts`` (tasks past
+``task_timeout``), ``executor.pool_restarts`` (fresh pools after a
+worker death or deadline teardown), ``executor.serial_fallbacks``
+(maps degraded to the serial path), ``executor.tasks_recovered`` (tasks
+stranded by a broken pool and re-dispatched, no budget charged) and
+``executor.stalls`` (waits past ``stall_after``).  Each pool task ships
+its own counter delta back with its value, and the parent merges it
+when the gather takes that value, before ``on_result`` sees it.
 
 Worker count resolution: explicit argument > ``REPRO_JOBS`` environment
 variable > serial (1); the value ``0`` means "all cores"
@@ -86,8 +98,6 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from dataclasses import asdict, dataclass
-
 from repro import obs
 from repro.errors import TaskError, TaskTimeoutError
 from repro.obs import live
@@ -95,8 +105,6 @@ from repro.runtime.faults import FaultPlan, inject_task_fault
 
 __all__ = [
     "Executor",
-    "ExecutorStats",
-    "executor_stats_snapshot",
     "resolve_jobs",
     "resolve_task_retries",
     "resolve_task_timeout",
@@ -128,66 +136,13 @@ _IN_WORKER = False
 _PENDING = object()
 
 
-@dataclass
-class ExecutorStats:
-    """Public recovery bookkeeping, cumulative across :meth:`Executor.map`
-    calls on one executor.
-
-    Every count was previously computed and discarded inside the gather
-    loop; surfacing it makes recovery behaviour assertable by tests and
-    visible to operators.  The same counts are mirrored into the
-    :data:`repro.obs.METRICS` registry (``executor.*``) when metrics are
-    enabled — this dataclass is the always-on, executor-local view.
-
-    Attributes:
-        retries: task re-dispatches charged to the per-task retry budget
-            (transient exceptions and timeouts with budget remaining).
-        timeouts: tasks that ran past ``task_timeout`` (whether or not
-            budget remained to retry them).
-        pool_restarts: fresh pools built after a worker death or a
-            deadline teardown.
-        serial_fallbacks: times a ``map`` degraded to the in-process
-            serial path (pool infrastructure failure or restart budget
-            exhausted).
-        tasks_recovered: completed-or-failed task slots stranded by a
-            broken pool and re-dispatched on a later pool (no retry
-            budget charged — the culprit is unknowable).
-        stalls: tasks the gather waited on past the *soft* ``stall_after``
-            threshold — the graded early-warning tier below ``timeouts``
-            (a stalled task may still finish, time out, or both).
-    """
-
-    retries: int = 0
-    timeouts: int = 0
-    pool_restarts: int = 0
-    serial_fallbacks: int = 0
-    tasks_recovered: int = 0
-    stalls: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-#: Process-wide accumulation across every :class:`Executor` instance.
-#: The campaign aggregates this into its manifest ``totals`` — the
-#: stage drivers build executors internally, so without a global view
-#: their recovery counts would be discarded with the executor objects.
-_GLOBAL_STATS = ExecutorStats()
-
-
-def executor_stats_snapshot() -> dict:
-    """A copy of the process-wide cumulative :class:`ExecutorStats`
-    counts (take one before and after a region and subtract to get the
-    region's recovery profile)."""
-    return _GLOBAL_STATS.as_dict()
-
-
 class _TaskResult:
-    """A successful task value plus its telemetry snapshot.
+    """A successful task value plus its telemetry snapshot (counter
+    delta and, while tracing, events).
 
-    Only built in workers when the parent asked for capture; the parent
-    unwraps it during the gather, merges the snapshot under the task's
-    stable site and hands callers the bare value — consumers of
+    Every successful pool task returns one; the parent unwraps it
+    during the gather, merges the snapshot under the task's stable site
+    and hands callers the bare value — consumers of
     :meth:`Executor.map` never see the carrier.
     """
 
@@ -252,7 +207,7 @@ def _invoke(fn, task, index, attempt, plan_spec, obs_spec):
     with the value; a failed attempt's capture is discarded, keeping
     the merged telemetry a deterministic one-snapshot-per-task set.
     """
-    token = obs.begin_task_capture(*obs_spec) if obs_spec else None
+    token = obs.begin_task_capture(*obs_spec)
     live.note_task(index, attempt)
     started = time.perf_counter()
     try:
@@ -266,12 +221,9 @@ def _invoke(fn, task, index, attempt, plan_spec, obs_spec):
             value = fn(_WORKER_STATE, task)
     except Exception as exc:  # noqa: BLE001 - transported to the parent
         live.clear_task()
-        if token is not None:
-            obs.end_task_capture(token)
+        obs.end_task_capture(token)
         return _TaskError(exc)
     live.clear_task()
-    if token is None:
-        return value
     obs.METRICS.inc("executor.task_seconds", time.perf_counter() - started)
     obs.METRICS.inc("executor.tasks")
     return _TaskResult(value, obs.end_task_capture(token))
@@ -403,7 +355,6 @@ class Executor:
         self.fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan.from_env()
         )
-        self.stats = ExecutorStats()
 
     @property
     def serial(self) -> bool:
@@ -462,17 +413,8 @@ class Executor:
             return results
 
     # ---------------------------------------------------------------- internal
-    def _record(self, field: str, count: int = 1) -> None:
-        """Bump one recovery counter in all three views at once: this
-        executor's :class:`ExecutorStats`, the process-wide accumulator
-        (what :func:`executor_stats_snapshot` reports) and the metrics
-        registry (``executor.<field>``)."""
-        setattr(self.stats, field, getattr(self.stats, field) + count)
-        setattr(_GLOBAL_STATS, field, getattr(_GLOBAL_STATS, field) + count)
-        obs.METRICS.inc(f"executor.{field}", count)
-
     def _warn_fallback(self, cause: BaseException) -> None:
-        self._record("serial_fallbacks")
+        obs.METRICS.inc("executor.serial_fallbacks")
         obs.TRACER.instant(
             "executor.serial_fallback",
             cause=f"{type(cause).__name__}: {cause}",
@@ -522,7 +464,7 @@ class Executor:
                             live.clear_task()
                         raise
                     attempt += 1
-                    self._record("retries")
+                    obs.METRICS.inc("executor.retries")
                     obs.TRACER.instant("executor.retry", task=i, attempt=attempt)
                     self._backoff(attempt)
             if outer:
@@ -537,7 +479,7 @@ class Executor:
         while pending:
             try:
                 (completed, failed, timed_out, unfinished, unsubmitted,
-                 broken, snapshots) = self._run_round(
+                 broken) = self._run_round(
                     fn, tasks, state_factory, pending, attempts, deliver
                 )
             except _PoolUnavailable as infra:
@@ -548,25 +490,20 @@ class Executor:
                 return
             for i in completed:
                 if i in stranded:
-                    self._record("tasks_recovered")
-            # Merge successful-attempt snapshots in task order: exactly
-            # one per task ever merges, so the aggregated telemetry is
-            # deterministic at any worker count or failure pattern.
-            for i in sorted(snapshots):
-                obs.merge_task_snapshot(snapshots[i], i)
+                    obs.METRICS.inc("executor.tasks_recovered")
             next_pending: list[int] = []
             retried = 0
             for i, error in failed.items():
                 attempts[i] += 1
                 if attempts[i] > self.task_retries:
                     error.reraise()
-                self._record("retries")
+                obs.METRICS.inc("executor.retries")
                 obs.TRACER.instant("executor.retry", task=i, attempt=attempts[i])
                 retried = max(retried, attempts[i])
                 next_pending.append(i)
             if timed_out is not None:
                 attempts[timed_out] += 1
-                self._record("timeouts")
+                obs.METRICS.inc("executor.timeouts")
                 obs.TRACER.instant("executor.timeout", task=timed_out,
                                    attempt=attempts[timed_out])
                 if attempts[timed_out] > self.task_retries:
@@ -574,7 +511,7 @@ class Executor:
                         f"task {timed_out} exceeded the {self.task_timeout}s "
                         f"deadline on attempt {attempts[timed_out]}"
                     )
-                self._record("retries")
+                obs.METRICS.inc("executor.retries")
                 retried = max(retried, attempts[timed_out])
                 next_pending.append(timed_out)
             for i in unfinished:
@@ -599,9 +536,9 @@ class Executor:
                         fn, tasks, state_factory, sorted(next_pending), deliver
                     )
                     recovered = len(stranded.intersection(next_pending))
-                    self._record("tasks_recovered", recovered)
+                    obs.METRICS.inc("executor.tasks_recovered", recovered)
                     return
-                self._record("pool_restarts")
+                obs.METRICS.inc("executor.pool_restarts")
                 obs.TRACER.instant(
                     "executor.pool_restart",
                     round=restarts,
@@ -649,12 +586,12 @@ class Executor:
                 # slice expired the wait simply continues.
 
     def _note_stall(self, index: int, waited: float) -> None:
-        """Grade a long wait: bump ``stalls`` and emit one
+        """Grade a long wait: bump ``executor.stalls`` and emit one
         ``executor.stall`` instant, enriched with the culprit worker's
         freshest heartbeat (pid / RSS high-water / open spans) when the
         heartbeat channel is on.  Observation only — the caller's wait
         is not shortened, lengthened or resolved by this."""
-        self._record("stalls")
+        obs.METRICS.inc("executor.stalls")
         attrs: dict = {
             "task": index,
             "waited": round(waited, 3),
@@ -675,13 +612,14 @@ class Executor:
         delivering each value the moment it is gathered.
 
         Returns ``(completed, failed, timed_out, unfinished, unsubmitted,
-        broken, snapshots)``: the delivered indices, task-raised
-        :class:`_TaskError` by index, the index of the first task past
-        its deadline (or ``None``), the indices whose fate is unknown
-        (worker died / round abandoned), the indices never submitted
-        because the pool broke during submission, whether the pool
-        broke, and the telemetry snapshots of the completed tasks by
-        index.  Raises
+        broken)``: the delivered indices, task-raised :class:`_TaskError`
+        by index, the index of the first task past its deadline (or
+        ``None``), the indices whose fate is unknown (worker died /
+        round abandoned), the indices never submitted because the pool
+        broke during submission, and whether the pool broke.  Each
+        delivered task's snapshot is merged as the gather takes its
+        value, in task order within the round, so exactly one snapshot
+        per task ever merges.  Raises
         :class:`_PoolUnavailable` only for errors no task can produce
         (fork failure, payload pickling) — a bug inside ``fn`` can
         never take that exit.  Any exception leaving the gather (a
@@ -690,10 +628,9 @@ class Executor:
         """
         workers = min(self.jobs, len(indices))
         plan_spec = self.fault_plan.spec if self.fault_plan else ""
-        obs_spec = obs.enabled_state() if any(obs.enabled_state()) else None
+        obs_spec = obs.enabled_state()
         completed: set[int] = set()
         failed: dict[int, _TaskError] = {}
-        snapshots: dict[int, dict | None] = {}
         unfinished: list[int] = []
         timed_out: int | None = None
         broken = False
@@ -702,11 +639,9 @@ class Executor:
             if isinstance(value, _TaskError):
                 failed[i] = value
                 return
-            if isinstance(value, _TaskResult):
-                snapshots[i] = value.snapshot
-                value = value.value
+            obs.merge_task_snapshot(value.snapshot, i)
             completed.add(i)
-            deliver(i, value)
+            deliver(i, value.value)
 
         try:
             pool = ProcessPoolExecutor(
@@ -768,6 +703,4 @@ class Executor:
                 _terminate_pool_processes(pool)
             pool.shutdown(wait=False, cancel_futures=True)
         unsubmitted = [i for i in indices if i not in futures]
-        return (
-            completed, failed, timed_out, unfinished, unsubmitted, broken, snapshots
-        )
+        return completed, failed, timed_out, unfinished, unsubmitted, broken

@@ -27,6 +27,11 @@ miss and moved aside to ``<root>/quarantine/<kind>/`` under a
 collision-safe name — never unlinked, so the bad bytes stay available
 for a postmortem and a reader that lost the atomic-replace race cannot
 delete a concurrently re-written good artifact.
+
+Every lookup and write is counted in :data:`repro.obs.METRICS`:
+``store.<hits|misses|puts>`` and the same per kind
+(``store.hits.separation``), plus ``store.quarantined`` and
+``store.put_errors``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import os
 import tempfile
 import warnings
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -112,30 +117,10 @@ class Artifact:
     meta: Mapping[str, object]
 
 
-@dataclass
-class StoreStats:
-    """Hit/miss/put counters, per kind and total.
-
-    The attributes and ``by_kind`` dict are the stable, always-on view;
-    every bump is mirrored into the process-wide
-    :data:`repro.obs.METRICS` registry (``store.<slot>`` and
-    ``store.<slot>.<kind>``) when metrics are enabled, which is where
-    the campaign manifest's per-entry cache metrics come from.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    quarantined: int = 0
-    put_errors: int = 0
-    by_kind: dict = field(default_factory=dict)
-
-    def _bump(self, kind: str, slot: str) -> None:
-        entry = self.by_kind.setdefault(kind, {"hits": 0, "misses": 0, "puts": 0})
-        entry[slot] += 1
-        setattr(self, slot, getattr(self, slot) + 1)
-        obs.METRICS.inc(f"store.{slot}")
-        obs.METRICS.inc(f"store.{slot}.{kind}")
+def _count(kind: str, slot: str) -> None:
+    """Bump ``store.<slot>`` and its per-kind ``store.<slot>.<kind>``."""
+    obs.METRICS.inc(f"store.{slot}")
+    obs.METRICS.inc(f"store.{slot}.{kind}")
 
 
 class ArtifactStore:
@@ -166,7 +151,6 @@ class ArtifactStore:
         self.fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan.from_env()
         )
-        self.stats = StoreStats()
         self._put_ordinal = 0
 
     # ------------------------------------------------------------------ paths
@@ -198,7 +182,6 @@ class ArtifactStore:
                 if target.exists():
                     continue
                 path.rename(target)
-                self.stats.quarantined += 1
                 obs.METRICS.inc("store.quarantined")
                 obs.TRACER.instant(
                     "store.quarantine", kind=kind, source=str(path),
@@ -217,7 +200,7 @@ class ArtifactStore:
         path = self.path_for(kind, key)
         with obs.TRACER.span("store.get", kind=kind, key=key[:8]) as span:
             if not path.is_file():
-                self.stats._bump(kind, "misses")
+                _count(kind, "misses")
                 span.set(outcome="miss")
                 return None
             try:
@@ -240,10 +223,10 @@ class ArtifactStore:
                 # A half-written, foreign or bit-rotted file: set it aside
                 # and rebuild.
                 self._quarantine(path, kind)
-                self.stats._bump(kind, "misses")
+                _count(kind, "misses")
                 span.set(outcome="corrupt", error=type(exc).__name__)
                 return None
-            self.stats._bump(kind, "hits")
+            _count(kind, "hits")
             span.set(outcome="hit")
             return Artifact(kind=kind, key=key, arrays=arrays, meta=meta)
 
@@ -281,7 +264,7 @@ class ArtifactStore:
             except BaseException:
                 Path(tmp).unlink(missing_ok=True)
                 raise
-        self.stats._bump(kind, "puts")
+        _count(kind, "puts")
         ordinal = self._put_ordinal
         self._put_ordinal += 1
         if self.fault_plan and self.fault_plan.match("put", ordinal) == "corrupt":
@@ -310,7 +293,6 @@ class ArtifactStore:
         try:
             self.put(kind, key, arrays, meta)
         except OSError as exc:
-            self.stats.put_errors += 1
             obs.METRICS.inc("store.put_errors")
             obs.TRACER.instant(
                 "store.degraded", kind=kind, key=key[:8],

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles.faultsim import reference_gate_leakage_na
+from repro import obs
 from repro.faultsim.coverage import detection_matrix, evaluate_coverage
 from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import (
@@ -259,12 +260,15 @@ class TestStateReuse:
         num_inputs = len(circuit.input_names)
         a = random_patterns(num_inputs, 24, seed=10)
         b = random_patterns(num_inputs, 48, seed=11)
+        mark = obs.METRICS.mark()
         first = engine.prepared_values(a)
         assert engine.prepared_values(a.copy()) is first  # equal content hits
         assert engine.prepared_values(a.astype(np.int64)) is not first  # dtype
         engine.prepared_values(b)
         engine.prepared_values(a)  # the slot now holds b: re-simulated
-        assert engine.state_stats == {"full": 4, "hits": 1}
+        delta = obs.METRICS.delta_since(mark)
+        assert delta["engine.state.full"] == 4
+        assert delta["engine.state.hits"] == 1
 
     def test_patched_and_hit_states_stay_exact(self, setup):
         circuit, partition, defects, _ = setup

@@ -3,8 +3,7 @@
 Worker snapshots must merge into a parent trace that is a
 deterministic function of the task list — identical counters and
 ``task:<index>`` attribution at any worker count — and fault-injected
-runs must account every retry/timeout/restart in both the public
-:class:`ExecutorStats` and the metrics registry.
+runs must account every retry/timeout/restart in the metrics registry.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import warnings
 import pytest
 
 from repro import obs
-from repro.runtime.executor import MAX_POOL_RESTARTS, Executor, ExecutorStats
+from repro.runtime.executor import MAX_POOL_RESTARTS, Executor
 from repro.runtime.faults import FaultPlan
 
 
@@ -53,6 +52,19 @@ class TestDeterministicMerge:
         assert counters["worker.calls"] == 8
         assert sites == ["main"]  # no process boundary, no re-attribution
 
+    def test_counts_merge_before_on_result(self):
+        # The gather merges each task's counts, in task order, before
+        # on_result sees the task's value.
+        calls = []
+        Executor(2).map(
+            traced_square,
+            range(4),
+            on_result=lambda i, value: calls.append(
+                obs.METRICS.counters().get("worker.calls")
+            ),
+        )
+        assert calls == [1, 2, 3, 4]
+
     def test_map_span_wraps_the_run(self):
         obs.enable(trace=True)
         Executor(2).map(traced_square, range(4))
@@ -60,42 +72,40 @@ class TestDeterministicMerge:
         assert span[6]["tasks"] == 4
 
     def test_disabled_ships_no_snapshots(self):
-        # With telemetry off the result path must carry plain values —
-        # nothing recorded in the parent either.
+        # With tracing and reporting off the workers' counts still
+        # reach the parent's registry; no span events do.
         result = Executor(2).map(traced_square, range(4))
         assert result == [0, 1, 4, 9]
         assert obs.TRACER.events() == []
-        assert obs.METRICS.counters() == {}
+        counters = obs.METRICS.counters()
+        assert counters["worker.calls"] == 4
+        assert counters["worker.value"] == sum(range(4))
+        assert counters["executor.tasks"] == 4
 
 
 class TestFaultCounters:
     def test_transient_error_counts_one_retry(self):
-        obs.enable(metrics=True)
         executor = Executor(
             2, task_retries=1, fault_plan=FaultPlan.parse("task:1:error")
         )
         executor.map(traced_square, range(6))
-        assert executor.stats.retries == 1
-        assert executor.stats.timeouts == 0
-        assert executor.stats.pool_restarts == 0
-        assert obs.METRICS.counters()["executor.retries"] == 1
+        counters = obs.METRICS.counters()
+        assert counters["executor.retries"] == 1
+        assert "executor.timeouts" not in counters
+        assert "executor.pool_restarts" not in counters
 
     def test_crash_counts_restart_and_recovery(self):
-        obs.enable(metrics=True)
         executor = Executor(2, fault_plan=FaultPlan.parse("task:2:crash"))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             executor.map(traced_square, range(8))
-        assert executor.stats.pool_restarts == 1
-        assert executor.stats.retries == 0  # crashes charge no retry budget
-        assert executor.stats.tasks_recovered >= 1
         counters = obs.METRICS.counters()
         assert counters["executor.pool_restarts"] == 1
-        assert counters["executor.tasks_recovered"] == executor.stats.tasks_recovered
+        assert "executor.retries" not in counters  # crashes charge no budget
+        assert counters["executor.tasks_recovered"] >= 1
 
     def test_hang_counts_timeout_and_retry(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "30")
-        obs.enable(metrics=True)
         executor = Executor(
             2,
             task_timeout=0.5,
@@ -103,28 +113,14 @@ class TestFaultCounters:
             fault_plan=FaultPlan.parse("task:0:hang"),
         )
         executor.map(traced_square, range(4))
-        assert executor.stats.timeouts == 1
-        assert executor.stats.retries == 1
-        assert obs.METRICS.counters()["executor.timeouts"] == 1
+        counters = obs.METRICS.counters()
+        assert counters["executor.timeouts"] == 1
+        assert counters["executor.retries"] == 1
 
     def test_serial_fallback_counts(self):
-        obs.enable(metrics=True)
         executor = Executor(2, fault_plan=FaultPlan.parse("task:2:crash:10"))
         with pytest.warns(RuntimeWarning, match="serial"):
             executor.map(traced_square, range(5))
-        assert executor.stats.serial_fallbacks == 1
-        assert executor.stats.pool_restarts == MAX_POOL_RESTARTS
-        assert obs.METRICS.counters()["executor.serial_fallbacks"] == 1
-
-    def test_stats_are_per_executor_and_dictable(self):
-        executor = Executor(1)
-        executor.map(traced_square, range(3))
-        assert executor.stats == ExecutorStats()
-        assert executor.stats.as_dict() == {
-            "retries": 0,
-            "timeouts": 0,
-            "pool_restarts": 0,
-            "serial_fallbacks": 0,
-            "tasks_recovered": 0,
-            "stalls": 0,
-        }
+        counters = obs.METRICS.counters()
+        assert counters["executor.serial_fallbacks"] == 1
+        assert counters["executor.pool_restarts"] == MAX_POOL_RESTARTS

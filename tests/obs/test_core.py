@@ -10,10 +10,13 @@ from repro.obs.core import LOCAL_SITE, _NULL_SPAN
 
 class TestMetrics:
     def test_disabled_records_nothing(self):
+        # The registry counts with reporting off; the tracer records
+        # no events while disabled.
         obs.METRICS.inc("x")
-        obs.METRICS.gauge("g", 7)
-        assert obs.METRICS.counters() == {}
-        assert obs.METRICS.gauges() == {}
+        with obs.TRACER.span("s"):
+            obs.TRACER.instant("i")
+        assert obs.METRICS.counters() == {"x": 1}
+        assert obs.TRACER.events() == []
 
     def test_counters_sum_and_filter(self):
         obs.enable(metrics=True)
@@ -30,13 +33,11 @@ class TestMetrics:
         obs.METRICS.inc("b", 2)
         assert obs.METRICS.delta_since(mark) == {"b": 2}
 
-    def test_merge_sums_counters_last_writes_gauges(self):
+    def test_merge_sums_counters(self):
         obs.enable(metrics=True)
         obs.METRICS.inc("n", 1)
-        obs.METRICS.gauge("g", 1)
-        obs.METRICS.merge({"n": 4, "m": 2}, {"g": 9})
+        obs.METRICS.merge({"n": 4, "m": 2})
         assert obs.METRICS.counters() == {"n": 5, "m": 2}
-        assert obs.METRICS.gauges() == {"g": 9}
 
 
 class TestTracer:

@@ -3,9 +3,8 @@
 Every result here is produced twice — instrumentation off, then on —
 and compared bit-for-bit (arrays) or field-for-field modulo the
 explicitly timing-valued fields (``seconds``, per-entry ``metrics``).
-Also covers the unified stats views: the always-on ``StoreStats`` /
-``state_stats`` attributes keep their values while mirroring into the
-metrics registry.
+Also covers the one count store: the artifact store and the coverage
+engine count into the metrics registry whether or not reporting is on.
 """
 
 from __future__ import annotations
@@ -152,14 +151,12 @@ class TestUnifiedStatsViews:
         assert store.get("demo", key) is None
         store.put("demo", key, {"x": np.arange(4)})
         assert store.get("demo", key) is not None
-        # Always-on attribute view unchanged...
-        assert (store.stats.hits, store.stats.misses, store.stats.puts) == (
-            1, 1, 1,
-        )
-        assert store.stats.by_kind["demo"] == {"hits": 1, "misses": 1, "puts": 1}
-        # ...and the same counts in the registry, total and per kind.
+        # The counts in the registry, total and per kind.
         counters = obs.METRICS.counters("store.")
         assert counters["store.hits"] == 1
+        assert counters["store.misses"] == 1
+        assert counters["store.puts"] == 1
+        assert counters["store.hits.demo"] == 1
         assert counters["store.misses.demo"] == 1
         assert counters["store.puts.demo"] == 1
 
@@ -169,16 +166,57 @@ class TestUnifiedStatsViews:
         patterns = random_patterns(len(c17_paper.input_names), 8, seed=1)
         engine.prepared_values(patterns)
         engine.prepared_values(patterns)  # content hit on the revisit
-        stats = engine.state_stats
         counters = obs.METRICS.counters("engine.state.")
-        assert stats["full"] == 1
-        assert stats["hits"] == 1
         assert counters["engine.state.full"] == 1
         assert counters["engine.state.hits"] == 1
 
     def test_metrics_disabled_views_still_work(self, tmp_path):
+        # Reporting off: counts arrive, span events and per-entry
+        # manifest metrics do not.
         store = ArtifactStore(tmp_path / "cache")
         key = "cd" * 20
         store.get("demo", key)
-        assert store.stats.misses == 1
-        assert obs.METRICS.counters() == {}
+        assert obs.METRICS.counters("store.") == {
+            "store.misses": 1, "store.misses.demo": 1,
+        }
+        manifest = run_campaign(
+            CampaignConfig(
+                circuits=("c17",), stages=("separation",), jobs=1,
+                cache_dir=str(tmp_path / "campaign"),
+            )
+        )
+        assert all("metrics" not in e for e in manifest["entries"])
+        assert manifest["totals"]["store"] == {
+            "hits": 0, "misses": 1, "puts": 1, "quarantined": 0,
+        }
+        assert obs.METRICS.counters("store.")["store.puts.separation"] == 1
+        assert obs.TRACER.events() == []
+
+
+class TestOneCountStore:
+    def test_counts_equal_across_jobs_and_reporting(self, tmp_path, monkeypatch):
+        # jobs 1 runs the stages in this process, jobs 2 one circuit
+        # task per worker; reporting only adds per-entry metrics.
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        runs = []
+        for n, (jobs, report) in enumerate([(1, False), (2, False), (2, True)]):
+            obs.enable(metrics=report)
+            mark = obs.METRICS.mark()
+            manifest = run_campaign(
+                CampaignConfig(
+                    circuits=("c432", "c880"), jobs=jobs,
+                    cache_dir=str(tmp_path / f"cache-{n}"),
+                )
+            )
+            counts = obs.METRICS.delta_since(mark)
+            # Timing-valued, and counted only in pool workers.
+            counts.pop("executor.task_seconds", None)
+            counts.pop("executor.tasks", None)
+            totals = manifest["totals"]
+            runs.append((counts, totals["store"], totals["executor"]))
+        assert runs[0] == runs[1] == runs[2]
+        counts, store, executor = runs[0]
+        assert store == {"hits": 2, "misses": 8, "puts": 8, "quarantined": 0}
+        assert not any(executor.values())
+        assert counts["store.puts"] == 8
+        assert counts["backend.full_pass"] > 0

@@ -36,7 +36,7 @@ from repro.obs.live import (
     write_status,
 )
 from repro.obs.sinks import export_prometheus, prometheus_text
-from repro.runtime.executor import Executor, executor_stats_snapshot
+from repro.runtime.executor import Executor
 from repro.runtime.faults import FaultPlan
 from repro.runtime.parallel import sharded_detection_matrix
 
@@ -231,8 +231,9 @@ class TestStallDetection:
         assert executor.stall_after == pytest.approx(0.75)
         with pytest.raises(TaskTimeoutError):
             executor.map(square, range(4))
-        assert executor.stats.stalls == 1
-        assert executor.stats.timeouts == 1
+        counters = obs.METRICS.counters()
+        assert counters["executor.stalls"] == 1
+        assert counters["executor.timeouts"] == 1
         events = obs.TRACER.events()
         stall = [n for n, e in enumerate(events) if e[1] == "executor.stall"]
         hard = [n for n, e in enumerate(events) if e[1] == "executor.timeout"]
@@ -256,7 +257,7 @@ class TestStallDetection:
         )
         with pytest.raises(TaskTimeoutError):
             executor.map(square, range(4))
-        assert executor.stats.stalls == 1
+        assert obs.METRICS.counters()["executor.stalls"] == 1
         stall = [e for e in obs.TRACER.events() if e[1] == "executor.stall"]
         assert len(stall) == 1
         assert "pid" not in stall[0][6]  # nothing to enrich from
@@ -267,21 +268,25 @@ class TestStallDetection:
         obs.enable(trace=True)
         executor = Executor(2, stall_after=0.2)
         assert executor.map(slow_square, range(2)) == [0, 1]
-        assert executor.stats.stalls >= 1
-        assert executor.stats.timeouts == 0
-        assert executor.stats.retries == 0
+        counters = obs.METRICS.counters()
+        assert counters["executor.stalls"] >= 1
+        assert "executor.timeouts" not in counters
+        assert "executor.retries" not in counters
 
     def test_no_stall_under_threshold(self):
         executor = Executor(2, stall_after=30.0, task_timeout=60.0)
         assert executor.map(square, range(4)) == [0, 1, 4, 9]
-        assert executor.stats.stalls == 0
+        assert "executor.stalls" not in obs.METRICS.counters()
 
     def test_global_snapshot_accumulates(self):
-        before = executor_stats_snapshot()
-        executor = Executor(2, stall_after=0.2)
-        executor.map(slow_square, range(2))
-        after = executor_stats_snapshot()
-        assert after["stalls"] - before["stalls"] == executor.stats.stalls
+        # The registry outlives the executor and counts one stall per
+        # executor.stall instant.
+        obs.enable(trace=True)
+        mark = obs.METRICS.mark()
+        Executor(2, stall_after=0.2).map(slow_square, range(2))
+        stalls = [e for e in obs.TRACER.events() if e[1] == "executor.stall"]
+        assert stalls
+        assert obs.METRICS.delta_since(mark)["executor.stalls"] == len(stalls)
 
 
 # ------------------------------------------------------------------- ledger
@@ -376,13 +381,10 @@ class TestPrometheusSink:
         obs.enable(metrics=True)
         obs.METRICS.inc("executor.stalls", 2)
         obs.METRICS.inc("store.hits.detection-matrix")
-        obs.METRICS.gauge("cache.size_mb", 1.5)
         text = prometheus_text()
         assert "# TYPE repro_executor_stalls_total counter" in text
         assert "repro_executor_stalls_total 2" in text
         assert "repro_store_hits_detection_matrix_total 1" in text
-        assert "# TYPE repro_cache_size_mb gauge" in text
-        assert "repro_cache_size_mb 1.5" in text
 
     def test_empty_registry_renders_empty(self):
         assert prometheus_text() == ""

@@ -1,4 +1,4 @@
-"""Sinks and the trace report: JSONL, Chrome trace export, summarizer."""
+"""Sinks and the trace report: Chrome trace export, summarizer."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from repro import obs
 from repro.errors import ExperimentError
 from repro.obs.report import load_trace_events, render_trace_report, summarize_trace
-from repro.obs.sinks import chrome_trace_dict, export_chrome_trace, write_jsonl
+from repro.obs.sinks import chrome_trace_dict, export_chrome_trace
 
 
 def _record_sample():
@@ -23,26 +23,9 @@ def _record_sample():
         {
             "events": [("span", "worker.op", 100, 50, 0, "main", None)],
             "counters": {"sample.count": 2},
-            "gauges": {},
         },
         task_index=1,
     )
-
-
-class TestJsonl:
-    def test_events_and_counters_written(self, tmp_path):
-        _record_sample()
-        path = write_jsonl(tmp_path / "log" / "events.jsonl")
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        types = [r["type"] for r in records]
-        assert types.count("span") == 3
-        assert types.count("instant") == 1
-        assert types[-1] == "counters"
-        assert records[-1]["counters"]["sample.count"] == 5
-        degraded = next(r for r in records if r["type"] == "instant")
-        assert degraded["attrs"]["error"] == "disk full"
-        worker = next(r for r in records if r["name"] == "worker.op")
-        assert worker["site"] == "task:1"
 
 
 class TestChromeTrace:
@@ -66,6 +49,7 @@ class TestChromeTrace:
         assert any(s["tid"] == worker_tid for s in spans)
         instants = [e for e in events if e["ph"] == "i"]
         assert instants and instants[0]["s"] == "t"
+        assert instants[0]["args"] == {"error": "disk full"}
         # Timestamps rebased: the earliest event sits at ts 0.
         assert min(e["ts"] for e in spans + instants) == 0.0
         assert document["otherData"]["counters"]["sample.count"] == 5

@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor, wait
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import (
     ExperimentError,
     FaultInjectionError,
@@ -185,13 +186,15 @@ class TestExecutorRecovery:
         # fallback).
         paused = self._pause_submit_after_task_2(monkeypatch)
         executor = Executor(2, fault_plan=FaultPlan.parse("task:2:crash"))
+        mark = obs.METRICS.mark()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = executor.map(square, range(8))
         assert result == [t * t for t in range(8)]
         assert paused == [2]
-        assert executor.stats.pool_restarts == 1
-        assert executor.stats.serial_fallbacks == 0
+        delta = obs.METRICS.delta_since(mark)
+        assert delta["executor.pool_restarts"] == 1
+        assert "executor.serial_fallbacks" not in delta
 
     def test_unsubmitted_tasks_keep_their_attempt(self, monkeypatch):
         # Task 5 is never submitted in the broken round, so its first
@@ -200,12 +203,14 @@ class TestExecutorRecovery:
         self._pause_submit_after_task_2(monkeypatch)
         plan = FaultPlan.parse("task:2:crash;task:5:crash")
         executor = Executor(2, fault_plan=plan)
+        mark = obs.METRICS.mark()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = executor.map(square, range(8))
         assert result == [t * t for t in range(8)]
-        assert executor.stats.pool_restarts == 2
-        assert executor.stats.serial_fallbacks == 0
+        delta = obs.METRICS.delta_since(mark)
+        assert delta["executor.pool_restarts"] == 2
+        assert "executor.serial_fallbacks" not in delta
 
     def test_persistent_crash_falls_back_to_serial(self):
         # A pool that keeps dying is bounded by MAX_POOL_RESTARTS, then
@@ -263,10 +268,11 @@ class TestOnResult:
     def test_fires_once_per_task_after_pool_restart(self):
         seen = []
         executor = Executor(2, fault_plan=FaultPlan.parse("task:2:crash"))
+        mark = obs.METRICS.mark()
         result = executor.map(
             square, range(8), on_result=lambda i, value: seen.append((i, value))
         )
-        assert executor.stats.pool_restarts == 1
+        assert obs.METRICS.delta_since(mark)["executor.pool_restarts"] == 1
         assert result == [t * t for t in range(8)]
         assert sorted(seen) == list(enumerate(result))
 
@@ -302,9 +308,10 @@ class TestStoreFaults:
         store = ArtifactStore(
             tmp_path / "cache", fault_plan=FaultPlan.parse("put:0:corrupt")
         )
+        mark = obs.METRICS.mark()
         store.put("test", KEY, {"x": np.arange(5)}, {})
         assert store.get("test", KEY) is None  # corrupt → miss
-        assert store.stats.quarantined == 1
+        assert obs.METRICS.delta_since(mark)["store.quarantined"] == 1
         # The rebuild's put (ordinal 1) is past the plan: cache heals.
         artifact, hit = store.fetch(
             "test", KEY, lambda: ({"x": np.arange(5)}, {})
@@ -329,8 +336,9 @@ class TestStoreFaults:
         assert tampered is not None
         assert np.array_equal(tampered.arrays["x"], np.arange(4) + 1)
         verifying = ArtifactStore(root, verify=True)
+        mark = obs.METRICS.mark()
         assert verifying.get("test", KEY) is None
-        assert verifying.stats.quarantined == 1
+        assert obs.METRICS.delta_since(mark)["store.quarantined"] == 1
 
     def test_verify_resolves_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_VERIFY", "1")
@@ -351,6 +359,7 @@ class TestStoreFaults:
         blocker = tmp_path / "blocker"
         blocker.write_text("occupied")
         store = ArtifactStore(blocker / "cache")
+        mark = obs.METRICS.mark()
         with pytest.warns(RuntimeWarning, match="without cache"):
             artifact, hit = store.fetch(
                 "test", KEY, lambda: ({"x": np.arange(3)}, {"n": 3})
@@ -358,7 +367,7 @@ class TestStoreFaults:
         assert not hit
         assert np.array_equal(artifact.arrays["x"], np.arange(3))
         assert artifact.meta == {"n": 3}
-        assert store.stats.put_errors == 1
+        assert obs.METRICS.delta_since(mark)["store.put_errors"] == 1
 
     def test_campaign_survives_unwritable_cache(self, tmp_path, no_fault_env):
         blocker = tmp_path / "blocker"

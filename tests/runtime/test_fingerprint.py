@@ -66,7 +66,7 @@ class TestValueFingerprint:
             CostWeights(area=10.0)
         )
         assert fp.fingerprint_value(RuntimeConfig()) != fp.fingerprint_value(
-            RuntimeConfig(defect_parallel=True)
+            RuntimeConfig(heartbeat=0.5)
         )
 
     def test_unknown_type_raises(self):

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.separation import SeparationMatrix
 from repro.netlist.benchmarks import load_iscas85
 from repro.runtime import fingerprint as fp
@@ -90,9 +91,11 @@ class TestRoundTrip:
         assert store.get("test", KEY).meta == meta
 
     def test_miss_returns_none_and_counts(self, store):
+        mark = obs.METRICS.mark()
         assert store.get("test", KEY) is None
-        assert store.stats.misses == 1
-        assert store.stats.hits == 0
+        delta = obs.METRICS.delta_since(mark)
+        assert delta["store.misses"] == 1
+        assert "store.hits" not in delta
 
     def test_fetch_memoizes(self, store):
         calls = []
@@ -165,6 +168,7 @@ class TestInvalidation:
 
 class TestRobustness:
     def test_corrupt_file_is_a_miss_and_quarantined(self, store):
+        mark = obs.METRICS.mark()
         store.put("test", KEY, {"x": np.arange(3)}, {})
         path = store.path_for("test", KEY)
         path.write_bytes(b"not a zip file")
@@ -175,9 +179,10 @@ class TestRobustness:
         quarantined = sorted(store.quarantine_dir("test").glob("*.npz"))
         assert len(quarantined) == 1
         assert quarantined[0].read_bytes() == b"not a zip file"
-        assert store.stats.quarantined == 1
+        assert obs.METRICS.delta_since(mark)["store.quarantined"] == 1
 
     def test_quarantine_names_are_collision_safe(self, store):
+        mark = obs.METRICS.mark()
         for payload in (b"corrupt one", b"corrupt two"):
             store.put("test", KEY, {"x": np.arange(3)}, {})
             store.path_for("test", KEY).write_bytes(payload)
@@ -188,7 +193,7 @@ class TestRobustness:
             b"corrupt one",
             b"corrupt two",
         }
-        assert store.stats.quarantined == 2
+        assert obs.METRICS.delta_since(mark)["store.quarantined"] == 2
 
     def test_reserved_array_name_rejected(self, store):
         with pytest.raises(ValueError, match="reserved"):
