@@ -27,9 +27,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles.faultsim import ReferenceStuckAtSimulator, reference_generate_iddq_tests
+from oracles.faultsim import (
+    ReferenceStuckAtSimulator,
+    detection_matrix as reference_detection_matrix,
+    reference_generate_iddq_tests,
+)
 from repro.faultsim.atpg import generate_iddq_tests
-from repro.faultsim.coverage import detection_matrix as reference_detection_matrix
 from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
 from repro.faultsim.patterns import random_patterns

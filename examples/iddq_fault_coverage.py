@@ -13,7 +13,7 @@ Run:  python examples/iddq_fault_coverage.py [circuit] [vectors]
 import random
 import sys
 
-from repro.faultsim.coverage import evaluate_coverage
+from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
 from repro.faultsim.patterns import random_patterns
 from repro.netlist.benchmarks import load_iscas85
@@ -36,6 +36,7 @@ def main() -> None:
     print(f"{len(defects)} sampled defects with 0.5-8 uA defect currents\n")
 
     print(f"{'#sensors':>8}  {'worst eff. threshold':>22}  {'coverage':>9}")
+    engine = CoverageEngine(circuit)
     rng = random.Random(9)
     for k in (1, 2, 4, 8, 16):
         if k > len(circuit.gate_names):
@@ -44,7 +45,7 @@ def main() -> None:
             partition = Partition.single_module(circuit)
         else:
             partition = chain_start_partition(evaluator, k, rng)
-        report = evaluate_coverage(circuit, partition, defects, patterns)
+        report = engine.evaluate_coverage(partition, defects, patterns)
         print(
             f"{k:>8}  {report.worst_threshold_ua:>19.2f} uA"
             f"  {100 * report.coverage:>8.1f}%"

@@ -17,7 +17,6 @@ from repro.errors import OptimizationError
 __all__ = [
     "CostWeights",
     "EvolutionParams",
-    "RuntimeConfig",
     "SynthesisConfig",
 ]
 
@@ -107,80 +106,6 @@ class EvolutionParams:
 
 
 @dataclass(frozen=True)
-class RuntimeConfig:
-    """Runtime observability knobs (see :mod:`repro.obs`).
-
-    Attributes:
-        trace: record runtime spans on the process-wide tracer
-            (:mod:`repro.obs`); ``None`` defers to ``REPRO_TRACE`` and
-            then off.  Tracing never changes computed results — only
-            how the run is described.
-        metrics: report runtime counters — per-entry counter deltas in
-            campaign manifests and counters in heartbeat records (the
-            registry counts either way); ``None`` defers to
-            ``REPRO_METRICS`` and then off.  Enabled implicitly
-            alongside ``trace`` by consumers that export both (the
-            campaign runner's ``--trace``).
-        heartbeat: worker heartbeat interval in seconds (DESIGN.md
-            §12); ``None`` defers to ``REPRO_HEARTBEAT`` and then off
-            (0).  Like every observability knob, heartbeats change what
-            a run reports, never what it computes.
-        heartbeat_dir: run directory receiving the per-worker
-            ``hb-<pid>.jsonl`` heartbeat files; ``None`` defers to
-            ``REPRO_HEARTBEAT_DIR`` and then an executor- or
-            campaign-chosen default.
-        stall_after: soft stall threshold in seconds — the gather emits
-            an ``executor.stall`` instant for a task waited on this
-            long; ``None`` defers to ``REPRO_STALL_AFTER`` and then
-            half the hard ``task_timeout`` (off when no deadline).
-    """
-
-    trace: bool | None = None
-    metrics: bool | None = None
-    heartbeat: float | None = None
-    heartbeat_dir: str | None = None
-    stall_after: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.heartbeat is not None and self.heartbeat < 0:
-            raise OptimizationError("heartbeat must be >= 0 seconds (0 = off)")
-        if self.heartbeat_dir is not None and not self.heartbeat_dir:
-            raise OptimizationError(
-                "heartbeat_dir must be a non-empty path or None"
-            )
-        if self.stall_after is not None and self.stall_after <= 0:
-            raise OptimizationError("stall_after must be > 0 seconds")
-
-    def apply_observability(self) -> None:
-        """Flip the process-wide tracer/metrics singletons to match the
-        non-``None`` ``trace`` / ``metrics`` fields and push the
-        non-``None`` live-health knobs into their environment variables
-        (the channel that reaches pool workers); ``None`` keeps the
-        environment-derived state.  Called by flow entry points that
-        accept a config; imports lazily so the config module stays free
-        of runtime imports."""
-        if self.trace is not None or self.metrics is not None:
-            from repro import obs
-
-            obs.enable(trace=self.trace, metrics=self.metrics)
-        if (
-            self.heartbeat is not None
-            or self.heartbeat_dir is not None
-            or self.stall_after is not None
-        ):
-            import os
-
-            from repro.obs import live
-
-            if self.heartbeat is not None:
-                os.environ[live.HEARTBEAT_ENV] = str(self.heartbeat)
-            if self.heartbeat_dir is not None:
-                os.environ[live.HEARTBEAT_DIR_ENV] = self.heartbeat_dir
-            if self.stall_after is not None:
-                os.environ[live.STALL_AFTER_ENV] = str(self.stall_after)
-
-
-@dataclass(frozen=True)
 class SynthesisConfig:
     """End-to-end flow configuration.
 
@@ -193,6 +118,5 @@ class SynthesisConfig:
 
     weights: CostWeights = field(default_factory=CostWeights)
     evolution: EvolutionParams = field(default_factory=EvolutionParams)
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     time_resolved_degradation: bool = False
     seed: int = 1995

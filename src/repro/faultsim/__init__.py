@@ -13,9 +13,9 @@ claim is demonstrated rather than assumed:
   transistors (:mod:`~repro.faultsim.faults`);
 * per-vector, per-module quiescent current computation
   (:mod:`~repro.faultsim.iddq`);
-* coverage evaluation under a partition and threshold — the one-shot
-  reference in :mod:`~repro.faultsim.coverage`, the cached vectorised
-  :class:`~repro.faultsim.engine.CoverageEngine` for hot paths;
+* coverage evaluation under a partition and threshold on the cached,
+  vectorised :class:`~repro.faultsim.engine.CoverageEngine` (its
+  one-shot references live in ``tests/oracles/faultsim.py``);
 * pattern generation/compaction (:mod:`~repro.faultsim.patterns`) and
   the test-application-time model (:mod:`~repro.faultsim.testtime`).
 """
@@ -44,7 +44,7 @@ from repro.faultsim.stuck_at import (
     StuckAtSimulator,
     enumerate_stuck_at_faults,
 )
-from repro.faultsim.coverage import CoverageReport, evaluate_coverage
+from repro.faultsim.coverage import CoverageReport
 from repro.faultsim.patterns import exhaustive_patterns, random_patterns, compact_patterns
 from repro.faultsim.testtime import test_application_time
 
@@ -70,7 +70,6 @@ __all__ = [
     "StuckAtSimulator",
     "enumerate_stuck_at_faults",
     "CoverageReport",
-    "evaluate_coverage",
     "random_patterns",
     "exhaustive_patterns",
     "compact_patterns",

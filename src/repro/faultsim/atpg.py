@@ -14,18 +14,24 @@ with
 3. a **compaction phase** — greedy set cover keeps a minimal subset
    preserving coverage.
 
-The search runs on a persistent
-:class:`~repro.faultsim.engine.CoverageEngine`, whose exact module
-current bounds decide most defects before any simulation
-(:meth:`~repro.faultsim.engine.CoverageEngine.search_class`): a
-*futile* defect is never detected, and an *activation-only* defect's
+Each targeted search draws from its own stream,
+``random.Random(defect_stream_seed(seed, d))`` for the defect at index
+``d`` of the full list, so a search is a pure function of ``(seed, d)``
+and the test set is the same at any worker count: with ``jobs <= 1``
+the searches run in turn on the caller's
+:class:`~repro.faultsim.engine.CoverageEngine`, with more they shard
+across the process pool, one engine per worker
+(:func:`repro.runtime.parallel.sharded_targeted_searches`).  The
+engine's exact module current bounds decide most defects before any
+simulation (:meth:`~repro.faultsim.engine.CoverageEngine.search_class`):
+a *futile* defect is never detected, and an *activation-only* defect's
 whole walk is simulated in one batch of logic values (a few for a long
 walk).  Only the rest run the step-by-step hill-climb of
-:func:`_search_activating_vector`.  Each returns the step-by-step
-walk's vector and leaves the RNG where that walk leaves it.
-The reference in ``tests/oracles/faultsim.py`` drives the step-by-step
-search through the one-shot reference ``detection_matrix`` — the
-equivalence suite asserts both return the same test set, bit for bit.
+:func:`_search_activating_vector`; every class returns the vector that
+walk returns.  The reference in ``tests/oracles/faultsim.py`` runs the
+step-by-step search on the same streams through a one-shot detector —
+the equivalence suite asserts both return the same test set, bit for
+bit, at one and at two jobs.
 
 IDDQ test generation is fundamentally easier than logic ATPG: a defect
 needs only to be *activated* (no propagation to an output), which is why
@@ -37,7 +43,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -52,7 +57,7 @@ from repro.library.technology import Technology
 from repro.netlist.circuit import Circuit
 from repro.partition.partition import Partition
 
-__all__ = ["IDDQTestSet", "generate_iddq_tests"]
+__all__ = ["IDDQTestSet", "defect_stream_seed", "generate_iddq_tests"]
 
 #: ``detect(defects, patterns) -> (defects, patterns)`` boolean matrix.
 Detector = Callable[[Sequence[Defect], np.ndarray], np.ndarray]
@@ -98,6 +103,17 @@ class IDDQTestSet:
         )
 
 
+def defect_stream_seed(seed: int, defect_index: int) -> str:
+    """The RNG stream id of one defect's targeted search (DESIGN §9.4).
+
+    ``random.Random`` seeds strings deterministically (version-2 string
+    seeding is stable across platforms and Python releases), and the
+    index is the defect's position in the *full* defect list, so the
+    stream survives re-ordering of the undetected subset.
+    """
+    return f"{seed}:{defect_index}"
+
+
 def generate_iddq_tests(
     circuit: Circuit,
     partition: Partition,
@@ -110,7 +126,6 @@ def generate_iddq_tests(
     flip_budget: int = 24,
     compact: bool = True,
     engine: CoverageEngine | None = None,
-    defect_parallel: bool = False,
     jobs: int | None = None,
 ) -> IDDQTestSet:
     """Generate and compact an IDDQ test set for ``defects``.
@@ -124,72 +139,46 @@ def generate_iddq_tests(
         engine: reuse an existing :class:`CoverageEngine` (one is built
             when omitted; mutually exclusive with ``library`` /
             ``technology``, which a passed engine already carries).
-        defect_parallel: opt into the defect-parallel targeted phase —
-            one independent seeded RNG stream per defect (stream id
-            ``f"{seed}:{defect_index}"``), sharded across the runtime's
-            process pool.  Deterministic for a fixed seed at any worker
-            count, but a *different* walk than the serial reference's
-            single shared stream, so results differ from (and coverage
-            is pinned to be no worse than) the default mode.
-        jobs: worker count for the defect-parallel phase (``None``
-            defers to ``REPRO_JOBS``; only meaningful with
-            ``defect_parallel=True``).
+        jobs: worker count for the targeted searches (``None`` defers
+            to ``REPRO_JOBS``); the test set does not depend on it.
     """
     if engine is not None and (library is not None or technology is not None):
         raise FaultSimError(
             "pass either an engine or a library/technology, not both — "
             "the engine already carries its own characterisation"
         )
-    search_all = None
-    if defect_parallel:
-        worker_library = engine.sim.library if engine is not None else library
-        worker_technology = engine.technology if engine is not None else technology
-
-        def search_all(undetected_indices):
-            from repro.runtime.parallel import defect_parallel_targeted
-
-            return defect_parallel_targeted(
-                circuit,
-                partition,
-                defects,
-                undetected_indices,
-                seed=seed,
-                restarts=restarts,
-                flip_budget=flip_budget,
-                library=worker_library,
-                technology=worker_technology,
-                jobs=jobs,
-            )
-
     engine = engine or CoverageEngine(circuit, library, technology)
-    num_inputs = len(circuit.input_names)
+
+    def search(undetected: list[int]) -> dict[int, np.ndarray]:
+        from repro.runtime.parallel import sharded_targeted_searches
+
+        return sharded_targeted_searches(
+            engine, partition, defects, undetected, seed, restarts, flip_budget,
+            jobs=jobs,
+        )
+
     return _generate(
         lambda ds, ps: engine.detection_matrix(partition, ds, ps),
-        lambda defect, rng: _targeted_search(
-            engine, partition, defect, rng, num_inputs, restarts, flip_budget
-        ),
+        search,
         circuit,
         defects,
         seed,
         random_vectors,
         compact,
-        search_all=search_all,
     )
 
 
 def _generate(
     detect: Detector,
-    search: Callable[[Defect, random.Random], np.ndarray | None],
+    search: Callable[[list[int]], dict[int, np.ndarray]],
     circuit: Circuit,
     defects: Sequence[Defect],
     seed: int,
     random_vectors: int,
     compact: bool,
-    search_all: Callable[[list[int]], dict[int, np.ndarray]] | None = None,
 ) -> IDDQTestSet:
     if not defects:
         raise FaultSimError("no defects to target")
-    rng = random.Random(seed)
 
     with obs.TRACER.span("atpg.random", vectors=random_vectors):
         pool = random_patterns(len(circuit.input_names), random_vectors, seed=seed)
@@ -197,20 +186,10 @@ def _generate(
         detected = matrix.any(axis=1)
     random_count = int(detected.sum())
 
-    # Targeted phase: one search per missed defect.  The serial mode
-    # walks the defects in order through one shared RNG; a
-    # ``search_all`` override (the defect-parallel mode) supplies the
-    # found vectors for every undetected defect at once instead.
+    # Targeted phase: one search per missed defect, each on its own stream.
     undetected = [d for d in range(len(defects)) if not detected[d]]
     with obs.TRACER.span("atpg.targeted", defects=len(undetected)):
-        if search_all is not None:
-            found = search_all(undetected)
-        else:
-            found = {}
-            for d in undetected:
-                vector = search(defects[d], rng)
-                if vector is not None:
-                    found[d] = vector
+        found = search(undetected)
         if found:
             pool = np.vstack([pool, np.stack([found[d] for d in sorted(found)])])
             matrix = detect(defects, pool)
@@ -237,6 +216,29 @@ def _generate(
     )
 
 
+def _search_defects(
+    engine: CoverageEngine,
+    partition: Partition,
+    defects: Sequence[Defect],
+    seed: int,
+    restarts: int,
+    flip_budget: int,
+    indices: Sequence[int],
+) -> dict[int, np.ndarray]:
+    """``{index: vector}`` for each of ``defects[indices]`` whose
+    targeted search, on its own stream, finds one."""
+    num_inputs = len(engine.circuit.input_names)
+    found = {}
+    for d in indices:
+        rng = random.Random(defect_stream_seed(seed, d))
+        vector = _targeted_search(
+            engine, partition, defects[d], rng, num_inputs, restarts, flip_budget
+        )
+        if vector is not None:
+            found[d] = vector
+    return found
+
+
 def _targeted_search(
     engine: CoverageEngine,
     partition: Partition,
@@ -247,27 +249,22 @@ def _targeted_search(
     flip_budget: int,
 ) -> np.ndarray | None:
     """:func:`_search_activating_vector`'s result through ``engine``,
-    found the way :meth:`CoverageEngine.search_class` allows; ``rng``
-    ends where that walk leaves it, as the serial mode's shared stream
-    needs."""
+    found the way :meth:`CoverageEngine.search_class` allows; ``rng`` is
+    the defect's own stream, so a futile search draws nothing."""
     kind = engine.search_class(partition, defect)
     obs.METRICS.inc(f"atpg.search.{kind}")
+    if kind == "futile":
+        return None
     if kind == "walk":
         return _search_activating_vector(
             lambda ds, ps: engine.detection_matrix(partition, ds, ps),
             defect, rng, num_inputs, restarts, flip_budget,
         )
-    if kind == "futile":
-        for _ in _walk_steps(rng, num_inputs, restarts, flip_budget):
-            pass
-        return None
     # Activation only: no step steers the walk before a hit, so draw every
-    # step on a copy of the stream, simulate many steps' flip batches at
-    # once and take the first activating row in walk order.
-    draw = random.Random()
-    draw.setstate(rng.getstate())
+    # step, simulate many steps' flip batches at once and take the first
+    # activating row in walk order.
     steps = np.asarray(
-        list(_walk_steps(draw, num_inputs, restarts, flip_budget)), dtype=np.uint8
+        list(_walk_steps(rng, num_inputs, restarts, flip_budget)), dtype=np.uint8
     ).reshape(-1, num_inputs)
     flips = np.eye(num_inputs, dtype=np.uint8)
     per_batch = max(1, _WALK_BATCH_ROWS // (num_inputs + 1))
@@ -279,11 +276,7 @@ def _targeted_search(
         hit_steps = np.flatnonzero(active.any(axis=1))
         if hit_steps.size:
             step = int(hit_steps[0])
-            replay = _walk_steps(rng, num_inputs, restarts, flip_budget)
-            for _ in islice(replay, first + step + 1):
-                pass
             return batch[step, int(np.flatnonzero(active[step])[0])].copy()
-    rng.setstate(draw.getstate())
     return None
 
 
@@ -291,9 +284,7 @@ def _walk_steps(
     rng: random.Random, num_inputs: int, restarts: int, flip_budget: int
 ) -> Iterator[np.ndarray]:
     """The vectors :func:`_search_activating_vector` tries while it finds
-    nothing, drawn as it draws them: taking the first ``k`` leaves ``rng``
-    where a hit at the ``k``-th step leaves it, exhausting it where a
-    miss does."""
+    nothing, drawn from ``rng`` as it draws them."""
     for _ in range(restarts):
         vector = np.asarray(
             [rng.randint(0, 1) for _ in range(num_inputs)], dtype=np.uint8

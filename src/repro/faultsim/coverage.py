@@ -17,34 +17,23 @@ CUT has a big background, hence a raised threshold, hence misses small
 defect currents; per-module sensors keep ``th_eff == IDDQ_th`` (that is
 the discriminability constraint Γ) and catch them.
 
-:func:`detection_matrix` / :func:`evaluate_coverage` here are one-shot
-*reference* implementations (fresh simulator, per-defect Python loop).
-Hot paths — test generation, the experiments — run on the cached,
-vectorised :class:`~repro.faultsim.engine.CoverageEngine`, which must
-reproduce these functions exactly (asserted by the equivalence suite).
+Detection and coverage run on the cached, vectorised
+:class:`~repro.faultsim.engine.CoverageEngine`; this module holds the
+report it returns and the threshold rule.  The one-shot reference
+implementations (fresh simulator, per-defect Python loop) that the
+engine must reproduce exactly live in ``tests/oracles/faultsim.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from repro.faultsim.faults import Defect
-from repro.faultsim.iddq import IDDQSimulator
-from repro.library.default_lib import generic_technology
-from repro.library.library import CellLibrary
 from repro.library.technology import Technology
-from repro.netlist.circuit import Circuit
-from repro.partition.partition import Partition
 
-__all__ = [
-    "CoverageReport",
-    "effective_thresholds_ua",
-    "detection_matrix",
-    "evaluate_coverage",
-]
+__all__ = ["CoverageReport", "effective_thresholds_ua"]
 
 
 @dataclass(frozen=True)
@@ -86,65 +75,3 @@ def effective_thresholds_ua(
         module: max(nominal, d * float(series.max()))
         for module, series in fault_free.items()
     }
-
-
-def detection_matrix(
-    circuit: Circuit,
-    partition: Partition,
-    defects: Sequence[Defect],
-    patterns: np.ndarray,
-    library: CellLibrary | None = None,
-    technology: Technology | None = None,
-) -> np.ndarray:
-    """Boolean ``(defects, patterns)`` detection matrix.
-
-    Entry ``[d, p]`` is True when vector ``p`` makes some observing
-    module sensor measure at or above its effective threshold.
-    """
-    technology = technology or generic_technology()
-    sim = IDDQSimulator(circuit, library)
-    values = sim.simulate_values(patterns)
-    fault_free = sim.module_iddq_ua(partition, values)
-    thresholds = effective_thresholds_ua(fault_free, technology)
-    out = np.zeros((len(defects), patterns.shape[0]), dtype=bool)
-    for d, defect in enumerate(defects):
-        activation = sim.defect_activation_bits(defect, values).astype(bool)
-        for module in sim.observing_modules(defect, partition):
-            measured = fault_free[module] + activation * defect.current_ua
-            out[d] |= measured >= thresholds[module]
-    return out
-
-
-def evaluate_coverage(
-    circuit: Circuit,
-    partition: Partition,
-    defects: Sequence[Defect],
-    patterns: np.ndarray,
-    library: CellLibrary | None = None,
-    technology: Technology | None = None,
-) -> CoverageReport:
-    """Coverage of ``defects`` by ``patterns`` under ``partition``."""
-    technology = technology or generic_technology()
-    sim = IDDQSimulator(circuit, library)
-    values = sim.simulate_values(patterns)
-    fault_free = sim.module_iddq_ua(partition, values)
-    thresholds = effective_thresholds_ua(fault_free, technology)
-    detected = np.zeros(len(defects), dtype=bool)
-    for d, defect in enumerate(defects):
-        activation = sim.defect_activation_bits(defect, values).astype(bool)
-        for module in sim.observing_modules(defect, partition):
-            measured = fault_free[module] + activation * defect.current_ua
-            if bool((measured >= thresholds[module]).any()):
-                detected[d] = True
-                break
-    detected_ids = tuple(d.defect_id for d, hit in zip(defects, detected) if hit)
-    undetected_ids = tuple(d.defect_id for d, hit in zip(defects, detected) if not hit)
-    return CoverageReport(
-        num_defects=len(defects),
-        num_detected=int(detected.sum()),
-        detected_ids=detected_ids,
-        undetected_ids=undetected_ids,
-        num_patterns=patterns.shape[0],
-        num_modules=partition.num_modules,
-        thresholds_ua=thresholds,
-    )

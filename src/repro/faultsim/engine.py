@@ -1,12 +1,11 @@
 """The persistent, vectorised IDDQ coverage engine.
 
-:func:`repro.faultsim.coverage.detection_matrix` and
-:func:`~repro.faultsim.coverage.evaluate_coverage` are one-shot
-reference implementations: every call rebuilds the
-:class:`~repro.faultsim.iddq.IDDQSimulator` (leak tables included),
-re-simulates the fault-free circuit, regroups the partition's modules
-and loops over defects in Python.  That is fine for a single report and
-hopeless inside a search loop — the hill-climbing phase of
+The one-shot references ``detection_matrix`` and ``evaluate_coverage``
+in ``tests/oracles/faultsim.py`` rebuild the
+:class:`~repro.faultsim.iddq.IDDQSimulator` (leak tables included) on
+every call, re-simulate the fault-free circuit, regroup the partition's
+modules and loop over defects in Python.  That is fine for a single
+report and hopeless inside a search loop — the hill-climbing phase of
 :func:`~repro.faultsim.atpg.generate_iddq_tests` evaluates one small
 pattern batch per step, thousands of times.
 
@@ -69,7 +68,7 @@ class CoverageEngine:
 
     One engine per (circuit, library, technology); partitions, defect
     lists and pattern batches vary call to call.  Results are exactly
-    those of the reference functions in :mod:`repro.faultsim.coverage`.
+    those of the one-shot references in ``tests/oracles/faultsim.py``.
     """
 
     #: Most-recently-used slots for the observation-structure cache.

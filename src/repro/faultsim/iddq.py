@@ -226,12 +226,6 @@ class IDDQSimulator:
         return result
 
     # ---------------------------------------------------------------- defects
-    def defect_activation_bits(self, defect: Defect, values: NodeValues) -> np.ndarray:
-        """Unpacked 0/1 activation vector over patterns."""
-        packed = defect.activation(values)
-        bits = np.unpackbits(packed.view(np.uint8), bitorder="little")
-        return bits[: values.num_patterns]
-
     def observing_modules(self, defect: Defect, partition: Partition) -> tuple[int, ...]:
         index = self.circuit.gate_index
         modules = set()
@@ -243,24 +237,3 @@ class IDDQSimulator:
                 )
             modules.add(partition.module_of(gate_idx))
         return tuple(sorted(modules))
-
-    def defective_module_iddq_ua(
-        self,
-        defect: Defect,
-        partition: Partition,
-        values: NodeValues,
-        fault_free: dict[int, np.ndarray] | None = None,
-    ) -> dict[int, np.ndarray]:
-        """Per-module IDDQ with the defect present.
-
-        Note the logic values are the *fault-free* ones: IDDQ defects are
-        precisely those that leave (or may leave) the logic behaviour
-        intact while drawing static current — that is why logic testing
-        misses them and current testing finds them.
-        """
-        base = fault_free or self.module_iddq_ua(partition, values)
-        activation = self.defect_activation_bits(defect, values).astype(np.float64)
-        result = {module: series.copy() for module, series in base.items()}
-        for module in self.observing_modules(defect, partition):
-            result[module] = result[module] + activation * defect.current_ua
-        return result

@@ -34,7 +34,6 @@ def synthesize_iddq_testable(
     seed: int | None = None,
     starts: list[Partition] | None = None,
     evaluator: PartitionEvaluator | None = None,
-    store=None,
 ) -> IDDQDesign:
     """Produce an IDDQ-testable design for ``circuit``.
 
@@ -48,10 +47,6 @@ def synthesize_iddq_testable(
         evaluator: pre-built evaluation context to reuse (the context is
             circuit-specific and somewhat expensive; experiments that run
             several optimisers on one circuit share it).
-        store: an :class:`~repro.runtime.store.ArtifactStore`; when
-            given (and no ``evaluator`` was passed) the evaluator's
-            separation matrix is served from / saved to the
-            content-addressed cache instead of rebuilding the BFS.
 
     Raises:
         ConstraintError: when no feasible partition was found — e.g. a
@@ -59,24 +54,15 @@ def synthesize_iddq_testable(
         budget far too small for the circuit.
     """
     config = config or SynthesisConfig()
-    config.runtime.apply_observability()
     library = library or generic_library()
     technology = technology or generic_technology()
     if evaluator is None:
-        separation = None
-        if store is not None:
-            from repro.runtime.artifacts import cached_separation_matrix
-
-            separation, _ = cached_separation_matrix(
-                store, circuit, technology.separation_cap
-            )
         evaluator = PartitionEvaluator(
             circuit,
             library,
             technology,
             config.weights,
             time_resolved_degradation=config.time_resolved_degradation,
-            separation=separation,
         )
     run_seed = config.seed if seed is None else seed
     if starts is None:

@@ -15,9 +15,8 @@ a run takes to describe, never what it computes** — every number and
 artifact is bit-identical with telemetry on or off.
 
 Enablement: ``REPRO_TRACE`` / ``REPRO_METRICS`` environment variables
-(read at import and by every pool worker), :func:`enable` for
-programmatic switching (the campaign CLI's ``--trace``), or the
-``trace`` / ``metrics`` fields of :class:`repro.config.RuntimeConfig`.
+(read at import and by every pool worker) or :func:`enable` for
+programmatic switching (the campaign CLI's ``--trace``).
 The environment is the cross-process channel: a forked or spawned
 worker inherits it, so instrumentation in worker code lights up without
 plumbing; the executor additionally forwards the parent's programmatic
@@ -63,6 +62,7 @@ __all__ = [
     "end_task_capture",
     "enable",
     "enabled_state",
+    "env_number",
     "merge_task_snapshot",
     "trace_enabled",
     "metrics_enabled",
@@ -79,6 +79,25 @@ LOCAL_SITE = "main"
 
 def _env_on(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
+
+
+def env_number(name: str, value=None, kind: type = float):
+    """``value`` unless it is ``None``, else the environment variable
+    ``name`` read as ``kind`` (``int`` or ``float``), else ``None``.
+
+    A malformed variable raises :class:`ValueError` naming it; each
+    caller checks the range of what it gets.
+    """
+    if value is not None:
+        return value
+    env = os.environ.get(name, "").strip()
+    if not env:
+        return None
+    try:
+        return kind(env)
+    except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {env!r}") from exc
 
 
 # ---------------------------------------------------------------------- metrics

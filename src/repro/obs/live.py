@@ -47,7 +47,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.obs.core import METRICS, TRACER
+from repro.obs.core import METRICS, TRACER, env_number
 
 __all__ = [
     "HEARTBEAT_DIR_ENV",
@@ -82,15 +82,7 @@ STATUS_SCHEMA = 1
 
 def resolve_heartbeat(interval: float | None = None) -> float:
     """Heartbeat interval: argument > ``REPRO_HEARTBEAT`` > 0 (off)."""
-    if interval is None:
-        env = os.environ.get(HEARTBEAT_ENV, "").strip()
-        if env:
-            try:
-                interval = float(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{HEARTBEAT_ENV} must be a number of seconds, got {env!r}"
-                ) from exc
+    interval = env_number(HEARTBEAT_ENV, interval)
     if interval is None:
         return 0.0
     if interval < 0:
@@ -104,15 +96,7 @@ def resolve_stall_after(
     """Soft stall threshold: argument > ``REPRO_STALL_AFTER`` > half the
     hard ``task_timeout`` (so the graded signal exists whenever the
     binary one does) > ``None`` (off)."""
-    if stall_after is None:
-        env = os.environ.get(STALL_AFTER_ENV, "").strip()
-        if env:
-            try:
-                stall_after = float(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{STALL_AFTER_ENV} must be a number of seconds, got {env!r}"
-                ) from exc
+    stall_after = env_number(STALL_AFTER_ENV, stall_after)
     if stall_after is None:
         return task_timeout / 2.0 if task_timeout is not None else None
     if stall_after <= 0:

@@ -25,8 +25,8 @@ Three pieces turn the per-stage kernels into a production pipeline:
   in tests and CI.
 
 :mod:`~repro.runtime.parallel` holds the domain drivers (sharded
-stuck-at detection, defect-parallel IDDQ ATPG, multi-seed portfolios)
-and :mod:`~repro.runtime.artifacts` the typed cache recipes.
+stuck-at detection, the IDDQ ATPG's targeted searches, multi-seed
+portfolios) and :mod:`~repro.runtime.artifacts` the typed cache recipes.
 """
 
 from repro.runtime.executor import (

@@ -9,15 +9,14 @@ kind                      keyed on
 ``separation``            circuit, cap, schema
 ``stuckat-detection``     circuit, fault list, patterns, schema
 ``iddq-testset``          circuit, partition, defects, library, technology,
-                          search parameters, serial/defect-parallel mode
+                          search parameters
 ``optimize-portfolio``    circuit, library, technology, weights, degradation
                           flags, ES/annealing/KL parameters, seeds
 ========================  =====================================================
 
 Worker count (``jobs``) is deliberately *not* part of any key: every
 parallel build is deterministic and result-identical at any worker
-count (the defect-parallel ATPG differs from the *serial-reference*
-walk, which is why the mode flag — not the job count — is keyed).
+count.
 
 All helpers return ``(value, hit)`` so callers (the campaign manifest,
 the benchmarks) can report cache effectiveness.  Failure handling is
@@ -135,7 +134,6 @@ def cached_iddq_test_set(
     restarts: int = 4,
     flip_budget: int = 24,
     compact: bool = True,
-    defect_parallel: bool = False,
     jobs: int | None = None,
 ):
     """Memoized :func:`~repro.faultsim.atpg.generate_iddq_tests`.
@@ -161,7 +159,6 @@ def cached_iddq_test_set(
         restarts,
         flip_budget,
         compact,
-        defect_parallel,
     )
 
     def build():
@@ -176,7 +173,6 @@ def cached_iddq_test_set(
             restarts=restarts,
             flip_budget=flip_budget,
             compact=compact,
-            defect_parallel=defect_parallel,
             jobs=jobs,
         )
         return {"patterns": tests.patterns}, {

@@ -226,10 +226,6 @@ def _stage_atpg(ctx: _Context) -> dict:
         seed=config.seed + 2,
         current_range_ua=(0.5, 8.0),
     )
-    # Always the defect-parallel mode: its per-defect RNG streams make
-    # the test set (and therefore the cache key and manifest) invariant
-    # to --jobs — a warm run hits regardless of the worker count used
-    # to build the artifact.
     tests, hit = cached_iddq_test_set(
         ctx.store,
         ctx.circuit,
@@ -239,7 +235,6 @@ def _stage_atpg(ctx: _Context) -> dict:
         random_vectors=_quick(config, 32, 128),
         restarts=_quick(config, 2, 4),
         flip_budget=_quick(config, 8, 24),
-        defect_parallel=True,
         jobs=ctx.jobs,
     )
     return {
@@ -248,7 +243,6 @@ def _stage_atpg(ctx: _Context) -> dict:
             "defects": len(defects),
             "vectors": tests.num_vectors,
             "coverage": tests.coverage,
-            "defect_parallel": True,
         },
     }
 

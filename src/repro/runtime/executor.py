@@ -1,8 +1,9 @@
 """The deterministic, fault-tolerant shard/submit/gather process pool.
 
 One small abstraction carries every parallel workload in the tree:
-sharded stuck-at detection-matrix builds, defect-parallel IDDQ ATPG and
-multi-seed optimiser fan-outs all go through :meth:`Executor.map`.
+sharded stuck-at detection-matrix builds, sharded IDDQ targeted
+searches and multi-seed optimiser fan-outs all go through
+:meth:`Executor.map`.
 
 Determinism rules (the contract every consumer is tested against):
 
@@ -26,9 +27,8 @@ Failure model (DESIGN.md §10):
 * **Task exceptions** ship back as *values* carrying a pickle-safe
   ``(type, message, traceback)`` triple — a non-picklable exception
   cannot poison the result queue — and are retried up to
-  ``task_retries`` times (default 0: a bug in ``fn`` surfaces once)
-  with deterministic exponential backoff (``retry_backoff * 2^attempt``,
-  no jitter).
+  ``task_retries`` times (default 0: a bug in ``fn`` surfaces once),
+  in the next round, without a pause.
 * **Worker death** (``BrokenProcessPool``, raised while gathering or
   while the round is still submitting) keeps every completed result;
   only unfinished tasks are re-dispatched on a fresh pool, and tasks
@@ -77,11 +77,11 @@ when the gather takes that value, before ``on_result`` sees it.
 
 Worker count resolution: explicit argument > ``REPRO_JOBS`` environment
 variable > serial (1); the value ``0`` means "all cores"
-(``os.cpu_count()``).  ``task_timeout``/``task_retries``/``retry_backoff``
-resolve the same way via ``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES``
-/ ``REPRO_RETRY_BACKOFF``.  The pool start method is the platform
-default (fork on Linux — worker state passed through the initializer is
-then inherited without pickling).  Deterministic fault injection for
+(``os.cpu_count()``).  ``task_timeout``/``task_retries`` resolve the
+same way via ``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES``, each
+variable read through :func:`repro.obs.core.env_number`.  The pool
+start method is the platform default (fork on Linux — worker state
+passed through the initializer is then inherited without pickling).  Deterministic fault injection for
 all of the above lives in :mod:`repro.runtime.faults`.
 """
 
@@ -101,6 +101,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from repro import obs
 from repro.errors import TaskError, TaskTimeoutError
 from repro.obs import live
+from repro.obs.core import env_number
 from repro.runtime.faults import FaultPlan, inject_task_fault
 
 __all__ = [
@@ -116,7 +117,6 @@ JOBS_ENV = "REPRO_JOBS"
 #: Environment variables supplying the default failure-handling knobs.
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 TASK_RETRIES_ENV = "REPRO_TASK_RETRIES"
-RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
 
 #: Pool restarts per :meth:`Executor.map` before the survivors run
 #: serially (bounds recovery under a persistently crashing pool).
@@ -236,15 +236,7 @@ def resolve_jobs(jobs: int | None = None) -> int:
     campaign scripts can say ``REPRO_JOBS=0`` portably; negative counts
     are rejected.
     """
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV, "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{JOBS_ENV} must be an integer, got {env!r}"
-                ) from exc
+    jobs = env_number(JOBS_ENV, jobs, int)
     if jobs is None:
         return 1
     if jobs == 0:
@@ -257,15 +249,7 @@ def resolve_jobs(jobs: int | None = None) -> int:
 def resolve_task_timeout(timeout: float | None = None) -> float | None:
     """Per-task deadline in seconds: argument > ``REPRO_TASK_TIMEOUT`` >
     ``None`` (no deadline)."""
-    if timeout is None:
-        env = os.environ.get(TASK_TIMEOUT_ENV, "").strip()
-        if env:
-            try:
-                timeout = float(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{TASK_TIMEOUT_ENV} must be a number, got {env!r}"
-                ) from exc
+    timeout = env_number(TASK_TIMEOUT_ENV, timeout)
     if timeout is not None and timeout <= 0:
         raise ValueError(f"task timeout must be > 0 seconds, got {timeout}")
     return timeout
@@ -273,30 +257,12 @@ def resolve_task_timeout(timeout: float | None = None) -> float | None:
 
 def resolve_task_retries(retries: int | None = None) -> int:
     """Per-task retry budget: argument > ``REPRO_TASK_RETRIES`` > 0."""
-    if retries is None:
-        env = os.environ.get(TASK_RETRIES_ENV, "").strip()
-        if env:
-            try:
-                retries = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{TASK_RETRIES_ENV} must be an integer, got {env!r}"
-                ) from exc
+    retries = env_number(TASK_RETRIES_ENV, retries, int)
     if retries is None:
         return 0
     if retries < 0:
         raise ValueError(f"task retries must be >= 0, got {retries}")
     return retries
-
-
-def _resolve_retry_backoff(backoff: float | None = None) -> float:
-    """Backoff base in seconds: argument > ``REPRO_RETRY_BACKOFF`` > 0."""
-    if backoff is None:
-        env = os.environ.get(RETRY_BACKOFF_ENV, "").strip()
-        backoff = float(env) if env else 0.0
-    if backoff < 0:
-        raise ValueError(f"retry backoff must be >= 0, got {backoff}")
-    return backoff
 
 
 def _terminate_pool_processes(pool: ProcessPoolExecutor) -> None:
@@ -331,14 +297,12 @@ class Executor:
         *,
         task_timeout: float | None = None,
         task_retries: int | None = None,
-        retry_backoff: float | None = None,
         stall_after: float | None = None,
         fault_plan: FaultPlan | None = None,
     ):
         self.jobs = resolve_jobs(jobs)
         self.task_timeout = resolve_task_timeout(task_timeout)
         self.task_retries = resolve_task_retries(task_retries)
-        self.retry_backoff = _resolve_retry_backoff(retry_backoff)
         self.stall_after = live.resolve_stall_after(stall_after, self.task_timeout)
         self.heartbeat = live.resolve_heartbeat()
         self.heartbeat_dir: str | None = None
@@ -426,12 +390,6 @@ class Executor:
             stacklevel=3,
         )
 
-    def _backoff(self, attempt: int) -> None:
-        """Deterministic exponential backoff before a retry round."""
-        delay = self.retry_backoff * (2 ** max(0, attempt - 1))
-        if delay > 0:
-            time.sleep(delay)
-
     def _run_serial(self, fn, tasks, state_factory, indices, deliver) -> None:
         """Run ``indices`` in order, in-process, delivering each value.
 
@@ -466,7 +424,6 @@ class Executor:
                     attempt += 1
                     obs.METRICS.inc("executor.retries")
                     obs.TRACER.instant("executor.retry", task=i, attempt=attempt)
-                    self._backoff(attempt)
             if outer:
                 live.clear_task()
             deliver(i, value)
@@ -492,14 +449,12 @@ class Executor:
                 if i in stranded:
                     obs.METRICS.inc("executor.tasks_recovered")
             next_pending: list[int] = []
-            retried = 0
             for i, error in failed.items():
                 attempts[i] += 1
                 if attempts[i] > self.task_retries:
                     error.reraise()
                 obs.METRICS.inc("executor.retries")
                 obs.TRACER.instant("executor.retry", task=i, attempt=attempts[i])
-                retried = max(retried, attempts[i])
                 next_pending.append(i)
             if timed_out is not None:
                 attempts[timed_out] += 1
@@ -512,7 +467,6 @@ class Executor:
                         f"deadline on attempt {attempts[timed_out]}"
                     )
                 obs.METRICS.inc("executor.retries")
-                retried = max(retried, attempts[timed_out])
                 next_pending.append(timed_out)
             for i in unfinished:
                 # Advance the attempt (per-attempt fault injection must
@@ -545,8 +499,6 @@ class Executor:
                     pending=len(next_pending),
                     broken=broken,
                 )
-            if retried:
-                self._backoff(retried)
             pending = sorted(next_pending)
 
     def _await_result(self, future, index: int):

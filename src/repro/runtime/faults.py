@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import FaultInjectionError
+from repro.obs.core import env_number
 
 __all__ = [
     "FaultPlan",
@@ -177,8 +178,8 @@ class FaultPlan:
 
 def hang_seconds() -> float:
     """Injected-hang sleep: ``REPRO_FAULT_HANG_SECONDS`` or 30s."""
-    env = os.environ.get(HANG_SECONDS_ENV, "").strip()
-    return float(env) if env else _DEFAULT_HANG_SECONDS
+    seconds = env_number(HANG_SECONDS_ENV)
+    return _DEFAULT_HANG_SECONDS if seconds is None else seconds
 
 
 def inject_task_fault(

@@ -8,14 +8,13 @@ Three workloads are sharded here:
   each fault in its own bit column), so concatenating shard submatrices
   in fault order is **bit-identical** to the serial build — asserted by
   the runtime test suite and the benchmark.
-* :func:`defect_parallel_targeted` — the targeted phase of IDDQ test
-  generation with one independent, seeded ``random.Random`` stream per
-  defect (stream id = ``f"{seed}:{defect_index}"``, so the walk for
-  defect *d* is a pure function of ``(seed, d)`` and the engine —
-  independent of worker scheduling and of *which other* defects are
-  searched).  This trades the serial reference's single shared RNG walk
-  for scalability; the mode is opt-in and its determinism and coverage
-  are pinned by the equivalence suite.
+* :func:`sharded_targeted_searches` — the targeted phase of IDDQ test
+  generation, one task per undetected defect.  Each search draws from
+  its own seeded stream (:func:`repro.faultsim.atpg.defect_stream_seed`),
+  so the vector found for defect *d* is a pure function of
+  ``(seed, d)`` — independent of worker scheduling and of *which
+  other* defects are searched — and the test set equals the
+  in-process one, bit for bit, as the equivalence suite pins.
 * :func:`portfolio_runs` — multi-seed optimiser portfolios, one full
   portfolio run per seed; workers return compact summaries (assignment
   array + scalars) and the parent re-evaluates the winner, keeping the
@@ -35,19 +34,18 @@ suite pins this for every driver below.
 
 from __future__ import annotations
 
-import random
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.runtime.executor import Executor
+from repro.runtime.executor import Executor, resolve_jobs
 
 __all__ = [
-    "defect_parallel_targeted",
     "portfolio_runs",
     "sharded_detection_matrix",
+    "sharded_targeted_searches",
 ]
 
 
@@ -114,73 +112,62 @@ def sharded_detection_matrix(
 
 
 # ---------------------------------------------------------------------- ATPG
-def defect_stream_seed(seed: int, defect_index: int) -> str:
-    """The per-defect RNG stream id (documented contract, DESIGN §9).
-
-    ``random.Random`` seeds strings deterministically (version-2 string
-    seeding is stable across platforms and Python releases), and the
-    index is the defect's position in the *full* defect list, so the
-    stream survives re-ordering of the undetected subset.
-    """
-    return f"{seed}:{defect_index}"
-
-
-def _atpg_state(circuit, partition, library, technology):
+def _atpg_state(circuit, library, technology, *search):
+    """``(engine, partition, defects, seed, restarts, flip_budget)``."""
     from repro.faultsim.engine import CoverageEngine
 
-    return (CoverageEngine(circuit, library, technology), partition)
+    return (CoverageEngine(circuit, library, technology), *search)
 
 
-def _atpg_search(state, task):
-    from repro.faultsim.atpg import _targeted_search
+def _atpg_search(state, index):
+    from repro.faultsim.atpg import _search_defects
 
-    engine, partition = state
-    index, defect, seed, num_inputs, restarts, flip_budget = task
-    rng = random.Random(defect_stream_seed(seed, index))
-    vector = _targeted_search(
-        engine, partition, defect, rng, num_inputs, restarts, flip_budget
-    )
-    return index, vector
+    return _search_defects(*state, [index])
 
 
-def defect_parallel_targeted(
-    circuit,
+def sharded_targeted_searches(
+    engine,
     partition,
     defects: Sequence,
     undetected: Sequence[int],
     seed: int,
     restarts: int,
     flip_budget: int,
-    library=None,
-    technology=None,
     jobs: int | None = None,
 ) -> dict[int, np.ndarray]:
-    """Activating vectors for every undetected defect, defect-parallel.
+    """Activating vectors for the ``undetected`` defect indices.
 
-    Returns ``{defect index: vector}`` for the searches that succeeded,
-    gathered in defect order.  Deterministic for a fixed ``seed``
-    regardless of ``jobs``.
+    Returns ``{defect index: vector}`` for the searches that succeeded.
+    With ``jobs <= 1`` (or one search) the searches run in turn on
+    ``engine``; otherwise one pool task per defect, each worker with
+    its own engine for ``engine``'s circuit, library and technology.
+    The result does not depend on ``jobs``.
     """
-    num_inputs = len(circuit.input_names)
-    tasks = [
-        (d, defects[d], seed, num_inputs, restarts, flip_budget)
-        for d in undetected
-    ]
+    from repro.faultsim.atpg import _search_defects
+
+    search = (partition, defects, seed, restarts, flip_budget)
+    if resolve_jobs(jobs) <= 1 or len(undetected) <= 1:
+        return _search_defects(engine, *search, undetected)
     executor = Executor(jobs)
+    circuit = engine.circuit
     with obs.TRACER.span(
-        "driver.defect_targeted",
+        "driver.targeted_searches",
         circuit=circuit.name,
-        defects=len(tasks),
+        defects=len(undetected),
         jobs=executor.jobs,
     ):
-        if not executor.serial:
-            circuit.compiled  # warm before fork
-        results = executor.map(
+        circuit.compiled  # warm before fork
+        found: dict[int, np.ndarray] = {}
+        for part in executor.map(
             _atpg_search,
-            tasks,
-            state_factory=partial(_atpg_state, circuit, partition, library, technology),
-        )
-        return {index: vector for index, vector in results if vector is not None}
+            undetected,
+            state_factory=partial(
+                _atpg_state, circuit, engine.sim.library, engine.technology,
+                *search,
+            ),
+        ):
+            found.update(part)
+        return found
 
 
 # ----------------------------------------------------------------- portfolio

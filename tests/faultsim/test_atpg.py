@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from oracles.faultsim import detection_matrix, evaluate_coverage
 from repro.errors import FaultSimError
 from repro.faultsim.atpg import generate_iddq_tests
-from repro.faultsim.coverage import evaluate_coverage
 from repro.faultsim.faults import (
     BridgingFault,
     sample_bridging_faults,
@@ -44,7 +44,6 @@ class TestGeneration:
         """Some sampled defects are untestable (logically correlated
         nets never take opposite values); ATPG must catch everything a
         big random reference pool can."""
-        from repro.faultsim.coverage import detection_matrix
         from repro.faultsim.patterns import random_patterns
 
         circuit, partition, defects = setup

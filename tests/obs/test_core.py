@@ -119,15 +119,3 @@ class TestTaskCapture:
         snapshot = obs.end_task_capture(token)
         assert obs.enabled_state() == (False, False)
         assert snapshot["counters"] == {"task_metric": 1}
-
-
-class TestRuntimeConfig:
-    def test_apply_observability(self):
-        from repro.config import RuntimeConfig
-
-        RuntimeConfig(trace=True, metrics=True).apply_observability()
-        assert obs.enabled_state() == (True, True)
-        RuntimeConfig().apply_observability()  # None fields: unchanged
-        assert obs.enabled_state() == (True, True)
-        RuntimeConfig(trace=False, metrics=False).apply_observability()
-        assert obs.enabled_state() == (False, False)

@@ -1,5 +1,6 @@
 """Reference fault simulation: serial stuck-at faults, per-gate
-leakage and the step-by-step IDDQ test generation.
+leakage, one-shot IDDQ detection and the step-by-step IDDQ test
+generation.
 
 * :class:`ReferenceStuckAtSimulator` re-simulates the whole compiled
   graph once per fault; :class:`~repro.faultsim.stuck_at.StuckAtSimulator`
@@ -8,26 +9,35 @@ leakage and the step-by-step IDDQ test generation.
   matrix one gate at a time;
   :meth:`~repro.faultsim.iddq.IDDQSimulator.gate_leakage_na` must match
   it exactly.
+* :func:`detection_matrix` and :func:`evaluate_coverage` build a fresh
+  IDDQ simulator per call and loop over defects in Python;
+  :class:`~repro.faultsim.engine.CoverageEngine` must return the same
+  floats, booleans and reports.  :func:`defect_activation_bits` and
+  :func:`defective_module_iddq_ua` are the per-defect pieces they rest
+  on.
 * :func:`reference_generate_iddq_tests` runs every targeted search step
-  by step through the one-shot ``detection_matrix``, which rebuilds the
-  IDDQ simulator for each call;
+  by step through the one-shot :func:`detection_matrix`, each defect on
+  its own stream ``random.Random(f"{seed}:{d}")``;
   :func:`~repro.faultsim.atpg.generate_iddq_tests` must return the same
-  test set, and the fault-simulation benchmarks time it as a baseline.
+  test set at any worker count, and the fault-simulation benchmarks
+  time it as a baseline.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import FaultSimError
 from repro.faultsim.atpg import IDDQTestSet, _generate, _search_activating_vector
-from repro.faultsim.coverage import detection_matrix
+from repro.faultsim.coverage import CoverageReport, effective_thresholds_ua
 from repro.faultsim.faults import Defect
 from repro.faultsim.iddq import IDDQSimulator
 from repro.faultsim.logic_sim import LogicSimulator, NodeValues
 from repro.faultsim.stuck_at import StuckAtFault
+from repro.library.default_lib import generic_technology
 from repro.library.library import CellLibrary
 from repro.library.technology import Technology
 from repro.netlist.circuit import Circuit
@@ -115,6 +125,100 @@ def reference_gate_leakage_na(sim: IDDQSimulator, values: NodeValues) -> np.ndar
     return out
 
 
+def defect_activation_bits(defect: Defect, values: NodeValues) -> np.ndarray:
+    """Unpacked 0/1 activation vector of ``defect`` over patterns."""
+    packed = defect.activation(values)
+    bits = np.unpackbits(packed.view(np.uint8), bitorder="little")
+    return bits[: values.num_patterns]
+
+
+def defective_module_iddq_ua(
+    sim: IDDQSimulator,
+    defect: Defect,
+    partition: Partition,
+    values: NodeValues,
+) -> dict[int, np.ndarray]:
+    """Per-module IDDQ in uA with ``defect`` present.
+
+    The logic values are the *fault-free* ones: IDDQ defects are those
+    that leave (or may leave) the logic behaviour intact while drawing
+    static current.
+    """
+    activation = defect_activation_bits(defect, values).astype(np.float64)
+    result = sim.module_iddq_ua(partition, values)
+    for module in sim.observing_modules(defect, partition):
+        result[module] = result[module] + activation * defect.current_ua
+    return result
+
+
+def _one_shot(circuit, partition, patterns, library, technology):
+    """A fresh simulator, its fault-free run, per-module background and
+    effective thresholds."""
+    sim = IDDQSimulator(circuit, library)
+    values = sim.simulate_values(patterns)
+    fault_free = sim.module_iddq_ua(partition, values)
+    thresholds = effective_thresholds_ua(
+        fault_free, technology or generic_technology()
+    )
+    return sim, values, fault_free, thresholds
+
+
+def detection_matrix(
+    circuit: Circuit,
+    partition: Partition,
+    defects: Sequence[Defect],
+    patterns: np.ndarray,
+    library: CellLibrary | None = None,
+    technology: Technology | None = None,
+) -> np.ndarray:
+    """Boolean ``(defects, patterns)`` detection matrix: ``[d, p]`` is
+    True when vector ``p`` makes some observing module sensor measure
+    at or above its effective threshold."""
+    sim, values, fault_free, thresholds = _one_shot(
+        circuit, partition, patterns, library, technology
+    )
+    out = np.zeros((len(defects), patterns.shape[0]), dtype=bool)
+    for d, defect in enumerate(defects):
+        activation = defect_activation_bits(defect, values).astype(bool)
+        for module in sim.observing_modules(defect, partition):
+            measured = fault_free[module] + activation * defect.current_ua
+            out[d] |= measured >= thresholds[module]
+    return out
+
+
+def evaluate_coverage(
+    circuit: Circuit,
+    partition: Partition,
+    defects: Sequence[Defect],
+    patterns: np.ndarray,
+    library: CellLibrary | None = None,
+    technology: Technology | None = None,
+) -> CoverageReport:
+    """Coverage of ``defects`` by ``patterns`` under ``partition``."""
+    sim, values, fault_free, thresholds = _one_shot(
+        circuit, partition, patterns, library, technology
+    )
+    detected = np.zeros(len(defects), dtype=bool)
+    for d, defect in enumerate(defects):
+        activation = defect_activation_bits(defect, values).astype(bool)
+        for module in sim.observing_modules(defect, partition):
+            measured = fault_free[module] + activation * defect.current_ua
+            if bool((measured >= thresholds[module]).any()):
+                detected[d] = True
+                break
+    detected_ids = tuple(d.defect_id for d, hit in zip(defects, detected) if hit)
+    undetected_ids = tuple(d.defect_id for d, hit in zip(defects, detected) if not hit)
+    return CoverageReport(
+        num_defects=len(defects),
+        num_detected=int(detected.sum()),
+        detected_ids=detected_ids,
+        undetected_ids=undetected_ids,
+        num_patterns=patterns.shape[0],
+        num_modules=partition.num_modules,
+        thresholds_ua=thresholds,
+    )
+
+
 def reference_generate_iddq_tests(
     circuit: Circuit,
     partition: Partition,
@@ -129,20 +233,22 @@ def reference_generate_iddq_tests(
 ) -> IDDQTestSet:
     """:func:`~repro.faultsim.atpg.generate_iddq_tests`'s search through
     the one-shot detector, which rebuilds the IDDQ simulator for every
-    detection call."""
+    detection call; defect ``d`` walks on ``random.Random(f"{seed}:{d}")``."""
 
     def detect(ds, ps):
         return detection_matrix(circuit, partition, ds, ps, library, technology)
 
-    num_inputs = len(circuit.input_names)
+    def search(undetected):
+        found = {}
+        for d in undetected:
+            vector = _search_activating_vector(
+                detect, defects[d], random.Random(f"{seed}:{d}"),
+                len(circuit.input_names), restarts, flip_budget,
+            )
+            if vector is not None:
+                found[d] = vector
+        return found
+
     return _generate(
-        detect,
-        lambda defect, rng: _search_activating_vector(
-            detect, defect, rng, num_inputs, restarts, flip_budget
-        ),
-        circuit,
-        defects,
-        seed,
-        random_vectors,
-        compact,
+        detect, search, circuit, defects, seed, random_vectors, compact
     )

@@ -138,7 +138,7 @@ class TestArtifactRecipes:
             assert fresh.random_detected == tests.random_detected
             assert fresh.targeted_detected == tests.targeted_detected
 
-    def test_test_set_mode_and_config_invalidate(
+    def test_test_set_config_invalidates(
         self, store, small_circuit, small_evaluator
     ):
         partition = chain_start_partition(
@@ -152,12 +152,7 @@ class TestArtifactRecipes:
         _, hit_seed = cached_iddq_test_set(
             store, small_circuit, partition, defects, **dict(kwargs, seed=6)
         )
-        _, hit_mode = cached_iddq_test_set(
-            store, small_circuit, partition, defects,
-            defect_parallel=True, **kwargs,
-        )
         assert not hit_seed
-        assert not hit_mode
 
 
 class TestCampaign:
@@ -177,9 +172,9 @@ class TestCampaign:
 
     def test_warm_run_hits_across_different_jobs(self, tmp_path):
         # Campaign artifacts must be invariant to --jobs: a cache built
-        # serially serves a 2-worker run (and vice versa) because the
-        # atpg stage always uses the defect-parallel mode and the
-        # portfolio a fixed seed population.
+        # serially serves a 2-worker run (and vice versa) because every
+        # ATPG search draws from its own defect's stream and the
+        # portfolio runs a fixed seed population.
         cache = str(tmp_path / "cache")
         cold = run_campaign(
             CampaignConfig(circuits=("c432",), jobs=1, cache_dir=cache)

@@ -7,7 +7,14 @@ from functools import partial
 
 import pytest
 
-from repro.runtime.executor import Executor, resolve_jobs
+from repro.obs import live
+from repro.runtime import faults
+from repro.runtime.executor import (
+    Executor,
+    resolve_jobs,
+    resolve_task_retries,
+    resolve_task_timeout,
+)
 
 
 def square(state, task):
@@ -58,6 +65,23 @@ class TestResolveJobs:
         assert resolve_jobs(0) == max(1, os.cpu_count() or 1)
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert resolve_jobs() == max(1, os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize(
+    "name, resolve",
+    [
+        ("REPRO_JOBS", resolve_jobs),
+        ("REPRO_TASK_TIMEOUT", resolve_task_timeout),
+        ("REPRO_TASK_RETRIES", resolve_task_retries),
+        ("REPRO_HEARTBEAT", live.resolve_heartbeat),
+        ("REPRO_STALL_AFTER", live.resolve_stall_after),
+        ("REPRO_FAULT_HANG_SECONDS", faults.hang_seconds),
+    ],
+)
+def test_malformed_env_knob_names_its_variable(monkeypatch, name, resolve):
+    monkeypatch.setenv(name, "abc")
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        resolve()
 
 
 class TestMap:

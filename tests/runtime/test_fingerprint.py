@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import CostWeights, RuntimeConfig, SynthesisConfig
+from repro.config import CostWeights, EvolutionParams, SynthesisConfig
 from repro.library.default_lib import generic_library, generic_technology
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.benchmarks import c17
@@ -65,8 +65,8 @@ class TestValueFingerprint:
         assert fp.fingerprint_value(CostWeights()) != fp.fingerprint_value(
             CostWeights(area=10.0)
         )
-        assert fp.fingerprint_value(RuntimeConfig()) != fp.fingerprint_value(
-            RuntimeConfig(heartbeat=0.5)
+        assert fp.fingerprint_value(SynthesisConfig()) != fp.fingerprint_value(
+            SynthesisConfig(evolution=EvolutionParams(mu=4))
         )
 
     def test_unknown_type_raises(self):

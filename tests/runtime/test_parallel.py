@@ -4,9 +4,8 @@ The contracts pinned here are the runtime's acceptance bar:
 
 * sharded stuck-at detection matrices are **bit-identical** to the
   serial build at any worker count;
-* defect-parallel ATPG is deterministic under a fixed seed, invariant
-  to the worker count, and covers no fewer defects than the serial
-  reference walk on the pinned setup;
+* sharded ATPG searches are deterministic under a fixed seed and
+  return the reference test set bit for bit at any worker count;
 * the multi-seed portfolio picks the same winner at any worker count.
 """
 
@@ -19,17 +18,14 @@ import pytest
 
 from oracles.faultsim import reference_generate_iddq_tests
 from repro.config import EvolutionParams
-from repro.faultsim.atpg import generate_iddq_tests
+from repro.faultsim.atpg import defect_stream_seed, generate_iddq_tests
 from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
 from repro.faultsim.patterns import random_patterns
 from repro.faultsim.stuck_at import StuckAtSimulator, enumerate_stuck_at_faults
 from repro.optimize.annealing import AnnealingParams
 from repro.optimize.portfolio import portfolio_partition
 from repro.optimize.start import chain_start_partition, estimate_module_count
-from repro.runtime.parallel import (
-    defect_stream_seed,
-    sharded_detection_matrix,
-)
+from repro.runtime.parallel import sharded_detection_matrix
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +87,7 @@ class TestDefectParallelATPG:
     def test_deterministic_under_fixed_seed(self, small_circuit, partition, defects):
         runs = [
             generate_iddq_tests(
-                small_circuit, partition, defects,
-                defect_parallel=True, jobs=2, **ATPG_KWARGS,
+                small_circuit, partition, defects, jobs=2, **ATPG_KWARGS
             )
             for _ in range(2)
         ]
@@ -102,35 +97,32 @@ class TestDefectParallelATPG:
 
     def test_invariant_to_worker_count(self, small_circuit, partition, defects):
         one = generate_iddq_tests(
-            small_circuit, partition, defects,
-            defect_parallel=True, jobs=1, **ATPG_KWARGS,
+            small_circuit, partition, defects, jobs=1, **ATPG_KWARGS
         )
         two = generate_iddq_tests(
-            small_circuit, partition, defects,
-            defect_parallel=True, jobs=2, **ATPG_KWARGS,
+            small_circuit, partition, defects, jobs=2, **ATPG_KWARGS
         )
         assert np.array_equal(one.patterns, two.patterns)
         assert one.detected_ids == two.detected_ids
 
-    def test_coverage_at_least_serial(self, small_circuit, partition, defects):
-        serial = reference_generate_iddq_tests(
+    def test_pool_equals_reference(self, small_circuit, partition, defects):
+        reference = reference_generate_iddq_tests(
             small_circuit, partition, defects, **ATPG_KWARGS
         )
-        parallel = generate_iddq_tests(
-            small_circuit, partition, defects,
-            defect_parallel=True, jobs=2, **ATPG_KWARGS,
+        pooled = generate_iddq_tests(
+            small_circuit, partition, defects, jobs=2, **ATPG_KWARGS
         )
-        assert parallel.coverage >= serial.coverage
+        assert np.array_equal(pooled.patterns, reference.patterns)
+        assert pooled.detected_ids == reference.detected_ids
+        assert pooled.undetected_ids == reference.undetected_ids
+        assert pooled.random_detected == reference.random_detected
+        assert pooled.targeted_detected == reference.targeted_detected
 
     def test_seed_changes_walk(self, small_circuit, partition, defects):
         kwargs = dict(ATPG_KWARGS, random_vectors=4, restarts=1, flip_budget=2)
-        a = generate_iddq_tests(
-            small_circuit, partition, defects,
-            defect_parallel=True, **kwargs,
-        )
+        a = generate_iddq_tests(small_circuit, partition, defects, **kwargs)
         b = generate_iddq_tests(
-            small_circuit, partition, defects,
-            defect_parallel=True, **dict(kwargs, seed=8),
+            small_circuit, partition, defects, **dict(kwargs, seed=8)
         )
         # Different seeds must not share the per-defect streams.
         assert not (

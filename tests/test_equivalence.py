@@ -17,9 +17,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.faultsim import (
     ReferenceStuckAtSimulator,
+    detection_matrix,
+    evaluate_coverage,
     reference_gate_leakage_na,
     reference_generate_iddq_tests,
 )
@@ -38,7 +42,6 @@ from repro.analysis.transition_times import (
     transition_time_masks,
 )
 from repro.faultsim.atpg import generate_iddq_tests
-from repro.faultsim.coverage import detection_matrix, evaluate_coverage
 from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import (
     sample_bridging_faults,
@@ -49,6 +52,7 @@ from repro.faultsim.iddq import IDDQSimulator
 from repro.faultsim.logic_sim import LogicSimulator
 from repro.faultsim.patterns import random_patterns
 from repro.faultsim.stuck_at import StuckAtSimulator, enumerate_stuck_at_faults
+from repro.library.default_lib import generic_technology
 from repro.netlist.arrays import wave_array
 from repro.netlist.benchmarks import c17, load_iscas85
 from repro.netlist.gate import evaluate_gate
@@ -267,7 +271,61 @@ class TestCoverageEngineEquivalence:
         assert {
             engine.search_class(partition, d) for d, m in zip(defects, missed) if m
         } == {"futile", "activation", "walk"}
-        fast = generate_iddq_tests(circuit, partition, defects, **kwargs)
+        reference = reference_generate_iddq_tests(
+            circuit, partition, defects, **kwargs
+        )
+        for jobs in (1, 2):
+            fast = generate_iddq_tests(circuit, partition, defects, jobs=jobs, **kwargs)
+            assert np.array_equal(fast.patterns, reference.patterns), jobs
+            assert fast.detected_ids == reference.detected_ids
+            assert fast.undetected_ids == reference.undetected_ids
+            assert fast.random_detected == reference.random_detected
+            assert fast.targeted_detected == reference.targeted_detected
+
+
+class TestATPGProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        circuit_seed=st.integers(0, 10_000),
+        gates=st.integers(12, 60),
+        modules=st.integers(1, 3),
+        threshold=st.floats(0.005, 0.5),
+        discriminability=st.floats(1.5, 10.0),
+        seed=st.integers(0, 10_000),
+        random_vectors=st.integers(1, 8),
+        restarts=st.integers(0, 3),
+        flip_budget=st.integers(0, 6),
+    )
+    def test_generation_equals_reference(
+        self, circuit_seed, gates, modules, threshold, discriminability, seed,
+        random_vectors, restarts, flip_budget,
+    ):
+        """A threshold near the modules' background puts defects in all
+        three search classes; each searches on its own stream, and the
+        engine's test set is the reference's."""
+        circuit = generate_iscas_like(
+            GeneratorConfig(
+                name="atpgprop", num_gates=gates, num_inputs=7, num_outputs=4,
+                depth=min(6, gates), seed=circuit_seed,
+            )
+        )
+        partition = _random_partition(circuit, modules, circuit_seed)
+        currents = (0.1 * threshold, 3 * threshold)
+        defects = sample_bridging_faults(
+            circuit, 6, seed=circuit_seed, current_range_ua=currents
+        ) + sample_gate_oxide_shorts(
+            circuit, 4, seed=circuit_seed + 1, current_range_ua=currents
+        )
+        technology = replace(
+            generic_technology(),
+            iddq_threshold_ua=threshold,
+            discriminability=discriminability,
+        )
+        kwargs = dict(
+            technology=technology, seed=seed, random_vectors=random_vectors,
+            restarts=restarts, flip_budget=flip_budget,
+        )
+        fast = generate_iddq_tests(circuit, partition, defects, jobs=1, **kwargs)
         reference = reference_generate_iddq_tests(
             circuit, partition, defects, **kwargs
         )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.config import EvolutionParams, SynthesisConfig
-from repro.faultsim.coverage import evaluate_coverage
+from repro.faultsim.engine import CoverageEngine
 from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
 from repro.faultsim.logic_sim import LogicSimulator
 from repro.faultsim.patterns import random_patterns
@@ -52,11 +52,12 @@ class TestFullPipeline:
             circuit, 40, seed=1, current_range_ua=(0.5, 6.0)
         ) + sample_gate_oxide_shorts(circuit, 20, seed=2, current_range_ua=(0.5, 6.0))
         patterns = random_patterns(len(circuit.input_names), 128, seed=3)
-        single = evaluate_coverage(
-            circuit, Partition.single_module(circuit), defects, patterns
+        engine = CoverageEngine(circuit)
+        single = engine.evaluate_coverage(
+            Partition.single_module(circuit), defects, patterns
         )
-        partitioned = evaluate_coverage(
-            circuit, c880_design.partition, defects, patterns
+        partitioned = engine.evaluate_coverage(
+            c880_design.partition, defects, patterns
         )
         assert partitioned.coverage >= single.coverage
         assert partitioned.worst_threshold_ua <= single.worst_threshold_ua
