@@ -302,7 +302,7 @@ class TestATPGProperty:
     ):
         """A threshold near the modules' background puts defects in all
         three search classes; each searches on its own stream, and the
-        engine's test set is the reference's."""
+        engine's test set is the reference's at one and two jobs."""
         circuit = generate_iscas_like(
             GeneratorConfig(
                 name="atpgprop", num_gates=gates, num_inputs=7, num_outputs=4,
@@ -325,15 +325,16 @@ class TestATPGProperty:
             technology=technology, seed=seed, random_vectors=random_vectors,
             restarts=restarts, flip_budget=flip_budget,
         )
-        fast = generate_iddq_tests(circuit, partition, defects, jobs=1, **kwargs)
         reference = reference_generate_iddq_tests(
             circuit, partition, defects, **kwargs
         )
-        assert np.array_equal(fast.patterns, reference.patterns)
-        assert fast.detected_ids == reference.detected_ids
-        assert fast.undetected_ids == reference.undetected_ids
-        assert fast.random_detected == reference.random_detected
-        assert fast.targeted_detected == reference.targeted_detected
+        for jobs in (1, 2):
+            fast = generate_iddq_tests(circuit, partition, defects, jobs=jobs, **kwargs)
+            assert np.array_equal(fast.patterns, reference.patterns), jobs
+            assert fast.detected_ids == reference.detected_ids
+            assert fast.undetected_ids == reference.undetected_ids
+            assert fast.random_detected == reference.random_detected
+            assert fast.targeted_detected == reference.targeted_detected
 
 
 class TestSeparationEquivalence:
