@@ -6,8 +6,8 @@ bit-identical results while the JSON records the speedups the engines
 exist for:
 
 * uncollapsed single-stuck-at detection matrix / coverage (256 random
-  vectors) — serial re-simulation per fault vs collapsed, batched,
-  fault-dropping simulation;
+  vectors) — serial re-simulation per fault vs batched stem flip
+  passes with critical-path tracing inside fanout-free regions;
 * the IDDQ detection matrix over a sampled defect population — one-shot
   rebuild-everything reference vs the cached vectorised
   :class:`CoverageEngine`;
@@ -119,7 +119,8 @@ def test_stuck_at_detection_matrix_c7552(benchmark, c7552, stuck_setup):
 
 
 def test_stuck_at_coverage_c7552(benchmark, c7552, stuck_setup):
-    """Chunked, fault-dropping coverage — >= 10x over the serial baseline."""
+    """Coverage, the matrix's any-row mean — >= 10x over the serial
+    baseline."""
     faults, patterns = stuck_setup
     sim = StuckAtSimulator(c7552)
     coverage = _timed_once(

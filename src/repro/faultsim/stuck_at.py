@@ -9,32 +9,38 @@ complementarity we need the logic-test side: the classic single
 stuck-at fault model, simulated bit-parallel.
 
 A stuck-at fault pins one net to 0 or 1; it is detected by a vector iff
-some primary output differs from the fault-free response.  One engine
-implements the model, and a serial reference checks it:
+some primary output differs from the fault-free response.
+:class:`StuckAtSimulator` decides detection by critical-path tracing
+inside fanout-free regions (Abramovici, Menon and Miller, "Critical
+Path Tracing: An Alternative to Fault Simulation", 1984):
 
-* :class:`StuckAtSimulator` — the fault-parallel engine.  Faults are
-  first *collapsed* into structural equivalence classes (chains through
-  single-fanout BUF/NOT/AND/NAND/OR/NOR gates carry a stuck value
-  unchanged, so one representative per class is simulated).
-  Representatives are then simulated in *batches*: the packed state
-  grows a fault axis — ``(rows, batch, words)`` — with each fault's net
-  pinned in its own column, so one vectorised sim-group reduction
-  advances all faults in the batch at once and the per-step Python
-  dispatch amortises across the batch.  Per batch, only the sim-group
-  slices inside the union of the members' output cones (precomputed
-  bitsets over the fanout CSR) are re-evaluated, and only
-  cone-reachable outputs are compared; batches are formed in schedule
-  order so neighbouring faults share cones.  These cone passes run the
-  per-(level, op) ``sim_groups`` schedule, whose slots bucket a cone
-  into contiguous slices; the fault-free state comes from
-  :class:`LogicSimulator`'s fused kernel.
-  :meth:`StuckAtSimulator.coverage` additionally *drops* faults chunk
-  by chunk — once a fault class is detected in an earlier pattern block
-  it is never simulated again.
-* the original serial-fault implementation (one full compiled-graph
-  re-simulation per fault), kept as the executable specification in
-  ``tests/oracles/faultsim.py``.  The equivalence suite asserts both
-  produce bit-identical detection matrices.
+* **Stems.**  A net that is a primary output or whose fanout is not
+  exactly one is a *stem*; every other net has one reader and lies in
+  a fanout-free tree whose root is a stem.  No path reconverges inside
+  a tree, so flipping a tree net flips its stem exactly when every gate
+  on its one path is *sensitised* under the fault-free values: the
+  other inputs at 1 for AND/NAND, at 0 for OR/NOR, always for
+  BUF/NOT/XOR/XNOR.
+* **Flip passes.**  Every stem the fault list needs is replayed once
+  with its net pinned to the complement of its fault-free value.  The
+  packed state grows a stem axis — ``(rows, batch, words)`` — so one
+  vectorised sim-group reduction advances a whole batch; only the
+  sim-group slices inside the batch's cone union (bitsets over the
+  fanout CSR) are re-evaluated and only cone-reachable outputs are
+  compared.  Batches follow schedule order so neighbouring stems share
+  cones.  An output stem's flip is always seen and needs no pass.
+* **Backward pass.**  A tree net is *critical* under the patterns that
+  sensitise its reader and under which the reader's output is critical
+  (a stem always is): one vectorised step per distance from the stem
+  over the packed fault-free words.
+* So fault ``(net, v)`` is detected by exactly the vectors under which
+  the net's fault-free value differs from ``v``, the net is critical
+  and its stem's flip is detected.
+
+The serial-fault implementation (one full compiled-graph re-simulation
+per fault) is the executable specification in
+``tests/oracles/faultsim.py``; the equivalence suite asserts both
+produce bit-identical detection matrices.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from repro import obs
 from repro.faultsim.logic_sim import LogicSimulator
 from repro.errors import FaultSimError
 from repro.netlist.circuit import Circuit
-from repro.netlist.compiled import GATE_TYPE_CODES, OP_AND, OP_OR
+from repro.netlist.compiled import GATE_TYPE_CODES, OP_AND, OP_OR, csr_gather
 from repro.netlist.gate import GateType
 
 __all__ = [
@@ -59,6 +65,14 @@ __all__ = [
 
 _WORD = 64
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: How a reader passes a flip of one input: ``invert ^ op.reduce`` of
+#: its other inputs' fault-free words.  AND/NAND need them all at 1,
+#: OR/NOR all at 0; BUF/NOT/XOR/XNOR always pass a flip.
+_SENSITISE = (
+    (np.bitwise_and, (GateType.AND, GateType.NAND), np.uint64(0)),
+    (np.bitwise_or, (GateType.OR, GateType.NOR), _ONES),
+)
 
 
 @dataclass(frozen=True)
@@ -82,8 +96,9 @@ def enumerate_stuck_at_faults(circuit: Circuit) -> list[StuckAtFault]:
 
     The classic collapsed fault list would be smaller; the uncollapsed
     list keeps the coverage numbers easy to interpret.  (The simulator
-    collapses equivalent faults internally — the reported numbers stay
-    uncollapsed, only the work shrinks.)
+    replays only the stems the list needs and traces every other net to
+    its stem — the reported numbers stay uncollapsed, only the work
+    shrinks.)
     """
     faults: list[StuckAtFault] = []
     for name in circuit.all_names:
@@ -92,32 +107,13 @@ def enumerate_stuck_at_faults(circuit: Circuit) -> list[StuckAtFault]:
     return faults
 
 
-#: One fault-equivalence step.  For a net whose *only* fanout is a gate
-#: of the keyed type (and which is not itself a primary output, so the
-#: gate is its only observation path), stuck-at ``value`` on the net
-#: produces the exact same faulty output function as the mapped stuck-at
-#: on the gate's output net: BUF/NOT propagate both polarities, a
-#: controlling value on AND/NAND/OR/NOR forces the output.  XOR/XNOR
-#: have no controlling value and break the chain.
-_COLLAPSE_STEP: dict[tuple[GateType, int], int] = {
-    (GateType.BUF, 0): 0,
-    (GateType.BUF, 1): 1,
-    (GateType.NOT, 0): 1,
-    (GateType.NOT, 1): 0,
-    (GateType.AND, 0): 0,
-    (GateType.NAND, 0): 1,
-    (GateType.OR, 1): 1,
-    (GateType.NOR, 1): 0,
-}
-
-
 class StuckAtSimulator:
-    """Fault-parallel stuck-at engine: collapsed classes, batched
-    cone-limited simulation, fault dropping (see module docstring)."""
+    """Stuck-at engine: batched stem flip passes and critical-path
+    tracing inside fanout-free regions (see module docstring)."""
 
-    #: Fault-words per batched compiled-graph pass: a batch holds
-    #: ``batch_words // words`` faults for ``words`` 64-pattern words
-    #: (256 faults at 64 patterns, 64 at 256).
+    #: Stem-words per flip pass: a pass replays ``batch_words // words``
+    #: stems for ``words`` 64-pattern words (256 stems at 64 patterns,
+    #: 64 at 256).
     batch_words = 256
 
     def __init__(self, circuit: Circuit):
@@ -129,30 +125,23 @@ class StuckAtSimulator:
         self._out_nodes = np.asarray(
             [self.row_of[name] for name in circuit.output_names], dtype=np.int64
         )
-        self._fanout_count = np.diff(self._cg.fanout_indptr)
         self._is_output = np.zeros(self._cg.num_nodes, dtype=bool)
-        if len(self._out_nodes):
-            self._is_output[self._out_nodes] = True
-        self._out_closure: np.ndarray | None = None
-        # Pooled batched-fault state buffer: one (rows, batch, words)
-        # allocation reused across every batch of a detection-matrix or
-        # coverage build (allocating ~8 MB per 64-fault batch used to
-        # dominate the build).
+        self._is_output[self._out_nodes] = True
+        # Per-net reachable-output bitsets: bit i of row n is set when n
+        # reaches output i (the reachable-slot bitsets live on the
+        # compiled graph, :meth:`CompiledGraph.slot_closure`).
+        outs = np.arange(len(self._out_nodes), dtype=np.uint64)
+        seed = np.zeros((self._cg.num_nodes, -(-len(outs) // _WORD)), dtype=np.uint64)
+        seed[self._out_nodes, (outs // _WORD).astype(np.int64)] |= np.uint64(1) << (
+            outs % _WORD
+        )
+        self._out_closure = self._cg.fanout_closure(seed)
+        # Pooled batched state buffer: one (rows, batch, words)
+        # allocation reused across every flip pass of a build.
         self._state_pool: np.ndarray | None = None
+        self._build_trees()
 
     # ------------------------------------------------------------------ public
-    def collapse_root(self, fault: StuckAtFault) -> StuckAtFault:
-        """Representative of ``fault``'s structural equivalence class.
-
-        Chases single-fanout chains forward; every fault in a class has a
-        bit-identical detection row, so only the root is simulated.
-        """
-        row = self.row_of.get(fault.net)
-        if row is None:
-            raise FaultSimError(f"unknown net {fault.net!r}")
-        row, value = self._chase(row, fault.value)
-        return StuckAtFault(self.circuit.all_names[row], value)
-
     def detection_matrix(
         self,
         faults: Sequence[StuckAtFault],
@@ -161,179 +150,139 @@ class StuckAtSimulator:
     ) -> np.ndarray:
         """Boolean ``(faults, patterns)``: vector p detects fault f.
 
-        Bit-identical to the serial-fault reference.  With
-        ``jobs`` > 1 the fault list is sharded across the runtime's
-        process pool (:func:`repro.runtime.parallel.sharded_detection_matrix`);
-        every fault's row is computed independently of its batch-mates,
-        so the sharded result is bit-identical at any worker count.
+        Bit-identical to the serial-fault reference.  With ``jobs`` > 1
+        the stem flip passes are sharded across the runtime's process
+        pool (:func:`repro.runtime.parallel.sharded_stem_flips`); every
+        stem's flip words are computed independently of its
+        batch-mates, so the matrix is bit-identical at any worker count.
         """
         patterns = self.simulator._check_patterns(patterns)
-        if jobs is not None and jobs > 1:
-            from repro.runtime.parallel import sharded_detection_matrix
-
-            return sharded_detection_matrix(self.circuit, faults, patterns, jobs=jobs)
+        rows, values = self._fault_rows(faults)
         num_patterns = patterns.shape[0]
         with obs.TRACER.span(
             "detection_matrix",
             circuit=self.circuit.name,
-            faults=len(faults),
+            faults=len(rows),
             patterns=num_patterns,
-        ):
-            out = np.zeros((len(faults), num_patterns), dtype=np.bool_)
-            classes = self._collapse_classes(faults)
-            if not classes or not len(self._out_nodes):
+        ) as span:
+            if not len(rows) or not len(self._out_nodes):
                 # No primary outputs: nothing is observable, every fault
                 # escapes (the reference crashed here before the guard).
-                return out
-            good, valid = self._sim_state(patterns)
-            roots = self._schedule_roots(classes)
-            size = self._batch_size(good)
-            for start in range(0, len(roots), size):
-                batch = roots[start : start + size]
-                diff = self._batch_diff(good, valid, batch)
-                bits = np.unpackbits(
-                    diff.view(np.uint8), axis=1, bitorder="little"
-                )
-                for b, key in enumerate(batch):
-                    out[classes[key]] = bits[b, :num_patterns].astype(bool)
-            return out
+                return np.zeros((len(rows), num_patterns), dtype=np.bool_)
+            good = self.simulator.simulate(patterns).packed
+            stems = self._replayed_stems(rows)
+            span.set(stems=len(stems))
+            if jobs is not None and jobs > 1:
+                from repro.runtime.parallel import sharded_stem_flips
 
-    def coverage(
-        self,
-        faults: Sequence[StuckAtFault],
-        patterns: np.ndarray,
-        chunk_patterns: int = 64,
-    ) -> float:
-        """Fraction of faults detected by the pattern set.
+                passes = sharded_stem_flips(self, good, stems, jobs)
+            else:
+                passes = self.stem_flips(good, stems)
+            flip = np.zeros_like(good)
+            flip[self._out_nodes] = _ONES  # an output's own flip is seen
+            flip[stems] = passes
+            words = good[rows] ^ np.where(values, _ONES, np.uint64(0))[:, None]
+            words &= self._criticality(good)[rows] & flip[self._stem_of[rows]]
+            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+            return bits[:, :num_patterns].astype(bool)
 
-        Identical to ``detection_matrix(...).any(axis=1).mean()`` but
-        processes patterns in chunks and drops detected fault classes, so
-        most of the fault list is simulated against the first chunk only.
-        """
+    def coverage(self, faults: Sequence[StuckAtFault], patterns: np.ndarray) -> float:
+        """Fraction of faults detected by the pattern set."""
         if not faults:
             return 1.0
-        patterns = self.simulator._check_patterns(patterns)
-        classes = self._collapse_classes(faults)
-        detected = np.zeros(len(faults), dtype=bool)
-        if not len(self._out_nodes):
-            return 0.0
-        remaining = self._schedule_roots(classes)
-        for start in range(0, patterns.shape[0], chunk_patterns):
-            if not remaining:
-                break
-            good, valid = self._sim_state(patterns[start : start + chunk_patterns])
-            survivors: list[tuple[int, int]] = []
-            size = self._batch_size(good)
-            for bstart in range(0, len(remaining), size):
-                batch = remaining[bstart : bstart + size]
-                diff = self._batch_diff(good, valid, batch)
-                hit = diff.any(axis=1)
-                for b, key in enumerate(batch):
-                    if hit[b]:
-                        detected[classes[key]] = True
-                    else:
-                        survivors.append(key)
-            remaining = survivors
-        return float(detected.mean())
+        return float(self.detection_matrix(faults, patterns).any(axis=1).mean())
+
+    def stem_flips(self, good: np.ndarray, stems: np.ndarray) -> np.ndarray:
+        """Packed flip-detection words, one row per stem: the patterns
+        under which pinning the stem to the complement of its fault-free
+        value ``good`` changes a primary output."""
+        size = max(1, self.batch_words // good.shape[1])
+        out = np.empty((len(stems), good.shape[1]), dtype=np.uint64)
+        for start in range(0, len(stems), size):
+            out[start : start + size] = self._flip_pass(good, stems[start : start + size])
+        return out
 
     # ---------------------------------------------------------------- internal
-    def _chase(self, row: int, value: int) -> tuple[int, int]:
+    def _build_trees(self) -> None:
+        """Each net's reader and stem, the tree nets in runs by distance
+        from their stem, and each tree net's sensitising inputs."""
         cg = self._cg
-        while not self._is_output[row] and self._fanout_count[row] == 1:
-            sink = int(cg.fanout_indices[cg.fanout_indptr[row]])
-            step = _COLLAPSE_STEP.get((GATE_TYPE_CODES[cg.type_code[sink]], value))
-            if step is None:
+        nodes = np.arange(cg.num_nodes)
+        tree = np.flatnonzero((np.diff(cg.fanout_indptr) == 1) & ~self._is_output)
+        reader = nodes.copy()
+        reader[tree] = cg.fanout_indices[cg.fanout_indptr[tree]]
+        hops = np.zeros(cg.num_nodes, dtype=np.int64)
+        while True:
+            deeper = hops[reader[tree]] + 1
+            if np.array_equal(deeper, hops[tree]):
                 break
-            row, value = sink, step
-        return row, value
+            hops[tree] = deeper
+        order = tree[np.argsort(hops[tree], kind="stable")]
+        runs = np.split(order, np.flatnonzero(np.diff(hops[order])) + 1)
+        stem_of = nodes.copy()
+        for nets in runs:  # nearest the stem first
+            stem_of[nets] = stem_of[reader[nets]]
+        self._reader, self._stem_of, self._chains = reader, stem_of, runs[1:]
+        self._sensitise = []
+        for op, types, invert in _SENSITISE:
+            codes = [GATE_TYPE_CODES.index(t) for t in types]
+            nets = tree[np.isin(cg.type_code[reader[tree]], codes)]
+            fanins, counts = csr_gather(cg.fanin_indptr, cg.fanin_indices, reader[nets])
+            others = fanins[fanins != np.repeat(nets, counts)]
+            keep = counts > 1  # a one-input AND/OR passes every flip
+            if keep.any():
+                offsets = np.cumsum(counts - 1) - (counts - 1)
+                self._sensitise.append((op, nets[keep], others, offsets[keep], invert))
 
-    def _collapse_classes(
+    def _criticality(self, good: np.ndarray) -> np.ndarray:
+        """Packed patterns under which each net's flip reaches its stem
+        (all ones on a stem)."""
+        crit = np.full_like(good, _ONES)
+        for op, nets, others, offsets, invert in self._sensitise:
+            crit[nets] = op.reduceat(good[others], offsets, axis=0) ^ invert
+        for nets in self._chains:
+            crit[nets] &= crit[self._reader[nets]]
+        return crit
+
+    def _fault_rows(
         self, faults: Sequence[StuckAtFault]
-    ) -> dict[tuple[int, int], list[int]]:
-        """Map class root ``(node row, value)`` -> member fault indices."""
-        classes: dict[tuple[int, int], list[int]] = {}
-        for i, fault in enumerate(faults):
-            row = self.row_of.get(fault.net)
-            if row is None:
-                raise FaultSimError(f"unknown net {fault.net!r}")
-            classes.setdefault(self._chase(row, fault.value), []).append(i)
-        return classes
-
-    def _schedule_roots(
-        self, classes: dict[tuple[int, int], list[int]]
-    ) -> list[tuple[int, int]]:
-        """Class roots ordered by simulation slot, so faults sharing a
-        batch sit close in the schedule and their cone union stays tight."""
-        slot = self._cg.slot_of_node
-        return sorted(classes, key=lambda key: (int(slot[key[0]]), key[0], key[1]))
-
-    def _build_out_closure(self) -> None:
-        """Per-net reachable-primary-output bitsets, from one
-        reverse-topological sweep over the fanout CSR.
-
-        ``out_closure[n]`` ORs the reachable primary-output positions
-        (including ``n`` itself when it is an output).  The companion
-        reachable-*slot* bitsets live on the compiled graph
-        (:meth:`CompiledGraph.slot_closure`).
-        """
-        cg = self._cg
-        out_words = (len(self._out_nodes) + _WORD - 1) // _WORD
-        out_closure = np.zeros((cg.num_nodes, out_words), dtype=np.uint64)
-        outs = np.arange(len(self._out_nodes), dtype=np.uint64)
-        out_closure[self._out_nodes, (outs // _WORD).astype(np.int64)] |= (
-            np.uint64(1) << (outs % _WORD)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(node row, stuck value) arrays; :class:`FaultSimError` on an
+        unknown net."""
+        rows = np.fromiter(
+            (self.row_of.get(f.net, -1) for f in faults), np.int64, len(faults)
         )
-        indptr, indices = cg.fanout_indptr, cg.fanout_indices
-        for node in cg.topo[::-1]:
-            row = indices[indptr[node] : indptr[node + 1]]
-            if len(row):
-                out_closure[node] |= np.bitwise_or.reduce(out_closure[row], axis=0)
-        self._out_closure = out_closure
+        if len(rows) and rows.min() < 0:
+            raise FaultSimError(f"unknown net {faults[int(rows.argmin())].net!r}")
+        return rows, np.fromiter((f.value for f in faults), bool, len(faults))
 
-    def _batch_size(self, good: np.ndarray) -> int:
-        """Faults per pass under the :attr:`batch_words` budget."""
-        return max(1, self.batch_words // good.shape[1])
+    def _replayed_stems(self, rows: np.ndarray) -> np.ndarray:
+        """The non-output stems of ``rows`` in simulation-slot order, so
+        stems sharing a pass sit close in the schedule and their cone
+        union stays tight."""
+        stems = np.unique(self._stem_of[rows])
+        stems = stems[~self._is_output[stems]]
+        return stems[np.argsort(self._cg.slot_of_node[stems], kind="stable")]
 
-    def _sim_state(self, patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(fault-free packed node rows, valid-bit word mask)."""
-        good = self.simulator.simulate(patterns).packed
-        valid = np.full(good.shape[1], _ONES, dtype=np.uint64)
-        tail = patterns.shape[0] % _WORD
-        if tail:
-            valid[-1] = (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
-        return good, valid
+    def _flip_pass(self, good: np.ndarray, stems: np.ndarray) -> np.ndarray:
+        """Packed flip-detection words, one row per stem of one pass.
 
-    def _batch_diff(
-        self,
-        good: np.ndarray,
-        valid: np.ndarray,
-        batch: Sequence[tuple[int, int]],
-    ) -> np.ndarray:
-        """Packed detection words, one row per fault in ``batch``.
-
-        One fault-parallel pass: state is ``(rows, batch, words)``, each
-        fault pinned in its own column; only sim-group slices inside the
-        batch's cone union are re-evaluated, and after every group the
-        pinned rows are re-asserted (a pinned net may sit inside another
-        batch member's cone and must still be re-computed *there*).
+        State is ``(rows, batch, words)``, each stem pinned to the
+        complement of its good value in its own column; only sim-group
+        slices inside the batch's cone union are re-evaluated, and after
+        every group the pinned rows are re-asserted (a pinned stem may
+        sit inside another batch member's cone and must still be
+        re-computed *there*).
         """
-        if self._out_closure is None:
-            self._build_out_closure()
         cg = self._cg
         num_words = good.shape[1]
-        size = len(batch)
-        rows = np.asarray([key[0] for key in batch], dtype=np.int64)
-        values = np.asarray([key[1] for key in batch], dtype=np.uint64)
+        size = len(stems)
         cols = np.arange(size)
 
         pool = self._state_pool
-        if (
-            pool is None
-            or pool.shape[1] < size
-            or pool.shape[2] != num_words
-        ):
+        if pool is None or pool.shape[1] < size or pool.shape[2] != num_words:
             pool = np.empty(
-                (cg.num_sim_rows, max(size, self._batch_size(good)), num_words),
+                (cg.num_sim_rows, max(size, self.batch_words // num_words), num_words),
                 dtype=np.uint64,
             )
             self._state_pool = pool
@@ -341,10 +290,10 @@ class StuckAtSimulator:
         state[: cg.num_nodes] = good[:, None, :]
         state[cg.zero_row] = np.uint64(0)
         state[cg.ones_row] = _ONES
-        pin_words = np.where(values[:, None].astype(bool), _ONES, np.uint64(0))
-        state[rows, cols] = pin_words
+        pin_words = ~good[stems]
+        state[stems, cols] = pin_words
 
-        union = np.bitwise_or.reduce(cg.slot_closure()[rows], axis=0)
+        union = np.bitwise_or.reduce(cg.slot_closure()[stems], axis=0)
         slots = np.flatnonzero(np.unpackbits(union.view(np.uint8), bitorder="little"))
         if len(slots):
             offsets = cg.sim_group_offsets
@@ -362,9 +311,9 @@ class StuckAtSimulator:
                 else:
                     acc = np.bitwise_xor.reduce(gathered, axis=1)
                 state[group.dst[pos]] = acc ^ group.invert[pos][:, :, None]
-                state[rows, cols] = pin_words  # re-assert pinned nets
+                state[stems, cols] = pin_words  # re-assert pinned nets
 
-        out_union = np.bitwise_or.reduce(self._out_closure[rows], axis=0)
+        out_union = np.bitwise_or.reduce(self._out_closure[stems], axis=0)
         out_positions = np.flatnonzero(
             np.unpackbits(out_union.view(np.uint8), bitorder="little")
         )
@@ -372,4 +321,4 @@ class StuckAtSimulator:
             return np.zeros((size, num_words), dtype=np.uint64)
         out_rows = self._out_nodes[out_positions]
         xor = state[out_rows] ^ good[out_rows][:, None, :]
-        return np.bitwise_or.reduce(xor, axis=0) & valid
+        return np.bitwise_or.reduce(xor, axis=0)

@@ -280,24 +280,38 @@ class CompiledGraph:
         reachable from node ``n`` through the fanout CSR (including
         ``n`` itself when it is a gate): the fault cones the stuck-at
         engine re-simulates, cached on the graph so pool workers inherit
-        it.  Built by one reverse-topological sweep.
+        it.
         """
         cached = self.__dict__.get("_slot_closure")
         if cached is None:
             slot_words = (self.num_gates + 63) // 64
-            closure = np.zeros((self.num_nodes, slot_words), dtype=np.uint64)
+            seed = np.zeros((self.num_nodes, slot_words), dtype=np.uint64)
             slots = np.arange(self.num_gates, dtype=np.uint64)
-            closure[self.node_of_slot, (slots // np.uint64(64)).astype(np.int64)] = (
+            seed[self.node_of_slot, (slots // np.uint64(64)).astype(np.int64)] = (
                 np.uint64(1) << (slots % np.uint64(64))
             )
-            indptr, indices = self.fanout_indptr, self.fanout_indices
-            for node in self.topo[::-1]:
-                row = indices[indptr[node] : indptr[node + 1]]
-                if len(row):
-                    closure[node] |= np.bitwise_or.reduce(closure[row], axis=0)
-            object.__setattr__(self, "_slot_closure", closure)
-            cached = closure
+            cached = self.fanout_closure(seed)
+            object.__setattr__(self, "_slot_closure", cached)
         return cached
+
+    def fanout_closure(self, seed: np.ndarray) -> np.ndarray:
+        """``seed``'s rows ORed over everything each node reaches
+        through the fanout CSR: ``out[n] = seed[n] | OR(out[m] for m in
+        fanouts(n))``.
+
+        One vectorised step per level, deepest first: a node's fanouts
+        all sit on deeper levels, so their rows are final when it reads
+        them.
+        """
+        out = seed.copy()
+        nodes = np.flatnonzero(np.diff(self.fanout_indptr))
+        order = nodes[np.argsort(-self.level[nodes], kind="stable")]
+        for group in np.split(order, np.flatnonzero(np.diff(self.level[order])) + 1):
+            sinks, counts = csr_gather(self.fanout_indptr, self.fanout_indices, group)
+            out[group] |= np.bitwise_or.reduceat(
+                out[sinks], np.cumsum(counts) - counts, axis=0
+            )
+        return out
 
     def gate_fanins(self, gate: int) -> np.ndarray:
         """Fanin node ids of one gate (declaration order)."""

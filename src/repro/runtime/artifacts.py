@@ -45,7 +45,7 @@ __all__ = [
 #: Per-kind schema versions; bump to invalidate one kind only.
 SCHEMA = {
     "separation": 1,
-    "stuckat-detection": 1,
+    "stuckat-detection": 2,
     "iddq-testset": 1,
     "optimize-portfolio": 1,
 }
@@ -74,7 +74,11 @@ def cached_separation_matrix(store: ArtifactStore, circuit, cap: int):
 
 # ------------------------------------------------------------------ stuck-at
 def _fault_fingerprint(faults: Sequence) -> str:
-    return fp.fingerprint_value([(f.net, f.value) for f in faults])
+    """The fault list as arrays: its length, its newline-joined net
+    names and its stuck values as ``int8``."""
+    names = "\n".join(f.net for f in faults).encode()
+    values = np.fromiter((f.value for f in faults), np.int8, len(faults))
+    return fp.fingerprint_value((len(faults), names, values))
 
 
 def cached_detection_matrix(

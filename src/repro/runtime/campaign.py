@@ -6,11 +6,13 @@ partition optimisation — over a list of benchmark circuits, memoizing
 every stage in the artifact store and spreading the work across the
 process pool: one task per circuit when several circuits have stages
 to run, otherwise each stage sharded.  The run writes a JSON **manifest**
-recording, per (circuit, stage): the artifact cache key, whether it was
-served from cache, wall-clock seconds and stage-specific metadata —
-the machine-readable receipt the benchmarks and CI assert against
-(e.g. "a second run serves separation/detection/test-set artifacts from
-the cache").
+recording, per (circuit, stage): its status, whether it was served from
+cache, wall-clock seconds and stage-specific metadata — the
+machine-readable receipt the benchmarks and CI assert against (e.g. "a
+second run serves separation/detection/test-set artifacts from the
+cache").  An entry carries no artifact cache key: a key can move (a
+schema bump, a new key recipe in :mod:`repro.runtime.artifacts`)
+while every manifest field stays the same.
 
 Failure model (DESIGN.md §10): each (circuit, stage) runs inside its
 own try/except — one failure quarantines that entry (``"status":

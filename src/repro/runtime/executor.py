@@ -87,6 +87,7 @@ all of the above lives in :mod:`repro.runtime.faults`.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import tempfile
@@ -333,9 +334,10 @@ class Executor:
     ) -> list[R]:
         """Run ``fn(state, task)`` for every task; results in task order.
 
-        ``fn`` and ``state_factory`` must be module-level callables (or
-        ``functools.partial`` of one) so they survive pickling; the
-        state factory runs once per worker.  Serial mode builds the
+        ``fn`` must be a module-level callable (or ``functools.partial``
+        of one) so it survives pickling, and so must ``state_factory``
+        unless the pool forks, when workers inherit it; the state
+        factory runs once per worker.  Serial mode builds the
         state once in-process and loops.  Failure semantics are the
         module-docstring contract: completed results survive worker
         death, task exceptions retry up to ``task_retries``, hangs past
@@ -364,7 +366,11 @@ class Executor:
                 )
                 return results
             try:
-                pickle.dumps((fn, state_factory))
+                # fn rides with every task; the state factory crosses the
+                # process boundary only when the workers are not forked.
+                pickle.dumps(fn)
+                if multiprocessing.get_start_method() != "fork":
+                    pickle.dumps(state_factory)
             except Exception as exc:  # noqa: BLE001 - anything unpicklable
                 # fn/state can't cross the process boundary at all: nothing
                 # was dispatched, so the serial run is the first execution.

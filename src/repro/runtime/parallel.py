@@ -3,11 +3,12 @@
 Three workloads are sharded here:
 
 * :func:`sharded_detection_matrix` — the stuck-at detection matrix,
-  split into contiguous fault shards.  Every fault's detection row is
-  computed independently of its batch-mates (the batched engine pins
-  each fault in its own bit column), so concatenating shard submatrices
-  in fault order is **bit-identical** to the serial build — asserted by
-  the runtime test suite and the benchmark.
+  its stem flip passes split into contiguous stem ranges
+  (:func:`sharded_stem_flips`).  Every stem's flip words are computed
+  independently of its batch-mates (the batched engine pins each stem
+  in its own bit column), so concatenating the ranges' words in stem
+  order is **bit-identical** to the serial build — asserted by the
+  runtime test suite and the benchmark.
 * :func:`sharded_targeted_searches` — the targeted phase of IDDQ test
   generation, one task per undetected defect.  Each search draws from
   its own seeded stream (:func:`repro.faultsim.atpg.defect_stream_seed`),
@@ -45,21 +46,24 @@ from repro.runtime.executor import Executor, resolve_jobs
 __all__ = [
     "portfolio_runs",
     "sharded_detection_matrix",
+    "sharded_stem_flips",
     "sharded_targeted_searches",
 ]
 
 
 # ------------------------------------------------------------------ stuck-at
-def _stuck_state(circuit, faults, patterns):
+def _stem_state(circuit, batch_words, good, stems):
     from repro.faultsim.stuck_at import StuckAtSimulator
 
-    return (StuckAtSimulator(circuit), faults, patterns)
+    sim = StuckAtSimulator(circuit)
+    sim.batch_words = batch_words
+    return (sim, good, stems)
 
 
-def _stuck_shard(state, task):
-    sim, faults, patterns = state
+def _stem_shard(state, task):
+    sim, good, stems = state
     start, stop = task
-    return start, sim.detection_matrix(faults[start:stop], patterns)
+    return sim.stem_flips(good, stems[start:stop])
 
 
 def sharded_detection_matrix(
@@ -68,47 +72,56 @@ def sharded_detection_matrix(
     patterns: np.ndarray,
     jobs: int | None = None,
 ) -> np.ndarray:
-    """Stuck-at detection matrix sharded across workers by fault range.
+    """Stuck-at detection matrix with its stem flip passes sharded
+    across workers.
 
     Bit-identical to ``StuckAtSimulator(circuit).detection_matrix(...)``
     at any worker count.  With ``jobs <= 1`` this *is* that call.
-
-    Tasks are ``(start, stop)`` index ranges — the fault list rides in
-    the worker state (inherited free under fork, pickled once per
-    worker under spawn), keeping per-task payloads to a few bytes.
     """
     from repro.faultsim.stuck_at import StuckAtSimulator
 
+    return StuckAtSimulator(circuit).detection_matrix(
+        faults, patterns, jobs=resolve_jobs(jobs)
+    )
+
+
+def sharded_stem_flips(
+    sim, good: np.ndarray, stems: np.ndarray, jobs: int | None = None
+) -> np.ndarray:
+    """``sim.stem_flips(good, stems)`` over contiguous stem ranges, one
+    pool task per range, about four ranges per worker for load balance
+    (stem cones vary in size).
+
+    Tasks are ``(start, stop)`` index ranges — the fault-free words and
+    the stems ride in the worker state (inherited free under fork,
+    pickled once per worker under spawn), keeping per-task payloads to
+    a few bytes; each worker replays its range in ``sim``'s batches.
+    """
+    circuit = sim.circuit
     executor = Executor(jobs)
-    if executor.serial or len(faults) <= 1:
-        return StuckAtSimulator(circuit).detection_matrix(faults, patterns)
     with obs.TRACER.span(
         "driver.detection_matrix",
         circuit=circuit.name,
-        faults=len(faults),
-        patterns=int(patterns.shape[0]),
+        stems=len(stems),
         jobs=executor.jobs,
     ):
         # Warm shared compiled-graph caches before forking so every worker
         # inherits them instead of rebuilding (slot closures are cached on
         # the CompiledGraph instance itself).
         circuit.compiled.slot_closure()
-        faults = list(faults)
-        # ~4 shards per worker for load balance: fault cones vary in size.
-        shard = max(1, -(-len(faults) // (executor.jobs * 4)))
+        shard = max(1, -(-len(stems) // (executor.jobs * 4)))
         tasks = [
-            (start, min(start + shard, len(faults)))
-            for start in range(0, len(faults), shard)
+            (start, min(start + shard, len(stems)))
+            for start in range(0, len(stems), shard)
         ]
         results = executor.map(
-            _stuck_shard,
+            _stem_shard,
             tasks,
-            state_factory=partial(_stuck_state, circuit, faults, patterns),
+            state_factory=partial(
+                _stem_state, circuit, sim.batch_words, good, stems
+            ),
         )
-        out = np.zeros((len(faults), patterns.shape[0]), dtype=np.bool_)
-        for start, submatrix in results:
-            out[start : start + submatrix.shape[0]] = submatrix
-        return out
+        return np.concatenate(results) if results else good[:0]
 
 
 # ---------------------------------------------------------------------- ATPG

@@ -228,6 +228,5 @@ class TestStuckAtStatePooling:
         second = sim.detection_matrix(faults, patterns)
         assert sim._state_pool is pool  # same buffer, no realloc
         assert np.array_equal(first, second)
-        # Coverage (different word count) reallocates, then works.
         coverage = sim.coverage(faults, patterns)
         assert coverage == pytest.approx(float(first.any(axis=1).mean()))

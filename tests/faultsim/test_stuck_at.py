@@ -12,6 +12,8 @@ from repro.faultsim.stuck_at import (
     enumerate_stuck_at_faults,
 )
 from repro.netlist.benchmarks import c17
+from repro.netlist.builder import CircuitBuilder
+from repro.runtime.parallel import sharded_detection_matrix
 
 
 class TestFaultModel:
@@ -83,34 +85,124 @@ class TestRandomVectorCoverage:
 
 
 class TestCollapsing:
-    def test_root_is_fixpoint(self, small_circuit):
+    def test_unknown_net_rejected(self, small_circuit):
+        """An unknown net fails the whole build, wherever it sits in the
+        fault list and at any worker count."""
         sim = StuckAtSimulator(small_circuit)
-        for fault in enumerate_stuck_at_faults(small_circuit):
-            root = sim.collapse_root(fault)
-            assert sim.collapse_root(root) == root
+        known = enumerate_stuck_at_faults(small_circuit)[:6]
+        patterns = random_patterns(len(small_circuit.input_names), 8, seed=4)
+        ghost = StuckAtFault("ghost", 1)
+        for faults in ([ghost], [ghost, *known], [*known, ghost], [*known[:3], ghost]):
+            for jobs in (None, 2):
+                with pytest.raises(FaultSimError, match="ghost"):
+                    sim.detection_matrix(faults, patterns, jobs=jobs)
 
-    def test_class_members_share_detection_rows(self, small_circuit):
-        """Every fault's detection row equals its class root's row —
-        the property that makes simulating one representative sound."""
-        sim = StuckAtSimulator(small_circuit)
-        faults = enumerate_stuck_at_faults(small_circuit)
-        roots = [sim.collapse_root(f) for f in faults]
-        patterns = random_patterns(len(small_circuit.input_names), 96, seed=3)
-        fault_matrix = sim.detection_matrix(faults, patterns)
-        root_matrix = ReferenceStuckAtSimulator(small_circuit).detection_matrix(
-            roots, patterns
+
+def _built(name, gates, outputs):
+    """A hand-built circuit: ``gates`` maps a net to ``(type, fanins)``
+    (``None`` for a primary input)."""
+    builder = CircuitBuilder(name)
+    for net, spec in gates.items():
+        if spec is None:
+            builder.input(net)
+        else:
+            builder.gate(net, spec[0], spec[1])
+    return builder.outputs(outputs).build()
+
+
+def _assert_matches_reference(circuit, faults=None):
+    faults = enumerate_stuck_at_faults(circuit) if faults is None else faults
+    patterns = exhaustive_patterns(len(circuit.input_names))
+    matrix = StuckAtSimulator(circuit).detection_matrix(faults, patterns)
+    reference = ReferenceStuckAtSimulator(circuit).detection_matrix(faults, patterns)
+    assert np.array_equal(matrix, reference)
+    return matrix
+
+
+class TestCriticalPathTracing:
+    """Purpose-built fanout-free regions against the serial reference,
+    every fault on exhaustive patterns."""
+
+    def test_output_that_also_fans_out(self):
+        # "y" is a primary output and feeds "z": a stem twice over.
+        circuit = _built(
+            "po_fanout",
+            {
+                "a": None, "b": None, "c": None,
+                "y": ("NAND", ["a", "b"]),
+                "z": ("AND", ["y", "c"]),
+            },
+            ["y", "z"],
         )
-        assert np.array_equal(fault_matrix, root_matrix)
+        sim = StuckAtSimulator(circuit)
+        assert sim._stem_of[sim.row_of["y"]] == sim.row_of["y"]
+        matrix = _assert_matches_reference(circuit)
+        y_sa1 = enumerate_stuck_at_faults(circuit).index(StuckAtFault("y", 1))
+        assert matrix[y_sa1].any()
 
-    def test_collapsing_shrinks_the_class_count(self, small_circuit):
-        sim = StuckAtSimulator(small_circuit)
+    def test_input_with_fanout_one(self):
+        # "a" feeds only "n", so its faults are traced through "n".
+        circuit = _built(
+            "pi_fanout_one",
+            {
+                "a": None, "b": None, "c": None,
+                "n": ("OR", ["a", "b"]),
+                "m": ("NOT", ["n"]),
+                "y": ("AND", ["m", "c", "b"]),
+            },
+            ["y"],
+        )
+        sim = StuckAtSimulator(circuit)
+        assert sim._stem_of[sim.row_of["a"]] == sim.row_of["y"]
+        _assert_matches_reference(circuit)
+
+    def test_xor_xnor_tree(self):
+        circuit = _built(
+            "parity",
+            {
+                "a": None, "b": None, "c": None, "d": None, "e": None,
+                "p": ("XOR", ["a", "b"]),
+                "q": ("XNOR", ["c", "d"]),
+                "r": ("XOR", ["p", "q", "e"]),
+                "y": ("XNOR", ["r", "a"]),
+            },
+            ["y"],
+        )
+        matrix = _assert_matches_reference(circuit)
+        # A parity tree passes every flip, so a tree net's fault is seen
+        # whenever its fault-free value differs from the stuck value;
+        # the stem "a" reaches "y" twice and its flips cancel there.
+        seen = dict(zip(circuit.all_names, matrix.sum(axis=1).reshape(-1, 2)))
+        assert seen.pop("a").tolist() == [0, 0]
+        assert all(counts.tolist() == [16, 16] for counts in seen.values())
+
+    def test_dangling_net_rows_all_false(self):
+        # "d" is neither an output nor read by any gate; "t" feeds only it.
+        circuit = _built(
+            "dangling",
+            {
+                "a": None, "b": None,
+                "y": ("AND", ["a", "b"]),
+                "t": ("NOT", ["b"]),
+                "d": ("NOR", ["t", "a"]),
+            },
+            ["y"],
+        )
+        faults = [StuckAtFault(net, v) for net in ("d", "t") for v in (0, 1)]
+        assert not _assert_matches_reference(circuit, faults).any()
+        _assert_matches_reference(circuit)
+
+    def test_sharded_equals_serial(self, small_circuit):
         faults = enumerate_stuck_at_faults(small_circuit)
-        roots = {sim.collapse_root(f) for f in faults}
-        assert len(roots) < len(faults)
-
-    def test_unknown_net_rejected(self, c17_circuit):
-        with pytest.raises(FaultSimError):
-            StuckAtSimulator(c17_circuit).collapse_root(StuckAtFault("ghost", 1))
+        faults = faults[::3] + faults[5:40]  # duplicates included
+        patterns = random_patterns(len(small_circuit.input_names), 100, seed=6)
+        serial = StuckAtSimulator(small_circuit).detection_matrix(faults, patterns)
+        fast = StuckAtSimulator(small_circuit)
+        fast.batch_words = 8  # several passes in each of several shards
+        assert np.array_equal(
+            sharded_detection_matrix(small_circuit, faults, patterns, jobs=2), serial
+        )
+        assert np.array_equal(fast.detection_matrix(faults, patterns, jobs=2), serial)
 
 
 class TestNoPrimaryOutputs:

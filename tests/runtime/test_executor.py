@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
+import warnings
 from functools import partial
 
 import pytest
@@ -27,6 +30,10 @@ def with_state(state, task):
 
 def make_state(base):
     return base
+
+
+def worker_pid(state, task):
+    return os.getpid()
 
 
 def failing(state, task):
@@ -136,6 +143,19 @@ class TestMap:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(AttributeError, match="genuine task bug"):
                 Executor(2).map(attr_failing, [1, 2])
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit their state",
+    )
+    def test_unpicklable_state_factory_runs_in_pool_under_fork(self):
+        # Forked workers inherit the state factory, so a lock inside it
+        # (which no pickle takes) must not send the map to the serial path.
+        factory = partial(make_state, threading.Lock())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pids = Executor(2).map(worker_pid, range(4), state_factory=factory)
+        assert os.getpid() not in pids
 
     def test_unpicklable_fn_falls_back_to_serial(self):
         # A lambda cannot cross the process boundary; the executor must

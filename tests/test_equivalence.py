@@ -149,11 +149,11 @@ class TestLogicSimEquivalence:
 
 
 class TestStuckAtEquivalence:
-    """The fault-parallel engine (collapsing + batched cone-limited
-    simulation + fault dropping) vs the serial reference — fault for
-    fault, bit for bit."""
+    """The stem engine (batched cone-limited flip passes + critical-path
+    tracing inside fanout-free regions) vs the serial reference — fault
+    for fault, bit for bit."""
 
-    #: Faults per pass, on top of the word budget's default.
+    #: Stems per pass, on top of the word budget's default.
     BATCHES = (1, 7, 64, 256)
 
     def test_detection_matrix_identical(self, circuit):
@@ -174,17 +174,15 @@ class TestStuckAtEquivalence:
             ), f"batch {batch}"
 
     def test_coverage_identical_with_fault_dropping(self, circuit):
+        """Coverage is the matrix's any-row mean (the chunked fault
+        dropping this test is named after is gone)."""
         faults = enumerate_stuck_at_faults(circuit)
         patterns = random_patterns(len(circuit.input_names), 200, seed=22)
-        fast = StuckAtSimulator(circuit)
         reference = ReferenceStuckAtSimulator(circuit).coverage(faults, patterns)
-        for chunk in (64, 128, 512):
-            assert fast.coverage(faults, patterns, chunk_patterns=chunk) == reference
         for batch in self.BATCHES:
             fast = StuckAtSimulator(circuit)
-            fast.batch_words = batch  # one word per 64-pattern chunk
-            coverage = fast.coverage(faults, patterns, chunk_patterns=64)
-            assert coverage == reference, f"batch {batch}"
+            fast.batch_words = batch * 4  # four words at 200 patterns
+            assert fast.coverage(faults, patterns) == reference, f"batch {batch}"
 
     def test_fault_subsets_and_duplicates(self, circuit):
         faults = enumerate_stuck_at_faults(circuit)
@@ -193,6 +191,38 @@ class TestStuckAtEquivalence:
         assert np.array_equal(
             StuckAtSimulator(circuit).detection_matrix(subset, patterns),
             ReferenceStuckAtSimulator(circuit).detection_matrix(subset, patterns),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gates=st.integers(2, 90),
+        inputs=st.integers(1, 9),
+        outputs=st.integers(1, 6),
+        depth=st.integers(1, 12),
+        seed=st.integers(0, 100_000),
+        num_patterns=st.integers(1, 200),
+        picks=st.lists(st.integers(0, 10_000), min_size=1, max_size=60),
+        batch=st.sampled_from((1, 7, 64, 256)),
+    )
+    def test_generated_circuits_match_reference(
+        self, gates, inputs, outputs, depth, seed, num_patterns, picks, batch
+    ):
+        """Any generated circuit, pattern count and fault subset (in any
+        order, duplicates included) gives the reference's matrix."""
+        circuit = generate_iscas_like(
+            GeneratorConfig(
+                name="sagen", num_gates=gates, num_inputs=inputs,
+                num_outputs=outputs, depth=min(depth, gates), seed=seed,
+            )
+        )
+        every = enumerate_stuck_at_faults(circuit)
+        faults = [every[i % len(every)] for i in picks]
+        patterns = random_patterns(inputs, num_patterns, seed=seed)
+        fast = StuckAtSimulator(circuit)
+        fast.batch_words = batch * -(-num_patterns // 64)
+        assert np.array_equal(
+            fast.detection_matrix(faults, patterns),
+            ReferenceStuckAtSimulator(circuit).detection_matrix(faults, patterns),
         )
 
 
