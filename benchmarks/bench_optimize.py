@@ -46,9 +46,11 @@ measurable in isolation — ``bench_timing.py`` asserts ≥3x on the
 natural-K trial retime (8.2-9.3x measured) and ≥2x on stacked vs
 sequential candidate scoring (9.2-10.4x measured).  The annealing
 sweep is recorded without a floor: its legacy reject path (reverse
-move, no clone) was already clone-free, so the two legs are near
-parity.  Results land in ``BENCH_optimize.json`` via the bench-smoke
-job.
+move, no clone) was already clone-free.  Since moves and rollbacks
+keep the partition's member and boundary caches, the dense leg leads
+it, 17.7 ms against 20.6-20.7 ms (1.17x) on a 2-vCPU VM, where it
+trailed at 23.3-23.7 ms against 21.9-22.2 ms (0.94x) before.  Results
+land in ``BENCH_optimize.json`` via the bench-smoke job.
 
 A final section floors batched candidate *scoring* as KL and annealing
 use it: one ``trial_moves`` call over a 64-move annealing proposal
@@ -56,7 +58,9 @@ block vs the same block through per-candidate ``trial_cost`` (≥3x), and
 one ``trial_swaps`` call over a 48-pair KL pool vs the per-candidate
 loop (≥2x).  Both adapters score one- and two-move rows of the
 ``trial_blocks`` kernel, which runs no matrix product, so BLAS
-threading does not enter; on a 2-vCPU VM they measured 5.3x and 6.6x.
+threading does not enter; on a 2-vCPU VM they measured 4.8-5.1x and
+6.1-6.5x (5.0-5.4x and 5.0-6.2x before moves and rollbacks kept the
+partition's caches, which made the sequential legs cheaper).
 Scores are asserted bit-identical between legs — the property the walk
 layers rely on for decision-stream equivalence.  End-to-end *walk*
 time is deliberately not floored: it depends on how often proposals
@@ -454,7 +458,7 @@ def test_anneal_sweep_legacy(benchmark, evaluator, start):
 
 def test_anneal_sweep_dense(benchmark, evaluator, start):
     """Recorded without a floor — the legacy reject path (reverse move,
-    no clone) was already clone-free, so the legs are near parity."""
+    no clone) was already clone-free (see module docstring)."""
 
     def run():
         _RECORDED["anneal_dense"] = _best_of(

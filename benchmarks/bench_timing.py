@@ -10,9 +10,10 @@ Table 1 circuit (C7552 stand-in), each timed twice:
   move (seeds: both touched modules) as the maintained
   :meth:`IncrementalTiming.update` vs a plain full sweep + global diff.
   Recorded without a floor: at natural-K seed sizes the update takes
-  its full gate-space sweep, so both legs do the same work (~0.95x
-  observed) — a cost incurred once per *accepted* move and repaid
-  hundreds of times over by the batched trial path below.
+  its full gate-space sweep and hands back the fresh vector, so both
+  legs run the same sweep and only the legacy one diffs — a cost
+  incurred once per *accepted* move and repaid hundreds of times over
+  by the batched trial path below.
 * **natural-K trial retime** — scoring a whole (source, target)
   neighborhood: one :meth:`IncrementalTiming.retime_batch` stacked
   sweep vs the per-candidate loop (build the candidate delay vector,
@@ -160,8 +161,8 @@ def test_committed_move_retime_maintained(benchmark, setup):
         return setup["arrival"].copy()
 
     def step(arr):
-        inc.update(arr, new_delays, cols)
-        _RECORDED["committed_dbic"] = float(arr.max())
+        fresh, _, _ = inc.update(arr, new_delays, cols)
+        _RECORDED["committed_dbic"] = float(fresh.max())
 
     def run():
         _RECORDED["committed_maintained"] = _best_of(step, prep, rounds=20)
@@ -241,9 +242,10 @@ def test_batched_retime_sequential(benchmark, setup):
         for i in range(len(overrides)):
             cand = delays.copy()
             cand[cols] = overrides[i]
-            touched, old = inc.update(arr, cand, cols)
-            out[i] = arr.max()
-            arr[touched] = old  # exact undo
+            fresh, touched, old = inc.update(arr, cand, cols)
+            out[i] = fresh.max()
+            if touched is not None:
+                arr[touched] = old  # exact undo; a full sweep left arr as it was
         _RECORDED["seq_dbic"] = out
 
     def run():

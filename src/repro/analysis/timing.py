@@ -11,7 +11,7 @@ graph's level groups — no dict traversal at construction either.
 
 :class:`IncrementalTiming` additionally maintains an arrival vector
 under delay *changes* (DESIGN.md §8.4): a fanout-cone walk for a handful
-of changed gates, a full gate-space sweep for anything larger, and
+of changed gates, a fresh full gate-space sweep for anything larger, and
 :meth:`IncrementalTiming.retime_batch`, which re-times ``C`` candidate
 delay vectors in one stacked sweep over a scratch arrival matrix.
 Max/add are exact floating-point operations, so every path here is
@@ -108,8 +108,8 @@ class IncrementalTiming:
     stacked re-timing of candidate delay vectors.
 
     :meth:`update` picks between two bit-identical strategies by seed
-    count: a fanout-cone walk for tiny seed sets, and a full gate-space
-    sweep with a global diff for everything else.  :meth:`retime_batch`
+    count: a fanout-cone walk for tiny seed sets, and a fresh full
+    gate-space sweep for everything else.  :meth:`retime_batch`
     stacks ``C`` candidate delay vectors as columns of one
     ``(gates, C)`` scratch matrix in **level-major order** (gates sorted
     by level, unfed-before-fed within a level, so each level's fed gates
@@ -208,28 +208,25 @@ class IncrementalTiming:
     # ------------------------------------------------------------- maintenance
     def update(
         self, arrival: np.ndarray, delays: np.ndarray, seeds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Propagate delay changes at ``seeds`` through their fanout cones.
-
-        Mutates ``arrival`` in place and returns ``(touched, old)`` —
-        the gate indices whose arrival actually changed and their
-        previous values, so callers can journal an exact undo.
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Propagate delay changes at ``seeds`` through their fanout
+        cones; returns ``(fresh, touched, old)``.
 
         Two bit-identical strategies (max/add are exact, so only the
-        traversal differs): a cone walk for tiny seed sets, and a full
-        gate-space sweep with a global diff for everything else.
+        traversal differs).  For tiny seed sets a cone walk writes into
+        ``arrival`` and returns it as ``fresh``, with the gate indices
+        whose arrival changed and their previous values: an exact undo
+        for callers to journal.  Anything else takes a full gate-space
+        sweep into a new ``fresh`` vector, and ``touched`` and ``old``
+        are ``None``: ``arrival`` is left as it was, its own undo.
         """
         if seeds.size == 0 or self.num_gates == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+            return arrival, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         if seeds.size * IncrementalTiming.CONE_DIVISOR < self.num_gates:
             obs.METRICS.inc("timing.update.cone")
-            return self._cone_update(arrival, delays, seeds)
+            return (arrival, *self._cone_update(arrival, delays, seeds))
         obs.METRICS.inc("timing.update.full")
-        fresh = self.full_arrival(delays)
-        idx = np.nonzero(fresh != arrival)[0]
-        old = arrival[idx]
-        arrival[idx] = fresh[idx]
-        return idx, old
+        return self.full_arrival(delays), None, None
 
     def _cone_update(self, arrival, delays, seeds):
         """Per-gate fanout-cone walk, stopping a branch as soon as a
@@ -290,9 +287,10 @@ class IncrementalTiming:
         The candidates are stacked as columns of one ``(gates, C)``
         scratch matrix and swept once over the whole circuit.
         ``arrival``/``delays`` are read-only; the result is
-        bit-identical to running :meth:`update` plus ``arrival.max()``
-        per candidate.  When no override differs from the base delay,
-        nothing is swept and every candidate scores ``arrival.max()``.
+        bit-identical to running :meth:`update` per candidate and taking
+        the maximum of its fresh vector.  When no override differs from
+        the base delay, nothing is swept and every candidate scores
+        ``arrival.max()``.
 
         Rows may override any number of gates.  An entry equal to the
         base delay is a no-op, so heterogeneous candidates can share one

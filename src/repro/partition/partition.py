@@ -15,6 +15,7 @@ adjacency in one vectorised gather instead of walking per-gate tuples.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -68,6 +69,29 @@ def check_gate_ids(gates, num_gates: int) -> np.ndarray:
     return values.astype(np.int64)
 
 
+def _with_gate(members: np.ndarray, gate: int, add: bool) -> np.ndarray:
+    """The sorted ``members`` with ``gate`` inserted (``add``) or
+    removed, as a new array of slice copies."""
+    i = int(members.searchsorted(gate))
+    middle, tail = ([gate], members[i:]) if add else (members[:0], members[i + 1 :])
+    return np.concatenate((members[:i], middle, tail))
+
+
+def _edited(gates: list[int], drop, add) -> list[int]:
+    """The ascending ``gates`` without ``drop`` and with ``add``, as a
+    new ascending list."""
+    out = gates.copy()
+    for gate in drop:
+        i = bisect_left(out, gate)
+        if out[i : i + 1] == [gate]:
+            del out[i]
+    for gate in add:
+        i = bisect_left(out, gate)
+        if out[i : i + 1] != [gate]:
+            out.insert(i, gate)
+    return out
+
+
 class Partition:
     """Mutable disjoint cover of a circuit's logic gates by modules.
 
@@ -99,15 +123,18 @@ class Partition:
         self._clear_caches()
 
     def _clear_caches(self) -> None:
-        # Version-keyed membership cache: sorted per-module gate index
-        # arrays, filled lazily and dropped wholesale on any mutation.
+        # Version-keyed caches, filled lazily and valid while their
+        # version is ``_version``: move_gate rewrites the touched modules'
+        # entries, a rollback re-keys those valid when its trial opened,
+        # and any other mutation drops them.  Sorted member arrays,
+        # replaced and never written in place:
         self._members_version = -1
         self._members: dict[int, np.ndarray] = {}
-        # Version-keyed boundary cache: repeated boundary queries at one
-        # version (optimiser candidate sampling retries) hit this.
+        # boundary_gates lists by module, gates_adjacent_to by (module, other):
         self._boundary_version = -1
-        self._boundary: dict[tuple[int, int], list[int]] = {}
-        # Version-keyed result of the whole-graph boundary pass.
+        self._boundary: dict[int, list[int]] = {}
+        self._adjacent: dict[tuple[int, int], list[int]] = {}
+        # The whole-graph boundary pass's result.
         self._boundary_sets_version = -1
         self._boundary_sets: dict[int, list[int]] = {}
 
@@ -191,6 +218,8 @@ class Partition:
         clone._next_id = self._next_id
         clone._version = self._version
         clone._clear_caches()
+        clone._members = dict(self._members)  # shared: never written in place
+        clone._members_version = self._members_version
         return clone
 
     # ----------------------------------------------------------------- queries
@@ -262,10 +291,11 @@ class Partition:
     def gates_array(self, module: int) -> np.ndarray:
         """Sorted dense gate indices of ``module`` as an int64 array.
 
-        Served from the version-keyed membership cache: every mutation
-        bumps :attr:`version` and invalidates the whole cache, after
-        which modules re-materialise lazily on first access.  Callers
-        must treat the returned array as immutable.
+        Served from the version-keyed membership cache, which
+        :meth:`move_gate` and a trial's rollback keep valid and every
+        other mutation drops; modules then re-materialise lazily on
+        first access.  Callers must treat the returned array as
+        immutable.
         """
         if self._members_version != self._version:
             self._members = {}
@@ -293,9 +323,11 @@ class Partition:
         returned in ascending gate order — canonical, so rng-driven
         sampling over the boundary is identical across evaluation-state
         implementations.  Cached per version (callers must not mutate
-        the returned list).
+        the returned list); :meth:`move_gate` rewrites the two touched
+        modules' lists, and a trial's rollback keeps them all.
         """
-        cached = self._boundary_lookup(module, -1)
+        self._fresh_boundary()
+        cached = self._boundary.get(module)
         if cached is not None:
             return cached
         gs = self.gates_array(module)
@@ -310,7 +342,7 @@ class Partition:
             per_gate = np.repeat(np.arange(len(gs)), counts)
             has_external = np.bincount(per_gate[external], minlength=len(gs)) > 0
             result = gs[has_external].tolist()
-        self._boundary[(module, -1)] = result
+        self._boundary[module] = result
         return result
 
     def boundary_sets(self) -> dict[int, list[int]]:
@@ -337,22 +369,17 @@ class Partition:
         for module in self._modules:
             gates = self.gates_array(module)
             sets[module] = gates[on_boundary[gates]].tolist()
-        if self._boundary_version != self._version:
-            self._boundary = {}
-            self._boundary_version = self._version
-        self._boundary.update(((module, -1), gates) for module, gates in sets.items())
+        self._fresh_boundary()
+        self._boundary.update(sets)
         self._boundary_sets = sets
         self._boundary_sets_version = self._version
         return sets
 
-    def _boundary_lookup(self, module: int, other: int) -> list[int] | None:
+    def _fresh_boundary(self) -> None:
+        """Drop the boundary caches if they are stale."""
         if self._boundary_version != self._version:
-            self._boundary = {}
+            self._boundary, self._adjacent = {}, {}
             self._boundary_version = self._version
-            return None
-        if module not in self._modules:
-            raise PartitionError(f"no module {module}")
-        return self._boundary.get((module, other))
 
     def neighbor_modules(
         self, gate: int, overlay: Mapping[int, int] | None = None
@@ -387,8 +414,10 @@ class Partition:
         """Gates of ``module`` with at least one neighbour in ``other``,
         ascending — the batched form of filtering :meth:`boundary_gates`
         through :meth:`neighbor_modules` one gate at a time.  Cached per
-        version alongside the boundary sets."""
-        cached = self._boundary_lookup(module, other)
+        version; a move drops the lists that name either of its
+        modules."""
+        self._fresh_boundary()
+        cached = self._adjacent.get((module, other))
         if cached is not None:
             return cached
         gs = self.gates_array(module)
@@ -403,7 +432,7 @@ class Partition:
             per_gate = np.repeat(np.arange(len(gs)), counts)
             adjacent = np.bincount(per_gate[hits], minlength=len(gs)) > 0
             result = gs[adjacent].tolist()
-        self._boundary[(module, other)] = result
+        self._adjacent[(module, other)] = result
         return result
 
     def as_name_groups(self) -> tuple[frozenset[str], ...]:
@@ -426,10 +455,12 @@ class Partition:
         """Move one gate to ``target_module``; returns the source module.
 
         If the source module becomes empty it is deleted (paper §4.2:
-        "If all gates of M are moved, this module is deleted").  Any
-        already-materialised membership arrays of the two touched
-        modules are maintained in place (sorted insert/delete), so the
-        cache survives single moves — the optimiser hot path.
+        "If all gates of M are moved, this module is deleted").  The
+        member and boundary caches stay valid — the optimiser hot path:
+        only the two touched modules' entries can change, and they are
+        rewritten from the moved gate and its neighbours, while the
+        :meth:`gates_adjacent_to` lists that name either module are
+        dropped.
         """
         gate = self.gate_id(gate)
         if target_module not in self._modules:
@@ -439,30 +470,75 @@ class Partition:
             raise PartitionError(
                 f"gate {gate} is already in module {target_module}"
             )
-        self._modules[source].discard(gate)
+        source_set = self._modules[source]
+        source_set.discard(gate)
         self._modules[target_module].add(gate)
         self._module_of[gate] = target_module
-        if self._members_version == self._version:
-            self._members_version = self._version + 1
-            src_cached = self._members.get(source)
-            if src_cached is not None:
-                self._members[source] = np.delete(
-                    src_cached, np.searchsorted(src_cached, gate)
-                )
-            tgt_cached = self._members.get(target_module)
-            if tgt_cached is not None:
-                self._members[target_module] = np.insert(
-                    tgt_cached, np.searchsorted(tgt_cached, gate), gate
-                )
-        self._version += 1
-        if not self._modules[source]:
+        if not source_set:
             del self._modules[source]
-            self._members.pop(source, None)
+        version = self._version
+        self._version += 1
+        if self._members_version == version:
+            self._members_version += 1
+            for module, add in ((source, False), (target_module, True)):
+                cached = self._members.pop(module, None)
+                if cached is not None and (add or source_set):
+                    self._members[module] = _with_gate(cached, gate, add)
+        if self._boundary_version == version:
+            self._boundary_version += 1
+            self._move_boundaries(gate, source, target_module, bool(source_set))
         return source
+
+    def _move_boundaries(
+        self, gate: int, source: int, target: int, alive: bool
+    ) -> None:
+        """Rewrite the boundary caches for ``gate``'s move from ``source``
+        (``alive`` unless emptied) into ``target``.  A gate's status
+        depends on its neighbours' modules alone, so only two lists
+        change: ``source`` loses ``gate`` and gains its neighbours there,
+        and ``target`` re-reads ``gate`` and its neighbours there."""
+        for key in [key for key in self._adjacent if source in key or target in key]:
+            del self._adjacent[key]
+        boundary, module_of = self._boundary, self._module_of
+        old_source, old_target = boundary.pop(source, None), boundary.get(target)
+        cg = self.circuit.compiled
+        indptr, indices = cg.gate_adj_indptr, cg.gate_adj_indices
+        row = indices[indptr[gate] : indptr[gate + 1]]
+        near = list(zip(row.tolist(), module_of[row].tolist()))
+        if old_source is not None and alive:
+            add = [h for h, module in near if module == source]
+            boundary[source] = _edited(old_source, (gate,), add)
+        if old_target is not None:
+            on, off = [], []
+            for h in [gate] + [h for h, module in near if module == target]:
+                row = indices[indptr[h] : indptr[h + 1]]
+                (on if (module_of[row] != target).any() else off).append(h)
+            boundary[target] = _edited(old_target, off, on)
+
+    def _valid_caches(self) -> tuple:
+        """Copies of the member and boundary caches valid at this
+        version, ``None`` where stale: what a rollback re-keys."""
+        version = self._version
+        members = dict(self._members) if self._members_version == version else None
+        if self._boundary_version != version:
+            return members, None
+        return members, (dict(self._boundary), dict(self._adjacent))
+
+    def _restore_caches(self, saved: tuple) -> None:
+        """Bump the version past a rolled-back trial and re-key the
+        caches saved when it opened, as the rollback restored their
+        partition exactly.  Caches keyed on a trial version stay stale."""
+        self._version += 1
+        members, boundary = saved
+        if members is not None:
+            self._members, self._members_version = members, self._version
+        if boundary is not None:
+            self._boundary, self._adjacent = boundary
+            self._boundary_version = self._version
 
     def move_gates(self, gates: Iterable[int], target_module: int) -> None:
         """Move a batch of gates to ``target_module`` — one version bump,
-        one membership-cache invalidation, emptied sources deleted.
+        which drops the caches, emptied sources deleted.
 
         The common case (distinct gates sharing one source module) runs
         as whole-set operations instead of a per-gate loop.  The whole

@@ -367,10 +367,6 @@ class EvaluationState(_StateProtocol):
         self._journal: list | None = None
         self._trial_meta: tuple | None = None
         self._move_log: list[tuple[int, int]] = []
-        # State-owned sorted membership arrays: maintained by replacement
-        # (never mutated in place), journaled by reference, so they
-        # survive trials and rollbacks without re-materialisation.
-        self._members: dict[int, np.ndarray] = {}
         for module in modules:
             self._fill_slot(self._slot_of[module], module)
 
@@ -379,7 +375,6 @@ class EvaluationState(_StateProtocol):
         """Build one module's statistics into its slot from scratch."""
         ctx = self.ctx
         gates = self.partition.gates_array(module)
-        self._members[module] = gates
         self.current[slot] = ctx.times.profile(gates, ctx.electricals.peak_current_ma)
         self.activity[slot] = ctx.times.profile(gates, ctx.ones)
         self.leak_na[slot] = float(ctx.electricals.leakage_na[gates].sum())
@@ -404,8 +399,6 @@ class EvaluationState(_StateProtocol):
         clone._journal = None
         clone._trial_meta = None
         clone._move_log = list(self._move_log)
-        # Arrays are replaced, never mutated, so sharing them is safe.
-        clone._members = dict(self._members)
         return clone
 
     # ----------------------------------------------------------------- journal
@@ -415,16 +408,6 @@ class EvaluationState(_StateProtocol):
         if self._journal is not None:
             self._journal.append(("arr", array, index, np.array(array[index], copy=True)))
         array[index] = value
-
-    def _mem_set(self, module: int, members: np.ndarray | None) -> None:
-        """Replace (or, with ``None``, drop) a module's membership array,
-        journaling the prior reference when a trial is open."""
-        if self._journal is not None:
-            self._journal.append(("mem", module, self._members.get(module)))
-        if members is None:
-            self._members.pop(module, None)
-        else:
-            self._members[module] = members
 
     def begin_trial(self) -> None:
         """Open a trial: moves and lazy refreshes apply in place and are
@@ -438,6 +421,7 @@ class EvaluationState(_StateProtocol):
             len(self._move_log),
             self._dbic,
             self._arrival is not None,
+            self.partition._valid_caches(),
         )
 
     def commit(self) -> None:
@@ -450,7 +434,7 @@ class EvaluationState(_StateProtocol):
         journal = self._journal
         if journal is None:
             raise PartitionError("no open trial")
-        next_id, dirty, log_len, dbic, had_arrival = self._trial_meta
+        next_id, dirty, log_len, dbic, had_arrival, caches = self._trial_meta
         self._journal = None
         self._trial_meta = None
         partition = self.partition
@@ -466,22 +450,18 @@ class EvaluationState(_StateProtocol):
                 partition._modules[target].discard(gate)
                 partition._modules[source].add(gate)
                 partition._module_of[gate] = source
-            elif kind == "mem":
-                _, module, members = entry
-                if members is None:
-                    self._members.pop(module, None)
-                else:
-                    self._members[module] = members
+            elif kind == "arrival":  # a full sweep replaced the vector
+                self._arrival = entry[1]
             else:  # "slot_del": a module death freed a slot
                 _, module, slot = entry
                 self._slot_of[module] = slot
                 self._free_slots.remove(slot)
         # The version counter is NOT restored: versions must never be
-        # reused, or version-keyed caches (the membership cache, the
-        # IDDQ engine's per-partition caches) could serve content from
-        # the rolled-back timeline.  One extra bump makes every version
-        # observed during the trial permanently stale.
-        partition._version += 1
+        # reused, or the IDDQ engine's per-partition caches could serve
+        # the rolled-back timeline.  One extra bump makes every trial
+        # version stale; the partition's caches valid when the trial
+        # opened are re-keyed to it, restored with the partition.
+        partition._restore_caches(caches)
         partition._next_id = next_id
         self._dirty = dirty
         self._dbic = dbic
@@ -511,8 +491,8 @@ class EvaluationState(_StateProtocol):
         tgt_slot = self._slot(target_module)
         src_slot = self._slot_of[source]
 
-        src_members = self._members[source]
-        tgt_members = self._members[target_module]
+        src_members = partition.gates_array(source)
+        tgt_members = partition.gates_array(target_module)
         separation = ctx.separation
         self._aset(
             self.sep_sum,
@@ -552,14 +532,7 @@ class EvaluationState(_StateProtocol):
             self._release_slot(source, src_slot)
             self._dirty.discard(source)
         else:
-            self._mem_set(
-                source, np.delete(src_members, np.searchsorted(src_members, gate))
-            )
             self._dirty.add(source)
-        self._mem_set(
-            target_module,
-            np.insert(tgt_members, np.searchsorted(tgt_members, gate), gate),
-        )
         self._dirty.add(target_module)
         self._move_log.append((gate, target_module))
         return source
@@ -574,7 +547,6 @@ class EvaluationState(_StateProtocol):
         """Zero a dead module's slot so full-array reductions stay exact."""
         if self._journal is not None:
             self._journal.append(("slot_del", module, slot))
-        self._mem_set(module, None)
         del self._slot_of[module]
         self._free_slots.append(slot)
         self._aset(self._slot_module, slot, -1)
@@ -656,7 +628,7 @@ class EvaluationState(_StateProtocol):
             )
             changed: list[np.ndarray] = []
             for module, slot, rs_i, cs_i in zip(dirty, slots, rs, cs):
-                gates = self._members[module]
+                gates = self.partition.gates_array(module)
                 if ctx.time_resolved_degradation:
                     n = ctx.times.max_in_profile(gates, self.activity[slot])
                 else:
@@ -682,14 +654,18 @@ class EvaluationState(_StateProtocol):
             self._arrival = incremental.full_arrival(self.delay_degraded)
             self._dbic = float(self._arrival.max()) if self._arrival.size else 0.0
         elif changed:
-            touched, old = incremental.update(
+            arrival, touched, old = incremental.update(
                 self._arrival,
                 self.delay_degraded,
                 np.concatenate(changed),
             )
-            if self._journal is not None and touched.size:
-                self._journal.append(("arr", self._arrival, touched, old))
-            self._dbic = float(self._arrival.max())
+            if self._journal is not None:
+                if touched is None:
+                    self._journal.append(("arrival", self._arrival))
+                elif touched.size:
+                    self._journal.append(("arr", self._arrival, touched, old))
+            self._arrival = arrival
+            self._dbic = float(arrival.max())
 
     def sensors(self) -> dict[int, BICSensor]:
         """Sized sensors for every module (refreshes lazily; cold path —
@@ -829,17 +805,12 @@ class EvaluationState(_StateProtocol):
                 f"slots {sorted(self._slot_of)} != modules "
                 f"{sorted(self.partition.module_ids)}"
             )
-        if set(self._members) != set(self._slot_of):
-            raise PartitionError(
-                f"membership keys {sorted(self._members)} != modules "
-                f"{sorted(self._slot_of)}"
-            )
         for module in self.partition.module_ids:
             slot = self._slot_of[module]
             if self._slot_module[slot] != module:
                 raise PartitionError(f"slot table disagrees for module {module}")
-            gates = self.partition.gates_array(module)
-            if not np.array_equal(self._members[module], gates):
+            gates = np.sort(np.fromiter(self.partition._modules[module], np.int64))
+            if not np.array_equal(self.partition.gates_array(module), gates):
                 raise PartitionError(f"module {module}: membership array drifted")
             current = ctx.times.profile(gates, ctx.electricals.peak_current_ma)
             activity = ctx.times.profile(gates, ctx.ones)
@@ -956,7 +927,7 @@ class _BlockRows(BlockScores):
         shift = parent_off[row_parent] - row_off
         cell_src = np.arange(num_cells, dtype=np.int64) + shift[cell_row]
         slot_members = [
-            parent._members[module] if module >= 0 else _NO_GATES
+            parent.partition.gates_array(module) if module >= 0 else _NO_GATES
             for parent in parents
             for module in parent._slot_module.tolist()
         ]
@@ -1084,7 +1055,7 @@ class _BlockRows(BlockScores):
             flag[moved] = True
             pieces = {}
             for module in left | entered:
-                rest = parent._members[module]
+                rest = parent.partition.gates_array(module)
                 value = 0
                 if module in left:
                     rest = rest[~flag[rest]]
@@ -1278,7 +1249,8 @@ class _BlockRows(BlockScores):
         sweep left (unset when no row changed a delay, and the first
         refresh is then one full sweep).  Nothing is dirty, so a refresh
         re-sizes, re-degrades and diffs nothing.  The partition's
-        membership cache starts from the row's sorted member arrays.
+        membership cache is the parent's (complete since the call) with
+        the row's sorted member arrays for the modules it touches.
         Equal, array for array, to the parent's ``copy()`` plus a
         ``move_gates`` replay and ``_refresh()``; the replay's partition
         version differs, as it is bumped once per moved gate.
@@ -1287,8 +1259,10 @@ class _BlockRows(BlockScores):
         parent = self._parents[int(self._row_parent[j])]
         moves = self._blocks[j]
         state = parent.copy()
+        partition = state.partition
+        members = partition._members
         for target, gates in _target_runs(moves):
-            state.partition.move_gates(gates, target)
+            partition.move_gates(gates, target)
         state._move_log.extend((int(gate), int(target)) for gate, target in moves)
         state.delay_degraded = self._delays[j].copy()
         state._arrival = (
@@ -1298,15 +1272,14 @@ class _BlockRows(BlockScores):
         )
         state._dbic = float(self._d_bic[j])
         if moves:
-            self._adopt_row(state, parent, j, moves)
-        # Both sides replace member arrays and never write into them.
-        partition = state.partition
-        partition._members = dict(state._members)
+            self._adopt_row(state, parent, j, moves, members)
+        partition._members = members
         partition._members_version = partition.version
         return state
 
-    def _adopt_row(self, state, parent, j: int, moves) -> None:
-        """Row ``j``'s slot arrays and member arrays, into ``state``."""
+    def _adopt_row(self, state, parent, j: int, moves, members: dict) -> None:
+        """Row ``j``'s slot arrays into ``state``, and its member arrays
+        into ``members``."""
         off = int(self._row_off[j])
         for name, stack in self._slots.items():
             setattr(state, name, stack[off : off + len(parent._slot_module)].copy())
@@ -1330,7 +1303,7 @@ class _BlockRows(BlockScores):
             slot = parent._slot_of[module]
             come, gone = into == module, out_of == module
             if pieces is None:
-                rest = parent._members[module]
+                rest = members[module]
                 if module in left:
                     keep = np.ones(rest.size, dtype=bool)
                     keep[np.searchsorted(rest, moved[gone])] = False
@@ -1352,6 +1325,7 @@ class _BlockRows(BlockScores):
             state.sep_sum[slot] += float(piece + (inner - outer) // 2)
             if module in entered:
                 rest = np.sort(np.concatenate([rest, moved[come]]))
-            state._members[module] = rest
+            members[module] = rest
         for _, module, slot in sorted(emptied):
             state._release_slot(module, slot)
+            del members[module]

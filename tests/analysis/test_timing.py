@@ -116,14 +116,21 @@ def _engines(circuit):
 
 def _checked_update(ref, inc, arrival, new_delays, seeds):
     """Run one maintained update and assert the full contract: bit
-    identity with a fresh reference pass, and exact undo through the
-    returned ``(touched, old)`` journal."""
+    identity with a fresh reference pass, and exact undo — through the
+    returned ``(touched, old)`` journal of a cone walk written into
+    ``arrival``, or ``arrival`` itself left as it was by a full sweep.
+    Returns the fresh vector."""
     before = arrival.copy()
-    touched, old = inc.update(arrival, new_delays, seeds)
-    assert np.array_equal(arrival, ref.arrival_times(new_delays))
-    undone = arrival.copy()
-    undone[touched] = old
-    assert np.array_equal(undone, before)
+    fresh, touched, old = inc.update(arrival, new_delays, seeds)
+    assert np.array_equal(fresh, ref.arrival_times(new_delays))
+    if touched is None:
+        assert fresh is not arrival and np.array_equal(arrival, before)
+    else:
+        assert fresh is arrival
+        undone = fresh.copy()
+        undone[touched] = old
+        assert np.array_equal(undone, before)
+    return fresh
 
 
 class TestIncrementalUpdate:
@@ -160,7 +167,7 @@ class TestIncrementalUpdate:
             seeds = rng.integers(0, n, size=k)  # duplicates on purpose
             new_delays = delays.copy()
             new_delays[seeds] = rng.uniform(0.2, 2.0, size=k)
-            _checked_update(ref, inc, arrival, new_delays, seeds)
+            arrival = _checked_update(ref, inc, arrival, new_delays, seeds)
             delays = new_delays
 
     def test_each_dispatch_strategy(self):
@@ -183,11 +190,11 @@ class TestIncrementalUpdate:
         arrival = inc.full_arrival(delays)
 
         def perturb(seeds):
-            nonlocal delays
+            nonlocal delays, arrival
             new_delays = delays.copy()
             new_delays[seeds] = new_delays[seeds] * 1.5 + 0.1
             mark = obs.METRICS.counters()
-            _checked_update(ref, inc, arrival, new_delays, seeds)
+            arrival = _checked_update(ref, inc, arrival, new_delays, seeds)
             delays = new_delays
             return obs.METRICS.delta_since(mark)
 

@@ -14,6 +14,10 @@ the paper's pipeline computes from fixed inputs:
   run and the best partition);
 * ``campaign/c432+c880`` -- the quick campaign's (circuit, stage,
   status, meta) entries on one worker;
+* ``anneal/c880`` -- the annealing run of the quick campaign's
+  portfolio on c880 at seeds 1995 and 7: its decision stream (gate,
+  target, accepted, scored cost) and its result, from the portfolio's
+  chain start under the campaign's quick schedule;
 * ``figure/<name>`` -- the quick ``run_figure1``, ``run_figure2`` and
   ``run_figure45`` results at their default seeds (figure 4/5 runs the
   evolution strategy on c17 with first-order degradation, χ=2 and at
@@ -44,6 +48,8 @@ START_CIRCUIT = "c880"
 START_COUNT = 4
 ES_CIRCUIT = "c880"
 CAMPAIGN_CIRCUITS = ("c432", "c880")
+ANNEAL_CIRCUIT = "c880"
+ANNEAL_SEEDS = (SEED, 7)
 FAULTSIM_CIRCUIT = "c432"
 
 
@@ -86,6 +92,42 @@ def campaign_entries() -> list:
         [entry["circuit"], entry["stage"], entry["status"], entry["meta"]]
         for entry in manifest["entries"]
     ]
+
+
+def anneal_runs() -> dict:
+    """Per seed of :data:`ANNEAL_SEEDS`: the decision stream and result
+    of :func:`anneal_partition` on :data:`ANNEAL_CIRCUIT`, started as
+    ``portfolio_partition`` starts it, under the quick campaign's
+    schedule."""
+    from repro.netlist.benchmarks import load_iscas85
+    from repro.optimize.annealing import AnnealingParams, anneal_partition
+    from repro.optimize.start import chain_start_partition, estimate_module_count
+    from repro.partition.evaluator import PartitionEvaluator
+
+    evaluator = PartitionEvaluator(load_iscas85(ANNEAL_CIRCUIT))
+    params = AnnealingParams(
+        initial_temperature=5.0,
+        cooling=0.7,
+        steps_per_temperature=8,
+        min_temperature=0.05,
+    )
+    runs = {}
+    for seed in ANNEAL_SEEDS:
+        start = chain_start_partition(
+            evaluator, estimate_module_count(evaluator), random.Random(seed)
+        )
+        decisions: list = []
+        result = anneal_partition(
+            evaluator, params, seed=seed, start=start, _decisions=decisions
+        )
+        runs[seed] = {
+            "decisions": decisions,
+            "history": result.history,
+            "evaluations": result.evaluations,
+            "best_cost": result.best_cost,
+            "best": result.best.partition.module_of_array(),
+        }
+    return runs
 
 
 def figure_results() -> dict:
@@ -190,6 +232,7 @@ def compute(rows=None) -> dict[str, str]:
     digests["campaign/" + "+".join(CAMPAIGN_CIRCUITS)] = fingerprint_value(
         campaign_entries()
     )
+    digests[f"anneal/{ANNEAL_CIRCUIT}"] = fingerprint_value(anneal_runs())
     for name, result in figure_results().items():
         digests[f"figure/{name}"] = fingerprint_value(result)
     matrix, tests = faultsim_outputs()

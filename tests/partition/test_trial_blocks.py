@@ -212,9 +212,12 @@ def _assert_same_state(
     assert got._dbic == want._dbic
     assert got._slot_of == want._slot_of
     assert got._free_slots == want._free_slots
-    assert got._members.keys() == want._members.keys()
-    for module, members in want._members.items():
-        assert _bits(got._members[module]) == _bits(members), module
+    got_members, want_members = got.partition._members, want.partition._members
+    assert got.partition._members_version == got.partition.version
+    assert want.partition._members_version == want.partition.version
+    assert got_members.keys() == want_members.keys()
+    for module, members in want_members.items():
+        assert _bits(got_members[module]) == _bits(members), module
     assert got._move_log == want._move_log
     assert got._dirty == want._dirty == set()
     assert _bits(got.partition._module_of) == _bits(want.partition._module_of)
