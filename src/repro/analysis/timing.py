@@ -120,6 +120,9 @@ class IncrementalTiming:
 
     #: Seed sets smaller than ``num_gates / CONE_DIVISOR`` take the cone walk.
     CONE_DIVISOR = 16
+    #: :meth:`retime_batch` calls with fewer candidates take one full
+    #: sweep each, faster there than the stacked sweep (see DESIGN §8.4).
+    STACK_MIN = 3
 
     def __init__(self, compiled, full: LevelizedTiming):
         cg = compiled
@@ -314,6 +317,13 @@ class IncrementalTiming:
             d_bic = np.full(count, float(arrival.max()), dtype=np.float64)
             return (d_bic, None) if return_arrivals else d_bic
         obs.METRICS.inc("timing.retime_batch.full_cone")
+        if count < IncrementalTiming.STACK_MIN:
+            rows = np.repeat(delays[None, :], count, axis=0)
+            rows[:, cols] = overrides
+            fresh = [self.full_arrival(row) for row in rows]
+            d_bic = np.array([arrival.max() for arrival in fresh])
+            stacked = np.stack([arrival[self._order_lm] for arrival in fresh], 1)
+            return (d_bic, stacked) if return_arrivals else d_bic
         # Scratch rows are the level-major positions, plus one trailing
         # ``-inf`` sentinel row absorbing pad entries.  The rows start as
         # delays and each level's fed rows turn into arrivals in place

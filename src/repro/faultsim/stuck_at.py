@@ -269,11 +269,10 @@ class StuckAtSimulator:
 
         State is ``(rows, batch, words)``, each stem pinned to the
         complement of its good value in its own column; only sim-group
-        slices inside the batch's cone union are re-evaluated.  A pinned
-        stem may sit inside another batch member's cone and must still
-        be re-computed *there*, so a group that writes pinned stems'
-        slots re-asserts them in their own columns.  Primary-input stems
-        have no slot, and no group writes them.
+        slices inside the batch's cone union are re-evaluated, and after
+        every group the pinned rows are re-asserted (a pinned stem may
+        sit inside another batch member's cone and must still be
+        re-computed *there*).
         """
         cg = self._cg
         num_words = good.shape[1]
@@ -301,14 +300,7 @@ class StuckAtSimulator:
             group_ids = np.searchsorted(offsets, slots, side="right") - 1
             starts = np.flatnonzero(np.r_[True, group_ids[1:] != group_ids[:-1]])
             ends = np.r_[starts[1:], len(slots)]
-            # The columns of the pinned stems whose own slot group slice
-            # i writes: written[bounds[i] : bounds[i + 1]].
-            own = cg.slot_of_node[stems]
-            at = np.minimum(np.searchsorted(slots, own), len(slots) - 1)
-            written = np.flatnonzero(slots[at] == own)
-            written = written[np.argsort(at[written], kind="stable")]
-            bounds = np.searchsorted(at[written], np.r_[starts, len(slots)]).tolist()
-            for i, (s, e) in enumerate(zip(starts, ends)):
+            for s, e in zip(starts, ends):
                 group = cg.sim_groups[group_ids[s]]
                 pos = slots[s:e] - offsets[group_ids[s]]
                 gathered = state[group.src[pos]]  # (k, width, batch, words)
@@ -319,9 +311,7 @@ class StuckAtSimulator:
                 else:
                     acc = np.bitwise_xor.reduce(gathered, axis=1)
                 state[group.dst[pos]] = acc ^ group.invert[pos][:, :, None]
-                if bounds[i] < bounds[i + 1]:
-                    again = written[bounds[i] : bounds[i + 1]]
-                    state[stems[again], again] = pin_words[again]
+                state[stems, cols] = pin_words  # re-assert pinned nets
 
         out_union = np.bitwise_or.reduce(self._out_closure[stems], axis=0)
         out_positions = np.flatnonzero(

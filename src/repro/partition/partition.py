@@ -515,21 +515,31 @@ class Partition:
                 (on if (module_of[row] != target).any() else off).append(h)
             boundary[target] = _edited(old_target, off, on)
 
-    def _valid_caches(self) -> tuple:
-        """Copies of the member and boundary caches valid at this
-        version, ``None`` where stale: what a rollback re-keys."""
+    def _trial_mark(self) -> tuple:
+        """What :meth:`_rollback` restores: the next module id, and copies
+        of the member and boundary caches valid at this version, ``None``
+        where stale."""
         version = self._version
         members = dict(self._members) if self._members_version == version else None
         if self._boundary_version != version:
-            return members, None
-        return members, (dict(self._boundary), dict(self._adjacent))
+            return self._next_id, members, None
+        return self._next_id, members, (dict(self._boundary), dict(self._adjacent))
 
-    def _restore_caches(self, saved: tuple) -> None:
-        """Bump the version past a rolled-back trial and re-key the
-        caches saved when it opened, as the rollback restored their
-        partition exactly.  Caches keyed on a trial version stay stale."""
+    def _undo_move(self, gate: int, source: int, target: int, died: bool) -> None:
+        """Put ``gate`` back into ``source``, re-created if the move emptied
+        it: one step of a rollback, which :meth:`_rollback` finishes."""
+        if died:
+            self._modules[source] = set()
+        self._modules[target].discard(gate)
+        self._modules[source].add(gate)
+        self._module_of[gate] = source
+
+    def _rollback(self, mark: tuple) -> None:
+        """Finish a rollback to ``mark`` once every move since is undone
+        (last first): bump the version and re-key the saved caches, which
+        describe the restored partition exactly."""
+        self._next_id, members, boundary = mark
         self._version += 1
-        members, boundary = saved
         if members is not None:
             self._members, self._members_version = members, self._version
         if boundary is not None:

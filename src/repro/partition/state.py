@@ -416,12 +416,11 @@ class EvaluationState(_StateProtocol):
             raise PartitionError("trial already open")
         self._journal = []
         self._trial_meta = (
-            self.partition._next_id,
             set(self._dirty),
             len(self._move_log),
             self._dbic,
             self._arrival is not None,
-            self.partition._valid_caches(),
+            self.partition._trial_mark(),
         )
 
     def commit(self) -> None:
@@ -434,7 +433,7 @@ class EvaluationState(_StateProtocol):
         journal = self._journal
         if journal is None:
             raise PartitionError("no open trial")
-        next_id, dirty, log_len, dbic, had_arrival, caches = self._trial_meta
+        dirty, log_len, dbic, had_arrival, mark = self._trial_meta
         self._journal = None
         self._trial_meta = None
         partition = self.partition
@@ -444,12 +443,7 @@ class EvaluationState(_StateProtocol):
                 _, array, index, old = entry
                 array[index] = old
             elif kind == "move":
-                _, gate, source, target, source_died = entry
-                if source_died:
-                    partition._modules[source] = set()
-                partition._modules[target].discard(gate)
-                partition._modules[source].add(gate)
-                partition._module_of[gate] = source
+                partition._undo_move(*entry[1:])
             elif kind == "arrival":  # a full sweep replaced the vector
                 self._arrival = entry[1]
             else:  # "slot_del": a module death freed a slot
@@ -461,8 +455,7 @@ class EvaluationState(_StateProtocol):
         # the rolled-back timeline.  One extra bump makes every trial
         # version stale; the partition's caches valid when the trial
         # opened are re-keyed to it, restored with the partition.
-        partition._restore_caches(caches)
-        partition._next_id = next_id
+        partition._rollback(mark)
         self._dirty = dirty
         self._dbic = dbic
         if not had_arrival:
@@ -968,8 +961,8 @@ class _BlockRows(BlockScores):
             sources[lo:hi] = out_of
             src_slot[lo:hi] = slot_map[out_of]
             tgt_slot[lo:hi] = slot_map[into]
-        keys = move_row * num_gates + gates
-        if np.unique(keys).size != keys.size:
+        keys = np.sort(move_row * num_gates + gates)
+        if (keys[1:] == keys[:-1]).any():
             raise PartitionError("trial_blocks row moves a gate twice")
         src_cell = row_off[move_row] + src_slot
         tgt_cell = row_off[move_row] + tgt_slot
@@ -1113,7 +1106,10 @@ class _BlockRows(BlockScores):
         # An emptied module frees its slot: exact zeros, as _release_slot.
         for array in slots.values():
             array[dead_cell] = 0
-        cells = np.setdiff1d(np.concatenate([src_cell, tgt_cell]), dead_cell)
+        touched = np.zeros(num_cells, dtype=bool)
+        touched[src_cell] = touched[tgt_cell] = True
+        touched[dead_cell] = False
+        cells = np.flatnonzero(touched)
         max_current[cells] = current[cells].max(axis=1)
         rs[cells], area[cells], cs[cells], tau[cells], clamped[cells] = size_sensors(
             ctx.technology, max_current[cells], rail[cells]

@@ -42,6 +42,7 @@ from typing import Sequence
 from repro import obs
 from repro.errors import ExperimentError
 from repro.obs import live
+from repro.optimize.annealing import AnnealingParams
 from repro.runtime.artifacts import (
     cached_detection_matrix,
     cached_iddq_test_set,
@@ -82,6 +83,11 @@ STAGES: tuple[str, ...] = ("separation", "stuck-at", "atpg", "optimize")
 #: :data:`repro.obs.METRICS` registry over the run (circuit tasks'
 #: counts included), zero-filled to the keys of :data:`_TOTALS`.
 MANIFEST_SCHEMA = 4
+
+#: The optimize stage's annealing schedule in a quick campaign.
+QUICK_ANNEALING = AnnealingParams(
+    initial_temperature=5.0, cooling=0.7, steps_per_temperature=8, min_temperature=0.05
+)
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,6 @@ def _stage_atpg(ctx: _Context) -> dict:
 
 def _stage_optimize(ctx: _Context) -> dict:
     from repro.config import EvolutionParams
-    from repro.optimize.annealing import AnnealingParams
 
     config = ctx.config
     evaluator = _get_evaluator(ctx)
@@ -259,16 +264,7 @@ def _stage_optimize(ctx: _Context) -> dict:
         generations=_quick(config, 6, 120),
         convergence_window=_quick(config, 4, 30),
     )
-    annealing = (
-        AnnealingParams(
-            initial_temperature=5.0,
-            cooling=0.7,
-            steps_per_temperature=8,
-            min_temperature=0.05,
-        )
-        if config.quick
-        else AnnealingParams()
-    )
+    annealing = QUICK_ANNEALING if config.quick else AnnealingParams()
     # A fixed two-seed population: the winner (and the cache key) must
     # not depend on --jobs, only on the campaign seed; workers merely
     # decide how the fixed seed list is scheduled.

@@ -114,6 +114,18 @@ def _engines(circuit):
     return ref, IncrementalTiming(circuit.compiled, ref)
 
 
+def _out_of_level_order(config, seed):
+    """A generated circuit with its gates declared in shuffled order, so
+    that the stacked sweep's level-major order differs from gate order."""
+    generated = generate_iscas_like(config)
+    gates = list(generated)
+    random.Random(seed).shuffle(gates)
+    builder = CircuitBuilder(config.name + "-shuffled")
+    for gate in gates:
+        builder.add(gate)
+    return builder.outputs(generated.output_names).build()
+
+
 def _checked_update(ref, inc, arrival, new_delays, seeds):
     """Run one maintained update and assert the full contract: bit
     identity with a fresh reference pass, and exact undo — through the
@@ -258,7 +270,7 @@ class TestRetimeBatch:
         the base hand back nothing.  Gates are declared out of level
         order, so the sweep's level-major order differs from gate
         order."""
-        generated = generate_iscas_like(
+        circuit = _out_of_level_order(
             GeneratorConfig(
                 name="fc",
                 num_gates=90,
@@ -266,14 +278,9 @@ class TestRetimeBatch:
                 num_outputs=3,
                 depth=8,
                 seed=seed % 997,
-            )
+            ),
+            seed,
         )
-        gates = list(generated)
-        random.Random(seed).shuffle(gates)
-        builder = CircuitBuilder("fc-shuffled")
-        for gate in gates:
-            builder.add(gate)
-        circuit = builder.outputs(generated.output_names).build()
         ref, inc = _engines(circuit)
         n = inc.num_gates
         rng = np.random.default_rng(seed)
@@ -298,6 +305,33 @@ class TestRetimeBatch:
         )
         assert unchanged[1] is None
         assert unchanged[0][0] == float(arrival.max())
+
+    def test_few_candidates_match_the_stacked_sweep(self):
+        """Calls with fewer than ``STACK_MIN`` candidates sweep them one
+        at a time; their scores and arrivals equal the stacked sweep's
+        for the same rows byte for byte."""
+        circuit = _out_of_level_order(
+            GeneratorConfig(
+                name="fw", num_gates=120, num_inputs=5, num_outputs=3, depth=10, seed=5
+            ),
+            5,
+        )
+        _, inc = _engines(circuit)
+        n = inc.num_gates
+        rng = np.random.default_rng(4)
+        delays = rng.uniform(0.2, 2.0, n)
+        arrival = inc.full_arrival(delays)
+        cols = np.sort(rng.permutation(n)[: n // 2])
+        rows = rng.uniform(0.2, 2.0, (inc.STACK_MIN, cols.size))
+        d_bic, stacked = inc.retime_batch(
+            arrival, delays, cols, rows, return_arrivals=True
+        )
+        for count in range(1, inc.STACK_MIN):
+            few, arrivals = inc.retime_batch(
+                arrival, delays, cols, rows[:count], return_arrivals=True
+            )
+            assert few.tobytes() == d_bic[:count].tobytes()
+            assert arrivals.tobytes() == stacked[:, :count].tobytes()
 
     def test_late_columns_hand_back_arrivals(self):
         """Columns confined to the deepest levels, whose changes reach

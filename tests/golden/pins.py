@@ -100,17 +100,12 @@ def anneal_runs() -> dict:
     ``portfolio_partition`` starts it, under the quick campaign's
     schedule."""
     from repro.netlist.benchmarks import load_iscas85
-    from repro.optimize.annealing import AnnealingParams, anneal_partition
+    from repro.optimize.annealing import anneal_partition
     from repro.optimize.start import chain_start_partition, estimate_module_count
     from repro.partition.evaluator import PartitionEvaluator
+    from repro.runtime.campaign import QUICK_ANNEALING
 
     evaluator = PartitionEvaluator(load_iscas85(ANNEAL_CIRCUIT))
-    params = AnnealingParams(
-        initial_temperature=5.0,
-        cooling=0.7,
-        steps_per_temperature=8,
-        min_temperature=0.05,
-    )
     runs = {}
     for seed in ANNEAL_SEEDS:
         start = chain_start_partition(
@@ -118,7 +113,7 @@ def anneal_runs() -> dict:
         )
         decisions: list = []
         result = anneal_partition(
-            evaluator, params, seed=seed, start=start, _decisions=decisions
+            evaluator, QUICK_ANNEALING, seed=seed, start=start, _decisions=decisions
         )
         runs[seed] = {
             "decisions": decisions,
