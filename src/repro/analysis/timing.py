@@ -287,8 +287,8 @@ class IncrementalTiming:
 
         Candidate ``i``'s delay vector is ``delays`` with
         ``overrides[i]`` written at the (unique) gate indices ``cols``.
-        The candidates are stacked as columns of one ``(gates, C)``
-        scratch matrix and swept once over the whole circuit.
+        The candidates are stacked as columns of one ``(gates, C)`` scratch
+        matrix and swept once (fewer than ``STACK_MIN``: one by one).
         ``arrival``/``delays`` are read-only; the result is
         bit-identical to running :meth:`update` per candidate and taking
         the maximum of its fresh vector.  When no override differs from
