@@ -6,6 +6,8 @@ whole-experiment benches.
 """
 
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,8 +21,10 @@ from repro.faultsim.patterns import random_patterns
 from repro.netlist.benchmarks import TABLE1_CIRCUITS, _load_circuit, load_iscas85
 from repro.netlist.compiled import compile_circuit
 from repro.optimize.evolution import evolve_partition
+from repro.optimize.standard import standard_partition
 from repro.optimize.start import chain_start_partition, estimate_module_count, start_population
 from repro.partition.evaluator import PartitionEvaluator
+from test_lazy_setup import ENTRY_MODULES
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +132,37 @@ def test_table1_setup(benchmark):
     assert [g.num_gates for g in graphs] == [
         len(load_iscas85(name).gate_names) for name in TABLE1_CIRCUITS
     ]
+
+
+def test_pipeline_import(benchmark):
+    """A fresh interpreter importing the workloads' entry modules: the
+    import share of a pass's set-up, compiling from source when the
+    environment sets ``PYTHONDONTWRITEBYTECODE``.  Prints how many
+    ``repro`` modules it loads.  Recorded in DESIGN §8.5; no floor."""
+    source = (
+        "import importlib, sys\n"
+        f"for name in {ENTRY_MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sum(m == 'repro' or m.startswith('repro.') for m in sys.modules))\n"
+    )
+
+    def run():
+        done = subprocess.run(
+            [sys.executable, "-c", source], capture_output=True, text=True, check=True
+        )
+        return int(done.stdout)
+
+    loaded = benchmark.pedantic(run, rounds=7, iterations=1, warmup_rounds=1)
+    print(f"\nentry modules load {loaded} repro modules")
+
+
+def test_standard_partition_c7552(benchmark, c7552_evaluator):
+    """One §5 standard partition of c7552 at the estimated K, the call
+    each Table-1 row makes once.  Recorded in DESIGN §8.5; no floor."""
+    k = estimate_module_count(c7552_evaluator)
+    c7552_evaluator.separation  # the matrix build is timed separately
+    partition = benchmark(lambda: standard_partition(c7552_evaluator, k))
+    assert partition.num_modules == k
 
 
 def test_separation_matrix_build_c7552(benchmark):

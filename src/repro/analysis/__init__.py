@@ -14,36 +14,18 @@ from the gate-level netlist plus cell-library data:
 * worst-case quiescent leakage (:mod:`~repro.analysis.leakage`).
 """
 
-from repro.analysis.levels import gates_by_level, reverse_levels
-from repro.analysis.transition_times import (
-    TransitionTimes,
-    transition_time_masks,
-    times_from_mask,
-)
-from repro.analysis.current import GateElectricals, module_current_profile, module_max_current
-from repro.analysis.activity import module_activity_profile
-from repro.analysis.timing import LevelizedTiming, critical_path_delay, nominal_gate_delays
-from repro.analysis.paths import CriticalPath, extract_critical_path
-from repro.analysis.separation import SeparationMatrix, module_separation
-from repro.analysis.leakage import gate_leakages, module_leakage
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "gates_by_level",
-    "reverse_levels",
-    "TransitionTimes",
-    "transition_time_masks",
-    "times_from_mask",
-    "GateElectricals",
-    "module_current_profile",
-    "module_max_current",
-    "module_activity_profile",
-    "LevelizedTiming",
-    "CriticalPath",
-    "extract_critical_path",
-    "critical_path_delay",
-    "nominal_gate_delays",
-    "SeparationMatrix",
-    "module_separation",
-    "gate_leakages",
-    "module_leakage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "levels": ("gates_by_level", "reverse_levels"),
+        "transition_times": ("TransitionTimes", "transition_time_masks", "times_from_mask"),
+        "current": ("GateElectricals", "module_current_profile", "module_max_current"),
+        "activity": ("module_activity_profile",),
+        "timing": ("LevelizedTiming", "critical_path_delay", "nominal_gate_delays"),
+        "paths": ("CriticalPath", "extract_critical_path"),
+        "separation": ("SeparationMatrix", "module_separation"),
+        "leakage": ("gate_leakages", "module_leakage"),
+    },
+)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.netlist.circuit import Circuit
+from repro.netlist.compiled import sorted_unique
 
 __all__ = ["SeparationMatrix", "module_separation"]
 
@@ -86,7 +87,7 @@ class SeparationMatrix:
         first = np.searchsorted(
             offsets, np.arange(0, cg.adj_indices.size, per_chunk), side="right"
         )
-        bounds = np.append(np.unique(first - 1), offsets.size)
+        bounds = np.append(sorted_unique(first - 1), offsets.size)
         chunks = [
             (nonzero[a:b], cg.adj_indices[ends[a] : ends[b]], offsets[a:b] - ends[a])
             for a, b in zip(bounds[:-1], bounds[1:])

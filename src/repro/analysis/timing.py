@@ -27,7 +27,7 @@ import numpy as np
 from repro import obs
 from repro.analysis.current import GateElectricals
 from repro.netlist.circuit import Circuit
-from repro.netlist.compiled import csr_gather
+from repro.netlist.compiled import csr_gather, sorted_unique
 
 __all__ = [
     "IncrementalTiming",
@@ -238,7 +238,7 @@ class IncrementalTiming:
         early exit is O(1) instead of a full boolean reduction per level.
         """
         pending = self._pending
-        seeds = np.unique(seeds)
+        seeds = sorted_unique(seeds)
         pending[seeds] = True
         remaining = seeds.size
         touched: list[np.ndarray] = []
@@ -264,7 +264,7 @@ class IncrementalTiming:
                 arrival[idx] = fresh[diff]
                 fanouts, _ = csr_gather(self.fanout_indptr, self.fanout_indices, idx)
                 if fanouts.size:
-                    fanouts = np.unique(fanouts)
+                    fanouts = sorted_unique(fanouts)
                     new_marks = fanouts[~pending[fanouts]]
                     pending[new_marks] = True
                     remaining += new_marks.size

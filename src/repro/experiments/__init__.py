@@ -15,38 +15,24 @@ DESIGN.md §4 for the index):
   (``python -m repro.experiments``).
 """
 
-from repro.experiments.catalog import EXPERIMENTS, ExperimentResult, run_experiment
-from repro.experiments.table1 import PAPER_TABLE1, Table1Row, run_table1
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure45 import run_figure45, c17_demo_technology
-from repro.experiments.ablations import (
-    run_degradation_ablation,
-    run_incremental_speedup,
-    run_monte_carlo_ablation,
-    run_optimizer_comparison,
-    run_weight_sensitivity,
-)
-from repro.experiments.motivation import run_motivation_coverage
-from repro.experiments.sweeps import run_convergence_curve, run_rail_limit_sweep
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "run_experiment",
-    "PAPER_TABLE1",
-    "Table1Row",
-    "run_table1",
-    "run_figure1",
-    "run_figure2",
-    "run_figure45",
-    "c17_demo_technology",
-    "run_monte_carlo_ablation",
-    "run_incremental_speedup",
-    "run_degradation_ablation",
-    "run_weight_sensitivity",
-    "run_optimizer_comparison",
-    "run_motivation_coverage",
-    "run_rail_limit_sweep",
-    "run_convergence_curve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "catalog": ("EXPERIMENTS", "ExperimentResult", "run_experiment"),
+        "table1": ("PAPER_TABLE1", "Table1Row", "run_table1"),
+        "figure1": ("run_figure1",),
+        "figure2": ("run_figure2",),
+        "figure45": ("run_figure45", "c17_demo_technology"),
+        "ablations": (
+            "run_monte_carlo_ablation",
+            "run_incremental_speedup",
+            "run_degradation_ablation",
+            "run_weight_sensitivity",
+            "run_optimizer_comparison",
+        ),
+        "motivation": ("run_motivation_coverage",),
+        "sweeps": ("run_rail_limit_sweep", "run_convergence_curve"),
+    },
+)

@@ -15,14 +15,16 @@ delay and test time come out essentially equal between the methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config import EvolutionParams, SynthesisConfig
-from repro.experiments.catalog import ExperimentResult
-from repro.flow.report import format_table
 from repro.netlist.benchmarks import TABLE1_CIRCUITS, load_iscas85
 from repro.optimize.evolution import evolve_partition
 from repro.optimize.standard import standard_partition
 from repro.partition.evaluator import PartitionEvaluator
+
+if TYPE_CHECKING:  # pragma: no cover - as_experiment_result imports it
+    from repro.experiments.catalog import ExperimentResult
 
 __all__ = ["PAPER_TABLE1", "Table1Row", "Table1Result", "run_table1"]
 
@@ -67,6 +69,8 @@ class Table1Result:
     quick: bool
 
     def render(self) -> str:
+        from repro.flow.report import format_table
+
         headers = [
             "circuit",
             "#modules",
@@ -95,6 +99,8 @@ class Table1Result:
         return format_table(headers, body)
 
     def render_vs_paper(self) -> str:
+        from repro.flow.report import format_table
+
         headers = [
             "circuit",
             "K (paper)",
@@ -119,6 +125,8 @@ class Table1Result:
         return format_table(headers, body)
 
     def as_experiment_result(self) -> ExperimentResult:
+        from repro.experiments.catalog import ExperimentResult
+
         headers = [
             "circuit",
             "#modules",

@@ -20,58 +20,33 @@ claim is demonstrated rather than assumed:
   the test-application-time model (:mod:`~repro.faultsim.testtime`).
 """
 
-from repro.faultsim.logic_sim import LogicSimulator, NodeValues
-from repro.faultsim.faults import (
-    BridgingFault,
-    Defect,
-    GateOxideShort,
-    StuckOnTransistor,
-    sample_bridging_faults,
-    sample_gate_oxide_shorts,
-    sample_stuck_on_transistors,
-)
-from repro.faultsim.iddq import IDDQSimulator
-from repro.faultsim.engine import CoverageEngine
-from repro.faultsim.atpg import IDDQTestSet, generate_iddq_tests
-from repro.faultsim.quality import (
-    QualityReport,
-    defect_level,
-    quality_from_coverage,
-    quality_from_defects,
-)
-from repro.faultsim.stuck_at import (
-    StuckAtFault,
-    StuckAtSimulator,
-    enumerate_stuck_at_faults,
-)
-from repro.faultsim.coverage import CoverageReport
-from repro.faultsim.patterns import exhaustive_patterns, random_patterns, compact_patterns
-from repro.faultsim.testtime import test_application_time
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LogicSimulator",
-    "NodeValues",
-    "Defect",
-    "BridgingFault",
-    "GateOxideShort",
-    "StuckOnTransistor",
-    "sample_bridging_faults",
-    "sample_gate_oxide_shorts",
-    "sample_stuck_on_transistors",
-    "IDDQSimulator",
-    "CoverageEngine",
-    "IDDQTestSet",
-    "generate_iddq_tests",
-    "QualityReport",
-    "defect_level",
-    "quality_from_coverage",
-    "quality_from_defects",
-    "StuckAtFault",
-    "StuckAtSimulator",
-    "enumerate_stuck_at_faults",
-    "CoverageReport",
-    "random_patterns",
-    "exhaustive_patterns",
-    "compact_patterns",
-    "test_application_time",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "logic_sim": ("LogicSimulator", "NodeValues"),
+        "faults": (
+            "Defect",
+            "BridgingFault",
+            "GateOxideShort",
+            "StuckOnTransistor",
+            "sample_bridging_faults",
+            "sample_gate_oxide_shorts",
+            "sample_stuck_on_transistors",
+        ),
+        "iddq": ("IDDQSimulator",),
+        "engine": ("CoverageEngine",),
+        "atpg": ("IDDQTestSet", "generate_iddq_tests"),
+        "quality": (
+            "QualityReport",
+            "defect_level",
+            "quality_from_coverage",
+            "quality_from_defects",
+        ),
+        "stuck_at": ("StuckAtFault", "StuckAtSimulator", "enumerate_stuck_at_faults"),
+        "coverage": ("CoverageReport",),
+        "patterns": ("random_patterns", "exhaustive_patterns", "compact_patterns"),
+        "testtime": ("test_application_time",),
+    },
+)

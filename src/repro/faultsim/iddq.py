@@ -26,6 +26,7 @@ from repro.faultsim.logic_sim import LogicSimulator, NodeValues
 from repro.library.default_lib import generic_library
 from repro.library.library import CellLibrary
 from repro.netlist.circuit import Circuit
+from repro.netlist.compiled import sorted_unique
 from repro.partition.partition import Partition
 
 __all__ = ["IDDQSimulator"]
@@ -142,7 +143,7 @@ class IDDQSimulator:
         """
         out = np.empty((len(gates), bits.shape[1]), dtype=np.float64)
         group_ids = self._gate_group_id[gates]
-        for group_id in np.unique(group_ids):
+        for group_id in sorted_unique(group_ids):
             arity, _, fanins, flat, _ = self._arity_groups[group_id]
             sel = np.flatnonzero(group_ids == group_id)
             pos = self._gate_group_pos[gates[sel]].astype(np.int64)

@@ -54,7 +54,7 @@ from repro import obs
 from repro.faultsim.logic_sim import LogicSimulator
 from repro.errors import FaultSimError
 from repro.netlist.circuit import Circuit
-from repro.netlist.compiled import GATE_TYPE_CODES, OP_AND, OP_OR, csr_gather
+from repro.netlist.compiled import GATE_TYPE_CODES, OP_AND, OP_OR, csr_gather, sorted_unique
 from repro.netlist.gate import GateType
 
 __all__ = [
@@ -260,7 +260,7 @@ class StuckAtSimulator:
         """The non-output stems of ``rows`` in simulation-slot order, so
         stems sharing a pass sit close in the schedule and their cone
         union stays tight."""
-        stems = np.unique(self._stem_of[rows])
+        stems = sorted_unique(self._stem_of[rows])
         stems = stems[~self._is_output[stems]]
         return stems[np.argsort(self._cg.slot_of_node[stems], kind="stable")]
 

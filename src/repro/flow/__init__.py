@@ -7,31 +7,22 @@ partition, one sized BIC sensor per module, the sensorised netlist and a
 human-readable report.
 """
 
-from repro.flow.design import IDDQDesign
-from repro.flow.synthesis import synthesize_iddq_testable
-from repro.flow.report import format_table, render_evaluation, render_design
-from repro.flow.compare import MethodComparison, compare_methods
-from repro.flow.io import (
-    design_summary_dict,
-    load_partition_json,
-    partition_from_dict,
-    partition_to_dict,
-    save_design_summary_json,
-    save_partition_json,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IDDQDesign",
-    "synthesize_iddq_testable",
-    "format_table",
-    "render_evaluation",
-    "render_design",
-    "MethodComparison",
-    "compare_methods",
-    "partition_to_dict",
-    "partition_from_dict",
-    "save_partition_json",
-    "load_partition_json",
-    "design_summary_dict",
-    "save_design_summary_json",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "design": ("IDDQDesign",),
+        "synthesis": ("synthesize_iddq_testable",),
+        "report": ("format_table", "render_evaluation", "render_design"),
+        "compare": ("MethodComparison", "compare_methods"),
+        "io": (
+            "partition_to_dict",
+            "partition_from_dict",
+            "save_partition_json",
+            "load_partition_json",
+            "design_summary_dict",
+            "save_design_summary_json",
+        ),
+    },
+)

@@ -9,34 +9,23 @@ default characterisation standing in for the paper's SPICE data
 (DESIGN.md §6.2).
 """
 
-from repro.library.cell import CellSpec
-from repro.library.library import CellLibrary
-from repro.library.technology import Technology
-from repro.library.default_lib import generic_library, generic_technology
-from repro.library.scaling import CORNERS, fast_hot_corner, scale_library, slow_cold_corner
-from repro.library.io import (
-    library_from_dict,
-    library_to_dict,
-    load_library_json,
-    save_library_json,
-    technology_from_dict,
-    technology_to_dict,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellSpec",
-    "CellLibrary",
-    "Technology",
-    "generic_library",
-    "generic_technology",
-    "CORNERS",
-    "scale_library",
-    "fast_hot_corner",
-    "slow_cold_corner",
-    "library_from_dict",
-    "library_to_dict",
-    "load_library_json",
-    "save_library_json",
-    "technology_from_dict",
-    "technology_to_dict",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "cell": ("CellSpec",),
+        "library": ("CellLibrary",),
+        "technology": ("Technology",),
+        "default_lib": ("generic_library", "generic_technology"),
+        "scaling": ("CORNERS", "scale_library", "fast_hot_corner", "slow_cold_corner"),
+        "io": (
+            "library_from_dict",
+            "library_to_dict",
+            "load_library_json",
+            "save_library_json",
+            "technology_from_dict",
+            "technology_to_dict",
+        ),
+    },
+)

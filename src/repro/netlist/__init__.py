@@ -7,56 +7,30 @@ C17 benchmark, a structural array-multiplier generator (the C6288
 stand-in) and a seeded synthetic generator for ISCAS85-profile circuits.
 """
 
-from repro.netlist.gate import Gate, GateType
-from repro.netlist.circuit import Circuit, CircuitStats
-from repro.netlist.compiled import CompiledGraph, compile_circuit, csr_gather
-from repro.netlist.builder import CircuitBuilder
-from repro.netlist.bench import parse_bench, parse_bench_file, write_bench, write_bench_file
-from repro.netlist.benchmarks import (
-    C17_PAPER_OPTIMUM,
-    ISCAS85_PROFILES,
-    TABLE1_CIRCUITS,
-    CircuitProfile,
-    c17,
-    c17_paper_naming,
-    load_iscas85,
-    table1_circuits,
-)
-from repro.netlist.generate import generate_iscas_like, GeneratorConfig
-from repro.netlist.multiplier import array_multiplier
-from repro.netlist.arrays import WaveArray, wave_array
-from repro.netlist.adders import full_adder_gates, half_adder_gates
-from repro.netlist.transforms import buffer_high_fanout, extract_subcircuit, sweep_buffers
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Gate",
-    "GateType",
-    "Circuit",
-    "CircuitStats",
-    "CompiledGraph",
-    "compile_circuit",
-    "csr_gather",
-    "CircuitBuilder",
-    "parse_bench",
-    "parse_bench_file",
-    "write_bench",
-    "write_bench_file",
-    "ISCAS85_PROFILES",
-    "TABLE1_CIRCUITS",
-    "C17_PAPER_OPTIMUM",
-    "CircuitProfile",
-    "c17",
-    "c17_paper_naming",
-    "load_iscas85",
-    "table1_circuits",
-    "generate_iscas_like",
-    "GeneratorConfig",
-    "array_multiplier",
-    "WaveArray",
-    "wave_array",
-    "full_adder_gates",
-    "half_adder_gates",
-    "buffer_high_fanout",
-    "sweep_buffers",
-    "extract_subcircuit",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "gate": ("Gate", "GateType"),
+        "circuit": ("Circuit", "CircuitStats"),
+        "compiled": ("CompiledGraph", "compile_circuit", "csr_gather"),
+        "builder": ("CircuitBuilder",),
+        "bench": ("parse_bench", "parse_bench_file", "write_bench", "write_bench_file"),
+        "benchmarks": (
+            "ISCAS85_PROFILES",
+            "TABLE1_CIRCUITS",
+            "C17_PAPER_OPTIMUM",
+            "CircuitProfile",
+            "c17",
+            "c17_paper_naming",
+            "load_iscas85",
+            "table1_circuits",
+        ),
+        "generate": ("generate_iscas_like", "GeneratorConfig"),
+        "multiplier": ("array_multiplier",),
+        "arrays": ("WaveArray", "wave_array"),
+        "adders": ("full_adder_gates", "half_adder_gates"),
+        "transforms": ("buffer_high_fanout", "sweep_buffers", "extract_subcircuit"),
+    },
+)

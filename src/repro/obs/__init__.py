@@ -25,72 +25,43 @@ takes to describe, **never what it computes** — the equivalence suites
 run bit-identical with telemetry on.
 """
 
-from repro.obs.core import (
-    METRICS,
-    METRICS_ENV,
-    TRACE_ENV,
-    TRACER,
-    Metrics,
-    Tracer,
-    begin_task_capture,
-    enable,
-    enabled_state,
-    end_task_capture,
-    merge_task_snapshot,
-    metrics_enabled,
-    trace_enabled,
-)
-from repro.obs import live
-from repro.obs.live import (
-    HeartbeatWriter,
-    ProgressLedger,
-    read_heartbeats,
-    render_status,
-    resolve_heartbeat,
-    resolve_stall_after,
-    task_heartbeat,
-    write_status,
-)
-from repro.obs.report import (
-    load_trace_events,
-    render_trace_report,
-    summarize_trace,
-)
-from repro.obs.sinks import (
-    chrome_trace_dict,
-    export_chrome_trace,
-    export_prometheus,
-    prometheus_text,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "METRICS",
-    "METRICS_ENV",
-    "TRACE_ENV",
-    "TRACER",
-    "HeartbeatWriter",
-    "Metrics",
-    "ProgressLedger",
-    "Tracer",
-    "begin_task_capture",
-    "chrome_trace_dict",
-    "enable",
-    "enabled_state",
-    "end_task_capture",
-    "export_chrome_trace",
-    "export_prometheus",
-    "live",
-    "load_trace_events",
-    "merge_task_snapshot",
-    "metrics_enabled",
-    "prometheus_text",
-    "read_heartbeats",
-    "render_status",
-    "render_trace_report",
-    "resolve_heartbeat",
-    "resolve_stall_after",
-    "summarize_trace",
-    "task_heartbeat",
-    "trace_enabled",
-    "write_status",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "core": (
+            "METRICS",
+            "METRICS_ENV",
+            "TRACE_ENV",
+            "TRACER",
+            "Metrics",
+            "Tracer",
+            "begin_task_capture",
+            "enable",
+            "enabled_state",
+            "end_task_capture",
+            "merge_task_snapshot",
+            "metrics_enabled",
+            "trace_enabled",
+        ),
+        "live": (
+            "live",
+            "HeartbeatWriter",
+            "ProgressLedger",
+            "read_heartbeats",
+            "render_status",
+            "resolve_heartbeat",
+            "resolve_stall_after",
+            "task_heartbeat",
+            "write_status",
+        ),
+        "report": ("load_trace_events", "render_trace_report", "summarize_trace"),
+        "sinks": (
+            "chrome_trace_dict",
+            "export_chrome_trace",
+            "export_prometheus",
+            "prometheus_text",
+        ),
+    },
+)

@@ -11,31 +11,20 @@
   genetic, e.g."), used by the ablation benches.
 """
 
-from repro.optimize.result import GenerationRecord, OptimizationResult
-from repro.optimize.start import chain_start_partition, estimate_module_count, start_population
-from repro.optimize.evolution import EvolutionOptimizer, evolve_partition
-from repro.optimize.standard import standard_partition
-from repro.optimize.annealing import AnnealingParams, anneal_partition
-from repro.optimize.random_search import random_search_partition
-from repro.optimize.greedy import greedy_refine
-from repro.optimize.force_directed import force_directed_partition
-from repro.optimize.kl import kl_refine
-from repro.optimize.portfolio import portfolio_partition
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GenerationRecord",
-    "OptimizationResult",
-    "chain_start_partition",
-    "estimate_module_count",
-    "start_population",
-    "EvolutionOptimizer",
-    "evolve_partition",
-    "standard_partition",
-    "AnnealingParams",
-    "anneal_partition",
-    "random_search_partition",
-    "greedy_refine",
-    "force_directed_partition",
-    "kl_refine",
-    "portfolio_partition",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "result": ("GenerationRecord", "OptimizationResult"),
+        "start": ("chain_start_partition", "estimate_module_count", "start_population"),
+        "evolution": ("EvolutionOptimizer", "evolve_partition"),
+        "standard": ("standard_partition",),
+        "annealing": ("AnnealingParams", "anneal_partition"),
+        "random_search": ("random_search_partition",),
+        "greedy": ("greedy_refine",),
+        "force_directed": ("force_directed_partition",),
+        "kl": ("kl_refine",),
+        "portfolio": ("portfolio_partition",),
+    },
+)

@@ -15,12 +15,11 @@ way to be comparable).  The module size is "the numbers obtained by the
 evolution based algorithm" — callers pass the module count the evolution
 produced, exactly as the paper does for Table 1.
 
-The implementation is fully vectorised: two running ``int64`` arrays
-hold each gate's summed distance to the current module and to the free
-set; adding a gate updates both with one ``uint8`` matrix-row addition.
-Sums are exact integers, so ties are decided exactly.  Claimed gates
-carry a sentinel far above any real sum, so picking the closest free
-gate is one ``min`` over the running array.
+The implementation is fully vectorised: one running ``int64`` key per
+gate orders the free gates exactly as the rule does (see
+:func:`_standard_assignment`), and adding a gate to the module updates
+every key with one scaled ``uint8`` matrix row, so picking the next gate
+is one ``argmin``.
 """
 
 from __future__ import annotations
@@ -34,9 +33,13 @@ from repro.partition.partition import Partition
 
 __all__ = ["standard_partition"]
 
-#: Marks claimed gates in the running sums; real sums stay below
-#: ``n * 255``, so adding matrix rows never lets a claimed gate win.
+#: Marks claimed gates in the running keys; real keys stay below it.
 _CLAIMED = np.int64(1) << 62
+#: A matrix row moves a key by its distance to the module times 2**32,
+#: and by its distance to the free set once.
+_SCALE = np.int64((1 << 32) + 1)
+#: The low 32 bits of ``-key`` are a free gate's distance to the free set.
+_LOW = np.int64((1 << 32) - 1)
 
 
 def standard_partition(evaluator: PartitionEvaluator, num_modules: int) -> Partition:
@@ -52,34 +55,41 @@ def standard_partition(evaluator: PartitionEvaluator, num_modules: int) -> Parti
 
 
 def _standard_assignment(evaluator: PartitionEvaluator, num_modules: int) -> np.ndarray:
-    """The module of every gate, clustered greedily module by module."""
+    """The module of every gate, clustered greedily module by module.
+
+    Each free gate's key is ``dist_to_module * 2**32 - dist_to_free``
+    (its summed distances to the module and to the free set), and every
+    claimed gate's is at least ``_CLAIMED``.  One ``argmin`` then picks
+    the gate nearest the module, ties going to the largest distance to
+    the free set and then to the lowest index, as the paper's rule and
+    the float64 reference do.  Both sums are below ``n * cap``, so the
+    order is exact while ``n * cap < 2**30``: ``dist_to_free`` fits the
+    low 32 bits, and real keys stay below ``_CLAIMED`` and claimed ones
+    below ``2**63``.
+    """
     circuit = evaluator.circuit
     n = len(circuit.gate_names)
     matrix = evaluator.separation.matrix
     # Seed order: claimed gates get the sentinel, so argmin is the first
     # free gate of minimal level.
     seed_key = circuit.compiled.gate_level.astype(np.int64)
-
-    free = np.ones(n, dtype=bool)
-    # Σ distance from each gate to every currently free gate (tie-breaker).
-    dist_to_free = matrix.sum(axis=1, dtype=np.int64)
+    # An empty module: every gate at distance 0, tied on distance to free.
+    key = -matrix.sum(axis=1, dtype=np.int64)
     assignment = np.empty(n, dtype=np.int64)
 
     for module, target_size in enumerate(_balanced_sizes(n, num_modules)):
-        # Σ distance to the module, sentinel on every claimed gate.
-        dist_to_module = np.where(free, np.int64(0), _CLAIMED)
         # Seed: free gate as near to a primary input as possible.
         gate = int(seed_key.argmin())
         for size in range(1, target_size + 1):
             assignment[gate] = module
-            free[gate] = False
             seed_key[gate] = _CLAIMED
-            # The gate left the free set: everyone's distance-to-free shrinks.
-            dist_to_free -= matrix[gate]
-            dist_to_module += matrix[gate]
-            dist_to_module[gate] = _CLAIMED
+            # The gate joins the module and leaves the free set.
+            key += matrix[gate] * _SCALE
+            key[gate] = _CLAIMED
             if size < target_size:
-                gate = _closest_free(dist_to_module, dist_to_free)
+                gate = int(key.argmin())
+        # The next module starts empty: keep only the distance to free.
+        key = np.where(key < _CLAIMED, -(-key & _LOW), _CLAIMED)
     return assignment
 
 
@@ -87,13 +97,3 @@ def _balanced_sizes(n: int, k: int) -> list[int]:
     base = n // k
     extra = n % k
     return [base + 1 if i < extra else base for i in range(k)]
-
-
-def _closest_free(dist_to_module: np.ndarray, dist_to_free: np.ndarray) -> int:
-    """Free gate minimising Σ distance to the module; ties broken by
-    maximising Σ distance to the remaining free gates (paper §5)."""
-    best = dist_to_module.min()
-    ties = np.flatnonzero(dist_to_module == best)
-    if len(ties) == 1:
-        return int(ties[0])
-    return int(ties[dist_to_free[ties].argmax()])

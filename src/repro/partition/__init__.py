@@ -12,25 +12,16 @@ The central objects:
   paper's "costs are recomputed just for the modified modules").
 """
 
-from repro.partition.partition import Partition
-from repro.partition.costs import CostBreakdown
-from repro.partition.constraints import ConstraintReport, check_constraints, check_constraints_arrays
-from repro.partition.evaluator import ModuleReport, PartitionEvaluation, PartitionEvaluator
-from repro.partition.state import EvaluationState
-from repro.partition.metrics import PartitionMetrics, compute_metrics, cut_edges, module_components
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Partition",
-    "CostBreakdown",
-    "ConstraintReport",
-    "check_constraints",
-    "check_constraints_arrays",
-    "ModuleReport",
-    "PartitionEvaluation",
-    "PartitionEvaluator",
-    "EvaluationState",
-    "PartitionMetrics",
-    "compute_metrics",
-    "cut_edges",
-    "module_components",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "partition": ("Partition",),
+        "costs": ("CostBreakdown",),
+        "constraints": ("ConstraintReport", "check_constraints", "check_constraints_arrays"),
+        "evaluator": ("ModuleReport", "PartitionEvaluation", "PartitionEvaluator"),
+        "state": ("EvaluationState",),
+        "metrics": ("PartitionMetrics", "compute_metrics", "cut_edges", "module_components"),
+    },
+)

@@ -29,37 +29,21 @@ stuck-at detection, the IDDQ ATPG's targeted searches, multi-seed
 portfolios) and :mod:`~repro.runtime.artifacts` the typed cache recipes.
 """
 
-from repro.runtime.executor import (
-    Executor,
-    resolve_jobs,
-    resolve_task_retries,
-    resolve_task_timeout,
-)
-from repro.runtime.faults import FaultPlan, InjectedKill
-from repro.runtime.fingerprint import (
-    combine,
-    fingerprint_circuit,
-    fingerprint_library,
-    fingerprint_partition,
-    fingerprint_technology,
-    fingerprint_value,
-)
-from repro.runtime.store import Artifact, ArtifactStore, default_cache_dir
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Artifact",
-    "ArtifactStore",
-    "Executor",
-    "FaultPlan",
-    "InjectedKill",
-    "combine",
-    "default_cache_dir",
-    "fingerprint_circuit",
-    "fingerprint_library",
-    "fingerprint_partition",
-    "fingerprint_technology",
-    "fingerprint_value",
-    "resolve_jobs",
-    "resolve_task_retries",
-    "resolve_task_timeout",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "store": ("Artifact", "ArtifactStore", "default_cache_dir"),
+        "executor": ("Executor", "resolve_jobs", "resolve_task_retries", "resolve_task_timeout"),
+        "faults": ("FaultPlan", "InjectedKill"),
+        "fingerprint": (
+            "combine",
+            "fingerprint_circuit",
+            "fingerprint_library",
+            "fingerprint_partition",
+            "fingerprint_technology",
+            "fingerprint_value",
+        ),
+    },
+)

@@ -40,9 +40,16 @@ from pathlib import Path
 from typing import Sequence
 
 from repro import obs
+from repro.config import EvolutionParams
 from repro.errors import ExperimentError
+from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
+from repro.faultsim.patterns import random_patterns
+from repro.faultsim.stuck_at import enumerate_stuck_at_faults
+from repro.library.default_lib import generic_technology
 from repro.obs import live
 from repro.optimize.annealing import AnnealingParams
+from repro.optimize.start import chain_start_partition, estimate_module_count
+from repro.partition.evaluator import PartitionEvaluator
 from repro.runtime.artifacts import (
     cached_detection_matrix,
     cached_iddq_test_set,
@@ -157,9 +164,6 @@ def _quick(config: CampaignConfig, quick_value, full_value):
 def _get_evaluator(ctx: _Context):
     """Evaluator with the separation matrix served through the cache."""
     if ctx.evaluator is None:
-        from repro.library.default_lib import generic_technology
-        from repro.partition.evaluator import PartitionEvaluator
-
         technology = generic_technology()
         separation, hit = cached_separation_matrix(
             ctx.store, ctx.circuit, technology.separation_cap
@@ -173,8 +177,6 @@ def _get_evaluator(ctx: _Context):
 
 def _get_partition(ctx: _Context):
     if ctx.partition is None:
-        from repro.optimize.start import chain_start_partition, estimate_module_count
-
         evaluator = _get_evaluator(ctx)
         ctx.partition = chain_start_partition(
             evaluator,
@@ -186,17 +188,12 @@ def _get_partition(ctx: _Context):
 
 # ------------------------------------------------------------------- stages
 def _stage_separation(ctx: _Context) -> dict:
-    from repro.library.default_lib import generic_technology
-
     cap = generic_technology().separation_cap
     matrix, hit = cached_separation_matrix(ctx.store, ctx.circuit, cap)
     return {"hit": hit, "meta": {"cap": cap, "gates": int(matrix.matrix.shape[0])}}
 
 
 def _stage_stuck_at(ctx: _Context) -> dict:
-    from repro.faultsim.patterns import random_patterns
-    from repro.faultsim.stuck_at import enumerate_stuck_at_faults
-
     config = ctx.config
     faults = enumerate_stuck_at_faults(ctx.circuit)
     patterns = random_patterns(
@@ -219,8 +216,6 @@ def _stage_stuck_at(ctx: _Context) -> dict:
 
 
 def _stage_atpg(ctx: _Context) -> dict:
-    from repro.faultsim.faults import sample_bridging_faults, sample_gate_oxide_shorts
-
     config = ctx.config
     partition = _get_partition(ctx)
     defects = sample_bridging_faults(
@@ -256,8 +251,6 @@ def _stage_atpg(ctx: _Context) -> dict:
 
 
 def _stage_optimize(ctx: _Context) -> dict:
-    from repro.config import EvolutionParams
-
     config = ctx.config
     evaluator = _get_evaluator(ctx)
     evolution = EvolutionParams(

@@ -11,21 +11,17 @@
   sensors, virtual rails and the test monitor tree.
 """
 
-from repro.sensors.bic import BICSensor, size_sensor
-from repro.sensors.degradation import (
-    DelayDegradationModel,
-    FirstOrderDegradation,
-    SecondOrderDegradation,
-)
-from repro.sensors.sensing import SenseOutcome, settle_time_ns, sense_module
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BICSensor",
-    "size_sensor",
-    "DelayDegradationModel",
-    "FirstOrderDegradation",
-    "SecondOrderDegradation",
-    "SenseOutcome",
-    "settle_time_ns",
-    "sense_module",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "bic": ("BICSensor", "size_sensor"),
+        "degradation": (
+            "DelayDegradationModel",
+            "FirstOrderDegradation",
+            "SecondOrderDegradation",
+        ),
+        "sensing": ("SenseOutcome", "settle_time_ns", "sense_module"),
+    },
+)

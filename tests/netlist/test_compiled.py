@@ -14,6 +14,7 @@ from repro.netlist.compiled import (
     OP_XOR,
     compile_circuit,
     csr_gather,
+    sorted_unique,
 )
 from repro.netlist.gate import GateType
 from repro.netlist.generate import GeneratorConfig, generate_iscas_like
@@ -198,3 +199,44 @@ class TestCsrGather:
         # C17 is all NAND: every group must be an inverted AND batch.
         assert all(g.op == OP_AND for g in cg.sim_groups)
         assert all((g.invert != 0).all() for g in cg.sim_groups)
+
+
+class TestSortedUnique:
+    """``sorted_unique`` equals a bare ``np.unique`` in values and dtype."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.empty(0, dtype=np.int64),
+            np.empty((0, 3), dtype=np.int32),
+            np.array([5], dtype=np.int8),
+            np.array([3, 1, 3, 3, 0, 1, 7, 7], dtype=np.int64),
+            np.full(9, 4, dtype=np.int32),
+            np.array([[2, 9, 2], [9, 0, 2]], dtype=np.int64),
+            np.arange(24, dtype=np.uint64).reshape(2, 3, 4) % 5,
+            np.array([-(1 << 62), 1 << 62, -1, 0, -1], dtype=np.int64),
+            [4, 2, 4, 1],
+            [],
+        ],
+        ids=["empty", "empty-2d", "one", "repeats", "all-equal", "2d", "3d-uint",
+             "extremes", "list", "empty-list"],
+    )
+    def test_matches_np_unique(self, values):
+        expected = np.unique(values)
+        got = sorted_unique(values)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_random_integers(self):
+        rng = np.random.default_rng(1995)
+        for size in (1, 2, 17, 300, 5000):
+            values = rng.integers(-50, 50, size=size).astype(np.int32)
+            expected = np.unique(values)
+            got = sorted_unique(values)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_leaves_input_unchanged(self):
+        values = np.array([3, 1, 2, 1])
+        sorted_unique(values)
+        assert values.tolist() == [3, 1, 2, 1]
