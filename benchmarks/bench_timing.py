@@ -19,8 +19,8 @@ Table 1 circuit (C7552 stand-in), each timed twice:
   sweep vs the per-candidate loop (build the candidate delay vector,
   full sweep, ``max()``).  Carries the ≥3x floor.
 * **batched C-candidate retime** — the same candidates through C
-  sequential maintained ``update`` + exact-undo round trips, isolating
-  what batching alone buys.
+  sequential maintained ``update`` calls from one arrival vector, which
+  ``update`` never writes into, isolating what batching alone buys.
 
 The per-candidate sweep is reconstructed in-bench from
 :class:`LevelizedTiming`'s level/edge lists (gate-space segment sweep)
@@ -116,13 +116,12 @@ def setup(c7552):
     }
 
 
-def _best_of(run, setup_fn=lambda: None, rounds: int = 5) -> float:
-    """Best wall time of ``run(setup_fn())`` with setup untimed."""
+def _best_of(run, rounds: int = 5) -> float:
+    """Best wall time of ``run()``."""
     best = float("inf")
     for _ in range(rounds):
-        arg = setup_fn()
         t0 = time.perf_counter()
-        run(arg)
+        run()
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -134,7 +133,7 @@ def test_committed_move_retime_legacy(benchmark, setup):
     new_delays = delays.copy()
     new_delays[cols] = setup["overrides"][0]
 
-    def step(_):
+    def step():
         fresh = legacy.arrival_times(new_delays)
         changed = np.nonzero(fresh != setup["arrival"])[0]
         _RECORDED["committed_sink"] = (changed.size, float(fresh.max()))
@@ -154,18 +153,16 @@ def test_committed_move_retime_maintained(benchmark, setup):
     that the update takes its full sweep, the legacy leg's work (see
     module docstring)."""
     inc, delays, cols = setup["inc"], setup["delays"], setup["cols"]
+    arrival = setup["arrival"]
     new_delays = delays.copy()
     new_delays[cols] = setup["overrides"][0]
 
-    def prep():
-        return setup["arrival"].copy()
-
-    def step(arr):
-        fresh, _, _ = inc.update(arr, new_delays, cols)
+    def step():
+        fresh = inc.update(arrival, new_delays, cols)
         _RECORDED["committed_dbic"] = float(fresh.max())
 
     def run():
-        _RECORDED["committed_maintained"] = _best_of(step, prep, rounds=20)
+        _RECORDED["committed_maintained"] = _best_of(step, rounds=20)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     ratio = _RECORDED["committed_legacy"] / _RECORDED["committed_maintained"]
@@ -180,7 +177,7 @@ def test_natural_k_trial_retime_legacy(benchmark, setup):
     delays, cols, overrides = setup["delays"], setup["cols"], setup["overrides"]
     legacy = setup["legacy"]
 
-    def step(_):
+    def step():
         out = np.empty(len(overrides), dtype=np.float64)
         for i in range(len(overrides)):
             cand = delays.copy()
@@ -200,7 +197,7 @@ def test_natural_k_trial_retime_batched(benchmark, setup):
     inc, delays, cols = setup["inc"], setup["delays"], setup["cols"]
     arrival, overrides = setup["arrival"], setup["overrides"]
 
-    def step(_):
+    def step():
         _RECORDED["trial_batched_dbic"] = inc.retime_batch(
             arrival, delays, cols, overrides
         )
@@ -225,31 +222,21 @@ def test_natural_k_trial_retime_batched(benchmark, setup):
 
 # -------------------------------------------------- batched C-candidate retime
 def test_batched_retime_sequential(benchmark, setup):
-    """C maintained update + exact-undo round trips — the maintained
-    arrival vector without batching."""
-    inc, delays, cols, overrides = (
-        setup["inc"],
-        setup["delays"],
-        setup["cols"],
-        setup["overrides"],
-    )
+    """C maintained updates from one arrival vector, which each leaves
+    as it was — the maintained arrival vector without batching."""
+    inc, delays, cols = setup["inc"], setup["delays"], setup["cols"]
+    arrival, overrides = setup["arrival"], setup["overrides"]
 
-    def prep():
-        return setup["arrival"].copy()
-
-    def step(arr):
+    def step():
         out = np.empty(len(overrides), dtype=np.float64)
         for i in range(len(overrides)):
             cand = delays.copy()
             cand[cols] = overrides[i]
-            fresh, touched, old = inc.update(arr, cand, cols)
-            out[i] = fresh.max()
-            if touched is not None:
-                arr[touched] = old  # exact undo; a full sweep left arr as it was
+            out[i] = inc.update(arrival, cand, cols).max()
         _RECORDED["seq_dbic"] = out
 
     def run():
-        _RECORDED["batch_sequential"] = _best_of(step, prep, rounds=3)
+        _RECORDED["batch_sequential"] = _best_of(step, rounds=3)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     per = _RECORDED["batch_sequential"] / len(overrides) * 1e6
@@ -260,7 +247,7 @@ def test_batched_retime_stacked(benchmark, setup):
     inc, delays, cols = setup["inc"], setup["delays"], setup["cols"]
     arrival, overrides = setup["arrival"], setup["overrides"]
 
-    def step(_):
+    def step():
         _RECORDED["stacked_dbic"] = inc.retime_batch(
             arrival, delays, cols, overrides
         )

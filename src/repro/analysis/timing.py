@@ -107,15 +107,16 @@ class IncrementalTiming:
     """Maintenance of an arrival-time vector under delay changes, and
     stacked re-timing of candidate delay vectors.
 
-    :meth:`update` picks between two bit-identical strategies by seed
-    count: a fanout-cone walk for tiny seed sets, and a fresh full
-    gate-space sweep for everything else.  :meth:`retime_batch`
-    stacks ``C`` candidate delay vectors as columns of one
-    ``(gates, C)`` scratch matrix in **level-major order** (gates sorted
-    by level, unfed-before-fed within a level, so each level's fed gates
-    form one contiguous slice) and sweeps the whole circuit once for all
-    of them: per level, one padded row gather, one contiguous ``max``
-    reduction and one in-place add.
+    :meth:`update` returns the arrival vector after delay changes,
+    never writing into its input, by one of two bit-identical
+    strategies picked by seed count: a fanout-cone walk for tiny seed
+    sets, and a fresh full gate-space sweep for everything else.
+    :meth:`retime_batch` stacks ``C`` candidate delay vectors as columns
+    of one ``(gates, C)`` scratch matrix in **level-major order** (gates
+    sorted by level, unfed-before-fed within a level, so each level's
+    fed gates form one contiguous slice) and sweeps the whole circuit
+    once for all of them: per level, one padded row gather, one
+    contiguous ``max`` reduction and one in-place add.
     """
 
     #: Seed sets smaller than ``num_gates / CONE_DIVISOR`` take the cone walk.
@@ -211,38 +212,34 @@ class IncrementalTiming:
     # ------------------------------------------------------------- maintenance
     def update(
         self, arrival: np.ndarray, delays: np.ndarray, seeds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """Propagate delay changes at ``seeds`` through their fanout
-        cones; returns ``(fresh, touched, old)``.
+    ) -> np.ndarray:
+        """The arrival vector after delay changes at ``seeds``; ``arrival``
+        is never written into.
 
         Two bit-identical strategies (max/add are exact, so only the
-        traversal differs).  For tiny seed sets a cone walk writes into
-        ``arrival`` and returns it as ``fresh``, with the gate indices
-        whose arrival changed and their previous values: an exact undo
-        for callers to journal.  Anything else takes a full gate-space
-        sweep into a new ``fresh`` vector, and ``touched`` and ``old``
-        are ``None``: ``arrival`` is left as it was, its own undo.
+        traversal differs): for tiny seed sets a walk of the seeds'
+        fanout cones over a copy of ``arrival``, for anything else a
+        fresh full gate-space sweep.
         """
         if seeds.size == 0 or self.num_gates == 0:
-            return arrival, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+            return arrival
         if seeds.size * IncrementalTiming.CONE_DIVISOR < self.num_gates:
             obs.METRICS.inc("timing.update.cone")
-            return (arrival, *self._cone_update(arrival, delays, seeds))
+            return self._cone_update(arrival.copy(), delays, seeds)
         obs.METRICS.inc("timing.update.full")
-        return self.full_arrival(delays), None, None
+        return self.full_arrival(delays)
 
     def _cone_update(self, arrival, delays, seeds):
-        """Per-gate fanout-cone walk, stopping a branch as soon as a
-        recomputed arrival is unchanged.  The remaining-work counter is
-        maintained exactly (seed/fanout marks are deduplicated), so the
-        early exit is O(1) instead of a full boolean reduction per level.
+        """Per-gate fanout-cone walk in place, stopping a branch as soon
+        as a recomputed arrival is unchanged.  The remaining-work counter
+        is maintained exactly (seed/fanout marks are deduplicated), so
+        the early exit is O(1) instead of a full boolean reduction per
+        level.
         """
         pending = self._pending
         seeds = sorted_unique(seeds)
         pending[seeds] = True
         remaining = seeds.size
-        touched: list[np.ndarray] = []
-        old: list[np.ndarray] = []
         for lvl in range(int(self.gate_level[seeds].min()), self.depth + 1):
             lg = self.gates_by_level[lvl]
             p = lg[pending[lg]]
@@ -259,8 +256,6 @@ class IncrementalTiming:
             diff = fresh != arrival[p]
             if diff.any():
                 idx = p[diff]
-                touched.append(idx)
-                old.append(arrival[idx].copy())
                 arrival[idx] = fresh[diff]
                 fanouts, _ = csr_gather(self.fanout_indptr, self.fanout_indices, idx)
                 if fanouts.size:
@@ -270,9 +265,7 @@ class IncrementalTiming:
                     remaining += new_marks.size
             if remaining == 0:
                 break
-        if not touched:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        return np.concatenate(touched), np.concatenate(old)
+        return arrival
 
     # ---------------------------------------------------------- batched retime
     def retime_batch(
@@ -291,7 +284,7 @@ class IncrementalTiming:
         matrix and swept once (fewer than ``STACK_MIN``: one by one).
         ``arrival``/``delays`` are read-only; the result is
         bit-identical to running :meth:`update` per candidate and taking
-        the maximum of its fresh vector.  When no override differs from
+        the maximum of the vector it returns.  When no override differs from
         the base delay, nothing is swept and every candidate scores
         ``arrival.max()``.
 

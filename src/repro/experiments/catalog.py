@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, Sequence
 
 from repro.errors import ExperimentError
@@ -28,60 +29,53 @@ class ExperimentResult:
         return "\n".join(parts)
 
 
-def _registry() -> dict[str, Callable[[bool], ExperimentResult]]:
-    # Imported lazily so the catalog module stays import-cheap.
-    from repro.experiments.ablations import (
-        run_degradation_ablation,
-        run_incremental_speedup,
-        run_monte_carlo_ablation,
-        run_optimizer_comparison,
-        run_weight_sensitivity,
-    )
-    from repro.experiments.figure1 import run_figure1
-    from repro.experiments.figure2 import run_figure2
-    from repro.experiments.figure45 import run_figure45
-    from repro.experiments.complement import run_complement
-    from repro.experiments.corners import run_corner_sweep
-    from repro.experiments.motivation import run_motivation_coverage
-    from repro.experiments.sweeps import run_convergence_curve, run_rail_limit_sweep
-    from repro.experiments.table1 import run_table1
+#: Experiment name -> (module under ``repro.experiments``, runner name).
+_TABLE: dict[str, tuple[str, str]] = {
+    "complement": ("complement", "run_complement"),
+    "sweep-corners": ("corners", "run_corner_sweep"),
+    "sweep-rail-limit": ("sweeps", "run_rail_limit_sweep"),
+    "sweep-convergence": ("sweeps", "run_convergence_curve"),
+    "table1": ("table1", "run_table1"),
+    "figure1": ("figure1", "run_figure1"),
+    "figure2": ("figure2", "run_figure2"),
+    "figure45": ("figure45", "run_figure45"),
+    "motivation": ("motivation", "run_motivation_coverage"),
+    "ablation-monte-carlo": ("ablations", "run_monte_carlo_ablation"),
+    "ablation-incremental": ("ablations", "run_incremental_speedup"),
+    "ablation-degradation": ("ablations", "run_degradation_ablation"),
+    "ablation-weights": ("ablations", "run_weight_sensitivity"),
+    "ablation-optimizers": ("ablations", "run_optimizer_comparison"),
+}
 
-    return {
-        "complement": lambda quick: run_complement(quick=quick),
-        "sweep-corners": lambda quick: run_corner_sweep(quick=quick),
-        "sweep-rail-limit": lambda quick: run_rail_limit_sweep(quick=quick),
-        "sweep-convergence": lambda quick: run_convergence_curve(quick=quick),
-        "table1": lambda quick: run_table1(quick=quick).as_experiment_result(),
-        "figure1": lambda quick: run_figure1(quick=quick),
-        "figure2": lambda quick: run_figure2(quick=quick),
-        "figure45": lambda quick: run_figure45(quick=quick),
-        "motivation": lambda quick: run_motivation_coverage(quick=quick),
-        "ablation-monte-carlo": lambda quick: run_monte_carlo_ablation(quick=quick),
-        "ablation-incremental": lambda quick: run_incremental_speedup(quick=quick),
-        "ablation-degradation": lambda quick: run_degradation_ablation(quick=quick),
-        "ablation-weights": lambda quick: run_weight_sensitivity(quick=quick),
-        "ablation-optimizers": lambda quick: run_optimizer_comparison(quick=quick),
-    }
+
+def _runner(module: str, function: str) -> Callable[[bool], ExperimentResult]:
+    """A runner(quick) that imports its experiment's module when called,
+    so that listing or running one experiment loads no other."""
+
+    def run(quick: bool) -> ExperimentResult:
+        found = import_module(f"repro.experiments.{module}")
+        result = getattr(found, function)(quick=quick)
+        if isinstance(result, ExperimentResult):
+            return result
+        return result.as_experiment_result()  # Table 1's rows
+
+    return run
 
 
 #: Experiment name -> runner(quick) mapping.
-EXPERIMENTS: dict[str, Callable[[bool], ExperimentResult]] = {}
+EXPERIMENTS: dict[str, Callable[[bool], ExperimentResult]] = {
+    name: _runner(*where) for name, where in _TABLE.items()
+}
 
 
 def run_experiment(name: str, quick: bool = True) -> ExperimentResult:
     """Run one registered experiment by name."""
-    if not EXPERIMENTS:
-        EXPERIMENTS.update(_registry())
     runner = EXPERIMENTS.get(name)
     if runner is None:
-        if not EXPERIMENTS:
-            EXPERIMENTS.update(_registry())
         known = ", ".join(sorted(EXPERIMENTS))
         raise ExperimentError(f"unknown experiment {name!r}; known: {known}")
     return runner(quick)
 
 
 def experiment_names() -> tuple[str, ...]:
-    if not EXPERIMENTS:
-        EXPERIMENTS.update(_registry())
     return tuple(sorted(EXPERIMENTS))

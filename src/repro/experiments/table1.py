@@ -56,10 +56,6 @@ class Table1Row:
     generations: int
     evaluations: int
 
-    @property
-    def standard_wins(self) -> bool:
-        return self.area_standard < self.area_evolution
-
 
 @dataclass
 class Table1Result:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import LibraryError
-from repro.library.cell import CellSpec
 from repro.library.library import CellLibrary
 
 __all__ = ["scale_library", "fast_hot_corner", "slow_cold_corner", "CORNERS"]
@@ -85,8 +84,3 @@ CORNERS = {
     "ff-hot": fast_hot_corner,
     "ss-cold": slow_cold_corner,
 }
-
-
-def _cell_field_sanity(cell: CellSpec) -> None:  # pragma: no cover - doc aid
-    """CellSpec validates itself; this symbol only documents that the
-    scaled replace() path re-runs that validation."""

@@ -329,11 +329,6 @@ class CompiledGraph:
             )
         return out
 
-    def gate_fanins(self, gate: int) -> np.ndarray:
-        """Fanin node ids of one gate (declaration order)."""
-        node = self.gate_node[gate]
-        return self.fanin_indices[self.fanin_indptr[node] : self.fanin_indptr[node + 1]]
-
     def gate_neighbor_rows(self) -> Iterator[np.ndarray]:
         """Per-gate undirected gate-space neighbour rows, gate order."""
         for g in range(self.num_gates):

@@ -98,7 +98,14 @@ class Partition:
     Module ids are small ints, unique within one partition's lifetime
     (ids of deleted modules are never reused, so optimiser bookkeeping
     can key on them safely).
+
+    Inside a trial (:meth:`begin_trial`) only :meth:`move_gate` may
+    change the partition; :meth:`rollback` undoes its moves.
     """
+
+    #: The open trial's saved caches and moves; ``None`` outside a trial
+    #: and in every copy.
+    _trial: tuple | None = None
 
     def __init__(self, circuit: Circuit, assignment: Mapping[int, int]):
         """``assignment`` maps dense gate index -> module id and must
@@ -476,6 +483,8 @@ class Partition:
         self._module_of[gate] = target_module
         if not source_set:
             del self._modules[source]
+        if self._trial is not None:  # (gate, source, target, emptied)
+            self._trial[2].append((gate, source, target_module, not source_set))
         version = self._version
         self._version += 1
         if self._members_version == version:
@@ -515,36 +524,58 @@ class Partition:
                 (on if (module_of[row] != target).any() else off).append(h)
             boundary[target] = _edited(old_target, off, on)
 
-    def _trial_mark(self) -> tuple:
-        """What :meth:`_rollback` restores: the next module id, and copies
-        of the member and boundary caches valid at this version, ``None``
-        where stale."""
+    # ------------------------------------------------------------------ trials
+    def begin_trial(self) -> None:
+        """Open a trial: :meth:`move_gate` records each move until
+        :meth:`commit` keeps them or :meth:`rollback` undoes them.  The
+        member and boundary caches valid now are saved as shallow
+        copies (their entries are never written in place)."""
+        if self._trial is not None:
+            raise PartitionError("trial already open")
         version = self._version
         members = dict(self._members) if self._members_version == version else None
-        if self._boundary_version != version:
-            return self._next_id, members, None
-        return self._next_id, members, (dict(self._boundary), dict(self._adjacent))
+        boundary = None
+        if self._boundary_version == version:
+            boundary = dict(self._boundary), dict(self._adjacent)
+        self._trial = members, boundary, []
 
-    def _undo_move(self, gate: int, source: int, target: int, died: bool) -> None:
-        """Put ``gate`` back into ``source``, re-created if the move emptied
-        it: one step of a rollback, which :meth:`_rollback` finishes."""
-        if died:
-            self._modules[source] = set()
-        self._modules[target].discard(gate)
-        self._modules[source].add(gate)
-        self._module_of[gate] = source
+    def _close_trial(self) -> tuple:
+        trial = self._trial
+        if trial is None:
+            raise PartitionError("no open trial")
+        self._trial = None
+        return trial
 
-    def _rollback(self, mark: tuple) -> None:
-        """Finish a rollback to ``mark`` once every move since is undone
-        (last first): bump the version and re-key the saved caches, which
-        describe the restored partition exactly."""
-        self._next_id, members, boundary = mark
+    def commit(self) -> None:
+        """Close the trial, keeping its moves."""
+        self._close_trial()
+
+    def rollback(self) -> None:
+        """Close the trial, undoing its moves last first.
+
+        The version is bumped, not restored: versions are never reused,
+        or the IDDQ engine's per-partition caches could serve the
+        rolled-back timeline.  The caches saved when the trial opened
+        describe the restored partition exactly and are re-keyed to the
+        new version; those stale then stay stale.
+        """
+        members, boundary, moves = self._close_trial()
+        for gate, source, target, emptied in reversed(moves):
+            if emptied:
+                self._modules[source] = set()
+            self._modules[target].discard(gate)
+            self._modules[source].add(gate)
+            self._module_of[gate] = source
         self._version += 1
         if members is not None:
             self._members, self._members_version = members, self._version
         if boundary is not None:
             self._boundary, self._adjacent = boundary
             self._boundary_version = self._version
+
+    def _outside_trial(self, operation: str) -> None:
+        if self._trial is not None:
+            raise PartitionError(f"{operation} not allowed inside a trial")
 
     def move_gates(self, gates: Iterable[int], target_module: int) -> None:
         """Move a batch of gates to ``target_module`` — one version bump,
@@ -555,6 +586,7 @@ class Partition:
         batch is validated before any mutation, so a rejected call
         leaves the partition (and its version-keyed caches) untouched.
         """
+        self._outside_trial("move_gates")
         gates = check_gate_ids(list(gates), len(self._module_of)).tolist()
         if target_module not in self._modules:
             raise PartitionError(f"no module {target_module}")
@@ -590,6 +622,7 @@ class Partition:
 
     def split_new_module(self, gates: Iterable[int]) -> int:
         """Move ``gates`` into a brand-new module; returns its id."""
+        self._outside_trial("split_new_module")
         gates = list(gates)
         if not gates:
             raise PartitionError("cannot create an empty module")
@@ -608,6 +641,7 @@ class Partition:
 
     def merge_modules(self, keep: int, absorb: int) -> None:
         """Merge module ``absorb`` into ``keep``."""
+        self._outside_trial("merge_modules")
         if keep == absorb:
             raise PartitionError("cannot merge a module with itself")
         gates = self._modules.get(absorb)

@@ -15,28 +15,26 @@ updated through the changed gates' fanout cones, or by one full sweep
 when many gates changed
 (:class:`~repro.analysis.timing.IncrementalTiming`).  ``D_BIC`` is the
 maximum of the maintained arrival vector.  :class:`_StateProtocol`
-holds the generic trial loops; with the dict-based reference state in
-``tests/oracles/state.py`` they are the oracles the dense kernels are
-tested against.
+holds the protocol and its generic adapters; the dict-based reference
+state in ``tests/oracles/state.py``, its per-row trial loop and its
+replayed row states are the oracles the dense kernels are tested
+against.
 
 The state supports the **transactional move protocol**: ``begin_trial()``
-opens a journal, moves apply *in place*, and ``rollback()`` restores
-every byte of state exactly (saved prior values, not reverse
-arithmetic) while ``commit()`` keeps the moves.  Optimisers therefore
-never clone a state to score a candidate.  Batched scoring has one
-kernel, :meth:`EvaluationState.trial_blocks`: it scores ``(state,
-moves)`` rows from one or several parent states in one statistics pass
-and one stacked retiming sweep, and hands each scored row back as a
-state without replaying its moves.  The evolution strategy scores a
-whole generation through it; :meth:`_StateProtocol.trial_moves` (one
-move per row: greedy, annealing) and :meth:`_StateProtocol.trial_swaps`
-(a two-move exchange per row: KL) are thin adapters over it.
-
-The kernel calls the degradation model's ``delta`` with arrays of
-sensor parameters, one row per candidate.  A model declares that safe
-by setting ``broadcasts = True``, as both shipped models do.  For any
-other model ``trial_blocks`` is the generic per-row trial loop of
-:class:`_StateProtocol`.
+takes a snapshot, moves apply *in place*, and ``rollback()`` puts the
+snapshot back, restoring every byte of state exactly (saved prior
+values, not reverse arithmetic), while ``commit()`` keeps the moves.
+Optimisers therefore never clone a state to score a candidate.  Batched
+scoring has one kernel, :meth:`EvaluationState.trial_blocks`: it scores
+``(state, moves)`` rows from one or several parent states in one
+statistics pass and one stacked retiming sweep, and hands each scored
+row back as a state without replaying its moves.  The evolution
+strategy scores a whole generation through it;
+:meth:`_StateProtocol.trial_moves` (one move per row: greedy,
+annealing) and :meth:`_StateProtocol.trial_swaps` (a two-move exchange
+per row: KL) are thin adapters over it.  The kernel calls the
+degradation model's ``delta`` with arrays of sensor parameters, one row
+per candidate (see :class:`~repro.sensors.degradation.DelayDegradationModel`).
 """
 
 from __future__ import annotations
@@ -174,25 +172,12 @@ def _target_runs(moves: Sequence[tuple[int, int]]) -> list[tuple[int, list[int]]
 
 class BlockScores:
     """What ``trial_blocks`` returns: ``costs[i]`` is row ``i``'s
-    penalised cost, and :meth:`state` builds the state row ``i``
-    describes.
+    penalised cost, and a subclass's ``state(i)`` builds the state row
+    ``i`` describes (:class:`_BlockRows` adopts the statistics it
+    computed for the row)."""
 
-    This generic form builds it by replay: a copy of the row's parent
-    plus one ``move_gates`` call per maximal same-target run of the
-    row's moves.  The dense kernel returns a subclass that adopts the
-    statistics it already computed for the row instead.
-    """
-
-    def __init__(self, costs: np.ndarray, rows: Sequence):
+    def __init__(self, costs: np.ndarray):
         self.costs = costs
-        self._rows = rows
-
-    def state(self, i: int):
-        parent, moves = self._rows[i]
-        state = parent.copy()
-        for target, gates in _target_runs(moves):
-            state.move_gates(gates, target)
-        return state
 
 
 class _StateProtocol:
@@ -287,19 +272,8 @@ class _StateProtocol:
         return costs
 
     @staticmethod
-    def trial_blocks(
-        rows: Sequence[tuple["_StateProtocol", Sequence[tuple[int, int]]]],
-        penalty: float,
-    ) -> BlockScores:
-        """Penalised cost of each ``(state, moves)`` row, the moves
-        applied in order and evaluated independently from that state
-        (generic trial/rollback loop; the dense state overrides this
-        with the population kernel).  Row states are built by replay."""
-        costs = np.empty(len(rows), dtype=np.float64)
-        for i, (state, moves) in enumerate(rows):
-            costs[i] = state.trial_cost(moves, penalty)
-            state.rollback()
-        return BlockScores(costs, rows)
+    def trial_blocks(rows, penalty: float) -> BlockScores:  # pragma: no cover
+        raise NotImplementedError
 
     def committed_moves(self) -> list[tuple[int, int]]:
         """The (gate, target) sequence of every committed move so far —
@@ -314,9 +288,16 @@ class EvaluationState(_StateProtocol):
     Module statistics are stored at *slots* — positions in contiguous
     arrays.  A module dying frees its slot (zero-filled, so full-array
     reductions stay exact); a split claims a free slot or grows the
-    arrays.  All mutations route through :meth:`_aset`, which journals
-    prior values while a trial is open, making :meth:`rollback` an
-    exact byte-for-byte restore.
+    arrays.
+
+    A trial is a snapshot.  :meth:`begin_trial` copies the arrays a
+    trial writes in place (``_TRIAL_ARRAYS``: the slot arrays, the slot
+    table and the degraded delays, a few KB) and the slot bookkeeping,
+    and keeps the arrival vector by reference: it is replaced, never
+    written in place, so :meth:`copy` shares it too.  :meth:`rollback`
+    assigns the copies back and has the partition undo its own moves
+    (:meth:`Partition.rollback`).  Views handed out before a trial, such
+    as :attr:`stats` rows, do not follow its rollback: read them at once.
     """
 
     _GROW = 8
@@ -337,6 +318,9 @@ class EvaluationState(_StateProtocol):
         "sensor_clamped",
         "settle_ns",
     )
+    #: The arrays a trial can write in place: copied by :meth:`copy` and
+    #: snapshot by :meth:`begin_trial`.
+    _TRIAL_ARRAYS = SLOT_ARRAYS + ("_slot_module", "delay_degraded")
 
     def __init__(self, ctx: "PartitionEvaluator", partition: Partition):
         self.ctx = ctx
@@ -364,8 +348,7 @@ class EvaluationState(_StateProtocol):
         self._arrival: np.ndarray | None = None
         self._dbic = 0.0
         self._dirty: set[int] = set(modules)
-        self._journal: list | None = None
-        self._trial_meta: tuple | None = None
+        self._trial: tuple | None = None
         self._move_log: list[tuple[int, int]] = []
         for module in modules:
             self._fill_slot(self._slot_of[module], module)
@@ -383,86 +366,61 @@ class EvaluationState(_StateProtocol):
         self.max_current_ma[slot] = self.current[slot].max()
 
     def copy(self) -> "EvaluationState":
-        if self._journal is not None:
+        if self._trial is not None:
             raise PartitionError("cannot copy a state with an open trial")
         clone = object.__new__(EvaluationState)
         clone.ctx = self.ctx
         clone.partition = self.partition.copy()
         clone._slot_of = dict(self._slot_of)
-        clone._slot_module = self._slot_module.copy()
         clone._free_slots = list(self._free_slots)
-        for name in EvaluationState.SLOT_ARRAYS + ("delay_degraded",):
+        for name in EvaluationState._TRIAL_ARRAYS:
             setattr(clone, name, getattr(self, name).copy())
-        clone._arrival = None if self._arrival is None else self._arrival.copy()
+        clone._arrival = self._arrival  # shared: never written in place
         clone._dbic = self._dbic
         clone._dirty = set(self._dirty)
-        clone._journal = None
-        clone._trial_meta = None
+        clone._trial = None
         clone._move_log = list(self._move_log)
         return clone
 
-    # ----------------------------------------------------------------- journal
-    def _aset(self, array: np.ndarray, index, value) -> None:
-        """Assign ``array[index] = value``, journaling the prior bytes
-        when a trial is open."""
-        if self._journal is not None:
-            self._journal.append(("arr", array, index, np.array(array[index], copy=True)))
-        array[index] = value
-
+    # ------------------------------------------------------------------ trials
     def begin_trial(self) -> None:
-        """Open a trial: moves and lazy refreshes apply in place and are
-        journaled; :meth:`rollback` restores the exact prior state."""
-        if self._journal is not None:
+        """Open a trial: moves and lazy refreshes apply in place, and
+        :meth:`rollback` puts back the snapshot taken here."""
+        if self._trial is not None:
             raise PartitionError("trial already open")
-        self._journal = []
-        self._trial_meta = (
+        self.partition.begin_trial()
+        self._trial = (
+            [getattr(self, name).copy() for name in EvaluationState._TRIAL_ARRAYS],
+            self._arrival,
+            dict(self._slot_of),
+            list(self._free_slots),
             set(self._dirty),
-            len(self._move_log),
             self._dbic,
-            self._arrival is not None,
-            self.partition._trial_mark(),
+            len(self._move_log),
         )
 
     def commit(self) -> None:
-        if self._journal is None:
+        if self._trial is None:
             raise PartitionError("no open trial")
-        self._journal = None
-        self._trial_meta = None
+        self._trial = None
+        self.partition.commit()
 
     def rollback(self) -> None:
-        journal = self._journal
-        if journal is None:
+        if self._trial is None:
             raise PartitionError("no open trial")
-        dirty, log_len, dbic, had_arrival, mark = self._trial_meta
-        self._journal = None
-        self._trial_meta = None
-        partition = self.partition
-        for entry in reversed(journal):
-            kind = entry[0]
-            if kind == "arr":
-                _, array, index, old = entry
-                array[index] = old
-            elif kind == "move":
-                partition._undo_move(*entry[1:])
-            elif kind == "arrival":  # a full sweep replaced the vector
-                self._arrival = entry[1]
-            else:  # "slot_del": a module death freed a slot
-                _, module, slot = entry
-                self._slot_of[module] = slot
-                self._free_slots.remove(slot)
-        # The version counter is NOT restored: versions must never be
-        # reused, or the IDDQ engine's per-partition caches could serve
-        # the rolled-back timeline.  One extra bump makes every trial
-        # version stale; the partition's caches valid when the trial
-        # opened are re-keyed to it, restored with the partition.
-        partition._rollback(mark)
-        self._dirty = dirty
-        self._dbic = dbic
-        if not had_arrival:
-            # The arrival vector was first materialised during the trial
-            # (against trial-time delays); drop it so the next refresh
-            # rebuilds from the restored delays.
-            self._arrival = None
+        (
+            arrays,
+            self._arrival,
+            self._slot_of,
+            self._free_slots,
+            self._dirty,
+            self._dbic,
+            log_len,
+        ) = self._trial
+        self._trial = None
+        for name, array in zip(EvaluationState._TRIAL_ARRAYS, arrays):
+            setattr(self, name, array)
+        self.partition.rollback()
         del self._move_log[log_len:]
 
     # ------------------------------------------------------------------ moves
@@ -473,8 +431,8 @@ class EvaluationState(_StateProtocol):
         return slot
 
     def move_gate(self, gate: int, target_module: int) -> int:
-        """Move a gate, updating both touched slots; returns the source
-        module id.  Inside a trial every write is journaled."""
+        """Move a gate, updating both touched slots in place; returns the
+        source module id."""
         ctx = self.ctx
         partition = self.partition
         gate = partition.gate_id(gate)
@@ -487,39 +445,25 @@ class EvaluationState(_StateProtocol):
         src_members = partition.gates_array(source)
         tgt_members = partition.gates_array(target_module)
         separation = ctx.separation
-        self._aset(
-            self.sep_sum,
-            src_slot,
-            self.sep_sum[src_slot] - separation.sum_to_group(gate, src_members),
-        )
-        self._aset(
-            self.sep_sum,
-            tgt_slot,
-            self.sep_sum[tgt_slot] + separation.sum_to_group(gate, tgt_members),
-        )
+        self.sep_sum[src_slot] -= separation.sum_to_group(gate, src_members)
+        self.sep_sum[tgt_slot] += separation.sum_to_group(gate, tgt_members)
 
         times = ctx.times.times[gate]
         peak = ctx.electricals.peak_current_ma[gate]
-        self._aset(self.current, (src_slot, times), self.current[src_slot, times] - peak)
-        self._aset(self.current, (tgt_slot, times), self.current[tgt_slot, times] + peak)
-        self._aset(
-            self.activity, (src_slot, times), self.activity[src_slot, times] - 1.0
-        )
-        self._aset(
-            self.activity, (tgt_slot, times), self.activity[tgt_slot, times] + 1.0
-        )
+        self.current[src_slot, times] -= peak
+        self.current[tgt_slot, times] += peak
+        self.activity[src_slot, times] -= 1.0
+        self.activity[tgt_slot, times] += 1.0
         leak = ctx.electricals.leakage_na[gate]
         rail = ctx.electricals.rail_cap_ff[gate]
-        self._aset(self.leak_na, src_slot, self.leak_na[src_slot] - leak)
-        self._aset(self.leak_na, tgt_slot, self.leak_na[tgt_slot] + leak)
-        self._aset(self.rail_cap_ff, src_slot, self.rail_cap_ff[src_slot] - rail)
-        self._aset(self.rail_cap_ff, tgt_slot, self.rail_cap_ff[tgt_slot] + rail)
-        self._aset(self.max_current_ma, src_slot, self.current[src_slot].max())
-        self._aset(self.max_current_ma, tgt_slot, self.current[tgt_slot].max())
+        self.leak_na[src_slot] -= leak
+        self.leak_na[tgt_slot] += leak
+        self.rail_cap_ff[src_slot] -= rail
+        self.rail_cap_ff[tgt_slot] += rail
+        self.max_current_ma[src_slot] = self.current[src_slot].max()
+        self.max_current_ma[tgt_slot] = self.current[tgt_slot].max()
 
         source_died = partition.module_size(source) == 1
-        if self._journal is not None:
-            self._journal.append(("move", gate, source, target_module, source_died))
         partition.move_gate(gate, target_module)
         if source_died:
             self._release_slot(source, src_slot)
@@ -538,13 +482,11 @@ class EvaluationState(_StateProtocol):
 
     def _release_slot(self, module: int, slot: int) -> None:
         """Zero a dead module's slot so full-array reductions stay exact."""
-        if self._journal is not None:
-            self._journal.append(("slot_del", module, slot))
         del self._slot_of[module]
         self._free_slots.append(slot)
-        self._aset(self._slot_module, slot, -1)
+        self._slot_module[slot] = -1
         for name in EvaluationState.SLOT_ARRAYS:
-            self._aset(getattr(self, name), slot, 0)
+            getattr(self, name)[slot] = 0
 
     def _claim_slot(self, module: int) -> int:
         """Allocate a slot for a new module (outside trials only)."""
@@ -567,8 +509,6 @@ class EvaluationState(_StateProtocol):
     def split_new_module(self, gates) -> int:
         """Create a new module from ``gates``; rebuilds only the touched
         modules (cold path, not allowed inside trials)."""
-        if self._journal is not None:
-            raise PartitionError("split_new_module not allowed inside a trial")
         gates = list(gates)
         if not gates:
             raise PartitionError("cannot create an empty module")
@@ -579,9 +519,8 @@ class EvaluationState(_StateProtocol):
         return new_id
 
     def merge_modules(self, keep: int, absorb: int) -> None:
-        """Merge ``absorb`` into ``keep`` (rebuilds only ``keep``)."""
-        if self._journal is not None:
-            raise PartitionError("merge_modules not allowed inside a trial")
+        """Merge ``absorb`` into ``keep`` (rebuilds only ``keep``; not
+        allowed inside trials)."""
         self.partition.merge_modules(keep, absorb)
         self._rebuild_touched({keep, absorb})
 
@@ -609,15 +548,13 @@ class EvaluationState(_StateProtocol):
                 self.max_current_ma[slots],
                 self.rail_cap_ff[slots],
             )
-            self._aset(self.sensor_rs, slots, rs)
-            self._aset(self.sensor_area, slots, area)
-            self._aset(self.sensor_cs, slots, cs)
-            self._aset(self.sensor_tau, slots, tau)
-            self._aset(self.sensor_clamped, slots, clamped)
-            self._aset(
-                self.settle_ns,
-                slots,
-                settle_times_ns(self.max_current_ma[slots], tau, ctx.technology),
+            self.sensor_rs[slots] = rs
+            self.sensor_area[slots] = area
+            self.sensor_cs[slots] = cs
+            self.sensor_tau[slots] = tau
+            self.sensor_clamped[slots] = clamped
+            self.settle_ns[slots] = settle_times_ns(
+                self.max_current_ma[slots], tau, ctx.technology
             )
             changed: list[np.ndarray] = []
             for module, slot, rs_i, cs_i in zip(dirty, slots, rs, cs):
@@ -637,7 +574,7 @@ class EvaluationState(_StateProtocol):
                 diff = fresh != self.delay_degraded[gates]
                 if diff.any():
                     idx = gates[diff]
-                    self._aset(self.delay_degraded, idx, fresh[diff])
+                    self.delay_degraded[idx] = fresh[diff]
                     changed.append(idx)
             self._dirty.clear()
         else:
@@ -647,18 +584,10 @@ class EvaluationState(_StateProtocol):
             self._arrival = incremental.full_arrival(self.delay_degraded)
             self._dbic = float(self._arrival.max()) if self._arrival.size else 0.0
         elif changed:
-            arrival, touched, old = incremental.update(
-                self._arrival,
-                self.delay_degraded,
-                np.concatenate(changed),
+            self._arrival = incremental.update(
+                self._arrival, self.delay_degraded, np.concatenate(changed)
             )
-            if self._journal is not None:
-                if touched is None:
-                    self._journal.append(("arrival", self._arrival))
-                elif touched.size:
-                    self._journal.append(("arr", self._arrival, touched, old))
-            self._arrival = arrival
-            self._dbic = float(arrival.max())
+            self._dbic = float(self._arrival.max())
 
     def sensors(self) -> dict[int, BICSensor]:
         """Sized sensors for every module (refreshes lazily; cold path —
@@ -763,13 +692,11 @@ class EvaluationState(_StateProtocol):
         once, outside any trial, and otherwise left untouched — no move
         is applied, so its partition keeps its version and cached
         boundary sets.  The rows are scored and adopted by
-        :class:`_BlockRows`; a degradation model without ``broadcasts``
-        takes the generic per-row loop instead (see the module
-        docstring).
+        :class:`_BlockRows`.
         """
         count = len(rows)
         if count == 0:
-            return BlockScores(np.empty(0, dtype=np.float64), rows)
+            return BlockScores(np.empty(0, dtype=np.float64))
         obs.METRICS.inc("optimize.trial_blocks.calls")
         obs.METRICS.inc("optimize.trial_blocks.candidates", count)
         ctx = rows[0][0].ctx
@@ -779,10 +706,8 @@ class EvaluationState(_StateProtocol):
         for state, _ in by_parent.values():
             if state.ctx is not ctx:
                 raise PartitionError("trial_blocks rows must share one evaluator")
-            if state._journal is not None:
+            if state._trial is not None:
                 raise PartitionError("trial_blocks not allowed inside an open trial")
-        if not getattr(ctx.degradation, "broadcasts", False):
-            return _StateProtocol.trial_blocks(rows, penalty)
         for state, _ in by_parent.values():
             state._refresh()
         return _BlockRows(rows, list(by_parent.values()), penalty)
@@ -1232,7 +1157,7 @@ class _BlockRows(BlockScores):
                 + w.modules * float(k)
             )
             costs[i] = cost if ok else cost + penalty * (1.0 + v)
-        super().__init__(costs, rows)
+        super().__init__(costs)
 
     def state(self, i: int) -> EvaluationState:
         """Row ``i``'s state, adopted from the scored row (the parents

@@ -51,10 +51,6 @@ class BICSensor:
     rail_perturbation_v: float
     rs_clamped: bool
 
-    @property
-    def meets_rail_limit(self) -> bool:
-        return not self.rs_clamped or self.rail_perturbation_v <= 0.0
-
 
 def size_sensor(
     technology: Technology,

@@ -39,13 +39,20 @@ class DelayDegradationModel(Protocol):
     switching gates, bypass resistance ``rs_ohm``, rail capacitance
     ``cs_ff``, per-gate load ``cg_ff`` and discharge resistance
     ``rg_ohm``.
+
+    ``delta`` must be elementwise: ``n``, ``rs_ohm`` and ``cs_ff`` may
+    be arrays that broadcast against the gate arrays ``cg_ff`` and
+    ``rg_ohm``, as the batched kernel of :mod:`repro.partition.state`
+    passes them (one sensor per candidate row, or one per gate), and
+    each element must see the IEEE operations of a scalar call for its
+    own sensor.
     """
 
     def delta(
         self,
         n: np.ndarray | float,
-        rs_ohm: float,
-        cs_ff: float,
+        rs_ohm: np.ndarray | float,
+        cs_ff: np.ndarray | float,
         cg_ff: np.ndarray,
         rg_ohm: np.ndarray,
     ) -> np.ndarray: ...
@@ -53,12 +60,6 @@ class DelayDegradationModel(Protocol):
 
 class FirstOrderDegradation:
     """``δ = n · Rs / Rg`` — series-resistance-only model."""
-
-    #: Pure elementwise numpy ops: safe to call with broadcast-shaped
-    #: arguments (e.g. ``(C, 1)`` candidate params against ``(1, G)``
-    #: gate vectors).  The batched kernels of
-    #: :mod:`repro.partition.state` key on this flag.
-    broadcasts = True
 
     def delta(self, n, rs_ohm, cs_ff, cg_ff, rg_ohm):
         n = np.asarray(n, dtype=np.float64)
@@ -74,9 +75,6 @@ class SecondOrderDegradation:
     capacitance to the rail), which softens the per-gate impact — the
     behaviour the paper's second-order network captures.
     """
-
-    #: See :class:`FirstOrderDegradation.broadcasts`.
-    broadcasts = True
 
     def delta(self, n, rs_ohm, cs_ff, cg_ff, rg_ohm):
         n = np.asarray(n, dtype=np.float64)

@@ -128,27 +128,24 @@ def _out_of_level_order(config, seed):
 
 def _checked_update(ref, inc, arrival, new_delays, seeds):
     """Run one maintained update and assert the full contract: bit
-    identity with a fresh reference pass, and exact undo — through the
-    returned ``(touched, old)`` journal of a cone walk written into
-    ``arrival``, or ``arrival`` itself left as it was by a full sweep.
-    Returns the fresh vector."""
+    identity with a fresh reference pass, and ``arrival`` left as it
+    was, whichever strategy ran.  Returns the fresh vector."""
     before = arrival.copy()
-    fresh, touched, old = inc.update(arrival, new_delays, seeds)
+    fresh = inc.update(arrival, new_delays, seeds)
     assert np.array_equal(fresh, ref.arrival_times(new_delays))
-    if touched is None:
-        assert fresh is not arrival and np.array_equal(arrival, before)
-    else:
-        assert fresh is arrival
-        undone = fresh.copy()
-        undone[touched] = old
-        assert np.array_equal(undone, before)
+    assert _bits(arrival) == _bits(before)
     return fresh
+
+
+def _bits(array):
+    return array.dtype, array.shape, array.tobytes()
 
 
 class TestIncrementalUpdate:
     """Random delay-perturbation sequences through the maintained-arrival
     engine — every dispatch strategy must be bit-identical to a fresh
-    :meth:`LevelizedTiming.arrival_times` pass and exactly undoable."""
+    :meth:`LevelizedTiming.arrival_times` pass and leave its input
+    vector unchanged."""
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -4,9 +4,14 @@
 module, snapshots the whole state when a trial opens, and re-times the
 degraded circuit from scratch for every cost.  It speaks the same
 protocol as :class:`~repro.partition.state.EvaluationState` and takes
-the generic trial loops of ``_StateProtocol``, so an optimiser run on
+the generic adapters of ``_StateProtocol``, so an optimiser run on
 either state must make the same moves, and the dense kernels must score
 what its per-candidate trials score.
+
+Its ``trial_blocks`` is :func:`per_row_trial_blocks`: one trial and
+rollback per row, with row states built by replay
+(:class:`ReplayedRows`).  Run on dense states, the pair is the oracle
+of ``EvaluationState.trial_blocks`` and its adopted row states.
 """
 
 from __future__ import annotations
@@ -18,9 +23,41 @@ from repro.partition.constraints import ConstraintReport, check_constraints
 from repro.partition.costs import CostBreakdown, log_guarded
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
-from repro.partition.state import ModuleStats, _StateProtocol
+from repro.partition.state import BlockScores, ModuleStats, _StateProtocol
 from repro.sensors.bic import BICSensor, size_sensor
 from repro.sensors.sensing import settle_time_ns
+
+
+def replay(parent, moves):
+    """A copy of ``parent`` with ``moves`` applied in order, one
+    ``move_gate`` each."""
+    state = parent.copy()
+    for gate, target in moves:
+        state.move_gate(gate, target)
+    return state
+
+
+class ReplayedRows(BlockScores):
+    """:class:`BlockScores` whose row states are built by :func:`replay`
+    from the row's parent."""
+
+    def __init__(self, costs: np.ndarray, rows):
+        super().__init__(costs)
+        self._rows = rows
+
+    def state(self, i: int):
+        return replay(*self._rows[i])
+
+
+def per_row_trial_blocks(rows, penalty: float) -> ReplayedRows:
+    """Penalised cost of each ``(state, moves)`` row, the moves applied
+    in order and evaluated independently from that state: one
+    ``trial_cost`` and ``rollback`` per row."""
+    costs = np.empty(len(rows), dtype=np.float64)
+    for i, (state, moves) in enumerate(rows):
+        costs[i] = state.trial_cost(moves, penalty)
+        state.rollback()
+    return ReplayedRows(costs, rows)
 
 
 class ReferenceEvaluationState(_StateProtocol):
@@ -65,6 +102,8 @@ class ReferenceEvaluationState(_StateProtocol):
         clone._move_log = list(self._move_log)
         return clone
 
+    trial_blocks = staticmethod(per_row_trial_blocks)
+
     # ------------------------------------------------------------------ trials
     def begin_trial(self) -> None:
         """Open a trial: subsequent moves apply in place until
@@ -84,8 +123,8 @@ class ReferenceEvaluationState(_StateProtocol):
         if snap is None:
             raise PartitionError("no open trial")
         self._snapshot = None
-        # Same monotonic-version contract as the dense journal rollback:
-        # every version observed during the trial becomes stale.
+        # Same monotonic-version contract as the dense rollback: every
+        # version observed during the trial becomes stale.
         snap.partition._version = self.partition._version + 1
         self.partition = snap.partition
         self.stats = snap.stats

@@ -3,11 +3,12 @@ sequential trial step.
 
 ``Partition.move_gate`` rewrites the two touched modules' member arrays
 and boundary lists and drops the adjacency lists that name either, and
-``EvaluationState.rollback`` re-keys the caches that were valid when its
-trial opened.  The equivalence suite cannot see a fault here, because
-its reference state drives the same ``Partition``, so every cached
-member array, boundary list and adjacency list is compared with a
-partition built from scratch by ``Partition.from_array``.
+``Partition.rollback`` (which ``EvaluationState.rollback`` calls)
+re-keys the caches that were valid when its trial opened.  The
+equivalence suite cannot see a fault here, because its reference state
+drives the same ``Partition``, so every cached member array, boundary
+list and adjacency list is compared with a partition built from scratch
+by ``Partition.from_array``.
 """
 
 import functools
@@ -183,24 +184,39 @@ def test_random_interleavings_match_fresh_builds(
 
 
 class TestRollback:
-    def _state(self):
+    """The re-keying, through an evaluation state's trial (which opens
+    and closes its partition's) and through a bare partition's own."""
+
+    def _trial_owner(self, owner):
         evaluator = _evaluator(40, 6, 3)
-        return evaluator.new_state(_start(evaluator, 3, random.Random(5)))
+        state = evaluator.new_state(_start(evaluator, 3, random.Random(5)))
+        return state.partition, state if owner == "state" else state.partition
 
     def test_rekeys_the_caches_valid_when_the_trial_opened(self):
-        state = self._state()
-        partition = state.partition
+        self._check_rekeys("state")
+
+    def test_partition_trial_rekeys_the_caches(self):
+        self._check_rekeys("partition")
+
+    def test_a_stale_cache_stays_stale(self):
+        self._check_stale_stays_stale("state")
+
+    def test_partition_trial_keeps_a_stale_cache_stale(self):
+        self._check_stale_stays_stale("partition")
+
+    def _check_rekeys(self, owner):
+        partition, trial = self._trial_owner(owner)
         _warm(partition)
         members, boundary = dict(partition._members), dict(partition._boundary)
         adjacent = dict(partition._adjacent)
         moves = _trial_moves(partition, 2, random.Random(1))
-        state.begin_trial()
+        trial.begin_trial()
         seen = []
         for move in moves:
-            state.move_gate(*move)
+            trial.move_gate(*move)
             seen.append(partition.version)
         partition.boundary_gates(partition.module_ids[0])
-        state.rollback()
+        trial.rollback()
         assert partition.version > max(seen)
         assert partition._members_version == partition._boundary_version
         assert partition._boundary_version == partition.version
@@ -210,19 +226,20 @@ class TestRollback:
         assert partition._boundary == boundary and partition._adjacent == adjacent
         assert_caches_fresh(partition)
 
-    def test_a_stale_cache_stays_stale(self):
+    def _check_stale_stays_stale(self, owner):
         """Caches filled during a trial that opened with them stale
         describe the rolled-back partition, so the rollback must not
         re-key them."""
-        state = self._state()
-        partition = state.partition
+        partition, trial = self._trial_owner(owner)
         partition._clear_caches()
         assert partition._boundary_version != partition.version
         (move,) = _trial_moves(partition, 1, random.Random(2))
-        state.trial_cost([move], PENALTY)
+        trial.begin_trial()
+        trial.move_gate(*move)
+        partition.gates_array(move[1])
         partition.boundary_gates(move[1])
         partition.gates_adjacent_to(move[1], partition.module_of(move[0]))
-        state.rollback()
+        trial.rollback()
         assert partition._members_version != partition.version
         assert partition._boundary_version != partition.version
         assert_caches_fresh(partition)

@@ -6,7 +6,11 @@ not approx), partition version and membership — for both the dense
 array-backed state and the dict-based reference of
 ``oracles/state.py``.  Hypothesis drives
 random interleavings of committed moves, rolled-back trials and
-committed trials through ``consistency_check()``.
+committed trials through ``consistency_check()``.  The dense state's
+trial is a snapshot, checked byte for byte around rollbacks that empty
+a module, that follow each timing-update strategy and that materialise
+the first arrival vector; a bare ``Partition`` records and undoes its
+own trial moves.
 """
 
 import random
@@ -17,6 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles.state import ReferenceEvaluationState
+from repro import obs
+from repro.analysis.timing import IncrementalTiming
 from repro.errors import PartitionError
 from repro.partition.partition import Partition
 from repro.partition.state import EvaluationState
@@ -46,6 +52,31 @@ def _random_move(state, rng):
 @pytest.fixture(params=list(STATES))
 def make_state(request):
     return STATES[request.param]
+
+
+def _bits(array):
+    return None if array is None else (array.dtype, array.shape, array.tobytes())
+
+
+def _restorable(state) -> dict:
+    """Everything a rollback restores: the move log and the partition,
+    and on the dense state every array byte for byte and the slot
+    bookkeeping."""
+    partition = state.partition
+    out = {
+        "committed_moves": state.committed_moves(),
+        "module_of": _bits(partition.module_of_array()),
+        "canonical": partition.canonical(),
+    }
+    if isinstance(state, EvaluationState):
+        for name in EvaluationState.SLOT_ARRAYS + ("_slot_module", "delay_degraded"):
+            out[name] = _bits(getattr(state, name))
+        out["_arrival"] = _bits(state._arrival)
+        out["_slot_of"] = dict(state._slot_of)
+        out["_free_slots"] = list(state._free_slots)
+        out["_dirty"] = set(state._dirty)
+        out["_dbic"] = state._dbic
+    return out
 
 
 class TestTrialProtocol:
@@ -89,11 +120,13 @@ class TestTrialProtocol:
         assignment = {g: (0 if g == 0 else 1 + g % 2) for g in range(n)}
         state = make_state(small_evaluator, Partition(circuit, assignment))
         before = state.penalized_cost(1e4)
+        restorable = _restorable(state)
         state.begin_trial()
         state.move_gate(0, 1)  # module 0 dies
         assert 0 not in state.partition.module_ids
         state.penalized_cost(1e4)
         state.rollback()
+        assert _restorable(state) == restorable
         assert 0 in state.partition.module_ids
         assert state.partition.gates_of(0) == frozenset({0})
         assert state.penalized_cost(1e4) == before
@@ -174,16 +207,65 @@ class TestTrialProtocol:
                 apply_legal(moves)
                 cost = state.penalized_cost(1e4)
             elif action < 0.7:  # trial, then exact rollback
+                restorable = _restorable(state)
                 state.begin_trial()
                 if apply_legal(moves):
                     state.penalized_cost(1e4)
                 state.rollback()
+                assert _restorable(state) == restorable
                 assert state.penalized_cost(1e4) == cost
             else:  # trial, then commit
                 state.begin_trial()
                 apply_legal(moves)
                 cost = state.penalized_cost(1e4)
                 state.commit()
+        state.consistency_check()
+
+    @pytest.mark.parametrize("strategy, divisor", [("cone", 1), ("full", 10**9)])
+    def test_rollback_after_each_update_strategy(
+        self, small_evaluator, monkeypatch, strategy, divisor
+    ):
+        """A trial whose timing update walks the fanout cones, or sweeps
+        the whole circuit, rolls back to the very arrival vector it
+        opened with, unwritten."""
+        monkeypatch.setattr(IncrementalTiming, "CONE_DIVISOR", divisor)
+        state = EvaluationState(
+            small_evaluator, balanced_partition(small_evaluator.circuit, 4)
+        )
+        before = state.penalized_cost(1e4)
+        restorable, arrival = _restorable(state), state._arrival
+        saved = obs.enabled_state()
+        obs.enable(metrics=True)
+        try:
+            mark = obs.METRICS.counters()
+            state.trial_cost([(0, 1)], 1e4)
+            delta = obs.METRICS.delta_since(mark)
+        finally:
+            obs.enable(trace=saved[0], metrics=saved[1])
+        assert {k: v for k, v in delta.items() if k.startswith("timing.update.")} == {
+            f"timing.update.{strategy}": 1
+        }
+        state.rollback()
+        assert state._arrival is arrival
+        assert _restorable(state) == restorable
+        assert state.penalized_cost(1e4) == before
+        state.consistency_check()
+
+    def test_rollback_before_the_first_refresh(self, small_evaluator):
+        """A trial opened before any cost was asked for materialises the
+        arrival vector against trial delays; the rollback drops it, and
+        the next cost is the untouched state's."""
+        partition = balanced_partition(small_evaluator.circuit, 4)
+        state = EvaluationState(small_evaluator, partition)
+        assert state._arrival is None
+        restorable = _restorable(state)
+        state.trial_cost([(0, 1), (1, 2)], 1e4)
+        assert state._arrival is not None
+        state.rollback()
+        assert state._arrival is None
+        assert _restorable(state) == restorable
+        fresh = EvaluationState(small_evaluator, partition)
+        assert state.penalized_cost(1e4) == fresh.penalized_cost(1e4)
         state.consistency_check()
 
     def test_split_and_merge_rebuild_only_touched(self, small_evaluator, make_state):
@@ -198,6 +280,60 @@ class TestTrialProtocol:
         state.consistency_check()
         fresh = make_state(small_evaluator, state.partition.copy())
         assert state.penalized_cost(1e4) == pytest.approx(fresh.penalized_cost(1e4))
+
+
+class TestPartitionTrial:
+    """A bare partition's own trial: ``move_gate`` records, ``rollback``
+    undoes last first, and nothing else may change it meanwhile."""
+
+    def _restorable(self, partition):
+        return (
+            _bits(partition.module_of_array()),
+            {m: partition.gates_of(m) for m in partition.module_ids},
+            partition._next_id,
+        )
+
+    def test_rollback_restores_assignment_sets_and_next_id(self, small_circuit):
+        n = len(small_circuit.gate_names)
+        assignment = {g: (0 if g == 0 else 1 + g % 3) for g in range(n)}
+        partition = Partition(small_circuit, assignment)
+        partition.split_new_module([1, 4])
+        before, version = self._restorable(partition), partition.version
+        partition.begin_trial()
+        partition.move_gate(0, 2)  # module 0 empties
+        partition.move_gate(5, 2)
+        partition.move_gate(1, 3)
+        assert 0 not in partition.module_ids
+        partition.rollback()
+        assert self._restorable(partition) == before
+        assert partition.version > version
+        partition.check_invariants()
+        partition.begin_trial()
+        partition.move_gate(0, 2)
+        partition.commit()
+        assert 0 not in partition.module_ids and partition.module_of(0) == 2
+        partition.check_invariants()
+
+    def test_misuse_is_rejected(self, small_circuit):
+        partition = balanced_partition(small_circuit, 3)
+        with pytest.raises(PartitionError, match="no open trial"):
+            partition.commit()
+        with pytest.raises(PartitionError, match="no open trial"):
+            partition.rollback()
+        partition.begin_trial()
+        with pytest.raises(PartitionError, match="already open"):
+            partition.begin_trial()
+        before = self._restorable(partition)
+        for mutate in (
+            lambda: partition.move_gates([0], 1),
+            lambda: partition.split_new_module([0, 3]),
+            lambda: partition.merge_modules(0, 1),
+        ):
+            with pytest.raises(PartitionError, match="inside a trial"):
+                mutate()
+        assert self._restorable(partition) == before
+        partition.rollback()
+        partition.move_gates([0], 1)
 
 
 class TestGainKernel:

@@ -2,11 +2,11 @@
 
 ``EvaluationState.trial_blocks`` must return, bit for bit, what
 ``trial_cost(moves)`` followed by ``rollback()`` gives for every
-``(parent, moves)`` row -- the generic ``_StateProtocol.trial_blocks``
-loop is the oracle -- and must leave its parents as it found them.
-Each row's adopted state (``.state(i)``) must equal, array for array,
-the parent's ``copy()`` plus a ``move_gates`` replay (the generic
-``BlockScores.state``) once both are refreshed; its partition version
+``(parent, moves)`` row -- the per-row loop ``per_row_trial_blocks`` of
+``oracles/state.py`` is the oracle -- and must leave its parents as it
+found them.  Each row's adopted state (``.state(i)``) must equal, array
+for array, the parent's ``copy()`` plus a ``move_gate`` replay (the
+oracle's ``replay``) once both are refreshed; its partition version
 only has to be newer than the parent's.  Rows follow the
 optimisers' shapes: ES mutations that move a few gates of one module
 into one or several (possibly repeated) targets, Monte-Carlo blocks
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.state import per_row_trial_blocks, replay
 from repro.analysis.timing import IncrementalTiming
 from repro.errors import PartitionError
 from repro.library.default_lib import generic_technology
@@ -37,7 +38,7 @@ from repro.optimize.start import chain_start_partition
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
 from repro.partition import state as state_module
-from repro.partition.state import BlockScores, EvaluationState, _StateProtocol
+from repro.partition.state import EvaluationState
 from repro.sensors.degradation import FirstOrderDegradation, SecondOrderDegradation
 
 PENALTY = 1.0e4
@@ -54,22 +55,7 @@ STATE_ARRAYS = EvaluationState.SLOT_ARRAYS + (
 )
 
 
-class ScalarOnlyDegradation(SecondOrderDegradation):
-    """The second-order model, without the ``broadcasts`` promise: it
-    must only ever see one module's scalar sensor parameters."""
-
-    broadcasts = False
-
-    def delta(self, n, rs_ohm, cs_ff, cg_ff, rg_ohm):
-        assert np.ndim(rs_ohm) == 0 and np.ndim(cs_ff) == 0
-        return super().delta(n, rs_ohm, cs_ff, cg_ff, rg_ohm)
-
-
-DEGRADATION = {
-    "first": FirstOrderDegradation,
-    "second": SecondOrderDegradation,
-    "scalar": ScalarOnlyDegradation,
-}
+DEGRADATION = {"first": FirstOrderDegradation, "second": SecondOrderDegradation}
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,13 +220,13 @@ def _assert_kernel_matches_trials(parents, rows):
     oracle_parents = {id(p): p.copy() for p in parents}
     before = [(p.committed_moves(), p.partition.version) for p in parents]
     scores = EvaluationState.trial_blocks(rows, PENALTY)
-    want = _StateProtocol.trial_blocks(
+    want = per_row_trial_blocks(
         [(oracle_parents[id(p)], moves) for p, moves in rows], PENALTY
     ).costs
     got = scores.costs
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (got, want)
-    for i, (parent, _) in enumerate(rows):
-        _assert_same_state(scores.state(i), BlockScores.state(scores, i), parent)
+    for i, (parent, moves) in enumerate(rows):
+        _assert_same_state(scores.state(i), replay(parent, moves), parent)
     for parent, (log, version) in zip(parents, before):
         parent.consistency_check()
         assert parent.committed_moves() == log
@@ -249,18 +235,11 @@ def _assert_kernel_matches_trials(parents, rows):
 
 def _empties(parent, moves) -> bool:
     """Whether ``moves`` empty one of ``parent``'s modules."""
-    return parent.partition.num_modules > _replayed(parent, moves).partition.num_modules
-
-
-def _replayed(parent, moves):
-    state = parent.copy()
-    for gate, target in moves:
-        state.move_gate(gate, target)
-    return state
+    return parent.partition.num_modules > replay(parent, moves).partition.num_modules
 
 
 def _feasible(parent, moves) -> bool:
-    return _replayed(parent, moves).constraint_report().feasible
+    return replay(parent, moves).constraint_report().feasible
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,23 +318,6 @@ def test_fused_pass_equals_per_parent_calls(model, time_resolved, strict):
             _assert_same_state(fused.state(i), alone.state(j), parent)
 
 
-@pytest.mark.parametrize("time_resolved", [False, True])
-def test_model_without_broadcasts_takes_the_per_row_loop(time_resolved):
-    """Rows under a model without ``broadcasts`` are scored and rebuilt
-    by the generic per-row loop, and cost what the kernel gives for the
-    same rows under the broadcasting model with the same arithmetic."""
-    scores = {}
-    for model in ("second", "scalar"):
-        evaluator = _evaluator("small", model, time_resolved, tight=True)
-        parents = [_parent(evaluator, k, seed) for k, seed in ((2, 2), (5, 4), (9, 8))]
-        rng = random.Random(11)
-        rows = [(p, _row(p, shape, rng)) for shape in SHAPES for p in parents]
-        scores[model] = EvaluationState.trial_blocks(rows, PENALTY)
-    assert type(scores["scalar"]) is BlockScores
-    assert type(scores["second"]) is not BlockScores
-    assert _bits(scores["scalar"].costs) == _bits(scores["second"].costs)
-
-
 def _adoption_rows(evaluator):
     parents = [_parent(evaluator, k, seed) for k, seed in ((4, 2), (6, 3))]
     rng = random.Random(3)
@@ -408,7 +370,7 @@ def test_adoption_without_stacked_arrivals(monkeypatch):
         state = scores.state(i)
         assert state._arrival is None and not state._dirty
         assert state.penalized_cost(PENALTY) == cost
-        _assert_same_state(state, BlockScores.state(scores, i), rows[i][0])
+        _assert_same_state(state, replay(*rows[i]), rows[i][0])
 
 
 def test_adopted_partition_serves_the_row_members():
@@ -550,7 +512,7 @@ def test_adapters_count_and_chunk_their_rows():
     assert delta["optimize.trial_blocks.calls"] == 3 + 1
     assert delta["optimize.trial_blocks.candidates"] == 400 + 30
     oracle = parent.copy()
-    want = _StateProtocol.trial_blocks(
+    want = per_row_trial_blocks(
         [(oracle, [move]) for move in moves] + [(oracle, swap) for swap in swaps],
         PENALTY,
     ).costs

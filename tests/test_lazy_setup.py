@@ -141,6 +141,44 @@ print(json.dumps(problems))
 """
 
 
+#: Every experiment module the catalogue can run.
+EXPERIMENT_MODULES = (
+    "repro.experiments.ablations",
+    "repro.experiments.complement",
+    "repro.experiments.corners",
+    "repro.experiments.figure1",
+    "repro.experiments.figure2",
+    "repro.experiments.figure45",
+    "repro.experiments.motivation",
+    "repro.experiments.sweeps",
+    "repro.experiments.table1",
+)
+
+_CATALOG_PROBE = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m in {modules!r})
+
+from repro.experiments.catalog import experiment_names, run_experiment
+
+names = experiment_names()
+listed = loaded()
+
+import repro.experiments.table1 as table1
+
+full = table1.run_table1
+table1.run_table1 = lambda quick: full(("c17",), quick=quick)
+result = run_experiment("table1", quick=True)
+print(json.dumps({{
+    "names": list(names),
+    "listed": listed,
+    "ran": loaded(),
+    "rows": [row[0] for row in result.rows],
+}}))
+"""
+
+
 def _run(source: str) -> object:
     """Run ``source`` in a fresh interpreter on this checkout's package;
     returns the JSON its last output line holds."""
@@ -184,6 +222,16 @@ def test_runs_import_no_module_after_setup(setup_probe):
     setup = set(setup_probe["setup"])
     assert sorted(set(setup_probe["after_table1"]) - setup) == []
     assert sorted(set(setup_probe["after_campaign"]) - setup) == []
+
+
+def test_catalog_loads_only_the_experiment_it_runs():
+    """Listing the experiments loads none of their modules, and running
+    Table 1 (here on c17 alone) loads only its own."""
+    probe = _run(_CATALOG_PROBE.format(modules=EXPERIMENT_MODULES))
+    assert "table1" in probe["names"] and "figure2" in probe["names"]
+    assert probe["listed"] == []
+    assert probe["ran"] == ["repro.experiments.table1"]
+    assert probe["rows"] == ["c17"]
 
 
 def test_every_export_resolves_to_its_submodule():
