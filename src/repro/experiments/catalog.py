@@ -7,7 +7,6 @@ from importlib import import_module
 from typing import Callable, Sequence
 
 from repro.errors import ExperimentError
-from repro.flow.report import format_table
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
 
@@ -22,6 +21,8 @@ class ExperimentResult:
     notes: list[str] = field(default_factory=list)
 
     def render(self) -> str:
+        from repro.flow.report import format_table
+
         parts = [f"== {self.name} ==", format_table(self.headers, self.rows)]
         if self.notes:
             parts.append("")

@@ -202,8 +202,8 @@ def _walk_sequential(walk: _Walk, proposals, temperature: float) -> None:
             state.commit()
             walk.accepted_move(gate, target, new_cost)
         else:
-            # Rejected: the trial journal restores the exact prior
-            # state (no reverse-move drift, no module resurrection).
+            # Rejected: the rollback restores the exact prior state
+            # (no reverse-move drift, no module resurrection).
             state.rollback()
             walk.rejected_move(gate, target, new_cost)
 

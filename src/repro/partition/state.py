@@ -181,7 +181,7 @@ class BlockScores:
 
 
 class _StateProtocol:
-    """The evaluation-state protocol and its generic trial loops, shared
+    """The evaluation-state protocol and its generic adapters, shared
     by :class:`EvaluationState` and the test suite's reference state."""
 
     ctx: "PartitionEvaluator"
@@ -292,12 +292,13 @@ class EvaluationState(_StateProtocol):
 
     A trial is a snapshot.  :meth:`begin_trial` copies the arrays a
     trial writes in place (``_TRIAL_ARRAYS``: the slot arrays, the slot
-    table and the degraded delays, a few KB) and the slot bookkeeping,
-    and keeps the arrival vector by reference: it is replaced, never
-    written in place, so :meth:`copy` shares it too.  :meth:`rollback`
-    assigns the copies back and has the partition undo its own moves
-    (:meth:`Partition.rollback`).  Views handed out before a trial, such
-    as :attr:`stats` rows, do not follow its rollback: read them at once.
+    table and the degraded delays, 35 KB on c7552's chain start) and the
+    slot bookkeeping, and keeps the arrival vector by reference: it is
+    replaced, never written in place, so :meth:`copy` shares it too.
+    :meth:`rollback` assigns the copies back and has the partition undo
+    its own moves (:meth:`Partition.rollback`).  Views handed out before
+    a trial, such as :attr:`stats` rows, do not follow its rollback:
+    read them at once.
     """
 
     _GROW = 8

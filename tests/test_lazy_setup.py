@@ -164,6 +164,7 @@ from repro.experiments.catalog import experiment_names, run_experiment
 
 names = experiment_names()
 listed = loaded()
+listed_repro = sorted(m for m in sys.modules if m.startswith("repro"))
 
 import repro.experiments.table1 as table1
 
@@ -173,7 +174,9 @@ result = run_experiment("table1", quick=True)
 print(json.dumps({{
     "names": list(names),
     "listed": listed,
+    "listed_repro": listed_repro,
     "ran": loaded(),
+    "title": result.render().splitlines()[0],
     "rows": [row[0] for row in result.rows],
 }}))
 """
@@ -225,13 +228,22 @@ def test_runs_import_no_module_after_setup(setup_probe):
 
 
 def test_catalog_loads_only_the_experiment_it_runs():
-    """Listing the experiments loads none of their modules, and running
-    Table 1 (here on c17 alone) loads only its own."""
+    """Listing the experiments loads none of their modules, nor what
+    they render with, and running Table 1 (here on c17 alone) loads
+    only its own."""
     probe = _run(_CATALOG_PROBE.format(modules=EXPERIMENT_MODULES))
     assert "table1" in probe["names"] and "figure2" in probe["names"]
     assert probe["listed"] == []
+    assert probe["listed_repro"] == [
+        "repro",
+        "repro._lazy",
+        "repro.errors",
+        "repro.experiments",
+        "repro.experiments.catalog",
+    ]
     assert probe["ran"] == ["repro.experiments.table1"]
     assert probe["rows"] == ["c17"]
+    assert probe["title"].startswith("== ")
 
 
 def test_every_export_resolves_to_its_submodule():
