@@ -22,9 +22,9 @@ Table 1 circuit (C7552 stand-in), each timed twice:
   sequential maintained ``update`` calls from one arrival vector, which
   ``update`` never writes into, isolating what batching alone buys.
 
-The per-candidate sweep is reconstructed in-bench from
-:class:`LevelizedTiming`'s level/edge lists (gate-space segment sweep)
-and checked bit-identical against the production sweep before timing.
+The per-candidate sweep is reconstructed in-bench from the engine's
+own gate-space levels (segment sweep) and checked bit-identical against
+:meth:`IncrementalTiming.full_arrival` before timing.
 Results land in ``BENCH_timing.json`` via the bench-smoke job.
 """
 
@@ -49,19 +49,14 @@ PENALTY = 1.0e4
 
 
 class _LegacySweep:
-    """One full sweep, reconstructed from :class:`LevelizedTiming`'s
-    per-level edge lists: every gate starts at its own delay, then each
-    level adds one gate-space segment-batched ``maximum.reduceat`` into
-    its fed gates."""
+    """One full sweep, reconstructed from the engine's gate-space levels
+    (per level: the fed gates, their gate fanins and segment starts):
+    every gate starts at its own delay, then each level adds one
+    segment-batched ``maximum.reduceat`` into its fed gates."""
 
     def __init__(self, timing):
         self.num_gates = timing.num_gates
-        self.levels = []
-        for level in timing._levels:
-            counts = np.bincount(level.dst_pos, minlength=len(level.gate_idx))
-            fed = counts > 0
-            starts = (np.cumsum(counts) - counts)[fed]
-            self.levels.append((level.gate_idx[fed], level.src, starts))
+        self.levels = list(timing._gs_levels)
 
     def arrival_times(self, delays: np.ndarray) -> np.ndarray:
         arrival = delays.copy()
@@ -88,13 +83,13 @@ def setup(c7552):
     state = evaluator.new_state(start)
     state.penalized_cost(PENALTY)
 
-    inc = evaluator.timing.incremental
+    inc = evaluator.timing
     delays = state.delay_degraded.copy()
     arrival = inc.full_arrival(delays)
 
-    legacy = _LegacySweep(evaluator.timing)
+    legacy = _LegacySweep(inc)
     assert np.array_equal(
-        legacy.arrival_times(delays), evaluator.timing.arrival_times(delays)
+        legacy.arrival_times(delays), arrival
     ), "legacy sweep reconstruction drifted from the production sweep"
 
     source, target = start.module_ids[0], start.module_ids[1]

@@ -5,8 +5,7 @@ from the gate-level netlist plus cell-library data:
 
 * transition-time sets ``T(g)`` over the unit-delay grid
   (:mod:`~repro.analysis.transition_times`);
-* worst-case module transient current (:mod:`~repro.analysis.current`)
-  and simultaneous-switching activity (:mod:`~repro.analysis.activity`);
+* worst-case module transient current (:mod:`~repro.analysis.current`);
 * critical-path timing with and without sensors
   (:mod:`~repro.analysis.timing`);
 * capped BFS separation in the undirected circuit graph
@@ -22,8 +21,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "levels": ("gates_by_level", "reverse_levels"),
         "transition_times": ("TransitionTimes", "transition_time_masks", "times_from_mask"),
         "current": ("GateElectricals", "module_current_profile", "module_max_current"),
-        "activity": ("module_activity_profile",),
-        "timing": ("LevelizedTiming", "critical_path_delay", "nominal_gate_delays"),
+        "timing": ("IncrementalTiming", "critical_path_delay", "nominal_gate_delays"),
         "paths": ("CriticalPath", "extract_critical_path"),
         "separation": ("SeparationMatrix", "module_separation"),
         "leakage": ("gate_leakages", "module_leakage"),

@@ -4,23 +4,23 @@ Both circuit delays the paper compares — ``D`` (no sensors) and
 ``D_BIC`` (sensors inserted, per-gate delays degraded) — are longest
 paths through the gate DAG.  Because the optimiser re-times the circuit
 for every candidate partition, the longest-path computation is
-vectorised: gates are processed level by level, and each level's
-arrival times are produced by one scatter-max over the edges entering
-it.  The level structure itself comes straight from the compiled
-graph's level groups — no dict traversal at construction either.
+vectorised: gates are processed level by level (the compiled graph's
+level groups), and each level adds one segmented ``maximum.reduceat``
+over its fanin arrivals into its fed gates.
 
-:class:`IncrementalTiming` additionally maintains an arrival vector
-under delay *changes* (DESIGN.md §8.4): a fanout-cone walk for a handful
-of changed gates, a fresh full gate-space sweep for anything larger, and
-:meth:`IncrementalTiming.retime_batch`, which re-times ``C`` candidate
-delay vectors in one stacked sweep over a scratch arrival matrix.
+:class:`IncrementalTiming` is the one engine.  Its
+:meth:`~IncrementalTiming.full_arrival` is the full sweep, and it also
+maintains an arrival vector under delay *changes* (DESIGN.md §8.4): a
+fanout-cone walk for a handful of changed gates, a fresh full sweep for
+anything larger, and :meth:`IncrementalTiming.retime_batch`, which
+re-times ``C`` candidate delay vectors in one stacked sweep over a
+scratch arrival matrix.
 Max/add are exact floating-point operations, so every path here is
-bit-identical to :meth:`LevelizedTiming.arrival_times`.
+bit-identical to the scatter-max sweep that ``tests/oracles/timing.py``
+keeps as the reference.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,76 +31,10 @@ from repro.netlist.compiled import csr_gather, sorted_unique
 
 __all__ = [
     "IncrementalTiming",
-    "LevelizedTiming",
     "critical_path_delay",
     "levelized_timing",
     "nominal_gate_delays",
 ]
-
-
-@dataclass(frozen=True)
-class _LevelEdges:
-    """Edges entering one level: positions into the level's gate array
-    (``dst_pos``) and global gate indices of driving gates (``src``)."""
-
-    gate_idx: np.ndarray
-    dst_pos: np.ndarray
-    src: np.ndarray
-
-
-class LevelizedTiming:
-    """Precomputed level structure enabling O(depth) numpy longest path.
-
-    Edges from primary inputs carry arrival 0 and are omitted — a gate
-    fed only by inputs starts at its own delay.
-    """
-
-    def __init__(self, circuit: Circuit):
-        cg = circuit.compiled
-        self._compiled = cg
-        self._incremental: "IncrementalTiming | None" = None
-        self._levels: list[_LevelEdges] = []
-        for group in cg.level_groups:
-            fanin_gate = cg.node_gate[group.fanins].astype(np.int64)
-            keep = fanin_gate >= 0  # drop edges from primary inputs
-            dst_pos = np.repeat(
-                np.arange(len(group.nodes), dtype=np.int64), group.counts
-            )
-            self._levels.append(
-                _LevelEdges(
-                    gate_idx=cg.node_gate[group.nodes].astype(np.int64),
-                    dst_pos=dst_pos[keep],
-                    src=fanin_gate[keep],
-                )
-            )
-        self.num_gates = cg.num_gates
-
-    def arrival_times(self, delays: np.ndarray) -> np.ndarray:
-        """Arrival time at each gate's output for the given per-gate delays."""
-        if delays.shape != (self.num_gates,):
-            raise ValueError(
-                f"delays must have shape ({self.num_gates},), got {delays.shape}"
-            )
-        arrival = np.zeros(self.num_gates, dtype=np.float64)
-        for level in self._levels:
-            base = np.zeros(len(level.gate_idx), dtype=np.float64)
-            if level.src.size:
-                np.maximum.at(base, level.dst_pos, arrival[level.src])
-            arrival[level.gate_idx] = base + delays[level.gate_idx]
-        return arrival
-
-    def critical_path_delay(self, delays: np.ndarray) -> float:
-        """Longest path delay under the given per-gate delays."""
-        arrival = self.arrival_times(delays)
-        return float(arrival.max()) if arrival.size else 0.0
-
-    @property
-    def incremental(self) -> "IncrementalTiming":
-        """The incremental update engine sharing this level structure
-        (built lazily, cached)."""
-        if self._incremental is None:
-            self._incremental = IncrementalTiming(self._compiled, full=self)
-        return self._incremental
 
 
 class IncrementalTiming:
@@ -125,7 +59,7 @@ class IncrementalTiming:
     #: sweep each, faster there than the stacked sweep (see DESIGN §8.4).
     STACK_MIN = 3
 
-    def __init__(self, compiled, full: LevelizedTiming):
+    def __init__(self, compiled):
         cg = compiled
         n = cg.num_gates
         self.num_gates = n
@@ -153,17 +87,22 @@ class IncrementalTiming:
         ]
         self._pending = np.zeros(n, dtype=bool)
 
-        # Per level of ``full``: the gates with no gate-space fanins
-        # ("unfed": they sit at their own delay) and the fed ones, whose
-        # fanin segments start at ``starts``.  The gate-space levels
+        # Per level group: the gates with no gate-space fanins ("unfed",
+        # fed by primary inputs alone, whose arrival is 0: they sit at
+        # their own delay) and the fed ones, whose gate fanins ``src``
+        # form segments starting at ``starts``.  The gate-space levels
         # drive the full sweep, which needs no permutation gathers; the
         # level-major order puts every level's unfed gates first.
         order_parts: list[np.ndarray] = []
         split_levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._gs_levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for level in full._levels:
-            gate_idx, src = level.gate_idx, level.src
-            counts = np.bincount(level.dst_pos, minlength=len(gate_idx))
+        for group in cg.level_groups:
+            gate_idx = cg.node_gate[group.nodes].astype(np.int64)
+            fanin_gate = cg.node_gate[group.fanins].astype(np.int64)
+            keep = fanin_gate >= 0
+            src = fanin_gate[keep]
+            # Every gate has a fanin, so no segment is empty.
+            counts = np.add.reduceat(keep.astype(np.int64), group.offsets)
             fed = counts > 0
             starts = (np.cumsum(counts) - counts)[fed]
             order_parts.append(gate_idx[~fed])
@@ -198,7 +137,7 @@ class IncrementalTiming:
     # ------------------------------------------------------------ full sweep
     def full_arrival(self, delays: np.ndarray) -> np.ndarray:
         """Fresh arrival times (gate order) via the gate-space segment
-        sweep — bit-identical to :meth:`LevelizedTiming.arrival_times`.
+        sweep.
 
         Every gate starts at its own delay; each level adds the max
         fanin arrival into its fed gates.
@@ -208,6 +147,16 @@ class IncrementalTiming:
             if src.size:
                 arrival[fed] += np.maximum.reduceat(arrival[src], starts)
         return arrival
+
+    def critical_path_delay(self, delays: np.ndarray) -> float:
+        """Longest path delay under the given per-gate delays: the
+        maximum of :meth:`full_arrival`."""
+        if delays.shape != (self.num_gates,):
+            raise ValueError(
+                f"delays must have shape ({self.num_gates},), got {delays.shape}"
+            )
+        arrival = self.full_arrival(delays)
+        return float(arrival.max()) if arrival.size else 0.0
 
     # ------------------------------------------------------------- maintenance
     def update(
@@ -346,19 +295,18 @@ def nominal_gate_delays(electricals: GateElectricals) -> np.ndarray:
     return electricals.delay_ns.copy()
 
 
-def levelized_timing(circuit: Circuit) -> LevelizedTiming:
-    """The circuit's :class:`LevelizedTiming`, cached on the compiled
-    graph — one-shot callers and evaluators share one level structure
-    (and its incremental engine) per circuit."""
+def levelized_timing(circuit: Circuit) -> IncrementalTiming:
+    """The circuit's timing engine, cached on the compiled graph —
+    one-shot callers and evaluators share one engine per circuit."""
     cg = circuit.compiled
     cached = cg.__dict__.get("_levelized_timing")
     if cached is None:
-        cached = LevelizedTiming(circuit)
+        cached = IncrementalTiming(cg)
         object.__setattr__(cg, "_levelized_timing", cached)
     return cached
 
 
 def critical_path_delay(circuit: Circuit, delays: np.ndarray) -> float:
-    """One-shot longest path (level structure cached on the compiled
-    graph, so repeated calls don't rebuild it)."""
+    """One-shot longest path (engine cached on the compiled graph, so
+    repeated calls don't rebuild it)."""
     return levelized_timing(circuit).critical_path_delay(delays)

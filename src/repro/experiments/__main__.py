@@ -332,6 +332,16 @@ def main(argv: list[str] | None = None) -> int:
     trace_report.add_argument("trace", help="trace JSON path")
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ExperimentError as exc:
+        # An unknown experiment or stage, or an unreadable resume file,
+        # is an operator error, not a crash: one readable line, exit 1.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         for name in experiment_names():
             print(name)

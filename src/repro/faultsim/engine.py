@@ -18,9 +18,8 @@ pattern batch per step, thousands of times.
   ``(patterns, gates)`` leakage matrix — compared by content (shape,
   dtype, values), so evaluating two partitions against one vector set
   simulates once;
-* per-partition module index groupings (via
-  :meth:`IDDQSimulator.module_indices`, keyed on the partition's
-  mutation version);
+* per-module gate index arrays, which are the partition's own sorted
+  member arrays (:meth:`IDDQSimulator.module_indices`);
 * per-(partition, defect-list) observation structure: a packed
   all-defects activation matrix (built type-grouped with fancy
   indexing over the packed simulation words) and a defect -> observing

@@ -6,10 +6,9 @@ module containing one of its observing gates whenever the vector
 activates it.  All of it is vectorised over patterns *and* gates: the
 leak tables are built once per distinct library cell, gates are grouped
 by arity so a batch of patterns turns into one fancy-indexing lookup
-per arity group (no per-gate Python), and the per-module gate-index
-arrays are computed once per ``(simulator, partition)`` and reused
-across calls (keyed on :attr:`Partition.version` so mutation
-invalidates them).
+per arity group (no per-gate Python), and each module's gates are
+the sorted member array the partition caches
+(:meth:`Partition.gates_array`).
 
 ``tests/oracles/faultsim.py`` keeps the original per-gate loop as the
 executable specification; the equivalence suite asserts the grouped
@@ -40,9 +39,6 @@ class IDDQSimulator:
     cell) plus an arity-grouped index structure, so a batch of patterns
     turns into one table lookup per arity group.
     """
-
-    #: Most-recently-used (partition -> module index arrays) cache slots.
-    _MODULE_CACHE_SLOTS = 8
 
     def __init__(self, circuit: Circuit, library: CellLibrary | None = None):
         self.circuit = circuit
@@ -102,7 +98,6 @@ class IDDQSimulator:
             tables = flat.reshape(len(cols), 1 << arity)
             self._leak_min_na[cols] = tables.min(axis=1)
             self._leak_max_na[cols] = tables.max(axis=1)
-        self._module_cache: dict[int, tuple[Partition, int, dict[int, np.ndarray]]] = {}
 
     # ------------------------------------------------------------- fault-free
     def simulate_values(self, patterns: np.ndarray) -> NodeValues:
@@ -154,28 +149,11 @@ class IDDQSimulator:
         return out
 
     def module_indices(self, partition: Partition) -> dict[int, np.ndarray]:
-        """Per-module gate index arrays, computed once per partition state.
-
-        Cached on ``(id(partition), partition.version)``; the cache holds
-        a strong reference to the partition, so a cached id cannot be
-        recycled by the allocator while its entry is alive.
-        """
-        key = id(partition)
-        cached = self._module_cache.get(key)
-        if (
-            cached is not None
-            and cached[0] is partition
-            and cached[1] == partition.version
-        ):
-            return cached[2]
-        indices = {
-            module: np.fromiter(partition.gates_of(module), dtype=np.int64)
-            for module in partition.module_ids
+        """Per-module sorted gate index arrays: the partition's own
+        member arrays, which it keeps valid across moves."""
+        return {
+            module: partition.gates_array(module) for module in partition.module_ids
         }
-        if len(self._module_cache) >= self._MODULE_CACHE_SLOTS:
-            self._module_cache.pop(next(iter(self._module_cache)))
-        self._module_cache[key] = (partition, partition.version, indices)
-        return indices
 
     def module_iddq_ua(
         self, partition: Partition, values: NodeValues
@@ -201,7 +179,7 @@ class IDDQSimulator:
     ) -> tuple[float, float]:
         """Least and greatest fault-free IDDQ of ``module`` in uA over
         every possible vector (each gate at its table's min / max)."""
-        idx = self.module_indices(partition)[module]
+        idx = partition.gates_array(module)
         return (
             float(self._leak_min_na[idx].sum()) * 1e-3,
             float(self._leak_max_na[idx].sum()) * 1e-3,
@@ -219,11 +197,10 @@ class IDDQSimulator:
         the transposed row block here has the identical stride pattern
         and the axis-1 summation reduces in the identical order.
         """
-        indices = self.module_indices(partition)
         result: dict[int, np.ndarray] = {}
         for module in modules:
-            idx = indices[module]
-            result[module] = self.leakage_rows(bits, idx).T.sum(axis=1) * 1e-3
+            rows = self.leakage_rows(bits, partition.gates_array(module))
+            result[module] = rows.T.sum(axis=1) * 1e-3
         return result
 
     # ---------------------------------------------------------------- defects

@@ -260,13 +260,6 @@ class Tracer:
         a moment earlier or later."""
         return list(self._stack)
 
-    def mark(self) -> int:
-        """An opaque mark for :meth:`events_since` (event count)."""
-        return len(self._events)
-
-    def events_since(self, mark: int) -> list[tuple]:
-        return list(self._events[mark:])
-
     def spans(self, name: str | None = None) -> Iterator[tuple]:
         for event in self._events:
             if event[0] == "span" and (name is None or event[1] == name):

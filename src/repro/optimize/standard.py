@@ -28,6 +28,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import OptimizationError
+from repro.optimize.start import _balanced_sizes
 from repro.partition.evaluator import PartitionEvaluator
 from repro.partition.partition import Partition
 
@@ -91,9 +92,3 @@ def _standard_assignment(evaluator: PartitionEvaluator, num_modules: int) -> np.
         # The next module starts empty: keep only the distance to free.
         key = np.where(key < _CLAIMED, -(-key & _LOW), _CLAIMED)
     return assignment
-
-
-def _balanced_sizes(n: int, k: int) -> list[int]:
-    base = n // k
-    extra = n % k
-    return [base + 1 if i < extra else base for i in range(k)]

@@ -169,8 +169,7 @@ class PartitionEvaluator:
                     )
             with obs.TRACER.span("evaluator.timing"):
                 # Cached on the compiled graph: evaluators of the same
-                # circuit share one level structure and its incremental
-                # engine.
+                # circuit share one timing engine.
                 self.timing = levelized_timing(circuit)
                 self.nominal_delay_ns = self.timing.critical_path_delay(
                     self.electricals.delay_ns

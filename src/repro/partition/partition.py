@@ -95,9 +95,9 @@ def _edited(gates: list[int], drop, add) -> list[int]:
 class Partition:
     """Mutable disjoint cover of a circuit's logic gates by modules.
 
-    Module ids are small ints, unique within one partition's lifetime
-    (ids of deleted modules are never reused, so optimiser bookkeeping
-    can key on them safely).
+    Module ids are the small ints the partition is built with: moves
+    never create a module, and a module emptied outside a trial is
+    deleted for good, so optimiser bookkeeping can key on ids safely.
 
     Inside a trial (:meth:`begin_trial`) only :meth:`move_gate` may
     change the partition; :meth:`rollback` undoes its moves.
@@ -191,8 +191,9 @@ class Partition:
     ) -> "Partition":
         """Unchecked construction from the assignment array and every
         module's gates.  Dict and set iteration orders follow insertion
-        order, so ``groups`` and each gate list are inserted as given;
-        the IDDQ simulator sums leakage in set order."""
+        order, so ``groups`` and each gate list are inserted as given.
+        No package code depends on that order, but the legacy legs of
+        ``benchmarks/bench_optimize.py`` iterate the sets."""
         partition = object.__new__(cls)
         partition.circuit = circuit
         partition._module_of = module_of.astype(np.int32)
@@ -232,11 +233,12 @@ class Partition:
     # ----------------------------------------------------------------- queries
     @property
     def version(self) -> int:
-        """Mutation counter: bumped by every move/split/merge.
+        """Mutation counter: bumped by every move and rollback.
 
-        Consumers that precompute per-module structures (e.g. the IDDQ
-        module-index grouping) key their caches on ``(id(partition),
-        version)`` so a mutated partition can never serve stale data.
+        Consumers that precompute per-partition structures (e.g. the
+        IDDQ engine's defect-to-module map) key their caches on
+        ``(id(partition), version)`` so a mutated partition can never
+        serve stale data.
         """
         return self._version
 
@@ -573,10 +575,6 @@ class Partition:
             self._boundary, self._adjacent = boundary
             self._boundary_version = self._version
 
-    def _outside_trial(self, operation: str) -> None:
-        if self._trial is not None:
-            raise PartitionError(f"{operation} not allowed inside a trial")
-
     def move_gates(self, gates: Iterable[int], target_module: int) -> None:
         """Move a batch of gates to ``target_module`` — one version bump,
         which drops the caches, emptied sources deleted.
@@ -586,7 +584,8 @@ class Partition:
         batch is validated before any mutation, so a rejected call
         leaves the partition (and its version-keyed caches) untouched.
         """
-        self._outside_trial("move_gates")
+        if self._trial is not None:
+            raise PartitionError("move_gates not allowed inside a trial")
         gates = check_gate_ids(list(gates), len(self._module_of)).tolist()
         if target_module not in self._modules:
             raise PartitionError(f"no module {target_module}")
@@ -619,38 +618,6 @@ class Partition:
                 if not source_set:
                     del self._modules[source]
         self._version += 1
-
-    def split_new_module(self, gates: Iterable[int]) -> int:
-        """Move ``gates`` into a brand-new module; returns its id."""
-        self._outside_trial("split_new_module")
-        gates = list(gates)
-        if not gates:
-            raise PartitionError("cannot create an empty module")
-        new_id = self._next_id
-        self._next_id += 1
-        self._version += 1
-        self._modules[new_id] = set()
-        for gate in gates:
-            source = self._module_of[gate]
-            self._modules[source].discard(gate)
-            self._module_of[gate] = new_id
-            self._modules[new_id].add(gate)
-            if not self._modules[source]:
-                del self._modules[source]
-        return new_id
-
-    def merge_modules(self, keep: int, absorb: int) -> None:
-        """Merge module ``absorb`` into ``keep``."""
-        self._outside_trial("merge_modules")
-        if keep == absorb:
-            raise PartitionError("cannot merge a module with itself")
-        gates = self._modules.get(absorb)
-        if gates is None or keep not in self._modules:
-            raise PartitionError(f"unknown module in merge({keep}, {absorb})")
-        self._module_of[self.gates_array(absorb)] = keep
-        self._modules[keep].update(gates)
-        self._version += 1
-        del self._modules[absorb]
 
     # ------------------------------------------------------------- invariants
     def check_invariants(self) -> None:

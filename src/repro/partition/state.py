@@ -286,9 +286,10 @@ class EvaluationState(_StateProtocol):
     """Dense transactional evaluation core (see module docstring).
 
     Module statistics are stored at *slots* — positions in contiguous
-    arrays.  A module dying frees its slot (zero-filled, so full-array
-    reductions stay exact); a split claims a free slot or grows the
-    arrays.
+    arrays, one per module of the partition the state is built from.
+    The slot table is fixed then: moves never add a module, and a module
+    dying frees its slot for good (zero-filled, so full-array reductions
+    stay exact).
 
     A trial is a snapshot.  :meth:`begin_trial` copies the arrays a
     trial writes in place (``_TRIAL_ARRAYS``: the slot arrays, the slot
@@ -301,10 +302,8 @@ class EvaluationState(_StateProtocol):
     read them at once.
     """
 
-    _GROW = 8
-
     #: Every slot-indexed statistic, ``(S,)`` vectors and ``(S, T)``
-    #: profiles alike: copied, grown, freed and adopted as one set.
+    #: profiles alike: copied, freed and adopted as one set.
     SLOT_ARRAYS = (
         "leak_na",
         "rail_cap_ff",
@@ -330,9 +329,7 @@ class EvaluationState(_StateProtocol):
         depth_t = ctx.times.depth + 1
         s = len(modules)
         self._slot_of: dict[int, int] = {m: i for i, m in enumerate(modules)}
-        self._slot_module = np.full(s, -1, dtype=np.int64)
-        self._slot_module[: len(modules)] = modules
-        self._free_slots: list[int] = []
+        self._slot_module = np.array(modules, dtype=np.int64)
         self.leak_na = np.zeros(s, dtype=np.float64)
         self.rail_cap_ff = np.zeros(s, dtype=np.float64)
         self.sep_sum = np.zeros(s, dtype=np.float64)
@@ -373,7 +370,6 @@ class EvaluationState(_StateProtocol):
         clone.ctx = self.ctx
         clone.partition = self.partition.copy()
         clone._slot_of = dict(self._slot_of)
-        clone._free_slots = list(self._free_slots)
         for name in EvaluationState._TRIAL_ARRAYS:
             setattr(clone, name, getattr(self, name).copy())
         clone._arrival = self._arrival  # shared: never written in place
@@ -394,7 +390,6 @@ class EvaluationState(_StateProtocol):
             [getattr(self, name).copy() for name in EvaluationState._TRIAL_ARRAYS],
             self._arrival,
             dict(self._slot_of),
-            list(self._free_slots),
             set(self._dirty),
             self._dbic,
             len(self._move_log),
@@ -413,7 +408,6 @@ class EvaluationState(_StateProtocol):
             arrays,
             self._arrival,
             self._slot_of,
-            self._free_slots,
             self._dirty,
             self._dbic,
             log_len,
@@ -484,56 +478,9 @@ class EvaluationState(_StateProtocol):
     def _release_slot(self, module: int, slot: int) -> None:
         """Zero a dead module's slot so full-array reductions stay exact."""
         del self._slot_of[module]
-        self._free_slots.append(slot)
         self._slot_module[slot] = -1
         for name in EvaluationState.SLOT_ARRAYS:
             getattr(self, name)[slot] = 0
-
-    def _claim_slot(self, module: int) -> int:
-        """Allocate a slot for a new module (outside trials only)."""
-        if self._free_slots:
-            slot = self._free_slots.pop()
-        else:
-            slot = len(self._slot_module)
-            grow = EvaluationState._GROW
-            self._slot_module = np.concatenate(
-                [self._slot_module, np.full(grow, -1, dtype=np.int64)]
-            )
-            for name in EvaluationState.SLOT_ARRAYS:
-                old = getattr(self, name)
-                pad = np.zeros((grow,) + old.shape[1:], dtype=old.dtype)
-                setattr(self, name, np.concatenate([old, pad]))
-        self._slot_of[module] = slot
-        self._slot_module[slot] = module
-        return slot
-
-    def split_new_module(self, gates) -> int:
-        """Create a new module from ``gates``; rebuilds only the touched
-        modules (cold path, not allowed inside trials)."""
-        gates = list(gates)
-        if not gates:
-            raise PartitionError("cannot create an empty module")
-        sources = {self.partition.module_of(gate) for gate in gates}
-        new_id = self.partition.split_new_module(gates)
-        self._claim_slot(new_id)
-        self._rebuild_touched(sources | {new_id})
-        return new_id
-
-    def merge_modules(self, keep: int, absorb: int) -> None:
-        """Merge ``absorb`` into ``keep`` (rebuilds only ``keep``; not
-        allowed inside trials)."""
-        self.partition.merge_modules(keep, absorb)
-        self._rebuild_touched({keep, absorb})
-
-    def _rebuild_touched(self, modules: set[int]) -> None:
-        alive = set(self.partition.module_ids)
-        for module in sorted(modules):
-            if module in alive:
-                self._fill_slot(self._slot(module), module)
-                self._dirty.add(module)
-            elif module in self._slot_of:
-                self._release_slot(module, self._slot_of[module])
-                self._dirty.discard(module)
 
     # ------------------------------------------------------------ derived data
     def _refresh(self) -> None:
@@ -580,12 +527,11 @@ class EvaluationState(_StateProtocol):
             self._dirty.clear()
         else:
             changed = []
-        incremental = ctx.timing.incremental
         if self._arrival is None:
-            self._arrival = incremental.full_arrival(self.delay_degraded)
+            self._arrival = ctx.timing.full_arrival(self.delay_degraded)
             self._dbic = float(self._arrival.max()) if self._arrival.size else 0.0
         elif changed:
-            self._arrival = incremental.update(
+            self._arrival = ctx.timing.update(
                 self._arrival, self.delay_degraded, np.concatenate(changed)
             )
             self._dbic = float(self._arrival.max())
@@ -759,7 +705,7 @@ class EvaluationState(_StateProtocol):
                 if array[dead].any():
                     raise PartitionError("freed slot holds non-zero statistics")
         if self._arrival is not None:
-            full = ctx.timing.arrival_times(self.delay_degraded)
+            full = ctx.timing.full_arrival(self.delay_degraded)
             if not np.array_equal(self._arrival, full):
                 raise PartitionError("maintained arrival times drifted")
             if self._dbic != (float(full.max()) if full.size else 0.0):
@@ -1129,7 +1075,7 @@ class _BlockRows(BlockScores):
         # Stage 2: every row's delay vector re-timed in one stacked sweep,
         # whose arrivals the adopted rows keep.
         base = parents[0]
-        self._d_bic, self._arrivals = ctx.timing.incremental.retime_batch(
+        self._d_bic, self._arrivals = ctx.timing.retime_batch(
             base._arrival,
             base.delay_degraded,
             np.arange(num_gates, dtype=np.int64),
@@ -1190,7 +1136,7 @@ class _BlockRows(BlockScores):
         state._arrival = (
             None
             if self._arrivals is None
-            else parent.ctx.timing.incremental.stacked_arrival(self._arrivals, j)
+            else parent.ctx.timing.stacked_arrival(self._arrivals, j)
         )
         state._dbic = float(self._d_bic[j])
         if moves:

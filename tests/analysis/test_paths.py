@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.timing import LevelizedTiming
 from repro.analysis.paths import extract_critical_path
-from repro.analysis.timing import LevelizedTiming
 
 
 class TestExtraction:

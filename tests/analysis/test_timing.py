@@ -1,5 +1,7 @@
-"""Tests for critical-path timing, including a differential check of the
-levelised numpy longest path against a naive implementation."""
+"""Tests for critical-path timing: the engine and the scatter-max
+reference sweep of ``oracles/timing.py`` against a naive longest path,
+and every maintained or batched path of the engine against the
+reference."""
 
 import random
 
@@ -8,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.timing import LevelizedTiming
 from repro import obs
 from repro.analysis.current import GateElectricals
 from repro.analysis.timing import (
     IncrementalTiming,
-    LevelizedTiming,
     critical_path_delay,
     levelized_timing,
     nominal_gate_delays,
@@ -47,9 +49,10 @@ class TestChain:
         assert critical_path_delay(circuit, delays) == pytest.approx(4 * 0.35)
 
     def test_delays_shape_checked(self, c17_circuit):
-        timing = LevelizedTiming(c17_circuit)
         with pytest.raises(ValueError, match="shape"):
-            timing.arrival_times(np.zeros(3))
+            levelized_timing(c17_circuit).critical_path_delay(np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            LevelizedTiming(c17_circuit).arrival_times(np.zeros(3))
 
 
 class TestC17:
@@ -61,7 +64,7 @@ class TestC17:
 
     def test_degraded_delays_increase_path(self, c17_circuit, library):
         electricals = GateElectricals.compute(c17_circuit, library)
-        timing = LevelizedTiming(c17_circuit)
+        timing = levelized_timing(c17_circuit)
         base = timing.critical_path_delay(electricals.delay_ns)
         degraded = timing.critical_path_delay(electricals.delay_ns * 1.07)
         assert degraded == pytest.approx(base * 1.07)
@@ -91,9 +94,9 @@ class TestDifferentialProperty:
         delays_by_name = {
             name: delays[i] for i, name in enumerate(circuit.gate_names)
         }
-        fast = LevelizedTiming(circuit).critical_path_delay(delays)
         slow = naive_longest_path(circuit, delays_by_name)
-        assert fast == pytest.approx(slow)
+        for timing in (levelized_timing(circuit), LevelizedTiming(circuit)):
+            assert timing.critical_path_delay(delays) == pytest.approx(slow)
 
 
 class TestLevelizedCache:
@@ -110,8 +113,7 @@ class TestLevelizedCache:
 
 
 def _engines(circuit):
-    ref = LevelizedTiming(circuit)
-    return ref, IncrementalTiming(circuit.compiled, ref)
+    return LevelizedTiming(circuit), IncrementalTiming(circuit.compiled)
 
 
 def _out_of_level_order(config, seed):

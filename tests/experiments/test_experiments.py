@@ -73,6 +73,32 @@ class TestAllContinuesOnError:
         assert "summary: 1/1 passed" in capsys.readouterr().out
 
 
+class TestOperatorErrors:
+    """An :class:`ExperimentError` reaching the CLI is one ``error:``
+    line on stderr and exit code 1, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "nope"], "unknown experiment 'nope'"),
+            (["campaign", "--stages", "nope"], "unknown campaign stage(s) ['nope']"),
+            (["campaign", "--resume", "{missing}"], "cannot read resume manifest"),
+        ],
+    )
+    def test_one_error_line(self, argv, message, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        missing = str(tmp_path / "missing.json")
+        argv = [arg.format(missing=missing) for arg in argv]
+        if argv[0] == "campaign":
+            argv += ["--circuits", "c17", "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
+
 class TestFigure45:
     def test_demo_technology_forces_two_modules(self, c17_paper):
         from repro.partition.evaluator import PartitionEvaluator

@@ -127,18 +127,25 @@ class TestLeakageVectorisation:
 
 
 class TestModuleIndexCache:
-    def test_indices_cached_until_mutation(self, setup):
+    """Module indices are the partition's cached member arrays."""
+
+    def test_indices_are_the_partition_member_arrays(self, setup):
         circuit, partition, _, _ = setup
         sim = IDDQSimulator(circuit)
         partition = partition.copy()
-        first = sim.module_indices(partition)
-        assert sim.module_indices(partition) is first  # cache hit
-        gate = next(iter(partition.gates_of(partition.module_ids[0])))
-        partition.move_gate(gate, partition.module_ids[1])
-        second = sim.module_indices(partition)
-        assert second is not first  # version bump invalidates
-        merged = np.sort(np.concatenate(list(second.values())))
-        assert np.array_equal(merged, np.arange(len(circuit.gate_names)))
+
+        def check():
+            indices = sim.module_indices(partition)
+            assert list(indices) == list(partition.module_ids)
+            for module, idx in indices.items():
+                assert idx is partition.gates_array(module)
+            merged = np.sort(np.concatenate(list(indices.values())))
+            assert np.array_equal(merged, np.arange(len(circuit.gate_names)))
+
+        check()
+        first, second = partition.module_ids[:2]
+        partition.move_gate(int(partition.gates_array(first)[0]), second)
+        check()
 
     def test_background_matches_module_iddq(self, setup):
         circuit, partition, _, patterns = setup

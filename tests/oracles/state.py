@@ -2,11 +2,12 @@
 
 :class:`ReferenceEvaluationState` keeps one :class:`ModuleStats` per
 module, snapshots the whole state when a trial opens, and re-times the
-degraded circuit from scratch for every cost.  It speaks the same
-protocol as :class:`~repro.partition.state.EvaluationState` and takes
-the generic adapters of ``_StateProtocol``, so an optimiser run on
-either state must make the same moves, and the dense kernels must score
-what its per-candidate trials score.
+degraded circuit from scratch for every cost, by the scatter-max sweep
+of ``oracles/timing.py``.  It speaks the same protocol as
+:class:`~repro.partition.state.EvaluationState` and takes the generic
+adapters of ``_StateProtocol``, so an optimiser run on either state
+must make the same moves, and the dense kernels must score what its
+per-candidate trials score.
 
 Its ``trial_blocks`` is :func:`per_row_trial_blocks`: one trial and
 rollback per row, with row states built by replay
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles.timing import reference_timing
 from repro.errors import PartitionError
 from repro.partition.constraints import ConstraintReport, check_constraints
 from repro.partition.costs import CostBreakdown, log_guarded
@@ -180,40 +182,6 @@ class ReferenceEvaluationState(_StateProtocol):
         self._move_log.append((gate, target_module))
         return source
 
-    def split_new_module(self, gates) -> int:
-        """Create a new module from ``gates`` (state-maintaining version of
-        :meth:`Partition.split_new_module`); rebuilds only the touched
-        modules' caches."""
-        if self._snapshot is not None:
-            raise PartitionError("split_new_module not allowed inside a trial")
-        gates = list(gates)
-        if not gates:
-            raise PartitionError("cannot create an empty module")
-        sources = {self.partition.module_of(gate) for gate in gates}
-        new_id = self.partition.split_new_module(gates)
-        self._rebuild_touched(sources | {new_id})
-        return new_id
-
-    def merge_modules(self, keep: int, absorb: int) -> None:
-        """Merge ``absorb`` into ``keep`` (rebuilds only ``keep``)."""
-        if self._snapshot is not None:
-            raise PartitionError("merge_modules not allowed inside a trial")
-        self.partition.merge_modules(keep, absorb)
-        self._rebuild_touched({keep, absorb})
-
-    def _rebuild_touched(self, modules: set[int]) -> None:
-        """Rebuild caches of ``modules`` only; dead ones are dropped and
-        only the rebuilt ones become dirty."""
-        alive = set(self.partition.module_ids)
-        for module in sorted(modules):
-            if module in alive:
-                self.stats[module] = self._build_module_stats(module)
-                self._dirty.add(module)
-            else:
-                self.stats.pop(module, None)
-                self._sensors.pop(module, None)
-                self._dirty.discard(module)
-
     # ------------------------------------------------------------ derived data
     def _refresh(self) -> None:
         """Re-size sensors and re-degrade delays for modified modules."""
@@ -250,7 +218,8 @@ class ReferenceEvaluationState(_StateProtocol):
         ctx = self.ctx
         total_area = sum(s.area for s in self._sensors.values())
         c1 = log_guarded(total_area)
-        d_bic = ctx.timing.critical_path_delay(self.delay_degraded)
+        timing = reference_timing(ctx.circuit)
+        d_bic = timing.critical_path_delay(self.delay_degraded)
         d_nom = ctx.nominal_delay_ns
         c2 = (d_bic - d_nom) / d_nom
         total_sep = sum(stats.sep_sum for stats in self.stats.values())

@@ -130,8 +130,6 @@ OPS = {
     "move": 2,
     "boundary": 2,
     "adjacent": 2,
-    "split": 1,
-    "merge": 1,
 }
 
 
@@ -148,9 +146,9 @@ def test_random_interleavings_match_fresh_builds(
     num_gates, depth, circuit_seed, k, seed, steps
 ):
     """One- and two-move trials, each rolled back or committed and
-    sometimes queried while open, bare moves, boundary and adjacency
-    queries, splits and merges in random order: after every step each
-    cache and query equals a fresh build, and the state is consistent."""
+    sometimes queried while open, bare moves, and boundary and adjacency
+    queries in random order: after every step each cache and query
+    equals a fresh build, and the state is consistent."""
     evaluator = _evaluator(num_gates, depth, circuit_seed)
     rng = random.Random(seed)
     state = evaluator.new_state(_start(evaluator, k, rng))
@@ -171,14 +169,8 @@ def test_random_interleavings_match_fresh_builds(
             move = _move(partition, rng)
             if move is not None:
                 state.move_gate(*move)
-        elif op in ("boundary", "adjacent"):
+        else:
             _query(partition, op, rng)
-        elif op == "split":
-            gates = partition.gates_array(rng.choice(partition.module_ids)).tolist()
-            if len(gates) > 1:
-                state.split_new_module(rng.sample(gates, rng.randint(1, len(gates) - 1)))
-        elif partition.num_modules > 1:
-            state.merge_modules(*rng.sample(partition.module_ids, 2))
         assert_caches_fresh(partition)
         state.copy().consistency_check()
 
@@ -245,19 +237,15 @@ class TestRollback:
         assert_caches_fresh(partition)
 
 
-@pytest.mark.parametrize("op", ["move_gates", "split_new_module", "merge_modules"])
+@pytest.mark.parametrize("op", ["move_gates"])
 def test_other_mutations_drop_the_caches(op):
+    """``move_gates``, the one mutation besides ``move_gate`` and a
+    trial's rollback, drops every cache."""
     evaluator = _evaluator(40, 6, 3)
     partition = _start(evaluator, 3, random.Random(5))
     _warm(partition)
     first, second = partition.module_ids[:2]
-    gates = partition.gates_array(first)[:2].tolist()
-    if op == "move_gates":
-        partition.move_gates(gates, second)
-    elif op == "split_new_module":
-        partition.split_new_module(gates)
-    else:
-        partition.merge_modules(first, second)
+    getattr(partition, op)(partition.gates_array(first)[:2].tolist(), second)
     assert partition._members_version != partition.version
     assert partition._boundary_version != partition.version
     assert partition._boundary_sets_version != partition.version

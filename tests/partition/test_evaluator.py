@@ -40,10 +40,13 @@ class TestEvaluation:
         assert evaluation.cost == pytest.approx(evaluation.breakdown.total)
 
     def test_partition_snapshot_is_independent(self, c17_evaluator, c17_paper):
-        partition = Partition.single_module(c17_paper)
+        partition = Partition.from_groups(
+            c17_paper, [{"g1", "g3", "O2"}, {"g2", "g4", "O3"}]
+        )
         evaluation = c17_evaluator.evaluate(partition)
-        partition.split_new_module([0])
-        assert evaluation.partition.num_modules == 1
+        gate = c17_paper.gate_index["g1"]
+        partition.move_gate(gate, 1)
+        assert evaluation.partition.module_of(gate) == 0
 
     def test_evaluator_reusable_across_partitions(self, small_evaluator):
         n = len(small_evaluator.circuit.gate_names)

@@ -205,38 +205,3 @@ class TestMoves:
         partition = Partition.single_module(c17_paper)
         with pytest.raises(PartitionError):
             partition.move_gate(0, 9)
-
-    def test_split_new_module(self, c17_paper):
-        partition = Partition.single_module(c17_paper)
-        index = c17_paper.gate_index
-        new_id = partition.split_new_module([index["g1"], index["g2"]])
-        assert partition.num_modules == 2
-        assert partition.module_size(new_id) == 2
-        partition.check_invariants()
-
-    def test_split_empty_rejected(self, c17_paper):
-        with pytest.raises(PartitionError):
-            Partition.single_module(c17_paper).split_new_module([])
-
-    def test_merge_modules(self, c17_paper):
-        partition = Partition.from_groups(
-            c17_paper, [{"g1", "g3", "O2"}, {"g2", "g4", "O3"}]
-        )
-        partition.merge_modules(0, 1)
-        assert partition.num_modules == 1
-        assert partition.module_size(0) == 6
-        partition.check_invariants()
-
-    def test_merge_self_rejected(self, c17_paper):
-        partition = Partition.single_module(c17_paper)
-        with pytest.raises(PartitionError):
-            partition.merge_modules(0, 0)
-
-    def test_module_ids_never_reused(self, c17_paper):
-        partition = Partition.from_groups(
-            c17_paper, [{"g1"}, {"g2", "g3", "g4", "O2", "O3"}]
-        )
-        index = c17_paper.gate_index
-        partition.move_gate(index["g1"], 1)  # module 0 dies
-        new_id = partition.split_new_module([index["g1"]])
-        assert new_id not in (0, 1)

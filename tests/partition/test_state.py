@@ -54,18 +54,6 @@ class TestIncrementalMoves:
         state.consistency_check()
         clone.consistency_check()
 
-    def test_split_new_module_consistent(self, small_evaluator):
-        state = small_evaluator.new_state(balanced_partition(small_evaluator.circuit, 2))
-        new_id = state.split_new_module([0, 2, 4])
-        assert state.partition.module_size(new_id) == 3
-        state.consistency_check()
-
-    def test_merge_modules_consistent(self, small_evaluator):
-        state = small_evaluator.new_state(balanced_partition(small_evaluator.circuit, 3))
-        state.merge_modules(0, 2)
-        assert state.partition.num_modules == 2
-        state.consistency_check()
-
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 10_000), moves=st.integers(1, 40))
     def test_random_move_sequences_stay_consistent(self, small_evaluator, seed, moves):

@@ -73,7 +73,6 @@ def _restorable(state) -> dict:
             out[name] = _bits(getattr(state, name))
         out["_arrival"] = _bits(state._arrival)
         out["_slot_of"] = dict(state._slot_of)
-        out["_free_slots"] = list(state._free_slots)
         out["_dirty"] = set(state._dirty)
         out["_dbic"] = state._dbic
     return out
@@ -157,10 +156,6 @@ class TestTrialProtocol:
             state.begin_trial()
         with pytest.raises(PartitionError):
             state.copy()
-        with pytest.raises(PartitionError):
-            state.split_new_module([0, 1])
-        with pytest.raises(PartitionError):
-            state.merge_modules(0, 1)
         state.rollback()
 
     @settings(
@@ -268,23 +263,10 @@ class TestTrialProtocol:
         assert state.penalized_cost(1e4) == fresh.penalized_cost(1e4)
         state.consistency_check()
 
-    def test_split_and_merge_rebuild_only_touched(self, small_evaluator, make_state):
-        state = make_state(
-            small_evaluator, balanced_partition(small_evaluator.circuit, 3)
-        )
-        state.penalized_cost(1e4)
-        new_id = state.split_new_module([0, 3, 6])
-        assert state.partition.module_size(new_id) == 3
-        state.consistency_check()
-        state.merge_modules(0, new_id)
-        state.consistency_check()
-        fresh = make_state(small_evaluator, state.partition.copy())
-        assert state.penalized_cost(1e4) == pytest.approx(fresh.penalized_cost(1e4))
-
 
 class TestPartitionTrial:
     """A bare partition's own trial: ``move_gate`` records, ``rollback``
-    undoes last first, and nothing else may change it meanwhile."""
+    undoes last first, and ``move_gates`` may not change it meanwhile."""
 
     def _restorable(self, partition):
         return (
@@ -296,8 +278,8 @@ class TestPartitionTrial:
     def test_rollback_restores_assignment_sets_and_next_id(self, small_circuit):
         n = len(small_circuit.gate_names)
         assignment = {g: (0 if g == 0 else 1 + g % 3) for g in range(n)}
+        assignment[1] = assignment[4] = 4
         partition = Partition(small_circuit, assignment)
-        partition.split_new_module([1, 4])
         before, version = self._restorable(partition), partition.version
         partition.begin_trial()
         partition.move_gate(0, 2)  # module 0 empties
@@ -324,13 +306,8 @@ class TestPartitionTrial:
         with pytest.raises(PartitionError, match="already open"):
             partition.begin_trial()
         before = self._restorable(partition)
-        for mutate in (
-            lambda: partition.move_gates([0], 1),
-            lambda: partition.split_new_module([0, 3]),
-            lambda: partition.merge_modules(0, 1),
-        ):
-            with pytest.raises(PartitionError, match="inside a trial"):
-                mutate()
+        with pytest.raises(PartitionError, match="inside a trial"):
+            partition.move_gates([0], 1)
         assert self._restorable(partition) == before
         partition.rollback()
         partition.move_gates([0], 1)

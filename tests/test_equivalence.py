@@ -30,11 +30,12 @@ from oracles.faultsim import (
 from oracles.separation import reference_separation_matrix
 from oracles.sim import ReferenceLogicSimulator
 from oracles.state import ReferenceEvaluationState
+from oracles.timing import LevelizedTiming
 from repro.analysis.paths import extract_critical_path
 from repro.config import EvolutionParams
 from repro.analysis import separation
 from repro.analysis.separation import SeparationMatrix
-from repro.analysis.timing import LevelizedTiming
+from repro.analysis.timing import levelized_timing
 from repro.analysis.transition_times import (
     TransitionTimes,
     times_from_mask,
@@ -437,7 +438,6 @@ class TestTimingEquivalence:
         n = len(circuit.gate_names)
         rng = np.random.default_rng(5)
         delays = np.round(rng.random(n) * 2, 1)  # rounded to provoke ties
-        arrival = LevelizedTiming(circuit).arrival_times(delays)
         index = circuit.gate_index
         expected: dict[str, float] = {}
         for name in circuit.topological_order:
@@ -448,8 +448,12 @@ class TestTimingEquivalence:
                 expected[name] = float(delays[index[name]]) + max(
                     expected[f] for f in gate.fanins
                 )
-        for name, g in index.items():
-            assert arrival[g] == expected[name]
+        for arrival in (
+            levelized_timing(circuit).full_arrival(delays),
+            LevelizedTiming(circuit).arrival_times(delays),
+        ):
+            for name, g in index.items():
+                assert arrival[g] == expected[name]
 
     def test_critical_path_matches_dict_walk(self, circuit):
         n = len(circuit.gate_names)
