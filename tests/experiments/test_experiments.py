@@ -84,6 +84,7 @@ class TestOperatorErrors:
             (["campaign", "--stages", "nope"], "unknown campaign stage(s) ['nope']"),
             (["campaign", "--resume", "{missing}"], "cannot read resume manifest"),
         ],
+        ids=["unknown-experiment", "unknown-stage", "unreadable-resume"],
     )
     def test_one_error_line(self, argv, message, tmp_path, capsys):
         from repro.experiments.__main__ import main
